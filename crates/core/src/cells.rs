@@ -182,6 +182,10 @@ pub struct CellStore {
     fdom_member_proj: Vec<f64>,
     /// Reused single-point projection buffer.
     proj_tmp: Vec<f64>,
+    /// Every tuple ever admitted, oriented, row-major, in admission order
+    /// (see [`CellStore::admitted_slab`]). Append-only: evictions and cell
+    /// kills leave it untouched.
+    admitted: Vec<f64>,
 }
 
 impl CellStore {
@@ -216,6 +220,7 @@ impl CellStore {
             fdom_tuple_proj: Vec::new(),
             fdom_member_proj: Vec::new(),
             proj_tmp: Vec::new(),
+            admitted: Vec::new(),
         }
     }
 
@@ -278,6 +283,23 @@ impl CellStore {
     pub(crate) fn note_dominance_pairs(&mut self, pairs: u64) {
         self.stats.dominance_tests += pairs;
         self.stats.dominance_pairs += pairs;
+    }
+
+    /// The append-only slab of every tuple the store has ever admitted:
+    /// oriented values, row-major (`dims` per row), in admission order.
+    ///
+    /// Any prefix of it is a sound *upstream rejection filter*: a tuple
+    /// Pareto-dominated by a slab row can never be admitted, because the
+    /// row is either still live or was removed by something that dominates
+    /// it (an evicting tuple, or any tuple of a fully dominating cell), and
+    /// dominance is transitive. Batch producers test their survivors
+    /// against a snapshot of it before the ordered committer ever sees
+    /// them ([`crate::tuple_level`]). Rows with a NaN coordinate are never
+    /// recorded: the kernels treat NaN as a tie, which is not transitive,
+    /// so such a row could reject a tuple its own evictor would not.
+    #[inline]
+    pub fn admitted_slab(&self) -> &[f64] {
+        &self.admitted
     }
 
     /// Current populated-cell skyline size (diagnostics).
@@ -513,17 +535,9 @@ impl CellStore {
         }
         // 2. First tuple of a cell: lazily check full dominance against the
         //    populated-cell skyline.
-        if !self.cells[idx as usize].populated {
-            let dominated = self
-                .cell_skyline
-                .iter()
-                .any(|&s| full_dominates(&self.cells[s as usize].coord, &coord, dims));
-            if dominated {
-                self.cells[idx as usize].dead = true;
-                self.stats.cells_killed += 1;
-                self.stats.tuples_rejected_dead_cell += 1;
-                return false;
-            }
+        if self.kill_if_unpopulated_and_dominated(idx) {
+            self.stats.tuples_rejected_dead_cell += 1;
+            return false;
         }
 
         // 3. Check the new tuple against tuples in comparable cells
@@ -615,6 +629,9 @@ impl CellStore {
             cell.points.push(oriented);
             cell.populated = true;
         }
+        if !oriented.iter().any(|v| v.is_nan()) {
+            self.admitted.extend_from_slice(oriented);
+        }
         self.stats.tuples_inserted += 1;
         if newly_populated {
             for d in 0..dims {
@@ -635,6 +652,73 @@ impl CellStore {
             self.fresh_skyline.push(idx);
         }
         true
+    }
+
+    /// Lazy cell death (insert step 2): a cell nothing was ever admitted
+    /// into dies the first time something *tries* to land in it while a
+    /// populated cell fully dominates it. Returns whether it died now.
+    fn kill_if_unpopulated_and_dominated(&mut self, idx: u32) -> bool {
+        let cell = &self.cells[idx as usize];
+        if cell.populated || cell.dead {
+            return false;
+        }
+        let dims = self.grid.dims();
+        let dominated = self
+            .cell_skyline
+            .iter()
+            .any(|&s| full_dominates(&self.cells[s as usize].coord, &cell.coord, dims));
+        if dominated {
+            self.cells[idx as usize].dead = true;
+            self.stats.cells_killed += 1;
+        }
+        dominated
+    }
+
+    /// Records that a tuple of the cell with [`pack`]ed coordinate `key`
+    /// was rejected upstream (dominated by an [`admitted_slab`] row) and
+    /// will never reach [`insert`]. `insert` would have rejected it too —
+    /// but might first have discovered the cell dead (step 2), which
+    /// [`is_dead`](Cell::is_dead) readers (`ProgDetermine`'s retirement
+    /// order, the benefit model) observe. Replaying that one side effect
+    /// keeps the store's state identical to committer-side rejection.
+    ///
+    /// [`admitted_slab`]: CellStore::admitted_slab
+    /// [`insert`]: CellStore::insert
+    fn note_rejected_upstream(&mut self, key: u128) {
+        let idx = *self
+            .by_key
+            .get(&key)
+            .expect("tuple mapped into an untracked cell: look-ahead box invariant violated");
+        self.kill_if_unpopulated_and_dominated(idx);
+    }
+
+    /// Inserts one region batch in order, replaying the snapshot filter's
+    /// upstream rejections (`rejected_cells`: `(i, cell key)` = a tuple of
+    /// that cell was dropped just before `ids[i]`, ascending; see
+    /// [`RegionBatch::rejected_cells`](crate::tuple_level::RegionBatch))
+    /// at the point of the sequence where [`insert`](Self::insert) would
+    /// have seen the dropped tuple. The resulting store state is exactly
+    /// that of inserting the unfiltered batch.
+    ///
+    /// # Panics
+    /// Panics if a tuple — inserted or rejected upstream — falls into an
+    /// untracked cell, like [`insert`](Self::insert).
+    pub fn insert_batch(
+        &mut self,
+        ids: &[(u32, u32)],
+        points: &PointStore,
+        rejected_cells: &[(u32, u128)],
+    ) {
+        let mut rejected = rejected_cells.iter().peekable();
+        for (i, &(r, t)) in ids.iter().enumerate() {
+            while let Some(&(_, cell)) = rejected.next_if(|&&(at, _)| at as usize <= i) {
+                self.note_rejected_upstream(cell);
+            }
+            self.insert(r, t, points.point(i));
+        }
+        for &(_, cell) in rejected {
+            self.note_rejected_upstream(cell);
+        }
     }
 
     /// Iterates over tracked cells with their indices.

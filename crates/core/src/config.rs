@@ -93,10 +93,11 @@ pub struct ProgXeConfig {
 }
 
 /// Default [`ProgXeConfig::prefilter_min_pairs`]: regions at or above this
-/// join-pair bound take the batch + local-skyline pre-filter path on the
-/// `Inline` backend. Measured on the `figures -- threads` workload (10k
-/// anti-correlated, d=3, σ=0.1, see `BENCH_threads.json`): the pre-filter
-/// arrangement beats the streaming insert ~1.8× end to end, and gate
+/// join-pair bound take the batch path (local-skyline pre-filter, then
+/// rejection against the store's admitted-tuple slab) on the `Inline`
+/// backend. Measured on the `figures -- threads` workload (10k
+/// anti-correlated, d=3, σ=0.1, see `BENCH_threads.json`): the batch
+/// arrangement beats the streaming insert ~2.3× end to end, and gate
 /// values from 0 to 4096 are indistinguishable there (the workload is
 /// dominated by large regions). 4096 is chosen so that *small* regions —
 /// the latency-sensitive case the big workload cannot see — keep the

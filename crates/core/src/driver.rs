@@ -19,7 +19,10 @@
 //!   implements it for its shared thread pool) into a bounded dispatch
 //!   window, and batches are committed **strictly in pop order** via a
 //!   reorder buffer — the discipline that keeps parallel emission
-//!   deterministic regardless of worker interleaving.
+//!   deterministic regardless of worker interleaving. Each unit carries
+//!   the store's admitted-tuple slab as it stood at dispatch and rejects
+//!   dominated tuples against it on the worker, so the serial committer
+//!   only sees the few tuples that can still be admitted.
 //!
 //! ```text
 //!             ┌─ Inline:  compute on this thread ──────────────┐
@@ -105,7 +108,10 @@ pub enum Popped {
     /// than skipping to a ready region — is what keeps the commit sequence,
     /// and with it the emission order, independent of the arrival schedule.
     Stalled,
-    /// Nothing is dispatchable: all regions are resolved or in flight.
+    /// Nothing is dispatchable right now: every region is resolved or in
+    /// flight, or — ProgOrder only — a genuine EL-graph root is in flight
+    /// and its commit must land (pushing new roots, or proving there are
+    /// none) before the schedule can choose again.
     Exhausted,
 }
 
@@ -114,11 +120,18 @@ impl RegionSchedule {
     /// out but not yet resolved — on an inline run it always equals the
     /// resolved set, but the pooled backend keeps a window of them in
     /// flight. Returns [`Popped::Exhausted`] when nothing is dispatchable
-    /// *right now* (either all regions are dispatched/resolved, or —
-    /// ProgOrder with a root-free cyclic component — every pending region
-    /// is in flight).
+    /// *right now*: all regions are dispatched/resolved, or — ProgOrder —
+    /// the queue is empty while a genuine EL-root is still in flight.
     ///
-    /// `ready` is the streaming-ingestion readiness gate: when it rejects
+    /// With an empty queue and no root in flight the graph is root-free
+    /// (the common case: coarse grids make every region box overlap every
+    /// other, so all edges are mutual), and the fallback hands out the best
+    /// pending region that is **not yet dispatched** — so a pooled window
+    /// fills even though nothing has committed. The pick depends only on
+    /// `rank_cache`, region ids and the dispatched set, all of which change
+    /// at fixed points of the driver's pop/commit sequence.
+    ///
+    /// `gate` is the streaming-ingestion readiness gate: when it rejects
     /// the region the schedule would hand out next, the pop *stalls* — the
     /// schedule state is left so the identical region is offered again on
     /// the next call. Order preservation under the gate is what makes
@@ -128,9 +141,9 @@ impl RegionSchedule {
         ctx: &RankCtx<'_>,
         stats: &mut ExecStats,
         dispatched: &[bool],
-        ready: Option<&dyn Fn(u32) -> bool>,
+        gate: Option<&crate::ingest::IngestCtx>,
     ) -> Popped {
-        let is_ready = |rid: u32| ready.is_none_or(|f| f(rid));
+        let is_ready = |rid: u32| gate.is_none_or(|g| g.is_ready(rid));
         match self {
             RegionSchedule::Static { order, pos } => {
                 let Some(rid) = order.get(*pos).copied() else {
@@ -187,22 +200,28 @@ impl RegionSchedule {
                         }
                         None => {
                             let pending = sched.graph.pending();
-                            // An empty queue with regions *in flight* is not
+                            // An empty queue with a *root* in flight is not
                             // the cyclic-component case — the real EL-roots
                             // are simply uncommitted. Hand out nothing and
                             // let the committer land a batch, which either
                             // pushes new roots or ends the run.
-                            if pending.iter().any(|&rid| dispatched[rid as usize]) {
+                            if pending
+                                .iter()
+                                .any(|&rid| dispatched[rid as usize] && sched.graph.is_root(rid))
+                            {
                                 return Popped::Exhausted;
                             }
                             // Cyclic component with no root (DESIGN.md §5.2):
-                            // pick the best pending region by cached rank —
-                            // O(regions), no box scans.
-                            let best = pending.into_iter().max_by(|&a, &b| {
-                                sched.rank_cache[a as usize]
-                                    .total_cmp(&sched.rank_cache[b as usize])
-                                    .then_with(|| b.cmp(&a))
-                            });
+                            // pick the best not-yet-dispatched pending region
+                            // by cached rank — O(regions), no box scans.
+                            let best = pending
+                                .into_iter()
+                                .filter(|&rid| !dispatched[rid as usize])
+                                .max_by(|&a, &b| {
+                                    sched.rank_cache[a as usize]
+                                        .total_cmp(&sched.rank_cache[b as usize])
+                                        .then_with(|| b.cmp(&a))
+                                });
                             let Some(best) = best else {
                                 return Popped::Exhausted;
                             };
@@ -420,8 +439,8 @@ impl Committer {
 
     /// Picks the next region to work on, marking it dispatched. `None`
     /// means nothing is dispatchable right now — which is final on an
-    /// inline run, but on a pooled run may become `Some` again after
-    /// in-flight regions commit (new EL-graph roots appear).
+    /// inline run, but on a pooled run may become `Some` again after an
+    /// in-flight EL-graph root commits (see [`Popped::Exhausted`]).
     pub fn pop_next(&mut self, stats: &mut ExecStats) -> Option<u32> {
         match self.pop_gated(stats, None) {
             Popped::Region(rid) => Some(rid),
@@ -429,7 +448,7 @@ impl Committer {
         }
     }
 
-    /// [`pop_next`](Self::pop_next) with a readiness gate: when `ready`
+    /// [`pop_next`](Self::pop_next) with a readiness gate: when `gate`
     /// rejects the region the schedule would hand out, the pop returns
     /// [`Popped::Stalled`] and the schedule is left positioned on that same
     /// region. The streaming-ingestion driver stalls until watermarks or a
@@ -438,7 +457,7 @@ impl Committer {
     pub fn pop_gated(
         &mut self,
         stats: &mut ExecStats,
-        ready: Option<&dyn Fn(u32) -> bool>,
+        gate: Option<&crate::ingest::IngestCtx>,
     ) -> Popped {
         let _span = self.trace.span(Span::RegionPop);
         let ctx = RankCtx {
@@ -450,7 +469,7 @@ impl Committer {
         };
         let popped = self
             .schedule
-            .next_region(&ctx, stats, &self.dispatched, ready);
+            .next_region(&ctx, stats, &self.dispatched, gate);
         if let Popped::Region(rid) = popped {
             debug_assert!(!self.dispatched[rid as usize], "region {rid} popped twice");
             self.dispatched[rid as usize] = true;
@@ -459,6 +478,13 @@ impl Committer {
             self.trace.point(Point::Stall);
         }
         popped
+    }
+
+    /// The cell store's append-only slab of admitted tuples
+    /// ([`CellStore::admitted_slab`]) as of the commits landed so far — what
+    /// a batch producer filters against ([`RegionCtx::compute`]).
+    pub fn admitted_slab(&self) -> &[f64] {
+        self.store.admitted_slab()
     }
 
     /// Whether the region's whole output box is fully dominated by results
@@ -517,7 +543,8 @@ impl Committer {
 
     /// Batch path: applies one computed batch. The region box is re-checked
     /// against results committed in the meantime (a region dispatched early
-    /// may be dead by the time its batch lands), then the surviving tuples
+    /// may be dead by the time its batch lands — counted as
+    /// [`ExecStats::regions_computed_dead`]), then the surviving tuples
     /// go through the same cell-restricted dominance insert the streaming
     /// path uses, and the region resolves.
     ///
@@ -535,21 +562,13 @@ impl Committer {
         });
         let commit_started = Instant::now();
         stats.region_latency.record(batch.compute_time);
-        stats.tuple_time += batch.compute_time;
-        stats.join_pairs_evaluated += batch.stats.pairs_examined;
-        stats.join_matches += batch.stats.matches;
-        stats.dominance_tests += batch.stats.local_dominance_tests;
-        // The local pre-filter runs entirely on the batched kernels.
-        stats.dominance_pairs += batch.stats.local_dominance_tests;
-        stats.fdom_vertex_evals += batch.stats.fdom_vertex_evals;
-        stats.tuples_prefiltered += batch.stats.locally_pruned;
+        absorb_batch_work(stats, &batch);
         if self.region_box_is_dead(batch.rid) {
-            stats.regions_discarded_dead += 1;
+            stats.regions_computed_dead += 1;
         } else {
             stats.regions_processed += 1;
-            for (i, &(r, t)) in batch.ids.iter().enumerate() {
-                self.store.insert(r, t, batch.points.point(i));
-            }
+            self.store
+                .insert_batch(&batch.ids, &batch.points, &batch.rejected_cells);
         }
         let event = self.resolve(batch.rid, stats);
         let commit_elapsed = commit_started.elapsed();
@@ -677,7 +696,12 @@ pub enum ExecutorBackend {
     /// Compute regions on the calling thread, one per step.
     Inline,
     /// Fan region work units out through a [`TaskSpawner`] with a bounded
-    /// dispatch window of `2 × threads`.
+    /// dispatch window of `2 × threads`. The window fills whenever the
+    /// schedule can hand out that many regions — including on a root-free
+    /// EL-graph — and every unit rejects dominated tuples on its worker
+    /// against the admitted-tuple slab as it stood when the unit was
+    /// dispatched, leaving the ordered committer only the tuples that can
+    /// still be admitted.
     Pooled {
         /// Executes the work units (e.g. a shared thread pool handle).
         spawner: Arc<dyn TaskSpawner>,
@@ -786,10 +810,10 @@ pub(crate) enum WorkSource {
 }
 
 impl WorkSource {
-    fn compute(&self, rid: u32, token: &CancellationToken) -> RegionBatch {
+    fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
         match self {
-            WorkSource::Query(ctx) => ctx.compute(rid, token),
-            WorkSource::Ingest(ctx) => ctx.compute(rid, token),
+            WorkSource::Query(ctx) => ctx.compute(rid, snapshot, token),
+            WorkSource::Ingest(ctx) => ctx.compute(rid, snapshot, token),
         }
     }
 
@@ -864,13 +888,23 @@ pub struct RegionDriver {
     inflight: VecDeque<u64>,
     next_seq: u64,
     /// Dispatch-window size: 1 inline; `2 × threads` pooled — enough to
-    /// keep workers busy while the committer blocks on the oldest batch,
-    /// small enough to bound batch memory and stay close to the schedule's
-    /// intent. Readiness-gated (streaming) runs force 1 on either backend:
-    /// popping ahead of the commit frontier would interleave pops and
-    /// commits differently per arrival schedule and break emission-order
+    /// keep workers busy while the committer applies the oldest batch,
+    /// small enough to bound batch memory, speculative work on regions that
+    /// die before their batch lands, and the distance from the schedule's
+    /// intent. Each round tops the window up before committing one batch,
+    /// so after the first fill pops and commits alternate one for one.
+    /// Readiness-gated (streaming) runs force 1 on either backend: popping
+    /// ahead of the commit frontier would interleave pops and commits
+    /// differently per arrival schedule and break emission-order
     /// invariance.
     window: usize,
+    /// The admitted-tuple slab as last handed to a pooled work unit;
+    /// re-cloned at dispatch only when the store's slab has grown since
+    /// (append-only, so equal length means equal content).
+    snapshot: Arc<[f64]>,
+    /// Whether work units filter against the admitted slab. Always true in
+    /// production; see [`RegionDriver::without_snapshot_filter`].
+    snapshot_filter: bool,
     ready: VecDeque<ResultEvent>,
     done: bool,
     /// Clone of the committer's trace handle, used for driver-side events
@@ -973,11 +1007,24 @@ impl RegionDriver {
             inflight: VecDeque::new(),
             next_seq: 0,
             window,
+            snapshot: Arc::from([]),
+            snapshot_filter: true,
             ready: VecDeque::new(),
             done,
             trace,
             cancel_noted: false,
         }
+    }
+
+    /// The reference arrangement of the differential suites: every work
+    /// unit gets an empty snapshot, so rejection happens on the committer
+    /// alone. The emitted stream is identical either way — the suites pin
+    /// exactly that — so this is not a tuning knob.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn without_snapshot_filter(mut self) -> Self {
+        self.snapshot_filter = false;
+        self
     }
 
     /// Pulls the next driver outcome: an event, a stall (gated runs only),
@@ -1020,16 +1067,14 @@ impl RegionDriver {
             .work
             .as_ref()
             .expect("a committer implies a work source");
-        let ready_gate: Option<Box<dyn Fn(u32) -> bool>> = match (self.gated, work) {
-            (true, WorkSource::Ingest(ctx)) => {
-                let ctx = Arc::clone(ctx);
-                Some(Box::new(move |rid| ctx.is_ready(rid)))
-            }
+        let gate = match work {
+            WorkSource::Ingest(ctx) if self.gated => Some(&**ctx),
             _ => None,
         };
         let mut stalled = false;
+        let topup_started = Instant::now();
         while self.inflight.len() < self.window {
-            let rid = match committer.pop_gated(&mut self.stats, ready_gate.as_deref()) {
+            let rid = match committer.pop_gated(&mut self.stats, gate) {
                 Popped::Region(rid) => rid,
                 Popped::Stalled => {
                     stalled = true;
@@ -1074,13 +1119,20 @@ impl RegionDriver {
                             region_id: u64::from(rid),
                             pairs: committer.pair_bound(rid),
                         });
-                        let batch = work.compute(rid, &self.token);
+                        // Inline borrows the live slab: nothing commits
+                        // while this region computes.
+                        let snapshot: &[f64] = if self.snapshot_filter {
+                            committer.admitted_slab()
+                        } else {
+                            &[]
+                        };
+                        let batch = work.compute(rid, snapshot, &self.token);
                         span.end();
                         if !batch.completed {
                             // Never committed, but its partial work is
                             // real: account it so cancelled-run stats
                             // reflect the pairs actually evaluated.
-                            Self::absorb_partial_batch(&mut self.stats, &batch);
+                            absorb_batch_work(&mut self.stats, &batch);
                             self.stats.cancelled = true;
                             Advance::Finished
                         } else {
@@ -1100,6 +1152,16 @@ impl RegionDriver {
                     let dims = work.out_dims();
                     let trace = self.trace.clone();
                     let pairs = committer.pair_bound(rid);
+                    // The slab as it stands *now*, on the committer thread,
+                    // at this fixed point of the pop/commit sequence — which
+                    // is what makes the unit's output, and the counters it
+                    // reports, independent of worker timing.
+                    if self.snapshot_filter
+                        && committer.admitted_slab().len() != self.snapshot.len()
+                    {
+                        self.snapshot = Arc::from(committer.admitted_slab());
+                    }
+                    let snapshot = Arc::clone(&self.snapshot);
                     let spawned = spawner.spawn_task(Box::new(move || {
                         let guard = DeliveryGuard {
                             queue,
@@ -1115,12 +1177,16 @@ impl RegionDriver {
                             region_id: u64::from(rid),
                             pairs,
                         });
-                        let batch = work.compute(rid, &token);
+                        let batch = work.compute(rid, &snapshot, &token);
                         span.end();
                         guard.deliver(batch);
                     }));
                     match spawned {
-                        Ok(()) => self.inflight.push_back(seq),
+                        Ok(()) => {
+                            self.inflight.push_back(seq);
+                            self.stats.inflight_peak =
+                                self.stats.inflight_peak.max(self.inflight.len());
+                        }
                         Err(SpawnError) => {
                             // The spawner shut down under this live session
                             // (e.g. `EngineRuntime::shutdown` closed the
@@ -1142,6 +1208,11 @@ impl RegionDriver {
                 }
             }
         }
+        if matches!(self.backend, ExecutorBackend::Pooled { .. }) {
+            // Inline leaves the loop above from inside (compute + commit);
+            // on Pooled it holds exactly the committer's scheduling work.
+            self.stats.dispatch_time += topup_started.elapsed();
+        }
         if !self.ready.is_empty() {
             // Deliver discard-produced events before blocking on a worker.
             return Advance::Progressed;
@@ -1153,7 +1224,9 @@ impl RegionDriver {
                 Advance::Finished
             };
         };
+        let wait_started = Instant::now();
         let batch = self.queue.wait_take(seq);
+        self.stats.commit_wait_time += wait_started.elapsed();
         if !batch.completed {
             // An incomplete batch has exactly two causes. If the shared
             // token fired, this is an ordinary cancellation: the region
@@ -1169,7 +1242,7 @@ impl RegionDriver {
                     batch.rid
                 );
             }
-            Self::absorb_partial_batch(&mut self.stats, &batch);
+            absorb_batch_work(&mut self.stats, &batch);
             self.stats.cancelled = true;
             return Advance::Finished;
         }
@@ -1178,24 +1251,25 @@ impl RegionDriver {
         }
         Advance::Progressed
     }
+}
 
-    /// Folds the work counters of a batch that will never be committed
-    /// (token fired mid-region) into the run stats. The streaming path
-    /// records its partial work the same way inside
-    /// [`Committer::process_and_commit`]; skipping it here would
-    /// under-report a cancelled run's actual cost.
-    fn absorb_partial_batch(stats: &mut ExecStats, batch: &RegionBatch) {
-        stats.tuple_time += batch.compute_time;
-        stats.join_pairs_evaluated += batch.stats.pairs_examined;
-        stats.join_matches += batch.stats.matches;
-        // Today both filter counters are 0 on an incomplete batch (the
-        // local filter only runs after a completed join); absorbed anyway
-        // so the helper stays field-for-field consistent with commit_batch.
-        stats.dominance_tests += batch.stats.local_dominance_tests;
-        stats.dominance_pairs += batch.stats.local_dominance_tests;
-        stats.fdom_vertex_evals += batch.stats.fdom_vertex_evals;
-        stats.tuples_prefiltered += batch.stats.locally_pruned;
-    }
+/// Folds the work a batch producer reports — compute time, join counters,
+/// and the batch filter stage's dominance work — into the run stats. The
+/// one place these are accumulated: [`Committer::commit_batch`] calls it
+/// for every batch it applies, and the driver calls it for batches that
+/// will never be committed (token fired mid-region, or scavenged at
+/// `finalize`), so a cancelled run still reports the work it did. The
+/// streaming path records its partial work the same way inside
+/// [`Committer::process_and_commit`].
+fn absorb_batch_work(stats: &mut ExecStats, batch: &RegionBatch) {
+    stats.tuple_time += batch.compute_time;
+    stats.join_pairs_evaluated += batch.stats.pairs_examined;
+    stats.join_matches += batch.stats.matches;
+    stats.dominance_tests += batch.stats.local_dominance_tests;
+    // The filter stage runs entirely on the batched kernels.
+    stats.dominance_pairs += batch.stats.local_dominance_tests;
+    stats.fdom_vertex_evals += batch.stats.fdom_vertex_evals;
+    stats.tuples_prefiltered += batch.stats.locally_pruned;
 }
 
 impl SessionStep for RegionDriver {
@@ -1242,7 +1316,7 @@ impl SessionStep for RegionDriver {
         // rather than stalling finish() behind the shared pool.
         for seq in self.inflight.drain(..) {
             if let Some(batch) = self.queue.try_take(seq) {
-                Self::absorb_partial_batch(&mut stats, &batch);
+                absorb_batch_work(&mut stats, &batch);
             }
         }
         if let Some(committer) = self.committer.take() {
@@ -1365,6 +1439,177 @@ mod tests {
         );
         assert!(!inline.is_empty());
         assert_eq!(inline, pooled);
+    }
+
+    /// A spawner that runs each job on the calling thread, inside
+    /// `spawn_task`: the batch sits in the reorder buffer before the driver
+    /// pops again, so a recorder sees `TuplePhase` spans in **pop order**
+    /// and `Commit` spans in commit order, on one thread, deterministically.
+    struct RunAtDispatch;
+    impl TaskSpawner for RunAtDispatch {
+        fn spawn_task(&self, job: Box<dyn FnOnce() + Send + 'static>) -> Result<(), SpawnError> {
+            job();
+            Ok(())
+        }
+    }
+
+    /// The pooled dispatch window fills on a root-free EL-graph — the
+    /// default coarse grids make every region box overlap every other, so
+    /// ProgOrder runs on its cyclic fallback from the first pop — and the
+    /// committer still applies batches strictly in pop order.
+    #[test]
+    fn pooled_window_fills_on_a_root_free_graph_and_commits_in_pop_order() {
+        use progxe_obs::{EventKind, RingRecorder};
+        let r = random_source(400, 2, 4, 11);
+        let t = random_source(400, 2, 4, 12);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let config = ProgXeConfig::default().with_input_partitions(2);
+        let token = CancellationToken::new();
+        let ring = Arc::new(RingRecorder::new());
+        let prep = ProgXe::new(config.clone())
+            .with_recorder(ring.clone())
+            .prepare(&r.view(), &t.view(), &maps, token.clone())
+            .unwrap();
+        let regions = prep.stats.regions_created;
+        let threads = 2;
+        let driver = RegionDriver::new(
+            prep,
+            token.clone(),
+            ExecutorBackend::Pooled {
+                spawner: Arc::new(RunAtDispatch),
+                threads,
+            },
+            config.prefilter_min_pairs,
+        );
+        let window = driver.window;
+        assert_eq!(window, 2 * threads);
+        let mut session = QuerySession::stepped("test", token, Box::new(driver));
+        while session.next_batch().is_some() {}
+        let stats = session.finish();
+        assert!(!stats.cancelled);
+        // (The very last region can become a root once everything else has
+        // committed — unless, as here, the window dispatched it first.)
+        assert!(
+            stats.ordering_fallbacks >= regions - 1,
+            "workload is not root-free; the test needs a coarser grid"
+        );
+        assert_eq!(stats.inflight_peak, window, "window never filled");
+
+        let mut popped = Vec::new();
+        let mut committed = Vec::new();
+        let mut popped_before_first_commit = 0;
+        for event in ring.drain() {
+            match event.kind {
+                EventKind::SpanBegin {
+                    span: Span::TuplePhase { region_id, .. },
+                    ..
+                } => popped.push(region_id),
+                EventKind::SpanBegin {
+                    span: Span::Commit { region_id },
+                    ..
+                } => {
+                    if committed.is_empty() {
+                        popped_before_first_commit = popped.len();
+                    }
+                    committed.push(region_id);
+                }
+                _ => {}
+            }
+        }
+        assert!(committed.len() > window);
+        assert_eq!(committed, popped, "commit order must equal pop order");
+        assert_eq!(
+            popped_before_first_commit, window,
+            "the window must fill before the first commit"
+        );
+        assert_eq!(
+            committed.len(),
+            stats.regions_processed + stats.regions_computed_dead
+        );
+    }
+
+    /// Hand-built committer over `(cell_lo, cell_hi)` region boxes on a
+    /// 10×10 output grid, ProgOrder schedule.
+    fn committer_over(boxes: &[[(u16, u16); 2]]) -> Committer {
+        use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
+        let coord = |(x, y): (u16, u16)| {
+            let mut c: Coord = [0; MAX_DIMS];
+            c[0] = x;
+            c[1] = y;
+            c
+        };
+        let regions: Arc<[Region]> = boxes
+            .iter()
+            .enumerate()
+            .map(|(id, &[lo, hi])| Region {
+                id: id as u32,
+                r_part: 0,
+                t_part: 0,
+                lo: vec![lo.0 as f64, lo.1 as f64],
+                hi: vec![hi.0 as f64 + 1.0, hi.1 as f64 + 1.0],
+                cell_lo: coord(lo),
+                cell_hi: coord(hi),
+                n_r: 1,
+                n_t: 1,
+                guaranteed: true,
+            })
+            .collect();
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
+        let mut store = CellStore::new(grid.clone());
+        for region in regions.iter() {
+            for c in grid.iter_box(region.cell_lo, region.cell_hi) {
+                store.track(c);
+            }
+        }
+        let det = ProgDetermine::new(&store, &regions);
+        Committer::new(
+            CommitterParts {
+                regions,
+                out_dims: 2,
+                row_ids: RowIds::Identity,
+                store,
+                det,
+                orders: vec![Order::Lowest; 2],
+                sigma: 0.1,
+                cost_model: CostModel {
+                    sigma: 0.1,
+                    cells_per_dim: 10,
+                    dims: 2,
+                },
+                started: Instant::now(),
+                trace: Trace::default(),
+            },
+            crate::config::OrderingPolicy::ProgOrder,
+        )
+    }
+
+    /// PR 2's guard survives the window fix: an empty queue while a genuine
+    /// EL-root is in flight is *not* the root-free case. Region 0 is the
+    /// only root (it can eliminate 1 and 2, which eliminate each other);
+    /// until it commits nothing else may be handed out — afterwards the
+    /// remaining cycle is root-free and both members pop back to back.
+    #[test]
+    fn an_in_flight_root_still_exhausts_the_schedule() {
+        let mut committer = committer_over(&[[(0, 0), (0, 0)], [(2, 2), (5, 5)], [(3, 3), (6, 6)]]);
+        let mut stats = ExecStats::default();
+        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(0));
+        assert_eq!(
+            committer.pop_gated(&mut stats, None),
+            Popped::Exhausted,
+            "the only root is in flight: wait for its commit"
+        );
+        assert_eq!(stats.ordering_fallbacks, 0);
+        let batch = RegionBatch {
+            completed: true,
+            ..RegionBatch::aborted(0, 2)
+        };
+        assert!(committer.commit_batch(batch, &mut stats).is_none());
+        // 1 and 2 only lost region 0's edge — still no root, nothing
+        // committed in between, and yet both are dispatchable.
+        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(1));
+        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(2));
+        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Exhausted);
+        assert_eq!(stats.ordering_fallbacks, 2);
     }
 
     #[test]

@@ -343,6 +343,7 @@ impl ProgXe {
             t_keys,
             r_grid,
             t_grid,
+            la.grid,
             Arc::clone(&regions),
         ));
         let committer = Committer::new(
@@ -798,7 +799,7 @@ mod tests {
             let event = if committer.region_box_is_dead(rid) {
                 committer.discard_dead(rid, &mut stats)
             } else {
-                let batch = ctx.compute(rid, &token);
+                let batch = ctx.compute(rid, committer.admitted_slab(), &token);
                 assert!(batch.completed);
                 committer.commit_batch(batch, &mut stats)
             };

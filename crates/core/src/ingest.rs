@@ -57,7 +57,7 @@ use crate::session::{CancellationToken, ResultEvent};
 use crate::signature::JoinSignature;
 use crate::source::SourceView;
 use crate::stats::ExecStats;
-use crate::tuple_level::{join_region, local_skyline_filter, RegionBatch, TupleLevelStats};
+use crate::tuple_level::{join_region, RegionBatch, TupleLevelStats};
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
 use std::sync::{Arc, Mutex};
@@ -600,6 +600,8 @@ impl IngestInner {
 /// [`RegionCtx`](crate::tuple_level::RegionCtx).
 pub struct IngestCtx {
     maps: MapSet,
+    /// The output grid the committer's cell store is built over.
+    grid: OutputGrid,
     regions: Arc<[Region]>,
     inner: Arc<Mutex<IngestInner>>,
 }
@@ -654,14 +656,20 @@ impl IngestCtx {
         )
     }
 
-    /// Batch path (pool workers): join + map + orient + bounded local
-    /// skyline pre-filter, ids already translated to caller row ids.
-    pub(crate) fn compute(&self, rid: u32, token: &CancellationToken) -> RegionBatch {
+    /// Batch path (pool workers): join + map + orient, then the shared
+    /// batch tail ([`RegionBatch::from_join`]: filter stage + assembly), ids
+    /// already translated to caller row ids.
+    pub(crate) fn compute(
+        &self,
+        rid: u32,
+        snapshot: &[f64],
+        token: &CancellationToken,
+    ) -> RegionBatch {
         let started = Instant::now();
         let (rp, tp) = self.sealed_pair(rid);
         let mut ids: Vec<(u32, u32)> = Vec::new();
         let mut points = PointStore::new(self.maps.out_dims());
-        let (mut stats, completed) = join_region(
+        let joined = join_region(
             &rp.part,
             &tp.part,
             &rp.view(),
@@ -673,17 +681,16 @@ impl IngestCtx {
                 points.push(o);
             },
         );
-        if completed {
-            local_skyline_filter(&mut ids, &mut points, self.maps.dominance(), &mut stats);
-        }
-        RegionBatch {
+        RegionBatch::from_join(
             rid,
+            started,
             ids,
             points,
-            stats,
-            completed,
-            compute_time: started.elapsed(),
-        }
+            joined,
+            self.maps.dominance(),
+            snapshot,
+            &self.grid,
+        )
     }
 }
 
@@ -905,6 +912,7 @@ impl IngestSession {
         }));
         let ctx = Arc::new(IngestCtx {
             maps: maps.clone(),
+            grid,
             regions,
             inner: Arc::clone(&inner),
         });
@@ -918,6 +926,14 @@ impl IngestSession {
             emitted: 0,
             last_progress: 0.0,
         })
+    }
+
+    /// Forwards to [`RegionDriver::without_snapshot_filter`] — the
+    /// differential suites' reference arrangement.
+    #[doc(hidden)]
+    pub fn without_snapshot_filter(mut self) -> Self {
+        self.driver = self.driver.without_snapshot_filter();
+        self
     }
 
     /// Pushes a batch of `(attrs, join_key)` rows, auto-assigning

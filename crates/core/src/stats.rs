@@ -34,16 +34,34 @@ pub struct ExecStats {
     /// Total wall-clock duration of the run.
     pub total_time: Duration,
     /// Accumulated tuple-level compute time (join + map + per-region
-    /// dominance work) across all regions. On a parallel run this sums the
-    /// *worker* compute durations, so it can exceed wall-clock time.
+    /// dominance work) across all regions. On the `Pooled` backend this is
+    /// *summed worker time*: it overlaps the committer thread and may
+    /// exceed wall-clock time, so the ledger that adds up on the committer
+    /// thread there is `lookahead + dispatch + commit + commit_wait ≈
+    /// total`.
     pub tuple_time: Duration,
     /// Time the ordered committer spent applying region batches (insertion
     /// into the cell store plus blocker bookkeeping). Zero for regions that
     /// took the streaming path, whose commit work is folded into
     /// [`ExecStats::tuple_time`].
     pub commit_time: Duration,
+    /// Time the committer thread spent topping up the dispatch window:
+    /// schedule pops, dead-region discards (their blocker bookkeeping
+    /// included) and handing work units to the pool (`Pooled` backend only;
+    /// zero on `Inline`). Includes whatever the OS charges the committer
+    /// for waking a sleeping worker — on a host with no spare core that is
+    /// the larger part.
+    pub dispatch_time: Duration,
+    /// Time the ordered committer spent blocked waiting for the oldest
+    /// in-flight batch (`Pooled` backend only; zero on `Inline`) — the part
+    /// of the wall the workers failed to hide.
+    pub commit_wait_time: Duration,
     /// Worker threads used for the tuple-level phase (1 = sequential).
     pub threads_used: usize,
+    /// Most regions ever in flight at once (`Pooled` backend only; zero on
+    /// `Inline`). Bounded by the dispatch window, `2 × threads`; a value of
+    /// 1 means the workers never overlapped.
+    pub inflight_peak: usize,
 
     /// Tuples pruned from source R by push-through (0 when disabled).
     pub push_through_pruned_r: usize,
@@ -64,8 +82,16 @@ pub struct ExecStats {
     /// Live regions after look-ahead.
     pub regions_created: usize,
     /// Regions discarded during execution because newly generated tuples
-    /// dominated their whole box (Algorithm 1, line 9).
+    /// dominated their whole box (Algorithm 1, line 9) by the time they
+    /// were popped — no tuple-level work was spent on them.
     pub regions_discarded_dead: usize,
+    /// Regions a worker computed speculatively whose box was dead by the
+    /// time the batch reached the ordered committer (`Pooled` backend:
+    /// predecessors in the dispatch window committed in between). Their
+    /// batches are dropped; the compute was wasted. Disjoint from
+    /// [`ExecStats::regions_discarded_dead`] and
+    /// [`ExecStats::regions_processed`].
+    pub regions_computed_dead: usize,
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
     /// Times the ordering fell back because the EL-graph had no root
@@ -102,7 +128,8 @@ pub struct ExecStats {
     pub tuples_rejected_dead_cell: u64,
     /// Admitted tuples later evicted by dominating arrivals.
     pub tuples_evicted: u64,
-    /// Tuples dropped by the bounded local skyline pre-filter before ever
+    /// Tuples dropped by the batch filter stage — the bounded local skyline
+    /// pre-filter plus the admitted-slab snapshot filter — before ever
     /// reaching the cell store (batch path only: pool workers always, the
     /// `Inline` backend when the region's join-pair bound is at or above
     /// [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
@@ -183,7 +210,10 @@ impl ExecStats {
             .push("lookahead_ms", Value::DurationMs(self.lookahead_time))
             .push("tuple_ms", Value::DurationMs(self.tuple_time))
             .push("commit_ms", Value::DurationMs(self.commit_time))
+            .push("dispatch_ms", Value::DurationMs(self.dispatch_time))
+            .push("commit_wait_ms", Value::DurationMs(self.commit_wait_time))
             .push("threads_used", Value::U64(self.threads_used.max(1) as u64))
+            .push("inflight_peak", Value::U64(self.inflight_peak as u64))
             .push("regions_created", Value::U64(self.regions_created as u64))
             .push(
                 "regions_processed",
@@ -192,6 +222,10 @@ impl ExecStats {
             .push(
                 "regions_discarded_dead",
                 Value::U64(self.regions_discarded_dead as u64),
+            )
+            .push(
+                "regions_computed_dead",
+                Value::U64(self.regions_computed_dead as u64),
             )
             .push("cells_tracked", Value::U64(self.cells_tracked as u64))
             .push("cells_emitted", Value::U64(self.cells_emitted as u64))
@@ -245,6 +279,16 @@ impl std::fmt::Display for ExecStats {
             self.threads_used.max(1),
             if self.threads_used > 1 { "s" } else { "" },
         )?;
+        if self.inflight_peak > 0 {
+            write!(
+                f,
+                " [≤{} in flight, {} computed dead, committer dispatched {:.1?} + waited {:.1?}]",
+                self.inflight_peak,
+                self.regions_computed_dead,
+                self.dispatch_time,
+                self.commit_wait_time
+            )?;
+        }
         if self.dominance_pairs > 0 {
             write!(f, " [{} kernel pairs", self.dominance_pairs)?;
             if self.fdom_vertex_evals > 0 {
@@ -355,6 +399,40 @@ mod tests {
         let json = s.report().to_json();
         assert!(json.contains("\"dominance_pairs\": 8"), "{json}");
         assert!(json.contains("\"fdom_vertex_evals\": 24"), "{json}");
+    }
+
+    #[test]
+    fn display_and_report_surface_the_pooled_ledger() {
+        let mut s = ExecStats {
+            results_emitted: 3,
+            threads_used: 2,
+            ..ExecStats::default()
+        };
+        assert!(
+            !s.to_string().contains("in flight"),
+            "inline runs stay silent"
+        );
+        s.inflight_peak = 4;
+        s.regions_computed_dead = 2;
+        s.dispatch_time = Duration::from_millis(5);
+        s.commit_wait_time = Duration::from_millis(7);
+        let line = s.to_string();
+        assert!(!line.contains('\n'));
+        assert!(
+            line.contains(
+                "[≤4 in flight, 2 computed dead, committer dispatched 5.0ms + waited 7.0ms]"
+            ),
+            "{line}"
+        );
+        let json = s.report().to_json();
+        for key in [
+            "\"commit_wait_ms\"",
+            "\"dispatch_ms\"",
+            "\"inflight_peak\": 4",
+            "\"regions_computed_dead\": 2",
+        ] {
+            assert!(json.contains(key), "{key} missing from {json}");
+        }
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! to the cell-restricted dominance insert is *pure* per-region work
 //! ([`RegionCtx`] is `Send + Sync` and owns all inputs), while Algorithm 2's
 //! blocker bookkeeping stays with the single ordered committer in
-//! [`crate::driver`]. Batch producers additionally run a bounded local
-//! skyline pre-filter over their own batch — sound because Pareto dominance
-//! is transitive, so a tuple dominated inside its batch can never survive
-//! the shared store either.
+//! [`crate::driver`]. Batch producers additionally run a filter stage over
+//! their own batch (`RegionBatch::from_join`): a bounded local skyline
+//! pre-filter — sound because Pareto dominance is transitive, so a tuple
+//! dominated inside its batch can never survive the shared store either —
+//! and then rejection against a dispatch-time snapshot of every tuple the
+//! store has ever admitted ([`CellStore::admitted_slab`]), which moves the
+//! bulk of `CellStore::insert`'s rejections off the serial committer.
 //!
 //! Cancellation is checked *inside* the probe loop (every
 //! [`CANCEL_CHECK_INTERVAL`] probe rows), so a `take(k)` consumer or a
@@ -25,10 +28,11 @@
 
 use crate::cells::CellStore;
 use crate::fdom::DominanceModel;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::grid::{InputGrid, InputPartition};
 use crate::lookahead::Region;
 use crate::mapping::MapSet;
+use crate::output_grid::{pack, OutputGrid};
 use crate::session::CancellationToken;
 use crate::source::SourceView;
 use progxe_skyline::{kernel, PointStore};
@@ -53,12 +57,13 @@ pub struct TupleLevelStats {
     pub pairs_examined: u64,
     /// Join matches produced and mapped.
     pub matches: u64,
-    /// Pairwise dominance tests performed by the worker-local pre-filter
-    /// (0 on the sequential path). The pre-filter runs on the batched
-    /// kernels, so this advances at chunk granularity.
+    /// Pairwise dominance tests performed by the batch filter stage — the
+    /// local pre-filter plus the admitted-slab snapshot filter (0 on the
+    /// streaming path). Both run on the batched kernels, so this advances
+    /// at chunk granularity.
     pub local_dominance_tests: u64,
-    /// Tuples dropped by the worker-local pre-filter before reaching the
-    /// committer (0 on the sequential path).
+    /// Tuples dropped by the batch filter stage before reaching the
+    /// committer (0 on the streaming path).
     pub locally_pruned: u64,
     /// Vertex dot products evaluated while projecting batches into the
     /// flexible model's vertex space (0 under Pareto).
@@ -192,6 +197,8 @@ pub struct RegionCtx {
     t_keys: Vec<u32>,
     r_grid: InputGrid,
     t_grid: InputGrid,
+    /// The output grid the committer's cell store is built over.
+    out_grid: OutputGrid,
     /// Shared with the committer (which owns the schedule over the same
     /// region vector) — an `Arc` slice so neither side copies it.
     regions: std::sync::Arc<[Region]>,
@@ -209,6 +216,7 @@ impl RegionCtx {
         t_keys: Vec<u32>,
         r_grid: InputGrid,
         t_grid: InputGrid,
+        out_grid: OutputGrid,
         regions: std::sync::Arc<[Region]>,
     ) -> Self {
         Self {
@@ -219,6 +227,7 @@ impl RegionCtx {
             t_keys,
             r_grid,
             t_grid,
+            out_grid,
             regions,
         }
     }
@@ -257,11 +266,14 @@ impl RegionCtx {
         process_region(rp, tp, &r_view, &t_view, &self.maps, store, token)
     }
 
-    /// One pure, parallelizable work unit: join + map + orient region `rid`
-    /// and pre-filter the batch down to its local skyline. The returned
-    /// batch is committed by the ordered committer; a batch with
-    /// `completed == false` (cancelled mid-region) must be discarded whole.
-    pub fn compute(&self, rid: u32, token: &CancellationToken) -> RegionBatch {
+    /// One pure, parallelizable work unit: join + map + orient region `rid`,
+    /// pre-filter the batch down to its local skyline, and drop every
+    /// survivor dominated by `snapshot` — a prefix of the cell store's
+    /// [`admitted_slab`](CellStore::admitted_slab) (empty = no upstream
+    /// rejection). The returned batch is committed by the ordered
+    /// committer; a batch with `completed == false` (cancelled mid-region)
+    /// must be discarded whole.
+    pub fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
         let started = Instant::now();
         let region = &self.regions[rid as usize];
         let rp = &self.r_grid.partitions()[region.r_part as usize];
@@ -270,22 +282,20 @@ impl RegionCtx {
 
         let mut ids: Vec<(u32, u32)> = Vec::new();
         let mut points = PointStore::new(self.maps.out_dims());
-        let (mut stats, completed) =
-            join_region(rp, tp, &r_view, &t_view, &self.maps, token, |r, t, o| {
-                ids.push((r, t));
-                points.push(o);
-            });
-        if completed {
-            local_skyline_filter(&mut ids, &mut points, self.maps.dominance(), &mut stats);
-        }
-        RegionBatch {
+        let joined = join_region(rp, tp, &r_view, &t_view, &self.maps, token, |r, t, o| {
+            ids.push((r, t));
+            points.push(o);
+        });
+        RegionBatch::from_join(
             rid,
+            started,
             ids,
             points,
-            stats,
-            completed,
-            compute_time: started.elapsed(),
-        }
+            joined,
+            self.maps.dominance(),
+            snapshot,
+            &self.out_grid,
+        )
     }
 }
 
@@ -299,6 +309,15 @@ pub struct RegionBatch {
     pub ids: Vec<(u32, u32)>,
     /// Oriented output values, parallel to `ids`.
     pub points: PointStore,
+    /// Where the snapshot filter rejected tuples: `(i, cell key)` means a
+    /// tuple of that output cell ([`pack`]ed coordinate) was dropped just
+    /// before survivor `i` (ascending `i`; `ids.len()` = after the last).
+    /// The committer replays these through
+    /// [`CellStore::insert_batch`] at the same point of the
+    /// insert sequence, so the store's lazily discovered dead cells — and
+    /// with them the emission order — are exactly what they would be had
+    /// the committer rejected the tuples itself.
+    pub rejected_cells: Vec<(u32, u128)>,
     /// Work counters of the unit.
     pub stats: TupleLevelStats,
     /// Whether the join ran to completion. `false` means the token fired
@@ -309,6 +328,44 @@ pub struct RegionBatch {
 }
 
 impl RegionBatch {
+    /// Turns one region's joined matches into its batch — the tail every
+    /// batch producer shares ([`RegionCtx::compute`] and the
+    /// [`crate::ingest`] work units). A completed join (`joined.1`) goes
+    /// through the filter stage: the bounded local skyline filter, then
+    /// upstream rejection against `snapshot`, a dispatch-time prefix of the
+    /// store's admitted slab. Both only drop tuples the committer's cell
+    /// store would reject anyway; their work is reported through
+    /// `local_dominance_tests` / `locally_pruned`. A cancelled join is
+    /// passed through unfiltered — it is never committed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_join(
+        rid: u32,
+        started: Instant,
+        mut ids: Vec<(u32, u32)>,
+        mut points: PointStore,
+        joined: (TupleLevelStats, bool),
+        model: &DominanceModel,
+        snapshot: &[f64],
+        grid: &OutputGrid,
+    ) -> Self {
+        let (mut stats, completed) = joined;
+        let rejected_cells = if completed {
+            local_skyline_filter(&mut ids, &mut points, model, &mut stats);
+            snapshot_filter(&mut ids, &mut points, snapshot, grid, &mut stats)
+        } else {
+            Vec::new()
+        };
+        Self {
+            rid,
+            ids,
+            points,
+            rejected_cells,
+            stats,
+            completed,
+            compute_time: started.elapsed(),
+        }
+    }
+
     /// A placeholder for a work unit that did not run to completion
     /// (cancellation, or a failed worker). Committers must treat it as a
     /// mid-region stop: never commit it, leave the region unresolved.
@@ -317,11 +374,71 @@ impl RegionBatch {
             rid,
             ids: Vec::new(),
             points: PointStore::new(dims.max(1)),
+            rejected_cells: Vec::new(),
             stats: TupleLevelStats::default(),
             completed: false,
             compute_time: Duration::ZERO,
         }
     }
+}
+
+/// Drops every tuple Pareto-dominated by a row of `snapshot` (flat,
+/// oriented, `points.dims()` values per row), preserving order. Pareto is
+/// the right relation under any model: the slab records what the store —
+/// which maintains its live set under Pareto — admitted, and Pareto
+/// dominance implies F-dominance. Tuples with a NaN coordinate are passed
+/// through untested (NaN-as-tie dominance is not transitive; the slab
+/// holds no such rows either), so the relation applied here is a strict
+/// partial order and the soundness argument on
+/// [`CellStore::admitted_slab`] holds.
+///
+/// Returns the output cell of every dropped tuple, positioned between the
+/// survivors ([`RegionBatch::rejected_cells`]) and deduplicated per gap —
+/// the store's state only changes when a survivor is inserted.
+fn snapshot_filter(
+    ids: &mut Vec<(u32, u32)>,
+    points: &mut PointStore,
+    snapshot: &[f64],
+    grid: &OutputGrid,
+    stats: &mut TupleLevelStats,
+) -> Vec<(u32, u128)> {
+    let mut rejected_cells = Vec::new();
+    if snapshot.is_empty() || ids.is_empty() {
+        return rejected_cells;
+    }
+    let dims = points.dims();
+    let mut keep = vec![true; ids.len()];
+    let mut survivors = 0u32;
+    let mut gap_cells: FxHashSet<u128> = FxHashSet::default();
+    for (k, p) in keep.iter_mut().zip(points.iter()) {
+        if !p.iter().any(|v| v.is_nan())
+            && kernel::any_dominates(dims, snapshot, p, &mut stats.local_dominance_tests)
+        {
+            *k = false;
+            let cell = pack(&grid.cell_of(p));
+            if gap_cells.insert(cell) {
+                rejected_cells.push((survivors, cell));
+            }
+        } else {
+            survivors += 1;
+            if !gap_cells.is_empty() {
+                gap_cells.clear();
+            }
+        }
+    }
+    let dropped = ids.len() as u64 - u64::from(survivors);
+    if dropped == 0 {
+        return rejected_cells;
+    }
+    let mut next = 0usize;
+    ids.retain(|_| {
+        let k = keep[next];
+        next += 1;
+        k
+    });
+    points.compact(&keep);
+    stats.locally_pruned += dropped;
+    rejected_cells
 }
 
 /// Order-preserving bounded BNL filter: drops tuples dominated (under the
@@ -331,9 +448,8 @@ impl RegionBatch {
 /// can never belong to the final (flexible) skyline, and its dominator
 /// (or a dominator of that) survives to reject whatever it would have
 /// rejected. Bounded by [`LOCAL_FILTER_WINDOW`] so a worker never does
-/// quadratic work on a huge region. Shared with the [`crate::ingest`]
-/// batch path.
-pub(crate) fn local_skyline_filter(
+/// quadratic work on a huge region.
+fn local_skyline_filter(
     ids: &mut Vec<(u32, u32)>,
     points: &mut PointStore,
     model: &DominanceModel,
@@ -573,6 +689,64 @@ mod tests {
         let mut stats = TupleLevelStats::default();
         local_skyline_filter(&mut ids, &mut points, &pref, &mut stats);
         assert_eq!(ids.len(), 2, "equal tuples are incomparable");
+    }
+
+    /// The store-level contract of upstream rejection: filtering each batch
+    /// against the slab as it stood before the batch, then inserting the
+    /// survivors with the rejected cells replayed, leaves the store in
+    /// *exactly* the state plain insertion of the whole batch does — live
+    /// tuples in the same per-cell order, the same cells dead — with NaN
+    /// and ±∞ coordinates in the mix. NaN-as-tie dominance is not
+    /// transitive, so NaN rows must stay out of the slab and NaN candidates
+    /// must pass through untested; without either guard this diverges.
+    #[test]
+    fn upstream_rejection_with_replay_equals_store_side_rejection() {
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
+        let mut plain = tracked_store(grid.clone());
+        let mut filtered = tracked_store(grid.clone());
+        let mut state = 0xD1FF_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut value = || match next() % 23 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => (next() % 100) as f64 / 10.0,
+        };
+        let mut stats = TupleLevelStats::default();
+        let mut nan_admitted = false;
+        for batch in 0..120u32 {
+            let mut ids: Vec<(u32, u32)> = (0..9).map(|i| (batch, i)).collect();
+            let mut points = PointStore::new(2);
+            for _ in 0..ids.len() {
+                points.push(&[value(), value()]);
+            }
+            for (i, &(r, t)) in ids.iter().enumerate() {
+                plain.insert(r, t, points.point(i));
+            }
+            let snapshot = filtered.admitted_slab().to_vec();
+            let rejected = snapshot_filter(&mut ids, &mut points, &snapshot, &grid, &mut stats);
+            filtered.insert_batch(&ids, &points, &rejected);
+
+            for ((_, a), (_, b)) in plain.iter().zip(filtered.iter()) {
+                let at = format!("batch {batch}, cell {:?}", &a.coord()[..2]);
+                assert_eq!(a.is_dead(), b.is_dead(), "{at}: dead flag");
+                assert_eq!(a.ids(), b.ids(), "{at}: live tuples");
+                nan_admitted |= a.points().raw().iter().any(|v| v.is_nan());
+            }
+        }
+        assert!(stats.locally_pruned > 200, "filter barely fired");
+        assert!(nan_admitted, "no NaN tuple was ever admitted");
+        assert!(filtered.admitted_slab().iter().all(|v| !v.is_nan()));
+        assert!(filtered.admitted_slab().iter().any(|v| v.is_infinite()));
+        assert_eq!(
+            plain.stats().tuples_inserted,
+            filtered.stats().tuples_inserted
+        );
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //! first" — the emitted event sequence is a pure function of the query and
 //! its configuration, independent of worker interleaving or machine load.
 //!
+//! Each unit also carries the cell store's admitted-tuple slab as it stood
+//! when the unit was dispatched (an `Arc<[f64]>`, re-cloned only when the
+//! slab grew) and drops every tuple the slab dominates before delivering
+//! its batch: rejection — most of the old commit cost — runs on the
+//! workers, and the serial committer only inserts what can still be
+//! admitted. The snapshot is taken on the committer thread, so it too is a
+//! function of the pop/commit sequence alone.
+//!
 //! ## Why safety is preserved
 //!
 //! Algorithm 2's guarantee ("emit a cell only when no unresolved region can

@@ -167,6 +167,69 @@ fn parallel_emission_is_deterministic_across_runs() {
     assert_eq!(a, b, "event stream depends on worker interleaving");
 }
 
+/// Determinism reaches the counters, not just the stream. The pooled
+/// driver takes each work unit's admitted-slab snapshot on the committer
+/// thread at dispatch — a fixed point of the pop/commit sequence — so the
+/// worker-side filter does the same work, and speculation wastes the same
+/// regions, on every run, however the workers interleave. And with two
+/// workers the dispatch window really holds more than one region.
+#[test]
+fn parallel_counters_are_deterministic_and_the_window_fills() {
+    let w = WorkloadSpec::new(1500, 3, Distribution::AntiCorrelated, 0.05)
+        .with_seed(2024)
+        .generate();
+    let (r, t) = views(&w);
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    // Two input partitions per dimension: 64 regions whose boxes all
+    // overlap — the root-free EL-graph the benchmark workloads produce.
+    let config = ProgXeConfig::default()
+        .with_input_partitions(2)
+        .with_threads(2);
+    let engine = ParallelProgXe::new(config);
+    let run = || {
+        let mut session = engine.open(&r, &t, &maps).unwrap();
+        let mut stream = Vec::new();
+        while let Some(event) = session.next_batch() {
+            stream.push(common::event_key(&event));
+        }
+        (stream, session.finish())
+    };
+    let (stream_a, a) = run();
+    let (stream_b, b) = run();
+    assert!(!stream_a.is_empty());
+    assert_eq!(stream_a, stream_b, "event stream depends on worker timing");
+    assert_eq!(a.dominance_tests, b.dominance_tests);
+    assert_eq!(a.dominance_pairs, b.dominance_pairs);
+    assert_eq!(a.tuples_prefiltered, b.tuples_prefiltered);
+    assert_eq!(a.tuples_inserted, b.tuples_inserted);
+    assert_eq!(a.regions_computed_dead, b.regions_computed_dead);
+    assert_eq!(a.regions_processed, b.regions_processed);
+    assert_eq!(a.inflight_peak, b.inflight_peak);
+    assert!(a.tuples_prefiltered > 0, "worker-side filters never fired");
+
+    assert_eq!(a.threads_used, 2);
+    assert!(
+        a.inflight_peak >= 2,
+        "two workers but at most {} region in flight",
+        a.inflight_peak
+    );
+    assert!(a.inflight_peak <= 4, "window is 2 × threads");
+    // Every region is accounted for exactly once.
+    assert_eq!(
+        a.regions_processed + a.regions_discarded_dead + a.regions_computed_dead,
+        a.regions_created
+    );
+    // The pooled ledger adds up on the committer thread (`tuple_time` is
+    // summed worker time and stays out of it).
+    let ledger = a.lookahead_time + a.dispatch_time + a.commit_time + a.commit_wait_time;
+    assert!(ledger <= a.total_time);
+    assert!(
+        ledger.as_secs_f64() >= 0.8 * a.total_time.as_secs_f64(),
+        "committer-thread buckets cover only {ledger:?} of {:?}",
+        a.total_time
+    );
+}
+
 /// `ProgXeConfig::from_env` + the query dispatch rule means the CI matrix
 /// (PROGXE_THREADS=4) runs this very test through the parallel engine.
 #[test]
