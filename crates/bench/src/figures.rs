@@ -1090,15 +1090,16 @@ fn write_fdom_outputs(opt: &ExpOptions, runs: &[FdomRun]) {
 
 /// One measured kernel-vs-scalar comparison (see [`kernels`]).
 pub struct KernelRun {
-    /// `"mask"` (batched dominated-mask vs per-row scalar loop) or
+    /// `"mask"` (batched dominated-mask vs per-row scalar loop),
     /// `"blocker"` (kd-tree flexible blocker counts vs the retired
-    /// `regions × cells` double loop).
+    /// `regions × cells` double loop) or `"map"` (the tuple-level join's
+    /// columnar row producer vs its per-match `eval` producer).
     pub kind: &'static str,
-    /// Value dimensions (mask rows) / polytope vertices (blocker rows).
+    /// Value dimensions (mask, map rows) / polytope vertices (blocker rows).
     pub dims: usize,
-    /// Batch rows (mask) / region count (blocker).
+    /// Batch rows (mask) / region count (blocker) / rows per source (map).
     pub n: usize,
-    /// Query points (mask) / tracked cells (blocker).
+    /// Query points (mask) / tracked cells (blocker) / regions joined (map).
     pub queries: usize,
     /// Best-of-repeats wall time of the scalar/naive side.
     pub scalar_ms: f64,
@@ -1106,14 +1107,18 @@ pub struct KernelRun {
     pub batched_ms: f64,
     /// `scalar_ms / batched_ms`.
     pub speedup: f64,
-    /// Scalar throughput in million pair-tests per second.
+    /// Scalar throughput in million pair-tests (map rows: join matches)
+    /// per second.
     pub scalar_mpairs_s: f64,
-    /// Batched throughput in million pair-tests per second.
+    /// Batched throughput in million pair-tests (map rows: join matches)
+    /// per second.
     pub batched_mpairs_s: f64,
     /// Work the index actually did (blocker rows: tree node visits + leaf
-    /// tests; mask rows: equals `naive_ops` — the mask has no early exit).
+    /// tests; mask rows: equals `naive_ops` — the mask has no early exit;
+    /// map rows: join matches mapped).
     pub index_ops: u64,
-    /// Work the retired implementation would do (`n × queries`).
+    /// Work the retired implementation would do (`n × queries`; map rows:
+    /// the same join matches).
     pub naive_ops: u64,
 }
 
@@ -1121,11 +1126,13 @@ pub struct KernelRun {
 /// the one-pair-at-a-time scalar loop across dims × batch sizes
 /// (anti-correlated data — the dominance-heavy worst case), and the
 /// kd-tree flexible blocker index vs the retired `regions × cells` loop at
-/// growing region counts. Both sides are verified to produce identical
-/// answers before timing is reported. Writes `kernels.csv` and
-/// machine-readable `BENCH_kernels.json`; panics (failing CI) if the
-/// batched kernel loses to scalar or the blocker index fails to do less
-/// work than the naive loop.
+/// growing region counts, and the tuple-level join's columnar row producer
+/// vs the per-match `eval` producer over one region set. Both sides are
+/// verified to produce identical answers before timing is reported. Writes
+/// `kernels.csv` and machine-readable `BENCH_kernels.json`; panics (failing
+/// CI) if the batched kernel loses to scalar, the blocker index fails to do
+/// less work than the naive loop, or (full size) the columnar producer is
+/// not faster than the per-match one.
 pub fn kernels(opt: &ExpOptions) {
     let runs = kernel_measurements(opt);
     assert_kernel_gates(&runs, opt.quick);
@@ -1207,7 +1214,92 @@ pub fn kernel_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
     }
 
     runs.extend(blocker_measurements(opt));
+    runs.push(map_measurement(opt));
     runs
+}
+
+/// Map half of [`kernel_measurements`]: every region of one query computed
+/// as a batch work unit ([`RegionCtx::compute`](progxe_core::tuple_level::RegionCtx::compute),
+/// empty snapshot) twice — with the plain separable maps, which the join
+/// compiles to per-row component slabs, and with the same maps hidden in
+/// `GeneralMap`s, which it must `eval` per match. Identical batches
+/// verified per region. Both sides pay the same batch filter stage, so the
+/// reported speed-up understates the producers' own gap.
+fn map_measurement(opt: &ExpOptions) -> KernelRun {
+    use progxe_core::mapping::{GeneralMap, MappingFunction, WeightedSum};
+    use progxe_core::session::CancellationToken;
+    use std::time::Instant;
+
+    let (n, d, sigma) = (opt.pick_n(10_000), 3usize, 0.1);
+    println!("== Tuple-level map: columnar producer vs per-match eval (anti-correlated) ==");
+    let w = workload(n, d, Distribution::AntiCorrelated, sigma, opt.seed);
+    let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
+    let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
+    let columnar = MapSet::pairwise_sum(d, Preference::all_lowest(d));
+    let hidden: Vec<Box<dyn MappingFunction>> = (0..d)
+        .map(|j| {
+            let (sum, bounds) = (
+                WeightedSum::dimension_sum(d, j),
+                WeightedSum::dimension_sum(d, j),
+            );
+            Box::new(GeneralMap::new(
+                sum.describe(),
+                move |r: &[f64], t: &[f64]| sum.eval(r, t),
+                move |rl: &[f64], rh: &[f64], tl: &[f64], th: &[f64]| {
+                    bounds.eval_bounds(rl, rh, tl, th)
+                },
+            )) as Box<dyn MappingFunction>
+        })
+        .collect();
+    let per_match = MapSet::new(hidden, Preference::all_lowest(d)).expect("arity matches");
+
+    let token = CancellationToken::new();
+    let exec = ProgXe::new(default_config_for(d, sigma));
+    let ctx_of = |maps: &MapSet| {
+        let prep = exec
+            .prepare(&r, &t, maps, token.clone())
+            .expect("valid configuration");
+        prep.ctx.expect("non-empty workload")
+    };
+    let (fast_ctx, slow_ctx) = (ctx_of(&columnar), ctx_of(&per_match));
+    let regions = fast_ctx.regions().len();
+    assert_eq!(regions, slow_ctx.regions().len(), "same region set");
+
+    let mut matches = 0u64;
+    let (mut fast_ms, mut slow_ms) = (f64::INFINITY, f64::INFINITY);
+    for repeat in 0..3 {
+        let (mut fast, mut slow) = (0.0f64, 0.0f64);
+        for rid in 0..regions as u32 {
+            let t0 = Instant::now();
+            let a = fast_ctx.compute(rid, &[], &token);
+            fast += t0.elapsed().as_secs_f64() * 1e3;
+            let t0 = Instant::now();
+            let b = slow_ctx.compute(rid, &[], &token);
+            slow += t0.elapsed().as_secs_f64() * 1e3;
+            if repeat == 0 {
+                assert!(
+                    a.ids == b.ids && a.points == b.points,
+                    "region {rid}: columnar producer diverged from per-match eval"
+                );
+                matches += a.stats.matches;
+            }
+        }
+        fast_ms = fast_ms.min(fast);
+        slow_ms = slow_ms.min(slow);
+    }
+    KernelRun {
+        kind: "map",
+        dims: d,
+        n,
+        queries: regions,
+        scalar_ms: slow_ms,
+        batched_ms: fast_ms,
+        speedup: slow_ms / fast_ms,
+        scalar_mpairs_s: matches as f64 / (slow_ms * 1e3),
+        batched_mpairs_s: matches as f64 / (fast_ms * 1e3),
+        index_ops: matches,
+        naive_ops: matches,
+    }
 }
 
 /// Blocker-index half of [`kernel_measurements`]: kd-tree dominance counts
@@ -1332,8 +1424,9 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
 
 /// The CI gates behind `BENCH_kernels.json`: the batched mask kernel must
 /// never lose to the scalar loop; on the full-size run the flagship
-/// configuration (d=3, N=10k, anti-correlated) must win by ≥ 1.5×; and the
-/// blocker index must do strictly less work than `regions × cells`.
+/// configuration (d=3, N=10k, anti-correlated) must win by ≥ 1.5× and the
+/// columnar map producer must beat the per-match one; and the blocker
+/// index must do strictly less work than `regions × cells`.
 ///
 /// Wall-clock gates are release-only: the batched win comes from
 /// autovectorization, which debug builds don't perform, and the in-process
@@ -1357,6 +1450,12 @@ fn assert_kernel_gates(runs: &[KernelRun], quick: bool) {
                 "blocker index did {} ops, naive bound is {}",
                 run.index_ops,
                 run.naive_ops
+            ),
+            // Quick regions hold a few dozen matches each: timer noise.
+            "map" => assert!(
+                !timing || quick || run.speedup > 1.0,
+                "columnar map producer not faster than per-match eval: {:.2}x",
+                run.speedup
             ),
             other => unreachable!("unknown kernel run kind {other}"),
         }
@@ -2547,6 +2646,8 @@ mod tests {
             runs.iter().any(|r| r.kind == "blocker"),
             "blocker sweep missing"
         );
+        let map = runs.iter().find(|r| r.kind == "map").expect("map row");
+        assert!(map.index_ops > 0, "the map row joined nothing");
         write_kernel_outputs(&opt, &runs);
         assert!(opt.out.join("kernels.csv").exists());
         let json = std::fs::read_to_string(opt.out.join("BENCH_kernels.json")).unwrap();
@@ -2558,6 +2659,7 @@ mod tests {
             "\"naive_ops\"",
             "\"mask\"",
             "\"blocker\"",
+            "\"map\"",
         ] {
             assert!(json.contains(key), "BENCH_kernels.json missing {key}");
         }

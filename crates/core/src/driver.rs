@@ -46,12 +46,12 @@ use crate::progdetermine::{EmittedCell, ProgDetermine};
 use crate::progorder::ProgOrderQueue;
 use crate::session::{CancellationToken, ResultEvent, SessionStep};
 use crate::stats::{ExecStats, ResultTuple};
-use crate::tuple_level::{RegionBatch, RegionCtx};
+use crate::tuple_level::{RegionBatch, RegionCtx, TupleLevelStats};
 use progxe_obs::{Point, Span, Trace};
 use progxe_skyline::Order;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cell-visit cap for ProgCount scans on oversized region boxes.
 const PROG_COUNT_VISIT_CAP: u64 = 4_096;
@@ -511,7 +511,7 @@ impl Committer {
     /// the [`RegionCtx`] streaming insert for the batch pipeline, the
     /// sealed-partition join for streaming ingestion — and must report
     /// `(counters, completed)` exactly like
-    /// [`crate::tuple_level::process_region`].
+    /// `tuple_level::join_into_store`.
     pub fn process_and_commit<F>(
         &mut self,
         rid: u32,
@@ -519,7 +519,7 @@ impl Committer {
         run: F,
     ) -> Option<Option<ResultEvent>>
     where
-        F: FnOnce(&mut CellStore) -> (crate::tuple_level::TupleLevelStats, bool),
+        F: FnOnce(&mut CellStore) -> (TupleLevelStats, bool),
     {
         let span = self.trace.span(Span::TuplePhase {
             region_id: u64::from(rid),
@@ -529,10 +529,8 @@ impl Committer {
         let (tl, completed) = run(&mut self.store);
         let compute_elapsed = compute_started.elapsed();
         span.end();
-        stats.tuple_time += compute_elapsed;
         stats.region_latency.record(compute_elapsed);
-        stats.join_pairs_evaluated += tl.pairs_examined;
-        stats.join_matches += tl.matches;
+        absorb_batch_work(stats, compute_elapsed, &tl);
         if !completed {
             stats.cancelled = true;
             return None;
@@ -562,7 +560,7 @@ impl Committer {
         });
         let commit_started = Instant::now();
         stats.region_latency.record(batch.compute_time);
-        absorb_batch_work(stats, &batch);
+        absorb_batch_work(stats, batch.compute_time, &batch.stats);
         if self.region_box_is_dead(batch.rid) {
             stats.regions_computed_dead += 1;
         } else {
@@ -822,7 +820,7 @@ impl WorkSource {
         rid: u32,
         store: &mut CellStore,
         token: &CancellationToken,
-    ) -> (crate::tuple_level::TupleLevelStats, bool) {
+    ) -> (TupleLevelStats, bool) {
         match self {
             WorkSource::Query(ctx) => ctx.process_into(rid, store, token),
             WorkSource::Ingest(ctx) => ctx.process_into(rid, store, token),
@@ -1132,7 +1130,7 @@ impl RegionDriver {
                             // Never committed, but its partial work is
                             // real: account it so cancelled-run stats
                             // reflect the pairs actually evaluated.
-                            absorb_batch_work(&mut self.stats, &batch);
+                            absorb_batch_work(&mut self.stats, batch.compute_time, &batch.stats);
                             self.stats.cancelled = true;
                             Advance::Finished
                         } else {
@@ -1242,7 +1240,7 @@ impl RegionDriver {
                     batch.rid
                 );
             }
-            absorb_batch_work(&mut self.stats, &batch);
+            absorb_batch_work(&mut self.stats, batch.compute_time, &batch.stats);
             self.stats.cancelled = true;
             return Advance::Finished;
         }
@@ -1253,23 +1251,25 @@ impl RegionDriver {
     }
 }
 
-/// Folds the work a batch producer reports — compute time, join counters,
-/// and the batch filter stage's dominance work — into the run stats. The
-/// one place these are accumulated: [`Committer::commit_batch`] calls it
-/// for every batch it applies, and the driver calls it for batches that
-/// will never be committed (token fired mid-region, or scavenged at
-/// `finalize`), so a cancelled run still reports the work it did. The
-/// streaming path records its partial work the same way inside
-/// [`Committer::process_and_commit`].
-fn absorb_batch_work(stats: &mut ExecStats, batch: &RegionBatch) {
-    stats.tuple_time += batch.compute_time;
-    stats.join_pairs_evaluated += batch.stats.pairs_examined;
-    stats.join_matches += batch.stats.matches;
-    stats.dominance_tests += batch.stats.local_dominance_tests;
+/// Folds the work one region's tuple-level unit reports — compute time,
+/// join counters, and the batch filter stage's dominance work — into the
+/// run stats. The one place these are accumulated:
+/// [`Committer::commit_batch`] calls it for every batch it applies,
+/// [`Committer::process_and_commit`] for every streaming-arrangement region
+/// (whose filter counters are zero), and the driver for batches that will
+/// never be committed (token fired mid-region, or scavenged at `finalize`),
+/// so a cancelled run still reports the work it did.
+fn absorb_batch_work(stats: &mut ExecStats, compute_time: Duration, work: &TupleLevelStats) {
+    stats.tuple_time += compute_time;
+    stats.join_pairs_evaluated += work.pairs_examined;
+    stats.join_probes += work.probes;
+    stats.join_build_rows += work.build_rows;
+    stats.join_matches += work.matches;
+    stats.dominance_tests += work.local_dominance_tests;
     // The filter stage runs entirely on the batched kernels.
-    stats.dominance_pairs += batch.stats.local_dominance_tests;
-    stats.fdom_vertex_evals += batch.stats.fdom_vertex_evals;
-    stats.tuples_prefiltered += batch.stats.locally_pruned;
+    stats.dominance_pairs += work.local_dominance_tests;
+    stats.fdom_vertex_evals += work.fdom_vertex_evals;
+    stats.tuples_prefiltered += work.locally_pruned;
 }
 
 impl SessionStep for RegionDriver {
@@ -1316,7 +1316,7 @@ impl SessionStep for RegionDriver {
         // rather than stalling finish() behind the shared pool.
         for seq in self.inflight.drain(..) {
             if let Some(batch) = self.queue.try_take(seq) {
-                absorb_batch_work(&mut stats, &batch);
+                absorb_batch_work(&mut stats, batch.compute_time, &batch.stats);
             }
         }
         if let Some(committer) = self.committer.take() {

@@ -34,7 +34,7 @@ use crate::cost::CostModel;
 use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
-use crate::grid::InputGrid;
+use crate::grid::{InputGrid, JoinSource};
 use crate::lookahead::{run_lookahead, track_cells};
 use crate::mapping::MapSet;
 use crate::output_grid::MAX_DIMS;
@@ -337,12 +337,8 @@ impl ProgXe {
         let orders = maps.preference().orders().to_vec();
         let ctx = Arc::new(RegionCtx::new(
             maps.clone(),
-            r_attrs,
-            r_keys,
-            t_attrs,
-            t_keys,
-            r_grid,
-            t_grid,
+            JoinSource::new(Side::R, r_attrs, r_keys, r_grid),
+            JoinSource::new(Side::T, t_attrs, t_keys, t_grid),
             la.grid,
             Arc::clone(&regions),
         ));
@@ -811,5 +807,64 @@ mod tests {
         assert!(!stats.cancelled);
         ids.sort_unstable();
         assert_eq!(ids, expected);
+    }
+
+    /// The join counters against an independent count: per region,
+    /// `matches` is Σ over join keys of (R rows with the key) × (T rows
+    /// with it), `probes` the larger partition's rows and `pairs_examined`
+    /// the logical `n_R · n_T`; `build_rows` counts a row once — for the
+    /// first region to join its partition — however many regions follow.
+    #[test]
+    fn join_counters_report_the_work_done() {
+        let (keys, per_dim) = (7u32, 3usize);
+        let r = random_source(400, 2, keys, 81);
+        let t = random_source(300, 2, keys, 82);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let exec = ProgXe::new(ProgXeConfig::default().with_input_partitions(per_dim));
+        let token = CancellationToken::new();
+        let prep = exec
+            .prepare(&r.view(), &t.view(), &maps, token.clone())
+            .unwrap();
+        let ctx = prep.ctx.expect("non-trivial workload has a context");
+
+        // Push-through is off, so the prepared partitions are the grids of
+        // the raw sources.
+        let domain = keys as usize;
+        let r_grid = InputGrid::build(&r.view(), per_dim, SignatureConfig::Exact, domain);
+        let t_grid = InputGrid::build(&t.view(), per_dim, SignatureConfig::Exact, domain);
+        let key_counts = |src: &SourceData, rows: &[u32]| {
+            let mut counts = vec![0u64; domain];
+            for &row in rows {
+                counts[src.view().join_key_of(row as usize) as usize] += 1;
+            }
+            counts
+        };
+        let (mut regions_per_row, mut built, mut matches) = (0u64, 0u64, 0u64);
+        for region in ctx.regions() {
+            let rp = &r_grid.partitions()[region.r_part as usize];
+            let tp = &t_grid.partitions()[region.t_part as usize];
+            let (rc, tc) = (key_counts(&r, &rp.tuples), key_counts(&t, &tp.tuples));
+            let expected: u64 = rc.iter().zip(&tc).map(|(a, b)| a * b).sum();
+            let work = ctx.compute(region.id, &[], &token).stats;
+            assert_eq!(work.matches, expected, "region {}", region.id);
+            assert_eq!(work.probes, rp.len().max(tp.len()) as u64);
+            assert_eq!(work.pairs_examined, (rp.len() * tp.len()) as u64);
+            regions_per_row += (rp.len() + tp.len()) as u64;
+            built += work.build_rows;
+            matches += expected;
+        }
+        assert!(regions_per_row > 2 * 700, "rows pair into several regions");
+        assert!(built > 0 && built <= 700, "{built} rows grouped");
+        assert_eq!(
+            ctx.compute(0, &[], &token).stats.build_rows,
+            0,
+            "built once"
+        );
+
+        // A full run folds the same figures, minus regions it never joins.
+        let stats = exec.run_collect(&r.view(), &t.view(), &maps).unwrap().stats;
+        assert!(stats.join_build_rows > 0 && stats.join_build_rows <= built);
+        assert!(stats.join_matches > 0 && stats.join_matches <= matches);
+        assert!(stats.join_probes > 0 && stats.join_probes <= stats.join_pairs_evaluated);
     }
 }

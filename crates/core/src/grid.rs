@@ -8,11 +8,20 @@
 //! regions than the raw cell geometry — a sound refinement), and (c) the
 //! join-value [`JoinSignature`] used to decide whether a partition pair can
 //! produce join results at all.
+//!
+//! For the tuple-level join a partition is prepared at most once per query
+//! as a [`JoinSide`] — its rows grouped by join key beside a row-major slab
+//! of what the join's row producer reads — by the first region that joins
+//! it ([`JoinSource`]).
 
 use crate::config::SignatureConfig;
 use crate::fxhash::FxHashMap;
+use crate::mapping::MapSet;
+use crate::pushthrough::Side;
 use crate::signature::JoinSignature;
 use crate::source::SourceView;
+use progxe_skyline::PointStore;
+use std::sync::OnceLock;
 
 /// Fixed slicing geometry of one input grid: `per_dim` equal-width slices
 /// per attribute dimension over a bounding box.
@@ -233,6 +242,242 @@ impl InputGrid {
     /// Total tuples across partitions (equals the source cardinality).
     pub fn total_tuples(&self) -> usize {
         self.partitions.iter().map(|p| p.len()).sum()
+    }
+}
+
+/// One input partition prepared for the tuple-level join — the join-side
+/// type the batch pipeline (built on first use, see [`JoinSource`]) and
+/// streaming ingestion (built when a cell seals) share.
+///
+/// Rows are held twice. In *partition order* — the order a region probes
+/// them in, which fixes the emission order — and *grouped by join key*
+/// (stable, CSR offsets over ascending keys), which is what the other side
+/// of a region looks a probe row's key up in. Both orders carry the id a
+/// result reports for the row and a row-major slab of [`width`](Self::width)
+/// values per row:
+///
+/// * separable maps ([`MapSet::separable_at`]): the row's *oriented*
+///   components, one per output dimension, so a mapped, oriented join
+///   result is `probe row + build row` — exactly, because
+///   `-(a + b) == (-a) + (-b)` in IEEE arithmetic;
+/// * otherwise the row's raw attributes, for the per-match `eval`.
+#[derive(Debug)]
+pub struct JoinSide {
+    components: bool,
+    width: usize,
+    ids: Vec<u32>,
+    keys: Vec<u32>,
+    slab: Vec<f64>,
+    group_keys: Vec<u32>,
+    /// `group_keys.len() + 1` offsets into `group_ids` / `group_slab` rows.
+    group_starts: Vec<u32>,
+    group_ids: Vec<u32>,
+    group_slab: Vec<f64>,
+}
+
+impl JoinSide {
+    /// Prepares the partition holding `rows` of `source` (in partition
+    /// order); `ids[i]` is the id results report for `rows[i]`. `columnar`
+    /// is the query-wide [`MapSet::separable_at`] verdict.
+    ///
+    /// # Panics
+    /// Panics if `columnar` is set and a map answers `None` for a row — it
+    /// broke the all-or-nothing clause of
+    /// [`MappingFunction::r_component`](crate::mapping::MappingFunction::r_component).
+    pub fn build(
+        maps: &MapSet,
+        side: Side,
+        columnar: bool,
+        source: &SourceView<'_>,
+        rows: &[u32],
+        ids: Vec<u32>,
+    ) -> Self {
+        assert_eq!(rows.len(), ids.len(), "one id per row");
+        let n = rows.len();
+        let width = if columnar {
+            maps.out_dims()
+        } else {
+            source.dims()
+        };
+        let orders = maps.preference().orders();
+        let mut keys = Vec::with_capacity(n);
+        let mut slab = Vec::with_capacity(n * width);
+        let mut raw = Vec::with_capacity(width);
+        for &row in rows {
+            let attrs = source.attrs_of(row as usize);
+            keys.push(source.join_key_of(row as usize));
+            if columnar {
+                let separable = match side {
+                    Side::R => maps.r_components(attrs, &mut raw),
+                    Side::T => maps.t_components(attrs, &mut raw),
+                };
+                assert!(
+                    separable,
+                    "a mapping function is separable for some rows only"
+                );
+                slab.extend(raw.iter().zip(orders).map(|(&v, o)| o.orient(v)));
+            } else {
+                slab.extend_from_slice(attrs);
+            }
+        }
+        // `(key, position)` packed into one integer: an unstable sort of
+        // these is the stable grouping by key, without indirect compares.
+        let mut order: Vec<u64> = (keys.iter().zip(0u64..))
+            .map(|(&key, at)| u64::from(key) << 32 | at)
+            .collect();
+        order.sort_unstable();
+        let mut group_keys = Vec::new();
+        let mut group_starts = Vec::new();
+        let mut group_ids = Vec::with_capacity(n);
+        let mut group_slab = Vec::with_capacity(n * width);
+        for (at, &packed) in order.iter().enumerate() {
+            let (key, i) = ((packed >> 32) as u32, (packed & 0xFFFF_FFFF) as usize);
+            if group_keys.last() != Some(&key) {
+                group_keys.push(key);
+                group_starts.push(at as u32);
+            }
+            group_ids.push(ids[i]);
+            group_slab.extend_from_slice(&slab[i * width..(i + 1) * width]);
+        }
+        group_starts.push(n as u32);
+        Self {
+            components: columnar,
+            width,
+            ids,
+            keys,
+            slab,
+            group_keys,
+            group_starts,
+            group_ids,
+            group_slab,
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True for a partition without rows (a streaming cell sealed empty).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Values per slab row.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Whether the slabs hold oriented map components (`false`: raw
+    /// attributes).
+    #[inline]
+    pub fn holds_components(&self) -> bool {
+        self.components
+    }
+
+    /// Row `i` in partition order: `(result id, join key, slab row)`.
+    #[inline]
+    pub fn row(&self, i: usize) -> (u32, u32, &[f64]) {
+        let values = &self.slab[i * self.width..(i + 1) * self.width];
+        (self.ids[i], self.keys[i], values)
+    }
+
+    /// The rows with join key `key`, in partition order: their result ids
+    /// and their slab rows (row-major).
+    #[inline]
+    pub fn group(&self, key: u32) -> Option<(&[u32], &[f64])> {
+        let g = self.group_keys.binary_search(&key).ok()?;
+        let (lo, hi) = (
+            self.group_starts[g] as usize,
+            self.group_starts[g + 1] as usize,
+        );
+        Some((
+            &self.group_ids[lo..hi],
+            &self.group_slab[lo * self.width..hi * self.width],
+        ))
+    }
+}
+
+/// `out[row] = base + rows[row]` over row-major rows of `base.len()`
+/// values: how two columnar [`JoinSide`] rows become a mapped, oriented
+/// join result. The common widths are instantiated with a constant
+/// dimension so the inner loop unrolls and vectorizes.
+pub(crate) fn add_rows(base: &[f64], rows: &[f64], out: &mut [f64]) {
+    fn fixed<const D: usize>(base: &[f64], rows: &[f64], out: &mut [f64]) {
+        let base: [f64; D] = base.try_into().expect("dispatched on base.len()");
+        for (o, row) in out.chunks_exact_mut(D).zip(rows.chunks_exact(D)) {
+            for j in 0..D {
+                o[j] = base[j] + row[j];
+            }
+        }
+    }
+    debug_assert_eq!(rows.len(), out.len());
+    match base.len() {
+        1 => fixed::<1>(base, rows, out),
+        2 => fixed::<2>(base, rows, out),
+        3 => fixed::<3>(base, rows, out),
+        4 => fixed::<4>(base, rows, out),
+        d => {
+            for (o, row) in out.chunks_exact_mut(d).zip(rows.chunks_exact(d)) {
+                for ((o, b), v) in o.iter_mut().zip(base).zip(row) {
+                    *o = b + v;
+                }
+            }
+        }
+    }
+}
+
+/// One materialized source of a batch query as the tuple-level phase uses
+/// it: the filtered rows, their grid, and one lazily prepared [`JoinSide`]
+/// per partition. A side is built by the first region that joins its
+/// partition and shared by every later one — once per query, never per
+/// region, and never before the first result for partitions the first
+/// region does not touch.
+#[derive(Debug)]
+pub struct JoinSource {
+    side: Side,
+    attrs: PointStore,
+    keys: Vec<u32>,
+    grid: InputGrid,
+    sides: Vec<OnceLock<JoinSide>>,
+}
+
+impl JoinSource {
+    /// Bundles one side's filtered rows (`attrs` ∥ `keys`, dense join keys)
+    /// with the grid built over them.
+    pub(crate) fn new(side: Side, attrs: PointStore, keys: Vec<u32>, grid: InputGrid) -> Self {
+        let sides = grid.partitions().iter().map(|_| OnceLock::new()).collect();
+        Self {
+            side,
+            attrs,
+            keys,
+            grid,
+            sides,
+        }
+    }
+
+    /// Attributes of the first row — the sample [`MapSet::separable_at`]
+    /// probes (a source with a grid partition has a row).
+    pub(crate) fn sample(&self) -> &[f64] {
+        self.attrs.point(0)
+    }
+
+    /// The prepared partition `part`, reporting filtered-source rows as
+    /// result ids, and how many rows this call grouped (its length if it
+    /// was the first to ask, else 0).
+    pub(crate) fn side(&self, part: u32, maps: &MapSet, columnar: bool) -> (&JoinSide, u64) {
+        let mut built = 0;
+        let side = self.sides[part as usize].get_or_init(|| {
+            let rows = &self.grid.partitions()[part as usize].tuples;
+            built = rows.len() as u64;
+            let view =
+                SourceView::new(&self.attrs, &self.keys).expect("filtered arrays are parallel");
+            JoinSide::build(maps, self.side, columnar, &view, rows, rows.clone())
+        });
+        (side, built)
     }
 }
 

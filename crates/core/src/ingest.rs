@@ -43,21 +43,21 @@
 //! ones behind it — which is the deliberate trade recorded in ROADMAP.md.
 
 use crate::cells::CellStore;
-use crate::config::{ProgXeConfig, SignatureConfig};
+use crate::config::ProgXeConfig;
 use crate::cost::CostModel;
 use crate::driver::{Committer, CommitterParts, DriverPoll, ExecutorBackend, RegionDriver, RowIds};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
-use crate::grid::{GridGeometry, InputPartition};
+use crate::grid::{GridGeometry, JoinSide};
 use crate::lookahead::Region;
 use crate::mapping::MapSet;
 use crate::output_grid::{OutputGrid, MAX_DIMS};
 use crate::progdetermine::ProgDetermine;
+use crate::pushthrough::Side;
 use crate::session::{CancellationToken, ResultEvent};
-use crate::signature::JoinSignature;
 use crate::source::SourceView;
 use crate::stats::ExecStats;
-use crate::tuple_level::{join_region, RegionBatch, TupleLevelStats};
+use crate::tuple_level::{join_batch, join_into_store, RegionBatch, TupleLevelStats};
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
 use std::sync::{Arc, Mutex};
@@ -290,23 +290,6 @@ pub enum IngestPoll {
     Complete,
 }
 
-/// One sealed input cell: its member rows frozen in canonical (row-id)
-/// order, ready for lock-free joining.
-pub(crate) struct SealedPart {
-    /// Local partition view (tuples are 0..n local indices).
-    part: InputPartition,
-    attrs: PointStore,
-    keys: Vec<u32>,
-    /// Caller row id per local index.
-    rows: Vec<u32>,
-}
-
-impl SealedPart {
-    fn view(&self) -> SourceView<'_> {
-        SourceView::new(&self.attrs, &self.keys).expect("sealed arrays are parallel")
-    }
-}
-
 /// Mutable per-source ingestion state.
 struct SourceState {
     dims: usize,
@@ -320,19 +303,24 @@ struct SourceState {
     /// at seal time).
     buckets: Vec<Vec<u32>>,
     /// `Some` once the cell sealed (closed source, or watermark passed the
-    /// cell's slice in some dimension).
-    sealed: Vec<Option<Arc<SealedPart>>>,
-    /// Count of sealed cells (= number of `Some` entries above).
-    sealed_count: usize,
+    /// cell's slice in some dimension): its member rows frozen in canonical
+    /// (caller-row-id) order and prepared for lock-free joining, reporting
+    /// caller row ids.
+    sealed: Vec<Option<Arc<JoinSide>>>,
     watermark: Vec<f64>,
     closed: bool,
     seen: FxHashMap<u32, ()>,
     /// Next auto-assigned row id (callers may also pass explicit ids).
     auto_id: u32,
+    /// What sealing compiles a cell's rows against: the query's maps, the
+    /// side of them this source feeds, and [`MapSet::separable_at`]'s verdict.
+    maps: MapSet,
+    side: Side,
+    columnar: bool,
 }
 
 impl SourceState {
-    fn new(spec: StreamSpec, per_dim: usize) -> Self {
+    fn new(spec: StreamSpec, per_dim: usize, maps: &MapSet, side: Side, columnar: bool) -> Self {
         let dims = spec.dims();
         let geo = GridGeometry::from_bounds(spec.lo(), spec.hi(), per_dim);
         let cells = geo.cell_count().expect("cell count validated at open");
@@ -345,11 +333,13 @@ impl SourceState {
             ids: Vec::new(),
             buckets: vec![Vec::new(); cells],
             sealed: (0..cells).map(|_| None).collect(),
-            sealed_count: 0,
             watermark: vec![f64::NEG_INFINITY; dims],
             closed: false,
             seen: FxHashMap::default(),
             auto_id: 0,
+            maps: maps.clone(),
+            side,
+            columnar,
         }
     }
 
@@ -371,39 +361,18 @@ impl SourceState {
             .any(|d| self.geo.slot(d, self.watermark[d]) > self.geo.slot_of_linear(cell, d))
     }
 
-    /// Freezes one cell into a [`SealedPart`] (rows sorted by caller id,
-    /// making the partition content independent of arrival order).
-    fn seal_cell(&mut self, cell: usize) {
+    /// Freezes one cell into a [`JoinSide`] (rows sorted by caller id,
+    /// making the partition content independent of arrival order) and
+    /// returns its row count.
+    fn seal_cell(&mut self, cell: usize) -> usize {
         debug_assert!(self.sealed[cell].is_none());
         let mut members = std::mem::take(&mut self.buckets[cell]);
         members.sort_unstable_by_key(|&idx| self.ids[idx as usize]);
-        let n = members.len();
-        let mut attrs = PointStore::with_capacity(self.dims, n);
-        let mut keys = Vec::with_capacity(n);
-        let mut rows = Vec::with_capacity(n);
-        for &idx in &members {
-            attrs.push(self.attrs.point(idx as usize));
-            keys.push(self.keys[idx as usize]);
-            rows.push(self.ids[idx as usize]);
-        }
-        let (lo, hi) = self.geo.slice_bounds(cell);
-        let part = InputPartition {
-            id: cell as u32,
-            tuples: (0..n as u32).collect(),
-            lo,
-            hi,
-            // The streaming join never consults signatures (pair pruning
-            // needs full-source knowledge); an empty exact signature keeps
-            // the partition type uniform.
-            signature: JoinSignature::empty(SignatureConfig::Exact, 0),
-        };
-        self.sealed[cell] = Some(Arc::new(SealedPart {
-            part,
-            attrs,
-            keys,
-            rows,
-        }));
-        self.sealed_count += 1;
+        let ids = members.iter().map(|&idx| self.ids[idx as usize]).collect();
+        let src = SourceView::new(&self.attrs, &self.keys).expect("arrival arrays are parallel");
+        let part = JoinSide::build(&self.maps, self.side, self.columnar, &src, &members, ids);
+        self.sealed[cell] = Some(Arc::new(part));
+        members.len()
     }
 }
 
@@ -416,6 +385,8 @@ struct IngestInner {
     ready: Vec<bool>,
     regions_unlocked: usize,
     tuples_ingested: u64,
+    /// Rows prepared for joining so far ([`ExecStats::join_build_rows`]).
+    join_build_rows: u64,
     /// The session's trace handle (ingest-side events: batch spans, seal
     /// points).
     trace: Trace,
@@ -443,7 +414,7 @@ impl IngestInner {
                 .collect()
         };
         for &cell in &newly {
-            self.source(side).seal_cell(cell);
+            self.join_build_rows += self.source(side).seal_cell(cell) as u64;
             self.trace.point(Point::Seal {
                 source: side.into(),
                 cell: cell as u64,
@@ -592,6 +563,14 @@ impl IngestInner {
         src.closed = true;
         self.reseal(side);
     }
+
+    /// Writes the ingest-side counters into a stats snapshot.
+    fn fold_counters(&self, stats: &mut ExecStats) {
+        stats.tuples_ingested = self.tuples_ingested;
+        stats.regions_unlocked = self.regions_unlocked;
+        stats.join_build_rows = self.join_build_rows;
+        stats.batch_interarrival.merge(&self.interarrival);
+    }
 }
 
 /// The compute-side context of a streaming session: regions plus the
@@ -620,7 +599,7 @@ impl IngestCtx {
 
     /// The two sealed partitions of a ready region. Holds the state lock
     /// only long enough to clone two `Arc`s; the join itself is lock-free.
-    fn sealed_pair(&self, rid: u32) -> (Arc<SealedPart>, Arc<SealedPart>) {
+    fn sealed_pair(&self, rid: u32) -> (Arc<JoinSide>, Arc<JoinSide>) {
         let region = &self.regions[rid as usize];
         let inner = self.inner.lock().expect("ingest state poisoned");
         let rp = inner.r.sealed[region.r_part as usize]
@@ -634,8 +613,8 @@ impl IngestCtx {
         (rp, tp)
     }
 
-    /// Streaming-insert path: joins the sealed pair straight into the cell
-    /// store, emitting **caller row ids**.
+    /// Streaming arrangement over the sealed pair
+    /// (`join_into_store`), emitting **caller row ids**.
     pub(crate) fn process_into(
         &self,
         rid: u32,
@@ -643,54 +622,19 @@ impl IngestCtx {
         token: &CancellationToken,
     ) -> (TupleLevelStats, bool) {
         let (rp, tp) = self.sealed_pair(rid);
-        join_region(
-            &rp.part,
-            &tp.part,
-            &rp.view(),
-            &tp.view(),
-            &self.maps,
-            token,
-            |r, t, o| {
-                store.insert(rp.rows[r as usize], tp.rows[t as usize], o);
-            },
-        )
+        join_into_store(&rp, &tp, &self.maps, store, token)
     }
 
-    /// Batch path (pool workers): join + map + orient, then the shared
-    /// batch tail ([`RegionBatch::from_join`]: filter stage + assembly), ids
-    /// already translated to caller row ids.
+    /// Batch arrangement over the sealed pair (pool workers;
+    /// `join_batch`).
     pub(crate) fn compute(
         &self,
         rid: u32,
         snapshot: &[f64],
         token: &CancellationToken,
     ) -> RegionBatch {
-        let started = Instant::now();
         let (rp, tp) = self.sealed_pair(rid);
-        let mut ids: Vec<(u32, u32)> = Vec::new();
-        let mut points = PointStore::new(self.maps.out_dims());
-        let joined = join_region(
-            &rp.part,
-            &tp.part,
-            &rp.view(),
-            &tp.view(),
-            &self.maps,
-            token,
-            |r, t, o| {
-                ids.push((rp.rows[r as usize], tp.rows[t as usize]));
-                points.push(o);
-            },
-        );
-        RegionBatch::from_join(
-            rid,
-            started,
-            ids,
-            points,
-            joined,
-            self.maps.dominance(),
-            snapshot,
-            &self.grid,
-        )
+        join_batch(rid, &rp, &tp, &self.maps, &self.grid, snapshot, token)
     }
 }
 
@@ -899,13 +843,15 @@ impl IngestSession {
             config.ordering,
         );
 
+        let columnar = maps.separable_at(r_spec.lo(), t_spec.lo());
         let inner = Arc::new(Mutex::new(IngestInner {
-            r: SourceState::new(r_spec, per_dim),
-            t: SourceState::new(t_spec, per_dim),
+            r: SourceState::new(r_spec, per_dim, maps, Side::R, columnar),
+            t: SourceState::new(t_spec, per_dim, maps, Side::T, columnar),
             t_cells,
             ready: vec![false; regions.len()],
             regions_unlocked: 0,
             tuples_ingested: 0,
+            join_build_rows: 0,
             trace,
             last_batch_at: None,
             interarrival: Histogram::default(),
@@ -1067,7 +1013,8 @@ impl IngestSession {
     /// A snapshot of the statistics accumulated so far (mid-ingest safe).
     pub fn stats_snapshot(&self) -> ExecStats {
         let mut stats = crate::session::SessionStep::stats_snapshot(&self.driver);
-        self.fold_ingest_counters(&mut stats);
+        let inner = self.inner.lock().expect("ingest state poisoned");
+        inner.fold_counters(&mut stats);
         stats
     }
 
@@ -1078,17 +1025,8 @@ impl IngestSession {
         let inner = self.inner;
         let mut stats = crate::session::SessionStep::finalize(Box::new(self.driver));
         let guard = inner.lock().expect("ingest state poisoned");
-        stats.tuples_ingested = guard.tuples_ingested;
-        stats.regions_unlocked = guard.regions_unlocked;
-        stats.batch_interarrival.merge(&guard.interarrival);
+        guard.fold_counters(&mut stats);
         stats
-    }
-
-    fn fold_ingest_counters(&self, stats: &mut ExecStats) {
-        let inner = self.inner.lock().expect("ingest state poisoned");
-        stats.tuples_ingested = inner.tuples_ingested;
-        stats.regions_unlocked = inner.regions_unlocked;
-        stats.batch_interarrival.merge(&inner.interarrival);
     }
 }
 
@@ -1134,6 +1072,10 @@ mod tests {
             .collect()
     }
 
+    fn refs(rows: &[(Vec<f64>, u32)]) -> Vec<(&[f64], u32)> {
+        rows.iter().map(|(a, k)| (a.as_slice(), *k)).collect()
+    }
+
     fn spec(dims: usize) -> StreamSpec {
         StreamSpec::new(vec![0.0; dims], vec![100.0; dims]).unwrap()
     }
@@ -1174,10 +1116,8 @@ mod tests {
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let mut session =
             IngestSession::open(&ProgXeConfig::default(), &maps, spec(2), spec(2)).unwrap();
-        let r_refs: Vec<(&[f64], u32)> = rows_r.iter().map(|(a, k)| (a.as_slice(), *k)).collect();
-        let t_refs: Vec<(&[f64], u32)> = rows_t.iter().map(|(a, k)| (a.as_slice(), *k)).collect();
-        session.push(SourceId::R, &r_refs).unwrap();
-        session.push(SourceId::T, &t_refs).unwrap();
+        session.push(SourceId::R, &refs(&rows_r)).unwrap();
+        session.push(SourceId::T, &refs(&rows_t)).unwrap();
         session.close(SourceId::R);
         session.close(SourceId::T);
         let mut ids = drain_all(&mut session);
@@ -1212,11 +1152,7 @@ mod tests {
             } else {
                 &rows_t
             };
-            let refs: Vec<(&[f64], u32)> = rows[..half]
-                .iter()
-                .map(|(a, k)| (a.as_slice(), *k))
-                .collect();
-            session.push(side, &refs).unwrap();
+            session.push(side, &refs(&rows[..half])).unwrap();
             // Everything still to come is ≥ the per-dim min of the suffix.
             let mut wm = vec![f64::INFINITY; 2];
             for (a, _) in &rows[half..] {
@@ -1238,11 +1174,7 @@ mod tests {
             } else {
                 &rows_t
             };
-            let refs: Vec<(&[f64], u32)> = rows[half..]
-                .iter()
-                .map(|(a, k)| (a.as_slice(), *k))
-                .collect();
-            session.push(side, &refs).unwrap();
+            session.push(side, &refs(&rows[half..])).unwrap();
             session.close(side);
         }
         ids.extend(drain_all(&mut session));

@@ -22,15 +22,22 @@ pub trait MappingFunction: Send + Sync {
     /// every tuple pair inside the boxes must map into the returned interval.
     fn eval_bounds(&self, r_lo: &[f64], r_hi: &[f64], t_lo: &[f64], t_hi: &[f64]) -> (f64, f64);
 
-    /// Optional separable decomposition for push-through pruning: a score
-    /// `g_R(r)` such that `eval(r, t)` is *non-decreasing* in `g_R(r)` for
-    /// every fixed `t`. Returning `None` disables push-through for queries
-    /// using this function (the pruning would be unsound).
+    /// Optional separable decomposition, an *exact additive* contract:
+    /// `eval(r, t)` is bit for bit `r_component(r) + t_component(t)` (NaN
+    /// results agree as NaN), any constant folded into the R side. The
+    /// tuple-level join then maps a pair with one add per dimension over two
+    /// per-row constants ([`JoinSide`](crate::grid::JoinSide)), and
+    /// push-through may prune on the component alone (floating-point
+    /// addition is monotone, so `eval` is non-decreasing in it).
+    ///
+    /// All or nothing: a function answers `Some` from both hooks for every
+    /// input, or `None` from both — `None` keeps the per-match `eval` and
+    /// disables push-through for queries using this function.
     fn r_component(&self, _r: &[f64]) -> Option<f64> {
         None
     }
 
-    /// Mirror of [`MappingFunction::r_component`] for the T side.
+    /// The T-side half of [`MappingFunction::r_component`]'s contract.
     fn t_component(&self, _t: &[f64]) -> Option<f64> {
         None
     }
@@ -80,9 +87,25 @@ impl WeightedSum {
         Self::new(r, t)
     }
 
-    fn side_bounds(weights: &[f64], lo: &[f64], hi: &[f64]) -> (f64, f64) {
-        let mut min = 0.0;
-        let mut max = 0.0;
+    /// One side's score `init + Σ wᵢ·vᵢ`, accumulated left to right — the
+    /// single summation order `eval`, the components and the bounds share.
+    #[inline]
+    fn side_score(init: f64, weights: &[f64], values: &[f64]) -> f64 {
+        debug_assert_eq!(values.len(), weights.len());
+        let mut acc = init;
+        for (w, v) in weights.iter().zip(values) {
+            acc += w * v;
+        }
+        acc
+    }
+
+    /// Interval version of [`Self::side_score`]: same order, each term
+    /// taking the box corner matching its coefficient sign, so a degenerate
+    /// box reproduces the score exactly and rounding cannot push a point
+    /// evaluation outside its enclosure.
+    fn side_bounds(init: f64, weights: &[f64], lo: &[f64], hi: &[f64]) -> (f64, f64) {
+        let mut min = init;
+        let mut max = init;
         for (i, &w) in weights.iter().enumerate() {
             if w >= 0.0 {
                 min += w * lo[i];
@@ -97,45 +120,26 @@ impl WeightedSum {
 }
 
 impl MappingFunction for WeightedSum {
+    /// Computed as the sum of the two components, so every consumer —
+    /// baselines, oracles, the engine's columnar join — sees the same bits.
     #[inline]
     fn eval(&self, r: &[f64], t: &[f64]) -> f64 {
-        debug_assert_eq!(r.len(), self.r_weights.len());
-        debug_assert_eq!(t.len(), self.t_weights.len());
-        let mut acc = self.constant;
-        for (i, &w) in self.r_weights.iter().enumerate() {
-            acc += w * r[i];
-        }
-        for (i, &w) in self.t_weights.iter().enumerate() {
-            acc += w * t[i];
-        }
-        acc
+        Self::side_score(self.constant, &self.r_weights, r)
+            + Self::side_score(0.0, &self.t_weights, t)
     }
 
     fn eval_bounds(&self, r_lo: &[f64], r_hi: &[f64], t_lo: &[f64], t_hi: &[f64]) -> (f64, f64) {
-        let (rmin, rmax) = Self::side_bounds(&self.r_weights, r_lo, r_hi);
-        let (tmin, tmax) = Self::side_bounds(&self.t_weights, t_lo, t_hi);
-        (rmin + tmin + self.constant, rmax + tmax + self.constant)
+        let (rmin, rmax) = Self::side_bounds(self.constant, &self.r_weights, r_lo, r_hi);
+        let (tmin, tmax) = Self::side_bounds(0.0, &self.t_weights, t_lo, t_hi);
+        (rmin + tmin, rmax + tmax)
     }
 
     fn r_component(&self, r: &[f64]) -> Option<f64> {
-        // eval = g_R + g_T + c is non-decreasing in g_R.
-        Some(
-            self.r_weights
-                .iter()
-                .zip(r)
-                .map(|(w, v)| w * v)
-                .sum::<f64>(),
-        )
+        Some(Self::side_score(self.constant, &self.r_weights, r))
     }
 
     fn t_component(&self, t: &[f64]) -> Option<f64> {
-        Some(
-            self.t_weights
-                .iter()
-                .zip(t)
-                .map(|(w, v)| w * v)
-                .sum::<f64>(),
-        )
+        Some(Self::side_score(0.0, &self.t_weights, t))
     }
 
     fn describe(&self) -> String {
@@ -326,8 +330,19 @@ impl MapSet {
         }
     }
 
-    /// Per-source separable scores for push-through, or `None` when any map
-    /// is not separable. Returns `(g_R(r) per dim)` evaluator outputs.
+    /// Whether every function decomposes per the exact additive contract of
+    /// [`MappingFunction::r_component`], probed on one sample pair — by the
+    /// contract's all-or-nothing clause the answer holds for every pair.
+    /// Decides, once per query, between the columnar and the per-match row
+    /// producer of the tuple-level join.
+    pub fn separable_at(&self, r: &[f64], t: &[f64]) -> bool {
+        self.maps
+            .iter()
+            .all(|m| m.r_component(r).is_some() && m.t_component(t).is_some())
+    }
+
+    /// Per-source separable scores (push-through, join components), written
+    /// into `out`; `false` when any map is not separable.
     pub fn r_components(&self, r: &[f64], out: &mut Vec<f64>) -> bool {
         out.clear();
         for m in &self.maps {
@@ -414,6 +429,48 @@ mod tests {
         let f = WeightedSum::dimension_sum(2, 1);
         assert_eq!(f.r_component(&[3.0, 5.0]), Some(5.0));
         assert_eq!(f.t_component(&[2.0, 7.0]), Some(7.0));
+    }
+
+    /// The exact additive contract on random weighted sums — negative and
+    /// zero weights, a constant, ±∞ and NaN attributes: `eval` is the sum
+    /// of the two components bit for bit, and so is its negation (what
+    /// folding `Order::Highest` into the components relies on).
+    #[test]
+    fn weighted_sum_is_exactly_the_sum_of_its_components() {
+        let mut state = 0xADD1_7173_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut specials = 0;
+        for _ in 0..2_000 {
+            let (nr, nt) = (1 + next() as usize % 4, 1 + next() as usize % 4);
+            let mut pick = |special: bool| match next() % 16 {
+                0 => 0.0,
+                1 if special => f64::INFINITY,
+                2 if special => f64::NEG_INFINITY,
+                3 if special => f64::NAN,
+                _ => (next() % 20_001) as f64 / 97.0 - 100.0,
+            };
+            let rw: Vec<f64> = (0..nr).map(|_| pick(false)).collect();
+            let tw: Vec<f64> = (0..nt).map(|_| pick(false)).collect();
+            let f = WeightedSum::new(rw, tw).with_constant(pick(false));
+            let r: Vec<f64> = (0..nr).map(|_| pick(true)).collect();
+            let t: Vec<f64> = (0..nt).map(|_| pick(true)).collect();
+            let (gr, gt) = (f.r_component(&r).unwrap(), f.t_component(&t).unwrap());
+            let v = f.eval(&r, &t);
+            specials += usize::from(!v.is_finite());
+            assert!(same(v, gr + gt), "{f:?} at {r:?} {t:?}: {v} != {gr} + {gt}");
+            let (hi, lo) = (Order::Highest, Order::Lowest);
+            assert!(same(hi.orient(v), hi.orient(gr) + hi.orient(gt)));
+            assert!(same(lo.orient(v), lo.orient(gr) + lo.orient(gt)));
+            let (b_lo, b_hi) = f.eval_bounds(&r, &r, &t, &t);
+            assert!(same(b_lo, v) && same(b_hi, v), "point box is the value");
+        }
+        assert!(specials > 100, "non-finite results barely exercised");
     }
 
     #[test]

@@ -105,8 +105,18 @@ pub struct ExecStats {
     /// Cells whose tuples were emitted.
     pub cells_emitted: usize,
 
-    /// Join-condition evaluations (Σ n_R·n_T over processed regions).
+    /// *Logical* join work: Σ n_R·n_T over processed regions, the figure
+    /// the paper's Equation 4 cost model prices — what a nested loop would
+    /// evaluate, not work done (that is `join_probes` + `join_matches`).
     pub join_pairs_evaluated: u64,
+    /// Probe rows whose join key was looked up in the other partition's
+    /// key groups, summed over processed regions.
+    pub join_probes: u64,
+    /// Rows grouped by join key and compiled to component slabs for the
+    /// tuple-level join — once per input partition (by the first region
+    /// that joins it on batch runs, as cells seal under streaming
+    /// ingestion), never once per region.
+    pub join_build_rows: u64,
     /// Join results produced (and mapped).
     pub join_matches: u64,
     /// Pairwise dominance tests at tuple level.
@@ -233,6 +243,8 @@ impl ExecStats {
                 "join_pairs_evaluated",
                 Value::U64(self.join_pairs_evaluated),
             )
+            .push("join_probes", Value::U64(self.join_probes))
+            .push("join_build_rows", Value::U64(self.join_build_rows))
             .push("join_matches", Value::U64(self.join_matches))
             .push("dominance_tests", Value::U64(self.dominance_tests))
             .push("cancelled", Value::Bool(self.cancelled));
@@ -268,13 +280,16 @@ impl std::fmt::Display for ExecStats {
         write!(
             f,
             "{} results in {:.1?} ({}/{} regions processed, {} discarded dead, \
-             {} join matches, {} dominance tests, {} thread{})",
+             {} join matches from {} probes over {} grouped rows, \
+             {} dominance tests, {} thread{})",
             self.results_emitted,
             self.total_time,
             self.regions_processed,
             self.regions_created,
             self.regions_discarded_dead,
             self.join_matches,
+            self.join_probes,
+            self.join_build_rows,
             self.dominance_tests,
             self.threads_used.max(1),
             if self.threads_used > 1 { "s" } else { "" },

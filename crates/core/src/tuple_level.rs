@@ -1,46 +1,51 @@
 //! Tuple-level processing of one region (Section III-B).
 //!
 //! For the chosen region `R_{a,b}`: evaluate the equi-join between the
-//! tuples of `I^R_a` and `I^T_b` (hash join on the smaller side), apply the
-//! mapping functions to each match, orient the output, and hand every mapped
-//! tuple to a consumer — either the shared [`CellStore`] (streaming path,
-//! [`process_region`]; small regions on the driver's `Inline` backend) or a
-//! private batch buffer ([`RegionCtx::compute`]; pool workers always, and
-//! large inline regions per
+//! tuples of `I^R_a` and `I^T_b`, apply the mapping functions to each match,
+//! orient the output, and hand the mapped tuples to a consumer — either the
+//! shared [`CellStore`] (streaming arrangement, `join_into_store`; small
+//! regions on the driver's `Inline` backend) or a private batch
+//! (`join_batch`; pool workers always, and large inline regions per
 //! [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
+//!
+//! The producer is columnar. Each input partition is prepared once per
+//! query as a [`JoinSide`] — rows grouped by join key beside a slab of
+//! per-row oriented map components — so `join_region` is one loop: for
+//! each probe row in partition order, look the smaller side's key group up
+//! and add the probe row's components to the group's slab, a chunk of rows
+//! at a time. Maps that do not decompose ([`MapSet::separable_at`]) go
+//! through the same loop with a second row producer that calls `eval` per
+//! match over slabs of raw attributes. The token is checked between chunks,
+//! so a `take(k)` consumer or a timeout stops a huge region — even a single
+//! huge key group — mid-flight.
 //!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
 //! ([`RegionCtx`] is `Send + Sync` and owns all inputs), while Algorithm 2's
 //! blocker bookkeeping stays with the single ordered committer in
 //! [`crate::driver`]. Batch producers additionally run a filter stage over
-//! their own batch (`RegionBatch::from_join`): a bounded local skyline
-//! pre-filter — sound because Pareto dominance is transitive, so a tuple
-//! dominated inside its batch can never survive the shared store either —
-//! and then rejection against a dispatch-time snapshot of every tuple the
-//! store has ever admitted ([`CellStore::admitted_slab`]), which moves the
-//! bulk of `CellStore::insert`'s rejections off the serial committer.
-//!
-//! Cancellation is checked *inside* the probe loop (every
-//! [`CANCEL_CHECK_INTERVAL`] probe rows), so a `take(k)` consumer or a
-//! timeout stops a huge region mid-flight instead of paying for the whole
-//! join.
+//! their own batch: a local skyline pre-filter (a one-row vectorized sweep,
+//! then a bounded window) — sound because Pareto dominance is transitive,
+//! so a tuple dominated inside its batch can never survive the shared store
+//! either — and then rejection against a dispatch-time snapshot of every
+//! tuple the store has ever admitted ([`CellStore::admitted_slab`]), which
+//! moves the bulk of `CellStore::insert`'s rejections off the serial
+//! committer.
 
 use crate::cells::CellStore;
 use crate::fdom::DominanceModel;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::grid::{InputGrid, InputPartition};
+use crate::fxhash::FxHashSet;
+use crate::grid::{add_rows, JoinSide, JoinSource};
 use crate::lookahead::Region;
 use crate::mapping::MapSet;
 use crate::output_grid::{pack, OutputGrid};
 use crate::session::CancellationToken;
-use crate::source::SourceView;
 use progxe_skyline::{kernel, PointStore};
 use std::time::{Duration, Instant};
 
-/// Work items (probe rows + join matches) between cancellation-token
-/// checks inside the join loop: bounds how far a cancelled region can
-/// overshoot, even when single probe rows fan out into many matches.
+/// Most join matches produced between two cancellation-token checks — the
+/// row count of the chunks the join hands its consumer: bounds how far a
+/// cancelled region can overshoot, even inside one huge key group.
 pub const CANCEL_CHECK_INTERVAL: usize = 256;
 
 /// Upper bound on the local pre-filter's comparison window. Tuples kept
@@ -52,11 +57,16 @@ const LOCAL_FILTER_WINDOW: usize = 256;
 /// Work counters from processing one region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TupleLevelStats {
-    /// Join-condition probes (`n_R · n_T` upper bound; hash join probes
-    /// only actual key matches, this counts pairs *examined*).
+    /// The *logical* join work `n_R · n_T` of the paper's Equation 4 — the
+    /// cost model's figure, not work done (that is `probes` + `matches`).
     pub pairs_examined: u64,
+    /// Probe rows whose key was looked up in the other side's key groups.
+    pub probes: u64,
     /// Join matches produced and mapped.
     pub matches: u64,
+    /// Rows this unit grouped by join key, being the first to join their
+    /// partition (batch pipeline; streaming ingestion groups at seal time).
+    pub build_rows: u64,
     /// Pairwise dominance tests performed by the batch filter stage — the
     /// local pre-filter plus the admitted-slab snapshot filter (0 on the
     /// streaming path). Both run on the batched kernels, so this advances
@@ -70,119 +80,154 @@ pub struct TupleLevelStats {
     pub fdom_vertex_evals: u64,
 }
 
-/// The shared join + map + orient loop. Calls `emit` for every join match
-/// with `(r_row, t_row, oriented values)`. Returns the work counters and
-/// whether the region ran to completion (`false` = cancelled mid-region).
+/// The shared join + map + orient loop over two prepared partitions. Calls
+/// `emit` with chunks of at most [`CANCEL_CHECK_INTERVAL`] matches — their
+/// `(r id, t id)` pairs and, row-major, their oriented mapped values — in
+/// probe-major order: probe rows (the larger side's) in partition order,
+/// each one's matches in the build side's partition order. Returns the work
+/// counters and whether the region ran to completion (`false` = cancelled
+/// mid-region).
 ///
-/// Generic over the consumer (not `dyn`) so both call sites — streaming
+/// Generic over the consumer (not `dyn`) so both arrangements — streaming
 /// insert and batch collection — keep `emit` inlinable in the hot loop.
-/// Crate-visible: the [`crate::ingest`] work units run the same loop over
-/// sealed stream partitions.
-pub(crate) fn join_region<F: FnMut(u32, u32, &[f64])>(
-    r_part: &InputPartition,
-    t_part: &InputPartition,
-    r_src: &SourceView<'_>,
-    t_src: &SourceView<'_>,
+pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
+    r: &JoinSide,
+    t: &JoinSide,
     maps: &MapSet,
     token: &CancellationToken,
     mut emit: F,
 ) -> (TupleLevelStats, bool) {
     let mut stats = TupleLevelStats::default();
-    // An already-cancelled token stops the region before any join work;
-    // afterwards it is re-checked every CANCEL_CHECK_INTERVAL work items.
-    if token.is_cancelled() {
-        return (stats, false);
-    }
-    let orders = maps.preference().orders();
-    let mut raw = Vec::with_capacity(maps.out_dims());
-    let mut oriented = vec![0.0f64; maps.out_dims()];
-
-    // Build the hash table over the smaller partition.
-    let (build_rows, probe_rows, build_is_r) = if r_part.len() <= t_part.len() {
-        (&r_part.tuples, &t_part.tuples, true)
+    let (build, probe, build_is_r) = if r.len() <= t.len() {
+        (r, t, true)
     } else {
-        (&t_part.tuples, &r_part.tuples, false)
+        (t, r, false)
     };
-    let build_src: &SourceView<'_> = if build_is_r { r_src } else { t_src };
-    let probe_src: &SourceView<'_> = if build_is_r { t_src } else { r_src };
+    let columnar = build.holds_components();
+    assert_eq!(columnar, probe.holds_components(), "one producer per query");
+    let (dims, width) = (maps.out_dims(), build.width());
+    let orders = maps.preference().orders();
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(CANCEL_CHECK_INTERVAL);
+    let mut rows = vec![0.0f64; CANCEL_CHECK_INTERVAL * dims];
+    let mut raw = Vec::with_capacity(dims);
+    let chunk_values = CANCEL_CHECK_INTERVAL * width;
 
-    let mut table: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &row in build_rows {
-        table
-            .entry(build_src.join_key_of(row as usize))
-            .or_default()
-            .push(row);
-    }
-
-    let mut since_check = 0usize;
-    for (probed, &probe) in probe_rows.iter().enumerate() {
-        since_check += 1;
-        if since_check >= CANCEL_CHECK_INTERVAL {
-            since_check = 0;
+    // The token is re-read (one relaxed load) before every chunk and at the
+    // end of every probe row, so a stop overshoots by at most one chunk and
+    // a pre-cancelled token stops before any join work.
+    let mut joined = 0usize;
+    'probe: while joined < probe.len() {
+        let (probe_id, key, probe_row) = probe.row(joined);
+        let (ids, slab) = build.group(key).unwrap_or_default();
+        let mut chunks = (ids.chunks(CANCEL_CHECK_INTERVAL)).zip(slab.chunks(chunk_values));
+        loop {
             if token.is_cancelled() {
-                // Account only the work actually performed before the stop.
-                stats.pairs_examined = probed as u64 * build_rows.len() as u64;
-                return (stats, false);
+                break 'probe;
             }
-        }
-        let key = probe_src.join_key_of(probe as usize);
-        let Some(matches) = table.get(&key) else {
-            continue;
-        };
-        for &build in matches {
-            since_check += 1;
-            if since_check >= CANCEL_CHECK_INTERVAL {
-                since_check = 0;
-                if token.is_cancelled() {
-                    stats.pairs_examined = (probed as u64 + 1) * build_rows.len() as u64;
-                    return (stats, false);
+            let Some((build_ids, build_rows)) = chunks.next() else {
+                break;
+            };
+            let pair = |&b| {
+                if build_is_r {
+                    (b, probe_id)
+                } else {
+                    (probe_id, b)
+                }
+            };
+            pairs.clear();
+            pairs.extend(build_ids.iter().map(pair));
+            let out = &mut rows[..build_ids.len() * dims];
+            if columnar {
+                add_rows(probe_row, build_rows, out);
+            } else {
+                let build_rows = build_rows.chunks_exact(width);
+                for (out_row, build_row) in out.chunks_exact_mut(dims).zip(build_rows) {
+                    if build_is_r {
+                        maps.eval_into(build_row, probe_row, &mut raw);
+                    } else {
+                        maps.eval_into(probe_row, build_row, &mut raw);
+                    }
+                    for ((o, &v), order) in out_row.iter_mut().zip(&raw).zip(orders) {
+                        *o = order.orient(v);
+                    }
                 }
             }
-            stats.matches += 1;
-            let (r_row, t_row) = if build_is_r {
-                (build, probe)
-            } else {
-                (probe, build)
-            };
-            maps.eval_into(
-                r_src.attrs_of(r_row as usize),
-                t_src.attrs_of(t_row as usize),
-                &mut raw,
-            );
-            for (j, (&v, o)) in raw.iter().zip(orders).enumerate() {
-                oriented[j] = o.orient(v);
-            }
-            emit(r_row, t_row, &oriented);
+            emit(&pairs, out);
+            stats.matches += build_ids.len() as u64;
         }
+        joined += 1;
     }
-    // Account the full nested-pair count as "examined" for the cost model's
-    // C_join = n_R·n_T bookkeeping (hash probing avoids most of it in
-    // practice; the counter reports the logical join work of Equation 4).
-    stats.pairs_examined = r_part.len() as u64 * t_part.len() as u64;
-    (stats, true)
+    stats.probes = joined as u64;
+    // Complete: the full nested-pair count n_R·n_T, the cost model's C_join
+    // (Equation 4). Stopped: only the probe rows finished.
+    stats.pairs_examined = joined as u64 * build.len() as u64;
+    (stats, joined == probe.len())
 }
 
-/// Joins one partition pair, maps the matches, and inserts them directly
-/// into the shared cell store — the sequential path. Returns the work
-/// counters and whether the region completed (`false` = cancelled
+/// Streaming arrangement: joins one prepared partition pair, maps the
+/// matches, and inserts them directly into the shared cell store. Returns
+/// the work counters and whether the region completed (`false` = cancelled
 /// mid-region; the store then holds a *partial* insert set and the region
 /// must **not** be resolved).
-pub fn process_region(
-    r_part: &InputPartition,
-    t_part: &InputPartition,
-    r_src: &SourceView<'_>,
-    t_src: &SourceView<'_>,
+pub(crate) fn join_into_store(
+    r: &JoinSide,
+    t: &JoinSide,
     maps: &MapSet,
     store: &mut CellStore,
     token: &CancellationToken,
 ) -> (TupleLevelStats, bool) {
-    join_region(r_part, t_part, r_src, t_src, maps, token, |r, t, o| {
-        store.insert(r, t, o);
+    let dims = maps.out_dims();
+    join_region(r, t, maps, token, |pairs, rows| {
+        for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
+            store.insert(r_id, t_id, row);
+        }
     })
 }
 
+/// Batch arrangement — one pure, parallelizable work unit: join + map +
+/// orient the prepared partition pair of region `rid`, pre-filter the batch
+/// down to its local skyline, and drop every survivor dominated by
+/// `snapshot`, a prefix of the cell store's
+/// [`admitted_slab`](CellStore::admitted_slab) (empty = no upstream
+/// rejection). Both filters only drop tuples the committer's cell store
+/// would reject anyway. A cancelled join is passed through unfiltered and
+/// flagged `completed == false` — it must be discarded whole.
+pub(crate) fn join_batch(
+    rid: u32,
+    r: &JoinSide,
+    t: &JoinSide,
+    maps: &MapSet,
+    grid: &OutputGrid,
+    snapshot: &[f64],
+    token: &CancellationToken,
+) -> RegionBatch {
+    let started = Instant::now();
+    let mut ids: Vec<(u32, u32)> = Vec::new();
+    let mut points = PointStore::new(maps.out_dims());
+    let (mut stats, completed) = join_region(r, t, maps, token, |pairs, rows| {
+        ids.extend_from_slice(pairs);
+        points.extend_from_flat(rows);
+    });
+    let rejected_cells = if completed {
+        local_skyline_filter(&mut ids, &mut points, maps.dominance(), &mut stats);
+        snapshot_filter(&mut ids, &mut points, snapshot, grid, &mut stats)
+    } else {
+        Vec::new()
+    };
+    RegionBatch {
+        rid,
+        ids,
+        points,
+        rejected_cells,
+        stats,
+        completed,
+        compute_time: started.elapsed(),
+    }
+}
+
 /// Immutable, owned context shared by all tuple-level work units of one
-/// query: filtered sources, grids, regions, and the mapping functions.
+/// query: both filtered sources with their (lazily) prepared partitions,
+/// regions, and the mapping functions.
 ///
 /// `Send + Sync` by construction (everything is owned; [`MapSet`] clones
 /// are `Arc` bumps), so an `Arc<RegionCtx>` can be captured by `'static`
@@ -190,13 +235,11 @@ pub fn process_region(
 #[derive(Debug)]
 pub struct RegionCtx {
     maps: MapSet,
-    /// Filtered sources with dense join keys (push-through survivors).
-    r_attrs: PointStore,
-    r_keys: Vec<u32>,
-    t_attrs: PointStore,
-    t_keys: Vec<u32>,
-    r_grid: InputGrid,
-    t_grid: InputGrid,
+    /// The query-wide producer verdict ([`MapSet::separable_at`]).
+    columnar: bool,
+    /// Push-through survivors of either source; result ids are their rows.
+    r: JoinSource,
+    t: JoinSource,
     /// The output grid the committer's cell store is built over.
     out_grid: OutputGrid,
     /// Shared with the committer (which owns the schedule over the same
@@ -207,26 +250,18 @@ pub struct RegionCtx {
 impl RegionCtx {
     /// Bundles the per-query immutable state. Called by the executor's
     /// pipeline setup; `maps` is a cheap clone (`Arc`-backed).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         maps: MapSet,
-        r_attrs: PointStore,
-        r_keys: Vec<u32>,
-        t_attrs: PointStore,
-        t_keys: Vec<u32>,
-        r_grid: InputGrid,
-        t_grid: InputGrid,
+        r: JoinSource,
+        t: JoinSource,
         out_grid: OutputGrid,
         regions: std::sync::Arc<[Region]>,
     ) -> Self {
         Self {
+            columnar: maps.separable_at(r.sample(), t.sample()),
             maps,
-            r_attrs,
-            r_keys,
-            t_attrs,
-            t_keys,
-            r_grid,
-            t_grid,
+            r,
+            t,
             out_grid,
             regions,
         }
@@ -244,58 +279,40 @@ impl RegionCtx {
         &self.maps
     }
 
-    /// Views over the filtered sources.
-    fn views(&self) -> (SourceView<'_>, SourceView<'_>) {
-        let r = SourceView::new(&self.r_attrs, &self.r_keys).expect("filtered arrays are parallel");
-        let t = SourceView::new(&self.t_attrs, &self.t_keys).expect("filtered arrays are parallel");
-        (r, t)
+    /// The prepared partition pair of region `rid`, and the rows grouped to
+    /// provide it.
+    fn sides(&self, rid: u32) -> (&JoinSide, &JoinSide, u64) {
+        let region = &self.regions[rid as usize];
+        let (r, r_built) = self.r.side(region.r_part, &self.maps, self.columnar);
+        let (t, t_built) = self.t.side(region.t_part, &self.maps, self.columnar);
+        (r, t, r_built + t_built)
     }
 
-    /// Runs region `rid` through the streaming sequential path, inserting
-    /// into `store` directly. Returns the counters and the completion flag.
+    /// Runs region `rid` through the streaming arrangement
+    /// (`join_into_store`).
     pub(crate) fn process_into(
         &self,
         rid: u32,
         store: &mut CellStore,
         token: &CancellationToken,
     ) -> (TupleLevelStats, bool) {
-        let region = &self.regions[rid as usize];
-        let rp = &self.r_grid.partitions()[region.r_part as usize];
-        let tp = &self.t_grid.partitions()[region.t_part as usize];
-        let (r_view, t_view) = self.views();
-        process_region(rp, tp, &r_view, &t_view, &self.maps, store, token)
+        let (r, t, built) = self.sides(rid);
+        let (mut stats, completed) = join_into_store(r, t, &self.maps, store, token);
+        stats.build_rows = built;
+        (stats, completed)
     }
 
-    /// One pure, parallelizable work unit: join + map + orient region `rid`,
-    /// pre-filter the batch down to its local skyline, and drop every
-    /// survivor dominated by `snapshot` — a prefix of the cell store's
-    /// [`admitted_slab`](CellStore::admitted_slab) (empty = no upstream
-    /// rejection). The returned batch is committed by the ordered
-    /// committer; a batch with `completed == false` (cancelled mid-region)
-    /// must be discarded whole.
+    /// Computes region `rid` as a batch work unit (`join_batch`); the
+    /// ordered committer commits the returned batch.
     pub fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
         let started = Instant::now();
-        let region = &self.regions[rid as usize];
-        let rp = &self.r_grid.partitions()[region.r_part as usize];
-        let tp = &self.t_grid.partitions()[region.t_part as usize];
-        let (r_view, t_view) = self.views();
-
-        let mut ids: Vec<(u32, u32)> = Vec::new();
-        let mut points = PointStore::new(self.maps.out_dims());
-        let joined = join_region(rp, tp, &r_view, &t_view, &self.maps, token, |r, t, o| {
-            ids.push((r, t));
-            points.push(o);
-        });
-        RegionBatch::from_join(
-            rid,
-            started,
-            ids,
-            points,
-            joined,
-            self.maps.dominance(),
-            snapshot,
-            &self.out_grid,
-        )
+        let (r, t, built) = self.sides(rid);
+        let mut batch = join_batch(rid, r, t, &self.maps, &self.out_grid, snapshot, token);
+        // The unit's time includes preparing its partitions when it is the
+        // first to join them.
+        batch.compute_time = started.elapsed();
+        batch.stats.build_rows = built;
+        batch
     }
 }
 
@@ -305,7 +322,8 @@ impl RegionCtx {
 pub struct RegionBatch {
     /// The region this batch belongs to.
     pub rid: u32,
-    /// `(r_row, t_row)` of surviving tuples (filtered-source row ids).
+    /// `(r id, t id)` of surviving tuples (filtered-source rows for the
+    /// batch pipeline, caller row ids under streaming ingestion).
     pub ids: Vec<(u32, u32)>,
     /// Oriented output values, parallel to `ids`.
     pub points: PointStore,
@@ -328,44 +346,6 @@ pub struct RegionBatch {
 }
 
 impl RegionBatch {
-    /// Turns one region's joined matches into its batch — the tail every
-    /// batch producer shares ([`RegionCtx::compute`] and the
-    /// [`crate::ingest`] work units). A completed join (`joined.1`) goes
-    /// through the filter stage: the bounded local skyline filter, then
-    /// upstream rejection against `snapshot`, a dispatch-time prefix of the
-    /// store's admitted slab. Both only drop tuples the committer's cell
-    /// store would reject anyway; their work is reported through
-    /// `local_dominance_tests` / `locally_pruned`. A cancelled join is
-    /// passed through unfiltered — it is never committed.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_join(
-        rid: u32,
-        started: Instant,
-        mut ids: Vec<(u32, u32)>,
-        mut points: PointStore,
-        joined: (TupleLevelStats, bool),
-        model: &DominanceModel,
-        snapshot: &[f64],
-        grid: &OutputGrid,
-    ) -> Self {
-        let (mut stats, completed) = joined;
-        let rejected_cells = if completed {
-            local_skyline_filter(&mut ids, &mut points, model, &mut stats);
-            snapshot_filter(&mut ids, &mut points, snapshot, grid, &mut stats)
-        } else {
-            Vec::new()
-        };
-        Self {
-            rid,
-            ids,
-            points,
-            rejected_cells,
-            stats,
-            completed,
-            compute_time: started.elapsed(),
-        }
-    }
-
     /// A placeholder for a work unit that did not run to completion
     /// (cancellation, or a failed worker). Committers must treat it as a
     /// mid-region stop: never commit it, leave the region unresolved.
@@ -426,29 +406,36 @@ fn snapshot_filter(
             }
         }
     }
-    let dropped = ids.len() as u64 - u64::from(survivors);
-    if dropped == 0 {
-        return rejected_cells;
-    }
-    let mut next = 0usize;
-    ids.retain(|_| {
-        let k = keep[next];
-        next += 1;
-        k
-    });
-    points.compact(&keep);
-    stats.locally_pruned += dropped;
+    retain_kept(ids, points, &keep, stats);
     rejected_cells
 }
 
-/// Order-preserving bounded BNL filter: drops tuples dominated (under the
+/// Compacts a batch down to the rows flagged in `keep`, in place and
+/// preserving order (no reallocation), and counts the rest as pruned.
+fn retain_kept(
+    ids: &mut Vec<(u32, u32)>,
+    points: &mut PointStore,
+    keep: &[bool],
+    stats: &mut TupleLevelStats,
+) {
+    let survivors = keep.iter().filter(|&&k| k).count();
+    if survivors == keep.len() {
+        return;
+    }
+    let mut flags = keep.iter();
+    ids.retain(|_| *flags.next().expect("one flag per tuple"));
+    points.compact(keep);
+    stats.locally_pruned += (keep.len() - survivors) as u64;
+}
+
+/// Order-preserving local skyline filter: drops tuples dominated (under the
 /// query's [`DominanceModel`], over oriented values) by another tuple of
 /// the same batch. Sound as a pre-filter because the relation is a
 /// transitive strict partial order — a tuple dominated inside its batch
 /// can never belong to the final (flexible) skyline, and its dominator
 /// (or a dominator of that) survives to reject whatever it would have
-/// rejected. Bounded by [`LOCAL_FILTER_WINDOW`] so a worker never does
-/// quadratic work on a huge region.
+/// rejected. A `champion_sweep` clears the bulk in one vectorized pass;
+/// the bounded `window_filter` does the rest.
 fn local_skyline_filter(
     ids: &mut Vec<(u32, u32)>,
     points: &mut PointStore,
@@ -479,26 +466,60 @@ fn local_skyline_filter(
         }
     };
     let kdata: &[f64] = projected.as_deref().unwrap_or(points.raw());
-    let mut keep = vec![true; n];
+    let mut keep = champion_sweep(kd, kdata, &mut stats.local_dominance_tests);
+    window_filter(kd, kdata, &mut keep, &mut stats.local_dominance_tests);
+    retain_kept(ids, points, &keep, stats);
+}
+
+/// The keep-mask that drops every row of `kdata` (row-major, `kd` all-lowest
+/// values per row) dominated by the batch's *champion* — its first row of
+/// minimal coordinate sum — in one [`kernel::dominated_mask`] pass; on
+/// typical batches that one row dominates most of the others. By
+/// transitivity the `window_filter` that follows keeps exactly the rows,
+/// in the order, it would keep unaided whenever its window does not
+/// saturate. Skipped (nothing dropped, nothing charged) when a coordinate
+/// sum is NaN, which covers every batch holding a NaN value: NaN-as-tie
+/// dominance is not transitive, so dropping a row early could change what
+/// the window filter decides about the others.
+fn champion_sweep(kd: usize, kdata: &[f64], tests: &mut u64) -> Vec<bool> {
+    let (mut champion, mut least, mut any_nan) = (0usize, f64::INFINITY, false);
+    for (i, row) in kdata.chunks_exact(kd).enumerate() {
+        let sum: f64 = row.iter().sum();
+        any_nan |= sum.is_nan();
+        if sum < least {
+            least = sum;
+            champion = i;
+        }
+    }
+    let mut keep = vec![true; kdata.len() / kd];
+    if !any_nan {
+        let row = &kdata[champion * kd..(champion + 1) * kd];
+        kernel::dominated_mask(kd, kdata, row, &mut keep, tests);
+        keep.iter_mut()
+            .for_each(|dominated| *dominated = !*dominated);
+    }
+    keep
+}
+
+/// Order-preserving bounded BNL over the rows still marked in `keep`.
+/// Bounded by [`LOCAL_FILTER_WINDOW`] so a worker never does quadratic work
+/// on a huge region.
+fn window_filter(kd: usize, kdata: &[f64], keep: &mut [bool], tests: &mut u64) {
     let mut window: Vec<u32> = Vec::new();
     let mut wpoints = PointStore::new(kd);
     let mut mask: Vec<bool> = Vec::new();
-    for i in 0..n {
+    for i in 0..keep.len() {
+        if !keep[i] {
+            continue;
+        }
         let p = &kdata[i * kd..(i + 1) * kd];
-        if kernel::any_dominates(kd, wpoints.raw(), p, &mut stats.local_dominance_tests) {
+        if kernel::any_dominates(kd, wpoints.raw(), p, tests) {
             keep[i] = false;
             continue;
         }
         mask.clear();
         mask.resize(window.len(), false);
-        if kernel::dominated_mask(
-            kd,
-            wpoints.raw(),
-            p,
-            &mut mask,
-            &mut stats.local_dominance_tests,
-        ) > 0
-        {
+        if kernel::dominated_mask(kd, wpoints.raw(), p, &mut mask, tests) > 0 {
             let mut w = 0;
             while w < window.len() {
                 if mask[w] {
@@ -516,19 +537,6 @@ fn local_skyline_filter(
             wpoints.push(p);
         }
     }
-    let survivors = keep.iter().filter(|&&k| k).count();
-    if survivors == n {
-        return;
-    }
-    // Compact survivors in place, preserving order — no reallocation.
-    let mut next = 0usize;
-    ids.retain(|_| {
-        let k = keep[next];
-        next += 1;
-        k
-    });
-    points.compact(&keep);
-    stats.locally_pruned += (n - survivors) as u64;
 }
 
 // Compile-time guarantee that work units can cross thread boundaries.
@@ -541,15 +549,19 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SignatureConfig;
-    use crate::grid::InputGrid;
     use crate::output_grid::OutputGrid;
+    use crate::pushthrough::Side;
     use crate::source::SourceData;
     use progxe_skyline::Preference;
 
-    fn one_partition(src: &SourceData) -> InputPartition {
-        let grid = InputGrid::build(&src.view(), 1, SignatureConfig::Exact, 16);
-        grid.partitions()[0].clone()
+    /// Each source whole, as one prepared partition.
+    fn partitions(r: &SourceData, t: &SourceData, maps: &MapSet) -> (JoinSide, JoinSide) {
+        let columnar = maps.separable_at(r.view().attrs_of(0), t.view().attrs_of(0));
+        let whole = |src: &SourceData, side| {
+            let rows: Vec<u32> = (0..src.len() as u32).collect();
+            JoinSide::build(maps, side, columnar, &src.view(), &rows, rows.clone())
+        };
+        (whole(r, Side::R), whole(t, Side::T))
     }
 
     fn tracked_store(grid: OutputGrid) -> CellStore {
@@ -566,22 +578,13 @@ mod tests {
     }
 
     fn run(
-        rp: &InputPartition,
-        tp: &InputPartition,
         r: &SourceData,
         t: &SourceData,
         maps: &MapSet,
         store: &mut CellStore,
     ) -> TupleLevelStats {
-        let (stats, completed) = process_region(
-            rp,
-            tp,
-            &r.view(),
-            &t.view(),
-            maps,
-            store,
-            &CancellationToken::new(),
-        );
+        let (rp, tp) = partitions(r, t, maps);
+        let (stats, completed) = join_into_store(&rp, &tp, maps, store, &CancellationToken::new());
         assert!(completed);
         stats
     }
@@ -590,15 +593,14 @@ mod tests {
     fn equi_join_produces_only_matching_pairs() {
         let r = SourceData::from_rows(1, &[(&[1.0], 0), (&[2.0], 1), (&[3.0], 0)]);
         let t = SourceData::from_rows(1, &[(&[10.0], 0), (&[20.0], 2)]);
-        let rp = one_partition(&r);
-        let tp = one_partition(&t);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![40.0], 8));
-        let stats = run(&rp, &tp, &r, &t, &maps, &mut store);
+        let stats = run(&r, &t, &maps, &mut store);
         // Matching pairs: (r0,t0) and (r2,t0) — but 11 dominates 13 in 1-d,
         // so only one tuple survives.
         assert_eq!(stats.matches, 2);
-        assert_eq!(stats.pairs_examined, 6);
+        assert_eq!(stats.pairs_examined, 6, "logical n_R·n_T");
+        assert_eq!(stats.probes, 3, "the larger side probes");
         assert_eq!(store.live_tuples(), 1);
     }
 
@@ -607,12 +609,10 @@ mod tests {
         use progxe_skyline::Order;
         let r = SourceData::from_rows(1, &[(&[3.0], 0)]);
         let t = SourceData::from_rows(1, &[(&[4.0], 0)]);
-        let rp = one_partition(&r);
-        let tp = one_partition(&t);
         let maps = MapSet::pairwise_sum(1, Preference::new(vec![Order::Highest]));
         // Oriented output = -(3+4) = -7.
         let mut store = tracked_store(OutputGrid::new(vec![-10.0], vec![0.0], 8));
-        run(&rp, &tp, &r, &t, &maps, &mut store);
+        run(&r, &t, &maps, &mut store);
         assert_eq!(store.live_tuples(), 1);
         let (_, cell) = store.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(cell.points().point(0), &[-7.0]);
@@ -626,9 +626,7 @@ mod tests {
         let t = SourceData::from_rows(1, &[(&[1.0], 5), (&[2.0], 5), (&[3.0], 5), (&[4.0], 5)]);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
-        let rp = one_partition(&r);
-        let tp = one_partition(&t);
-        run(&rp, &tp, &r, &t, &maps, &mut store);
+        run(&r, &t, &maps, &mut store);
         let (_, cell) = store.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(
             cell.ids(),
@@ -638,7 +636,7 @@ mod tests {
 
         // Mirrored: big R, small T.
         let mut store2 = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
-        run(&tp, &rp, &t, &r, &maps, &mut store2);
+        run(&t, &r, &maps, &mut store2);
         let (_, cell2) = store2.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(cell2.ids(), &[(0, 0)]);
     }
@@ -646,18 +644,85 @@ mod tests {
     #[test]
     fn pre_cancelled_token_stops_before_any_probe() {
         let r = SourceData::from_rows(1, &[(&[1.0], 0), (&[2.0], 0)]);
-        let t = SourceData::from_rows(1, &[(&[1.0], 0), (&[2.0], 0)]);
-        let rp = one_partition(&r);
-        let tp = one_partition(&t);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
         let token = CancellationToken::new();
         token.cancel();
-        let (stats, completed) =
-            process_region(&rp, &tp, &r.view(), &t.view(), &maps, &mut store, &token);
+        let (rp, tp) = partitions(&r, &r, &maps);
+        let (stats, completed) = join_into_store(&rp, &tp, &maps, &mut store, &token);
         assert!(!completed);
         assert_eq!(stats.matches, 0);
         assert_eq!(store.live_tuples(), 0);
+    }
+
+    /// One key group of 224 × 224 ≈ 50k matches, the token fired by the
+    /// consumer on the first chunk it sees: the columnar producer stops
+    /// within `CANCEL_CHECK_INTERVAL` work items instead of finishing the
+    /// group (`tests/parallel.rs` cancels the per-match one from inside a
+    /// map).
+    #[test]
+    fn mid_group_cancel_stops_within_the_check_interval() {
+        let mut src = SourceData::new(1);
+        for i in 0..224 {
+            src.push(&[i as f64], 0);
+        }
+        let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
+        let (rp, tp) = partitions(&src, &src, &maps);
+        let token = CancellationToken::new();
+        let mut seen = 0usize;
+        let (stats, completed) = join_region(&rp, &tp, &maps, &token, |pairs, rows| {
+            assert_eq!(pairs.len(), rows.len());
+            seen += pairs.len();
+            token.cancel();
+        });
+        assert!(!completed);
+        assert!(seen > 0 && seen <= CANCEL_CHECK_INTERVAL, "{seen} matches");
+        assert_eq!(stats.matches, seen as u64);
+        assert!(stats.pairs_examined < 224 * 224, "partial work only");
+    }
+
+    /// Random batches with ties, duplicated minima and ±∞: the champion
+    /// sweep changes neither the survivors nor their order.
+    #[test]
+    fn champion_sweep_is_invisible_to_the_window_filter() {
+        let mut state = 0xC4A3_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut swept_something = false;
+        for round in 0..200 {
+            let (kd, n) = (1 + round % 4, 2 + (next() % 120) as usize);
+            let mut kdata: Vec<f64> = (0..n * kd)
+                .map(|_| match next() % 40 {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    v => (v % 6) as f64,
+                })
+                .collect();
+            // Duplicate one row over another: tied minima, equal points.
+            let (from, to) = ((next() as usize % n) * kd, (next() as usize % n) * kd);
+            kdata.copy_within(from..from + kd, to);
+
+            let (mut plain, mut tests) = (vec![true; n], 0u64);
+            window_filter(kd, &kdata, &mut plain, &mut tests);
+            let mut swept = champion_sweep(kd, &kdata, &mut tests);
+            swept_something |= swept.contains(&false);
+            window_filter(kd, &kdata, &mut swept, &mut tests);
+            assert_eq!(plain, swept, "round {round}: kd={kd} rows={kdata:?}");
+        }
+        assert!(swept_something, "the sweep never fired");
+    }
+
+    #[test]
+    fn champion_sweep_leaves_nan_batches_alone() {
+        // (1,1) would clear (2,2); the NaN row vetoes the sweep.
+        let kdata = [2.0, 2.0, f64::NAN, 0.0, 1.0, 1.0];
+        let mut tests = 0u64;
+        let keep = champion_sweep(2, &kdata, &mut tests);
+        assert_eq!((keep, tests), (vec![true; 3], 0));
     }
 
     #[test]

@@ -63,6 +63,21 @@ impl PointStore {
         idx
     }
 
+    /// Appends every point of a row-major `rows × dims` buffer — how a
+    /// columnar producer hands over a chunk of rows at once.
+    ///
+    /// # Panics
+    /// Panics if `flat.len()` is not a multiple of `dims`.
+    #[inline]
+    pub fn extend_from_flat(&mut self, flat: &[f64]) {
+        assert_eq!(
+            flat.len() % self.dims,
+            0,
+            "flat buffer must hold whole points"
+        );
+        self.data.extend_from_slice(flat);
+    }
+
     /// Number of points stored.
     #[inline]
     pub fn len(&self) -> usize {
