@@ -16,11 +16,15 @@
 //!   could ever hold is dominated by any tuple of the dominator.
 //!
 //! Slab indices over *populated* cells keep each insertion's candidate set
-//! close to the theoretical bound instead of scanning the whole grid.
+//! close to the theoretical bound instead of scanning the whole grid, and
+//! on dense-indexable grids a *staircase* over the populated cells answers
+//! "is this cell fully dominated" in `O(d)` instead of a skyline walk.
 
 use crate::fdom::DominanceModel;
 use crate::fxhash::FxHashMap;
-use crate::output_grid::{full_dominates, pack, weak_leq, Coord, OutputGrid};
+use crate::output_grid::{
+    dense_position, for_each_upper_box_row, full_dominates, pack, weak_leq, Coord, OutputGrid,
+};
 use progxe_skyline::{kernel, PointStore};
 
 /// Work counters for tuple-level processing.
@@ -155,6 +159,14 @@ pub struct CellStore {
     slabs: Vec<FxHashMap<u16, Vec<u32>>>,
     /// Populated cells not fully dominated by another populated cell.
     cell_skyline: Vec<u32>,
+    /// The *staircase* of the ever-populated cells, kept when the grid is
+    /// dense-indexable ([`OutputGrid::dense_positions`]): one entry per
+    /// position `q` of the first `dims − 1` dimensions, holding the smallest
+    /// last coordinate of any cell ever populated whose prefix is `⪯ q`
+    /// ([`STAIR_NONE`] while there is none). Answers
+    /// [`fully_dominated`](Self::fully_dominated) in `O(dims)` where the
+    /// `cell_skyline` walk pays per skyline cell.
+    stair: Option<Vec<u16>>,
     /// Cells that entered `cell_skyline` since the last drain — consumed by
     /// the executor's eager dead-region sweep (Algorithm 1, line 9).
     fresh_skyline: Vec<u32>,
@@ -188,6 +200,10 @@ pub struct CellStore {
     admitted: Vec<f64>,
 }
 
+/// [`CellStore::stair`] entry over which no cell was populated yet — above
+/// every coordinate, since a grid has at most `u16::MAX` cells per dimension.
+const STAIR_NONE: u16 = u16::MAX;
+
 impl CellStore {
     /// Creates a store over the given oriented grid, under classical
     /// Pareto dominance.
@@ -201,6 +217,9 @@ impl CellStore {
     /// filter for flexible skylines.
     pub fn with_model(grid: OutputGrid, model: DominanceModel) -> Self {
         let dims = grid.dims();
+        let stair = grid
+            .dense_positions()
+            .map(|volume| vec![STAIR_NONE; volume / grid.cells_per_dim() as usize]);
         Self {
             grid,
             model,
@@ -208,6 +227,7 @@ impl CellStore {
             by_key: FxHashMap::default(),
             slabs: vec![FxHashMap::default(); dims],
             cell_skyline: Vec::new(),
+            stair,
             fresh_skyline: Vec::new(),
             stats: CellStats::default(),
             scratch_candidates: Vec::new(),
@@ -496,10 +516,44 @@ impl CellStore {
     /// A populated cell `s` kills the whole box iff it fully dominates the
     /// box's best cell, `cell_lo`.
     pub fn region_is_dead(&self, cell_lo: &Coord) -> bool {
+        self.fully_dominated(cell_lo)
+    }
+
+    /// Whether some populated cell fully dominates the cell at `coord`.
+    /// ("Populated" may read "ever populated": a populated cell only loses
+    /// that standing to a populated cell that fully dominates it, and full
+    /// dominance is transitive.)
+    fn fully_dominated(&self, coord: &Coord) -> bool {
+        let Some(stair) = &self.stair else {
+            return self.fully_dominated_by_skyline_walk(coord);
+        };
+        // A full dominator is smaller in every dimension: its prefix is
+        // `⪯ coord's prefix − 1` (there is none when that underflows) and
+        // its last coordinate is below `coord`'s.
+        let prefix = self.grid.dims() - 1;
+        let k = self.grid.cells_per_dim() as usize;
+        let below = coord[..prefix]
+            .iter()
+            .rev()
+            .try_fold(0, |pos, &v| Some(pos * k + usize::from(v.checked_sub(1)?)));
+        let dominated = below.is_some_and(|pos: usize| stair[pos] < coord[prefix]);
+        debug_assert_eq!(
+            dominated,
+            self.fully_dominated_by_skyline_walk(coord),
+            "staircase and cell-skyline walk disagree on {:?}",
+            &coord[..=prefix]
+        );
+        dominated
+    }
+
+    /// [`fully_dominated`](Self::fully_dominated) by definition, one test
+    /// per populated-skyline cell: the lookup of grids too large for the
+    /// staircase, and its cross-check in debug builds.
+    fn fully_dominated_by_skyline_walk(&self, coord: &Coord) -> bool {
         let dims = self.grid.dims();
         self.cell_skyline
             .iter()
-            .any(|&s| full_dominates(&self.cells[s as usize].coord, cell_lo, dims))
+            .any(|&s| full_dominates(&self.cells[s as usize].coord, coord, dims))
     }
 
     /// Drains the cells that entered the populated-cell skyline since the
@@ -650,6 +704,20 @@ impl CellStore {
             }
             self.cell_skyline.push(idx);
             self.fresh_skyline.push(idx);
+            // Lower the staircase over every prefix this cell's prefix is
+            // `⪯` — nothing to do when a cell at or below its own prefix
+            // already reaches as low, since entries only fall along `⪯`.
+            if let Some(stair) = &mut self.stair {
+                let (prefix, last) = (dims - 1, coord[dims - 1]);
+                let k = self.grid.cells_per_dim() as usize;
+                if stair[dense_position(&coord, prefix, k)] > last {
+                    for_each_upper_box_row(&coord, prefix, k, |row| {
+                        for step in &mut stair[row] {
+                            *step = (*step).min(last);
+                        }
+                    });
+                }
+            }
         }
         true
     }
@@ -662,11 +730,7 @@ impl CellStore {
         if cell.populated || cell.dead {
             return false;
         }
-        let dims = self.grid.dims();
-        let dominated = self
-            .cell_skyline
-            .iter()
-            .any(|&s| full_dominates(&self.cells[s as usize].coord, &cell.coord, dims));
+        let dominated = self.fully_dominated(&cell.coord);
         if dominated {
             self.cells[idx as usize].dead = true;
             self.stats.cells_killed += 1;
@@ -677,10 +741,12 @@ impl CellStore {
     /// Records that a tuple of the cell with [`pack`]ed coordinate `key`
     /// was rejected upstream (dominated by an [`admitted_slab`] row) and
     /// will never reach [`insert`]. `insert` would have rejected it too —
-    /// but might first have discovered the cell dead (step 2), which
-    /// [`is_dead`](Cell::is_dead) readers (`ProgDetermine`'s retirement
-    /// order, the benefit model) observe. Replaying that one side effect
-    /// keeps the store's state identical to committer-side rejection.
+    /// but might first have discovered the cell dead (step 2), which the
+    /// benefit model's `ProgCount` and the `cells_killed` /
+    /// `tuples_rejected_dead_cell` counters observe (emission order no
+    /// longer does: cells are released in coordinate order). Replaying that
+    /// one side effect keeps the store's state identical to committer-side
+    /// rejection.
     ///
     /// [`admitted_slab`]: CellStore::admitted_slab
     /// [`insert`]: CellStore::insert
@@ -905,6 +971,88 @@ mod tests {
             !s.region_is_dead(&edge),
             "shares a slab — not fully dominated"
         );
+    }
+
+    /// The staircase against both the retained `cell_skyline` walk and the
+    /// definition (some ever-populated cell is smaller in every dimension),
+    /// for every cell of the grid after every insert of random population
+    /// sequences — small grids, so coordinate 0 turns up in every position
+    /// and cells are populated repeatedly; `cells_per_dim = 1` included.
+    #[test]
+    fn staircase_matches_the_cell_skyline_walk() {
+        let mut x: u64 = 0x5EED;
+        let mut next = |m: u64| -> u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        for (dims, k) in [
+            (1usize, 1u16),
+            (1, 9),
+            (2, 1),
+            (2, 2),
+            (2, 6),
+            (3, 4),
+            (4, 3),
+        ] {
+            for round in 0..6 {
+                let grid = OutputGrid::new(vec![0.0; dims], vec![k as f64; dims], k);
+                let mut top: Coord = [0; MAX_DIMS];
+                top[..dims].fill(k - 1);
+                let all: Vec<Coord> = grid.iter_box([0; MAX_DIMS], top).collect();
+                let mut s = CellStore::new(grid);
+                assert!(s.stair.is_some(), "test grids are dense-indexable");
+                for &c in &all {
+                    s.track(c);
+                }
+                let mut populated: Vec<Coord> = Vec::new();
+                // Later rounds start high so the staircase keeps falling.
+                let bias = if round < 3 { 0 } else { k as u64 / 2 };
+                for i in 0..40u32 {
+                    let p: Vec<f64> = (0..dims)
+                        .map(|_| {
+                            let slot = (next(k as u64) + bias.saturating_sub(i as u64 / 8))
+                                .min(k as u64 - 1);
+                            slot as f64 + next(100) as f64 / 100.0
+                        })
+                        .collect();
+                    if s.insert(i, i, &p) {
+                        populated.push(s.grid().cell_of(&p));
+                    }
+                    for c in &all {
+                        let by_definition = populated.iter().any(|q| full_dominates(q, c, dims));
+                        let label = format!("dims={dims} k={k} round={round} insert={i} {c:?}");
+                        assert_eq!(s.fully_dominated(c), by_definition, "{label}");
+                        assert_eq!(
+                            s.fully_dominated_by_skyline_walk(c),
+                            by_definition,
+                            "{label}"
+                        );
+                    }
+                }
+                assert!(!populated.is_empty());
+            }
+        }
+    }
+
+    /// A grid over the dense budget keeps no staircase and answers by the
+    /// walk — same verdicts.
+    #[test]
+    fn over_budget_grids_fall_back_to_the_walk() {
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![1025.0, 1025.0], 1025);
+        let mut s = CellStore::new(grid);
+        assert!(s.stair.is_none());
+        for (x, y) in [(3u16, 3u16), (900, 900), (3, 900)] {
+            let mut c: Coord = [0; MAX_DIMS];
+            c[0] = x;
+            c[1] = y;
+            s.track(c);
+        }
+        assert!(s.insert(0, 0, &[3.5, 3.5]));
+        assert!(!s.insert(1, 1, &[900.5, 900.5]), "lazily found dead");
+        assert!(s.insert(2, 2, &[3.2, 900.5]), "shares a slab with (3,3)");
+        assert_eq!(s.stats().cells_killed, 1);
     }
 
     #[test]

@@ -580,8 +580,10 @@ impl Committer {
     /// update, and conversion of released cells into a [`ResultEvent`].
     fn resolve(&mut self, rid: u32, stats: &mut ExecStats) -> Option<ResultEvent> {
         let region = &self.regions[rid as usize];
+        let resolve_started = Instant::now();
         self.det
             .resolve_region(region, &mut self.store, &mut self.emitted_buf);
+        stats.resolve_time += resolve_started.elapsed();
         self.resolved += 1;
         let ctx = RankCtx {
             regions: &self.regions,

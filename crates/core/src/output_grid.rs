@@ -57,6 +57,51 @@ pub fn partial_dominates(a: &Coord, b: &Coord, dims: usize) -> bool {
     weak_leq(a, b, dims) && a[..dims] != b[..dims] && !full_dominates(a, b, dims)
 }
 
+/// Position of `c` in a dense `k^dims` array, dimension 0 fastest — so
+/// ascending position is ascending [`pack`] order. `dims = 0` is the
+/// one-element array.
+#[inline]
+pub fn dense_position(c: &Coord, dims: usize, k: usize) -> usize {
+    c[..dims]
+        .iter()
+        .rev()
+        .fold(0, |pos, &v| pos * k + v as usize)
+}
+
+/// Calls `row` with every maximal run of consecutive [`dense_position`]s
+/// inside the upper box `{c : lo ⪯ c}` of a `k^dims` array, in ascending
+/// position order. Both dense committer structures are updated this way:
+/// an upper box is `(k − lo₀)`-long rows along dimension 0.
+pub fn for_each_upper_box_row(
+    lo: &Coord,
+    dims: usize,
+    k: usize,
+    mut row: impl FnMut(std::ops::Range<usize>),
+) {
+    if dims == 0 {
+        return row(0..1);
+    }
+    let len = k - lo[0] as usize;
+    let mut at = *lo;
+    loop {
+        let start = dense_position(&at, dims, k);
+        row(start..start + len);
+        // Advance dimensions 1.. like a mixed-radix counter.
+        let mut d = 1;
+        loop {
+            if d == dims {
+                return;
+            }
+            if (at[d] as usize) + 1 < k {
+                at[d] += 1;
+                break;
+            }
+            at[d] = lo[d];
+            d += 1;
+        }
+    }
+}
+
 /// Uniform grid over the oriented output space.
 #[derive(Debug, Clone)]
 pub struct OutputGrid {
@@ -108,6 +153,32 @@ impl OutputGrid {
     #[inline]
     pub fn cells_per_dim(&self) -> u16 {
         self.cells_per_dim
+    }
+
+    /// Largest grid volume (`cells_per_dim ^ dims`) the ordered committer
+    /// indexes densely. Its per-position state lives as long as the session
+    /// — 8 bytes per position in [`ProgDetermine`], 2 per position of a
+    /// `dims − 1` slice in [`CellStore`] — so this caps it at 8 MB per
+    /// session, next to the ~100 bytes every *tracked* cell costs anyway
+    /// (the default 24-cell grid fits up to `d = 4`, 2.5 MB).
+    ///
+    /// [`ProgDetermine`]: crate::progdetermine::ProgDetermine
+    /// [`CellStore`]: crate::cells::CellStore
+    pub const DENSE_INDEX_BUDGET: usize = 1 << 20;
+
+    /// The grid's volume when it is *dense-indexable* — at most
+    /// [`Self::DENSE_INDEX_BUDGET`] positions — else `None`. The one
+    /// predicate that puts [`CellStore`](crate::cells::CellStore) and
+    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) on their
+    /// dense arms, so the two cannot disagree.
+    pub fn dense_positions(&self) -> Option<usize> {
+        self.volume().filter(|&v| v <= Self::DENSE_INDEX_BUDGET)
+    }
+
+    /// Number of cells in the grid (`cells_per_dim ^ dims`), or `None` on
+    /// overflow.
+    pub fn volume(&self) -> Option<usize> {
+        (self.cells_per_dim as usize).checked_pow(self.dims as u32)
     }
 
     /// The cell containing an oriented point (boundary values clamp into
@@ -241,6 +312,52 @@ mod tests {
         let b = coord(&[3, 2, 1]);
         assert_ne!(pack(&a), pack(&b));
         assert_eq!(pack(&a), pack(&coord(&[1, 2, 3])));
+    }
+
+    #[test]
+    fn dense_positions_ascend_in_pack_order_and_upper_box_rows_cover_the_box() {
+        for (dims, k) in [(1usize, 7usize), (2, 5), (3, 4), (4, 3), (2, 1)] {
+            let g = OutputGrid::new(vec![0.0; dims], vec![1.0; dims], k as u16);
+            let mut top: Coord = [0; MAX_DIMS];
+            top[..dims].fill(k as u16 - 1);
+            let mut all: Vec<Coord> = g.iter_box([0; MAX_DIMS], top).collect();
+            all.sort_by_key(pack);
+            for (pos, c) in all.iter().enumerate() {
+                assert_eq!(dense_position(c, dims, k), pos, "dims={dims} k={k} {c:?}");
+            }
+            for lo in &all {
+                let mut visited = Vec::new();
+                for_each_upper_box_row(lo, dims, k, |row| {
+                    assert_eq!(row.len(), k - lo[0] as usize, "rows run along dimension 0");
+                    visited.extend(row);
+                });
+                let expected: Vec<usize> = (0..all.len())
+                    .filter(|&pos| weak_leq(lo, &all[pos], dims))
+                    .collect();
+                assert_eq!(visited, expected, "dims={dims} k={k} lo={lo:?}");
+            }
+        }
+        // No dimensions: the one-element array (a 1-d staircase).
+        let mut rows = Vec::new();
+        for_each_upper_box_row(&[0; MAX_DIMS], 0, 9, |row| rows.push(row));
+        assert_eq!(rows, vec![0..1]);
+        assert_eq!(dense_position(&coord(&[5]), 0, 9), 0);
+    }
+
+    #[test]
+    fn dense_indexable_is_a_volume_cap() {
+        let grid = |dims: usize, k: u16| OutputGrid::new(vec![0.0; dims], vec![1.0; dims], k);
+        assert_eq!(grid(2, 48).dense_positions(), Some(2_304));
+        assert_eq!(grid(4, 12).dense_positions(), Some(20_736));
+        assert_eq!(grid(4, 24).dense_positions(), Some(331_776));
+        assert_eq!(
+            grid(2, 1024).dense_positions(),
+            Some(OutputGrid::DENSE_INDEX_BUDGET),
+            "the cap itself still fits"
+        );
+        assert_eq!(grid(2, 1025).dense_positions(), None);
+        assert_eq!(grid(5, 24).dense_positions(), None);
+        assert_eq!(grid(8, u16::MAX).dense_positions(), None, "k^d overflows");
     }
 
     #[test]

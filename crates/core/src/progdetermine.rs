@@ -18,7 +18,24 @@
 //! observed (handled in [`crate::cells`]).
 //!
 //! When the last blocker of a live, non-dead cell resolves, its surviving
-//! tuples are final skyline members — they are emitted immediately.
+//! tuples are final skyline members — they are emitted immediately. The
+//! cells one resolution releases are emitted in **ascending grid
+//! coordinate** ([`pack`] order, dimension 0 fastest): a property of the
+//! cells, not of when the store found which of their neighbours dead.
+//!
+//! ## Where the counts live
+//!
+//! The cells a region blocks are the upper box `{c : cell_lo ⪯ c}`. When
+//! the grid is dense-indexable
+//! ([`OutputGrid::dense_positions`](crate::output_grid::OutputGrid::dense_positions))
+//! the counts are kept per grid *position* — the very prefix-sum grid the
+//! initial counts are computed in — and a resolution decrements that box
+//! row by row: it pays for the decrements it owes, not for a walk over
+//! every cell still waiting. Larger grids, and flexible models (below),
+//! keep one count per tracked cell and scan the waiting cells at every
+//! resolution. The choice is a function of the grid and the model alone;
+//! both arms release the same cells at the same resolution in the same
+//! order.
 //!
 //! ## Flexible skylines (F-dominance)
 //!
@@ -41,7 +58,7 @@
 
 use crate::cells::CellStore;
 use crate::lookahead::Region;
-use crate::output_grid::weak_leq;
+use crate::output_grid::{dense_position, for_each_upper_box_row, pack, weak_leq};
 use progxe_skyline::PointStore;
 
 /// A batch of tuples proven final, emitted from one cell.
@@ -222,158 +239,235 @@ impl DomCountTree {
 /// Count-based progressive-determination state.
 #[derive(Debug)]
 pub struct ProgDetermine {
-    /// Blocker count per tracked cell (parallel to the cell store).
-    blockers: Vec<u32>,
-    /// Cells not yet emitted or confirmed dead, scanned at each resolution.
-    live: Vec<u32>,
-    /// Flexible-model blocker geometry (`None` under Pareto). The same
-    /// projections decide both the initial counts and every decrement, so
-    /// the two can never disagree.
-    fdom: Option<FdomBlockerIndex>,
+    blockers: Blockers,
     /// Work (tree nodes visited + leaf points tested) spent computing the
     /// initial flexible blocker counts; `0` under Pareto. The retired naive
     /// loop costs `regions × cells` — benches assert this stays far below.
     flexible_blocker_ops: u64,
     emitted_cells: usize,
     emitted_tuples: usize,
+    /// Reused per-resolution buffer: the cells the resolution releases.
+    released: Vec<u32>,
 }
 
-/// Dense-grid size up to which blocker counts are computed by prefix sums.
-const DENSE_PREFIX_BUDGET: u64 = 8 << 20;
+/// Where the blocker counts live — chosen once, by the grid and the model.
+#[derive(Debug)]
+enum Blockers {
+    /// Pareto over a dense-indexable grid
+    /// ([`OutputGrid::dense_positions`](crate::output_grid::OutputGrid::dense_positions)):
+    /// the prefix-sum grid the initial counts come from *is* the store. A
+    /// resolution decrements the region's upper box `{c : cell_lo ⪯ c}` row
+    /// by row — cost proportional to the decrements it owes, whatever is
+    /// tracked, dead or already released.
+    Dense {
+        /// Unresolved regions with `cell_lo ⪯ c`, per grid position
+        /// ([`dense_position`]) — tracked or not.
+        counts: Vec<u32>,
+        /// The tracked cell at each grid position, or [`UNTRACKED`].
+        cell_at: Vec<u32>,
+        /// The grid position of each tracked cell.
+        position_of: Vec<u32>,
+    },
+    /// Flexible models (blocking is not an upper box in grid coordinates)
+    /// and grids over the dense budget: one count per tracked cell, and a
+    /// scan of the cells still waiting at every resolution.
+    Scan {
+        /// Blocker count per tracked cell (parallel to the cell store);
+        /// no longer maintained once the cell is dead.
+        counts: Vec<u32>,
+        /// Cells not yet released or seen dead.
+        live: Vec<u32>,
+        /// Flexible-model blocker geometry (`None` under Pareto). The same
+        /// projections decide both the initial counts and every decrement,
+        /// so the two can never disagree.
+        fdom: Option<FdomBlockerIndex>,
+    },
+}
+
+/// [`Blockers::Dense::cell_at`] entry of a grid position no region tracks.
+const UNTRACKED: u32 = u32::MAX;
+
+/// Grid volume up to which the scan arm still computes its *initial*
+/// Pareto counts by prefix sums over a scratch grid (4 bytes per position,
+/// freed before `new` returns).
+const SCRATCH_PREFIX_BUDGET: usize = 8 << 20;
+
+/// `|{R : R.cell_lo ⪯ c}|` for every position `c` of a `k^dims` grid, in
+/// `O(k^dims · dims + regions)`: each region's box corner is scattered into
+/// the grid and a prefix sum runs along every dimension.
+fn dense_blocker_counts(regions: &[Region], dims: usize, k: usize, volume: usize) -> Vec<u32> {
+    let mut dense = vec![0u32; volume];
+    for region in regions {
+        dense[dense_position(&region.cell_lo, dims, k)] += 1;
+    }
+    // After dimension `d`'s pass, dense[c] counts regions with lo ⪯ c on
+    // dims 0..=d.
+    let mut stride = 1usize;
+    for _ in 0..dims {
+        #[allow(clippy::manual_is_multiple_of)] // `% k > 0` reads as "coord_d > 0"
+        for i in 0..dense.len() {
+            if (i / stride) % k > 0 {
+                dense[i] += dense[i - stride];
+            }
+        }
+        stride *= k;
+    }
+    dense
+}
 
 impl ProgDetermine {
-    /// Computes initial blocker counts.
+    /// Computes initial blocker counts and picks where they are kept — a
+    /// function of the store's grid and model alone (see the module docs).
     ///
     /// `blockers(c) = |{R : R.cell_lo ⪯ c}|` is a d-dimensional dominance
-    /// count, so for moderate grids it is computed in `O(k^d · d + R)` by
-    /// scattering each region's box corner into a dense grid and running a
-    /// prefix sum along every dimension — instead of the naive
-    /// `O(cells × regions)` double loop (kept as a fallback for very fine
-    /// grids).
+    /// count, so for moderate grids it is computed by prefix sums over a
+    /// dense grid instead of the naive `O(cells × regions)` double loop
+    /// (kept as a fallback for very fine grids).
     pub fn new(store: &CellStore, regions: &[Region]) -> Self {
-        // Flexible model: blockers are counted in vertex-projection space
-        // (see the module docs) — the dense-prefix trick below is
-        // coordinate-Pareto-specific and does not apply.
-        if let Some(fdom) = store.model().as_flexible() {
-            let k = fdom.vertex_count();
-            let mut region_proj = Vec::with_capacity(regions.len() * k);
-            let mut buf = Vec::with_capacity(k);
-            for (i, region) in regions.iter().enumerate() {
-                // `blocks()` is indexed by `region.id` (that is what
-                // `resolve_region` receives), so the slice must be densely
-                // id-ordered — enforced here in release builds too, since a
-                // mismatch would silently corrupt blocker counts.
-                assert_eq!(
-                    region.id as usize, i,
-                    "ProgDetermine requires regions in dense id order"
-                );
-                fdom.project_into(&region.lo, &mut buf);
-                region_proj.extend_from_slice(&buf);
-            }
-            let mut cell_proj = Vec::with_capacity(store.len() * k);
-            let mut corner = Vec::new();
-            for (_, cell) in store.iter() {
-                store.grid().upper_corner_into(cell.coord(), &mut corner);
-                fdom.project_into(&corner, &mut buf);
-                cell_proj.extend_from_slice(&buf);
-            }
-            let index = FdomBlockerIndex {
-                k,
-                region_proj,
-                cell_proj,
-            };
-            // Initial counts are dominance counts in projection space;
-            // answer each cell's query through a kd-tree over the region
-            // projections instead of the retired `regions × cells × k`
-            // double loop. Decrements in `resolve_region` still use
-            // `index.blocks` — the tree and the predicate share the same
-            // projections, so the counts cannot disagree.
-            let tree = DomCountTree::build(k, &index.region_proj);
-            let mut blockers = vec![0u32; store.len()];
-            let mut ops = 0u64;
-            for (idx, _) in store.iter() {
-                let q = &index.cell_proj[idx as usize * k..(idx as usize + 1) * k];
-                blockers[idx as usize] = tree.count_dominated(q, &mut ops);
-            }
-            let live: Vec<u32> = store
-                .iter()
-                .filter(|(_, c)| !c.is_dead())
-                .map(|(i, _)| i)
-                .collect();
-            return Self {
-                blockers,
-                live,
-                fdom: Some(index),
-                flexible_blocker_ops: ops,
-                emitted_cells: 0,
-                emitted_tuples: 0,
-            };
-        }
+        Self::build(store, regions, store.grid().dense_positions())
+    }
 
-        let grid = store.grid();
-        let dims = grid.dims();
-        let k = grid.cells_per_dim() as u64;
-        let volume = k.checked_pow(dims as u32);
-        let mut blockers = vec![0u32; store.len()];
-        match volume {
-            Some(v) if v <= DENSE_PREFIX_BUDGET => {
-                let k = k as usize;
-                let mut dense = vec![0u32; v as usize];
-                let linear = |coord: &crate::output_grid::Coord| -> usize {
-                    let mut idx = 0usize;
-                    for d in (0..dims).rev() {
-                        idx = idx * k + coord[d] as usize;
-                    }
-                    idx
-                };
-                for region in regions {
-                    dense[linear(&region.cell_lo)] += 1;
-                }
-                // Prefix-sum along each dimension: after dimension `d`'s
-                // pass, dense[c] counts regions with lo ⪯ c on dims 0..=d.
-                let mut stride = 1usize;
-                for _ in 0..dims {
-                    #[allow(clippy::manual_is_multiple_of)] // `% k > 0` reads as "coord_d > 0"
-                    for i in 0..dense.len() {
-                        if (i / stride) % k > 0 {
-                            dense[i] += dense[i - stride];
-                        }
-                    }
-                    stride *= k;
-                }
-                for (idx, cell) in store.iter() {
-                    blockers[idx as usize] = dense[linear(cell.coord())];
-                }
-            }
-            _ => {
-                for region in regions {
-                    for (idx, cell) in store.iter() {
-                        if weak_leq(&region.cell_lo, cell.coord(), dims) {
-                            blockers[idx as usize] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let live: Vec<u32> = store
-            .iter()
-            .filter(|(_, c)| !c.is_dead())
-            .map(|(i, _)| i)
-            .collect();
+    /// [`new`](Self::new) with the dense-arm decision passed in: `None`
+    /// forces the scan arm (the differential tests' oracle).
+    fn build(store: &CellStore, regions: &[Region], dense_positions: Option<usize>) -> Self {
+        let (blockers, flexible_blocker_ops) = match store.model().as_flexible() {
+            Some(fdom) => Self::flexible_blockers(store, regions, fdom),
+            None => (Self::pareto_blockers(store, regions, dense_positions), 0),
+        };
         Self {
             blockers,
-            live,
-            fdom: None,
-            flexible_blocker_ops: 0,
+            flexible_blocker_ops,
             emitted_cells: 0,
             emitted_tuples: 0,
+            released: Vec::new(),
         }
     }
 
-    /// Current blocker count of a cell (diagnostics / benefit model).
+    fn pareto_blockers(
+        store: &CellStore,
+        regions: &[Region],
+        dense_positions: Option<usize>,
+    ) -> Blockers {
+        let grid = store.grid();
+        let dims = grid.dims();
+        let k = grid.cells_per_dim() as usize;
+        if let Some(volume) = dense_positions {
+            let mut cell_at = vec![UNTRACKED; volume];
+            let mut position_of = Vec::with_capacity(store.len());
+            for (idx, cell) in store.iter() {
+                let pos = dense_position(cell.coord(), dims, k);
+                cell_at[pos] = idx;
+                position_of.push(pos as u32);
+            }
+            return Blockers::Dense {
+                counts: dense_blocker_counts(regions, dims, k, volume),
+                cell_at,
+                position_of,
+            };
+        }
+        let mut counts = vec![0u32; store.len()];
+        match grid.volume().filter(|&v| v <= SCRATCH_PREFIX_BUDGET) {
+            Some(volume) => {
+                let dense = dense_blocker_counts(regions, dims, k, volume);
+                for (idx, cell) in store.iter() {
+                    counts[idx as usize] = dense[dense_position(cell.coord(), dims, k)];
+                }
+            }
+            None => {
+                for region in regions {
+                    for (idx, cell) in store.iter() {
+                        if weak_leq(&region.cell_lo, cell.coord(), dims) {
+                            counts[idx as usize] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        Blockers::Scan {
+            counts,
+            live: Self::undead_cells(store),
+            fdom: None,
+        }
+    }
+
+    /// Flexible model: blockers are counted in vertex-projection space (see
+    /// the module docs) — blocking is no longer `cell_lo ⪯ c`, so neither
+    /// the prefix sums nor the upper-box decrement apply. Returns the
+    /// blockers and the work the initial counts cost.
+    fn flexible_blockers(
+        store: &CellStore,
+        regions: &[Region],
+        fdom: &crate::fdom::FDominance,
+    ) -> (Blockers, u64) {
+        let k = fdom.vertex_count();
+        let mut region_proj = Vec::with_capacity(regions.len() * k);
+        let mut buf = Vec::with_capacity(k);
+        for (i, region) in regions.iter().enumerate() {
+            // `blocks()` is indexed by `region.id` (that is what
+            // `resolve_region` receives), so the slice must be densely
+            // id-ordered — enforced here in release builds too, since a
+            // mismatch would silently corrupt blocker counts.
+            assert_eq!(
+                region.id as usize, i,
+                "ProgDetermine requires regions in dense id order"
+            );
+            fdom.project_into(&region.lo, &mut buf);
+            region_proj.extend_from_slice(&buf);
+        }
+        let mut cell_proj = Vec::with_capacity(store.len() * k);
+        let mut corner = Vec::new();
+        for (_, cell) in store.iter() {
+            store.grid().upper_corner_into(cell.coord(), &mut corner);
+            fdom.project_into(&corner, &mut buf);
+            cell_proj.extend_from_slice(&buf);
+        }
+        let index = FdomBlockerIndex {
+            k,
+            region_proj,
+            cell_proj,
+        };
+        // Initial counts are dominance counts in projection space; answer
+        // each cell's query through a kd-tree over the region projections
+        // instead of the retired `regions × cells × k` double loop.
+        // Decrements in `resolve_region` still use `index.blocks` — the
+        // tree and the predicate share the same projections, so the counts
+        // cannot disagree.
+        let tree = DomCountTree::build(k, &index.region_proj);
+        let mut counts = vec![0u32; store.len()];
+        let mut ops = 0u64;
+        for (idx, _) in store.iter() {
+            let q = &index.cell_proj[idx as usize * k..(idx as usize + 1) * k];
+            counts[idx as usize] = tree.count_dominated(q, &mut ops);
+        }
+        let blockers = Blockers::Scan {
+            counts,
+            live: Self::undead_cells(store),
+            fdom: Some(index),
+        };
+        (blockers, ops)
+    }
+
+    fn undead_cells(store: &CellStore) -> Vec<u32> {
+        store
+            .iter()
+            .filter(|(_, c)| !c.is_dead())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Current blocker count of a cell (diagnostics / benefit model): the
+    /// unresolved regions that block it. Only meaningful while the cell is
+    /// not dead — the scan arm stops counting for a cell it has seen dead.
     #[inline]
     pub fn blockers_of(&self, cell_idx: u32) -> u32 {
-        self.blockers[cell_idx as usize]
+        match &self.blockers {
+            Blockers::Dense {
+                counts,
+                position_of,
+                ..
+            } => counts[position_of[cell_idx as usize] as usize],
+            Blockers::Scan { counts, .. } => counts[cell_idx as usize],
+        }
     }
 
     /// Work spent on the initial flexible blocker counts (kd-tree node
@@ -393,15 +487,30 @@ impl ProgDetermine {
         self.emitted_tuples
     }
 
-    /// Cells still awaiting blockers (diagnostics).
+    /// Cells still awaiting blockers (diagnostics): zero once every region
+    /// is resolved. Before that the arms count dead cells differently —
+    /// the dense arm until their last blocker resolves, the scan arm until
+    /// a resolution first sees them dead.
     pub fn live_cells(&self) -> usize {
-        self.live.len()
+        match &self.blockers {
+            Blockers::Dense {
+                counts,
+                position_of,
+                ..
+            } => position_of
+                .iter()
+                .filter(|&&pos| counts[pos as usize] > 0)
+                .count(),
+            Blockers::Scan { live, .. } => live.len(),
+        }
     }
 
     /// Resolves one region — processed *or* discarded — decrementing the
     /// blocker count of every cell it blocks. Cells whose count reaches
     /// zero are finalized: dead cells are dropped, all others emit their
-    /// surviving tuples into `out`.
+    /// surviving tuples into `out`, **in ascending grid coordinate**
+    /// ([`pack`] order, dimension 0 fastest) — a property of the cells
+    /// released, not of how or when the store got to know them.
     ///
     /// Must be called exactly once per region, *after* the region's tuples
     /// (if any) have been inserted into `store`.
@@ -411,50 +520,90 @@ impl ProgDetermine {
         store: &mut CellStore,
         out: &mut Vec<EmittedCell>,
     ) {
-        let dims = store.grid().dims();
-        let mut i = 0;
-        while i < self.live.len() {
-            let idx = self.live[i];
-            let cell = store.cell(idx);
-            // Dead cells can be retired regardless of their counts.
-            if cell.is_dead() {
-                self.live.swap_remove(i);
-                continue;
+        let mut released = std::mem::take(&mut self.released);
+        match &mut self.blockers {
+            Blockers::Dense {
+                counts, cell_at, ..
+            } => {
+                let (dims, k) = (store.grid().dims(), store.grid().cells_per_dim() as usize);
+                // Ascending rows of ascending positions: `released` comes
+                // out in coordinate order.
+                for_each_upper_box_row(&region.cell_lo, dims, k, |row| {
+                    // Branch-free so the row vectorizes; most rows free
+                    // nothing.
+                    let mut any_freed = false;
+                    for count in &mut counts[row.clone()] {
+                        debug_assert!(*count > 0, "blocker underflow in grid row {row:?}");
+                        *count -= 1;
+                        any_freed |= *count == 0;
+                    }
+                    if !any_freed {
+                        return;
+                    }
+                    // Every position of an unresolved region's upper box
+                    // counted that region, so a zero here is a fresh one.
+                    for pos in row {
+                        let idx = cell_at[pos];
+                        if counts[pos] == 0 && idx != UNTRACKED && !store.cell(idx).is_dead() {
+                            released.push(idx);
+                        }
+                    }
+                });
             }
-            // The decrement predicate must be *identical* to the one the
-            // initial counts were computed with.
-            let blocks = match &self.fdom {
-                Some(index) => index.blocks(region.id, idx),
-                None => weak_leq(&region.cell_lo, cell.coord(), dims),
-            };
-            if !blocks {
-                i += 1;
-                continue;
-            }
-            let count = &mut self.blockers[idx as usize];
-            debug_assert!(*count > 0, "blocker underflow on cell {idx}");
-            *count -= 1;
-            if *count == 0 {
-                self.live.swap_remove(i);
-                let (mut ids, mut points) = store.take_emitted(idx);
-                // Flexible model: drop F-dominated survivors (no-op under
-                // Pareto). Everything that could still F-dominate them is
-                // already in the store — that is what the strengthened
-                // blocker counts guarantee.
-                store.filter_emitted(&mut ids, &mut points);
-                if !ids.is_empty() {
-                    self.emitted_cells += 1;
-                    self.emitted_tuples += ids.len();
-                    out.push(EmittedCell {
-                        cell_idx: idx,
-                        ids,
-                        points,
-                    });
+            Blockers::Scan { counts, live, fdom } => {
+                let dims = store.grid().dims();
+                let mut i = 0;
+                while i < live.len() {
+                    let idx = live[i];
+                    let cell = store.cell(idx);
+                    // Dead cells can be retired regardless of their counts.
+                    if cell.is_dead() {
+                        live.swap_remove(i);
+                        continue;
+                    }
+                    // The decrement predicate must be *identical* to the
+                    // one the initial counts were computed with.
+                    let blocks = match fdom {
+                        Some(index) => index.blocks(region.id, idx),
+                        None => weak_leq(&region.cell_lo, cell.coord(), dims),
+                    };
+                    if !blocks {
+                        i += 1;
+                        continue;
+                    }
+                    let count = &mut counts[idx as usize];
+                    debug_assert!(*count > 0, "blocker underflow on cell {idx}");
+                    *count -= 1;
+                    if *count == 0 {
+                        live.swap_remove(i);
+                        released.push(idx);
+                    } else {
+                        i += 1;
+                    }
                 }
-            } else {
-                i += 1;
+                // `live` is in `swap_remove` history order; the release
+                // order is the dense arm's.
+                released.sort_unstable_by_key(|&idx| pack(store.cell(idx).coord()));
             }
         }
+        for idx in released.drain(..) {
+            let (mut ids, mut points) = store.take_emitted(idx);
+            // Flexible model: drop F-dominated survivors (no-op under
+            // Pareto). Everything that could still F-dominate them is
+            // already in the store — that is what the strengthened
+            // blocker counts guarantee.
+            store.filter_emitted(&mut ids, &mut points);
+            if !ids.is_empty() {
+                self.emitted_cells += 1;
+                self.emitted_tuples += ids.len();
+                out.push(EmittedCell {
+                    cell_idx: idx,
+                    ids,
+                    points,
+                });
+            }
+        }
+        self.released = released;
     }
 }
 
@@ -679,6 +828,157 @@ mod tests {
         }
     }
 
+    /// The dense arm against the retained scan, one resolution at a time:
+    /// random overlapping regions for d = 1..4 — several sharing one
+    /// `cell_lo`, boxes leaving grid positions untracked, look-ahead
+    /// pre-marked dead cells — resolved in random order with inserts in
+    /// between (so cells are populated, killed eagerly and found dead
+    /// lazily between resolutions).
+    #[test]
+    fn dense_arm_releases_exactly_what_the_scan_releases() {
+        let mut x: u64 = 0xD1FF;
+        let mut next = |m: u64| -> u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        let mut released_populated = 0usize;
+        let mut dropped_dead = 0usize;
+        for (dims, k) in [
+            (1usize, 1u16),
+            (1, 12),
+            (2, 7),
+            (3, 5),
+            (4, 4),
+            (2, 7),
+            (3, 5),
+        ] {
+            let grid = OutputGrid::new(vec![0.0; dims], vec![k as f64; dims], k);
+            let mut regions: Vec<Region> = Vec::new();
+            for id in 0..14u32 {
+                let mut cell_lo: Coord = [0; MAX_DIMS];
+                let mut cell_hi: Coord = [0; MAX_DIMS];
+                for d in 0..dims {
+                    cell_lo[d] = next(k as u64) as u16;
+                    cell_hi[d] = (cell_lo[d] + next(3) as u16).min(k - 1);
+                }
+                if id % 3 == 2 {
+                    // Same best cell as an earlier region, own extent.
+                    let earlier = &regions[next(id as u64) as usize];
+                    for (hi, &lo) in cell_hi.iter_mut().zip(&earlier.cell_lo) {
+                        *hi = (*hi).max(lo);
+                    }
+                    cell_lo = earlier.cell_lo;
+                }
+                regions.push(Region {
+                    id,
+                    r_part: 0,
+                    t_part: 0,
+                    lo: cell_lo[..dims].iter().map(|&v| v as f64).collect(),
+                    hi: cell_hi[..dims].iter().map(|&v| v as f64 + 1.0).collect(),
+                    cell_lo,
+                    cell_hi,
+                    n_r: 1,
+                    n_t: 1,
+                    guaranteed: true,
+                });
+            }
+            let mut dense_store = CellStore::new(grid.clone());
+            for r in &regions {
+                for c in grid.iter_box(r.cell_lo, r.cell_hi) {
+                    dense_store.track(c);
+                }
+            }
+            assert!(
+                dims == 1 || dense_store.len() < grid.dense_positions().unwrap(),
+                "some grid positions must stay untracked"
+            );
+            for idx in 0..dense_store.len() as u32 {
+                if next(8) == 0 {
+                    dense_store.mark_dead(idx);
+                }
+            }
+            // The scan arm runs over a store of its own, fed identically.
+            let mut scan_store = CellStore::new(grid.clone());
+            for (idx, cell) in dense_store.iter() {
+                assert_eq!(scan_store.track(*cell.coord()), idx);
+                if cell.is_dead() {
+                    scan_store.mark_dead(idx);
+                }
+            }
+            let mut dense = ProgDetermine::build(&dense_store, &regions, grid.dense_positions());
+            let mut scan = ProgDetermine::build(&scan_store, &regions, None);
+            assert!(matches!(dense.blockers, Blockers::Dense { .. }));
+            assert!(matches!(scan.blockers, Blockers::Scan { .. }));
+
+            let mut unresolved: Vec<u32> = (0..regions.len() as u32).collect();
+            let mut tuple = 0u32;
+            while !unresolved.is_empty() {
+                // A few tuples out of unresolved regions' boxes — the only
+                // cells a tuple can still arrive in.
+                for _ in 0..next(4) {
+                    let from =
+                        &regions[unresolved[next(unresolved.len() as u64) as usize] as usize];
+                    let p: Vec<f64> = (0..dims)
+                        .map(|d| {
+                            let span = (from.cell_hi[d] - from.cell_lo[d]) as u64 + 1;
+                            (from.cell_lo[d] as u64 + next(span)) as f64 + next(100) as f64 / 100.0
+                        })
+                        .collect();
+                    tuple += 1;
+                    assert_eq!(
+                        dense_store.insert(tuple, tuple, &p),
+                        scan_store.insert(tuple, tuple, &p)
+                    );
+                }
+                let rid = unresolved.swap_remove(next(unresolved.len() as u64) as usize);
+                let (mut dense_out, mut scan_out) = (Vec::new(), Vec::new());
+                dense.resolve_region(&regions[rid as usize], &mut dense_store, &mut dense_out);
+                scan.resolve_region(&regions[rid as usize], &mut scan_store, &mut scan_out);
+
+                let label = format!("dims={dims} k={k} after region {rid}");
+                let emitted = |out: &[EmittedCell]| -> Vec<(u32, Vec<(u32, u32)>)> {
+                    out.iter().map(|e| (e.cell_idx, e.ids.clone())).collect()
+                };
+                assert_eq!(emitted(&dense_out), emitted(&scan_out), "{label}");
+                assert!(
+                    dense_out
+                        .windows(2)
+                        .all(|w| pack(dense_store.cell(w[0].cell_idx).coord())
+                            < pack(dense_store.cell(w[1].cell_idx).coord())),
+                    "{label}: released out of coordinate order"
+                );
+                released_populated += dense_out.len();
+                for (idx, cell) in dense_store.iter() {
+                    let other = scan_store.cell(idx);
+                    // Empty released cells never reach `out`; the flag does.
+                    assert_eq!(cell.is_emitted(), other.is_emitted(), "{label} cell {idx}");
+                    assert_eq!(cell.is_dead(), other.is_dead(), "{label} cell {idx}");
+                    let blocking = unresolved
+                        .iter()
+                        .filter(|&&r| weak_leq(&regions[r as usize].cell_lo, cell.coord(), dims))
+                        .count() as u32;
+                    assert_eq!(dense.blockers_of(idx), blocking, "{label} cell {idx}");
+                    // The scan stops counting for a cell it has seen dead.
+                    if !cell.is_dead() {
+                        assert_eq!(scan.blockers_of(idx), blocking, "{label} cell {idx}");
+                        assert_eq!(cell.is_emitted(), blocking == 0, "{label} cell {idx}");
+                    }
+                }
+            }
+            assert_eq!(dense.live_cells(), 0);
+            assert_eq!(scan.live_cells(), 0);
+            assert_eq!(dense.emitted_tuples(), scan.emitted_tuples());
+            dropped_dead += dense_store
+                .iter()
+                .filter(|(_, c)| c.is_dead() && !c.is_emitted())
+                .count();
+        }
+        assert!(released_populated > 20, "{released_populated}");
+        assert!(dropped_dead > 20, "{dropped_dead}");
+    }
+
     #[test]
     fn dom_count_tree_matches_brute_force() {
         // Pseudo-random point sets (coarse grid → plenty of ties and
@@ -775,7 +1075,12 @@ mod tests {
             naive_ops
         );
         // Counts must equal the decrement predicate's brute-force totals.
-        let index = det.fdom.as_ref().unwrap();
+        let Blockers::Scan {
+            fdom: Some(index), ..
+        } = &det.blockers
+        else {
+            panic!("flexible models count on the scan arm");
+        };
         for (idx, _) in store.iter() {
             let expected = (0..regions.len() as u32)
                 .filter(|&rid| index.blocks(rid, idx))

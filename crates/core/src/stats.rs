@@ -45,6 +45,15 @@ pub struct ExecStats {
     /// took the streaming path, whose commit work is folded into
     /// [`ExecStats::tuple_time`].
     pub commit_time: Duration,
+    /// Time inside `ProgDetermine::resolve_region` — blocker decrements and
+    /// the release of proven-final cells — over *every* resolution: batch
+    /// commits, streaming-path regions and dead-region discards alike. A
+    /// sub-bucket, not a ledger term: it is already inside
+    /// [`commit_time`](Self::commit_time) for batch commits, inside
+    /// [`dispatch_time`](Self::dispatch_time) for `Pooled` discards, and
+    /// otherwise (`Inline` discards and streaming-path regions) in no other
+    /// bucket at all.
+    pub resolve_time: Duration,
     /// Time the committer thread spent topping up the dispatch window:
     /// schedule pops, dead-region discards (their blocker bookkeeping
     /// included) and handing work units to the pool (`Pooled` backend only;
@@ -220,6 +229,7 @@ impl ExecStats {
             .push("lookahead_ms", Value::DurationMs(self.lookahead_time))
             .push("tuple_ms", Value::DurationMs(self.tuple_time))
             .push("commit_ms", Value::DurationMs(self.commit_time))
+            .push("resolve_ms", Value::DurationMs(self.resolve_time))
             .push("dispatch_ms", Value::DurationMs(self.dispatch_time))
             .push("commit_wait_ms", Value::DurationMs(self.commit_wait_time))
             .push("threads_used", Value::U64(self.threads_used.max(1) as u64))
@@ -302,6 +312,13 @@ impl std::fmt::Display for ExecStats {
                 self.regions_computed_dead,
                 self.dispatch_time,
                 self.commit_wait_time
+            )?;
+        }
+        if !self.resolve_time.is_zero() {
+            write!(
+                f,
+                " [commit {:.1?}, of which (and of dead-region discards) {:.1?} resolving]",
+                self.commit_time, self.resolve_time
             )?;
         }
         if self.dominance_pairs > 0 {
@@ -431,6 +448,9 @@ mod tests {
         s.regions_computed_dead = 2;
         s.dispatch_time = Duration::from_millis(5);
         s.commit_wait_time = Duration::from_millis(7);
+        assert!(!s.to_string().contains("resolving"), "nothing resolved yet");
+        s.commit_time = Duration::from_millis(9);
+        s.resolve_time = Duration::from_millis(3);
         let line = s.to_string();
         assert!(!line.contains('\n'));
         assert!(
@@ -439,7 +459,15 @@ mod tests {
             ),
             "{line}"
         );
+        assert!(
+            line.contains("[commit 9.0ms, of which (and of dead-region discards) 3.0ms resolving]"),
+            "{line}"
+        );
         let json = s.report().to_json();
+        assert!(
+            json.contains("\"commit_ms\": 9.000, \"resolve_ms\": 3.000"),
+            "resolve_ms sits directly under commit_ms: {json}"
+        );
         for key in [
             "\"commit_wait_ms\"",
             "\"dispatch_ms\"",

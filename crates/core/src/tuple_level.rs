@@ -333,8 +333,9 @@ pub struct RegionBatch {
     /// The committer replays these through
     /// [`CellStore::insert_batch`] at the same point of the
     /// insert sequence, so the store's lazily discovered dead cells — and
-    /// with them the emission order — are exactly what they would be had
-    /// the committer rejected the tuples itself.
+    /// with them what the benefit model reads and the `cells_killed` /
+    /// `tuples_rejected_dead_cell` counters — are exactly what they would
+    /// be had the committer rejected the tuples itself.
     pub rejected_cells: Vec<(u32, u128)>,
     /// Work counters of the unit.
     pub stats: TupleLevelStats,

@@ -2,8 +2,9 @@
 //! Inline/Pooled equivalence (against a naive oracle) across workload
 //! distributions and seeds, the proven-final (no-retraction) guarantee
 //! under parallel commit, self-determinism of parallel emission,
-//! env-driven thread configuration, pool sharing across the sessions of
-//! one engine, and mid-region cancellation promptness on both backends.
+//! env-driven thread configuration, the committer's dense and fallback
+//! arms emitting one stream, pool sharing across the sessions of one
+//! engine, and mid-region cancellation promptness on both backends.
 
 mod common;
 
@@ -223,10 +224,99 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
     // summed worker time and stays out of it).
     let ledger = a.lookahead_time + a.dispatch_time + a.commit_time + a.commit_wait_time;
     assert!(ledger <= a.total_time);
+    // Resolving regions is a sub-bucket of the ledger, not a term of it:
+    // on Pooled every resolution happens inside a commit or a discard.
+    assert!(!a.resolve_time.is_zero());
+    assert!(a.resolve_time <= a.commit_time + a.dispatch_time);
     assert!(
         ledger.as_secs_f64() >= 0.8 * a.total_time.as_secs_f64(),
         "committer-thread buckets cover only {ledger:?} of {:?}",
         a.total_time
+    );
+}
+
+/// The committer's two arms — dense structures for grids within
+/// `OutputGrid::DENSE_INDEX_BUDGET`, the scans beyond it — are
+/// indistinguishable from outside: the same workload through a grid just
+/// under the cap (101³ cells) and one just over it (102³) emits the same
+/// stream.
+///
+/// Two grids can only be compared on a workload their cells cut alike:
+/// attributes are whole numbers in three tight clusters, so every output
+/// value, region bound and partition bound is a whole number in `[0, 42]`
+/// while a cell is ~0.42 wide — distinct values land in distinct cells of
+/// either grid, in the same coordinate order, and every cell-level relation
+/// (blocking, full dominance, region death) reads the same on both. `Fifo`
+/// fixes the resolution order, which `ProgOrder` derives from cell counts.
+#[test]
+fn dense_and_fallback_committer_arms_emit_the_same_stream() {
+    use progxe::core::config::OrderingPolicy;
+    use progxe::core::output_grid::OutputGrid;
+    use progxe::datagen::Relation;
+
+    let grid = |k: u16| OutputGrid::new(vec![0.0; 3], vec![1.0; 3], k);
+    assert!(
+        grid(101).dense_positions().is_some() && grid(102).dense_positions().is_none(),
+        "the cap moved: pick grid sizes on either side of it"
+    );
+
+    let clustered = |rel: &Relation| {
+        let mut out = Relation::with_capacity(3, rel.len());
+        for i in 0..rel.len() {
+            let attrs: Vec<f64> = rel
+                .attrs_of(i)
+                .iter()
+                .map(|&v| 10.0 * ((v - 1.0) / 33.0).floor() + v.floor() % 2.0)
+                .collect();
+            out.push(&attrs, rel.join_key_of(i));
+        }
+        out
+    };
+    let runtime = progxe::runtime::EngineRuntime::new(2);
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    let (mut found_dead, mut discarded) = (0, 0);
+    for (n, sigma) in [(400usize, 0.05), (800, 0.02)] {
+        let mut w = WorkloadSpec::new(n, 3, Distribution::AntiCorrelated, sigma)
+            .with_seed(17)
+            .generate();
+        w.r = clustered(&w.r);
+        w.t = clustered(&w.t);
+        // Inline streams every (small) region straight into the store, so
+        // dead-cell rejections are the store's own; Pooled replays them.
+        for threads in [1usize, 2] {
+            let run = |cells: usize| {
+                let config = ProgXeConfig::default()
+                    .with_input_partitions(3)
+                    .with_output_cells(cells)
+                    .with_ordering(OrderingPolicy::Fifo);
+                common::batch_stream(&config, &w, &maps, common::backend(&runtime, threads), true)
+            };
+            let (dense, dense_stats) = run(101);
+            let (fallback, fallback_stats) = run(102);
+            let label = format!("n={n} threads={threads}");
+            assert!(dense.len() > 1, "{label}: not progressive");
+            assert!(
+                dense.iter().any(|event| event.len() > 1),
+                "{label}: no event had an order to disagree on"
+            );
+            assert_eq!(dense, fallback, "{label}: the arms are distinguishable");
+            let counters = |s: &ExecStats| {
+                [
+                    s.tuples_inserted,
+                    s.tuples_evicted,
+                    s.tuples_rejected_dead_cell,
+                    s.regions_discarded_dead as u64,
+                    s.regions_processed as u64,
+                ]
+            };
+            assert_eq!(counters(&dense_stats), counters(&fallback_stats), "{label}");
+            found_dead += dense_stats.tuples_rejected_dead_cell;
+            discarded += dense_stats.regions_discarded_dead;
+        }
+    }
+    assert!(
+        found_dead > 0 && discarded > 0,
+        "a lookup never said yes: {found_dead} dead-cell rejections, {discarded} dead regions"
     );
 }
 

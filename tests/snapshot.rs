@@ -170,6 +170,45 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
     );
 }
 
+/// Inline ≡ Pooled on streaming ingestion, bit for bit, on the inputs that
+/// used to diverge (ROADMAP item 7's counter-example: AntiCorrelated seeds
+/// 3, 7, 13 and 88 emitted the same set with a different cell order inside
+/// an event). The pooled workers' local pre-filter drops tuples the inline
+/// streaming insert would have rejected itself, which moves the moment a
+/// cell is lazily *found* dead; the order of cells inside a `ResultEvent`
+/// is ascending grid coordinate and cannot observe that.
+#[test]
+fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
+    let runtime = EngineRuntime::new(2);
+    let dims = 2;
+    let spec = StreamSpec::new(vec![0.0; dims], vec![101.0; dims]).unwrap();
+    let config = ProgXeConfig::default();
+    let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
+    let mut multi_cell_events = 0usize;
+    for dist in [
+        Distribution::Independent,
+        Distribution::AntiCorrelated,
+        Distribution::Correlated,
+    ] {
+        for seed in [1u64, 2, 3, 5, 7, 11, 13, 21, 34, 88] {
+            let w = WorkloadSpec::new(300, dims, dist, 0.03)
+                .with_seed(seed)
+                .generate();
+            let (inline, _) =
+                ingest_stream(&config, &w, &maps, &spec, backend(&runtime, 1), true, 6);
+            let (pooled, _) =
+                ingest_stream(&config, &w, &maps, &spec, backend(&runtime, 2), true, 6);
+            assert!(!inline.is_empty(), "{dist:?} seed={seed}: nothing emitted");
+            assert_eq!(inline, pooled, "{dist:?} seed={seed}: backends diverge");
+            multi_cell_events += inline.iter().filter(|event| event.len() > 1).count();
+        }
+    }
+    assert!(
+        multi_cell_events > 0,
+        "no event had an order to disagree on"
+    );
+}
+
 /// NaN and ±∞ mapped values reach the slab and the filter. The kernels
 /// treat a NaN coordinate as a tie, which is not transitive, so NaN rows
 /// are kept out of the slab and NaN candidates are never tested against
