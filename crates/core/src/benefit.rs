@@ -27,7 +27,9 @@ pub fn estimate_cardinality(sigma: f64, n_r: u32, n_t: u32, d: usize) -> f64 {
 
 /// Definition 2: the number of cells in the region's box whose release
 /// depends only on the region itself — i.e. their sole remaining blocker is
-/// this region. Dead and already-emitted cells are excluded.
+/// this region. Dead ([`CellStore::cell_is_dead`] — derived from the
+/// admitted tuples, so ranks do not observe which rejected tuples reached
+/// the store) and already-emitted cells are excluded.
 ///
 /// `visit_cap` bounds the scan for very large boxes; when the cap is hit
 /// the count is linearly extrapolated (the box cells are statistically
@@ -46,8 +48,10 @@ pub fn prog_count(region: &Region, store: &CellStore, det: &ProgDetermine, visit
             return count * volume / visited.max(1);
         }
         if let Some(idx) = store.find(&coord) {
-            let cell = store.cell(idx);
-            if !cell.is_dead() && !cell.is_emitted() && det.blockers_of(idx) == 1 {
+            if det.blockers_of(idx) == 1
+                && !store.cell(idx).is_emitted()
+                && !store.cell_is_dead(idx)
+            {
                 count += 1;
             }
         }
@@ -147,6 +151,25 @@ mod tests {
         let bb = benefit(&b, &store, &det, 0.1, u64::MAX);
         assert!(ba > bb);
         assert_eq!(bb, 0.0);
+    }
+
+    /// `ProgCount` reads derived death: a cell a populated cell fully
+    /// dominates stops counting the moment the dominator is admitted, not
+    /// when some rejected tuple happens to visit it.
+    #[test]
+    fn prog_count_excludes_dominated_cells_nothing_visited() {
+        let a = region(0, (0, 0), (3, 3));
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
+        let mut store = CellStore::new(grid.clone());
+        for c in grid.iter_box(a.cell_lo, a.cell_hi) {
+            store.track(c);
+        }
+        let det = ProgDetermine::new(&store, std::slice::from_ref(&a));
+        assert_eq!(prog_count(&a, &store, &det, u64::MAX), 16);
+        // (1,1) populated: (2..=3, 2..=3) are fully dominated, unvisited.
+        assert!(store.insert(0, 0, &[1.5, 1.5]));
+        assert_eq!(store.stats().cells_killed, 0);
+        assert_eq!(prog_count(&a, &store, &det, u64::MAX), 12);
     }
 
     #[test]

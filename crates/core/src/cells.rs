@@ -38,10 +38,14 @@ pub struct CellStats {
     pub tuples_rejected_dominated: u64,
     /// Tuples rejected because their cell is dead (no comparison needed —
     /// the paper's "discarded without performing any dominance comparisons").
+    /// As observed by the store: a tuple rejected upstream of it
+    /// ([`crate::tuple_level`]) is not counted here, whatever its cell.
     pub tuples_rejected_dead_cell: u64,
     /// Previously admitted tuples evicted by newer dominating tuples.
     pub tuples_evicted: u64,
-    /// Cells killed wholesale by full dominance.
+    /// Cells killed wholesale by full dominance. As observed by the store:
+    /// an unpopulated cell counts when a tuple that reached the store first
+    /// found it dead ([`CellStore::cell_is_dead`] needs no such visit).
     pub cells_killed: u64,
     /// Populated comparable cells actually examined across all insertions
     /// (the measured counterpart of the `k^d − (k−1)^d` bound).
@@ -130,7 +134,11 @@ impl Cell {
         self.populated
     }
 
-    /// Whether the cell is dominated and can never contribute results.
+    /// Whether the cell is *flagged* dead. Exact for a populated cell; for
+    /// an unpopulated one a memo of [`CellStore::cell_is_dead`], set when a
+    /// tuple tried to land in it — fine for release paths (an unpopulated
+    /// cell emits nothing either way), wrong for anything that must not
+    /// observe which rejected tuples reached the store.
     #[inline]
     pub fn is_dead(&self) -> bool {
         self.dead
@@ -198,6 +206,14 @@ pub struct CellStore {
     /// (see [`CellStore::admitted_slab`]). Append-only: evictions and cell
     /// kills leave it untouched.
     admitted: Vec<f64>,
+}
+
+/// Keeps the tuples whose `keep` flag is set — ids and points in step, in
+/// place, order preserved.
+pub(crate) fn retain_tuples(ids: &mut Vec<(u32, u32)>, points: &mut PointStore, keep: &[bool]) {
+    let mut flags = keep.iter();
+    ids.retain(|_| *flags.next().expect("one flag per tuple"));
+    points.compact(keep);
 }
 
 /// [`CellStore::stair`] entry over which no cell was populated yet — above
@@ -500,13 +516,7 @@ impl CellStore {
 
         if dropped > 0 {
             self.stats.tuples_fdom_filtered += dropped as u64;
-            let mut next = 0usize;
-            ids.retain(|_| {
-                let keep_it = keep[next];
-                next += 1;
-                keep_it
-            });
-            points.compact(&keep);
+            retain_tuples(ids, points, &keep);
         }
         self.scratch_keep = keep;
     }
@@ -554,6 +564,16 @@ impl CellStore {
         self.cell_skyline
             .iter()
             .any(|&s| full_dominates(&self.cells[s as usize].coord, coord, dims))
+    }
+
+    /// Whether cell `idx` can never contribute results: flagged dead, or
+    /// never populated and fully dominated by a populated cell. A function
+    /// of the admitted tuples alone — unlike [`Cell::is_dead`], it does not
+    /// depend on whether a rejected tuple ever visited the cell — and
+    /// `O(dims)` on a staircase grid. What the benefit model reads.
+    pub fn cell_is_dead(&self, idx: u32) -> bool {
+        let cell = &self.cells[idx as usize];
+        cell.dead || (!cell.populated && self.fully_dominated(&cell.coord))
     }
 
     /// Drains the cells that entered the populated-cell skyline since the
@@ -642,9 +662,9 @@ impl CellStore {
         // 4. Evict live tuples the new one dominates (reverse slab scan).
         //    Emitted cells are skipped: their tuples are proven final, so
         //    nothing can dominate them (and their ids are already shipped).
-        //    One batched dominated-mask per cell; the mask is replayed as
-        //    left-to-right `swap_remove`s, reproducing the historical
-        //    scan-with-retest order of the cell's survivors exactly.
+        //    One batched dominated-mask per cell and one stable compaction:
+        //    a cell's tuple order is the admission order of its live
+        //    tuples, whatever transient tuples came and went in between.
         let mut mask = std::mem::take(&mut self.scratch_mask);
         for &cand in &candidates {
             let cell = &mut self.cells[cand as usize];
@@ -656,16 +676,8 @@ impl CellStore {
             let hits =
                 kernel::dominated_mask(dims, cell.points.raw(), oriented, &mut mask, &mut pairs);
             if hits > 0 {
-                let mut i = 0;
-                while i < mask.len() {
-                    if mask[i] {
-                        mask.swap_remove(i);
-                        cell.points.swap_remove(i);
-                        cell.ids.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                mask.iter_mut().for_each(|evicted| *evicted = !*evicted);
+                retain_tuples(&mut cell.ids, &mut cell.points, &mask);
                 self.stats.tuples_evicted += hits as u64;
             }
         }
@@ -736,55 +748,6 @@ impl CellStore {
             self.stats.cells_killed += 1;
         }
         dominated
-    }
-
-    /// Records that a tuple of the cell with [`pack`]ed coordinate `key`
-    /// was rejected upstream (dominated by an [`admitted_slab`] row) and
-    /// will never reach [`insert`]. `insert` would have rejected it too —
-    /// but might first have discovered the cell dead (step 2), which the
-    /// benefit model's `ProgCount` and the `cells_killed` /
-    /// `tuples_rejected_dead_cell` counters observe (emission order no
-    /// longer does: cells are released in coordinate order). Replaying that
-    /// one side effect keeps the store's state identical to committer-side
-    /// rejection.
-    ///
-    /// [`admitted_slab`]: CellStore::admitted_slab
-    /// [`insert`]: CellStore::insert
-    fn note_rejected_upstream(&mut self, key: u128) {
-        let idx = *self
-            .by_key
-            .get(&key)
-            .expect("tuple mapped into an untracked cell: look-ahead box invariant violated");
-        self.kill_if_unpopulated_and_dominated(idx);
-    }
-
-    /// Inserts one region batch in order, replaying the snapshot filter's
-    /// upstream rejections (`rejected_cells`: `(i, cell key)` = a tuple of
-    /// that cell was dropped just before `ids[i]`, ascending; see
-    /// [`RegionBatch::rejected_cells`](crate::tuple_level::RegionBatch))
-    /// at the point of the sequence where [`insert`](Self::insert) would
-    /// have seen the dropped tuple. The resulting store state is exactly
-    /// that of inserting the unfiltered batch.
-    ///
-    /// # Panics
-    /// Panics if a tuple — inserted or rejected upstream — falls into an
-    /// untracked cell, like [`insert`](Self::insert).
-    pub fn insert_batch(
-        &mut self,
-        ids: &[(u32, u32)],
-        points: &PointStore,
-        rejected_cells: &[(u32, u128)],
-    ) {
-        let mut rejected = rejected_cells.iter().peekable();
-        for (i, &(r, t)) in ids.iter().enumerate() {
-            while let Some(&(_, cell)) = rejected.next_if(|&&(at, _)| at as usize <= i) {
-                self.note_rejected_upstream(cell);
-            }
-            self.insert(r, t, points.point(i));
-        }
-        for &(_, cell) in rejected {
-            self.note_rejected_upstream(cell);
-        }
     }
 
     /// Iterates over tracked cells with their indices.
@@ -884,6 +847,52 @@ mod tests {
         assert!(!s.insert(1, 1, &[8.5, 8.5]));
         let idx = s.find(&s.grid().cell_of(&[8.5, 8.5])).unwrap();
         assert!(s.cell(idx).is_dead());
+    }
+
+    /// Death is derived: a never-populated cell a populated one fully
+    /// dominates is dead whether or not a rejected tuple ever visited it;
+    /// the visit only memoizes the answer in the flag (and the counter).
+    #[test]
+    fn cell_is_dead_does_not_wait_for_a_visit() {
+        let mut s = store_10x10();
+        let idx = |s: &CellStore, p: &[f64]| s.find(&s.grid().cell_of(p)).unwrap();
+        let (far, beside) = (idx(&s, &[8.5, 8.5]), idx(&s, &[1.5, 8.5]));
+        assert!(!s.cell_is_dead(far));
+        assert!(s.insert(0, 0, &[1.5, 1.5]));
+        assert!(s.cell_is_dead(far) && !s.cell(far).is_dead());
+        assert!(!s.cell_is_dead(beside), "shares a slab — not dominated");
+        assert_eq!(s.stats().cells_killed, 0, "nothing visited it yet");
+        assert!(!s.insert(1, 1, &[8.5, 8.5]));
+        assert!(s.cell_is_dead(far) && s.cell(far).is_dead());
+        assert_eq!(s.stats().cells_killed, 1);
+    }
+
+    /// A cell's tuple order is the admission order of its live tuples: a
+    /// transient tuple, admitted and later evicted, leaves the survivors
+    /// as if it had never been there.
+    #[test]
+    fn eviction_keeps_the_admission_order_of_the_survivors() {
+        let cell_ids = |with_transient: bool| {
+            let mut s = store_10x10();
+            if with_transient {
+                assert!(s.insert(9, 9, &[5.5, 5.5]));
+            }
+            // Mutually incomparable, all in cell (5, 5).
+            for (i, p) in [[5.1, 5.9], [5.2, 5.8], [5.3, 5.7], [5.6, 5.4]]
+                .iter()
+                .enumerate()
+            {
+                assert!(s.insert(i as u32, i as u32, p));
+            }
+            // Evicts the transient (and only it).
+            assert!(s.insert(4, 4, &[5.45, 5.45]));
+            assert_eq!(s.stats().tuples_evicted, u64::from(with_transient));
+            let idx = s.find(&s.grid().cell_of(&[5.5, 5.5])).unwrap();
+            (s.cell(idx).ids().to_vec(), s.cell(idx).points().clone())
+        };
+        let (ids, points) = cell_ids(true);
+        assert_eq!(ids, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+        assert_eq!((ids, points), cell_ids(false));
     }
 
     #[test]

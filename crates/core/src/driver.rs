@@ -565,8 +565,9 @@ impl Committer {
             stats.regions_computed_dead += 1;
         } else {
             stats.regions_processed += 1;
-            self.store
-                .insert_batch(&batch.ids, &batch.points, &batch.rejected_cells);
+            for (&(r, t), point) in batch.ids.iter().zip(batch.points.iter()) {
+                self.store.insert(r, t, point);
+            }
         }
         let event = self.resolve(batch.rid, stats);
         let commit_elapsed = commit_started.elapsed();
@@ -1267,11 +1268,13 @@ fn absorb_batch_work(stats: &mut ExecStats, compute_time: Duration, work: &Tuple
     stats.join_probes += work.probes;
     stats.join_build_rows += work.build_rows;
     stats.join_matches += work.matches;
+    stats.join_matches_skipped += work.skipped;
     stats.dominance_tests += work.local_dominance_tests;
-    // The filter stage runs entirely on the batched kernels.
+    // Look-ahead and filter stage run entirely on the batched kernels.
     stats.dominance_pairs += work.local_dominance_tests;
     stats.fdom_vertex_evals += work.fdom_vertex_evals;
-    stats.tuples_prefiltered += work.locally_pruned;
+    // A skipped match is a tuple rejected upstream of the committer too.
+    stats.tuples_prefiltered += work.locally_pruned + work.skipped;
 }
 
 impl SessionStep for RegionDriver {
@@ -1612,6 +1615,43 @@ mod tests {
         assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(2));
         assert_eq!(committer.pop_gated(&mut stats, None), Popped::Exhausted);
         assert_eq!(stats.ordering_fallbacks, 2);
+    }
+
+    /// The schedule does not observe which rejected tuples reached the
+    /// store. Region 0's batch populates cell (3,6), which fully dominates
+    /// four cells of region 1's box and none of region 2's; once 0 commits
+    /// both are roots, alike in everything but `ProgCount`. Whether the
+    /// batch's dominated second tuple was dropped upstream or rejected by
+    /// the store — where it lands in one of those four cells and flags it
+    /// dead — region 2 outranks region 1.
+    #[test]
+    fn ranks_read_derived_cell_death() {
+        let pop_order = |batch_rows: &[[f64; 2]]| {
+            let mut committer =
+                committer_over(&[[(0, 0), (5, 8)], [(3, 8), (5, 9)], [(8, 3), (9, 5)]]);
+            let mut stats = ExecStats::default();
+            assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(0));
+            let batch = RegionBatch {
+                completed: true,
+                ids: (0..batch_rows.len() as u32).map(|i| (i, i)).collect(),
+                points: progxe_skyline::PointStore::from_rows(2, batch_rows),
+                ..RegionBatch::aborted(0, 2)
+            };
+            committer.commit_batch(batch, &mut stats);
+            let mut order = Vec::new();
+            while let Popped::Region(rid) = committer.pop_gated(&mut stats, None) {
+                order.push(rid);
+                assert!(!committer.region_box_is_dead(rid));
+                committer.discard_dead(rid, &mut stats);
+            }
+            assert_eq!(stats.ordering_fallbacks, 0, "every pop was a ranked root");
+            (order, committer.store.stats().tuples_rejected_dead_cell)
+        };
+        let (upstream, upstream_rejects) = pop_order(&[[3.5, 6.5]]);
+        let (store_side, store_rejects) = pop_order(&[[3.5, 6.5], [4.5, 8.5]]);
+        assert_eq!((upstream_rejects, store_rejects), (0, 1));
+        assert_eq!(upstream, vec![2, 1]);
+        assert_eq!(store_side, upstream);
     }
 
     #[test]

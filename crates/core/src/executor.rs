@@ -339,7 +339,6 @@ impl ProgXe {
             maps.clone(),
             JoinSource::new(Side::R, r_attrs, r_keys, r_grid),
             JoinSource::new(Side::T, t_attrs, t_keys, t_grid),
-            la.grid,
             Arc::clone(&regions),
         ));
         let committer = Committer::new(

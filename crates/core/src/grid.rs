@@ -261,6 +261,16 @@ impl InputGrid {
 ///   result is `probe row + build row` — exactly, because
 ///   `-(a + b) == (-a) + (-b)` in IEEE arithmetic;
 /// * otherwise the row's raw attributes, for the per-match `eval`.
+///
+/// A component side whose every value is finite is additionally *bounded*:
+/// it records each key group's component-wise minimum and the partition's
+/// component-wise maximum. IEEE addition is monotone, so the same
+/// `add_rows` applied to two such bounds is an exact corner of the
+/// *rounded* join results they cover — what the tuple-level join's key-group
+/// look-ahead tests instead of expanding a group. One NaN or ±∞ component
+/// leaves the side unbounded, and a region over it is never pruned:
+/// NaN-as-tie dominance is not transitive, and `−∞ + ∞` can hide a NaN row
+/// behind a finite corner.
 #[derive(Debug)]
 pub struct JoinSide {
     components: bool,
@@ -273,6 +283,29 @@ pub struct JoinSide {
     group_starts: Vec<u32>,
     group_ids: Vec<u32>,
     group_slab: Vec<f64>,
+    bounds: Option<SideBounds>,
+}
+
+/// The corners of a bounded [`JoinSide`] ([`JoinSide::bounds`]).
+#[derive(Debug)]
+pub struct SideBounds {
+    width: usize,
+    group_min: Vec<f64>,
+    max: Vec<f64>,
+}
+
+impl SideBounds {
+    /// Component-wise minimum of key group `g`'s slab rows.
+    #[inline]
+    pub fn group_min(&self, g: usize) -> &[f64] {
+        &self.group_min[g * self.width..(g + 1) * self.width]
+    }
+
+    /// Component-wise maximum of the partition's slab rows.
+    #[inline]
+    pub fn max(&self) -> &[f64] {
+        &self.max
+    }
 }
 
 impl JoinSide {
@@ -303,6 +336,8 @@ impl JoinSide {
         let mut keys = Vec::with_capacity(n);
         let mut slab = Vec::with_capacity(n * width);
         let mut raw = Vec::with_capacity(width);
+        let mut max = vec![f64::NEG_INFINITY; width];
+        let mut bounded = columnar && n > 0;
         for &row in rows {
             let attrs = source.attrs_of(row as usize);
             keys.push(source.join_key_of(row as usize));
@@ -315,7 +350,12 @@ impl JoinSide {
                     separable,
                     "a mapping function is separable for some rows only"
                 );
-                slab.extend(raw.iter().zip(orders).map(|(&v, o)| o.orient(v)));
+                for ((&v, o), m) in raw.iter().zip(orders).zip(&mut max) {
+                    let v = o.orient(v);
+                    bounded &= v.is_finite();
+                    *m = m.max(v);
+                    slab.push(v);
+                }
             } else {
                 slab.extend_from_slice(attrs);
             }
@@ -330,14 +370,28 @@ impl JoinSide {
         let mut group_starts = Vec::new();
         let mut group_ids = Vec::with_capacity(n);
         let mut group_slab = Vec::with_capacity(n * width);
+        let mut group_min = Vec::new();
         for (at, &packed) in order.iter().enumerate() {
             let (key, i) = ((packed >> 32) as u32, (packed & 0xFFFF_FFFF) as usize);
-            if group_keys.last() != Some(&key) {
+            let row = &slab[i * width..(i + 1) * width];
+            let opens_group = group_keys.last() != Some(&key);
+            if opens_group {
                 group_keys.push(key);
                 group_starts.push(at as u32);
             }
             group_ids.push(ids[i]);
-            group_slab.extend_from_slice(&slab[i * width..(i + 1) * width]);
+            group_slab.extend_from_slice(row);
+            if !bounded {
+                continue;
+            }
+            if opens_group {
+                group_min.extend_from_slice(row);
+            } else {
+                let least = group_min.len() - width;
+                for (m, &v) in group_min[least..].iter_mut().zip(row) {
+                    *m = m.min(v);
+                }
+            }
         }
         group_starts.push(n as u32);
         Self {
@@ -350,6 +404,11 @@ impl JoinSide {
             group_starts,
             group_ids,
             group_slab,
+            bounds: bounded.then_some(SideBounds {
+                width,
+                group_min,
+                max,
+            }),
         }
     }
 
@@ -385,19 +444,38 @@ impl JoinSide {
         (self.ids[i], self.keys[i], values)
     }
 
-    /// The rows with join key `key`, in partition order: their result ids
-    /// and their slab rows (row-major).
+    /// The distinct join keys, ascending — one per key group, in group
+    /// order.
     #[inline]
-    pub fn group(&self, key: u32) -> Option<(&[u32], &[f64])> {
-        let g = self.group_keys.binary_search(&key).ok()?;
+    pub fn group_keys(&self) -> &[u32] {
+        &self.group_keys
+    }
+
+    /// Index of the key group holding the rows with join key `key`.
+    #[inline]
+    pub fn group_of(&self, key: u32) -> Option<usize> {
+        self.group_keys.binary_search(&key).ok()
+    }
+
+    /// The rows of key group `g`, in partition order: their result ids and
+    /// their slab rows (row-major).
+    #[inline]
+    pub fn group(&self, g: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (
             self.group_starts[g] as usize,
             self.group_starts[g + 1] as usize,
         );
-        Some((
+        (
             &self.group_ids[lo..hi],
             &self.group_slab[lo * self.width..hi * self.width],
-        ))
+        )
+    }
+
+    /// The side's corners — `None` unless it is bounded (a non-empty
+    /// component side whose every value is finite; see the type docs).
+    #[inline]
+    pub fn bounds(&self) -> Option<&SideBounds> {
+        self.bounds.as_ref()
     }
 }
 
@@ -624,6 +702,106 @@ mod tests {
                 assert_eq!(geo.linear_of(s.view().attrs_of(row as usize)), cell);
             }
         }
+    }
+
+    /// The bound the tuple-level look-ahead rests on, as `f64`s out of the
+    /// same `add_rows` that produces the rows: over random bounded sides —
+    /// subnormals, ±0, magnitudes whose sums overflow to ±∞, duplicate keys,
+    /// single-row groups, one dimension flipped by `HIGHEST` — every row
+    /// of every expansion lies between its corners, and the key's corner
+    /// below the row's.
+    #[test]
+    fn corners_bound_every_expanded_row() {
+        use progxe_skyline::{Order, Preference};
+        let mut state = 0xC0A7_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let maps = MapSet::pairwise_sum(2, Preference::new(vec![Order::Lowest, Order::Highest]));
+        let value = |next: &mut dyn FnMut(u64) -> u64| {
+            let magnitude = match next(8) {
+                0 => 0.0,
+                1 => f64::MIN_POSITIVE / 4.0,
+                2 => f64::MAX,
+                3 => f64::MAX / 2.0,
+                4 => 1e-300,
+                _ => next(1000) as f64 / 7.0,
+            };
+            if next(2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        };
+        let (mut expanded, mut overflowed) = (0usize, false);
+        for round in 0..200 {
+            let mut relation = |n: u64| {
+                let mut src = SourceData::new(2);
+                for _ in 0..1 + next(n) {
+                    let row = [value(&mut next), value(&mut next)];
+                    src.push(&row, next(5) as u32);
+                }
+                src
+            };
+            let (r, t) = (relation(12), relation(12));
+            let side = |src: &SourceData, side| {
+                let rows: Vec<u32> = (0..src.len() as u32).collect();
+                JoinSide::build(&maps, side, true, &src.view(), &rows, rows.clone())
+            };
+            let (probe, build) = (side(&r, Side::R), side(&t, Side::T));
+            let (pb, bb) = (probe.bounds().unwrap(), build.bounds().unwrap());
+            let mut upper = [0.0; 2];
+            add_rows(pb.max(), bb.max(), &mut upper);
+            for i in 0..probe.len() {
+                let (_, key, probe_row) = probe.row(i);
+                let Some(g) = build.group_of(key) else {
+                    continue;
+                };
+                let (ids, slab) = build.group(g);
+                let mut rows = vec![0.0; slab.len()];
+                add_rows(probe_row, slab, &mut rows);
+                let (mut corner, mut key_corner) = ([0.0; 2], [0.0; 2]);
+                add_rows(probe_row, bb.group_min(g), &mut corner);
+                let pg = probe.group_of(key).unwrap();
+                add_rows(pb.group_min(pg), bb.group_min(g), &mut key_corner);
+                assert_eq!(rows.len(), ids.len() * 2);
+                for row in rows.chunks_exact(2) {
+                    for j in 0..2 {
+                        let at = format!("round {round}, probe row {i}, dim {j}");
+                        assert!(key_corner[j] <= corner[j], "{at}: key corner");
+                        assert!(corner[j] <= row[j], "{at}: corner above a row");
+                        assert!(row[j] <= upper[j], "{at}: row above the upper corner");
+                        overflowed |= row[j].is_infinite();
+                    }
+                    expanded += 1;
+                }
+            }
+        }
+        assert!(expanded > 1000, "only {expanded} rows expanded");
+        assert!(overflowed, "no sum overflowed");
+    }
+
+    #[test]
+    fn non_finite_or_raw_sides_are_unbounded() {
+        use progxe_skyline::Preference;
+        let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
+        let side = |values: &[f64], columnar| {
+            let mut src = SourceData::new(1);
+            for &v in values {
+                src.push(&[v], 0);
+            }
+            let rows: Vec<u32> = (0..values.len() as u32).collect();
+            JoinSide::build(&maps, Side::R, columnar, &src.view(), &rows, rows.clone())
+        };
+        assert!(side(&[1.0, -0.0, f64::MAX], true).bounds().is_some());
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(side(&[1.0, poison, 2.0], true).bounds().is_none());
+        }
+        assert!(side(&[1.0], false).bounds().is_none(), "raw attributes");
+        assert!(side(&[], true).bounds().is_none(), "sealed empty");
     }
 
     #[test]

@@ -579,8 +579,6 @@ impl IngestInner {
 /// [`RegionCtx`](crate::tuple_level::RegionCtx).
 pub struct IngestCtx {
     maps: MapSet,
-    /// The output grid the committer's cell store is built over.
-    grid: OutputGrid,
     regions: Arc<[Region]>,
     inner: Arc<Mutex<IngestInner>>,
 }
@@ -634,7 +632,7 @@ impl IngestCtx {
         token: &CancellationToken,
     ) -> RegionBatch {
         let (rp, tp) = self.sealed_pair(rid);
-        join_batch(rid, &rp, &tp, &self.maps, &self.grid, snapshot, token)
+        join_batch(rid, &rp, &tp, &self.maps, snapshot, token)
     }
 }
 
@@ -858,7 +856,6 @@ impl IngestSession {
         }));
         let ctx = Arc::new(IngestCtx {
             maps: maps.clone(),
-            grid,
             regions,
             inner: Arc::clone(&inner),
         });

@@ -128,6 +128,11 @@ pub struct ExecStats {
     pub join_build_rows: u64,
     /// Join results produced (and mapped).
     pub join_matches: u64,
+    /// Join results the tuple-level key-group look-ahead proved dominated
+    /// from their key group's exact lower corner and never produced.
+    /// `join_matches + join_matches_skipped` is the logical match count —
+    /// what the same run produces with the look-ahead off.
+    pub join_matches_skipped: u64,
     /// Pairwise dominance tests at tuple level.
     pub dominance_tests: u64,
     /// Subset of [`ExecStats::dominance_tests`] executed through the
@@ -143,14 +148,19 @@ pub struct ExecStats {
     pub tuples_inserted: u64,
     /// Tuples rejected: dominated by a live tuple.
     pub tuples_rejected_dominated: u64,
-    /// Tuples rejected: landed in a dead cell (no comparisons needed).
+    /// Tuples rejected: landed in a dead cell (no comparisons needed). As
+    /// observed by the cell store — tuples rejected upstream of it
+    /// ([`ExecStats::tuples_prefiltered`]) are not counted, whatever their
+    /// cell.
     pub tuples_rejected_dead_cell: u64,
     /// Admitted tuples later evicted by dominating arrivals.
     pub tuples_evicted: u64,
-    /// Tuples dropped by the batch filter stage — the bounded local skyline
-    /// pre-filter plus the admitted-slab snapshot filter — before ever
-    /// reaching the cell store (batch path only: pool workers always, the
-    /// `Inline` backend when the region's join-pair bound is at or above
+    /// Tuples rejected upstream of the cell store: join matches skipped
+    /// unexpanded ([`ExecStats::join_matches_skipped`]) plus produced tuples
+    /// dropped by the batch filter stage — the bounded local skyline
+    /// pre-filter and the admitted-slab snapshot filter (batch path only:
+    /// pool workers always, the `Inline` backend when the region's
+    /// join-pair bound is at or above
     /// [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
     pub tuples_prefiltered: u64,
     /// Populated comparable cells examined across insertions (Section
@@ -256,6 +266,10 @@ impl ExecStats {
             .push("join_probes", Value::U64(self.join_probes))
             .push("join_build_rows", Value::U64(self.join_build_rows))
             .push("join_matches", Value::U64(self.join_matches))
+            .push(
+                "join_matches_skipped",
+                Value::U64(self.join_matches_skipped),
+            )
             .push("dominance_tests", Value::U64(self.dominance_tests))
             .push("cancelled", Value::Bool(self.cancelled));
         if self.dominance_pairs > 0 {
@@ -304,6 +318,13 @@ impl std::fmt::Display for ExecStats {
             self.threads_used.max(1),
             if self.threads_used > 1 { "s" } else { "" },
         )?;
+        if self.join_matches_skipped > 0 {
+            write!(
+                f,
+                " [{} more matches skipped unexpanded]",
+                self.join_matches_skipped
+            )?;
+        }
         if self.inflight_peak > 0 {
             write!(
                 f,
@@ -431,6 +452,30 @@ mod tests {
         let json = s.report().to_json();
         assert!(json.contains("\"dominance_pairs\": 8"), "{json}");
         assert!(json.contains("\"fdom_vertex_evals\": 24"), "{json}");
+    }
+
+    #[test]
+    fn display_and_report_surface_skipped_matches() {
+        let mut s = ExecStats {
+            join_matches: 40,
+            ..ExecStats::default()
+        };
+        assert!(!s.to_string().contains("skipped"), "nothing skipped");
+        s.join_matches_skipped = 960;
+        let line = s.to_string();
+        assert!(
+            line.contains("40 join matches from") && !line.contains('\n'),
+            "{line}"
+        );
+        assert!(
+            line.contains("[960 more matches skipped unexpanded]"),
+            "{line}"
+        );
+        let json = s.report().to_json();
+        assert!(
+            json.contains("\"join_matches\": 40, \"join_matches_skipped\": 960"),
+            "{json}"
+        );
     }
 
     #[test]

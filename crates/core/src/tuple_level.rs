@@ -19,6 +19,14 @@
 //! so a `take(k)` consumer or a timeout stops a huge region — even a single
 //! huge key group — mid-flight.
 //!
+//! Ahead of the expansion sits the *key-group look-ahead* — the paper's
+//! region-level look-ahead (Section III-A) one level down. Two bounded
+//! columnar sides ([`JoinSide::bounds`]) give every expansion an exact lower
+//! corner, `probe row + group minimum`, computed with the add that produces
+//! the rows; when a tuple the store already admitted (the *guard*) dominates
+//! the corner it dominates every row of the expansion, and the group is
+//! skipped unexpanded. Only the batch arrangement carries a guard.
+//!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
 //! ([`RegionCtx`] is `Send + Sync` and owns all inputs), while Algorithm 2's
@@ -27,20 +35,22 @@
 //! their own batch: a local skyline pre-filter (a one-row vectorized sweep,
 //! then a bounded window) — sound because Pareto dominance is transitive,
 //! so a tuple dominated inside its batch can never survive the shared store
-//! either — and then rejection against a dispatch-time snapshot of every
-//! tuple the store has ever admitted ([`CellStore::admitted_slab`]), which
-//! moves the bulk of `CellStore::insert`'s rejections off the serial
-//! committer.
+//! either — and then rejection against the guard: a dispatch-time snapshot
+//! of every tuple the store has ever admitted
+//! ([`CellStore::admitted_slab`]), which moves the bulk of
+//! `CellStore::insert`'s rejections off the serial committer. A rejected
+//! tuple leaves nothing behind in the store (cell death is derived from the
+//! admitted tuples, [`CellStore::cell_is_dead`]), so where it is rejected
+//! is invisible downstream.
 
-use crate::cells::CellStore;
+use crate::cells::{retain_tuples, CellStore};
 use crate::fdom::DominanceModel;
-use crate::fxhash::FxHashSet;
-use crate::grid::{add_rows, JoinSide, JoinSource};
+use crate::grid::{add_rows, JoinSide, JoinSource, SideBounds};
 use crate::lookahead::Region;
 use crate::mapping::MapSet;
-use crate::output_grid::{pack, OutputGrid};
 use crate::session::CancellationToken;
 use progxe_skyline::{kernel, PointStore};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Most join matches produced between two cancellation-token checks — the
@@ -64,16 +74,21 @@ pub struct TupleLevelStats {
     pub probes: u64,
     /// Join matches produced and mapped.
     pub matches: u64,
+    /// Join matches the key-group look-ahead proved dominated and never
+    /// expanded (the sizes of the skipped key groups); `matches + skipped`
+    /// is what the region would have produced unpruned.
+    pub skipped: u64,
     /// Rows this unit grouped by join key, being the first to join their
     /// partition (batch pipeline; streaming ingestion groups at seal time).
     pub build_rows: u64,
-    /// Pairwise dominance tests performed by the batch filter stage — the
-    /// local pre-filter plus the admitted-slab snapshot filter (0 on the
-    /// streaming path). Both run on the batched kernels, so this advances
-    /// at chunk granularity.
+    /// Pairwise dominance tests performed by the batch arrangement ahead of
+    /// the committer — the key-group look-ahead's corner tests, the local
+    /// pre-filter and the admitted-slab snapshot filter (0 on the streaming
+    /// path). All run on the batched kernels, so this advances at chunk
+    /// granularity.
     pub local_dominance_tests: u64,
-    /// Tuples dropped by the batch filter stage before reaching the
-    /// committer (0 on the streaming path).
+    /// Produced tuples dropped by the batch filter stage before reaching
+    /// the committer (0 on the streaming path).
     pub locally_pruned: u64,
     /// Vertex dot products evaluated while projecting batches into the
     /// flexible model's vertex space (0 under Pareto).
@@ -88,12 +103,24 @@ pub struct TupleLevelStats {
 /// counters and whether the region ran to completion (`false` = cancelled
 /// mid-region).
 ///
+/// `guard` holds tuples the cell store has admitted (flat, oriented, no NaN
+/// — any subset of [`CellStore::admitted_slab`]). Over two bounded sides a
+/// non-empty guard switches the key-group look-ahead on: a key whose corner
+/// `probe group minimum + build group minimum` a guard row dominates is
+/// settled for the whole region, and a probe row of a key still alive skips
+/// its group when `probe row + build group minimum` is dominated. The test
+/// is Pareto whatever the query's model (Pareto dominance implies
+/// F-dominance, and the store's live set is Pareto-maintained). Skipped
+/// matches are counted, never emitted; the streaming arrangement passes an
+/// empty guard.
+///
 /// Generic over the consumer (not `dyn`) so both arrangements — streaming
 /// insert and batch collection — keep `emit` inlinable in the hot loop.
 pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
+    guard: &[f64],
     token: &CancellationToken,
     mut emit: F,
 ) -> (TupleLevelStats, bool) {
@@ -112,13 +139,39 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     let mut raw = Vec::with_capacity(dims);
     let chunk_values = CANCEL_CHECK_INTERVAL * width;
 
+    // The look-ahead's inputs: both sides' corners, and the key verdicts.
+    let bounds = match (probe.bounds(), build.bounds()) {
+        (Some(probe_bounds), Some(build_bounds)) if !guard.is_empty() => {
+            Some((probe_bounds, build_bounds))
+        }
+        _ => None,
+    };
+    let settled = bounds.map_or_else(Vec::new, |(probe_bounds, build_bounds)| {
+        let tests = &mut stats.local_dominance_tests;
+        settle_keys(probe, probe_bounds, build, build_bounds, guard, tests)
+    });
+    let mut corner = vec![0.0f64; dims];
+
     // The token is re-read (one relaxed load) before every chunk and at the
     // end of every probe row, so a stop overshoots by at most one chunk and
     // a pre-cancelled token stops before any join work.
     let mut joined = 0usize;
     'probe: while joined < probe.len() {
         let (probe_id, key, probe_row) = probe.row(joined);
-        let (ids, slab) = build.group(key).unwrap_or_default();
+        let (mut ids, mut slab): (&[u32], &[f64]) = (&[], &[]);
+        if let Some(g) = build.group_of(key) {
+            (ids, slab) = build.group(g);
+            let dominated = bounds.is_some_and(|(_, build_bounds)| {
+                settled[g] || {
+                    add_rows(probe_row, build_bounds.group_min(g), &mut corner);
+                    kernel::any_dominates(dims, guard, &corner, &mut stats.local_dominance_tests)
+                }
+            });
+            if dominated {
+                stats.skipped += ids.len() as u64;
+                (ids, slab) = (&[], &[]);
+            }
+        }
         let mut chunks = (ids.chunks(CANCEL_CHECK_INTERVAL)).zip(slab.chunks(chunk_values));
         loop {
             if token.is_cancelled() {
@@ -164,6 +217,68 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     (stats, joined == probe.len())
 }
 
+/// The key level of the look-ahead, once per work unit: for every join key
+/// both sides hold (one merge of the two ascending key tables), whether a
+/// `guard` row dominates `probe group minimum + build group minimum` — the
+/// lower corner of everything the key produces in this region. Indexed by
+/// build group.
+fn settle_keys(
+    probe: &JoinSide,
+    probe_bounds: &SideBounds,
+    build: &JoinSide,
+    build_bounds: &SideBounds,
+    guard: &[f64],
+    tests: &mut u64,
+) -> Vec<bool> {
+    let (probe_keys, build_keys) = (probe.group_keys(), build.group_keys());
+    let mut settled = vec![false; build_keys.len()];
+    let mut corner = vec![0.0f64; probe.width()];
+    let (mut p, mut b) = (0, 0);
+    while p < probe_keys.len() && b < build_keys.len() {
+        match probe_keys[p].cmp(&build_keys[b]) {
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => b += 1,
+            std::cmp::Ordering::Equal => {
+                add_rows(
+                    probe_bounds.group_min(p),
+                    build_bounds.group_min(b),
+                    &mut corner,
+                );
+                settled[b] = kernel::any_dominates(corner.len(), guard, &corner, tests);
+                p += 1;
+                b += 1;
+            }
+        }
+    }
+    settled
+}
+
+/// The guard of one work unit: the rows of `snapshot` (a prefix of
+/// [`CellStore::admitted_slab`]) that can dominate anything the region
+/// produces. Over two bounded sides those are the rows `⪯ r.max + t.max` —
+/// an exact upper corner of the region's rounded outputs, by the same
+/// monotone add as the lower ones — ordered by coordinate sum so the
+/// early-exit kernel meets the likeliest dominators first. Otherwise the
+/// snapshot as it is.
+fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a [f64]) -> Cow<'a, [f64]> {
+    let (Some(r_bounds), Some(t_bounds)) = (r.bounds(), t.bounds()) else {
+        return Cow::Borrowed(snapshot);
+    };
+    let mut upper = vec![0.0f64; r.width()];
+    add_rows(r_bounds.max(), t_bounds.max(), &mut upper);
+    let mut picked: Vec<(f64, &[f64])> = snapshot
+        .chunks_exact(upper.len())
+        .filter(|row| row.iter().zip(&upper).all(|(v, u)| v <= u))
+        .map(|row| (row.iter().sum(), row))
+        .collect();
+    picked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut guard = Vec::with_capacity(picked.len() * upper.len());
+    for (_, row) in picked {
+        guard.extend_from_slice(row);
+    }
+    Cow::Owned(guard)
+}
+
 /// Streaming arrangement: joins one prepared partition pair, maps the
 /// matches, and inserts them directly into the shared cell store. Returns
 /// the work counters and whether the region completed (`false` = cancelled
@@ -177,7 +292,7 @@ pub(crate) fn join_into_store(
     token: &CancellationToken,
 ) -> (TupleLevelStats, bool) {
     let dims = maps.out_dims();
-    join_region(r, t, maps, token, |pairs, rows| {
+    join_region(r, t, maps, &[], token, |pairs, rows| {
         for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
             store.insert(r_id, t_id, row);
         }
@@ -185,40 +300,38 @@ pub(crate) fn join_into_store(
 }
 
 /// Batch arrangement — one pure, parallelizable work unit: join + map +
-/// orient the prepared partition pair of region `rid`, pre-filter the batch
-/// down to its local skyline, and drop every survivor dominated by
-/// `snapshot`, a prefix of the cell store's
+/// orient the prepared partition pair of region `rid` behind the key-group
+/// look-ahead, pre-filter the batch down to its local skyline, and drop
+/// every survivor dominated by the unit's guard — what `region_guard` keeps
+/// of `snapshot`, a prefix of the cell store's
 /// [`admitted_slab`](CellStore::admitted_slab) (empty = no upstream
-/// rejection). Both filters only drop tuples the committer's cell store
-/// would reject anyway. A cancelled join is passed through unfiltered and
-/// flagged `completed == false` — it must be discarded whole.
+/// rejection). All three only drop tuples the committer's cell store would
+/// reject anyway. A cancelled join is passed through unfiltered and flagged
+/// `completed == false` — it must be discarded whole.
 pub(crate) fn join_batch(
     rid: u32,
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
-    grid: &OutputGrid,
     snapshot: &[f64],
     token: &CancellationToken,
 ) -> RegionBatch {
     let started = Instant::now();
     let mut ids: Vec<(u32, u32)> = Vec::new();
     let mut points = PointStore::new(maps.out_dims());
-    let (mut stats, completed) = join_region(r, t, maps, token, |pairs, rows| {
+    let guard = region_guard(r, t, snapshot);
+    let (mut stats, completed) = join_region(r, t, maps, &guard, token, |pairs, rows| {
         ids.extend_from_slice(pairs);
         points.extend_from_flat(rows);
     });
-    let rejected_cells = if completed {
+    if completed {
         local_skyline_filter(&mut ids, &mut points, maps.dominance(), &mut stats);
-        snapshot_filter(&mut ids, &mut points, snapshot, grid, &mut stats)
-    } else {
-        Vec::new()
-    };
+        snapshot_filter(&mut ids, &mut points, &guard, &mut stats);
+    }
     RegionBatch {
         rid,
         ids,
         points,
-        rejected_cells,
         stats,
         completed,
         compute_time: started.elapsed(),
@@ -240,8 +353,6 @@ pub struct RegionCtx {
     /// Push-through survivors of either source; result ids are their rows.
     r: JoinSource,
     t: JoinSource,
-    /// The output grid the committer's cell store is built over.
-    out_grid: OutputGrid,
     /// Shared with the committer (which owns the schedule over the same
     /// region vector) — an `Arc` slice so neither side copies it.
     regions: std::sync::Arc<[Region]>,
@@ -254,7 +365,6 @@ impl RegionCtx {
         maps: MapSet,
         r: JoinSource,
         t: JoinSource,
-        out_grid: OutputGrid,
         regions: std::sync::Arc<[Region]>,
     ) -> Self {
         Self {
@@ -262,7 +372,6 @@ impl RegionCtx {
             maps,
             r,
             t,
-            out_grid,
             regions,
         }
     }
@@ -307,7 +416,7 @@ impl RegionCtx {
     pub fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
         let started = Instant::now();
         let (r, t, built) = self.sides(rid);
-        let mut batch = join_batch(rid, r, t, &self.maps, &self.out_grid, snapshot, token);
+        let mut batch = join_batch(rid, r, t, &self.maps, snapshot, token);
         // The unit's time includes preparing its partitions when it is the
         // first to join them.
         batch.compute_time = started.elapsed();
@@ -327,16 +436,6 @@ pub struct RegionBatch {
     pub ids: Vec<(u32, u32)>,
     /// Oriented output values, parallel to `ids`.
     pub points: PointStore,
-    /// Where the snapshot filter rejected tuples: `(i, cell key)` means a
-    /// tuple of that output cell ([`pack`]ed coordinate) was dropped just
-    /// before survivor `i` (ascending `i`; `ids.len()` = after the last).
-    /// The committer replays these through
-    /// [`CellStore::insert_batch`] at the same point of the
-    /// insert sequence, so the store's lazily discovered dead cells — and
-    /// with them what the benefit model reads and the `cells_killed` /
-    /// `tuples_rejected_dead_cell` counters — are exactly what they would
-    /// be had the committer rejected the tuples itself.
-    pub rejected_cells: Vec<(u32, u128)>,
     /// Work counters of the unit.
     pub stats: TupleLevelStats,
     /// Whether the join ran to completion. `false` means the token fired
@@ -355,7 +454,6 @@ impl RegionBatch {
             rid,
             ids: Vec::new(),
             points: PointStore::new(dims.max(1)),
-            rejected_cells: Vec::new(),
             stats: TupleLevelStats::default(),
             completed: false,
             compute_time: Duration::ZERO,
@@ -363,52 +461,32 @@ impl RegionBatch {
     }
 }
 
-/// Drops every tuple Pareto-dominated by a row of `snapshot` (flat,
-/// oriented, `points.dims()` values per row), preserving order. Pareto is
-/// the right relation under any model: the slab records what the store —
-/// which maintains its live set under Pareto — admitted, and Pareto
-/// dominance implies F-dominance. Tuples with a NaN coordinate are passed
-/// through untested (NaN-as-tie dominance is not transitive; the slab
-/// holds no such rows either), so the relation applied here is a strict
-/// partial order and the soundness argument on
-/// [`CellStore::admitted_slab`] holds.
-///
-/// Returns the output cell of every dropped tuple, positioned between the
-/// survivors ([`RegionBatch::rejected_cells`]) and deduplicated per gap —
-/// the store's state only changes when a survivor is inserted.
+/// Drops every tuple Pareto-dominated by a row of `guard` (flat, oriented,
+/// `points.dims()` values per row), preserving order. Pareto is the right
+/// relation under any model: the slab records what the store — which
+/// maintains its live set under Pareto — admitted, and Pareto dominance
+/// implies F-dominance. Tuples with a NaN coordinate are passed through
+/// untested (NaN-as-tie dominance is not transitive; the slab holds no such
+/// rows either), so the relation applied here is a strict partial order and
+/// the soundness argument on [`CellStore::admitted_slab`] holds.
 fn snapshot_filter(
     ids: &mut Vec<(u32, u32)>,
     points: &mut PointStore,
-    snapshot: &[f64],
-    grid: &OutputGrid,
+    guard: &[f64],
     stats: &mut TupleLevelStats,
-) -> Vec<(u32, u128)> {
-    let mut rejected_cells = Vec::new();
-    if snapshot.is_empty() || ids.is_empty() {
-        return rejected_cells;
+) {
+    if guard.is_empty() || ids.is_empty() {
+        return;
     }
     let dims = points.dims();
-    let mut keep = vec![true; ids.len()];
-    let mut survivors = 0u32;
-    let mut gap_cells: FxHashSet<u128> = FxHashSet::default();
-    for (k, p) in keep.iter_mut().zip(points.iter()) {
-        if !p.iter().any(|v| v.is_nan())
-            && kernel::any_dominates(dims, snapshot, p, &mut stats.local_dominance_tests)
-        {
-            *k = false;
-            let cell = pack(&grid.cell_of(p));
-            if gap_cells.insert(cell) {
-                rejected_cells.push((survivors, cell));
-            }
-        } else {
-            survivors += 1;
-            if !gap_cells.is_empty() {
-                gap_cells.clear();
-            }
-        }
-    }
+    let keep: Vec<bool> = points
+        .iter()
+        .map(|p| {
+            p.iter().any(|v| v.is_nan())
+                || !kernel::any_dominates(dims, guard, p, &mut stats.local_dominance_tests)
+        })
+        .collect();
     retain_kept(ids, points, &keep, stats);
-    rejected_cells
 }
 
 /// Compacts a batch down to the rows flagged in `keep`, in place and
@@ -423,9 +501,7 @@ fn retain_kept(
     if survivors == keep.len() {
         return;
     }
-    let mut flags = keep.iter();
-    ids.retain(|_| *flags.next().expect("one flag per tuple"));
-    points.compact(keep);
+    retain_tuples(ids, points, keep);
     stats.locally_pruned += (keep.len() - survivors) as u64;
 }
 
@@ -654,13 +730,20 @@ mod tests {
         assert!(!completed);
         assert_eq!(stats.matches, 0);
         assert_eq!(store.live_tuples(), 0);
+        // The batch arrangement selects its guard and settles keys before
+        // the first probe row: a token that fired by then still stops the
+        // unit before anything is expanded.
+        let batch = join_batch(0, &rp, &tp, &maps, &[-1.0], &token);
+        assert!(!batch.completed);
+        assert_eq!((batch.stats.matches, batch.ids.len()), (0, 0));
     }
 
     /// One key group of 224 × 224 ≈ 50k matches, the token fired by the
     /// consumer on the first chunk it sees: the columnar producer stops
     /// within `CANCEL_CHECK_INTERVAL` work items instead of finishing the
     /// group (`tests/parallel.rs` cancels the per-match one from inside a
-    /// map).
+    /// map) — with the look-ahead off, and with a guard that leaves the key
+    /// alive and would skip the later probe rows.
     #[test]
     fn mid_group_cancel_stops_within_the_check_interval() {
         let mut src = SourceData::new(1);
@@ -669,17 +752,24 @@ mod tests {
         }
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let (rp, tp) = partitions(&src, &src, &maps);
+        for guard in [&[][..], &[100.5]] {
+            let token = CancellationToken::new();
+            let mut seen = 0usize;
+            let (stats, completed) = join_region(&rp, &tp, &maps, guard, &token, |pairs, rows| {
+                assert_eq!(pairs.len(), rows.len());
+                seen += pairs.len();
+                token.cancel();
+            });
+            assert!(!completed);
+            assert!(seen > 0 && seen <= CANCEL_CHECK_INTERVAL, "{seen} matches");
+            assert_eq!((stats.matches, stats.skipped), (seen as u64, 0));
+            assert!(stats.pairs_examined < 224 * 224, "partial work only");
+        }
+        // Run to the end, that guard skips every probe row above 100.
         let token = CancellationToken::new();
-        let mut seen = 0usize;
-        let (stats, completed) = join_region(&rp, &tp, &maps, &token, |pairs, rows| {
-            assert_eq!(pairs.len(), rows.len());
-            seen += pairs.len();
-            token.cancel();
-        });
-        assert!(!completed);
-        assert!(seen > 0 && seen <= CANCEL_CHECK_INTERVAL, "{seen} matches");
-        assert_eq!(stats.matches, seen as u64);
-        assert!(stats.pairs_examined < 224 * 224, "partial work only");
+        let (stats, completed) = join_region(&rp, &tp, &maps, &[100.5], &token, |_, _| {});
+        assert!(completed);
+        assert_eq!((stats.matches, stats.skipped), (101 * 224, 123 * 224));
     }
 
     /// Random batches with ties, duplicated minima and ±∞: the champion
@@ -757,16 +847,31 @@ mod tests {
         assert_eq!(ids.len(), 2, "equal tuples are incomparable");
     }
 
+    /// Every cell's live tuples (in order) and derived death — all of a
+    /// store's state that anything downstream of the committer reads.
+    fn assert_same_cells(plain: &CellStore, filtered: &CellStore, at: &str) {
+        for ((i, a), (_, b)) in plain.iter().zip(filtered.iter()) {
+            let at = format!("{at}, cell {:?}", &a.coord()[..plain.grid().dims()]);
+            assert_eq!(a.ids(), b.ids(), "{at}: live tuples");
+            assert_eq!(
+                plain.cell_is_dead(i),
+                filtered.cell_is_dead(i),
+                "{at}: dead"
+            );
+        }
+    }
+
     /// The store-level contract of upstream rejection: filtering each batch
     /// against the slab as it stood before the batch, then inserting the
-    /// survivors with the rejected cells replayed, leaves the store in
-    /// *exactly* the state plain insertion of the whole batch does — live
-    /// tuples in the same per-cell order, the same cells dead — with NaN
-    /// and ±∞ coordinates in the mix. NaN-as-tie dominance is not
+    /// survivors, leaves every cell holding the live tuples, in the order,
+    /// plain insertion of the whole batch does, and the same cells dead
+    /// ([`CellStore::cell_is_dead`]; the *flags* differ — a rejected tuple
+    /// that never reaches the store cannot memoize its cell's death) — with
+    /// NaN and ±∞ coordinates in the mix. NaN-as-tie dominance is not
     /// transitive, so NaN rows must stay out of the slab and NaN candidates
     /// must pass through untested; without either guard this diverges.
     #[test]
-    fn upstream_rejection_with_replay_equals_store_side_rejection() {
+    fn upstream_rejection_equals_store_side_rejection() {
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
         let mut plain = tracked_store(grid.clone());
         let mut filtered = tracked_store(grid.clone());
@@ -795,15 +900,13 @@ mod tests {
                 plain.insert(r, t, points.point(i));
             }
             let snapshot = filtered.admitted_slab().to_vec();
-            let rejected = snapshot_filter(&mut ids, &mut points, &snapshot, &grid, &mut stats);
-            filtered.insert_batch(&ids, &points, &rejected);
-
-            for ((_, a), (_, b)) in plain.iter().zip(filtered.iter()) {
-                let at = format!("batch {batch}, cell {:?}", &a.coord()[..2]);
-                assert_eq!(a.is_dead(), b.is_dead(), "{at}: dead flag");
-                assert_eq!(a.ids(), b.ids(), "{at}: live tuples");
-                nan_admitted |= a.points().raw().iter().any(|v| v.is_nan());
+            snapshot_filter(&mut ids, &mut points, &snapshot, &mut stats);
+            for (i, &(r, t)) in ids.iter().enumerate() {
+                filtered.insert(r, t, points.point(i));
             }
+            assert_same_cells(&plain, &filtered, &format!("batch {batch}"));
+            nan_admitted |=
+                (plain.iter()).any(|(_, c)| c.points().raw().iter().any(|v| v.is_nan()));
         }
         assert!(stats.locally_pruned > 200, "filter barely fired");
         assert!(nan_admitted, "no NaN tuple was ever admitted");
@@ -813,6 +916,141 @@ mod tests {
             plain.stats().tuples_inserted,
             filtered.stats().tuples_inserted
         );
+    }
+
+    /// A relation of `n` random rows over `[lo, lo + 10)²` with 4 join keys.
+    fn random_relation(n: usize, lo: f64, state: &mut u64) -> SourceData {
+        let mut next = || {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *state >> 33
+        };
+        let mut src = SourceData::new(2);
+        for _ in 0..n {
+            let row = [lo, lo].map(|lo| lo + (next() % 1000) as f64 / 100.0);
+            src.push(&row, (next() % 4) as u32);
+        }
+        src
+    }
+
+    /// The same contract one level up, for the key-group look-ahead:
+    /// committing `join_batch`'s output — pruned against the store's own
+    /// slab as it stood before the unit, locally filtered, snapshot
+    /// filtered — leaves every cell exactly as streaming the region's every
+    /// match into the store does. The streaming side admits transient
+    /// tuples the batch side never sees; eviction is order-stable, so they
+    /// leave nothing behind. Skipped and produced matches add up to the
+    /// streaming arrangement's.
+    #[test]
+    fn pruned_batches_commit_to_the_same_cells_as_streamed_regions() {
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        // Coarse cells, so a transient's eviction has neighbours to permute.
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![40.0, 40.0], 4);
+        let mut streamed = tracked_store(grid.clone());
+        let mut batched = tracked_store(grid);
+        let mut state = 0x5EED_u64;
+        let token = CancellationToken::new();
+        let sides: Vec<(JoinSide, JoinSide)> = [0.0, 10.0, 5.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &lo)| {
+                let r = random_relation(60 + 20 * i, lo, &mut state);
+                let t = random_relation(50, lo, &mut state);
+                partitions(&r, &t, &maps)
+            })
+            .collect();
+        let mut skipped = 0u64;
+        // Worst corner first, so later regions meet a guard that matters.
+        for (rid, (ri, ti)) in [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0), (0, 0)]
+            .into_iter()
+            .enumerate()
+        {
+            let (rp, tp) = (&sides[ri].0, &sides[ti].1);
+            let (plain, completed) = join_into_store(rp, tp, &maps, &mut streamed, &token);
+            assert!(completed);
+            let snapshot = batched.admitted_slab().to_vec();
+            let batch = join_batch(rid as u32, rp, tp, &maps, &snapshot, &token);
+            assert!(batch.completed);
+            assert_eq!(plain.matches, batch.stats.matches + batch.stats.skipped);
+            skipped += batch.stats.skipped;
+            for (&(r, t), point) in batch.ids.iter().zip(batch.points.iter()) {
+                batched.insert(r, t, point);
+            }
+            assert_same_cells(&streamed, &batched, &format!("region {rid}"));
+        }
+        assert!(skipped > 0, "the look-ahead never fired");
+        assert!(
+            streamed.stats().tuples_inserted > batched.stats().tuples_inserted,
+            "no transient tuple put eviction order to the test"
+        );
+    }
+
+    /// Sides holding a NaN, a `+∞` or a `−∞` component — the `−∞ + ∞`
+    /// pairing included, whose row is NaN behind a finite-looking corner —
+    /// are unbounded: the look-ahead stays off and the batch is, bit for
+    /// bit, join + local filter + snapshot filter.
+    #[test]
+    fn non_finite_sides_are_never_pruned() {
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let token = CancellationToken::new();
+        // Dominates every finite corner: whatever may be pruned, is.
+        let snapshot = [-f64::MAX, -f64::MAX];
+        let bits = |batch: &RegionBatch| -> Vec<u64> {
+            batch.points.raw().iter().map(|v| v.to_bits()).collect()
+        };
+        for (r_poison, t_poison) in [
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::NEG_INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (1.0, 1.0),
+        ] {
+            let mut state = 0xBAD_u64;
+            let (mut r, mut t) = (
+                random_relation(40, 0.0, &mut state),
+                random_relation(30, 0.0, &mut state),
+            );
+            r.push(&[r_poison, 2.0], 1);
+            t.push(&[t_poison, 3.0], 1);
+            let (rp, tp) = partitions(&r, &t, &maps);
+            let batch = join_batch(0, &rp, &tp, &maps, &snapshot, &token);
+
+            let label = format!("poison ({r_poison}, {t_poison})");
+            if r_poison.is_finite() && t_poison.is_finite() {
+                // The control: bounded sides, everything skipped.
+                assert_eq!(batch.stats.matches, 0, "{label}");
+                assert!(batch.stats.skipped > 0 && batch.ids.is_empty(), "{label}");
+                continue;
+            }
+            let mut reference = RegionBatch::aborted(0, 2);
+            let (mut stats, completed) =
+                join_region(&rp, &tp, &maps, &[], &token, |pairs, rows| {
+                    reference.ids.extend_from_slice(pairs);
+                    reference.points.extend_from_flat(rows);
+                });
+            assert!(completed);
+            local_skyline_filter(
+                &mut reference.ids,
+                &mut reference.points,
+                maps.dominance(),
+                &mut stats,
+            );
+            snapshot_filter(
+                &mut reference.ids,
+                &mut reference.points,
+                &snapshot,
+                &mut stats,
+            );
+            assert_eq!(batch.stats.skipped, 0, "{label}");
+            assert_eq!(batch.stats.matches, stats.matches, "{label}");
+            assert_eq!(batch.ids, reference.ids, "{label}");
+            assert_eq!(bits(&batch), bits(&reference), "{label}");
+            if r_poison == f64::NEG_INFINITY {
+                let nan_rows = batch.points.iter().filter(|p| p[0].is_nan()).count();
+                assert_eq!(nan_rows, 1, "{label}: the −∞ + ∞ row passes untested");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use progxe::core::driver::{ExecutorBackend, RegionDriver, TaskSpawner};
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::SmjWorkload;
+use progxe::obs::{EventKind, Recorder, RingRecorder, Span};
 use progxe::runtime::EngineRuntime;
 use std::sync::Arc;
 
@@ -55,10 +56,55 @@ pub fn batch_stream(
     backend: ExecutorBackend,
     snapshot_filter: bool,
 ) -> (Stream, ExecStats) {
+    traced_batch_stream(config, w, maps, backend, snapshot_filter, None)
+}
+
+/// [`batch_stream`] under a recorder, additionally returning the region
+/// commit order: the `region_id` of every `commit` span, in trace order.
+pub fn batch_stream_commits(
+    config: &ProgXeConfig,
+    w: &SmjWorkload,
+    maps: &MapSet,
+    backend: ExecutorBackend,
+    snapshot_filter: bool,
+) -> (Stream, ExecStats, Vec<u64>) {
+    let ring = Arc::new(RingRecorder::with_capacity(1 << 20));
+    let (stream, stats) = traced_batch_stream(
+        config,
+        w,
+        maps,
+        backend,
+        snapshot_filter,
+        Some(ring.clone()),
+    );
+    assert_eq!(ring.dropped(), 0, "ring too small for the run");
+    let commits = ring
+        .drain()
+        .into_iter()
+        .filter_map(|event| match event.kind {
+            EventKind::SpanBegin {
+                span: Span::Commit { region_id },
+                ..
+            } => Some(region_id),
+            _ => None,
+        })
+        .collect();
+    (stream, stats, commits)
+}
+
+fn traced_batch_stream(
+    config: &ProgXeConfig,
+    w: &SmjWorkload,
+    maps: &MapSet,
+    backend: ExecutorBackend,
+    snapshot_filter: bool,
+    ring: Option<Arc<RingRecorder>>,
+) -> (Stream, ExecStats) {
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
     let token = CancellationToken::new();
     let prep = ProgXe::new(config.clone())
+        .with_recorder_opt(ring.map(|ring| ring as Arc<dyn Recorder>))
         .prepare(&r, &t, maps, token.clone())
         .expect("valid configuration");
     let mut driver = RegionDriver::new(prep, token.clone(), backend, config.prefilter_min_pairs);

@@ -3,17 +3,19 @@
 //! path of `tuple_level` / `ingest`).
 //!
 //! Contract under test: handing work units the slab snapshot moves *where*
-//! a dominated tuple is rejected — on the worker instead of inside
-//! `CellStore::insert` on the ordered committer — and nothing else. The
-//! `ResultEvent` sequence (ids, value bits, order, batch boundaries) is
-//! identical with the filter on and off, for Pareto and flexible models,
-//! closed relations and streaming ingestion, `Inline` and `Pooled`; and
-//! non-finite mapped values neither panic nor prune anything the store
-//! would have admitted.
+//! a dominated tuple is rejected — on the worker, most of them before their
+//! key group is even expanded (the key-group look-ahead shares the guard),
+//! instead of inside `CellStore::insert` on the ordered committer — and
+//! nothing else. The `ResultEvent` sequence (ids, value bits, order, batch
+//! boundaries) is identical with the filter on and off, for Pareto and
+//! flexible models, closed relations and streaming ingestion, `Inline` and
+//! `Pooled`, and across the streaming and batch arrangements; the region
+//! commit order does not move either; and non-finite mapped values neither
+//! panic nor prune anything the store would have admitted.
 
 mod common;
 
-use common::{backend, batch_stream, ingest_stream};
+use common::{backend, batch_stream, batch_stream_commits, ingest_stream};
 use progxe::core::config::OrderingPolicy;
 use progxe::core::ingest::StreamSpec;
 use progxe::core::mapping::{GeneralMap, MappingFunction};
@@ -96,13 +98,8 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
                             on_stats.tuples_prefiltered >= off_stats.tuples_prefiltered,
                             "{label}: the filter can only add to the pre-filter count"
                         );
-                        assert!(
-                            on_stats.tuples_inserted == off_stats.tuples_inserted,
-                            "{label}: admits differ ({} vs {}) — the filter dropped \
-                             something the store would have admitted",
-                            on_stats.tuples_inserted,
-                            off_stats.tuples_inserted
-                        );
+                        assert_admits(&on_stats, &off_stats, model, &label);
+                        assert_matches_conserved(&on_stats, &off_stats, &label);
                         filtered_somewhere |=
                             on_stats.tuples_prefiltered > off_stats.tuples_prefiltered;
                     }
@@ -111,6 +108,56 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
         }
     }
     assert!(filtered_somewhere, "the snapshot filter never fired");
+
+    // At a size where key groups are worth skipping, most of them are.
+    let w = WorkloadSpec::new(2_000, 3, Distribution::AntiCorrelated, 0.1)
+        .with_seed(5)
+        .generate();
+    let config = ProgXeConfig::default().with_prefilter_min_pairs(0);
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    let (on, on_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), true);
+    let (off, off_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), false);
+    assert_eq!(on, off, "d=3 N=2000: event stream moved");
+    assert_admits(&on_stats, &off_stats, "pareto", "d=3 N=2000");
+    assert_matches_conserved(&on_stats, &off_stats, "d=3 N=2000");
+    assert!(
+        on_stats.join_matches_skipped > off_stats.join_matches / 2,
+        "only {} of {} matches skipped unexpanded",
+        on_stats.join_matches_skipped,
+        off_stats.join_matches
+    );
+}
+
+/// Admits with the guard on against the reference arrangement. Equal under
+/// Pareto: the look-ahead and the snapshot filter drop what the store would
+/// have rejected. Under a flexible model the local filter drops by
+/// F-dominance but the guard tests by Pareto, so a row that used to be
+/// F-dropped thanks to a batch-mate the look-ahead now skips can reach the
+/// store — where `filter_emitted` removes it before emission.
+fn assert_admits(on: &ExecStats, off: &ExecStats, model: &str, label: &str) {
+    let (on, off) = (on.tuples_inserted, off.tuples_inserted);
+    let holds = if model == "pareto" {
+        on == off
+    } else {
+        on >= off
+    };
+    assert!(
+        holds,
+        "{label}: admits differ ({on} vs {off}) — the guard dropped something \
+         the store would have admitted"
+    );
+}
+
+/// Produced + skipped matches with the guard on are exactly the matches the
+/// reference arrangement produces, and only the guard skips.
+fn assert_matches_conserved(on: &ExecStats, off: &ExecStats, label: &str) {
+    assert_eq!(off.join_matches_skipped, 0, "{label}: skipped unguarded");
+    assert_eq!(
+        on.join_matches + on.join_matches_skipped,
+        off.join_matches,
+        "{label}: matches not conserved"
+    );
+    assert!(on.tuples_prefiltered >= on.join_matches_skipped, "{label}");
 }
 
 /// Streaming ingestion: the same invariance on the readiness-gated path
@@ -151,7 +198,8 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
                     );
                     assert!(!on.is_empty(), "{label}: nothing emitted");
                     assert_eq!(on, off, "{label} threads={threads}: event stream moved");
-                    assert_eq!(on_stats.tuples_inserted, off_stats.tuples_inserted);
+                    assert_admits(&on_stats, &off_stats, model, &label);
+                    assert_matches_conserved(&on_stats, &off_stats, &label);
                     if threads == 1 {
                         // Inline ingest regions always stream-insert: the
                         // filter has no batch to run on and costs nothing.
@@ -206,6 +254,104 @@ fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
     assert!(
         multi_cell_events > 0,
         "no event had an order to disagree on"
+    );
+}
+
+/// The arrangement matrix: Inline streaming, Inline batch, Inline at the
+/// default `prefilter_min_pairs`, Pooled(2) at the default and Pooled(2)
+/// batch emit one `Stream`, bit for bit, on 90 inputs. The arrangements
+/// differ in which dominated tuples reach the store at all — the streaming
+/// insert admits *transient* tuples (admitted, evicted before their region
+/// resolves) that a batch's local filter or look-ahead drops upstream — and
+/// a cell's tuple order is the admission order of its live tuples, so what
+/// came and went leaves no trace. With eviction replayed as `swap_remove`s
+/// (before the key-group look-ahead PR) Inline streaming ≠ Inline batch on
+/// 16 of these inputs, and Inline ≠ Pooled(2) at the default gate on d = 4
+/// AntiCorrelated seed 3.
+#[test]
+fn every_arrangement_emits_the_same_stream() {
+    let runtime = EngineRuntime::new(2);
+    let mut transient_somewhere = false;
+    for (dims, n, sigma) in [(2usize, 600usize, 0.03), (3, 500, 0.04), (4, 400, 0.06)] {
+        let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
+        let config = ProgXeConfig::default()
+            .with_input_partitions(if dims == 2 { 3 } else { 2 })
+            .with_output_cells([24, 16, 8][dims - 2]);
+        let default_gate = config.prefilter_min_pairs;
+        for dist in [
+            Distribution::Correlated,
+            Distribution::Independent,
+            Distribution::AntiCorrelated,
+        ] {
+            for seed in [1u64, 2, 3, 5, 7, 11, 13, 21, 34, 88] {
+                let w = WorkloadSpec::new(n, dims, dist, sigma)
+                    .with_seed(seed)
+                    .generate();
+                let run = |gate: usize, threads: usize| {
+                    let config = config.clone().with_prefilter_min_pairs(gate);
+                    batch_stream(&config, &w, &maps, backend(&runtime, threads), true)
+                };
+                let (streaming, streaming_stats) = run(usize::MAX, 1);
+                assert!(!streaming.is_empty(), "d={dims} {dist:?} seed={seed}");
+                for (name, gate, threads) in [
+                    ("inline batch", 0, 1),
+                    ("inline default", default_gate, 1),
+                    ("pooled default", default_gate, 2),
+                    ("pooled batch", 0, 2),
+                ] {
+                    let (stream, stats) = run(gate, threads);
+                    assert_eq!(
+                        streaming, stream,
+                        "d={dims} {dist:?} seed={seed}: {name} ≠ inline streaming"
+                    );
+                    transient_somewhere |= streaming_stats.tuples_inserted > stats.tuples_inserted;
+                }
+            }
+        }
+    }
+    assert!(
+        transient_somewhere,
+        "no transient tuple: the matrix compared nothing"
+    );
+}
+
+/// The guard does not move the *schedule* either. On a grid fine enough for
+/// the EL-graph to have roots, ProgOrder ranks regions by `ProgCount`, which
+/// skips dead cells; with death derived from the admitted tuples
+/// (`CellStore::cell_is_dead`) rather than discovered by whichever rejected
+/// tuple reaches the store, the region commit order — the `commit` spans of
+/// a recorder — is the same with upstream rejection on and off.
+#[test]
+fn region_commit_order_does_not_observe_the_guard() {
+    let runtime = EngineRuntime::new(2);
+    let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+    let config = ProgXeConfig::default()
+        .with_prefilter_min_pairs(0)
+        .with_input_partitions(16)
+        .with_output_cells(400);
+    let mut rooted = false;
+    for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
+        for seed in [5u64, 1701] {
+            let w = WorkloadSpec::new(600, 2, dist, 0.03)
+                .with_seed(seed)
+                .generate();
+            for threads in [1usize, 2] {
+                let label = format!("{dist:?} seed={seed} threads={threads}");
+                let (on, on_stats, on_commits) =
+                    batch_stream_commits(&config, &w, &maps, backend(&runtime, threads), true);
+                let (off, _, off_commits) =
+                    batch_stream_commits(&config, &w, &maps, backend(&runtime, threads), false);
+                assert_eq!(on, off, "{label}: event stream moved");
+                assert!(on_commits.len() > 10, "{label}: too few commits");
+                assert_eq!(on_commits, off_commits, "{label}: commit order moved");
+                assert!(on_stats.tuples_prefiltered > 0, "{label}: guard idle");
+                rooted |= on_stats.ordering_fallbacks + 1 < on_stats.regions_created;
+            }
+        }
+    }
+    assert!(
+        rooted,
+        "every pop was a root-free fallback: ranks were inert"
     );
 }
 
