@@ -1438,7 +1438,7 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
 
         for (idx, _) in store.iter() {
             assert_eq!(
-                det.blockers_of(idx),
+                det.blockers_of(&store, idx),
                 naive[idx as usize],
                 "regions={n_regions}: kd-tree count diverged from naive on cell {idx}"
             );

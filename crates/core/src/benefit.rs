@@ -48,7 +48,7 @@ pub fn prog_count(region: &Region, store: &CellStore, det: &ProgDetermine, visit
             return count * volume / visited.max(1);
         }
         if let Some(idx) = store.find(&coord) {
-            if det.blockers_of(idx) == 1
+            if det.blockers_of(store, idx) == 1
                 && !store.cell(idx).is_emitted()
                 && !store.cell_is_dead(idx)
             {
@@ -170,6 +170,63 @@ mod tests {
         assert!(store.insert(0, 0, &[1.5, 1.5]));
         assert_eq!(store.stats().cells_killed, 0);
         assert_eq!(prog_count(&a, &store, &det, u64::MAX), 12);
+    }
+
+    /// `ProgCount` read through the store's dense table and through the
+    /// hash arm (blocker counts on the matching `ProgDetermine` arm): the
+    /// same number for every region, exact and extrapolated, before and
+    /// after tuples populate and kill cells.
+    #[test]
+    fn prog_count_agrees_across_index_arms() {
+        use crate::fdom::DominanceModel;
+        let mut x: u64 = 0xA4A5;
+        let mut next = |m: u64| -> u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        let regions: Vec<Region> = (0..12)
+            .map(|id| {
+                let lo = (next(8) as u16, next(8) as u16);
+                region(id, lo, (lo.0 + next(3) as u16, lo.1 + next(3) as u16))
+            })
+            .collect();
+        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
+        let mut stores = [
+            CellStore::new(grid.clone()),
+            CellStore::build(grid, DominanceModel::Pareto, None),
+        ];
+        for store in &mut stores {
+            for r in &regions {
+                store.track_box(&r.cell_lo, &r.cell_hi);
+            }
+        }
+        let dets = [
+            ProgDetermine::new(&stores[0], &regions),
+            ProgDetermine::new(&stores[1], &regions),
+        ];
+        let mut nonzero = 0;
+        for round in 0..6u32 {
+            for r in &regions {
+                for cap in [u64::MAX, 3] {
+                    let dense = prog_count(r, &stores[0], &dets[0], cap);
+                    let sparse = prog_count(r, &stores[1], &dets[1], cap);
+                    assert_eq!(dense, sparse, "round {round} region {} cap {cap}", r.id);
+                    nonzero += (dense > 0) as usize;
+                }
+            }
+            let from = &regions[next(12) as usize];
+            let p = [
+                from.cell_lo[0] as f64 + next(100) as f64 / 100.0,
+                from.cell_lo[1] as f64 + next(100) as f64 / 100.0,
+            ];
+            assert_eq!(
+                stores[0].insert(round, round, &p),
+                stores[1].insert(round, round, &p)
+            );
+        }
+        assert!(nonzero > 0, "some region must own a cell outright");
     }
 
     #[test]

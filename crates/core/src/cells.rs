@@ -19,6 +19,11 @@
 //! close to the theoretical bound instead of scanning the whole grid, and
 //! on dense-indexable grids a *staircase* over the populated cells answers
 //! "is this cell fully dominated" in `O(d)` instead of a skyline walk.
+//!
+//! The store also owns the session's one coordinate → cell index
+//! ([`CellStore::find`]): on a dense-indexable grid a table over grid
+//! positions, so a lookup is `O(d)` arithmetic and a region's box is
+//! registered row by row ([`CellStore::track_box`]); a hash map otherwise.
 
 use crate::fdom::DominanceModel;
 use crate::fxhash::FxHashMap;
@@ -162,7 +167,7 @@ pub struct CellStore {
     /// ([`CellStore::filter_emitted`]).
     model: DominanceModel,
     cells: Vec<Cell>,
-    by_key: FxHashMap<u128, u32>,
+    index: CellIndex,
     /// Per-dimension slab index: coordinate value → populated cell indices.
     slabs: Vec<FxHashMap<u16, Vec<u32>>>,
     /// Populated cells not fully dominated by another populated cell.
@@ -208,6 +213,22 @@ pub struct CellStore {
     admitted: Vec<f64>,
 }
 
+/// Grid coordinate → tracked cell: the one cell index of a session, shared
+/// by insertion, the benefit model and
+/// [`ProgDetermine`](crate::progdetermine::ProgDetermine)'s dense arm. The
+/// arm is chosen by [`OutputGrid::dense_positions`], like the staircase.
+#[derive(Debug)]
+enum CellIndex {
+    /// The tracked cell at each [`dense_position`] of the grid, or
+    /// [`UNTRACKED`]: 4 bytes per grid position, at most 4 MB.
+    Dense(Vec<u32>),
+    /// Grids over the dense budget: packed coordinate → tracked cell.
+    Sparse(FxHashMap<u128, u32>),
+}
+
+/// [`CellIndex::Dense`] entry of a grid position no region's box covers.
+pub(crate) const UNTRACKED: u32 = u32::MAX;
+
 /// Keeps the tuples whose `keep` flag is set — ids and points in step, in
 /// place, order preserved.
 pub(crate) fn retain_tuples(ids: &mut Vec<(u32, u32)>, points: &mut PointStore, keep: &[bool]) {
@@ -232,15 +253,30 @@ impl CellStore {
     /// Pareto (the sound superset); the model drives the emission-time
     /// filter for flexible skylines.
     pub fn with_model(grid: OutputGrid, model: DominanceModel) -> Self {
+        let dense_positions = grid.dense_positions();
+        Self::build(grid, model, dense_positions)
+    }
+
+    /// [`with_model`](Self::with_model) with the dense-arm decision passed
+    /// in: `None` forces the hash index and the skyline walk (the
+    /// differential tests' oracle).
+    pub(crate) fn build(
+        grid: OutputGrid,
+        model: DominanceModel,
+        dense_positions: Option<usize>,
+    ) -> Self {
         let dims = grid.dims();
-        let stair = grid
-            .dense_positions()
-            .map(|volume| vec![STAIR_NONE; volume / grid.cells_per_dim() as usize]);
+        let stair =
+            dense_positions.map(|volume| vec![STAIR_NONE; volume / grid.cells_per_dim() as usize]);
+        let index = match dense_positions {
+            Some(volume) => CellIndex::Dense(vec![UNTRACKED; volume]),
+            None => CellIndex::Sparse(FxHashMap::default()),
+        };
         Self {
             grid,
             model,
             cells: Vec::new(),
-            by_key: FxHashMap::default(),
+            index,
             slabs: vec![FxHashMap::default(); dims],
             cell_skyline: Vec::new(),
             stair,
@@ -273,15 +309,70 @@ impl CellStore {
     }
 
     /// Registers a cell as tracked (idempotent); returns its index.
+    ///
+    /// # Panics
+    /// Panics if `coord` lies outside the grid.
     pub fn track(&mut self, coord: Coord) -> u32 {
-        let key = pack(&coord);
-        if let Some(&idx) = self.by_key.get(&key) {
-            return idx;
+        self.track_box(&coord, &coord);
+        self.find(&coord).expect("just tracked")
+    }
+
+    /// Registers every cell of the inclusive box `[lo, hi]` as tracked
+    /// (idempotent per cell) and returns the box's volume. New cells get
+    /// ascending indices in [`OutputGrid::iter_box`] order — first-touch
+    /// order over a sequence of boxes is what cell indices, hence the
+    /// schedule and the event stream, are pinned to. On a dense-indexable
+    /// grid the box is walked as rows along the last dimension: one
+    /// position computed per row, a fixed stride per step, a [`Cell`] built
+    /// only where the table has none.
+    ///
+    /// # Panics
+    /// Panics if the box is inverted or reaches outside the grid.
+    pub fn track_box(&mut self, lo: &Coord, hi: &Coord) -> u64 {
+        let dims = self.grid.dims();
+        let k = self.grid.cells_per_dim();
+        assert!(
+            weak_leq(lo, hi, dims) && hi[..dims].iter().all(|&v| v < k),
+            "box {:?}..={:?} is not inside the {k}-cell grid",
+            &lo[..dims],
+            &hi[..dims]
+        );
+        let cells = &mut self.cells;
+        match &mut self.index {
+            CellIndex::Sparse(by_key) => {
+                for coord in self.grid.iter_box(*lo, *hi) {
+                    by_key.entry(pack(&coord)).or_insert_with(|| {
+                        cells.push(Cell::new(coord, dims));
+                        cells.len() as u32 - 1
+                    });
+                }
+            }
+            CellIndex::Dense(table) => {
+                let last = dims - 1;
+                let stride = (k as usize).pow(last as u32);
+                // `row` runs over the outer dimensions like `iter_box`
+                // does: dimension `last − 1` fastest.
+                let mut row = *lo;
+                loop {
+                    let mut pos = dense_position(&row, dims, k as usize);
+                    for v in lo[last]..=hi[last] {
+                        if table[pos] == UNTRACKED {
+                            table[pos] = cells.len() as u32;
+                            let mut coord = row;
+                            coord[last] = v;
+                            cells.push(Cell::new(coord, dims));
+                        }
+                        pos += stride;
+                    }
+                    let Some(d) = (0..last).rev().find(|&d| row[d] < hi[d]) else {
+                        break;
+                    };
+                    row[d] += 1;
+                    row[d + 1..last].copy_from_slice(&lo[d + 1..last]);
+                }
+            }
         }
-        let idx = self.cells.len() as u32;
-        self.cells.push(Cell::new(coord, self.grid.dims()));
-        self.by_key.insert(key, idx);
-        idx
+        self.grid.box_volume(lo, hi)
     }
 
     /// Number of tracked cells.
@@ -302,9 +393,31 @@ impl CellStore {
         &self.cells[idx as usize]
     }
 
-    /// Index of the cell at `coord`, if tracked.
+    /// Index of the cell at `coord`, if tracked; `None` for a coordinate
+    /// outside the grid.
     pub fn find(&self, coord: &Coord) -> Option<u32> {
-        self.by_key.get(&pack(coord)).copied()
+        let dims = self.grid.dims();
+        let k = self.grid.cells_per_dim();
+        // Checked on both arms: on the dense one an out-of-grid coordinate
+        // would alias another cell's position.
+        if coord[..dims].iter().any(|&v| v >= k) {
+            return None;
+        }
+        match &self.index {
+            CellIndex::Dense(table) => {
+                Some(table[dense_position(coord, dims, k as usize)]).filter(|&idx| idx != UNTRACKED)
+            }
+            CellIndex::Sparse(by_key) => by_key.get(&pack(coord)).copied(),
+        }
+    }
+
+    /// The dense arm's table — the tracked cell at each [`dense_position`]
+    /// of the grid, or [`UNTRACKED`] — and `None` on the hash arm.
+    pub(crate) fn dense_index(&self) -> Option<&[u32]> {
+        match &self.index {
+            CellIndex::Dense(table) => Some(table),
+            CellIndex::Sparse(_) => None,
+        }
     }
 
     /// Work counters.
@@ -770,19 +883,164 @@ mod tests {
     use super::*;
     use crate::output_grid::MAX_DIMS;
 
+    fn coord(vals: &[u16]) -> Coord {
+        let mut c: Coord = [0; MAX_DIMS];
+        c[..vals.len()].copy_from_slice(vals);
+        c
+    }
+
     fn store_10x10() -> CellStore {
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
         let mut s = CellStore::new(grid);
         // Track everything for these unit tests.
-        for x in 0..10u16 {
-            for y in 0..10u16 {
-                let mut c: Coord = [0; MAX_DIMS];
-                c[0] = x;
-                c[1] = y;
-                s.track(c);
+        s.track_box(&coord(&[0, 0]), &coord(&[9, 9]));
+        s
+    }
+
+    /// Both index arms over the same grid: the one the grid selects, and
+    /// the hash arm forced.
+    fn both_arms(dims: usize, k: u16) -> [CellStore; 2] {
+        let grid = OutputGrid::new(vec![0.0; dims], vec![k as f64; dims], k);
+        let forced = CellStore::build(grid.clone(), DominanceModel::Pareto, None);
+        assert!(forced.dense_index().is_none() && forced.stair.is_none());
+        [CellStore::new(grid), forced]
+    }
+
+    /// The dense table maps `(k, 0)` and `(0, 1)` to one position; the hash
+    /// arm never found an out-of-grid coordinate, and neither arm may now.
+    #[test]
+    fn out_of_grid_coordinates_are_not_found() {
+        for mut s in both_arms(2, 4) {
+            let inside = s.track(coord(&[0, 1]));
+            assert_eq!(s.find(&coord(&[0, 1])), Some(inside));
+            assert_eq!(s.find(&coord(&[4, 0])), None, "aliases (0, 1)");
+            assert_eq!(s.find(&coord(&[0, 4])), None, "past the table");
+            assert_eq!(s.find(&coord(&[u16::MAX, u16::MAX])), None);
+            assert_eq!(s.find(&coord(&[1, 1])), None, "in the grid, untracked");
+            assert_eq!(s.len(), 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not inside the 4-cell grid")]
+    fn track_box_rejects_a_box_that_leaves_the_grid() {
+        let [mut dense, _] = both_arms(2, 4);
+        dense.track_box(&coord(&[2, 0]), &coord(&[4, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not inside the 4-cell grid")]
+    fn track_box_rejects_an_inverted_box() {
+        let [_, mut sparse] = both_arms(2, 4);
+        sparse.track_box(&coord(&[2, 2]), &coord(&[3, 1]));
+    }
+
+    /// `track_box` against the loop it replaced — `iter_box` plus one hash
+    /// probe per coordinate — on both arms: same cells under the same
+    /// indices, and `find` agreeing on every grid position, tracked or not.
+    #[test]
+    fn track_box_assigns_the_indices_of_the_per_coordinate_loop() {
+        let mut x: u64 = 0xB0C5;
+        let mut next = |m: u64| -> u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        let budget_side = 1u16 << (OutputGrid::DENSE_INDEX_BUDGET.trailing_zeros() / 2);
+        assert_eq!(
+            (budget_side as usize).pow(2),
+            OutputGrid::DENSE_INDEX_BUDGET,
+            "a 2-d grid sits exactly on the budget"
+        );
+        let mut untracked_probes = 0;
+        for (dims, k) in [
+            (1usize, 1u16),
+            (1, 9),
+            (2, 7),
+            (3, 5),
+            (4, 4),
+            (5, 3),
+            (2, budget_side - 1),
+            (2, budget_side),
+            (2, budget_side + 1),
+        ] {
+            let [selected, forced] = both_arms(dims, k);
+            assert_eq!(
+                selected.dense_index().is_some(),
+                k <= budget_side,
+                "dims={dims} k={k}"
+            );
+            // A single cell, a box on the grid's top edge, then random
+            // overlapping boxes (small extents, so large grids stay cheap).
+            let top = coord(&vec![k - 1; dims]);
+            let mut boxes = vec![(top, top)];
+            let mut edge_lo = top;
+            edge_lo[dims - 1] = k.saturating_sub(3);
+            boxes.push((edge_lo, top));
+            for _ in 0..24 {
+                let (mut lo, mut hi): (Coord, Coord) = ([0; MAX_DIMS], [0; MAX_DIMS]);
+                for d in 0..dims {
+                    lo[d] = next(k as u64) as u16;
+                    hi[d] = (lo[d] + next(4) as u16).min(k - 1);
+                }
+                boxes.push((lo, hi));
+            }
+
+            let mut expected: Vec<Coord> = Vec::new();
+            let mut seen: std::collections::HashMap<u128, u32> = Default::default();
+            for &(lo, hi) in &boxes {
+                for c in selected.grid().iter_box(lo, hi) {
+                    seen.entry(pack(&c)).or_insert_with(|| {
+                        expected.push(c);
+                        expected.len() as u32 - 1
+                    });
+                }
+            }
+            for (arm, mut store) in [selected, forced].into_iter().enumerate() {
+                let label = format!("dims={dims} k={k} arm={arm}");
+                let mut scanned = 0;
+                for (lo, hi) in &boxes {
+                    scanned += store.track_box(lo, hi);
+                }
+                let got: Vec<Coord> = store.iter().map(|(_, c)| *c.coord()).collect();
+                assert_eq!(got, expected, "{label}");
+                let volumes: u64 = boxes
+                    .iter()
+                    .map(|(lo, hi)| store.grid().box_volume(lo, hi))
+                    .sum();
+                assert_eq!(scanned, volumes, "{label}");
+                assert!(scanned > expected.len() as u64, "{label}: boxes overlap");
+                // Every position of a small grid; on the budget-sized ones
+                // the boxes' own cells and their neighbours.
+                let probes: Vec<Coord> = if k < 100 {
+                    store.grid().iter_box([0; MAX_DIMS], top).collect()
+                } else {
+                    boxes
+                        .iter()
+                        .flat_map(|&(lo, hi)| {
+                            let lo = coord(&[lo[0].saturating_sub(1), lo[1].saturating_sub(1)]);
+                            let hi = coord(&[(hi[0] + 1).min(k - 1), (hi[1] + 1).min(k - 1)]);
+                            store.grid().iter_box(lo, hi)
+                        })
+                        .collect()
+                };
+                untracked_probes += probes.len() - expected.len();
+                for c in &probes {
+                    assert_eq!(
+                        store.find(c),
+                        seen.get(&pack(c)).copied(),
+                        "{label} {:?}",
+                        &c[..dims]
+                    );
+                }
+                // Re-tracking is idempotent, cell by cell and box by box.
+                assert_eq!(store.track(expected[0]), 0, "{label}");
+                store.track_box(&boxes[2].0, &boxes[2].1);
+                assert_eq!(store.len(), expected.len(), "{label}");
             }
         }
-        s
+        assert!(untracked_probes > 1000, "{untracked_probes}");
     }
 
     #[test]
@@ -1012,9 +1270,7 @@ mod tests {
                 let all: Vec<Coord> = grid.iter_box([0; MAX_DIMS], top).collect();
                 let mut s = CellStore::new(grid);
                 assert!(s.stair.is_some(), "test grids are dense-indexable");
-                for &c in &all {
-                    s.track(c);
-                }
+                s.track_box(&[0; MAX_DIMS], &top);
                 let mut populated: Vec<Coord> = Vec::new();
                 // Later rounds start high so the staircase keeps falling.
                 let bias = if round < 3 { 0 } else { k as u64 / 2 };

@@ -646,7 +646,7 @@ impl Committer {
             // All regions resolved ⇒ every live cell must have been
             // released.
             debug_assert_eq!(
-                self.det.live_cells(),
+                self.det.live_cells(&self.store),
                 0,
                 "cells left blocked after all regions resolved"
             );

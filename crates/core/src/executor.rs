@@ -43,7 +43,7 @@ use crate::pushthrough::{push_through, Side};
 use crate::session::{CancellationToken, QuerySession};
 use crate::sink::{CollectSink, ResultSink};
 use crate::source::SourceView;
-use crate::stats::{ExecStats, ResultTuple};
+use crate::stats::{ExecStats, Laps, ResultTuple};
 use crate::tuple_level::RegionCtx;
 use progxe_obs::{Recorder, Span, Trace};
 use progxe_skyline::PointStore;
@@ -223,6 +223,8 @@ impl ProgXe {
             });
         }
         let started = Instant::now();
+        // One lap per `ExecStats` phase bucket; `lookahead_time` is their sum.
+        let mut laps = Laps::since(started);
         let trace = Trace::from_recorder(self.recorder.clone(), started);
         // Closed when `lookahead_time` is recorded below; the trivial early
         // returns close it by RAII.
@@ -277,6 +279,7 @@ impl ProgXe {
         let (r_attrs, r_keys) = filter_source(r, &kept_r, &mut dense);
         let (t_attrs, t_keys) = filter_source(t, &kept_t, &mut dense);
         let join_domain = key_ids.len();
+        stats.remap_time = laps.lap();
         if r_keys.is_empty() || t_keys.is_empty() {
             return Ok(trivial(stats));
         }
@@ -299,6 +302,7 @@ impl ProgXe {
         let t_grid = InputGrid::build(&t_view, per_dim, self.config.signature, join_domain);
         stats.partitions_r = r_grid.len();
         stats.partitions_t = t_grid.len();
+        stats.grid_time = laps.lap();
         if token.is_cancelled() {
             stats.cancelled = true;
             return Ok(trivial(stats));
@@ -313,6 +317,7 @@ impl ProgXe {
         stats.pairs_rejected_by_signature = la.pairs_rejected_by_signature;
         stats.regions_pruned_lookahead = la.regions_pruned;
         stats.regions_created = la.regions.len();
+        stats.region_lookahead_time = laps.lap();
 
         // The store maintains its live set under Pareto regardless of the
         // model (sound superset — Pareto dominance implies F-dominance);
@@ -320,13 +325,14 @@ impl ProgXe {
         // filters emissions. Region/cell pruning in `track_cells` stays
         // Pareto-based and therefore sound for any model.
         let mut store = CellStore::with_model(la.grid.clone(), maps.dominance().clone());
-        stats.cells_premarked_dead = track_cells(&la, &mut store);
+        let tracked = track_cells(&la, &mut store);
+        stats.cells_premarked_dead = tracked.premarked_dead;
+        stats.cell_positions_scanned = tracked.positions_scanned;
         stats.cells_tracked = store.len();
+        stats.cell_track_time = laps.lap();
         let regions: Arc<[crate::lookahead::Region]> = la.regions.into();
         let det = ProgDetermine::new(&store, &regions);
-        stats.lookahead_time = started.elapsed();
-        lookahead_span.end();
-        trace.counter("regions_created", stats.regions_created as u64);
+        stats.determine_init_time = laps.lap();
 
         // ── Committer (region schedule + blocker bookkeeping) ────────────
         let cost_model = CostModel {
@@ -359,6 +365,12 @@ impl ProgXe {
             },
             self.config.ordering,
         );
+        stats.schedule_time = laps.lap();
+        stats.close_lookahead_ledger();
+        lookahead_span.end();
+        committer
+            .trace()
+            .counter("regions_created", stats.regions_created as u64);
         Ok(Prepared {
             stats,
             committer: Some(committer),
@@ -626,6 +638,37 @@ mod tests {
         assert_eq!(s.threads_used, 1);
         assert!(!s.cancelled);
         assert_eq!(s.regions_skipped, 0);
+    }
+
+    /// The look-ahead buckets tile `prepare`, on the streaming and the
+    /// batch arrangement alike.
+    #[test]
+    fn lookahead_buckets_add_up_and_the_phases_fit_the_wall() {
+        let r = random_source(400, 3, 5, 19);
+        let t = random_source(400, 3, 5, 20);
+        let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+        for prefilter_min_pairs in [usize::MAX, 0] {
+            let config = ProgXeConfig {
+                prefilter_min_pairs,
+                ..ProgXeConfig::default()
+            };
+            let out = ProgXe::new(config)
+                .run_collect(&r.view(), &t.view(), &maps)
+                .unwrap();
+            let s = &out.stats;
+            s.assert_inline_ledger();
+            assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
+            for bucket in [
+                s.remap_time,
+                s.grid_time,
+                s.region_lookahead_time,
+                s.cell_track_time,
+                s.determine_init_time,
+                s.schedule_time,
+            ] {
+                assert!(!bucket.is_zero(), "{s}");
+            }
+        }
     }
 
     #[test]

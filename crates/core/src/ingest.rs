@@ -56,7 +56,7 @@ use crate::progdetermine::ProgDetermine;
 use crate::pushthrough::Side;
 use crate::session::{CancellationToken, ResultEvent};
 use crate::source::SourceView;
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, Laps};
 use crate::tuple_level::{join_batch, join_into_store, RegionBatch, TupleLevelStats};
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
@@ -717,8 +717,17 @@ impl IngestSession {
             });
         }
         let started = Instant::now();
+        // One lap per `ExecStats` phase bucket; `lookahead_time` is their sum.
+        let mut laps = Laps::since(started);
         let trace = Trace::from_recorder(recorder, started);
         let lookahead_span = trace.span(Span::Lookahead);
+        let mut stats = ExecStats {
+            threads_used: match &backend {
+                ExecutorBackend::Inline => 1,
+                ExecutorBackend::Pooled { threads, .. } => *threads,
+            },
+            ..ExecStats::default()
+        };
         let per_dim = config.input_partitions_per_dim;
         let r_geo = GridGeometry::from_bounds(r_spec.lo(), r_spec.hi(), per_dim);
         let t_geo = GridGeometry::from_bounds(t_spec.lo(), t_spec.hi(), per_dim);
@@ -736,6 +745,9 @@ impl IngestSession {
                  reduce input_partitions_per_dim (see ingest::MAX_STREAM_REGIONS)",
             ));
         }
+        stats.partitions_r = r_cells;
+        stats.partitions_t = t_cells;
+        stats.grid_time = laps.lap();
 
         // ── All potential regions from the declared geometry ─────────────
         // Every cell pair is provisioned: emptiness and join signatures are
@@ -793,31 +805,20 @@ impl IngestSession {
                 }
             })
             .collect();
+        stats.regions_created = regions.len();
+        stats.region_lookahead_time = laps.lap();
 
         // ── Cell tracking + blocker counts (Algorithm 2; blocker geometry
         // switches to vertex projections under a flexible model) ─────────
-        let mut store = CellStore::with_model(grid.clone(), maps.dominance().clone());
-        for region in regions.iter() {
-            for coord in grid.iter_box(region.cell_lo, region.cell_hi) {
-                store.track(coord);
-            }
-        }
+        let mut store = CellStore::with_model(grid, maps.dominance().clone());
+        stats.cell_positions_scanned = regions
+            .iter()
+            .map(|region| store.track_box(&region.cell_lo, &region.cell_hi))
+            .sum();
+        stats.cells_tracked = store.len();
+        stats.cell_track_time = laps.lap();
         let det = ProgDetermine::new(&store, &regions);
-
-        let mut stats = ExecStats {
-            threads_used: match &backend {
-                ExecutorBackend::Inline => 1,
-                ExecutorBackend::Pooled { threads, .. } => *threads,
-            },
-            regions_created: regions.len(),
-            cells_tracked: store.len(),
-            partitions_r: r_cells,
-            partitions_t: t_cells,
-            ..ExecStats::default()
-        };
-        stats.lookahead_time = started.elapsed();
-        lookahead_span.end();
-        trace.counter("regions_created", stats.regions_created as u64);
+        stats.determine_init_time = laps.lap();
 
         let sigma = config.selectivity_hint.unwrap_or(STREAM_DEFAULT_SIGMA);
         let cost_model = CostModel {
@@ -840,6 +841,10 @@ impl IngestSession {
             },
             config.ordering,
         );
+        stats.schedule_time = laps.lap();
+        stats.close_lookahead_ledger();
+        lookahead_span.end();
+        trace.counter("regions_created", stats.regions_created as u64);
 
         let columnar = maps.separable_at(r_spec.lo(), t_spec.lo());
         let inner = Arc::new(Mutex::new(IngestInner {
@@ -1123,6 +1128,12 @@ mod tests {
         assert!(!stats.cancelled);
         assert_eq!(stats.tuples_ingested, 300);
         assert!(stats.regions_unlocked > 0);
+        stats.assert_inline_ledger();
+        assert!(
+            stats.remap_time.is_zero(),
+            "nothing to remap before arrival"
+        );
+        assert!(!stats.cell_track_time.is_zero() && !stats.schedule_time.is_zero());
         ids.sort_unstable();
         assert_eq!(ids, batch_oracle(&rows_r, &rows_t, &maps));
     }

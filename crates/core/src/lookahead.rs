@@ -203,16 +203,25 @@ pub fn run_lookahead(
     }
 }
 
+/// What [`track_cells`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrackedCells {
+    /// Σ box volumes over the live regions — grid positions visited to
+    /// register the (far fewer, boxes overlap) tracked cells.
+    pub positions_scanned: u64,
+    /// Cells pre-marked dead by the pessimistic skyline.
+    pub premarked_dead: usize,
+}
+
 /// Tracks every cell of every live region's box and pre-marks cells whose
-/// best corner is dominated by the pessimistic skyline (Example 3). Returns
-/// the number of cells pre-marked dead.
-pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> usize {
+/// best corner is dominated by the pessimistic skyline (Example 3).
+pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> TrackedCells {
     let mut pre_marked = 0usize;
-    for region in &lookahead.regions {
-        for coord in lookahead.grid.iter_box(region.cell_lo, region.cell_hi) {
-            store.track(coord);
-        }
-    }
+    let positions_scanned = lookahead
+        .regions
+        .iter()
+        .map(|region| store.track_box(&region.cell_lo, &region.cell_hi))
+        .sum();
     // Mark after tracking so shared cells are processed exactly once. The
     // pessimistic skyline is flattened into one dense batch so each corner
     // runs a single many-vs-one kernel pass; the corner buffer is reused
@@ -236,7 +245,10 @@ pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> usize {
         }
         store.note_dominance_pairs(pairs);
     }
-    pre_marked
+    TrackedCells {
+        positions_scanned,
+        premarked_dead: pre_marked,
+    }
 }
 
 #[cfg(test)]
@@ -367,8 +379,10 @@ mod tests {
         let la = run_lookahead(&rg, &tg, &maps, 16);
         assert_eq!(la.regions.len(), 2, "neither region fully pruned");
         let mut store = CellStore::new(la.grid.clone());
-        let marked = track_cells(&la, &mut store);
+        let tracked = track_cells(&la, &mut store);
+        let marked = tracked.premarked_dead;
         assert!(!store.is_empty());
+        assert!(tracked.positions_scanned >= store.len() as u64);
         assert!(
             marked >= 2,
             "expected dominated cells pre-marked, got {marked}"

@@ -56,7 +56,7 @@
 //! strengthened counts no unresolved region can still deliver an
 //! F-dominator for anything emitted.
 
-use crate::cells::CellStore;
+use crate::cells::{CellStore, UNTRACKED};
 use crate::lookahead::Region;
 use crate::output_grid::{dense_position, for_each_upper_box_row, pack, weak_leq};
 use progxe_skyline::PointStore;
@@ -258,15 +258,13 @@ enum Blockers {
     /// the prefix-sum grid the initial counts come from *is* the store. A
     /// resolution decrements the region's upper box `{c : cell_lo ⪯ c}` row
     /// by row — cost proportional to the decrements it owes, whatever is
-    /// tracked, dead or already released.
+    /// tracked, dead or already released. Which cell sits at a position is
+    /// the [`CellStore`]'s own index, on its dense arm by the same
+    /// predicate.
     Dense {
         /// Unresolved regions with `cell_lo ⪯ c`, per grid position
         /// ([`dense_position`]) — tracked or not.
         counts: Vec<u32>,
-        /// The tracked cell at each grid position, or [`UNTRACKED`].
-        cell_at: Vec<u32>,
-        /// The grid position of each tracked cell.
-        position_of: Vec<u32>,
     },
     /// Flexible models (blocking is not an upper box in grid coordinates)
     /// and grids over the dense budget: one count per tracked cell, and a
@@ -283,9 +281,6 @@ enum Blockers {
         fdom: Option<FdomBlockerIndex>,
     },
 }
-
-/// [`Blockers::Dense::cell_at`] entry of a grid position no region tracks.
-const UNTRACKED: u32 = u32::MAX;
 
 /// Grid volume up to which the scan arm still computes its *initial*
 /// Pareto counts by prefix sums over a scratch grid (4 bytes per position,
@@ -324,11 +319,12 @@ impl ProgDetermine {
     /// dense grid instead of the naive `O(cells × regions)` double loop
     /// (kept as a fallback for very fine grids).
     pub fn new(store: &CellStore, regions: &[Region]) -> Self {
-        Self::build(store, regions, store.grid().dense_positions())
+        Self::build(store, regions, store.dense_index().map(<[u32]>::len))
     }
 
     /// [`new`](Self::new) with the dense-arm decision passed in: `None`
-    /// forces the scan arm (the differential tests' oracle).
+    /// forces the scan arm (the differential tests' oracle); `Some` needs
+    /// the store on its dense arm, whose table the dense arm reads.
     fn build(store: &CellStore, regions: &[Region], dense_positions: Option<usize>) -> Self {
         let (blockers, flexible_blocker_ops) = match store.model().as_flexible() {
             Some(fdom) => Self::flexible_blockers(store, regions, fdom),
@@ -352,17 +348,8 @@ impl ProgDetermine {
         let dims = grid.dims();
         let k = grid.cells_per_dim() as usize;
         if let Some(volume) = dense_positions {
-            let mut cell_at = vec![UNTRACKED; volume];
-            let mut position_of = Vec::with_capacity(store.len());
-            for (idx, cell) in store.iter() {
-                let pos = dense_position(cell.coord(), dims, k);
-                cell_at[pos] = idx;
-                position_of.push(pos as u32);
-            }
             return Blockers::Dense {
                 counts: dense_blocker_counts(regions, dims, k, volume),
-                cell_at,
-                position_of,
             };
         }
         let mut counts = vec![0u32; store.len()];
@@ -459,13 +446,13 @@ impl ProgDetermine {
     /// unresolved regions that block it. Only meaningful while the cell is
     /// not dead — the scan arm stops counting for a cell it has seen dead.
     #[inline]
-    pub fn blockers_of(&self, cell_idx: u32) -> u32 {
+    pub fn blockers_of(&self, store: &CellStore, cell_idx: u32) -> u32 {
         match &self.blockers {
-            Blockers::Dense {
-                counts,
-                position_of,
-                ..
-            } => counts[position_of[cell_idx as usize] as usize],
+            Blockers::Dense { counts } => {
+                let grid = store.grid();
+                let k = grid.cells_per_dim() as usize;
+                counts[dense_position(store.cell(cell_idx).coord(), grid.dims(), k)]
+            }
             Blockers::Scan { counts, .. } => counts[cell_idx as usize],
         }
     }
@@ -491,15 +478,11 @@ impl ProgDetermine {
     /// is resolved. Before that the arms count dead cells differently —
     /// the dense arm until their last blocker resolves, the scan arm until
     /// a resolution first sees them dead.
-    pub fn live_cells(&self) -> usize {
+    pub fn live_cells(&self, store: &CellStore) -> usize {
         match &self.blockers {
-            Blockers::Dense {
-                counts,
-                position_of,
-                ..
-            } => position_of
+            Blockers::Dense { .. } => store
                 .iter()
-                .filter(|&&pos| counts[pos as usize] > 0)
+                .filter(|&(idx, _)| self.blockers_of(store, idx) > 0)
                 .count(),
             Blockers::Scan { live, .. } => live.len(),
         }
@@ -522,10 +505,11 @@ impl ProgDetermine {
     ) {
         let mut released = std::mem::take(&mut self.released);
         match &mut self.blockers {
-            Blockers::Dense {
-                counts, cell_at, ..
-            } => {
+            Blockers::Dense { counts } => {
                 let (dims, k) = (store.grid().dims(), store.grid().cells_per_dim() as usize);
+                let cell_at = store
+                    .dense_index()
+                    .expect("dense blocker counts are only kept over a densely indexed store");
                 // Ascending rows of ascending positions: `released` comes
                 // out in coordinate order.
                 for_each_upper_box_row(&region.cell_lo, dims, k, |row| {
@@ -656,8 +640,16 @@ mod tests {
         let det = ProgDetermine::new(&store, &[a, b]);
         let a_cell = store.find(&coord(0, 0)).unwrap();
         let b_cell = store.find(&coord(2, 2)).unwrap();
-        assert_eq!(det.blockers_of(a_cell), 1, "A's cells blocked only by A");
-        assert_eq!(det.blockers_of(b_cell), 2, "B's cells blocked by both");
+        assert_eq!(
+            det.blockers_of(&store, a_cell),
+            1,
+            "A's cells blocked only by A"
+        );
+        assert_eq!(
+            det.blockers_of(&store, b_cell),
+            2,
+            "B's cells blocked by both"
+        );
     }
 
     #[test]
@@ -671,7 +663,7 @@ mod tests {
         let mut store = store_with_regions(&regions);
         let mut det = ProgDetermine::new(&store, &regions);
         let b_cell = store.find(&coord(0, 3)).unwrap();
-        assert_eq!(det.blockers_of(b_cell), 2, "blocked by A and B");
+        assert_eq!(det.blockers_of(&store, b_cell), 2, "blocked by A and B");
 
         // A's tuple does not dominate B's (trade-off in dim 0).
         assert!(store.insert(0, 0, &[0.9, 0.5]));
@@ -680,7 +672,7 @@ mod tests {
         det.resolve_region(&a, &mut store, &mut out);
         // A's own cells emit now (blockers 1→0); B's cells drop to 1.
         assert!(out.iter().any(|e| e.ids.contains(&(0, 0))));
-        assert_eq!(det.blockers_of(b_cell), 1);
+        assert_eq!(det.blockers_of(&store, b_cell), 1);
         assert!(!out.iter().any(|e| e.ids.contains(&(1, 1))), "B not ready");
 
         out.clear();
@@ -719,8 +711,8 @@ mod tests {
         let mut det = ProgDetermine::new(&store, &regions);
         let a_cell = store.find(&coord(0, 8)).unwrap();
         let b_cell = store.find(&coord(8, 0)).unwrap();
-        assert_eq!(det.blockers_of(a_cell), 1);
-        assert_eq!(det.blockers_of(b_cell), 1);
+        assert_eq!(det.blockers_of(&store, a_cell), 1);
+        assert_eq!(det.blockers_of(&store, b_cell), 1);
 
         assert!(store.insert(7, 7, &[8.5, 0.5])); // B's box
         let mut out = Vec::new();
@@ -775,7 +767,7 @@ mod tests {
         let mut det = ProgDetermine::new(&store, &regions);
         let b_cell = store.find(&coord(8, 0)).unwrap();
         assert_eq!(
-            det.blockers_of(b_cell),
+            det.blockers_of(&store, b_cell),
             2,
             "flexible model: A must block B's best cell"
         );
@@ -820,7 +812,7 @@ mod tests {
                 .filter(|r| crate::output_grid::weak_leq(&r.cell_lo, cell.coord(), 2))
                 .count() as u32;
             assert_eq!(
-                det.blockers_of(idx),
+                det.blockers_of(&store, idx),
                 expected,
                 "cell {:?}",
                 &cell.coord()[..2]
@@ -959,16 +951,24 @@ mod tests {
                         .iter()
                         .filter(|&&r| weak_leq(&regions[r as usize].cell_lo, cell.coord(), dims))
                         .count() as u32;
-                    assert_eq!(dense.blockers_of(idx), blocking, "{label} cell {idx}");
+                    assert_eq!(
+                        dense.blockers_of(&dense_store, idx),
+                        blocking,
+                        "{label} cell {idx}"
+                    );
                     // The scan stops counting for a cell it has seen dead.
                     if !cell.is_dead() {
-                        assert_eq!(scan.blockers_of(idx), blocking, "{label} cell {idx}");
+                        assert_eq!(
+                            scan.blockers_of(&scan_store, idx),
+                            blocking,
+                            "{label} cell {idx}"
+                        );
                         assert_eq!(cell.is_emitted(), blocking == 0, "{label} cell {idx}");
                     }
                 }
             }
-            assert_eq!(dense.live_cells(), 0);
-            assert_eq!(scan.live_cells(), 0);
+            assert_eq!(dense.live_cells(&dense_store), 0);
+            assert_eq!(scan.live_cells(&scan_store), 0);
             assert_eq!(dense.emitted_tuples(), scan.emitted_tuples());
             dropped_dead += dense_store
                 .iter()
@@ -1085,7 +1085,7 @@ mod tests {
             let expected = (0..regions.len() as u32)
                 .filter(|&rid| index.blocks(rid, idx))
                 .count() as u32;
-            assert_eq!(det.blockers_of(idx), expected, "cell {idx}");
+            assert_eq!(det.blockers_of(&store, idx), expected, "cell {idx}");
         }
     }
 
@@ -1101,6 +1101,6 @@ mod tests {
         det.resolve_region(&a, &mut store, &mut out);
         assert_eq!(det.emitted_cells(), 1);
         assert_eq!(det.emitted_tuples(), 2);
-        assert_eq!(det.live_cells(), 0);
+        assert_eq!(det.live_cells(&store), 0);
     }
 }

@@ -220,7 +220,9 @@ pub struct QuerySession<'a> {
     engine: &'static str,
     inner: SessionInner<'a>,
     token: CancellationToken,
-    remap: Option<(Vec<u32>, Vec<u32>)>,
+    /// Per side, the original row id of each engine row id; `None` leaves
+    /// that side's ids as the engine reports them.
+    remap: (Option<Vec<u32>>, Option<Vec<u32>>),
     emitted: u64,
     /// High-water mark enforcing monotone, `[0, 1]`-clamped progress.
     last_progress: f64,
@@ -245,7 +247,7 @@ impl<'a> QuerySession<'a> {
             inner: SessionInner::Stream(step),
             _drop_cancel: DropCancel(token.clone()),
             token,
-            remap: None,
+            remap: (None, None),
             emitted: 0,
             last_progress: 0.0,
         }
@@ -269,7 +271,7 @@ impl<'a> QuerySession<'a> {
             })),
             _drop_cancel: DropCancel(token.clone()),
             token,
-            remap: None,
+            remap: (None, None),
             emitted: 0,
             last_progress: 0.0,
         }
@@ -302,11 +304,16 @@ impl<'a> QuerySession<'a> {
     }
 
     /// Translates emitted row ids through the given lookup tables
-    /// (`tuple.r_idx = r_rows[tuple.r_idx]`, likewise for `t`). Used by the
-    /// query layer to report ids of the caller's original tables after
-    /// planning filtered the sources.
-    pub fn with_id_translation(mut self, r_rows: Vec<u32>, t_rows: Vec<u32>) -> Self {
-        self.remap = Some((r_rows, t_rows));
+    /// (`tuple.r_idx = r_rows[tuple.r_idx]`, likewise for `t`); a side given
+    /// as `None` is reported untranslated. Used by the query layer to
+    /// report ids of the caller's original tables after planning filtered a
+    /// source.
+    pub fn with_id_translation(
+        mut self,
+        r_rows: Option<Vec<u32>>,
+        t_rows: Option<Vec<u32>>,
+    ) -> Self {
+        self.remap = (r_rows, t_rows);
         self
     }
 
@@ -342,9 +349,13 @@ impl<'a> QuerySession<'a> {
                 deferred.queue.pop_front()?
             }
         };
-        if let Some((r_rows, t_rows)) = &self.remap {
+        if let Some(r_rows) = &self.remap.0 {
             for tuple in &mut event.tuples {
                 tuple.r_idx = r_rows[tuple.r_idx as usize];
+            }
+        }
+        if let Some(t_rows) = &self.remap.1 {
+            for tuple in &mut event.tuples {
                 tuple.t_idx = t_rows[tuple.t_idx as usize];
             }
         }
@@ -523,11 +534,23 @@ mod tests {
 
     #[test]
     fn id_translation_applies_to_events() {
-        let mut s = two_batch_session().with_id_translation(vec![10, 11, 12], vec![20, 21, 22]);
+        let mut s =
+            two_batch_session().with_id_translation(Some(vec![10, 11, 12]), Some(vec![20, 21, 22]));
         let first = s.next_batch().unwrap();
         assert_eq!(first.tuples[0].r_idx, 10);
         assert_eq!(first.tuples[0].t_idx, 20);
         assert_eq!(first.tuples[1].r_idx, 11);
+    }
+
+    #[test]
+    fn id_translation_leaves_an_unfiltered_side_alone() {
+        let plain = two_batch_session().next_batch().unwrap();
+        let mut s = two_batch_session().with_id_translation(None, Some(vec![20, 21, 22]));
+        let first = s.next_batch().unwrap();
+        for (got, raw) in first.tuples.iter().zip(&plain.tuples) {
+            assert_eq!(got.r_idx, raw.r_idx);
+            assert_eq!(got.t_idx, 20 + raw.t_idx);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Execution statistics and result types.
 
 use progxe_obs::{Histogram, Report, Value};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One final query result: a joined tuple pair with its mapped output
 /// attributes (in the caller's original value orientation).
@@ -28,9 +28,28 @@ pub struct ProgressRecord {
 /// Counters and timings for one executor run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
-    /// Wall-clock duration of the look-ahead phase (grid build, region
-    /// generation, abstraction-level pruning, cell tracking).
+    /// Wall-clock duration of everything before the region loop, from the
+    /// start of `ProgXe::prepare` / `IngestSession::open_observed` until the
+    /// pipeline is ready to pop its first region: exactly the sum of the
+    /// six phase buckets below, which tile it without gaps.
     pub lookahead_time: Duration,
+    /// Push-through (when enabled), dense join-key remapping and the copy
+    /// of the kept rows (zero under streaming ingestion: nothing has
+    /// arrived yet).
+    pub remap_time: Duration,
+    /// Input partitioning: the two `InputGrid`s with their join signatures
+    /// (under streaming ingestion, the declared grid geometry).
+    pub grid_time: Duration,
+    /// Region generation and abstraction-level pruning (`run_lookahead`;
+    /// under streaming ingestion, provisioning every potential region).
+    pub region_lookahead_time: Duration,
+    /// Registering every cell of every region's box in the `CellStore`
+    /// and pre-marking pessimistically dominated cells.
+    pub cell_track_time: Duration,
+    /// Initial blocker counts (`ProgDetermine::new`).
+    pub determine_init_time: Duration,
+    /// Region context, EL-graph and the initial ranks (`Committer::new`).
+    pub schedule_time: Duration,
     /// Total wall-clock duration of the run.
     pub total_time: Duration,
     /// Accumulated tuple-level compute time (join + map + per-region
@@ -109,6 +128,10 @@ pub struct ExecStats {
 
     /// Output cells tracked.
     pub cells_tracked: usize,
+    /// Grid positions visited to track them: Σ box volumes over the live
+    /// regions. Boxes overlap, so this is the work and
+    /// [`cells_tracked`](Self::cells_tracked) the outcome.
+    pub cell_positions_scanned: u64,
     /// Cells pre-marked dead by the pessimistic skyline.
     pub cells_premarked_dead: usize,
     /// Cells whose tuples were emitted.
@@ -205,7 +228,55 @@ pub struct ExecStats {
     pub batch_interarrival: Histogram,
 }
 
+/// Cuts one wall-clock interval into consecutive laps, so the buckets the
+/// laps are stored in add up to the interval with nothing in between.
+pub(crate) struct Laps(Instant);
+
+impl Laps {
+    pub(crate) fn since(start: Instant) -> Self {
+        Self(start)
+    }
+
+    /// Time since the previous lap (or the start).
+    pub(crate) fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        now.duration_since(std::mem::replace(&mut self.0, now))
+    }
+}
+
 impl ExecStats {
+    /// The six phase buckets [`lookahead_time`](Self::lookahead_time) is
+    /// defined as the sum of.
+    fn lookahead_phase_sum(&self) -> Duration {
+        self.remap_time
+            + self.grid_time
+            + self.region_lookahead_time
+            + self.cell_track_time
+            + self.determine_init_time
+            + self.schedule_time
+    }
+
+    /// Stamps [`lookahead_time`](Self::lookahead_time) — called once, when
+    /// the last of its buckets is.
+    pub(crate) fn close_lookahead_ledger(&mut self) {
+        self.lookahead_time = self.lookahead_phase_sum();
+    }
+
+    /// The time ledger of a finished `Inline` run, as the tests of both
+    /// front ends assert it: the phase buckets add up to `lookahead_time`
+    /// exactly, and the three disjoint committer-thread phases fit inside
+    /// the wall — identities, so no threshold to tune.
+    #[cfg(test)]
+    pub(crate) fn assert_inline_ledger(&self) {
+        assert_eq!(self.lookahead_time, self.lookahead_phase_sum(), "{self}");
+        assert!(!self.lookahead_time.is_zero(), "{self}");
+        assert!(
+            self.lookahead_time + self.tuple_time + self.commit_time <= self.total_time,
+            "{self}"
+        );
+        assert!(self.cell_positions_scanned >= self.cells_tracked as u64);
+    }
+
     /// Fraction of partition pairs eliminated before tuple-level work.
     pub fn signature_rejection_rate(&self) -> f64 {
         let total =
@@ -237,6 +308,18 @@ impl ExecStats {
         r.push("results_emitted", Value::U64(self.results_emitted))
             .push("total_ms", Value::DurationMs(self.total_time))
             .push("lookahead_ms", Value::DurationMs(self.lookahead_time))
+            .push("remap_ms", Value::DurationMs(self.remap_time))
+            .push("grid_ms", Value::DurationMs(self.grid_time))
+            .push(
+                "region_lookahead_ms",
+                Value::DurationMs(self.region_lookahead_time),
+            )
+            .push("cell_track_ms", Value::DurationMs(self.cell_track_time))
+            .push(
+                "determine_init_ms",
+                Value::DurationMs(self.determine_init_time),
+            )
+            .push("schedule_ms", Value::DurationMs(self.schedule_time))
             .push("tuple_ms", Value::DurationMs(self.tuple_time))
             .push("commit_ms", Value::DurationMs(self.commit_time))
             .push("resolve_ms", Value::DurationMs(self.resolve_time))
@@ -258,6 +341,10 @@ impl ExecStats {
                 Value::U64(self.regions_computed_dead as u64),
             )
             .push("cells_tracked", Value::U64(self.cells_tracked as u64))
+            .push(
+                "cell_positions_scanned",
+                Value::U64(self.cell_positions_scanned),
+            )
             .push("cells_emitted", Value::U64(self.cells_emitted as u64))
             .push(
                 "join_pairs_evaluated",
@@ -323,6 +410,22 @@ impl std::fmt::Display for ExecStats {
                 f,
                 " [{} more matches skipped unexpanded]",
                 self.join_matches_skipped
+            )?;
+        }
+        if !self.lookahead_time.is_zero() {
+            write!(
+                f,
+                " [look-ahead {:.1?}: remap {:.1?}, grid {:.1?}, regions {:.1?}, \
+                 cells {:.1?} ({} positions for {} cells), blockers {:.1?}, schedule {:.1?}]",
+                self.lookahead_time,
+                self.remap_time,
+                self.grid_time,
+                self.region_lookahead_time,
+                self.cell_track_time,
+                self.cell_positions_scanned,
+                self.cells_tracked,
+                self.determine_init_time,
+                self.schedule_time,
             )?;
         }
         if self.inflight_peak > 0 {
@@ -431,6 +534,48 @@ mod tests {
         let ingest_at = line.find("tuples ingested").unwrap();
         let cancel_at = line.find("cancelled").unwrap();
         assert!(ingest_at < cancel_at, "{line}");
+    }
+
+    #[test]
+    fn display_and_report_surface_the_lookahead_split() {
+        let mut s = ExecStats {
+            results_emitted: 1,
+            ..ExecStats::default()
+        };
+        assert!(!s.to_string().contains("look-ahead"), "trivial run: silent");
+        s.remap_time = Duration::from_micros(100);
+        s.grid_time = Duration::from_micros(500);
+        s.region_lookahead_time = Duration::from_micros(300);
+        s.cell_track_time = Duration::from_micros(700);
+        s.determine_init_time = Duration::from_micros(200);
+        s.schedule_time = Duration::from_micros(900);
+        s.cells_tracked = 12_096;
+        s.cell_positions_scanned = 262_656;
+        s.close_lookahead_ledger();
+        assert_eq!(s.lookahead_time, Duration::from_micros(2_700));
+        let line = s.to_string();
+        assert!(!line.contains('\n'));
+        assert!(
+            line.contains(
+                "[look-ahead 2.7ms: remap 100.0µs, grid 500.0µs, regions 300.0µs, \
+                 cells 700.0µs (262656 positions for 12096 cells), blockers 200.0µs, \
+                 schedule 900.0µs]"
+            ),
+            "{line}"
+        );
+        let json = s.report().to_json();
+        assert!(
+            json.contains(
+                "\"lookahead_ms\": 2.700, \"remap_ms\": 0.100, \"grid_ms\": 0.500, \
+                 \"region_lookahead_ms\": 0.300, \"cell_track_ms\": 0.700, \
+                 \"determine_init_ms\": 0.200, \"schedule_ms\": 0.900"
+            ),
+            "the buckets sit directly under their sum: {json}"
+        );
+        assert!(
+            json.contains("\"cells_tracked\": 12096, \"cell_positions_scanned\": 262656"),
+            "{json}"
+        );
     }
 
     #[test]

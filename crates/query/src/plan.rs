@@ -91,10 +91,11 @@ pub struct PlannedQuery {
     pub r: SourceData,
     /// Filtered right source.
     pub t: SourceData,
-    /// Original row id per filtered R row.
-    pub r_rows: Vec<u32>,
-    /// Original row id per filtered T row.
-    pub t_rows: Vec<u32>,
+    /// Original row id per filtered R row; `None` when the query has no
+    /// R-side filter, so row ids already are the table's.
+    pub r_rows: Option<Vec<u32>>,
+    /// Original row id per filtered T row; `None` without a T-side filter.
+    pub t_rows: Option<Vec<u32>>,
     /// Compiled mapping functions + preference.
     pub maps: MapSet,
     /// Output attribute names, in map order.
@@ -364,9 +365,11 @@ fn compile_weights(clause: &WeightsClause, outputs: usize) -> Result<DominanceMo
     Ok(DominanceModel::flexible(fdom))
 }
 
-fn apply_filters(data: &SourceData, filters: &[SideFilter]) -> (SourceData, Vec<u32>) {
+/// The rows of `data` passing every filter, with their original row ids —
+/// `None` when there is nothing to filter by.
+fn apply_filters(data: &SourceData, filters: &[SideFilter]) -> (SourceData, Option<Vec<u32>>) {
     if filters.is_empty() {
-        return (data.clone(), (0..data.len() as u32).collect());
+        return (data.clone(), None);
     }
     let dims = data.attrs.dims();
     let mut out = SourceData::new(dims);
@@ -378,7 +381,7 @@ fn apply_filters(data: &SourceData, filters: &[SideFilter]) -> (SourceData, Vec<
             rows.push(row as u32);
         }
     }
-    (out, rows)
+    (out, Some(rows))
 }
 
 #[cfg(test)]
@@ -428,8 +431,8 @@ mod tests {
         let p = plan(&q, &catalog()).unwrap();
         assert_eq!(p.output_names, vec!["tCost", "delay"]);
         // Filter manCap >= 100 removes supplier row 1.
-        assert_eq!(p.r_rows, vec![0, 2]);
-        assert_eq!(p.t_rows, vec![0, 1]);
+        assert_eq!(p.r_rows, Some(vec![0, 2]));
+        assert_eq!(p.t_rows, None, "no T-side filter, no translation table");
         // Compiled map evaluates like the SQL expression.
         let mut out = Vec::new();
         p.maps
