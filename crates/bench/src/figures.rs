@@ -338,11 +338,8 @@ pub fn scaling(opt: &ExpOptions) {
 /// speedup over the inline baseline — the ROADMAP's "as fast as the
 /// hardware allows" tracking number — with the pooled ledger beside it
 /// (`inflight_peak`, `dispatch_ms`, `commit_wait_ms`,
-/// `regions_computed_dead`, `join_matches_skipped`), and
-/// additionally measures the inline batch filter stage against the
-/// filter-free streaming arrangement (mode `inline-nofilter`), the
-/// measurement behind `ProgXeConfig::prefilter_min_pairs`. Every
-/// arrangement is run `THREADS_REPS` times and reports its fastest run.
+/// `regions_computed_dead`, `join_matches_skipped`). Every arrangement is
+/// run `THREADS_REPS` times and reports its fastest run.
 ///
 /// The sweep runs with the separable maps every SQL query plans. Since the
 /// tuple-level join skips dominated key groups unexpanded, that input has
@@ -424,17 +421,7 @@ pub fn threads(opt: &ExpOptions) {
     // Discarded warm-up: first-touch allocation and CPU ramp must not be
     // charged to whichever measured arrangement happens to run first.
     let _ = run_engine(engine_for(1), &separable);
-    // Pre-filter measurement: the filter-free streaming arrangement (the
-    // old sequential hot path) against the Inline default below.
-    let nofilter = base_cfg.clone().with_prefilter_min_pairs(usize::MAX);
-    let mut runs = vec![
-        measure(
-            "inline-nofilter",
-            Box::new(ProgXe::new(nofilter)),
-            &separable,
-        ),
-        measure("inline", engine_for(1), &separable),
-    ];
+    let mut runs = vec![measure("inline", engine_for(1), &separable)];
     let inline_general = measure("inline-general", engine_for(1), &general);
     if hw >= 2 {
         // Small VMs park an idle core and take a second or two of
@@ -454,8 +441,8 @@ pub fn threads(opt: &ExpOptions) {
         runs.push(measure("pooled", engine_for(count), &separable));
     }
 
-    // Speedups are relative to the inline (threads = 1, default pre-filter
-    // gate) run with the same maps.
+    // Speedups are relative to the inline (threads = 1) run with the same
+    // maps.
     let run_of = |mode: &str, threads: usize| -> &Run {
         runs.iter()
             .find(|r| r.mode == mode && r.threads == threads)
@@ -572,10 +559,6 @@ pub fn threads(opt: &ExpOptions) {
             ]),
         ),
         ("hardware_threads", format!("{hw}")),
-        (
-            "prefilter_min_pairs",
-            format!("{}", base_cfg.prefilter_min_pairs),
-        ),
         ("runs", format!("[{}]", json_runs.join(", "))),
     ]);
     let path = write_json(&opt.out, "BENCH_threads", &json).unwrap();
@@ -2820,8 +2803,7 @@ mod tests {
             "\"threads\"",
             "\"wall_ms\"",
             "\"first_result_ms\"",
-            "\"prefilter_min_pairs\"",
-            "\"inline-nofilter\"",
+            "\"inline\"",
             "\"pooled\"",
             "\"inline-general\"",
             "\"pooled-general\"",

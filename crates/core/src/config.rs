@@ -71,8 +71,6 @@ pub struct ProgXeConfig {
     /// Join selectivity hint used by the benefit model (Equation 1). When
     /// `None`, estimated as `1 / distinct-join-keys`.
     pub selectivity_hint: Option<f64>,
-    /// Emit per-region batches even when empty (useful for tracing).
-    pub emit_empty_batches: bool,
     /// Worker threads for the tuple-level phase. `1` (the default) runs the
     /// unified region driver on its `Inline` backend inside
     /// [`crate::executor::ProgXe`]; larger values are honored by the
@@ -81,28 +79,7 @@ pub struct ProgXeConfig {
     /// thread pool while a single ordered committer preserves the
     /// progressive-emission guarantees.
     pub threads: NonZeroUsize,
-    /// Join-pair bound (`n_R · n_T` of a region's partition pair) at which
-    /// the `Inline` backend materializes the region batch and runs the
-    /// bounded local skyline pre-filter before cell-store insertion —
-    /// the arrangement that measured ~1.8× on the 10k anti-correlated
-    /// d=3 σ=0.1 workload. Regions below the bound stream their matches
-    /// straight into the store, avoiding the batch allocation. `0` forces
-    /// the batch path everywhere; `usize::MAX` disables it (the pre-PR
-    /// streaming behavior). Pool workers always pre-filter.
-    pub prefilter_min_pairs: usize,
 }
-
-/// Default [`ProgXeConfig::prefilter_min_pairs`]: regions at or above this
-/// join-pair bound take the batch path (local-skyline pre-filter, then
-/// rejection against the store's admitted-tuple slab) on the `Inline`
-/// backend. Measured on the `figures -- threads` workload (10k
-/// anti-correlated, d=3, σ=0.1, see `BENCH_threads.json`): the batch
-/// arrangement beats the streaming insert ~2.3× end to end, and gate
-/// values from 0 to 4096 are indistinguishable there (the workload is
-/// dominated by large regions). 4096 is chosen so that *small* regions —
-/// the latency-sensitive case the big workload cannot see — keep the
-/// allocation-free streaming path.
-pub const DEFAULT_PREFILTER_MIN_PAIRS: usize = 4_096;
 
 impl Default for ProgXeConfig {
     fn default() -> Self {
@@ -113,9 +90,7 @@ impl Default for ProgXeConfig {
             signature: SignatureConfig::Exact,
             push_through: false,
             selectivity_hint: None,
-            emit_empty_batches: false,
             threads: NonZeroUsize::MIN,
-            prefilter_min_pairs: DEFAULT_PREFILTER_MIN_PAIRS,
         }
     }
 }
@@ -179,13 +154,6 @@ impl ProgXeConfig {
     /// are clamped to 1.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = NonZeroUsize::new(threads.max(1)).expect("max(1) is non-zero");
-        self
-    }
-
-    /// Builder: set the `Inline` backend's local-skyline pre-filter gate
-    /// (see [`ProgXeConfig::prefilter_min_pairs`]).
-    pub fn with_prefilter_min_pairs(mut self, min_pairs: usize) -> Self {
-        self.prefilter_min_pairs = min_pairs;
         self
     }
 
@@ -324,19 +292,5 @@ mod tests {
         assert_eq!(ProgXeConfig::from_env(), ProgXeConfig::default());
         std::env::remove_var("PROGXE_THREADS");
         assert_eq!(ProgXeConfig::from_env(), ProgXeConfig::default());
-    }
-
-    #[test]
-    fn prefilter_gate_builder() {
-        let c = ProgXeConfig::default();
-        assert_eq!(c.prefilter_min_pairs, DEFAULT_PREFILTER_MIN_PAIRS);
-        assert_eq!(
-            c.with_prefilter_min_pairs(usize::MAX).prefilter_min_pairs,
-            usize::MAX
-        );
-        assert!(ProgXeConfig::default()
-            .with_prefilter_min_pairs(0)
-            .validate()
-            .is_ok());
     }
 }

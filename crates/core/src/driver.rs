@@ -8,12 +8,9 @@
 //! [`ExecutorBackend`]:
 //!
 //! * [`ExecutorBackend::Inline`] — `threads = 1`. Regions are computed on
-//!   the calling thread, one per step. Large regions (join-pair bound at or
-//!   above [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig))
-//!   go through [`RegionCtx::compute`] and therefore inherit the
-//!   worker-side bounded local skyline pre-filter; small regions stream
-//!   their matches straight into the cell store, skipping the batch
-//!   materialization.
+//!   the calling thread, one per step, through the same work unit a pool
+//!   worker runs ([`RegionCtx::compute`]), filtering against the live
+//!   admitted-tuple slab.
 //! * [`ExecutorBackend::Pooled`] — `threads > 1`. Regions are fanned out as
 //!   pure work units through a [`TaskSpawner`] (the `progxe-runtime` crate
 //!   implements it for its shared thread pool) into a bounded dispatch
@@ -299,18 +296,14 @@ impl RowIds {
 /// The single-threaded back half of the region loop: owns the cell store,
 /// the region schedule, and Algorithm 2's blocker bookkeeping.
 ///
-/// Every region goes through exactly one of three commit paths — all of
+/// Every region goes through exactly one of two commit paths — both of
 /// which resolve it and may release proven-final cells as a
 /// [`ResultEvent`]:
 ///
 /// * [`discard_dead`](Self::discard_dead) — the region box was already
 ///   fully dominated when it was popped; no tuple work at all;
-/// * [`process_and_commit`](Self::process_and_commit) — streaming path
-///   (small regions on the inline backend): the join inserts directly into
-///   the cell store;
-/// * [`commit_batch`](Self::commit_batch) — batch path: apply a
-///   [`RegionBatch`], whether a pool worker or the inline backend computed
-///   it.
+/// * [`commit_batch`](Self::commit_batch) — apply a [`RegionBatch`],
+///   whether a pool worker or the inline backend computed it.
 ///
 /// Drivers **must** commit batches in the order the regions were popped
 /// from [`pop_next`](Self::pop_next); combined with the cancellation-token
@@ -429,9 +422,9 @@ impl Committer {
     }
 
     /// Upper bound on the region's join work: `n_R · n_T` of its partition
-    /// pair. The inline backend gates the local-skyline pre-filter on this.
-    /// Streaming-ingestion regions carry zero counts (sizes are unknowable
-    /// before arrival), so they always take the streaming-insert path.
+    /// pair, as its `tuple_phase` span reports it. Zero for
+    /// streaming-ingestion regions, whose sizes are unknowable before
+    /// arrival.
     pub fn pair_bound(&self, rid: u32) -> u64 {
         let region = &self.regions[rid as usize];
         u64::from(region.n_r) * u64::from(region.n_t)
@@ -501,50 +494,12 @@ impl Committer {
         self.resolve(rid, stats)
     }
 
-    /// Streaming path: joins the region through `run` (which inserts
-    /// directly into the cell store), then resolves it. Returns `None` when
-    /// the token fired mid-region — the insert set is partial, so the
-    /// region is left *unresolved* (emitting from it could produce false
-    /// positives) and the run counts as cancelled.
-    ///
-    /// `run` is the compute half supplied by the driver's work source —
-    /// the [`RegionCtx`] streaming insert for the batch pipeline, the
-    /// sealed-partition join for streaming ingestion — and must report
-    /// `(counters, completed)` exactly like
-    /// `tuple_level::join_into_store`.
-    pub fn process_and_commit<F>(
-        &mut self,
-        rid: u32,
-        stats: &mut ExecStats,
-        run: F,
-    ) -> Option<Option<ResultEvent>>
-    where
-        F: FnOnce(&mut CellStore) -> (TupleLevelStats, bool),
-    {
-        let span = self.trace.span(Span::TuplePhase {
-            region_id: u64::from(rid),
-            pairs: self.pair_bound(rid),
-        });
-        let compute_started = Instant::now();
-        let (tl, completed) = run(&mut self.store);
-        let compute_elapsed = compute_started.elapsed();
-        span.end();
-        stats.region_latency.record(compute_elapsed);
-        absorb_batch_work(stats, compute_elapsed, &tl);
-        if !completed {
-            stats.cancelled = true;
-            return None;
-        }
-        stats.regions_processed += 1;
-        Some(self.resolve(rid, stats))
-    }
-
-    /// Batch path: applies one computed batch. The region box is re-checked
-    /// against results committed in the meantime (a region dispatched early
-    /// may be dead by the time its batch lands — counted as
-    /// [`ExecStats::regions_computed_dead`]), then the surviving tuples
-    /// go through the same cell-restricted dominance insert the streaming
-    /// path uses, and the region resolves.
+    /// Applies one computed batch. The region box is re-checked against
+    /// results committed in the meantime (a region dispatched early may be
+    /// dead by the time its batch lands — counted as
+    /// [`ExecStats::regions_computed_dead`]), then the surviving tuples go
+    /// through the cell-restricted dominance insert, and the region
+    /// resolves.
     ///
     /// # Panics
     /// Debug-asserts that the batch completed; committing a partial batch
@@ -818,18 +773,6 @@ impl WorkSource {
         }
     }
 
-    fn process_into(
-        &self,
-        rid: u32,
-        store: &mut CellStore,
-        token: &CancellationToken,
-    ) -> (TupleLevelStats, bool) {
-        match self {
-            WorkSource::Query(ctx) => ctx.process_into(rid, store, token),
-            WorkSource::Ingest(ctx) => ctx.process_into(rid, store, token),
-        }
-    }
-
     fn out_dims(&self) -> usize {
         match self {
             WorkSource::Query(ctx) => ctx.maps().out_dims(),
@@ -880,9 +823,6 @@ pub struct RegionDriver {
     work: Option<WorkSource>,
     /// Whether pops go through the ingest readiness gate (streaming runs).
     gated: bool,
-    /// Join-pair bound at which the inline backend switches from streaming
-    /// insert to batch compute + local skyline pre-filter.
-    prefilter_min_pairs: u64,
     queue: Arc<ResultQueue>,
     /// Dispatch sequence numbers of in-flight regions, oldest first
     /// (pooled backend only; always empty on inline).
@@ -916,15 +856,8 @@ pub struct RegionDriver {
 }
 
 impl RegionDriver {
-    /// Builds the driver over a prepared pipeline. `prefilter_min_pairs`
-    /// comes from [`ProgXeConfig`](crate::config::ProgXeConfig) and only
-    /// affects the inline backend (pool workers always pre-filter).
-    pub fn new(
-        prep: Prepared,
-        token: CancellationToken,
-        backend: ExecutorBackend,
-        prefilter_min_pairs: usize,
-    ) -> Self {
+    /// Builds the driver over a prepared pipeline.
+    pub fn new(prep: Prepared, token: CancellationToken, backend: ExecutorBackend) -> Self {
         let work = prep.ctx.map(WorkSource::Query);
         Self::from_parts(
             prep.committer,
@@ -933,7 +866,6 @@ impl RegionDriver {
             prep.started,
             token,
             backend,
-            prefilter_min_pairs,
             false,
         )
     }
@@ -941,6 +873,8 @@ impl RegionDriver {
     /// Builds a readiness-gated driver for streaming ingestion. Pops stall
     /// until the ingest state seals the scheduled region's input cells, and
     /// the dispatch window is forced to 1 (see [`RegionDriver::window`]).
+    /// Regions are computed exactly as on a batch pipeline, key-group
+    /// look-ahead and guard included.
     pub(crate) fn for_ingest(
         committer: Committer,
         ctx: Arc<crate::ingest::IngestCtx>,
@@ -956,14 +890,10 @@ impl RegionDriver {
             started,
             token,
             backend,
-            // Streaming regions have pair bound 0 and always stream-insert
-            // on the inline backend; the gate value is irrelevant.
-            usize::MAX,
             true,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         committer: Option<Committer>,
         work: Option<WorkSource>,
@@ -971,7 +901,6 @@ impl RegionDriver {
         started: Instant,
         token: CancellationToken,
         backend: ExecutorBackend,
-        prefilter_min_pairs: usize,
         gated: bool,
     ) -> Self {
         let window = if gated {
@@ -987,14 +916,6 @@ impl RegionDriver {
             .as_ref()
             .map(|c| c.trace().clone())
             .unwrap_or_default();
-        // `usize::MAX` is the documented "filter disabled" sentinel; map it
-        // to `u64::MAX` explicitly so a 32-bit `usize::MAX` (2^32−1, which
-        // real pair bounds can exceed) still disables the filter.
-        let prefilter_min_pairs = if prefilter_min_pairs == usize::MAX {
-            u64::MAX
-        } else {
-            prefilter_min_pairs as u64
-        };
         Self {
             start: started,
             token,
@@ -1003,7 +924,6 @@ impl RegionDriver {
             backend,
             work,
             gated,
-            prefilter_min_pairs,
             queue: Arc::new(ResultQueue::new()),
             inflight: VecDeque::new(),
             next_seq: 0,
@@ -1055,10 +975,9 @@ impl RegionDriver {
     }
 
     /// One deterministic scheduling round. Inline: pop one region, compute
-    /// it here (streaming or batch per the pre-filter gate), commit.
-    /// Pooled: top the dispatch window up, then — unless dead-region
-    /// discards already produced deliverable events — commit the oldest
-    /// in-flight batch. Gated (ingestion) runs additionally stall when the
+    /// its batch here, commit it. Pooled: top the dispatch window up, then
+    /// — unless dead-region discards already produced deliverable events —
+    /// commit the oldest in-flight batch. Gated (ingestion) runs additionally stall when the
     /// scheduled region's input is not sealed yet.
     fn advance(&mut self) -> Advance {
         let Some(committer) = self.committer.as_mut() else {
@@ -1099,50 +1018,20 @@ impl RegionDriver {
             }
             match &self.backend {
                 ExecutorBackend::Inline => {
-                    return if committer.pair_bound(rid) < self.prefilter_min_pairs {
-                        // Small region: stream matches straight into the
-                        // cell store, no batch materialization.
-                        let token = &self.token;
-                        match committer.process_and_commit(rid, &mut self.stats, |store| {
-                            work.process_into(rid, store, token)
-                        }) {
-                            Some(Some(event)) => {
-                                self.ready.push_back(event);
-                                Advance::Progressed
-                            }
-                            Some(None) => Advance::Progressed,
-                            None => Advance::Finished, // cancelled mid-region
-                        }
+                    let span = self.trace.span(Span::TuplePhase {
+                        region_id: u64::from(rid),
+                        pairs: committer.pair_bound(rid),
+                    });
+                    // Inline borrows the live slab: nothing commits while
+                    // this region computes.
+                    let snapshot: &[f64] = if self.snapshot_filter {
+                        committer.admitted_slab()
                     } else {
-                        // Large region: batch compute + bounded local
-                        // skyline pre-filter before cell-store insertion.
-                        let span = self.trace.span(Span::TuplePhase {
-                            region_id: u64::from(rid),
-                            pairs: committer.pair_bound(rid),
-                        });
-                        // Inline borrows the live slab: nothing commits
-                        // while this region computes.
-                        let snapshot: &[f64] = if self.snapshot_filter {
-                            committer.admitted_slab()
-                        } else {
-                            &[]
-                        };
-                        let batch = work.compute(rid, snapshot, &self.token);
-                        span.end();
-                        if !batch.completed {
-                            // Never committed, but its partial work is
-                            // real: account it so cancelled-run stats
-                            // reflect the pairs actually evaluated.
-                            absorb_batch_work(&mut self.stats, batch.compute_time, &batch.stats);
-                            self.stats.cancelled = true;
-                            Advance::Finished
-                        } else {
-                            if let Some(event) = committer.commit_batch(batch, &mut self.stats) {
-                                self.ready.push_back(event);
-                            }
-                            Advance::Progressed
-                        }
+                        &[]
                     };
+                    let batch = work.compute(rid, snapshot, &self.token);
+                    span.end();
+                    return self.land(batch);
                 }
                 ExecutorBackend::Pooled { spawner, .. } => {
                     let seq = self.next_seq;
@@ -1228,14 +1117,21 @@ impl RegionDriver {
         let wait_started = Instant::now();
         let batch = self.queue.wait_take(seq);
         self.stats.commit_wait_time += wait_started.elapsed();
+        self.land(batch)
+    }
+
+    /// Commits the batch of the oldest dispatched region, or — when it is
+    /// incomplete — ends the run with the region unresolved.
+    fn land(&mut self, batch: RegionBatch) -> Advance {
         if !batch.completed {
             // An incomplete batch has exactly two causes. If the shared
             // token fired, this is an ordinary cancellation: the region
             // stays unresolved and the run ends cancelled, never emitting
-            // from partial state. Otherwise the worker died (a panicking
+            // from partial state. Otherwise a pool worker died (a panicking
             // mapping function) and the DeliveryGuard reported for it —
-            // propagate, matching the inline backend's behavior instead of
-            // disguising a crash as a user-initiated cancel.
+            // propagate, matching the inline backend (where the panic
+            // unwinds straight out of `compute`) instead of disguising a
+            // crash as a user-initiated cancel.
             if !self.token.is_cancelled() {
                 panic!(
                     "progxe worker panicked while computing region {} \
@@ -1243,10 +1139,16 @@ impl RegionDriver {
                     batch.rid
                 );
             }
+            // Never committed, but its partial work is real: account it so
+            // cancelled-run stats reflect the pairs actually evaluated.
             absorb_batch_work(&mut self.stats, batch.compute_time, &batch.stats);
             self.stats.cancelled = true;
             return Advance::Finished;
         }
+        let committer = self
+            .committer
+            .as_mut()
+            .expect("only a running driver computes batches");
         if let Some(event) = committer.commit_batch(batch, &mut self.stats) {
             self.ready.push_back(event);
         }
@@ -1257,11 +1159,10 @@ impl RegionDriver {
 /// Folds the work one region's tuple-level unit reports — compute time,
 /// join counters, and the batch filter stage's dominance work — into the
 /// run stats. The one place these are accumulated:
-/// [`Committer::commit_batch`] calls it for every batch it applies,
-/// [`Committer::process_and_commit`] for every streaming-arrangement region
-/// (whose filter counters are zero), and the driver for batches that will
-/// never be committed (token fired mid-region, or scavenged at `finalize`),
-/// so a cancelled run still reports the work it did.
+/// [`Committer::commit_batch`] calls it for every batch it applies, and the
+/// driver for batches that will never be committed (token fired
+/// mid-region, or scavenged at `finalize`), so a cancelled run still
+/// reports the work it did.
 fn absorb_batch_work(stats: &mut ExecStats, compute_time: Duration, work: &TupleLevelStats) {
     stats.tuple_time += compute_time;
     stats.join_pairs_evaluated += work.pairs_examined;
@@ -1400,7 +1301,7 @@ mod tests {
         let prep = ProgXe::new(config.clone())
             .prepare(&r.view(), &t.view(), maps, token.clone())
             .unwrap();
-        let driver = RegionDriver::new(prep, token.clone(), backend, config.prefilter_min_pairs);
+        let driver = RegionDriver::new(prep, token.clone(), backend);
         let mut session = QuerySession::stepped("test", token, Box::new(driver));
         let mut ids = Vec::new();
         while let Some(event) = session.next_batch() {
@@ -1410,19 +1311,6 @@ mod tests {
         assert!(!session.finish().cancelled);
         ids.sort_unstable();
         ids
-    }
-
-    #[test]
-    fn inline_streaming_and_batch_paths_agree() {
-        let r = random_source(200, 2, 6, 1);
-        let t = random_source(200, 2, 6, 2);
-        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-        let streaming = ProgXeConfig::default().with_prefilter_min_pairs(usize::MAX);
-        let batch = ProgXeConfig::default().with_prefilter_min_pairs(0);
-        assert_eq!(
-            drive(&streaming, &r, &t, &maps, ExecutorBackend::Inline),
-            drive(&batch, &r, &t, &maps, ExecutorBackend::Inline),
-        );
     }
 
     #[test]
@@ -1484,7 +1372,6 @@ mod tests {
                 spawner: Arc::new(RunAtDispatch),
                 threads,
             },
-            config.prefilter_min_pairs,
         );
         let window = driver.window;
         assert_eq!(window, 2 * threads);
@@ -1656,22 +1543,16 @@ mod tests {
 
     #[test]
     fn inline_prefilter_prunes_and_counts() {
-        // Anti-correlated-ish duplicates in one region: the batch path must
-        // report pre-filter work in the stats.
+        // Anti-correlated-ish duplicates in one region: the inline backend
+        // must report pre-filter work in the stats.
         let r = random_source(300, 2, 2, 5);
         let t = random_source(300, 2, 2, 6);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-        let config = ProgXeConfig::default().with_prefilter_min_pairs(0);
         let token = CancellationToken::new();
-        let prep = ProgXe::new(config.clone())
+        let prep = ProgXe::new(ProgXeConfig::default())
             .prepare(&r.view(), &t.view(), &maps, token.clone())
             .unwrap();
-        let driver = RegionDriver::new(
-            prep,
-            token.clone(),
-            ExecutorBackend::Inline,
-            config.prefilter_min_pairs,
-        );
+        let driver = RegionDriver::new(prep, token.clone(), ExecutorBackend::Inline);
         let mut session = QuerySession::stepped("test", token, Box::new(driver));
         while session.next_batch().is_some() {}
         let stats = session.finish();

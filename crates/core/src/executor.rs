@@ -81,8 +81,8 @@ pub struct Prepared {
     pub committer: Option<Committer>,
     /// The shared tuple-level work context (regions, grids, filtered
     /// sources), present exactly when `committer` is. Backends call
-    /// [`RegionCtx::compute`]/`process_into` on it; the committer itself
-    /// only keeps the region metadata.
+    /// [`RegionCtx::compute`] on it; the committer itself only keeps the
+    /// region metadata.
     pub ctx: Option<Arc<RegionCtx>>,
     /// The instant preparation started — the zero point of every
     /// [`ResultEvent::elapsed`](crate::session::ResultEvent::elapsed) and
@@ -146,12 +146,7 @@ impl ProgXe {
         token: CancellationToken,
     ) -> Result<QuerySession<'a>> {
         let prep = self.prepare(r, t, maps, token.clone())?;
-        let driver = RegionDriver::new(
-            prep,
-            token.clone(),
-            ExecutorBackend::Inline,
-            self.config.prefilter_min_pairs,
-        );
+        let driver = RegionDriver::new(prep, token.clone(), ExecutorBackend::Inline);
         Ok(QuerySession::stepped("progxe", token, Box::new(driver)))
     }
 
@@ -640,34 +635,29 @@ mod tests {
         assert_eq!(s.regions_skipped, 0);
     }
 
-    /// The look-ahead buckets tile `prepare`, on the streaming and the
-    /// batch arrangement alike.
+    /// The look-ahead buckets tile `prepare`, and every computed region is
+    /// timed on both sides of the commit.
     #[test]
     fn lookahead_buckets_add_up_and_the_phases_fit_the_wall() {
         let r = random_source(400, 3, 5, 19);
         let t = random_source(400, 3, 5, 20);
         let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
-        for prefilter_min_pairs in [usize::MAX, 0] {
-            let config = ProgXeConfig {
-                prefilter_min_pairs,
-                ..ProgXeConfig::default()
-            };
-            let out = ProgXe::new(config)
-                .run_collect(&r.view(), &t.view(), &maps)
-                .unwrap();
-            let s = &out.stats;
-            s.assert_inline_ledger();
-            assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
-            for bucket in [
-                s.remap_time,
-                s.grid_time,
-                s.region_lookahead_time,
-                s.cell_track_time,
-                s.determine_init_time,
-                s.schedule_time,
-            ] {
-                assert!(!bucket.is_zero(), "{s}");
-            }
+        let out = ProgXe::new(ProgXeConfig::default())
+            .run_collect(&r.view(), &t.view(), &maps)
+            .unwrap();
+        let s = &out.stats;
+        s.assert_inline_ledger();
+        assert!(s.regions_processed > 0, "{s}");
+        assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
+        for bucket in [
+            s.remap_time,
+            s.grid_time,
+            s.region_lookahead_time,
+            s.cell_track_time,
+            s.determine_init_time,
+            s.schedule_time,
+        ] {
+            assert!(!bucket.is_zero(), "{s}");
         }
     }
 

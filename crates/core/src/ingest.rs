@@ -57,7 +57,7 @@ use crate::pushthrough::Side;
 use crate::session::{CancellationToken, ResultEvent};
 use crate::source::SourceView;
 use crate::stats::{ExecStats, Laps};
-use crate::tuple_level::{join_batch, join_into_store, RegionBatch, TupleLevelStats};
+use crate::tuple_level::{join_batch, RegionBatch};
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
 use std::sync::{Arc, Mutex};
@@ -611,20 +611,8 @@ impl IngestCtx {
         (rp, tp)
     }
 
-    /// Streaming arrangement over the sealed pair
-    /// (`join_into_store`), emitting **caller row ids**.
-    pub(crate) fn process_into(
-        &self,
-        rid: u32,
-        store: &mut CellStore,
-        token: &CancellationToken,
-    ) -> (TupleLevelStats, bool) {
-        let (rp, tp) = self.sealed_pair(rid);
-        join_into_store(&rp, &tp, &self.maps, store, token)
-    }
-
-    /// Batch arrangement over the sealed pair (pool workers;
-    /// `join_batch`).
+    /// The region's work unit (`join_batch`) over the sealed pair, emitting
+    /// **caller row ids**.
     pub(crate) fn compute(
         &self,
         rid: u32,

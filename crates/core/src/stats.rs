@@ -60,18 +60,15 @@ pub struct ExecStats {
     /// total`.
     pub tuple_time: Duration,
     /// Time the ordered committer spent applying region batches (insertion
-    /// into the cell store plus blocker bookkeeping). Zero for regions that
-    /// took the streaming path, whose commit work is folded into
-    /// [`ExecStats::tuple_time`].
+    /// into the cell store plus blocker bookkeeping).
     pub commit_time: Duration,
     /// Time inside `ProgDetermine::resolve_region` — blocker decrements and
     /// the release of proven-final cells — over *every* resolution: batch
-    /// commits, streaming-path regions and dead-region discards alike. A
-    /// sub-bucket, not a ledger term: it is already inside
-    /// [`commit_time`](Self::commit_time) for batch commits, inside
-    /// [`dispatch_time`](Self::dispatch_time) for `Pooled` discards, and
-    /// otherwise (`Inline` discards and streaming-path regions) in no other
-    /// bucket at all.
+    /// commits and dead-region discards alike. A sub-bucket, not a ledger
+    /// term: it is already inside [`commit_time`](Self::commit_time) for
+    /// batch commits, inside [`dispatch_time`](Self::dispatch_time) for
+    /// `Pooled` discards, and for `Inline` discards in no other bucket at
+    /// all.
     pub resolve_time: Duration,
     /// Time the committer thread spent topping up the dispatch window:
     /// schedule pops, dead-region discards (their blocker bookkeeping
@@ -181,10 +178,7 @@ pub struct ExecStats {
     /// Tuples rejected upstream of the cell store: join matches skipped
     /// unexpanded ([`ExecStats::join_matches_skipped`]) plus produced tuples
     /// dropped by the batch filter stage — the bounded local skyline
-    /// pre-filter and the admitted-slab snapshot filter (batch path only:
-    /// pool workers always, the `Inline` backend when the region's
-    /// join-pair bound is at or above
-    /// [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
+    /// pre-filter and the admitted-slab snapshot filter.
     pub tuples_prefiltered: u64,
     /// Populated comparable cells examined across insertions (Section
     /// III-B's `k^d − (k−1)^d` bound, measured).
@@ -221,7 +215,7 @@ pub struct ExecStats {
 
     /// Per-region tuple-level latency (join + map + dominance per region).
     pub region_latency: Histogram,
-    /// Ordered-commit latency per committed batch (batch path only).
+    /// Ordered-commit latency per committed batch.
     pub commit_latency: Histogram,
     /// Inter-arrival time between accepted ingest batches (streaming runs
     /// only; empty for batch runs).
@@ -264,8 +258,9 @@ impl ExecStats {
 
     /// The time ledger of a finished `Inline` run, as the tests of both
     /// front ends assert it: the phase buckets add up to `lookahead_time`
-    /// exactly, and the three disjoint committer-thread phases fit inside
-    /// the wall — identities, so no threshold to tune.
+    /// exactly, the three disjoint committer-thread phases fit inside the
+    /// wall, and every computed region left one compute and one commit
+    /// sample — identities, so no threshold to tune.
     #[cfg(test)]
     pub(crate) fn assert_inline_ledger(&self) {
         assert_eq!(self.lookahead_time, self.lookahead_phase_sum(), "{self}");
@@ -275,6 +270,9 @@ impl ExecStats {
             "{self}"
         );
         assert!(self.cell_positions_scanned >= self.cells_tracked as u64);
+        let committed = (self.regions_processed + self.regions_computed_dead) as u64;
+        assert_eq!(self.region_latency.count(), committed, "{self}");
+        assert_eq!(self.commit_latency.count(), committed, "{self}");
     }
 
     /// Fraction of partition pairs eliminated before tuple-level work.

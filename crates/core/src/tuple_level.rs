@@ -2,11 +2,10 @@
 //!
 //! For the chosen region `R_{a,b}`: evaluate the equi-join between the
 //! tuples of `I^R_a` and `I^T_b`, apply the mapping functions to each match,
-//! orient the output, and hand the mapped tuples to a consumer — either the
-//! shared [`CellStore`] (streaming arrangement, `join_into_store`; small
-//! regions on the driver's `Inline` backend) or a private batch
-//! (`join_batch`; pool workers always, and large inline regions per
-//! [`ProgXeConfig::prefilter_min_pairs`](crate::config::ProgXeConfig)).
+//! orient the output, and collect the mapped tuples into a private batch
+//! (`join_batch`) for the ordered committer to insert into the shared
+//! [`CellStore`] — the one way every region is computed, whichever thread
+//! runs it.
 //!
 //! The producer is columnar. Each input partition is prepared once per
 //! query as a [`JoinSide`] — rows grouped by join key beside a slab of
@@ -25,14 +24,14 @@
 //! corner, `probe row + group minimum`, computed with the add that produces
 //! the rows; when a tuple the store already admitted (the *guard*) dominates
 //! the corner it dominates every row of the expansion, and the group is
-//! skipped unexpanded. Only the batch arrangement carries a guard.
+//! skipped unexpanded.
 //!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
 //! ([`RegionCtx`] is `Send + Sync` and owns all inputs), while Algorithm 2's
 //! blocker bookkeeping stays with the single ordered committer in
-//! [`crate::driver`]. Batch producers additionally run a filter stage over
-//! their own batch: a local skyline pre-filter (a one-row vectorized sweep,
+//! [`crate::driver`]. The work unit additionally runs a filter stage over
+//! its own batch: a local skyline pre-filter (a one-row vectorized sweep,
 //! then a bounded window) — sound because Pareto dominance is transitive,
 //! so a tuple dominated inside its batch can never survive the shared store
 //! either — and then rejection against the guard: a dispatch-time snapshot
@@ -43,7 +42,9 @@
 //! admitted tuples, [`CellStore::cell_is_dead`]), so where it is rejected
 //! is invisible downstream.
 
-use crate::cells::{retain_tuples, CellStore};
+use crate::cells::retain_tuples;
+#[cfg(doc)]
+use crate::cells::CellStore;
 use crate::fdom::DominanceModel;
 use crate::grid::{add_rows, JoinSide, JoinSource, SideBounds};
 use crate::lookahead::Region;
@@ -81,14 +82,13 @@ pub struct TupleLevelStats {
     /// Rows this unit grouped by join key, being the first to join their
     /// partition (batch pipeline; streaming ingestion groups at seal time).
     pub build_rows: u64,
-    /// Pairwise dominance tests performed by the batch arrangement ahead of
-    /// the committer — the key-group look-ahead's corner tests, the local
-    /// pre-filter and the admitted-slab snapshot filter (0 on the streaming
-    /// path). All run on the batched kernels, so this advances at chunk
-    /// granularity.
+    /// Pairwise dominance tests performed ahead of the committer — the
+    /// key-group look-ahead's corner tests, the local pre-filter and the
+    /// admitted-slab snapshot filter. All run on the batched kernels, so
+    /// this advances at chunk granularity.
     pub local_dominance_tests: u64,
     /// Produced tuples dropped by the batch filter stage before reaching
-    /// the committer (0 on the streaming path).
+    /// the committer.
     pub locally_pruned: u64,
     /// Vertex dot products evaluated while projecting batches into the
     /// flexible model's vertex space (0 under Pareto).
@@ -111,11 +111,11 @@ pub struct TupleLevelStats {
 /// its group when `probe row + build group minimum` is dominated. The test
 /// is Pareto whatever the query's model (Pareto dominance implies
 /// F-dominance, and the store's live set is Pareto-maintained). Skipped
-/// matches are counted, never emitted; the streaming arrangement passes an
-/// empty guard.
+/// matches are counted, never emitted; an empty guard switches the
+/// look-ahead off.
 ///
-/// Generic over the consumer (not `dyn`) so both arrangements — streaming
-/// insert and batch collection — keep `emit` inlinable in the hot loop.
+/// Generic over the consumer (not `dyn`) so `emit` stays inlinable in the
+/// hot loop.
 pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     r: &JoinSide,
     t: &JoinSide,
@@ -279,27 +279,7 @@ fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a [f64]) -> Cow<'a, 
     Cow::Owned(guard)
 }
 
-/// Streaming arrangement: joins one prepared partition pair, maps the
-/// matches, and inserts them directly into the shared cell store. Returns
-/// the work counters and whether the region completed (`false` = cancelled
-/// mid-region; the store then holds a *partial* insert set and the region
-/// must **not** be resolved).
-pub(crate) fn join_into_store(
-    r: &JoinSide,
-    t: &JoinSide,
-    maps: &MapSet,
-    store: &mut CellStore,
-    token: &CancellationToken,
-) -> (TupleLevelStats, bool) {
-    let dims = maps.out_dims();
-    join_region(r, t, maps, &[], token, |pairs, rows| {
-        for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
-            store.insert(r_id, t_id, row);
-        }
-    })
-}
-
-/// Batch arrangement — one pure, parallelizable work unit: join + map +
+/// One pure, parallelizable work unit: join + map +
 /// orient the prepared partition pair of region `rid` behind the key-group
 /// look-ahead, pre-filter the batch down to its local skyline, and drop
 /// every survivor dominated by the unit's guard — what `region_guard` keeps
@@ -395,20 +375,6 @@ impl RegionCtx {
         let (r, r_built) = self.r.side(region.r_part, &self.maps, self.columnar);
         let (t, t_built) = self.t.side(region.t_part, &self.maps, self.columnar);
         (r, t, r_built + t_built)
-    }
-
-    /// Runs region `rid` through the streaming arrangement
-    /// (`join_into_store`).
-    pub(crate) fn process_into(
-        &self,
-        rid: u32,
-        store: &mut CellStore,
-        token: &CancellationToken,
-    ) -> (TupleLevelStats, bool) {
-        let (r, t, built) = self.sides(rid);
-        let (mut stats, completed) = join_into_store(r, t, &self.maps, store, token);
-        stats.build_rows = built;
-        (stats, completed)
     }
 
     /// Computes region `rid` as a batch work unit (`join_batch`); the
@@ -626,6 +592,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::CellStore;
     use crate::output_grid::OutputGrid;
     use crate::pushthrough::Side;
     use crate::source::SourceData;
@@ -652,6 +619,26 @@ mod tests {
             store.track(c);
         }
         store
+    }
+
+    /// The unfiltered reference a work unit must be invisible against: joins
+    /// one prepared partition pair, look-ahead off, and inserts every mapped
+    /// match straight into `store`. Returns the work counters and whether
+    /// the region completed (`false` = cancelled mid-region, partial insert
+    /// set).
+    fn join_into_store(
+        r: &JoinSide,
+        t: &JoinSide,
+        maps: &MapSet,
+        store: &mut CellStore,
+        token: &CancellationToken,
+    ) -> (TupleLevelStats, bool) {
+        let dims = maps.out_dims();
+        join_region(r, t, maps, &[], token, |pairs, rows| {
+            for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
+                store.insert(r_id, t_id, row);
+            }
+        })
     }
 
     fn run(
@@ -730,9 +717,9 @@ mod tests {
         assert!(!completed);
         assert_eq!(stats.matches, 0);
         assert_eq!(store.live_tuples(), 0);
-        // The batch arrangement selects its guard and settles keys before
-        // the first probe row: a token that fired by then still stops the
-        // unit before anything is expanded.
+        // The work unit selects its guard and settles keys before the first
+        // probe row: a token that fired by then still stops the unit before
+        // anything is expanded.
         let batch = join_batch(0, &rp, &tp, &maps, &[-1.0], &token);
         assert!(!batch.completed);
         assert_eq!((batch.stats.matches, batch.ids.len()), (0, 0));
@@ -938,10 +925,10 @@ mod tests {
     /// committing `join_batch`'s output — pruned against the store's own
     /// slab as it stood before the unit, locally filtered, snapshot
     /// filtered — leaves every cell exactly as streaming the region's every
-    /// match into the store does. The streaming side admits transient
-    /// tuples the batch side never sees; eviction is order-stable, so they
-    /// leave nothing behind. Skipped and produced matches add up to the
-    /// streaming arrangement's.
+    /// match into the store (`join_into_store`) does. The streaming side
+    /// admits transient tuples the batch side never sees; eviction is
+    /// order-stable, so they leave nothing behind. Skipped and produced
+    /// matches add up to the streamed ones.
     #[test]
     fn pruned_batches_commit_to_the_same_cells_as_streamed_regions() {
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));

@@ -163,12 +163,7 @@ impl ParallelProgXe {
         } else {
             ExecutorBackend::Inline
         };
-        let driver = RegionDriver::new(
-            prep,
-            token.clone(),
-            backend,
-            self.config.prefilter_min_pairs,
-        );
+        let driver = RegionDriver::new(prep, token.clone(), backend);
         Ok(QuerySession::stepped("progxe-mt", token, Box::new(driver)))
     }
 

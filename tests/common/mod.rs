@@ -107,7 +107,7 @@ fn traced_batch_stream(
         .with_recorder_opt(ring.map(|ring| ring as Arc<dyn Recorder>))
         .prepare(&r, &t, maps, token.clone())
         .expect("valid configuration");
-    let mut driver = RegionDriver::new(prep, token.clone(), backend, config.prefilter_min_pairs);
+    let mut driver = RegionDriver::new(prep, token.clone(), backend);
     if !snapshot_filter {
         driver = driver.without_snapshot_filter();
     }

@@ -1,8 +1,8 @@
 //! Differential suite for the flexible-skyline (F-dominance) workload.
 //!
 //! Contract under test: with a `MapSet` carrying a flexible
-//! [`DominanceModel`], every engine — ProgXe on the Inline backend (all
-//! three tuple-level paths), ProgXe on the Pooled backend, and all four
+//! [`DominanceModel`], every engine — ProgXe on the Inline and on the
+//! Pooled backend, and all four
 //! baselines — produces exactly the brute-force F-skyline of
 //! `tests/common/oracle.rs`; progressive emission stays no-retraction and
 //! run-to-run deterministic; `take(k)` early-stop and mid-region
@@ -79,27 +79,16 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                 assert!(expected.is_subset(&pareto));
                 shrunk_somewhere |= expected.len() < pareto.len();
 
-                // ProgXe Inline: default, forced-batch, forced-streaming
-                // tuple-level paths.
-                for (label, config) in [
-                    ("inline-default", ProgXeConfig::default()),
-                    (
-                        "inline-batch",
-                        ProgXeConfig::default().with_prefilter_min_pairs(0),
-                    ),
-                    (
-                        "inline-streaming",
-                        ProgXeConfig::default().with_prefilter_min_pairs(usize::MAX),
-                    ),
-                ] {
-                    let out = ProgXe::new(config).run_collect(&r, &t, &maps).unwrap();
-                    assert!(!out.stats.cancelled);
-                    assert_eq!(
-                        result_ids(&out.results),
-                        expected,
-                        "{dist:?}/{seed}/{tight}: {label}"
-                    );
-                }
+                // ProgXe Inline.
+                let inline = ProgXe::new(ProgXeConfig::default())
+                    .run_collect(&r, &t, &maps)
+                    .unwrap();
+                assert!(!inline.stats.cancelled);
+                assert_eq!(
+                    result_ids(&inline.results),
+                    expected,
+                    "{dist:?}/{seed}/{tight}: inline"
+                );
                 // ProgXe Pooled (shared worker pool).
                 let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
                     .run_collect(&r, &t, &maps)

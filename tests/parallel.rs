@@ -87,9 +87,7 @@ fn parallel_matches_sequential_across_distributions_and_seeds() {
 
 /// The tentpole's equivalence matrix: for each datagen distribution and
 /// several seeds, the unified driver must produce the oracle's result set
-/// on *every* backend/path combination — Inline with the default
-/// pre-filter gate, Inline forced onto the batch path, Inline forced onto
-/// the streaming path (the pre-PR sequential arrangement), and Pooled.
+/// on both backends, Inline and Pooled.
 #[test]
 fn unified_driver_matches_oracle_on_every_backend() {
     for dist in [
@@ -112,25 +110,15 @@ fn unified_driver_matches_oracle_on_every_backend() {
             let run_ids = |out: &progxe::core::RunOutput| -> BTreeSet<(u32, u32)> {
                 out.results.iter().map(|x| (x.r_idx, x.t_idx)).collect()
             };
-            for (label, config) in [
-                ("inline-default", ProgXeConfig::default()),
-                (
-                    "inline-batch",
-                    ProgXeConfig::default().with_prefilter_min_pairs(0),
-                ),
-                (
-                    "inline-streaming",
-                    ProgXeConfig::default().with_prefilter_min_pairs(usize::MAX),
-                ),
-            ] {
-                let out = ProgXe::new(config).run_collect(&r, &t, &maps).unwrap();
-                assert!(!out.stats.cancelled);
-                assert_eq!(
-                    run_ids(&out),
-                    expected,
-                    "{dist:?}/{seed}: {label} diverged from the oracle"
-                );
-            }
+            let inline = ProgXe::new(ProgXeConfig::default())
+                .run_collect(&r, &t, &maps)
+                .unwrap();
+            assert!(!inline.stats.cancelled);
+            assert_eq!(
+                run_ids(&inline),
+                expected,
+                "{dist:?}/{seed}: inline diverged from the oracle"
+            );
             let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(3))
                 .run_collect(&r, &t, &maps)
                 .unwrap();
@@ -281,8 +269,6 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
             .generate();
         w.r = clustered(&w.r);
         w.t = clustered(&w.t);
-        // Inline streams every (small) region straight into the store, so
-        // dead-cell rejections are the store's own; Pooled replays them.
         for threads in [1usize, 2] {
             let run = |cells: usize| {
                 let config = ProgXeConfig::default()
@@ -352,14 +338,7 @@ fn env_configured_thread_count_preserves_results() {
 /// (1 partition per dimension, every tuple shares one join key), with a
 /// mapping function that cancels the session token after `fuse` evaluations.
 /// Lets us measure how promptly the tuple-level loop honors cancellation.
-/// With the default config the region's 90 000-pair bound routes it through
-/// the Inline *batch* (pre-filter) path; callers can pin the streaming path
-/// via [`ProgXeConfig::prefilter_min_pairs`].
 fn single_region_run(n: usize, fuse: u64) -> (u64, ExecStats) {
-    single_region_run_with(n, fuse, ProgXeConfig::default().with_input_partitions(1))
-}
-
-fn single_region_run_with(n: usize, fuse: u64, config: ProgXeConfig) -> (u64, ExecStats) {
     let mut r = SourceData::new(2);
     let mut t = SourceData::new(2);
     let mut x: u64 = 5;
@@ -406,7 +385,7 @@ fn single_region_run_with(n: usize, fuse: u64, config: ProgXeConfig) -> (u64, Ex
     )
     .unwrap();
 
-    let exec = ProgXe::new(config);
+    let exec = ProgXe::new(ProgXeConfig::default().with_input_partitions(1));
     let mut session = exec
         .session_with_token(&r.view(), &t.view(), &maps, token)
         .unwrap();
@@ -430,8 +409,8 @@ fn cancel_during_a_single_huge_region_stops_promptly() {
         stats.regions_skipped, 1,
         "the single region stays unresolved"
     );
-    // Partial work must be *accounted* (non-zero) yet bounded: the batch
-    // path absorbs a cancelled region's counters without committing it.
+    // Partial work must be *accounted* (non-zero) yet bounded: the driver
+    // absorbs a cancelled region's counters without committing it.
     assert!(
         stats.join_matches > 0,
         "cancelled-run stats must reflect the partial join work"
@@ -451,33 +430,9 @@ fn cancel_during_a_single_huge_region_stops_promptly() {
     );
 }
 
-/// The same mid-region promptness holds when the Inline backend is pinned
-/// to the *streaming* path (pre-filter disabled): the probe loop's token
-/// checks are shared by both arrangements.
-#[test]
-fn cancel_mid_region_is_prompt_on_the_streaming_path_too() {
-    let n = 300u64;
-    let full_matches = n * n;
-    let (evals, stats) = single_region_run_with(
-        n as usize,
-        5_000,
-        ProgXeConfig::default()
-            .with_input_partitions(1)
-            .with_prefilter_min_pairs(usize::MAX),
-    );
-    assert!(stats.cancelled);
-    assert_eq!(stats.results_emitted, 0);
-    assert!(
-        stats.join_matches < full_matches / 4,
-        "streaming join stopped late: {} of {full_matches}",
-        stats.join_matches
-    );
-    assert!(evals < 5_000 + 4 * 256 * 2, "overshot: {evals} evaluations");
-}
-
-/// `take(k)` through the Inline backend's batch (pre-filter) path: the
-/// session stops early, skips the remaining regions, and still returns the
-/// exact prefix a full run would have produced.
+/// `take(k)` through the Inline backend: the session stops early, skips the
+/// remaining regions, and still returns the exact prefix a full run would
+/// have produced.
 #[test]
 fn take_k_stops_early_on_the_inline_batch_path() {
     let w = WorkloadSpec::new(600, 2, Distribution::AntiCorrelated, 0.02)
@@ -485,8 +440,7 @@ fn take_k_stops_early_on_the_inline_batch_path() {
         .generate();
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-    // Force every region through batch compute + local pre-filter.
-    let exec = ProgXe::new(ProgXeConfig::default().with_prefilter_min_pairs(0));
+    let exec = ProgXe::new(ProgXeConfig::default());
     let full = exec.run_collect(&r, &t, &maps).unwrap();
     assert!(full.results.len() >= 3, "workload too small");
     let k = 2;

@@ -103,12 +103,8 @@ fn columnar_and_per_match_producers_emit_identical_streams() {
     for (dims, n, sigma) in [(2usize, 300usize, 0.03), (3, 250, 0.04), (4, 200, 0.06)] {
         // The generator's declared value range is [1, 100].
         let spec = StreamSpec::new(vec![0.0; dims], vec![101.0; dims]).unwrap();
-        // prefilter_min_pairs = 0 routes every Inline region of the closed
-        // relation through the batch arrangement; streaming regions have
-        // pair bound 0 and take the streaming insert. Coarser grids above
-        // d = 2 keep the region count test-sized.
+        // Coarser grids above d = 2 keep the region count test-sized.
         let config = ProgXeConfig::default()
-            .with_prefilter_min_pairs(0)
             .with_input_partitions(if dims == 2 { 3 } else { 2 })
             .with_output_cells([24, 16, 8][dims - 2]);
         for (dist, seed) in [

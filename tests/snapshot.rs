@@ -9,9 +9,9 @@
 //! nothing else. The `ResultEvent` sequence (ids, value bits, order, batch
 //! boundaries) is identical with the filter on and off, for Pareto and
 //! flexible models, closed relations and streaming ingestion, `Inline` and
-//! `Pooled`, and across the streaming and batch arrangements; the region
-//! commit order does not move either; and non-finite mapped values neither
-//! panic nor prune anything the store would have admitted.
+//! `Pooled`; the region commit order does not move either; and non-finite
+//! mapped values neither panic nor prune anything the store would have
+//! admitted.
 
 mod common;
 
@@ -35,8 +35,8 @@ fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
     vec![("pareto", pareto), ("flexible", flexible)]
 }
 
-/// Closed relations: filter on ≡ filter off, event for event, on the
-/// Inline batch path and on Pooled with 2 and 4 workers, under ProgOrder
+/// Closed relations: filter on ≡ filter off, event for event, on Inline
+/// and on Pooled with 2 and 4 workers, under ProgOrder
 /// (root-free fallback *and* real roots, depending on the grid) and a
 /// static order, across distributions, dimensionalities and seeds.
 #[test]
@@ -73,13 +73,10 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
                     .generate();
                 for (model, maps) in models(dims) {
                     for (ordering, threads) in arrangements {
-                        // prefilter_min_pairs = 0 routes every Inline
-                        // region through the batch path the filter lives
-                        // in. Coarser grids above d = 2 keep the region
-                        // count (partitions^2d) and the tracked cells
-                        // (cells^d) test-sized.
+                        // Coarser grids above d = 2 keep the region count
+                        // (partitions^2d) and the tracked cells (cells^d)
+                        // test-sized.
                         let config = ProgXeConfig::default()
-                            .with_prefilter_min_pairs(0)
                             .with_input_partitions(if dims == 2 { 3 } else { 2 })
                             .with_output_cells([24, 16, 8][dims - 2])
                             .with_ordering(ordering);
@@ -113,7 +110,7 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
     let w = WorkloadSpec::new(2_000, 3, Distribution::AntiCorrelated, 0.1)
         .with_seed(5)
         .generate();
-    let config = ProgXeConfig::default().with_prefilter_min_pairs(0);
+    let config = ProgXeConfig::default();
     let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
     let (on, on_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), true);
     let (off, off_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), false);
@@ -161,7 +158,7 @@ fn assert_matches_conserved(on: &ExecStats, off: &ExecStats, label: &str) {
 }
 
 /// Streaming ingestion: the same invariance on the readiness-gated path
-/// (window 1, `IngestCtx::compute` on Pooled, streaming insert on Inline).
+/// (window 1, `IngestCtx::compute` on either backend).
 #[test]
 fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
     let runtime = EngineRuntime::new(2);
@@ -200,12 +197,6 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
                     assert_eq!(on, off, "{label} threads={threads}: event stream moved");
                     assert_admits(&on_stats, &off_stats, model, &label);
                     assert_matches_conserved(&on_stats, &off_stats, &label);
-                    if threads == 1 {
-                        // Inline ingest regions always stream-insert: the
-                        // filter has no batch to run on and costs nothing.
-                        assert_eq!(on_stats.tuples_prefiltered, 0, "{label}");
-                        assert_eq!(on_stats.dominance_tests, off_stats.dominance_tests);
-                    }
                     filtered_somewhere |=
                         on_stats.tuples_prefiltered > off_stats.tuples_prefiltered;
                 }
@@ -221,9 +212,9 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
 /// Inline ≡ Pooled on streaming ingestion, bit for bit, on the inputs that
 /// used to diverge (ROADMAP item 7's counter-example: AntiCorrelated seeds
 /// 3, 7, 13 and 88 emitted the same set with a different cell order inside
-/// an event). The pooled workers' local pre-filter drops tuples the inline
-/// streaming insert would have rejected itself, which moves the moment a
-/// cell is lazily *found* dead; the order of cells inside a `ResultEvent`
+/// an event). Back then the pooled workers' local pre-filter dropped tuples
+/// the inline streaming insert rejected itself, which moved the moment a
+/// cell was lazily *found* dead; the order of cells inside a `ResultEvent`
 /// is ascending grid coordinate and cannot observe that.
 #[test]
 fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
@@ -257,17 +248,19 @@ fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
     );
 }
 
-/// The arrangement matrix: Inline streaming, Inline batch, Inline at the
-/// default `prefilter_min_pairs`, Pooled(2) at the default and Pooled(2)
-/// batch emit one `Stream`, bit for bit, on 90 inputs. The arrangements
-/// differ in which dominated tuples reach the store at all — the streaming
-/// insert admits *transient* tuples (admitted, evicted before their region
-/// resolves) that a batch's local filter or look-ahead drops upstream — and
-/// a cell's tuple order is the admission order of its live tuples, so what
-/// came and went leaves no trace. With eviction replayed as `swap_remove`s
-/// (before the key-group look-ahead PR) Inline streaming ≠ Inline batch on
-/// 16 of these inputs, and Inline ≠ Pooled(2) at the default gate on d = 4
-/// AntiCorrelated seed 3.
+/// The arrangement matrix: Inline and Pooled(2), each with the guard on
+/// and off, emit one `Stream`, bit for bit, on 90 inputs. The arrangements
+/// differ in which dominated tuples reach the store at all — a batch
+/// filtered against a staler slab, or against none, hands the committer
+/// tuples a fresher guard drops upstream — and so in the moment a cell is
+/// lazily found dead; cells inside an event come out in ascending grid
+/// coordinate and a cell's tuples in the admission order of its live ones,
+/// so neither can observe that. The inputs make the store admit
+/// *transient* tuples (admitted, evicted before their cell is released),
+/// so eviction order is exercised too. With eviction replayed as
+/// `swap_remove`s (before the key-group look-ahead PR) the since-deleted
+/// streaming insert ≠ the batch arrangement on 16 of these inputs, and
+/// Inline ≠ Pooled(2) on d = 4 AntiCorrelated seed 3.
 #[test]
 fn every_arrangement_emits_the_same_stream() {
     let runtime = EngineRuntime::new(2);
@@ -277,7 +270,6 @@ fn every_arrangement_emits_the_same_stream() {
         let config = ProgXeConfig::default()
             .with_input_partitions(if dims == 2 { 3 } else { 2 })
             .with_output_cells([24, 16, 8][dims - 2]);
-        let default_gate = config.prefilter_min_pairs;
         for dist in [
             Distribution::Correlated,
             Distribution::Independent,
@@ -287,24 +279,22 @@ fn every_arrangement_emits_the_same_stream() {
                 let w = WorkloadSpec::new(n, dims, dist, sigma)
                     .with_seed(seed)
                     .generate();
-                let run = |gate: usize, threads: usize| {
-                    let config = config.clone().with_prefilter_min_pairs(gate);
-                    batch_stream(&config, &w, &maps, backend(&runtime, threads), true)
+                let run = |threads: usize, guard: bool| {
+                    batch_stream(&config, &w, &maps, backend(&runtime, threads), guard)
                 };
-                let (streaming, streaming_stats) = run(usize::MAX, 1);
-                assert!(!streaming.is_empty(), "d={dims} {dist:?} seed={seed}");
-                for (name, gate, threads) in [
-                    ("inline batch", 0, 1),
-                    ("inline default", default_gate, 1),
-                    ("pooled default", default_gate, 2),
-                    ("pooled batch", 0, 2),
+                let (reference, reference_stats) = run(1, false);
+                assert!(!reference.is_empty(), "d={dims} {dist:?} seed={seed}");
+                transient_somewhere |= reference_stats.tuples_evicted > 0;
+                for (name, threads, guard) in [
+                    ("inline guarded", 1, true),
+                    ("pooled unguarded", 2, false),
+                    ("pooled guarded", 2, true),
                 ] {
-                    let (stream, stats) = run(gate, threads);
+                    let (stream, _) = run(threads, guard);
                     assert_eq!(
-                        streaming, stream,
-                        "d={dims} {dist:?} seed={seed}: {name} ≠ inline streaming"
+                        reference, stream,
+                        "d={dims} {dist:?} seed={seed}: {name} ≠ inline unguarded"
                     );
-                    transient_somewhere |= streaming_stats.tuples_inserted > stats.tuples_inserted;
                 }
             }
         }
@@ -326,7 +316,6 @@ fn region_commit_order_does_not_observe_the_guard() {
     let runtime = EngineRuntime::new(2);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
     let config = ProgXeConfig::default()
-        .with_prefilter_min_pairs(0)
         .with_input_partitions(16)
         .with_output_cells(400);
     let mut rooted = false;
@@ -413,9 +402,7 @@ fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
         )
         .unwrap();
         // Fifo visits the low corner last, so its batches meet a full slab.
-        let config = ProgXeConfig::default()
-            .with_prefilter_min_pairs(0)
-            .with_ordering(OrderingPolicy::Fifo);
+        let config = ProgXeConfig::default().with_ordering(OrderingPolicy::Fifo);
         for threads in [1usize, 2] {
             let (on, on_stats) = batch_stream(&config, &w, &maps, backend(&runtime, threads), true);
             let (off, off_stats) =
