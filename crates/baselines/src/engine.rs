@@ -234,7 +234,6 @@ impl ProgressiveEngine for SajEngine {
 mod tests {
     use super::*;
     use crate::common::{oracle_smj, sorted_ids};
-    use progxe_core::sink::CollectSink;
     use progxe_core::source::SourceData;
     use progxe_skyline::Preference;
 
@@ -268,17 +267,19 @@ mod tests {
     }
 
     #[test]
-    fn sessions_match_sink_paths() {
+    fn sessions_match_collect_paths() {
         let r = random_source(150, 2, 5, 1);
         let t = random_source(150, 2, 5, 2);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         for engine in engines() {
-            let mut sink = CollectSink::default();
-            engine
-                .run_sink(&r.view(), &t.view(), &maps, &mut sink)
-                .unwrap();
+            let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+            let mut pulled = Vec::new();
+            while let Some(event) = session.next_batch() {
+                pulled.extend(event.tuples);
+            }
+            assert!(!session.finish().cancelled, "{}", engine.name());
             let out = engine.run_collect(&r.view(), &t.view(), &maps).unwrap();
-            assert_eq!(out.results, sink.results, "{}", engine.name());
+            assert_eq!(out.results, pulled, "{}", engine.name());
             assert_eq!(out.stats.results_emitted as usize, out.results.len());
             assert!(!out.stats.cancelled);
         }

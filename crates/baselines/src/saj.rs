@@ -1,8 +1,8 @@
 //! SAJ — a Fagin/threshold-style skyline-over-join algorithm.
 //!
 //! The paper describes SAJ only as "extended the popular Fagin technique
-//! \[15\] following the JF-SL paradigm" (Section VI-A); we reconstruct a
-//! sound variant (DESIGN.md §5.7):
+//! \[15\] following the JF-SL paradigm" (Section VI-A) and gives no
+//! pseudo-code, so this is our own reconstruction of a sound variant:
 //!
 //! * each source keeps one list per output dimension, sorted ascending by
 //!   the *oriented* local component score `g_j`;

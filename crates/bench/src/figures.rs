@@ -1,7 +1,8 @@
 //! One function per paper figure/ablation: generate the workload(s), run
 //! the algorithms, print the series the figure plots, write CSVs.
 //!
-//! Figure-to-function map (see DESIGN.md §3 and EXPERIMENTS.md):
+//! Figure-to-function map (the README's "Paper-to-module map" places the
+//! harness in the whole system):
 //!
 //! | Paper artifact | Function | Series |
 //! |---|---|---|
@@ -19,12 +20,13 @@
 use crate::report::{
     fmt_duration, fmt_opt_duration, json_object, json_str, write_csv, write_json, Table,
 };
-use crate::runners::{default_config_for, run_algo, run_algo_with_timeout, AlgoKind, RunResult};
+use crate::runners::{
+    default_config_for, drain_run, run_algo, run_algo_with_timeout, AlgoKind, RunResult,
+};
 use progxe_core::config::OrderingPolicy;
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
 use progxe_core::session::ProgressiveEngine;
-use progxe_core::sink::CountSink;
 use progxe_core::source::SourceView;
 use progxe_datagen::{Distribution, SmjWorkload, WorkloadSpec};
 use progxe_runtime::ParallelProgXe;
@@ -1831,8 +1833,10 @@ pub fn cellbound(opt: &ExpOptions) {
         let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
         let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
         let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
-        let mut sink = CountSink::default();
-        let stats = ProgXe::new(config).run(&r, &t, &maps, &mut sink).unwrap();
+        let stats = ProgXe::new(config)
+            .run_collect(&r, &t, &maps)
+            .unwrap()
+            .stats;
         let attempts = stats.tuples_inserted + stats.tuples_rejected_dominated;
         let avg = if attempts == 0 {
             0.0
@@ -1901,12 +1905,12 @@ pub fn ablate_delta(opt: &ExpOptions) {
             let config = default_config_for(dims, sigma)
                 .with_input_partitions(p)
                 .with_output_cells(k);
-            let mut sink = progxe_core::sink::ProgressSink::new();
-            let stats = ProgXe::new(config).run(&r, &t, &maps, &mut sink).unwrap();
-            let half = sink
+            let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
+            let (run, stats) = drain_run("ProgXe", session);
+            let half = run
                 .records
                 .iter()
-                .find(|rec| rec.cumulative * 2 >= sink.total())
+                .find(|rec| rec.cumulative * 2 >= run.results)
                 .map(|rec| rec.elapsed);
             table.row(vec![
                 format!("{p}"),
@@ -1958,15 +1962,8 @@ pub fn ablate_order(opt: &ExpOptions) {
             ("FIFO", OrderingPolicy::Fifo),
         ] {
             let config = default_config_for(dims, sigma).with_ordering(ordering);
-            let mut sink = progxe_core::sink::ProgressSink::new();
-            let stats = ProgXe::new(config).run(&r, &t, &maps, &mut sink).unwrap();
-            let run = RunResult {
-                algo: name,
-                results: sink.total(),
-                records: sink.records,
-                total_time: stats.total_time,
-                false_positives: 0,
-            };
+            let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
+            let run = drain_run(name, session).0;
             table.row(vec![
                 dist.name().into(),
                 name.into(),

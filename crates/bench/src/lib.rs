@@ -9,7 +9,8 @@
 //! fall. Every experiment accepts `--n/--sigma/--dims` overrides, so
 //! paper-scale runs are one flag away.
 //!
-//! See EXPERIMENTS.md for the experiment-by-experiment comparison.
+//! [`figures`] maps each paper figure and ablation to the function that
+//! reproduces it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! Every algorithm is driven through the workspace-wide
 //! [`ProgressiveEngine`] interface: [`AlgoKind::build`] instantiates the
 //! engine, and [`run_algo`] pulls its
-//! [`QuerySession`](progxe_core::session::QuerySession) to completion,
+//! [`QuerySession`] to completion,
 //! turning the event stream into the `(elapsed, cumulative)` series the
 //! paper's figures plot.
 
@@ -12,9 +12,9 @@ use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::{OrderingPolicy, ProgXeConfig};
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
-use progxe_core::session::{CancellationToken, ProgressiveEngine};
+use progxe_core::session::{CancellationToken, ProgressiveEngine, QuerySession};
 use progxe_core::source::SourceView;
-use progxe_core::stats::ProgressRecord;
+use progxe_core::stats::{ExecStats, ProgressRecord};
 use progxe_datagen::SmjWorkload;
 use progxe_skyline::Preference;
 use std::str::FromStr;
@@ -178,8 +178,15 @@ fn run_algo_observed(
     let t = SourceView::new(&workload.t.attrs, &workload.t.join_keys).expect("parallel arrays");
 
     let engine = kind.build(dims, sigma);
-    let mut session = engine.open(&r, &t, &maps).expect("valid configuration");
+    let session = engine.open(&r, &t, &maps).expect("valid configuration");
     on_open(session.cancel_token());
+    drain_run(kind.label(), session).0
+}
+
+/// Drains a session into its progressiveness curve — one record per batch,
+/// at [`ResultEvent::elapsed`](progxe_core::session::ResultEvent::elapsed)
+/// — and returns it with the run's final statistics.
+pub fn drain_run(algo: &'static str, mut session: QuerySession<'_>) -> (RunResult, ExecStats) {
     let mut records = Vec::new();
     let mut cumulative = 0u64;
     while let Some(event) = session.next_batch() {
@@ -190,14 +197,14 @@ fn run_algo_observed(
         });
     }
     let stats = session.finish();
-
-    RunResult {
-        algo: kind.label(),
+    let run = RunResult {
+        algo,
         records,
         total_time: stats.total_time,
         results: cumulative,
         false_positives: stats.results_retracted,
-    }
+    };
+    (run, stats)
 }
 
 /// Runs an algorithm with a wall-clock budget. Returns `None` when the run

@@ -33,7 +33,10 @@ pub enum SignatureConfig {
     Exact,
     /// Bloom filter with the given number of bits. Overlap may be a false
     /// positive, so the executor automatically downgrades region-level
-    /// pruning to populated-cell marking only (see DESIGN.md §5.3).
+    /// pruning to populated-cell marking only: a pair that merely *may*
+    /// join guarantees no tuple under its upper bound, and pruning other
+    /// regions (or premarking cells) against that bound could drop true
+    /// results (see [`crate::lookahead`]).
     Bloom {
         /// Filter size in bits (rounded up to a multiple of 64).
         bits: usize,

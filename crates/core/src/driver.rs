@@ -138,7 +138,7 @@ impl RegionSchedule {
         ctx: &RankCtx<'_>,
         stats: &mut ExecStats,
         dispatched: &[bool],
-        gate: Option<&crate::ingest::IngestCtx>,
+        gate: Option<&RegionCtx>,
     ) -> Popped {
         let is_ready = |rid: u32| gate.is_none_or(|g| g.is_ready(rid));
         match self {
@@ -208,9 +208,13 @@ impl RegionSchedule {
                             {
                                 return Popped::Exhausted;
                             }
-                            // Cyclic component with no root (DESIGN.md §5.2):
-                            // pick the best not-yet-dispatched pending region
-                            // by cached rank — O(regions), no box scans.
+                            // Cyclic component with no root: every remaining
+                            // region has an in-edge, so Algorithm 1 has no
+                            // EL-graph root to rank, yet some region must go
+                            // next for the run to progress. Pick the best
+                            // not-yet-dispatched pending region by cached
+                            // rank (ties to the lowest id) — O(regions), no
+                            // box scans, and deterministic.
                             let best = pending
                                 .into_iter()
                                 .filter(|&rid| !dispatched[rid as usize])
@@ -447,11 +451,7 @@ impl Committer {
     /// region. The streaming-ingestion driver stalls until watermarks or a
     /// source close seal the region's input cells; order preservation under
     /// the gate keeps emission identical to the all-at-once run.
-    pub fn pop_gated(
-        &mut self,
-        stats: &mut ExecStats,
-        gate: Option<&crate::ingest::IngestCtx>,
-    ) -> Popped {
+    pub fn pop_gated(&mut self, stats: &mut ExecStats, gate: Option<&RegionCtx>) -> Popped {
         let _span = self.trace.span(Span::RegionPop);
         let ctx = RankCtx {
             regions: &self.regions,
@@ -751,36 +751,6 @@ impl Drop for DeliveryGuard {
     }
 }
 
-/// Where the driver's tuple-level compute comes from.
-///
-/// Cloning is cheap (`Arc` bumps); pooled work units capture a clone.
-#[derive(Clone)]
-pub(crate) enum WorkSource {
-    /// The batch pipeline: fully materialized filtered sources
-    /// ([`RegionCtx`]).
-    Query(Arc<RegionCtx>),
-    /// Streaming ingestion: sealed stream partitions behind the shared
-    /// ingest state ([`crate::ingest::IngestCtx`]); regions gate on cell
-    /// readiness.
-    Ingest(Arc<crate::ingest::IngestCtx>),
-}
-
-impl WorkSource {
-    fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
-        match self {
-            WorkSource::Query(ctx) => ctx.compute(rid, snapshot, token),
-            WorkSource::Ingest(ctx) => ctx.compute(rid, snapshot, token),
-        }
-    }
-
-    fn out_dims(&self) -> usize {
-        match self {
-            WorkSource::Query(ctx) => ctx.maps().out_dims(),
-            WorkSource::Ingest(ctx) => ctx.out_dims(),
-        }
-    }
-}
-
 /// Outcome of one [`RegionDriver::poll_next`] call.
 #[derive(Debug)]
 pub enum DriverPoll {
@@ -820,8 +790,10 @@ pub struct RegionDriver {
     stats: ExecStats,
     committer: Option<Committer>,
     backend: ExecutorBackend,
-    work: Option<WorkSource>,
-    /// Whether pops go through the ingest readiness gate (streaming runs).
+    work: Option<Arc<RegionCtx>>,
+    /// Whether pops go through the readiness gate
+    /// ([`RegionCtx::is_ready`]): a stream's work context, whose slots
+    /// are set as cells seal.
     gated: bool,
     queue: Arc<ResultQueue>,
     /// Dispatch sequence numbers of in-flight regions, oldest first
@@ -856,73 +828,31 @@ pub struct RegionDriver {
 }
 
 impl RegionDriver {
-    /// Builds the driver over a prepared pipeline.
+    /// Builds the driver over a prepared pipeline — a closed relation's or
+    /// a stream's. Over a stream's work context every pop is
+    /// readiness-gated: it stalls until the scheduled region's cells seal,
+    /// and the dispatch window is 1 on either backend: popping ahead of
+    /// the commit frontier would interleave pops and commits differently
+    /// per arrival schedule.
     pub fn new(prep: Prepared, token: CancellationToken, backend: ExecutorBackend) -> Self {
-        let work = prep.ctx.map(WorkSource::Query);
-        Self::from_parts(
-            prep.committer,
-            work,
-            prep.stats,
-            prep.started,
-            token,
-            backend,
-            false,
-        )
-    }
-
-    /// Builds a readiness-gated driver for streaming ingestion. Pops stall
-    /// until the ingest state seals the scheduled region's input cells, and
-    /// the dispatch window is forced to 1 (see [`RegionDriver::window`]).
-    /// Regions are computed exactly as on a batch pipeline, key-group
-    /// look-ahead and guard included.
-    pub(crate) fn for_ingest(
-        committer: Committer,
-        ctx: Arc<crate::ingest::IngestCtx>,
-        stats: ExecStats,
-        started: Instant,
-        token: CancellationToken,
-        backend: ExecutorBackend,
-    ) -> Self {
-        Self::from_parts(
-            Some(committer),
-            Some(WorkSource::Ingest(ctx)),
-            stats,
-            started,
-            token,
-            backend,
-            true,
-        )
-    }
-
-    fn from_parts(
-        committer: Option<Committer>,
-        work: Option<WorkSource>,
-        stats: ExecStats,
-        started: Instant,
-        token: CancellationToken,
-        backend: ExecutorBackend,
-        gated: bool,
-    ) -> Self {
-        let window = if gated {
-            1
-        } else {
-            match &backend {
-                ExecutorBackend::Inline => 1,
-                ExecutorBackend::Pooled { threads, .. } => threads.saturating_mul(2).max(1),
-            }
+        let gated = prep.ctx.as_ref().is_some_and(|ctx| ctx.is_streamed());
+        let window = match &backend {
+            ExecutorBackend::Pooled { threads, .. } if !gated => threads.saturating_mul(2).max(1),
+            _ => 1,
         };
+        let committer = prep.committer;
         let done = committer.is_none();
         let trace = committer
             .as_ref()
             .map(|c| c.trace().clone())
             .unwrap_or_default();
         Self {
-            start: started,
+            start: prep.started,
             token,
-            stats,
+            stats: prep.stats,
             committer,
             backend,
-            work,
+            work: prep.ctx,
             gated,
             queue: Arc::new(ResultQueue::new()),
             inflight: VecDeque::new(),
@@ -986,11 +916,8 @@ impl RegionDriver {
         let work = self
             .work
             .as_ref()
-            .expect("a committer implies a work source");
-        let gate = match work {
-            WorkSource::Ingest(ctx) if self.gated => Some(&**ctx),
-            _ => None,
-        };
+            .expect("a committer implies a work context");
+        let gate = self.gated.then_some(&**work);
         let mut stalled = false;
         let topup_started = Instant::now();
         while self.inflight.len() < self.window {
@@ -1036,10 +963,10 @@ impl RegionDriver {
                 ExecutorBackend::Pooled { spawner, .. } => {
                     let seq = self.next_seq;
                     self.next_seq += 1;
-                    let work = work.clone();
+                    let work = Arc::clone(work);
                     let token = self.token.clone();
                     let queue = Arc::clone(&self.queue);
-                    let dims = work.out_dims();
+                    let dims = work.maps().out_dims();
                     let trace = self.trace.clone();
                     let pairs = committer.pair_bound(rid);
                     // The slab as it stands *now*, on the committer thread,

@@ -10,7 +10,7 @@
 //! eliminated by other regions and therefore have a higher probability of
 //! reporting results early" — they are the candidates ProgOrder ranks.
 //!
-//! Note (DESIGN.md §5.2): overlapping boxes produce *mutual* edges, so the
+//! Note: overlapping boxes produce *mutual* edges, so the
 //! graph may be cyclic and can momentarily have no root at all; the
 //! executor then falls back to the best-ranked pending region. The paper
 //! does not discuss this case; correctness is unaffected because soundness

@@ -9,14 +9,16 @@
 //! The pipeline is organized for *pull-based* consumption: [`ProgXe::session`]
 //! front-loads everything up to the look-ahead phase and returns a
 //! [`QuerySession`] whose `next_batch` steps the region loop one region at a
-//! time. The classic push entry point [`ProgXe::run`] is a thin adapter that
-//! drains a session into a [`ResultSink`]; cancellation (and `take(k)` early
-//! termination) is checked at every region boundary *and* inside the
-//! tuple-level probe loop, so an abandoned session stops even mid-region.
+//! time. Cancellation (and `take(k)` early termination) is checked at every
+//! region boundary *and* inside the tuple-level probe loop, so an abandoned
+//! session stops even mid-region.
 //!
 //! This module is the pipeline *front end* only: validation, push-through,
 //! grid construction, the output-space look-ahead, and the region schedule
-//! — everything [`ProgXe::prepare`] produces. The region loop itself —
+//! — everything [`ProgXe::prepare`] produces. Streaming ingestion
+//! ([`crate::ingest`]) opens through the same `FrontEnd`: it hands the
+//! look-ahead two declared grids instead of two built from rows, and gets
+//! the same committer and work context back. The region loop itself —
 //! schedule pop, tuple-level phase, ordered commit — lives exactly once in
 //! [`crate::driver`]: the sequential path is the
 //! [`Inline`](crate::driver::ExecutorBackend::Inline) instantiation of
@@ -31,21 +33,20 @@
 use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
 use crate::cost::CostModel;
-use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver};
+use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver, RowIds};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
 use crate::grid::{InputGrid, JoinSource};
-use crate::lookahead::{run_lookahead, track_cells};
+use crate::lookahead::{run_lookahead, track_cells, Lookahead, Region};
 use crate::mapping::MapSet;
 use crate::output_grid::MAX_DIMS;
 use crate::progdetermine::ProgDetermine;
 use crate::pushthrough::{push_through, Side};
 use crate::session::{CancellationToken, QuerySession};
-use crate::sink::{CollectSink, ResultSink};
 use crate::source::SourceView;
 use crate::stats::{ExecStats, Laps, ResultTuple};
 use crate::tuple_level::RegionCtx;
-use progxe_obs::{Recorder, Span, Trace};
+use progxe_obs::{Recorder, Span, SpanGuard, Trace};
 use progxe_skyline::PointStore;
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,8 +80,8 @@ pub struct Prepared {
     /// The region-loop committer, or `None` when the run finished trivially
     /// (empty input, or cancelled during setup).
     pub committer: Option<Committer>,
-    /// The shared tuple-level work context (regions, grids, filtered
-    /// sources), present exactly when `committer` is. Backends call
+    /// The shared tuple-level work context (regions, per-partition join
+    /// sides), present exactly when `committer` is. Backends call
     /// [`RegionCtx::compute`] on it; the committer itself only keeps the
     /// region metadata.
     pub ctx: Option<Arc<RegionCtx>>,
@@ -88,6 +89,132 @@ pub struct Prepared {
     /// [`ResultEvent::elapsed`](crate::session::ResultEvent::elapsed) and
     /// of [`ExecStats::total_time`].
     pub started: Instant,
+}
+
+/// One session's setup in progress, shared by both front ends
+/// ([`ProgXe::prepare`] and streaming ingestion's open): the clock, the
+/// look-ahead ledger (one [`Laps`] lap per [`ExecStats`] phase bucket) and
+/// the `lookahead` trace span, from validation until
+/// [`finish`](Self::finish) hands the region loop a committer.
+pub(crate) struct FrontEnd {
+    pub(crate) stats: ExecStats,
+    pub(crate) laps: Laps,
+    pub(crate) trace: Trace,
+    started: Instant,
+    /// Closed when `lookahead_time` is recorded; a trivial run closes it
+    /// by RAII.
+    span: SpanGuard,
+}
+
+impl FrontEnd {
+    /// Validates the query shape and starts the clock, the ledger and the
+    /// span. `threads` is the backend's worker count.
+    pub(crate) fn open(
+        config: &ProgXeConfig,
+        maps: &MapSet,
+        recorder: Option<Arc<dyn Recorder>>,
+        threads: usize,
+    ) -> Result<Self> {
+        config.validate()?;
+        if maps.out_dims() > MAX_DIMS {
+            return Err(Error::TooManyDimensions {
+                dims: maps.out_dims(),
+                max: MAX_DIMS,
+            });
+        }
+        let started = Instant::now();
+        let trace = Trace::from_recorder(recorder, started);
+        Ok(Self {
+            stats: ExecStats {
+                threads_used: threads,
+                ..ExecStats::default()
+            },
+            laps: Laps::since(started),
+            span: trace.span(Span::Lookahead),
+            trace,
+            started,
+        })
+    }
+
+    /// A run that ends before the region loop (empty input, or cancelled
+    /// during setup).
+    fn trivial(self) -> Prepared {
+        Prepared {
+            stats: self.stats,
+            committer: None,
+            ctx: None,
+            started: self.started,
+        }
+    }
+
+    /// The back half every front end shares. Takes the look-ahead's
+    /// regions (the caller has stamped everything up to
+    /// `region_lookahead_time`), tracks their cells, builds Algorithm 2's
+    /// blocker counts and the committer over the region schedule, and the
+    /// work context `work` wraps around the same regions; then closes the
+    /// ledger and the span. σ feeds the benefit/cost models, `row_ids`
+    /// translates emitted ids.
+    pub(crate) fn finish(
+        mut self,
+        la: Lookahead,
+        maps: &MapSet,
+        config: &ProgXeConfig,
+        sigma: f64,
+        row_ids: RowIds,
+        work: impl FnOnce(Arc<[Region]>) -> RegionCtx,
+    ) -> Prepared {
+        let stats = &mut self.stats;
+        stats.pairs_rejected_by_signature = la.pairs_rejected_by_signature;
+        stats.regions_pruned_lookahead = la.regions_pruned;
+        stats.regions_created = la.regions.len();
+        // The store maintains its live set under Pareto regardless of the
+        // model (sound superset — Pareto dominance implies F-dominance);
+        // a flexible model additionally strengthens blocker counts and
+        // filters emissions. Region/cell pruning in `track_cells` stays
+        // Pareto-based and therefore sound for any model.
+        let mut store = CellStore::with_model(la.grid.clone(), maps.dominance().clone());
+        let tracked = track_cells(&la, &mut store);
+        stats.cells_premarked_dead = tracked.premarked_dead;
+        stats.cell_positions_scanned = tracked.positions_scanned;
+        stats.cells_tracked = store.len();
+        stats.cell_track_time = self.laps.lap();
+        let regions: Arc<[Region]> = la.regions.into();
+        let det = ProgDetermine::new(&store, &regions);
+        stats.determine_init_time = self.laps.lap();
+
+        let ctx = Arc::new(work(Arc::clone(&regions)));
+        let committer = Committer::new(
+            CommitterParts {
+                regions,
+                out_dims: maps.out_dims(),
+                row_ids,
+                store,
+                det,
+                orders: maps.preference().orders().to_vec(),
+                sigma,
+                cost_model: CostModel {
+                    sigma,
+                    cells_per_dim: config.output_cells_per_dim as u16,
+                    dims: maps.out_dims(),
+                },
+                started: self.started,
+                trace: self.trace,
+            },
+            config.ordering,
+        );
+        stats.schedule_time = self.laps.lap();
+        stats.close_lookahead_ledger();
+        self.span.end();
+        committer
+            .trace()
+            .counter("regions_created", self.stats.regions_created as u64);
+        Prepared {
+            stats: self.stats,
+            committer: Some(committer),
+            ctx: Some(ctx),
+            started: self.started,
+        }
+    }
 }
 
 impl ProgXe {
@@ -150,37 +277,6 @@ impl ProgXe {
         Ok(QuerySession::stepped("progxe", token, Box::new(driver)))
     }
 
-    /// Runs the query, pushing result batches into `sink` as soon as they
-    /// are proven final. Returns run statistics.
-    ///
-    /// This is the classic push API, kept as a thin adapter over the
-    /// streaming session.
-    pub fn run<S: ResultSink + ?Sized>(
-        &self,
-        r: &SourceView<'_>,
-        t: &SourceView<'_>,
-        maps: &MapSet,
-        sink: &mut S,
-    ) -> Result<ExecStats> {
-        self.run_cancellable(r, t, maps, sink, CancellationToken::new())
-    }
-
-    /// [`run`](Self::run) with an external cancellation token threaded
-    /// through the region loop: when the token fires, remaining regions are
-    /// skipped and the returned stats have [`ExecStats::cancelled`] set.
-    pub fn run_cancellable<S: ResultSink + ?Sized>(
-        &self,
-        r: &SourceView<'_>,
-        t: &SourceView<'_>,
-        maps: &MapSet,
-        sink: &mut S,
-        token: CancellationToken,
-    ) -> Result<ExecStats> {
-        let mut session = self.session_with_token(r, t, maps, token)?;
-        session.drain_into(sink);
-        Ok(session.finish())
-    }
-
     /// Convenience wrapper: run to completion and collect all results.
     pub fn run_collect(
         &self,
@@ -188,12 +284,7 @@ impl ProgXe {
         t: &SourceView<'_>,
         maps: &MapSet,
     ) -> Result<RunOutput> {
-        let mut sink = CollectSink::default();
-        let stats = self.run(r, t, maps, &mut sink)?;
-        Ok(RunOutput {
-            results: sink.results,
-            stats,
-        })
+        Ok(self.session(r, t, maps)?.collect())
     }
 
     /// Builds the front half of the pipeline: everything before the region
@@ -210,40 +301,18 @@ impl ProgXe {
         maps: &MapSet,
         token: CancellationToken,
     ) -> Result<Prepared> {
-        self.config.validate()?;
-        if maps.out_dims() > MAX_DIMS {
-            return Err(Error::TooManyDimensions {
-                dims: maps.out_dims(),
-                max: MAX_DIMS,
-            });
-        }
-        let started = Instant::now();
-        // One lap per `ExecStats` phase bucket; `lookahead_time` is their sum.
-        let mut laps = Laps::since(started);
-        let trace = Trace::from_recorder(self.recorder.clone(), started);
-        // Closed when `lookahead_time` is recorded below; the trivial early
-        // returns close it by RAII.
-        let lookahead_span = trace.span(Span::Lookahead);
-        let mut stats = ExecStats {
-            threads_used: 1,
-            ..ExecStats::default()
-        };
-        let trivial = |stats: ExecStats| Prepared {
-            stats,
-            committer: None,
-            ctx: None,
-            started,
-        };
+        let mut front = FrontEnd::open(&self.config, maps, self.recorder.clone(), 1)?;
         if r.is_empty() || t.is_empty() {
-            return Ok(trivial(stats));
+            return Ok(front.trivial());
         }
         if token.is_cancelled() {
-            stats.cancelled = true;
-            return Ok(trivial(stats));
+            front.stats.cancelled = true;
+            return Ok(front.trivial());
         }
 
         // ── Push-through (ProgXe+) ────────────────────────────────────────
         // `kept_*` map filtered row ids back to the caller's original rows.
+        let stats = &mut front.stats;
         let (kept_r, kept_t) = if self.config.push_through {
             match (
                 push_through(r, maps, Side::R),
@@ -274,13 +343,13 @@ impl ProgXe {
         let (r_attrs, r_keys) = filter_source(r, &kept_r, &mut dense);
         let (t_attrs, t_keys) = filter_source(t, &kept_t, &mut dense);
         let join_domain = key_ids.len();
-        stats.remap_time = laps.lap();
+        front.stats.remap_time = front.laps.lap();
         if r_keys.is_empty() || t_keys.is_empty() {
-            return Ok(trivial(stats));
+            return Ok(front.trivial());
         }
         if token.is_cancelled() {
-            stats.cancelled = true;
-            return Ok(trivial(stats));
+            front.stats.cancelled = true;
+            return Ok(front.trivial());
         }
 
         // Selectivity estimate for the benefit/cost models.
@@ -295,83 +364,29 @@ impl ProgXe {
         let t_view = SourceView::new(&t_attrs, &t_keys)?;
         let r_grid = InputGrid::build(&r_view, per_dim, self.config.signature, join_domain);
         let t_grid = InputGrid::build(&t_view, per_dim, self.config.signature, join_domain);
-        stats.partitions_r = r_grid.len();
-        stats.partitions_t = t_grid.len();
-        stats.grid_time = laps.lap();
+        front.stats.partitions_r = r_grid.len();
+        front.stats.partitions_t = t_grid.len();
+        front.stats.grid_time = front.laps.lap();
         if token.is_cancelled() {
-            stats.cancelled = true;
-            return Ok(trivial(stats));
+            front.stats.cancelled = true;
+            return Ok(front.trivial());
         }
 
-        let la = run_lookahead(
-            &r_grid,
-            &t_grid,
-            maps,
-            self.config.output_cells_per_dim as u16,
-        );
-        stats.pairs_rejected_by_signature = la.pairs_rejected_by_signature;
-        stats.regions_pruned_lookahead = la.regions_pruned;
-        stats.regions_created = la.regions.len();
-        stats.region_lookahead_time = laps.lap();
-
-        // The store maintains its live set under Pareto regardless of the
-        // model (sound superset — Pareto dominance implies F-dominance);
-        // a flexible model additionally strengthens blocker counts and
-        // filters emissions. Region/cell pruning in `track_cells` stays
-        // Pareto-based and therefore sound for any model.
-        let mut store = CellStore::with_model(la.grid.clone(), maps.dominance().clone());
-        let tracked = track_cells(&la, &mut store);
-        stats.cells_premarked_dead = tracked.premarked_dead;
-        stats.cell_positions_scanned = tracked.positions_scanned;
-        stats.cells_tracked = store.len();
-        stats.cell_track_time = laps.lap();
-        let regions: Arc<[crate::lookahead::Region]> = la.regions.into();
-        let det = ProgDetermine::new(&store, &regions);
-        stats.determine_init_time = laps.lap();
-
-        // ── Committer (region schedule + blocker bookkeeping) ────────────
-        let cost_model = CostModel {
-            sigma,
-            cells_per_dim: self.config.output_cells_per_dim as u16,
-            dims: maps.out_dims(),
+        let cells_per_dim = self.config.output_cells_per_dim as u16;
+        let la = run_lookahead(&r_grid, &t_grid, maps, cells_per_dim);
+        front.stats.region_lookahead_time = front.laps.lap();
+        let columnar = maps.separable_at(r_attrs.point(0), t_attrs.point(0));
+        let r = JoinSource::new(Side::R, r_attrs, r_keys, r_grid);
+        let t = JoinSource::new(Side::T, t_attrs, t_keys, t_grid);
+        let row_ids = RowIds::Table {
+            r: kept_r,
+            t: kept_t,
         };
-        let orders = maps.preference().orders().to_vec();
-        let ctx = Arc::new(RegionCtx::new(
-            maps.clone(),
-            JoinSource::new(Side::R, r_attrs, r_keys, r_grid),
-            JoinSource::new(Side::T, t_attrs, t_keys, t_grid),
-            Arc::clone(&regions),
-        ));
-        let committer = Committer::new(
-            CommitterParts {
-                regions,
-                out_dims: maps.out_dims(),
-                row_ids: crate::driver::RowIds::Table {
-                    r: kept_r,
-                    t: kept_t,
-                },
-                store,
-                det,
-                orders,
-                sigma,
-                cost_model,
-                started,
-                trace,
-            },
-            self.config.ordering,
-        );
-        stats.schedule_time = laps.lap();
-        stats.close_lookahead_ledger();
-        lookahead_span.end();
-        committer
-            .trace()
-            .counter("regions_created", stats.regions_created as u64);
-        Ok(Prepared {
-            stats,
-            committer: Some(committer),
-            ctx: Some(ctx),
-            started,
-        })
+        Ok(
+            front.finish(la, maps, &self.config, sigma, row_ids, |regions| {
+                RegionCtx::new(maps.clone(), columnar, r, t, regions)
+            }),
+        )
     }
 }
 
@@ -699,14 +714,13 @@ mod tests {
     // ── Streaming session behaviour ──────────────────────────────────────
 
     #[test]
-    fn stream_and_sink_paths_agree_exactly() {
+    fn stream_and_collect_paths_agree_exactly() {
         let r = random_source(200, 2, 6, 21);
         let t = random_source(200, 2, 6, 22);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let exec = ProgXe::new(ProgXeConfig::default());
 
-        let mut sink = CollectSink::default();
-        let sink_stats = exec.run(&r.view(), &t.view(), &maps, &mut sink).unwrap();
+        let collected = exec.run_collect(&r.view(), &t.view(), &maps).unwrap();
 
         let mut session = exec.session(&r.view(), &t.view(), &maps).unwrap();
         let mut streamed = Vec::new();
@@ -723,10 +737,14 @@ mod tests {
         let stream_stats = session.finish();
 
         // Identical results in identical emission order, identical work.
-        assert_eq!(streamed, sink.results);
-        assert_eq!(sink_stats.results_emitted, stream_stats.results_emitted);
-        assert_eq!(sink_stats.regions_processed, stream_stats.regions_processed);
-        assert_eq!(sink_stats.dominance_tests, stream_stats.dominance_tests);
+        let collect_stats = &collected.stats;
+        assert_eq!(streamed, collected.results);
+        assert_eq!(collect_stats.results_emitted, stream_stats.results_emitted);
+        assert_eq!(
+            collect_stats.regions_processed,
+            stream_stats.regions_processed
+        );
+        assert_eq!(collect_stats.dominance_tests, stream_stats.dominance_tests);
         assert!(!stream_stats.cancelled);
     }
 
@@ -762,13 +780,16 @@ mod tests {
         let exec = ProgXe::new(ProgXeConfig::default());
         let token = CancellationToken::new();
         token.cancel();
-        let mut sink = CollectSink::default();
-        let stats = exec
-            .run_cancellable(&r.view(), &t.view(), &maps, &mut sink, token)
-            .unwrap();
-        assert!(stats.cancelled);
-        assert_eq!(stats.regions_processed, 0, "cancelled before region work");
-        assert!(sink.results.is_empty());
+        let out = exec
+            .session_with_token(&r.view(), &t.view(), &maps, token)
+            .unwrap()
+            .collect();
+        assert!(out.stats.cancelled);
+        assert_eq!(
+            out.stats.regions_processed, 0,
+            "cancelled before region work"
+        );
+        assert!(out.results.is_empty());
     }
 
     #[test]

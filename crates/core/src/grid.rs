@@ -9,10 +9,14 @@
 //! join-value [`JoinSignature`] used to decide whether a partition pair can
 //! produce join results at all.
 //!
+//! A stream's grid ([`InputGrid::declared`]) is the same structure over
+//! *declared* bounds: one partition per cell, before any row arrives.
+//!
 //! For the tuple-level join a partition is prepared at most once per query
 //! as a [`JoinSide`] — its rows grouped by join key beside a row-major slab
-//! of what the join's row producer reads — by the first region that joins
-//! it ([`JoinSource`]).
+//! of what the join's row producer reads — held in the partition's slot of
+//! a [`JoinSource`]: filled by the first region that joins it, or, on a
+//! stream, when the cell seals.
 
 use crate::config::SignatureConfig;
 use crate::fxhash::FxHashMap;
@@ -125,16 +129,21 @@ impl GridGeometry {
     }
 }
 
-/// One non-empty input partition (`I^R_a` in the paper's notation).
+/// One input partition (`I^R_a` in the paper's notation).
+///
+/// A grid built from rows holds only non-empty partitions with tight
+/// bounds; a declared grid holds every cell, with its slice bounds, no
+/// rows yet, and [`JoinSignature::unknown`].
 #[derive(Debug, Clone)]
 pub struct InputPartition {
     /// Dense partition id within its grid.
     pub id: u32,
-    /// Row indices of member tuples in the source.
+    /// Row indices of member tuples in the source (empty in a declared
+    /// grid).
     pub tuples: Vec<u32>,
-    /// Tight per-dimension lower bounds of the members.
+    /// Per-dimension lower bounds of the members.
     pub lo: Vec<f64>,
-    /// Tight per-dimension upper bounds of the members.
+    /// Per-dimension upper bounds of the members.
     pub hi: Vec<f64>,
     /// Join-value signature of the members.
     pub signature: JoinSignature,
@@ -147,14 +156,15 @@ impl InputPartition {
         self.tuples.len()
     }
 
-    /// A partition is never empty by construction.
+    /// True for a partition without member rows: never in a grid built
+    /// from rows, always in a declared one.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
     }
 }
 
-/// The grid over one input source: its non-empty partitions.
+/// The grid over one input source: its partitions.
 #[derive(Debug, Clone)]
 pub struct InputGrid {
     partitions: Vec<InputPartition>,
@@ -221,13 +231,38 @@ impl InputGrid {
         Self { partitions }
     }
 
-    /// The non-empty partitions, ordered by grid position.
+    /// A stream's grid over declared bounds: one partition per cell of
+    /// `geo`, id = linear cell index, bounded by the cell's slice. Neither
+    /// rows nor join values are known before arrival, so every partition
+    /// is empty and carries [`JoinSignature::unknown`] — every pair of
+    /// cells becomes a region the look-ahead can neither reject nor prune.
+    ///
+    /// # Panics
+    /// Panics if `geo`'s cell count overflows `usize`.
+    pub fn declared(geo: &GridGeometry) -> Self {
+        let cells = geo.cell_count().expect("declared cell count fits");
+        let partitions = (0..cells)
+            .map(|cell| {
+                let (lo, hi) = geo.slice_bounds(cell);
+                InputPartition {
+                    id: cell as u32,
+                    tuples: Vec::new(),
+                    lo,
+                    hi,
+                    signature: JoinSignature::unknown(),
+                }
+            })
+            .collect();
+        Self { partitions }
+    }
+
+    /// The partitions, ordered by grid position.
     #[inline]
     pub fn partitions(&self) -> &[InputPartition] {
         &self.partitions
     }
 
-    /// Number of non-empty partitions.
+    /// Number of partitions.
     #[inline]
     pub fn len(&self) -> usize {
         self.partitions.len()
@@ -508,51 +543,86 @@ pub(crate) fn add_rows(base: &[f64], rows: &[f64], out: &mut [f64]) {
     }
 }
 
-/// One materialized source of a batch query as the tuple-level phase uses
-/// it: the filtered rows, their grid, and one lazily prepared [`JoinSide`]
-/// per partition. A side is built by the first region that joins its
-/// partition and shared by every later one — once per query, never per
-/// region, and never before the first result for partitions the first
-/// region does not touch.
+/// One source of a query as the tuple-level phase uses it: one
+/// [`JoinSide`] slot per input partition. A closed relation fills a slot
+/// from its filtered rows the first time a region joins the partition —
+/// once per query, never per region, and never before the first result for
+/// partitions the first region does not touch. A stream has no rows to
+/// fill from: ingestion sets a cell's slot when the cell seals.
 #[derive(Debug)]
 pub struct JoinSource {
     side: Side,
-    attrs: PointStore,
-    keys: Vec<u32>,
-    grid: InputGrid,
-    sides: Vec<OnceLock<JoinSide>>,
+    /// The filtered rows (`attrs` ∥ dense `keys`) and their grid; `None`
+    /// for a stream.
+    rows: Option<(PointStore, Vec<u32>, InputGrid)>,
+    slots: Vec<OnceLock<JoinSide>>,
 }
 
 impl JoinSource {
     /// Bundles one side's filtered rows (`attrs` ∥ `keys`, dense join keys)
     /// with the grid built over them.
     pub(crate) fn new(side: Side, attrs: PointStore, keys: Vec<u32>, grid: InputGrid) -> Self {
-        let sides = grid.partitions().iter().map(|_| OnceLock::new()).collect();
+        let slots = grid.partitions().iter().map(|_| OnceLock::new()).collect();
         Self {
             side,
-            attrs,
-            keys,
-            grid,
-            sides,
+            rows: Some((attrs, keys, grid)),
+            slots,
         }
     }
 
-    /// Attributes of the first row — the sample [`MapSet::separable_at`]
-    /// probes (a source with a grid partition has a row).
-    pub(crate) fn sample(&self) -> &[f64] {
-        self.attrs.point(0)
+    /// A stream's side over `cells` declared cells, every slot unset.
+    pub(crate) fn streamed(side: Side, cells: usize) -> Self {
+        Self {
+            side,
+            rows: None,
+            slots: (0..cells).map(|_| OnceLock::new()).collect(),
+        }
     }
 
-    /// The prepared partition `part`, reporting filtered-source rows as
-    /// result ids, and how many rows this call grouped (its length if it
-    /// was the first to ask, else 0).
+    /// Whether the slots are set from outside as cells seal (a stream).
+    pub(crate) fn is_streamed(&self) -> bool {
+        self.rows.is_none()
+    }
+
+    /// Whether partition `part`'s slot is set.
+    pub(crate) fn is_set(&self, part: usize) -> bool {
+        self.slots[part].get().is_some()
+    }
+
+    /// Number of set slots.
+    pub(crate) fn set_count(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// Sets partition `part`'s slot: a stream cell sealed.
+    ///
+    /// # Panics
+    /// Panics if the slot is already set.
+    pub(crate) fn set(&self, part: usize, prepared: JoinSide) {
+        assert!(
+            self.slots[part].set(prepared).is_ok(),
+            "a cell sealed twice"
+        );
+    }
+
+    /// The prepared partition `part`, and how many rows this call grouped
+    /// (its length if it filled the slot, else 0).
+    ///
+    /// # Panics
+    /// Panics if the slot of a stream's partition is unset: a region must
+    /// not be computed before both of its cells seal.
     pub(crate) fn side(&self, part: u32, maps: &MapSet, columnar: bool) -> (&JoinSide, u64) {
         let mut built = 0;
-        let side = self.sides[part as usize].get_or_init(|| {
-            let rows = &self.grid.partitions()[part as usize].tuples;
+        let side = self.slots[part as usize].get_or_init(|| {
+            let Some((attrs, keys, grid)) = &self.rows else {
+                panic!("region popped before its {:?} cell sealed", self.side);
+            };
+            let rows = &grid.partitions()[part as usize].tuples;
             built = rows.len() as u64;
-            let view =
-                SourceView::new(&self.attrs, &self.keys).expect("filtered arrays are parallel");
+            let view = SourceView::new(attrs, keys).expect("filtered arrays are parallel");
             JoinSide::build(maps, self.side, columnar, &view, rows, rows.clone())
         });
         (side, built)

@@ -13,16 +13,25 @@
 //!   [watermarks](IngestSession::set_watermark) ("all future rows of this
 //!   source are ≥ these values"), and a [`close`](IngestSession::close)
 //!   signal per source.
-//! * The input grids are built from **declared bounds**
-//!   ([`StreamSpec`]), so the cell a row lands in — and with it the entire
-//!   region/EL-graph/blocker structure — is fixed up front and independent
-//!   of arrival order. Cells fill incrementally; a cell **seals** once its
-//!   source closed or a watermark passed the cell's slice, guaranteeing it
-//!   can receive no more rows.
-//! * A region becomes **ready** when both of its input cells are sealed.
-//!   The [`RegionDriver`] runs with a
-//!   readiness gate: the schedule *stalls* on its next region until that
-//!   region is ready (it never skips ahead to a different ready region).
+//! * The session opens through the batch pipeline's own front end. Its two
+//!   input grids are **declared** ([`InputGrid::declared`] over the
+//!   [`StreamSpec`] bounds): one partition per cell, no rows, and a join
+//!   signature that overlaps everything and guarantees nothing. The
+//!   output-space look-ahead ([`run_lookahead`]) therefore keeps every
+//!   cell pair as a region — id `r_cell · t_cells + t_cell`, sizes zero,
+//!   nothing pruned — and `track_cells` premarks no cell, so the cell a
+//!   row lands in, and with it the whole region/EL-graph/blocker
+//!   structure, is fixed up front and independent of arrival order.
+//! * Cells fill incrementally; a cell **seals** once its source closed or a
+//!   watermark passed the cell's slice, guaranteeing it can receive no more
+//!   rows. Sealing prepares the cell's rows into its slot of the query's
+//!   one work context ([`RegionCtx`]) — the slot a closed relation fills
+//!   the first time a region joins the partition. A closed relation is a
+//!   stream whose every cell sealed at open.
+//! * A region becomes **ready** when both of its slots are set. The
+//!   [`RegionDriver`] gates every pop on
+//!   it: the schedule *stalls* on its next region until that region is
+//!   ready (it never skips ahead to a different ready region).
 //!   Stalling preserves ProgOrder's pop order exactly, so the commit
 //!   sequence — and with it Algorithm 2's blocker bookkeeping and the
 //!   emitted result stream — is **bit-identical** to the all-at-once run,
@@ -42,22 +51,19 @@
 //! price is head-of-line blocking — a not-yet-ready region parks ready
 //! ones behind it — which is the deliberate trade recorded in ROADMAP.md.
 
-use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
-use crate::cost::CostModel;
-use crate::driver::{Committer, CommitterParts, DriverPoll, ExecutorBackend, RegionDriver, RowIds};
+use crate::driver::{DriverPoll, ExecutorBackend, RegionDriver, RowIds};
 use crate::error::{Error, Result};
+use crate::executor::FrontEnd;
 use crate::fxhash::FxHashMap;
-use crate::grid::{GridGeometry, JoinSide};
-use crate::lookahead::Region;
+use crate::grid::{GridGeometry, InputGrid, JoinSource};
+use crate::lookahead::run_lookahead;
 use crate::mapping::MapSet;
-use crate::output_grid::{OutputGrid, MAX_DIMS};
-use crate::progdetermine::ProgDetermine;
 use crate::pushthrough::Side;
 use crate::session::{CancellationToken, ResultEvent};
 use crate::source::SourceView;
-use crate::stats::{ExecStats, Laps};
-use crate::tuple_level::{join_batch, RegionBatch};
+use crate::stats::ExecStats;
+use crate::tuple_level::RegionCtx;
 use progxe_obs::{Histogram, Point, Recorder, Span, Trace};
 use progxe_skyline::PointStore;
 use std::sync::{Arc, Mutex};
@@ -138,6 +144,15 @@ impl std::fmt::Display for SourceId {
             SourceId::R => "R",
             SourceId::T => "T",
         })
+    }
+}
+
+impl From<SourceId> for Side {
+    fn from(id: SourceId) -> Self {
+        match id {
+            SourceId::R => Side::R,
+            SourceId::T => Side::T,
+        }
     }
 }
 
@@ -290,7 +305,7 @@ pub enum IngestPoll {
     Complete,
 }
 
-/// Mutable per-source ingestion state.
+/// Mutable per-source ingestion state: the rows of cells not yet sealed.
 struct SourceState {
     dims: usize,
     spec: StreamSpec,
@@ -302,27 +317,16 @@ struct SourceState {
     /// Row-store indices per grid cell (arrival order; sorted by caller id
     /// at seal time).
     buckets: Vec<Vec<u32>>,
-    /// `Some` once the cell sealed (closed source, or watermark passed the
-    /// cell's slice in some dimension): its member rows frozen in canonical
-    /// (caller-row-id) order and prepared for lock-free joining, reporting
-    /// caller row ids.
-    sealed: Vec<Option<Arc<JoinSide>>>,
     watermark: Vec<f64>,
     closed: bool,
     seen: FxHashMap<u32, ()>,
     /// Next auto-assigned row id (callers may also pass explicit ids).
     auto_id: u32,
-    /// What sealing compiles a cell's rows against: the query's maps, the
-    /// side of them this source feeds, and [`MapSet::separable_at`]'s verdict.
-    maps: MapSet,
-    side: Side,
-    columnar: bool,
 }
 
 impl SourceState {
-    fn new(spec: StreamSpec, per_dim: usize, maps: &MapSet, side: Side, columnar: bool) -> Self {
+    fn new(spec: StreamSpec, geo: GridGeometry) -> Self {
         let dims = spec.dims();
-        let geo = GridGeometry::from_bounds(spec.lo(), spec.hi(), per_dim);
         let cells = geo.cell_count().expect("cell count validated at open");
         Self {
             dims,
@@ -332,14 +336,10 @@ impl SourceState {
             keys: Vec::new(),
             ids: Vec::new(),
             buckets: vec![Vec::new(); cells],
-            sealed: (0..cells).map(|_| None).collect(),
             watermark: vec![f64::NEG_INFINITY; dims],
             closed: false,
             seen: FxHashMap::default(),
             auto_id: 0,
-            maps: maps.clone(),
-            side,
-            columnar,
         }
     }
 
@@ -361,28 +361,26 @@ impl SourceState {
             .any(|d| self.geo.slot(d, self.watermark[d]) > self.geo.slot_of_linear(cell, d))
     }
 
-    /// Freezes one cell into a [`JoinSide`] (rows sorted by caller id,
+    /// Seals one cell into `ctx`'s `side` slot (rows sorted by caller id,
     /// making the partition content independent of arrival order) and
     /// returns its row count.
-    fn seal_cell(&mut self, cell: usize) -> usize {
-        debug_assert!(self.sealed[cell].is_none());
+    fn seal_cell(&mut self, cell: usize, ctx: &RegionCtx, side: Side) -> usize {
         let mut members = std::mem::take(&mut self.buckets[cell]);
         members.sort_unstable_by_key(|&idx| self.ids[idx as usize]);
         let ids = members.iter().map(|&idx| self.ids[idx as usize]).collect();
         let src = SourceView::new(&self.attrs, &self.keys).expect("arrival arrays are parallel");
-        let part = JoinSide::build(&self.maps, self.side, self.columnar, &src, &members, ids);
-        self.sealed[cell] = Some(Arc::new(part));
+        ctx.seal(side, cell, &src, &members, ids);
         members.len()
     }
 }
 
-/// Shared mutable ingestion state: both sources plus region readiness.
+/// Shared mutable ingestion state: both sources' unsealed rows, and the
+/// work context their cells seal into.
 struct IngestInner {
     r: SourceState,
     t: SourceState,
-    t_cells: usize,
-    /// Per-region readiness flag (`rid = r_cell · t_cells + t_cell`).
-    ready: Vec<bool>,
+    ctx: Arc<RegionCtx>,
+    /// Regions whose second cell sealed so far.
     regions_unlocked: usize,
     tuples_ingested: u64,
     /// Rows prepared for joining so far ([`ExecStats::join_build_rows`]).
@@ -404,47 +402,28 @@ impl IngestInner {
         }
     }
 
-    /// Seals every cell of `side` that became final, then unlocks regions
-    /// whose opposite cell is already sealed.
-    fn reseal(&mut self, side: SourceId) {
-        let newly: Vec<usize> = {
-            let src = self.source(side);
-            (0..src.sealed.len())
-                .filter(|&c| src.sealed[c].is_none() && src.cell_is_final(c))
-                .collect()
+    /// Seals every cell of source `id` that became final. Each one unlocks
+    /// the regions pairing it with an already sealed cell of the other
+    /// source.
+    fn reseal(&mut self, id: SourceId) {
+        let (src, other) = match id {
+            SourceId::R => (&mut self.r, Side::T),
+            SourceId::T => (&mut self.t, Side::R),
         };
-        for &cell in &newly {
-            self.join_build_rows += self.source(side).seal_cell(cell) as u64;
+        let side = Side::from(id);
+        let mut newly = 0;
+        for cell in 0..src.buckets.len() {
+            if self.ctx.source(side).is_set(cell) || !src.cell_is_final(cell) {
+                continue;
+            }
+            self.join_build_rows += src.seal_cell(cell, &self.ctx, side) as u64;
             self.trace.point(Point::Seal {
-                source: side.into(),
+                source: id.into(),
                 cell: cell as u64,
             });
+            newly += 1;
         }
-        for &cell in &newly {
-            match side {
-                SourceId::R => {
-                    for t_cell in 0..self.t_cells {
-                        if self.t.sealed[t_cell].is_some() {
-                            self.unlock(cell * self.t_cells + t_cell);
-                        }
-                    }
-                }
-                SourceId::T => {
-                    for r_cell in 0..self.r.sealed.len() {
-                        if self.r.sealed[r_cell].is_some() {
-                            self.unlock(r_cell * self.t_cells + cell);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn unlock(&mut self, rid: usize) {
-        if !self.ready[rid] {
-            self.ready[rid] = true;
-            self.regions_unlocked += 1;
-        }
+        self.regions_unlocked += newly * self.ctx.source(other).set_count();
     }
 
     /// Validates a whole batch, then applies it — atomically: a batch with
@@ -497,7 +476,11 @@ impl IngestInner {
             source: side.into(),
             rows: rows.len() as u64,
         });
-        let src = self.source(side);
+        let sealed = self.ctx.source(side.into());
+        let src = match side {
+            SourceId::R => &mut self.r,
+            SourceId::T => &mut self.t,
+        };
         for &(id, attrs, key) in rows {
             let idx = src.ids.len() as u32;
             src.attrs.push(attrs);
@@ -506,7 +489,7 @@ impl IngestInner {
             src.seen.insert(id, ());
             let cell = src.geo.linear_of(attrs);
             debug_assert!(
-                src.sealed[cell].is_none(),
+                !sealed.is_set(cell),
                 "watermark check admitted a row into a sealed cell"
             );
             src.buckets[cell].push(idx);
@@ -573,66 +556,15 @@ impl IngestInner {
     }
 }
 
-/// The compute-side context of a streaming session: regions plus the
-/// shared ingest state. `Send + Sync`; pooled work units capture it in an
-/// `Arc` exactly like the batch pipeline's
-/// [`RegionCtx`](crate::tuple_level::RegionCtx).
-pub struct IngestCtx {
-    maps: MapSet,
-    regions: Arc<[Region]>,
-    inner: Arc<Mutex<IngestInner>>,
-}
-
-impl IngestCtx {
-    /// Whether both input cells of `rid` are sealed — the driver's
-    /// readiness gate.
-    pub fn is_ready(&self, rid: u32) -> bool {
-        self.inner.lock().expect("ingest state poisoned").ready[rid as usize]
-    }
-
-    /// Output dimensionality of the query.
-    pub fn out_dims(&self) -> usize {
-        self.maps.out_dims()
-    }
-
-    /// The two sealed partitions of a ready region. Holds the state lock
-    /// only long enough to clone two `Arc`s; the join itself is lock-free.
-    fn sealed_pair(&self, rid: u32) -> (Arc<JoinSide>, Arc<JoinSide>) {
-        let region = &self.regions[rid as usize];
-        let inner = self.inner.lock().expect("ingest state poisoned");
-        let rp = inner.r.sealed[region.r_part as usize]
-            .as_ref()
-            .expect("region popped before its R cell sealed")
-            .clone();
-        let tp = inner.t.sealed[region.t_part as usize]
-            .as_ref()
-            .expect("region popped before its T cell sealed")
-            .clone();
-        (rp, tp)
-    }
-
-    /// The region's work unit (`join_batch`) over the sealed pair, emitting
-    /// **caller row ids**.
-    pub(crate) fn compute(
-        &self,
-        rid: u32,
-        snapshot: &[f64],
-        token: &CancellationToken,
-    ) -> RegionBatch {
-        let (rp, tp) = self.sealed_pair(rid);
-        join_batch(rid, &rp, &tp, &self.maps, snapshot, token)
-    }
-}
-
 /// A progressive query over two incrementally arriving sources.
 ///
 /// Obtain one from [`IngestSession::open`] (Inline backend) or
-/// [`IngestSession::open_with_backend`] (e.g. the runtime crate's pooled
-/// backend). Feed it with [`push`](Self::push) /
-/// [`set_watermark`](Self::set_watermark) / [`close`](Self::close), and
-/// interleave [`poll`](Self::poll) calls to drain proven-final result
-/// batches as regions unlock. Emitted `r_idx`/`t_idx` are the caller's row
-/// ids.
+/// [`IngestSession::open_observed`] (any backend, e.g. the runtime crate's
+/// pooled one, and an optional trace recorder). Feed it with
+/// [`push`](Self::push) / [`set_watermark`](Self::set_watermark) /
+/// [`close`](Self::close), and interleave [`poll`](Self::poll) calls to
+/// drain proven-final result batches as regions unlock. Emitted
+/// `r_idx`/`t_idx` are the caller's row ids.
 ///
 /// Dropping the session — with or without calling `finish` — fires its
 /// [`CancellationToken`], so in-flight pooled workers stop even when the
@@ -659,34 +591,24 @@ impl IngestSession {
         r_spec: StreamSpec,
         t_spec: StreamSpec,
     ) -> Result<IngestSession> {
-        Self::open_with_backend(
+        let token = CancellationToken::new();
+        Self::open_observed(
             config,
             maps,
             r_spec,
             t_spec,
             ExecutorBackend::Inline,
-            CancellationToken::new(),
+            token,
+            None,
         )
     }
 
-    /// Opens a streaming session on an explicit executor backend with a
-    /// caller-provided cancellation token. The `progxe-runtime` crate uses
-    /// this to run ingestion over its shared thread pool.
-    pub fn open_with_backend(
-        config: &ProgXeConfig,
-        maps: &MapSet,
-        r_spec: StreamSpec,
-        t_spec: StreamSpec,
-        backend: ExecutorBackend,
-        token: CancellationToken,
-    ) -> Result<IngestSession> {
-        Self::open_observed(config, maps, r_spec, t_spec, backend, token, None)
-    }
-
-    /// Like [`IngestSession::open_with_backend`], but attaches a
-    /// [`Recorder`] so the session emits trace events: `lookahead` /
-    /// `ingest_batch` spans, `seal` / `stall` points, and the driver-side
-    /// span taxonomy shared with materialized execution.
+    /// Opens a streaming session on an explicit executor backend (the
+    /// `progxe-runtime` crate runs ingestion over its shared thread pool)
+    /// with a caller-provided cancellation token. A [`Recorder`] makes the
+    /// session emit trace events: `lookahead` / `ingest_batch` spans,
+    /// `seal` / `stall` points, and the driver-side span taxonomy shared
+    /// with materialized execution.
     pub fn open_observed(
         config: &ProgXeConfig,
         maps: &MapSet,
@@ -696,26 +618,11 @@ impl IngestSession {
         token: CancellationToken,
         recorder: Option<Arc<dyn Recorder>>,
     ) -> Result<IngestSession> {
-        config.validate()?;
-        let out_dims = maps.out_dims();
-        if out_dims > MAX_DIMS {
-            return Err(Error::TooManyDimensions {
-                dims: out_dims,
-                max: MAX_DIMS,
-            });
-        }
-        let started = Instant::now();
-        // One lap per `ExecStats` phase bucket; `lookahead_time` is their sum.
-        let mut laps = Laps::since(started);
-        let trace = Trace::from_recorder(recorder, started);
-        let lookahead_span = trace.span(Span::Lookahead);
-        let mut stats = ExecStats {
-            threads_used: match &backend {
-                ExecutorBackend::Inline => 1,
-                ExecutorBackend::Pooled { threads, .. } => *threads,
-            },
-            ..ExecStats::default()
+        let threads = match &backend {
+            ExecutorBackend::Inline => 1,
+            ExecutorBackend::Pooled { threads, .. } => *threads,
         };
+        let mut front = FrontEnd::open(config, maps, recorder, threads)?;
         let per_dim = config.input_partitions_per_dim;
         let r_geo = GridGeometry::from_bounds(r_spec.lo(), r_spec.hi(), per_dim);
         let t_geo = GridGeometry::from_bounds(t_spec.lo(), t_spec.hi(), per_dim);
@@ -733,113 +640,32 @@ impl IngestSession {
                  reduce input_partitions_per_dim (see ingest::MAX_STREAM_REGIONS)",
             ));
         }
-        stats.partitions_r = r_cells;
-        stats.partitions_t = t_cells;
-        stats.grid_time = laps.lap();
-
-        // ── All potential regions from the declared geometry ─────────────
         // Every cell pair is provisioned: emptiness and join signatures are
         // unknowable before arrival, and a region missing here could later
         // deliver a tuple into a cell another region already released —
-        // exactly the false positive Principle 1 forbids.
-        let orders = maps.preference().orders().to_vec();
-        let mut candidates: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(r_cells * t_cells);
-        let mut raw_lo = Vec::with_capacity(out_dims);
-        let mut raw_hi = Vec::with_capacity(out_dims);
-        for r_cell in 0..r_cells {
-            let (r_lo, r_hi) = r_geo.slice_bounds(r_cell);
-            for t_cell in 0..t_cells {
-                let (t_lo, t_hi) = t_geo.slice_bounds(t_cell);
-                maps.eval_bounds_into(&r_lo, &r_hi, &t_lo, &t_hi, &mut raw_lo, &mut raw_hi);
-                let mut lo = Vec::with_capacity(out_dims);
-                let mut hi = Vec::with_capacity(out_dims);
-                for j in 0..out_dims {
-                    let a = orders[j].orient(raw_lo[j]);
-                    let b = orders[j].orient(raw_hi[j]);
-                    lo.push(a.min(b));
-                    hi.push(a.max(b));
-                }
-                candidates.push((lo, hi));
-            }
-        }
-        let mut g_lo = candidates[0].0.clone();
-        let mut g_hi = candidates[0].1.clone();
-        for (lo, hi) in &candidates[1..] {
-            for j in 0..out_dims {
-                g_lo[j] = g_lo[j].min(lo[j]);
-                g_hi[j] = g_hi[j].max(hi[j]);
-            }
-        }
-        let grid = OutputGrid::new(g_lo, g_hi, config.output_cells_per_dim as u16);
-        let regions: Arc<[Region]> = candidates
-            .into_iter()
-            .enumerate()
-            .map(|(i, (lo, hi))| {
-                let (cell_lo, cell_hi) = grid.box_of(&lo, &hi);
-                Region {
-                    id: i as u32,
-                    r_part: (i / t_cells) as u32,
-                    t_part: (i % t_cells) as u32,
-                    lo,
-                    hi,
-                    cell_lo,
-                    cell_hi,
-                    // Counts are unknowable before arrival; zero pins the
-                    // benefit/cost rank to geometry + commit state only,
-                    // which is what keeps the schedule arrival-independent.
-                    n_r: 0,
-                    n_t: 0,
-                    guaranteed: false,
-                }
-            })
-            .collect();
-        stats.regions_created = regions.len();
-        stats.region_lookahead_time = laps.lap();
-
-        // ── Cell tracking + blocker counts (Algorithm 2; blocker geometry
-        // switches to vertex projections under a flexible model) ─────────
-        let mut store = CellStore::with_model(grid, maps.dominance().clone());
-        stats.cell_positions_scanned = regions
-            .iter()
-            .map(|region| store.track_box(&region.cell_lo, &region.cell_hi))
-            .sum();
-        stats.cells_tracked = store.len();
-        stats.cell_track_time = laps.lap();
-        let det = ProgDetermine::new(&store, &regions);
-        stats.determine_init_time = laps.lap();
+        // exactly the false positive Principle 1 forbids. Region sizes are
+        // pinned to zero, which keeps the benefit/cost rank — and with it
+        // the schedule — a function of geometry and commit state only.
+        let (r_grid, t_grid) = (InputGrid::declared(&r_geo), InputGrid::declared(&t_geo));
+        front.stats.partitions_r = r_cells;
+        front.stats.partitions_t = t_cells;
+        front.stats.grid_time = front.laps.lap();
+        let la = run_lookahead(&r_grid, &t_grid, maps, config.output_cells_per_dim as u16);
+        front.stats.region_lookahead_time = front.laps.lap();
 
         let sigma = config.selectivity_hint.unwrap_or(STREAM_DEFAULT_SIGMA);
-        let cost_model = CostModel {
-            sigma,
-            cells_per_dim: config.output_cells_per_dim as u16,
-            dims: out_dims,
-        };
-        let committer = Committer::new(
-            CommitterParts {
-                regions: Arc::clone(&regions),
-                out_dims,
-                row_ids: RowIds::Identity,
-                store,
-                det,
-                orders,
-                sigma,
-                cost_model,
-                started,
-                trace: trace.clone(),
-            },
-            config.ordering,
-        );
-        stats.schedule_time = laps.lap();
-        stats.close_lookahead_ledger();
-        lookahead_span.end();
-        trace.counter("regions_created", stats.regions_created as u64);
-
         let columnar = maps.separable_at(r_spec.lo(), t_spec.lo());
+        let trace = front.trace.clone();
+        let prep = front.finish(la, maps, config, sigma, RowIds::Identity, |regions| {
+            let r = JoinSource::streamed(Side::R, r_cells);
+            let t = JoinSource::streamed(Side::T, t_cells);
+            RegionCtx::new(maps.clone(), columnar, r, t, regions)
+        });
+        let ctx = Arc::clone(prep.ctx.as_ref().expect("a stream always has regions"));
         let inner = Arc::new(Mutex::new(IngestInner {
-            r: SourceState::new(r_spec, per_dim, maps, Side::R, columnar),
-            t: SourceState::new(t_spec, per_dim, maps, Side::T, columnar),
-            t_cells,
-            ready: vec![false; regions.len()],
+            r: SourceState::new(r_spec, r_geo),
+            t: SourceState::new(t_spec, t_geo),
+            ctx,
             regions_unlocked: 0,
             tuples_ingested: 0,
             join_build_rows: 0,
@@ -847,15 +673,8 @@ impl IngestSession {
             last_batch_at: None,
             interarrival: Histogram::default(),
         }));
-        let ctx = Arc::new(IngestCtx {
-            maps: maps.clone(),
-            regions,
-            inner: Arc::clone(&inner),
-        });
-        let driver =
-            RegionDriver::for_ingest(committer, ctx, stats, started, token.clone(), backend);
         Ok(IngestSession {
-            driver,
+            driver: RegionDriver::new(prep, token.clone(), backend),
             inner,
             _drop_cancel: crate::session::DropCancel(token.clone()),
             token,
@@ -1028,12 +847,6 @@ impl std::fmt::Debug for IngestSession {
             .finish_non_exhaustive()
     }
 }
-
-// Compile-time guarantee that pooled ingest work units can cross threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<IngestCtx>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -1262,6 +1075,22 @@ mod tests {
         let ids = drain_all(&mut session);
         assert_eq!(ids, vec![(0, 0)]);
         assert!(!session.finish().cancelled);
+    }
+
+    /// The driver's gate never hands out a region whose cells are
+    /// unsealed; computing one anyway is a bug, and it fails loudly
+    /// instead of joining rows that may still grow.
+    #[test]
+    #[should_panic(expected = "region popped before its R cell sealed")]
+    fn computing_a_region_before_its_cells_seal_panics() {
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let mut session =
+            IngestSession::open(&ProgXeConfig::default(), &maps, spec(2), spec(2)).unwrap();
+        session.push(SourceId::R, &[(&[1.0, 1.0][..], 0)]).unwrap();
+        session.close(SourceId::T);
+        let ctx = Arc::clone(&session.inner.lock().unwrap().ctx);
+        assert!(!ctx.is_ready(0));
+        ctx.compute(0, &[], &CancellationToken::new());
     }
 
     #[test]

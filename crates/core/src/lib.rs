@@ -27,14 +27,13 @@
 //! The [`executor`] module builds the pipeline front end behind the public
 //! entry point [`ProgXe`]; the [`driver`] module owns the single region
 //! loop ([`driver::RegionDriver`]) that every backend — inline or pooled —
-//! executes. Results are consumed either by pulling a streaming
+//! executes. Results are consumed by pulling a streaming
 //! [`session::QuerySession`] (incremental batches, cancellation, `take(k)`
-//! early termination) or by pushing into a [`sink::ResultSink`] — the sink
-//! path is a thin adapter over the stream. Sources that *arrive*
-//! incrementally (the paper's federated/web setting) go through the
-//! [`ingest`] module instead: an [`ingest::IngestSession`] accepts row
-//! batches, watermarks, and per-source close signals, and emits
-//! proven-final results while data is still in flight.
+//! early termination). Sources that *arrive* incrementally (the paper's
+//! federated/web setting) open an [`ingest::IngestSession`] instead —
+//! through the same front end, look-ahead, committer and work context —
+//! which accepts row batches, watermarks, and per-source close signals,
+//! and emits proven-final results while data is still in flight.
 //!
 //! ## Quick example
 //!

@@ -389,6 +389,49 @@ mod tests {
         );
     }
 
+    /// What streaming ingestion's readiness borrows from the look-ahead:
+    /// over two declared grids every cell pair survives as a region, id
+    /// `r_cell · t_cells + t_cell`, sized zero, never guaranteed, bounded
+    /// by the mapped slice bounds — nothing rejected, nothing pruned, and
+    /// no cell premarked.
+    #[test]
+    fn declared_grids_provision_every_cell_pair_in_order() {
+        use crate::grid::GridGeometry;
+        use progxe_skyline::Order;
+        let r_geo = GridGeometry::from_bounds(&[0.0, 0.0], &[90.0, 30.0], 3);
+        let t_geo = GridGeometry::from_bounds(&[10.0, 5.0], &[20.0, 25.0], 2);
+        let (rg, tg) = (InputGrid::declared(&r_geo), InputGrid::declared(&t_geo));
+        let (r_cells, t_cells) = (9, 4);
+        assert_eq!((rg.len(), tg.len()), (r_cells, t_cells));
+        assert!(rg.partitions().iter().all(|p| p.is_empty()));
+        let maps = MapSet::pairwise_sum(2, Preference::new(vec![Order::Lowest, Order::Highest]));
+        let la = run_lookahead(&rg, &tg, &maps, 8);
+        assert_eq!(la.regions.len(), r_cells * t_cells);
+        assert_eq!((la.pairs_rejected_by_signature, la.regions_pruned), (0, 0));
+        assert!(la.pessimistic_skyline.is_empty());
+        let (mut raw_lo, mut raw_hi) = (Vec::new(), Vec::new());
+        for (i, region) in la.regions.iter().enumerate() {
+            let (r_cell, t_cell) = (i / t_cells, i % t_cells);
+            assert_eq!(region.id as usize, i);
+            assert_eq!(
+                (region.r_part as usize, region.t_part as usize),
+                (r_cell, t_cell)
+            );
+            assert_eq!((region.n_r, region.n_t, region.guaranteed), (0, 0, false));
+            let (r_lo, r_hi) = r_geo.slice_bounds(r_cell);
+            let (t_lo, t_hi) = t_geo.slice_bounds(t_cell);
+            maps.eval_bounds_into(&r_lo, &r_hi, &t_lo, &t_hi, &mut raw_lo, &mut raw_hi);
+            assert_eq!((region.lo[0], region.hi[0]), (raw_lo[0], raw_hi[0]));
+            assert_eq!((region.lo[1], region.hi[1]), (-raw_hi[1], -raw_lo[1]));
+        }
+        let mut store = CellStore::new(la.grid.clone());
+        let tracked = track_cells(&la, &mut store);
+        assert_eq!(tracked.premarked_dead, 0);
+        let volumes: u64 = la.regions.iter().map(|r| r.partition_count(&la.grid)).sum();
+        assert_eq!(tracked.positions_scanned, volumes);
+        assert!((0..store.len() as u32).all(|idx| !store.cell_is_dead(idx)));
+    }
+
     #[test]
     fn empty_sources_produce_empty_lookahead() {
         let r = SourceData::new(2);

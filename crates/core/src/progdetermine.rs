@@ -9,7 +9,8 @@
 //!
 //! The paper maintains per-cell lists (`RegCount`, `Dom`, `DomBy`,
 //! `Dependent`, `Dependence`) and then replaces them by dedicated counts.
-//! We realize the counts per *region* (see DESIGN.md §5.1): an unresolved
+//! We realize the counts per *region* — one integer per cell instead of five
+//! lists to keep consistent: an unresolved
 //! region `R'` **blocks** cell `c` iff `R'` could still deliver a tuple into
 //! some cell `a ⪯ c` — geometrically iff `R'.cell_lo ⪯ c`, since the box
 //! cell `aᵢ = min(cᵢ, R'.cell_hiᵢ)` then witnesses the dominator. A single

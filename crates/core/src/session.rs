@@ -1,6 +1,6 @@
 //! Pull-based progressive query consumption.
 //!
-//! The paper's framework pushes results into a [`ResultSink`] the moment
+//! The paper's framework pushes results into a sink the moment
 //! they are proven final. That is the right *production* discipline but the
 //! wrong *consumption* model for a serving layer: callers need to pause,
 //! interleave result handling with other work, stop after the first `k`
@@ -8,8 +8,7 @@
 //!
 //! * [`ProgressiveEngine`] — the uniform execution interface implemented by
 //!   the ProgXe executor *and* every baseline. `open` returns a session;
-//!   `run_sink` keeps the classic push API alive as a thin adapter that
-//!   drains the session into a sink.
+//!   `run_collect` drains one into a [`RunOutput`].
 //! * [`QuerySession`] — a pull-based cursor over a running query.
 //!   [`QuerySession::next_batch`] yields [`ResultEvent`]s; [`QuerySession::cancel`]
 //!   (or a shared [`CancellationToken`]) stops the executor *inside* its
@@ -26,7 +25,6 @@
 use crate::error::Result;
 use crate::executor::{ProgXe, RunOutput};
 use crate::mapping::MapSet;
-use crate::sink::ResultSink;
 use crate::source::SourceView;
 use crate::stats::{ExecStats, ResultTuple};
 use std::collections::VecDeque;
@@ -158,20 +156,6 @@ pub trait ProgressiveEngine {
         t: &SourceView<'a>,
         maps: &'a MapSet,
     ) -> Result<QuerySession<'a>>;
-
-    /// Classic push API, kept as a thin adapter over the stream: drains the
-    /// session into `sink` and returns the run's statistics.
-    fn run_sink<'a>(
-        &self,
-        r: &SourceView<'a>,
-        t: &SourceView<'a>,
-        maps: &'a MapSet,
-        sink: &mut dyn ResultSink,
-    ) -> Result<ExecStats> {
-        let mut session = self.open(r, t, maps)?;
-        session.drain_into(sink);
-        Ok(session.finish())
-    }
 
     /// Runs to completion and collects all results in emission order.
     fn run_collect<'a>(
@@ -315,16 +299,6 @@ impl<'a> QuerySession<'a> {
     ) -> Self {
         self.remap = (r_rows, t_rows);
         self
-    }
-
-    /// Drains the session into `sink`, forwarding every non-empty batch.
-    /// The shared plumbing behind all sink-style adapters.
-    pub fn drain_into<S: ResultSink + ?Sized>(&mut self, sink: &mut S) {
-        while let Some(event) = self.next_batch() {
-            if !event.tuples.is_empty() {
-                sink.emit_batch(&event.tuples);
-            }
-        }
     }
 
     /// Pulls the next batch of proven-final results. Returns `None` once

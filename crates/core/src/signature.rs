@@ -33,6 +33,15 @@ impl JoinSignature {
         }
     }
 
+    /// The signature of a partition whose join values are not known yet —
+    /// a streaming cell before its rows arrive: it may hold any value, so
+    /// it overlaps every signature that holds one and guarantees nothing.
+    pub fn unknown() -> Self {
+        let mut bits = BitSet::new(64);
+        bits.words.fill(u64::MAX);
+        JoinSignature::Bloom(bits)
+    }
+
     /// Registers a join value.
     pub fn insert(&mut self, value: u32) {
         match self {
@@ -200,6 +209,14 @@ mod tests {
         a.insert(42);
         b.insert(42);
         assert!(a.overlaps(&b), "shared value must overlap");
+    }
+
+    #[test]
+    fn unknown_signatures_overlap_and_guarantee_nothing() {
+        let u = JoinSignature::unknown();
+        assert!(u.overlaps(&JoinSignature::unknown()));
+        assert!(u.maybe_contains(0) && u.maybe_contains(u32::MAX));
+        assert!(!u.is_exact());
     }
 
     #[test]

@@ -38,10 +38,10 @@ pub struct ExecStats {
     /// arrived yet).
     pub remap_time: Duration,
     /// Input partitioning: the two `InputGrid`s with their join signatures
-    /// (under streaming ingestion, the declared grid geometry).
+    /// (under streaming ingestion, the declared grids).
     pub grid_time: Duration,
     /// Region generation and abstraction-level pruning (`run_lookahead`;
-    /// under streaming ingestion, provisioning every potential region).
+    /// over declared grids it provisions every potential region).
     pub region_lookahead_time: Duration,
     /// Registering every cell of every region's box in the `CellStore`
     /// and pre-marking pessimistically dominated cells.
@@ -119,8 +119,9 @@ pub struct ExecStats {
     pub regions_computed_dead: usize,
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
-    /// Times the ordering fell back because the EL-graph had no root
-    /// (cyclic components; see DESIGN.md §5.2).
+    /// Times the ordering fell back because the EL-graph had no root:
+    /// overlapping region boxes give mutual edges, so a component can be
+    /// a cycle (see [`crate::elgraph`]).
     pub ordering_fallbacks: usize,
 
     /// Output cells tracked.

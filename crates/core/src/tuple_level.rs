@@ -49,7 +49,9 @@ use crate::fdom::DominanceModel;
 use crate::grid::{add_rows, JoinSide, JoinSource, SideBounds};
 use crate::lookahead::Region;
 use crate::mapping::MapSet;
+use crate::pushthrough::Side;
 use crate::session::CancellationToken;
+use crate::source::SourceView;
 use progxe_skyline::{kernel, PointStore};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -288,7 +290,7 @@ fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a [f64]) -> Cow<'a, 
 /// rejection). All three only drop tuples the committer's cell store would
 /// reject anyway. A cancelled join is passed through unfiltered and flagged
 /// `completed == false` — it must be discarded whole.
-pub(crate) fn join_batch(
+fn join_batch(
     rid: u32,
     r: &JoinSide,
     t: &JoinSide,
@@ -318,19 +320,23 @@ pub(crate) fn join_batch(
     }
 }
 
-/// Immutable, owned context shared by all tuple-level work units of one
-/// query: both filtered sources with their (lazily) prepared partitions,
-/// regions, and the mapping functions.
+/// The one work context of a query, shared by all of its tuple-level work
+/// units on either backend and either front end: both sources' per-partition
+/// [`JoinSide`] slots ([`JoinSource`]), the regions, and the mapping
+/// functions. A closed relation fills a slot the first time a region joins
+/// the partition; streaming ingestion sets it when the cell seals — a
+/// closed relation is a stream whose every cell sealed at open.
 ///
 /// `Send + Sync` by construction (everything is owned; [`MapSet`] clones
-/// are `Arc` bumps), so an `Arc<RegionCtx>` can be captured by `'static`
-/// thread-pool jobs.
+/// are `Arc` bumps; slots are `OnceLock`s, read without a lock), so an
+/// `Arc<RegionCtx>` can be captured by `'static` thread-pool jobs.
 #[derive(Debug)]
 pub struct RegionCtx {
     maps: MapSet,
     /// The query-wide producer verdict ([`MapSet::separable_at`]).
     columnar: bool,
-    /// Push-through survivors of either source; result ids are their rows.
+    /// Result ids are the filtered rows of a closed relation, the caller's
+    /// row ids of a stream.
     r: JoinSource,
     t: JoinSource,
     /// Shared with the committer (which owns the schedule over the same
@@ -339,17 +345,18 @@ pub struct RegionCtx {
 }
 
 impl RegionCtx {
-    /// Bundles the per-query immutable state. Called by the executor's
-    /// pipeline setup; `maps` is a cheap clone (`Arc`-backed).
+    /// Bundles the per-query state; `maps` is a cheap clone (`Arc`-backed)
+    /// and `columnar` its [`MapSet::separable_at`] verdict.
     pub(crate) fn new(
         maps: MapSet,
+        columnar: bool,
         r: JoinSource,
         t: JoinSource,
         regions: std::sync::Arc<[Region]>,
     ) -> Self {
         Self {
-            columnar: maps.separable_at(r.sample(), t.sample()),
             maps,
+            columnar,
             r,
             t,
             regions,
@@ -368,6 +375,42 @@ impl RegionCtx {
         &self.maps
     }
 
+    /// One side's slots.
+    pub(crate) fn source(&self, side: Side) -> &JoinSource {
+        match side {
+            Side::R => &self.r,
+            Side::T => &self.t,
+        }
+    }
+
+    /// Whether the slots are set as a stream's cells seal — the driver
+    /// then gates every pop on `is_ready`.
+    pub(crate) fn is_streamed(&self) -> bool {
+        self.r.is_streamed()
+    }
+
+    /// Whether both partitions of region `rid` are prepared: on a closed
+    /// relation once some region joined them, on a stream once both cells
+    /// sealed.
+    pub(crate) fn is_ready(&self, rid: u32) -> bool {
+        let region = &self.regions[rid as usize];
+        self.r.is_set(region.r_part as usize) && self.t.is_set(region.t_part as usize)
+    }
+
+    /// Seals stream cell `part` of `side`: prepares `rows` of `source`
+    /// (in partition order, reporting `ids`) into its slot.
+    pub(crate) fn seal(
+        &self,
+        side: Side,
+        part: usize,
+        source: &SourceView<'_>,
+        rows: &[u32],
+        ids: Vec<u32>,
+    ) {
+        let prepared = JoinSide::build(&self.maps, side, self.columnar, source, rows, ids);
+        self.source(side).set(part, prepared);
+    }
+
     /// The prepared partition pair of region `rid`, and the rows grouped to
     /// provide it.
     fn sides(&self, rid: u32) -> (&JoinSide, &JoinSide, u64) {
@@ -379,6 +422,9 @@ impl RegionCtx {
 
     /// Computes region `rid` as a batch work unit (`join_batch`); the
     /// ordered committer commits the returned batch.
+    ///
+    /// # Panics
+    /// Panics if a cell of a stream's region has not sealed.
     pub fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
         let started = Instant::now();
         let (r, t, built) = self.sides(rid);
@@ -594,7 +640,6 @@ mod tests {
     use super::*;
     use crate::cells::CellStore;
     use crate::output_grid::OutputGrid;
-    use crate::pushthrough::Side;
     use crate::source::SourceData;
     use progxe_skyline::Preference;
 

@@ -7,8 +7,10 @@
 //! and a join selectivity σ varied in `[1e-4, 1e-1]`.
 //!
 //! Kossmann's original generator binary is not available, so this crate
-//! re-implements the three distributions (a documented substitution — see
-//! DESIGN.md §5.8) with a seeded RNG for reproducibility:
+//! re-implements the three distributions with a seeded RNG for
+//! reproducibility. That is a substitution: the data sets have the
+//! published shapes, not the paper's exact rows, so results compare by
+//! shape (who is first, by what factor), never number for number:
 //!
 //! * **independent** — every attribute i.i.d. uniform.
 //! * **correlated** — attributes cluster around a shared per-tuple level, so

@@ -2,10 +2,10 @@
 //!
 //! [`Engine`] is a declarative strategy description (parse/CLI-friendly);
 //! [`Engine::build`] turns it into the trait object that actually executes.
-//! All consumption goes through the pull-based [`QuerySession`]: the classic
-//! sink-style [`QueryRunner::run`] is an adapter that drains a session, and
+//! All consumption goes through the pull-based [`QuerySession`]:
 //! [`QueryRunner::session`] exposes the stream itself — with row ids already
-//! translated back to the caller's original catalog tables.
+//! translated back to the caller's original catalog tables — and
+//! [`QueryRunner::run_collect`] drains one.
 
 use crate::catalog::Catalog;
 use crate::parser::{parse_query, ParseError};
@@ -16,7 +16,6 @@ use progxe_core::driver::ExecutorBackend;
 use progxe_core::executor::ProgXe;
 use progxe_core::ingest::{IngestError, IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe_core::session::{CancellationToken, ProgressiveEngine, QuerySession};
-use progxe_core::sink::ResultSink;
 use progxe_core::stats::{ExecStats, ResultTuple};
 use progxe_obs::Recorder;
 use progxe_runtime::{EngineRuntime, ParallelProgXe};
@@ -412,24 +411,6 @@ impl QueryRunner {
             .open(&planned.r.view(), &planned.t.view(), &planned.maps)?
             .with_id_translation(planned.r_rows.clone(), planned.t_rows.clone());
         Ok(session)
-    }
-
-    /// Runs `sql` with `engine`, streaming result batches into `sink`.
-    /// Row ids in emitted tuples refer to the original catalog tables.
-    ///
-    /// Thin adapter over [`session`](Self::session), kept for sink-style
-    /// consumers.
-    pub fn run<S: ResultSink + ?Sized>(
-        &self,
-        sql: &str,
-        engine: &Engine,
-        sink: &mut S,
-    ) -> Result<Vec<String>, QueryError> {
-        let planned = self.prepare(sql)?;
-        let mut session = self.session(&planned, engine)?;
-        session.drain_into(sink);
-        drop(session);
-        Ok(planned.output_names)
     }
 
     /// Runs and collects all results.

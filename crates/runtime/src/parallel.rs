@@ -178,18 +178,6 @@ impl ParallelProgXe {
         r_spec: StreamSpec,
         t_spec: StreamSpec,
     ) -> Result<IngestSession> {
-        self.open_ingest_with_token(maps, r_spec, t_spec, CancellationToken::new())
-    }
-
-    /// [`open_ingest`](Self::open_ingest) sharing a caller-provided
-    /// cancellation token (e.g. one watched by a timeout thread).
-    pub fn open_ingest_with_token(
-        &self,
-        maps: &MapSet,
-        r_spec: StreamSpec,
-        t_spec: StreamSpec,
-        token: CancellationToken,
-    ) -> Result<IngestSession> {
         let pool = self.runtime.handle();
         let threads = pool.threads();
         IngestSession::open_observed(
@@ -201,7 +189,7 @@ impl ParallelProgXe {
                 spawner: pool as Arc<dyn TaskSpawner>,
                 threads,
             },
-            token,
+            CancellationToken::new(),
             self.recorder.clone(),
         )
     }

@@ -135,13 +135,14 @@ pub fn ingest_stream(
     snapshot_filter: bool,
     chunks: usize,
 ) -> (Stream, ExecStats) {
-    let mut session = IngestSession::open_with_backend(
+    let mut session = IngestSession::open_observed(
         config,
         maps,
         spec.clone(),
         spec.clone(),
         backend,
         CancellationToken::new(),
+        None,
     )
     .expect("valid configuration");
     if !snapshot_filter {

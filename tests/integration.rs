@@ -3,7 +3,6 @@
 
 use progxe::baselines::{jfsl, jfsl_plus, oracle_smj, saj, ssmj, SkyAlgo};
 use progxe::core::prelude::*;
-use progxe::core::sink::ProgressSink;
 use progxe::datagen::{Distribution, WorkloadSpec};
 
 fn views(w: &progxe::datagen::SmjWorkload) -> (SourceView<'_>, SourceView<'_>) {
@@ -88,19 +87,23 @@ fn progressive_output_is_sound_and_complete() {
         let (r, t) = views(&w);
         let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
         let expected = ids(&oracle_smj(&r, &t, &maps));
-        let mut sink = ProgressSink::new();
-        ProgXe::new(ProgXeConfig::default())
-            .run(&r, &t, &maps, &mut sink)
+        let mut session = ProgXe::new(ProgXeConfig::default())
+            .session(&r, &t, &maps)
             .unwrap();
+        let (mut results, mut cumulative) = (Vec::new(), Vec::new());
+        while let Some(event) = session.next_batch() {
+            results.extend(event.tuples);
+            cumulative.push(results.len());
+        }
         // Soundness + completeness: emitted set == oracle set.
-        assert_eq!(ids(&sink.results), expected, "{}", dist.name());
+        assert_eq!(ids(&results), expected, "{}", dist.name());
         // Monotone, strictly growing cumulative counts.
         let mut prev = 0;
-        for rec in &sink.records {
-            assert!(rec.cumulative > prev, "batch must add results");
-            prev = rec.cumulative;
+        for &count in &cumulative {
+            assert!(count > prev, "batch must add results");
+            prev = count;
         }
-        assert_eq!(prev as usize, expected.len());
+        assert_eq!(prev, expected.len());
     }
 }
 

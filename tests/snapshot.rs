@@ -158,7 +158,7 @@ fn assert_matches_conserved(on: &ExecStats, off: &ExecStats, label: &str) {
 }
 
 /// Streaming ingestion: the same invariance on the readiness-gated path
-/// (window 1, `IngestCtx::compute` on either backend).
+/// (window 1, `RegionCtx::compute` on either backend).
 #[test]
 fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
     let runtime = EngineRuntime::new(2);

@@ -1,4 +1,4 @@
-//! Integration tests for the pull-based streaming API: stream/sink
+//! Integration tests for the pull-based streaming API: stream/collect
 //! equivalence across every engine, `take(k)` early termination, and
 //! cancellation — on generated workloads, through the facade crate.
 
@@ -28,8 +28,8 @@ fn engines() -> Vec<Box<dyn ProgressiveEngine>> {
     ]
 }
 
-/// The stream API and the sink API must produce identical results in
-/// identical order, for ProgXe and every baseline, on a seeded
+/// Pulling batches one by one and `run_collect` must produce identical
+/// results in identical order, for ProgXe and every baseline, on a seeded
 /// anti-correlated workload (the skyline-hostile case).
 #[test]
 fn stream_and_sink_agree_for_every_engine() {
@@ -42,11 +42,13 @@ fn stream_and_sink_agree_for_every_engine() {
     // final set must cover it; non-tentative engines must equal it.
     let expected = common::oracle::workload_oracle_ids(&w, &maps);
     for engine in engines() {
-        // Push path.
-        let mut sink = CollectSink::default();
-        let sink_stats = engine.run_sink(&r, &t, &maps, &mut sink).unwrap();
-        let emitted: std::collections::BTreeSet<(u32, u32)> =
-            sink.results.iter().map(|x| (x.r_idx, x.t_idx)).collect();
+        // Collect path.
+        let collected = engine.run_collect(&r, &t, &maps).unwrap();
+        let emitted: std::collections::BTreeSet<(u32, u32)> = collected
+            .results
+            .iter()
+            .map(|x| (x.r_idx, x.t_idx))
+            .collect();
         for id in &expected {
             assert!(emitted.contains(id), "{}: missing {id:?}", engine.name());
         }
@@ -64,12 +66,12 @@ fn stream_and_sink_agree_for_every_engine() {
 
         assert_eq!(
             streamed,
-            sink.results,
-            "{}: stream and sink diverged",
+            collected.results,
+            "{}: stream and collect diverged",
             engine.name()
         );
         assert_eq!(
-            sink_stats.results_emitted,
+            collected.stats.results_emitted,
             stream_stats.results_emitted,
             "{}: stats diverged",
             engine.name()
@@ -226,7 +228,9 @@ fn cancellation_stops_every_engine() {
     }
 }
 
-/// A shared token cancels a ProgXe run mid-flight through the adapter API.
+/// A shared token cancels a ProgXe run mid-flight: fired by a consumer
+/// holding only a clone of the token, after the first batch, it stops the
+/// region loop at the next boundary.
 #[test]
 fn shared_token_interrupts_sink_adapter() {
     let w = WorkloadSpec::new(2_000, 2, Distribution::AntiCorrelated, 0.01)
@@ -236,27 +240,16 @@ fn shared_token_interrupts_sink_adapter() {
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
     let exec = ProgXe::new(ProgXeConfig::default());
     let token = CancellationToken::new();
-
-    // Cancel from inside the sink after the first batch: the region loop
-    // must stop at the next boundary.
-    struct CancellingSink {
-        token: CancellationToken,
-        batches: usize,
-    }
-    impl ResultSink for CancellingSink {
-        fn emit_batch(&mut self, _batch: &[ResultTuple]) {
-            self.batches += 1;
-            self.token.cancel();
-        }
-    }
-    let mut sink = CancellingSink {
-        token: token.clone(),
-        batches: 0,
-    };
-    let stats = exec
-        .run_cancellable(&r, &t, &maps, &mut sink, token)
+    let mut session = exec
+        .session_with_token(&r, &t, &maps, token.clone())
         .unwrap();
-    assert_eq!(sink.batches, 1, "cancelled after the first batch");
+    let mut batches = 0;
+    while session.next_batch().is_some() {
+        batches += 1;
+        token.cancel();
+    }
+    let stats = session.finish();
+    assert_eq!(batches, 1, "cancelled after the first batch");
     assert!(stats.cancelled);
     assert!(stats.regions_skipped > 0, "remaining regions were skipped");
 }
