@@ -1949,7 +1949,17 @@ pub fn ablate_order(opt: &ExpOptions) {
     let dims = opt.pick_dims(4);
     let sigma = opt.sigma.unwrap_or(0.001);
     println!("== Ablation: ordering policy (N={n}, d={dims}, sigma={sigma}) ==");
-    let mut table = Table::new(&["distribution", "policy", "results", "first", "t50", "total"]);
+    // `fallbacks/regions` says when ProgOrder degenerated to FIFO: at
+    // `regions − 1` the EL-graph never had a root to rank.
+    let mut table = Table::new(&[
+        "distribution",
+        "policy",
+        "results",
+        "first",
+        "t50",
+        "total",
+        "fallbacks/regions",
+    ]);
     let mut rows = Vec::new();
     for dist in Distribution::ALL {
         let w = workload(n, dims, dist, sigma, opt.seed);
@@ -1963,7 +1973,7 @@ pub fn ablate_order(opt: &ExpOptions) {
         ] {
             let config = default_config_for(dims, sigma).with_ordering(ordering);
             let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
-            let run = drain_run(name, session).0;
+            let (run, stats) = drain_run(name, session);
             table.row(vec![
                 dist.name().into(),
                 name.into(),
@@ -1971,6 +1981,7 @@ pub fn ablate_order(opt: &ExpOptions) {
                 fmt_opt_duration(run.first_result()),
                 fmt_opt_duration(run.time_to_fraction(0.5)),
                 fmt_duration(run.total_time),
+                format!("{}/{}", stats.ordering_fallbacks, stats.regions_created),
             ]);
             rows.push(vec![
                 dist.name().to_string(),
@@ -1983,6 +1994,8 @@ pub fn ablate_order(opt: &ExpOptions) {
                     .map(|d| d.as_micros().to_string())
                     .unwrap_or_default(),
                 format!("{}", run.total_time.as_micros()),
+                format!("{}", stats.ordering_fallbacks),
+                format!("{}", stats.regions_created),
             ]);
         }
     }
@@ -1997,6 +2010,8 @@ pub fn ablate_order(opt: &ExpOptions) {
             "first_us",
             "t50_us",
             "total_us",
+            "fallbacks",
+            "regions",
         ],
         &rows,
     )

@@ -16,41 +16,30 @@
 use crate::lookahead::Region;
 use crate::output_grid::OutputGrid;
 
-/// Cost-model parameters shared across regions.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Join selectivity estimate σ.
-    pub sigma: f64,
-    /// Output cells per dimension (`k`).
-    pub cells_per_dim: u16,
-    /// Output dimensionality (`d`).
-    pub dims: usize,
+/// The Kung exponent: `α = 1` for `d ∈ {2, 3}`, else `d − 2`.
+pub fn alpha(dims: usize) -> f64 {
+    if dims <= 3 {
+        1.0
+    } else {
+        (dims - 2) as f64
+    }
 }
 
-impl CostModel {
-    /// The Kung exponent: `α = 1` for `d ∈ {2, 3}`, else `d − 2`.
-    pub fn alpha(&self) -> f64 {
-        if self.dims <= 3 {
-            1.0
-        } else {
-            (self.dims - 2) as f64
-        }
-    }
-
-    /// Equation 7: amortized tuple-level processing cost of a region.
-    pub fn region_cost(&self, region: &Region, grid: &OutputGrid) -> f64 {
-        let n_r = region.n_r as f64;
-        let n_t = region.n_t as f64;
-        let c_join = n_r * n_t;
-        let join_out = self.sigma * n_r * n_t;
-        let c_map = join_out;
-        let cp_avg = self.cells_per_dim as f64 * self.dims as f64;
-        let partitions = region.partition_count(grid) as f64;
-        let s_avg = (join_out / partitions).max(1.0);
-        let s = cp_avg * s_avg;
-        let c_sky = join_out * s * s.ln().max(1.0).powf(self.alpha());
-        c_join + c_map + c_sky
-    }
+/// Equation 7: amortized tuple-level processing cost of a region, at join
+/// selectivity estimate σ on the output grid (`k` cells per dimension,
+/// `d` dimensions) its box lives in.
+pub fn region_cost(region: &Region, grid: &OutputGrid, sigma: f64) -> f64 {
+    let n_r = region.n_r as f64;
+    let n_t = region.n_t as f64;
+    let c_join = n_r * n_t;
+    let join_out = sigma * n_r * n_t;
+    let c_map = join_out;
+    let cp_avg = grid.cells_per_dim() as f64 * grid.dims() as f64;
+    let partitions = region.partition_count(grid) as f64;
+    let s_avg = (join_out / partitions).max(1.0);
+    let s = cp_avg * s_avg;
+    let c_sky = join_out * s * s.ln().max(1.0).powf(alpha(grid.dims()));
+    c_join + c_map + c_sky
 }
 
 #[cfg(test)]
@@ -77,63 +66,37 @@ mod tests {
         }
     }
 
-    fn grid() -> OutputGrid {
-        OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10)
+    fn grid(dims: usize) -> OutputGrid {
+        OutputGrid::new(vec![0.0; dims], vec![10.0; dims], 10)
     }
 
     #[test]
     fn alpha_follows_kung() {
-        let m = |d| CostModel {
-            sigma: 0.1,
-            cells_per_dim: 10,
-            dims: d,
-        };
-        assert_eq!(m(2).alpha(), 1.0);
-        assert_eq!(m(3).alpha(), 1.0);
-        assert_eq!(m(4).alpha(), 2.0);
-        assert_eq!(m(5).alpha(), 3.0);
+        assert_eq!(alpha(2), 1.0);
+        assert_eq!(alpha(3), 1.0);
+        assert_eq!(alpha(4), 2.0);
+        assert_eq!(alpha(5), 3.0);
     }
 
     #[test]
     fn bigger_partitions_cost_more() {
-        let m = CostModel {
-            sigma: 0.01,
-            cells_per_dim: 10,
-            dims: 2,
-        };
-        let g = grid();
-        let small = m.region_cost(&region(10, 10, 2), &g);
-        let large = m.region_cost(&region(1000, 1000, 2), &g);
+        let g = grid(2);
+        let small = region_cost(&region(10, 10, 2), &g, 0.01);
+        let large = region_cost(&region(1000, 1000, 2), &g, 0.01);
         assert!(large > small * 100.0);
     }
 
     #[test]
     fn higher_selectivity_costs_more() {
-        let g = grid();
-        let lo = CostModel {
-            sigma: 0.001,
-            cells_per_dim: 10,
-            dims: 2,
-        }
-        .region_cost(&region(100, 100, 2), &g);
-        let hi = CostModel {
-            sigma: 0.1,
-            cells_per_dim: 10,
-            dims: 2,
-        }
-        .region_cost(&region(100, 100, 2), &g);
+        let g = grid(2);
+        let lo = region_cost(&region(100, 100, 2), &g, 0.001);
+        let hi = region_cost(&region(100, 100, 2), &g, 0.1);
         assert!(hi > lo);
     }
 
     #[test]
     fn cost_is_at_least_the_join_cost() {
-        let m = CostModel {
-            sigma: 1e-6,
-            cells_per_dim: 10,
-            dims: 4,
-        };
-        let g = grid();
-        let c = m.region_cost(&region(50, 60, 3), &g);
+        let c = region_cost(&region(50, 60, 3), &grid(4), 1e-6);
         assert!(c >= 50.0 * 60.0);
     }
 }

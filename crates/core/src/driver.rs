@@ -31,19 +31,19 @@
 //! cell store, the region schedule, and Algorithm 2's blocker bookkeeping.
 //! All emission decisions flow through it in schedule order, which is what
 //! keeps progressive output safe (no false positives or negatives) no
-//! matter who computed the batches.
+//! matter who computed the batches. The schedule ([`crate::progorder`]) is
+//! one pop routine for every ordering policy; the committer feeds it each
+//! resolution and prices each new EL-graph root with [`benefit`] / [`cost`].
 
-use crate::benefit;
 use crate::cells::CellStore;
-use crate::cost::CostModel;
-use crate::elgraph::ElGraph;
 use crate::executor::Prepared;
 use crate::lookahead::Region;
 use crate::progdetermine::{EmittedCell, ProgDetermine};
-use crate::progorder::ProgOrderQueue;
+use crate::progorder::Schedule;
 use crate::session::{CancellationToken, ResultEvent, SessionStep};
 use crate::stats::{ExecStats, ResultTuple};
 use crate::tuple_level::{RegionBatch, RegionCtx, TupleLevelStats};
+use crate::{benefit, cost};
 use progxe_obs::{Point, Span, Trace};
 use progxe_skyline::Order;
 use std::collections::{BTreeMap, VecDeque};
@@ -53,45 +53,13 @@ use std::time::{Duration, Instant};
 /// Cell-visit cap for ProgCount scans on oversized region boxes.
 const PROG_COUNT_VISIT_CAP: u64 = 4_096;
 
-/// Immutable context needed to (re)rank a region.
-struct RankCtx<'c> {
-    regions: &'c [Region],
-    store: &'c CellStore,
-    det: &'c ProgDetermine,
-    sigma: f64,
-    cost_model: &'c CostModel,
-}
-
-/// ProgOrder state: EL-graph, priority queue, and the lazy-rank machinery.
-struct OrderedSchedule {
-    graph: ElGraph,
-    queue: ProgOrderQueue,
-    rank_cache: Vec<f64>,
-    dirty: Vec<bool>,
-    requeue_budget: Vec<u8>,
-}
-
-impl OrderedSchedule {
-    fn rank_of(&mut self, rid: u32, ctx: &RankCtx<'_>) -> f64 {
-        let region = &ctx.regions[rid as usize];
-        let b = benefit::benefit(region, ctx.store, ctx.det, ctx.sigma, PROG_COUNT_VISIT_CAP);
-        let c = ctx
-            .cost_model
-            .region_cost(region, ctx.store.grid())
-            .max(1.0);
-        let rank = b / c;
-        self.rank_cache[rid as usize] = rank;
-        rank
-    }
-}
-
-/// Region-ordering policy state, stepped one region at a time.
-enum RegionSchedule {
-    /// The paper's ProgOrder (Algorithm 1): rank = Benefit / Cost over
-    /// EL-Graph roots, with lazy rank refresh.
-    Ordered(OrderedSchedule),
-    /// A precomputed order (Random or Fifo policies).
-    Static { order: Vec<u32>, pos: usize },
+/// ProgOrder's rank of an EL-graph root, `Benefit(R) / Cost(R)`
+/// (Equation 8), against the commits landed so far.
+fn rank(regions: &[Region], store: &CellStore, det: &ProgDetermine, sigma: f64, rid: u32) -> f64 {
+    let region = &regions[rid as usize];
+    let b = benefit::benefit(region, store, det, sigma, PROG_COUNT_VISIT_CAP);
+    let c = cost::region_cost(region, store.grid(), sigma).max(1.0);
+    b / c
 }
 
 /// Outcome of one schedule-pop attempt (see [`Committer::pop_gated`]).
@@ -110,154 +78,6 @@ pub enum Popped {
     /// and its commit must land (pushing new roots, or proving there are
     /// none) before the schedule can choose again.
     Exhausted,
-}
-
-impl RegionSchedule {
-    /// Picks the next region to dispatch. `dispatched` marks regions handed
-    /// out but not yet resolved — on an inline run it always equals the
-    /// resolved set, but the pooled backend keeps a window of them in
-    /// flight. Returns [`Popped::Exhausted`] when nothing is dispatchable
-    /// *right now*: all regions are dispatched/resolved, or — ProgOrder —
-    /// the queue is empty while a genuine EL-root is still in flight.
-    ///
-    /// With an empty queue and no root in flight the graph is root-free
-    /// (the common case: coarse grids make every region box overlap every
-    /// other, so all edges are mutual), and the fallback hands out the best
-    /// pending region that is **not yet dispatched** — so a pooled window
-    /// fills even though nothing has committed. The pick depends only on
-    /// `rank_cache`, region ids and the dispatched set, all of which change
-    /// at fixed points of the driver's pop/commit sequence.
-    ///
-    /// `gate` is the streaming-ingestion readiness gate: when it rejects
-    /// the region the schedule would hand out next, the pop *stalls* — the
-    /// schedule state is left so the identical region is offered again on
-    /// the next call. Order preservation under the gate is what makes
-    /// streaming emission bit-identical to the all-at-once run.
-    fn next_region(
-        &mut self,
-        ctx: &RankCtx<'_>,
-        stats: &mut ExecStats,
-        dispatched: &[bool],
-        gate: Option<&RegionCtx>,
-    ) -> Popped {
-        let is_ready = |rid: u32| gate.is_none_or(|g| g.is_ready(rid));
-        match self {
-            RegionSchedule::Static { order, pos } => {
-                let Some(rid) = order.get(*pos).copied() else {
-                    return Popped::Exhausted;
-                };
-                if !is_ready(rid) {
-                    return Popped::Stalled;
-                }
-                *pos += 1;
-                Popped::Region(rid)
-            }
-            RegionSchedule::Ordered(sched) => {
-                if sched.graph.unresolved() == 0 {
-                    return Popped::Exhausted;
-                }
-                loop {
-                    match sched.queue.pop_entry() {
-                        Some((rid, _))
-                            if sched.graph.is_resolved(rid) || dispatched[rid as usize] =>
-                        {
-                            continue
-                        }
-                        Some((rid, entry_rank)) => {
-                            // Benefit recomputation is the expensive part of
-                            // ordering (a box scan per region). To keep the
-                            // paper's "ordering overhead is negligible"
-                            // property, ranks are refreshed *lazily*:
-                            // affected regions are only marked dirty
-                            // (Algorithm 1 line 13 in spirit), and the
-                            // recompute happens when the region reaches the
-                            // top of the queue — with a small re-queue
-                            // budget per region so dense elimination graphs
-                            // cannot trigger quadratic rescans.
-                            let mut rank = entry_rank;
-                            if sched.dirty[rid as usize] && sched.requeue_budget[rid as usize] > 0 {
-                                sched.dirty[rid as usize] = false;
-                                sched.requeue_budget[rid as usize] -= 1;
-                                let fresh = sched.rank_of(rid, ctx);
-                                if fresh < entry_rank * 0.999 {
-                                    // Demoted: let a better region go first.
-                                    sched.queue.push(rid, fresh);
-                                    continue;
-                                }
-                                rank = fresh;
-                            }
-                            if !is_ready(rid) {
-                                // Park the winner at its settled rank; the
-                                // refresh bookkeeping above already ran, so
-                                // re-offering it later is a pure re-pop.
-                                sched.queue.update(rid, rank);
-                                return Popped::Stalled;
-                            }
-                            return Popped::Region(rid);
-                        }
-                        None => {
-                            let pending = sched.graph.pending();
-                            // An empty queue with a *root* in flight is not
-                            // the cyclic-component case — the real EL-roots
-                            // are simply uncommitted. Hand out nothing and
-                            // let the committer land a batch, which either
-                            // pushes new roots or ends the run.
-                            if pending
-                                .iter()
-                                .any(|&rid| dispatched[rid as usize] && sched.graph.is_root(rid))
-                            {
-                                return Popped::Exhausted;
-                            }
-                            // Cyclic component with no root: every remaining
-                            // region has an in-edge, so Algorithm 1 has no
-                            // EL-graph root to rank, yet some region must go
-                            // next for the run to progress. Pick the best
-                            // not-yet-dispatched pending region by cached
-                            // rank (ties to the lowest id) — O(regions), no
-                            // box scans, and deterministic.
-                            let best = pending
-                                .into_iter()
-                                .filter(|&rid| !dispatched[rid as usize])
-                                .max_by(|&a, &b| {
-                                    sched.rank_cache[a as usize]
-                                        .total_cmp(&sched.rank_cache[b as usize])
-                                        .then_with(|| b.cmp(&a))
-                                });
-                            let Some(best) = best else {
-                                return Popped::Exhausted;
-                            };
-                            if !is_ready(best) {
-                                // The deterministic fallback choice stalls
-                                // like any other pop: picking a different
-                                // pending region instead would make the
-                                // commit order arrival-dependent.
-                                return Popped::Stalled;
-                            }
-                            stats.ordering_fallbacks += 1;
-                            return Popped::Region(best);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a resolution: new EL-graph roots enter the queue, regions
-    /// whose benefit may have changed are marked dirty.
-    fn on_resolved(&mut self, rid: u32, ctx: &RankCtx<'_>) {
-        if let RegionSchedule::Ordered(sched) = self {
-            let (new_roots, affected) = sched.graph.resolve(rid);
-            for root in new_roots {
-                let rank = sched.rank_of(root, ctx);
-                sched.queue.push(root, rank);
-            }
-            for region in affected {
-                if sched.queue.contains(region) {
-                    sched.dirty[region as usize] = true;
-                }
-            }
-        }
-    }
 }
 
 /// How emitted `(r, t)` tuple ids map back to the caller's row ids.
@@ -310,7 +130,7 @@ impl RowIds {
 ///   whether a pool worker or the inline backend computed it.
 ///
 /// Drivers **must** commit batches in the order the regions were popped
-/// from [`pop_next`](Self::pop_next); combined with the cancellation-token
+/// from [`pop_gated`](Self::pop_gated); combined with the cancellation-token
 /// discipline this makes emission deterministic regardless of worker
 /// interleaving.
 pub struct Committer {
@@ -321,11 +141,9 @@ pub struct Committer {
     store: CellStore,
     det: ProgDetermine,
     orders: Vec<Order>,
-    schedule: RegionSchedule,
+    schedule: Schedule,
+    /// Join selectivity estimate σ of the benefit and cost models.
     sigma: f64,
-    cost_model: CostModel,
-    /// Regions handed out by `pop_next` (superset of resolved).
-    dispatched: Vec<bool>,
     resolved: usize,
     total_regions: usize,
     emitted_buf: Vec<EmittedCell>,
@@ -342,13 +160,11 @@ pub struct Committer {
 /// [`Prepared`].
 pub(crate) struct CommitterParts {
     pub regions: Arc<[Region]>,
-    pub out_dims: usize,
     pub row_ids: RowIds,
     pub store: CellStore,
     pub det: ProgDetermine,
     pub orders: Vec<Order>,
     pub sigma: f64,
-    pub cost_model: CostModel,
     pub started: Instant,
     pub trace: Trace,
 }
@@ -357,41 +173,12 @@ impl Committer {
     /// Assembles a committer over prepared pipeline state, building the
     /// region schedule for the configured ordering policy.
     pub(crate) fn new(parts: CommitterParts, ordering: crate::config::OrderingPolicy) -> Self {
-        use crate::config::OrderingPolicy;
-        let total_regions = parts.regions.len();
-        let schedule = match ordering {
-            OrderingPolicy::ProgOrder => {
-                let mut ordered = OrderedSchedule {
-                    graph: ElGraph::build(&parts.regions, parts.out_dims),
-                    queue: ProgOrderQueue::new(total_regions),
-                    rank_cache: vec![0.0; total_regions],
-                    dirty: vec![false; total_regions],
-                    requeue_budget: vec![3; total_regions],
-                };
-                let ctx = RankCtx {
-                    regions: &parts.regions,
-                    store: &parts.store,
-                    det: &parts.det,
-                    sigma: parts.sigma,
-                    cost_model: &parts.cost_model,
-                };
-                for root in ordered.graph.roots() {
-                    let rank = ordered.rank_of(root, &ctx);
-                    ordered.queue.push(root, rank);
-                }
-                RegionSchedule::Ordered(ordered)
-            }
-            OrderingPolicy::Random { seed } => {
-                let mut order: Vec<u32> = (0..total_regions as u32).collect();
-                crate::executor::shuffle(&mut order, seed);
-                RegionSchedule::Static { order, pos: 0 }
-            }
-            OrderingPolicy::Fifo => RegionSchedule::Static {
-                order: (0..total_regions as u32).collect(),
-                pos: 0,
-            },
-        };
+        let (regions, store, det) = (&parts.regions, &parts.store, &parts.det);
+        let schedule = Schedule::new(regions, store.grid().dims(), ordering, |rid| {
+            rank(regions, store, det, parts.sigma, rid)
+        });
         Self {
+            total_regions: parts.regions.len(),
             regions: parts.regions,
             row_ids: parts.row_ids,
             store: parts.store,
@@ -399,10 +186,7 @@ impl Committer {
             orders: parts.orders,
             schedule,
             sigma: parts.sigma,
-            cost_model: parts.cost_model,
-            dispatched: vec![false; total_regions],
             resolved: 0,
-            total_regions,
             emitted_buf: Vec::new(),
             started: parts.started,
             trace: parts.trace,
@@ -434,39 +218,22 @@ impl Committer {
         u64::from(region.n_r) * u64::from(region.n_t)
     }
 
-    /// Picks the next region to work on, marking it dispatched. `None`
-    /// means nothing is dispatchable right now — which is final on an
-    /// inline run, but on a pooled run may become `Some` again after an
-    /// in-flight EL-graph root commits (see [`Popped::Exhausted`]).
-    pub fn pop_next(&mut self, stats: &mut ExecStats) -> Option<u32> {
-        match self.pop_gated(stats, None) {
-            Popped::Region(rid) => Some(rid),
-            Popped::Stalled | Popped::Exhausted => None,
-        }
-    }
-
-    /// [`pop_next`](Self::pop_next) with a readiness gate: when `gate`
-    /// rejects the region the schedule would hand out, the pop returns
+    /// Picks the next region to work on, marking it dispatched.
+    /// [`Popped::Exhausted`] is final on an inline run, but on a pooled run
+    /// a region may become dispatchable again after an in-flight EL-graph
+    /// root commits.
+    ///
+    /// `gate` is the streaming-ingestion readiness gate: when it rejects
+    /// the region the schedule would hand out, the pop returns
     /// [`Popped::Stalled`] and the schedule is left positioned on that same
     /// region. The streaming-ingestion driver stalls until watermarks or a
     /// source close seal the region's input cells; order preservation under
     /// the gate keeps emission identical to the all-at-once run.
     pub fn pop_gated(&mut self, stats: &mut ExecStats, gate: Option<&RegionCtx>) -> Popped {
         let _span = self.trace.span(Span::RegionPop);
-        let ctx = RankCtx {
-            regions: &self.regions,
-            store: &self.store,
-            det: &self.det,
-            sigma: self.sigma,
-            cost_model: &self.cost_model,
-        };
         let popped = self
             .schedule
-            .next_region(&ctx, stats, &self.dispatched, gate);
-        if let Popped::Region(rid) = popped {
-            debug_assert!(!self.dispatched[rid as usize], "region {rid} popped twice");
-            self.dispatched[rid as usize] = true;
-        }
+            .pop(|rid| gate.is_none_or(|g| g.is_ready(rid)), stats);
         if matches!(popped, Popped::Stalled) {
             self.trace.point(Point::Stall);
         }
@@ -541,14 +308,9 @@ impl Committer {
             .resolve_region(region, &mut self.store, &mut self.emitted_buf);
         stats.resolve_time += resolve_started.elapsed();
         self.resolved += 1;
-        let ctx = RankCtx {
-            regions: &self.regions,
-            store: &self.store,
-            det: &self.det,
-            sigma: self.sigma,
-            cost_model: &self.cost_model,
-        };
-        self.schedule.on_resolved(rid, &ctx);
+        let (regions, store, det, sigma) = (&self.regions, &self.store, &self.det, self.sigma);
+        self.schedule
+            .resolved(rid, |root| rank(regions, store, det, sigma, root));
         self.trace.gauge(
             "progress_estimate",
             self.resolved as f64 / self.total_regions.max(1) as f64,
@@ -1384,17 +1146,11 @@ mod tests {
         Committer::new(
             CommitterParts {
                 regions,
-                out_dims: 2,
                 row_ids: RowIds::Identity,
                 store,
                 det,
                 orders: vec![Order::Lowest; 2],
                 sigma: 0.1,
-                cost_model: CostModel {
-                    sigma: 0.1,
-                    cells_per_dim: 10,
-                    dims: 2,
-                },
                 started: Instant::now(),
                 trace: Trace::default(),
             },

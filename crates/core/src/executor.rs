@@ -32,7 +32,6 @@
 
 use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
-use crate::cost::CostModel;
 use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver, RowIds};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
@@ -186,17 +185,11 @@ impl FrontEnd {
         let committer = Committer::new(
             CommitterParts {
                 regions,
-                out_dims: maps.out_dims(),
                 row_ids,
                 store,
                 det,
                 orders: maps.preference().orders().to_vec(),
                 sigma,
-                cost_model: CostModel {
-                    sigma,
-                    cells_per_dim: config.output_cells_per_dim as u16,
-                    dims: maps.out_dims(),
-                },
                 started: self.started,
                 trace: self.trace,
             },
@@ -844,7 +837,7 @@ mod tests {
         let ctx = prep.ctx.expect("non-trivial workload has a context");
         let mut stats = prep.stats;
         let mut ids = Vec::new();
-        while let Some(rid) = committer.pop_next(&mut stats) {
+        while let crate::driver::Popped::Region(rid) = committer.pop_gated(&mut stats, None) {
             let event = if committer.region_box_is_dead(rid) {
                 committer.discard_dead(rid, &mut stats)
             } else {

@@ -72,9 +72,11 @@ use std::time::Instant;
 /// Upper bound on `r_cells × t_cells` for a streaming session. The
 /// streaming pipeline enumerates *every* potential cell pair up front
 /// (signatures and emptiness are unknown before arrival), and the EL-graph
-/// build is quadratic in the region count — this cap keeps session setup
-/// well under a second. Lower `input_partitions_per_dim` to stay inside it
-/// at higher dimensionality.
+/// compares every pair of regions — `O(n²)` box compares at open, as many
+/// again over the run's resolutions (it stores in-degrees, no edges) — so
+/// this cap bounds that time, keeping session setup well under a second.
+/// Lower `input_partitions_per_dim` to stay inside it at higher
+/// dimensionality.
 pub const MAX_STREAM_REGIONS: usize = 16_384;
 
 /// Benefit-model selectivity used when
@@ -636,8 +638,9 @@ impl IngestSession {
             .filter(|&n| n <= MAX_STREAM_REGIONS);
         if total_regions.is_none() {
             return Err(Error::InvalidConfig(
-                "streaming session would create too many potential regions; \
-                 reduce input_partitions_per_dim (see ingest::MAX_STREAM_REGIONS)",
+                "streaming session would create too many potential regions for the \
+                 quadratic EL-graph compares; reduce input_partitions_per_dim \
+                 (see ingest::MAX_STREAM_REGIONS)",
             ));
         }
         // Every cell pair is provisioned: emptiness and join signatures are

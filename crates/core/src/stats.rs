@@ -119,9 +119,11 @@ pub struct ExecStats {
     pub regions_computed_dead: usize,
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
-    /// Times the ordering fell back because the EL-graph had no root:
-    /// overlapping region boxes give mutual edges, so a component can be
-    /// a cycle (see [`crate::elgraph`]).
+    /// ProgOrder pops that found no EL-graph root and handed out the
+    /// lowest-id undispatched region instead: overlapping region boxes give
+    /// mutual edges, so a component can be a cycle (see
+    /// [`crate::progorder`]). `regions_created − 1` means the run was in
+    /// Fifo order throughout.
     pub ordering_fallbacks: usize,
 
     /// Output cells tracked.
