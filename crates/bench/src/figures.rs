@@ -1,10 +1,13 @@
 //! One function per paper figure/ablation: generate the workload(s), run
-//! the algorithms, print the series the figure plots, write CSVs.
+//! the algorithms, print the series the figure plots, write CSVs. The last
+//! four rows are the experiments CI runs on every change, each with the
+//! gate it enforces in parentheses. End-to-end and per-layer timings are
+//! the `benchmark/` package's job, not this module's.
 //!
 //! Figure-to-function map (the README's "Paper-to-module map" places the
 //! harness in the whole system):
 //!
-//! | Paper artifact | Function | Series |
+//! | Paper artifact | Function | Series (gate) |
 //! |---|---|---|
 //! | Fig. 10 a–c | [`fig10_prog`] | results vs time, 4 ProgXe variants × 3 distributions, σ=0.001 |
 //! | Fig. 10 d–f | [`fig10_time`] | total time vs σ, 4 ProgXe variants × 3 distributions |
@@ -16,6 +19,10 @@
 //! | Sec. VI-B overhead claim | [`ablate_order`] | ProgOrder cost vs benefit |
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
 //! | Figs. 11–12 at scale | [`scaling`] | first-output latency vs N |
+//! | parallel runtime | [`threads`] | wall time vs threads 1/2/4/8 (pooled(2) holds ≥ 2 regions in flight; full size: pooled(2) beats inline on general maps) |
+//! | columnar kernels | [`kernels`] | batched vs scalar, index vs naive (batched never loses to scalar; the blocker index does less work; full size: the columnar map producer wins) |
+//! | flexible skylines | [`fdom`] | shrinkage + latency vs band tightness (the unit test: tightness 0 ≡ Pareto, answers shrink monotonically) |
+//! | tracing overhead | [`obs`] | recorder off / null / ring (ring within [`obs_overhead_gate`] of null) |
 
 use crate::report::{
     fmt_duration, fmt_opt_duration, json_object, json_str, write_csv, write_json, Table,
@@ -613,294 +620,6 @@ fn assert_threads_gates(
     }
 }
 
-/// One measured streaming-ingestion run (see [`ingest`]).
-pub struct IngestRun {
-    /// Arrival-schedule family.
-    pub schedule: &'static str,
-    /// Executor backend (`inline` / `pooled`).
-    pub backend: &'static str,
-    /// Simulated per-step arrival interval.
-    pub interval_ms: f64,
-    /// Simulated instant the last batch arrived.
-    pub arrival_end_ms: f64,
-    /// Simulated first-result instant of the streaming engine.
-    pub first_result_ms: Option<f64>,
-    /// Simulated first-result instant of the batch engine (full arrival +
-    /// its measured time-to-first-result).
-    pub batch_first_result_ms: f64,
-    /// Wall-clock compute spent by the streaming session.
-    pub compute_ms: f64,
-    /// Results emitted.
-    pub results: u64,
-}
-
-/// Streaming ingestion: first-result latency vs arrival rate.
-///
-/// Simulates two remote sources delivering an independent d=3 workload in
-/// batches with a **virtual arrival clock** (batch `i` lands at
-/// `(i+1)·interval`; measured compute wall-time is added on top — a
-/// conservative model where compute never overlaps the next arrival).
-/// Four arrival families from `progxe_datagen::arrival` are swept —
-/// `uniform-shuffle`, `attr-sorted`, `bursty`, `trickle` — against the
-/// batch engine, which by construction cannot start before the *last*
-/// batch arrives. On watermarked sorted/trickle arrival the streaming
-/// engine's first result lands well before full arrival; on the shuffled
-/// schedule it degrades to the batch engine's latency (watermarks barely
-/// move) — the two ends of the remote-source spectrum.
-///
-/// Writes `ingest.csv` and machine-readable `BENCH_ingest.json`
-/// (arrival-rate vs first-result-ms per schedule × backend); CI uploads
-/// the JSON as an artifact next to `BENCH_threads.json`.
-pub fn ingest(opt: &ExpOptions) {
-    let runs = ingest_measurements(opt);
-    write_ingest_outputs(opt, &runs);
-}
-
-/// Renders + persists one set of [`IngestRun`]s (`ingest.csv`,
-/// `BENCH_ingest.json`). Split from [`ingest`] so tests can assert on the
-/// measurements and then exercise the writer without re-running the sweep.
-fn write_ingest_outputs(opt: &ExpOptions, runs: &[IngestRun]) {
-    let mut table = Table::new(&[
-        "schedule",
-        "backend",
-        "interval",
-        "arrival end",
-        "stream first",
-        "batch first",
-        "results",
-    ]);
-    let mut rows = Vec::new();
-    let mut json_runs = Vec::new();
-    for run in runs {
-        table.row(vec![
-            run.schedule.to_string(),
-            run.backend.to_string(),
-            format!("{:.0}ms", run.interval_ms),
-            format!("{:.1}ms", run.arrival_end_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.1}ms"))
-                .unwrap_or_else(|| "-".into()),
-            format!("{:.1}ms", run.batch_first_result_ms),
-            format!("{}", run.results),
-        ]);
-        rows.push(vec![
-            run.schedule.to_string(),
-            run.backend.to_string(),
-            format!("{:.3}", run.interval_ms),
-            format!("{:.3}", run.arrival_end_ms),
-            run.first_result_ms
-                .map(|v| format!("{v:.3}"))
-                .unwrap_or_default(),
-            format!("{:.3}", run.batch_first_result_ms),
-            format!("{:.3}", run.compute_ms),
-            format!("{}", run.results),
-        ]);
-        json_runs.push(json_object(&[
-            ("schedule", json_str(run.schedule)),
-            ("backend", json_str(run.backend)),
-            ("interval_ms", format!("{:.3}", run.interval_ms)),
-            ("arrival_end_ms", format!("{:.3}", run.arrival_end_ms)),
-            (
-                "first_result_ms",
-                run.first_result_ms
-                    .map(|v| format!("{v:.3}"))
-                    .unwrap_or_else(|| "null".into()),
-            ),
-            (
-                "batch_first_result_ms",
-                format!("{:.3}", run.batch_first_result_ms),
-            ),
-            ("compute_ms", format!("{:.3}", run.compute_ms)),
-            ("results", format!("{}", run.results)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "ingest",
-        &[
-            "schedule",
-            "backend",
-            "interval_ms",
-            "arrival_end_ms",
-            "first_ms",
-            "batch_first_ms",
-            "compute_ms",
-            "results",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("independent")),
-                ("n", format!("{}", opt.pick_n(10_000))),
-                ("dims", format!("{}", opt.pick_dims(3))),
-                ("sigma", format!("{}", opt.sigma.unwrap_or(0.1))),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("runs", format!("[{}]", json_runs.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_ingest", &json).unwrap();
-    println!("json written to {}", path.display());
-}
-
-/// The measured core of [`ingest`], separated so tests can assert on the
-/// numbers (notably: trickle first-result strictly below the batch
-/// engine's) without parsing JSON.
-pub fn ingest_measurements(opt: &ExpOptions) -> Vec<IngestRun> {
-    use progxe_core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
-    use progxe_datagen::ArrivalSpec;
-    use std::time::Instant;
-
-    let n = opt.pick_n(10_000);
-    let dims = opt.pick_dims(3);
-    let sigma = opt.sigma.unwrap_or(0.1);
-    println!("== Streaming ingestion: first-result latency vs arrival rate (independent, N={n}, d={dims}, sigma={sigma}) ==");
-    let w = workload(n, dims, Distribution::Independent, sigma, opt.seed);
-    let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
-    let spec = || StreamSpec::new(vec![1.0; dims], vec![100.0; dims]).unwrap();
-    let config = default_config_for(dims, sigma);
-
-    // Batch-engine time-to-first-result, measured once per backend: it
-    // cannot start before the full input arrived, so its simulated first
-    // result is `arrival_end + this`.
-    let r_view = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
-    let t_view = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
-    let batch_first = |pooled: bool| -> f64 {
-        let engine: Box<dyn ProgressiveEngine> = if pooled {
-            Box::new(ParallelProgXe::new(config.clone().with_threads(4)))
-        } else {
-            Box::new(ProgXe::new(config.clone()))
-        };
-        let mut session = engine.open(&r_view, &t_view, &maps).expect("valid config");
-        let mut first = None;
-        while let Some(event) = session.next_batch() {
-            if first.is_none() && !event.tuples.is_empty() {
-                first = Some(event.elapsed);
-            }
-        }
-        session.finish();
-        first.map(|d| d.as_secs_f64() * 1e3).unwrap_or(f64::NAN)
-    };
-    let batch_first_by_backend = [batch_first(false), batch_first(true)];
-
-    let schedules: Vec<(&'static str, ArrivalSpec)> = vec![
-        (
-            "uniform-shuffle",
-            ArrivalSpec::uniform_shuffle(opt.seed, (n / 16).max(1)),
-        ),
-        ("attr-sorted", ArrivalSpec::attr_sorted((n / 16).max(1))),
-        (
-            "bursty",
-            ArrivalSpec::bursty(opt.seed, (n / 64).max(1), (n / 8).max(1)),
-        ),
-        ("trickle", ArrivalSpec::trickle((n / 128).max(1))),
-    ];
-    let intervals_ms: &[f64] = if opt.quick { &[5.0] } else { &[1.0, 5.0, 20.0] };
-
-    let mut runs = Vec::new();
-    for (name, sched_spec) in &schedules {
-        let mut t_variant = sched_spec.clone();
-        t_variant.seed = sched_spec.seed.wrapping_add(1);
-        let r_sched = sched_spec.schedule(&w.r);
-        let t_sched = t_variant.schedule(&w.t);
-        let steps = r_sched.batches.len().max(t_sched.batches.len());
-        for &interval in intervals_ms {
-            for (bi, backend) in ["inline", "pooled"].iter().enumerate() {
-                let pooled = *backend == "pooled";
-                let mut session = if pooled {
-                    ParallelProgXe::new(config.clone().with_threads(4))
-                        .open_ingest(&maps, spec(), spec())
-                        .expect("valid config")
-                } else {
-                    IngestSession::open(&config, &maps, spec(), spec()).expect("valid config")
-                };
-                let mut compute = std::time::Duration::ZERO;
-                let mut first: Option<f64> = None;
-                let mut results = 0u64;
-                let drain = |session: &mut IngestSession,
-                             arrival_clock_ms: f64,
-                             compute: &mut std::time::Duration,
-                             first: &mut Option<f64>,
-                             results: &mut u64| {
-                    let t0 = Instant::now();
-                    while let IngestPoll::Batch(event) = session.poll() {
-                        if first.is_none() && !event.tuples.is_empty() {
-                            *first = Some(
-                                arrival_clock_ms + (*compute + t0.elapsed()).as_secs_f64() * 1e3,
-                            );
-                        }
-                        *results += event.tuples.len() as u64;
-                    }
-                    *compute += t0.elapsed();
-                };
-                for i in 0..steps {
-                    let arrival_clock_ms = (i + 1) as f64 * interval;
-                    for (side, rel, sched) in
-                        [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
-                    {
-                        let Some(batch) = sched.batches.get(i) else {
-                            continue;
-                        };
-                        let t0 = Instant::now();
-                        let rows: Vec<(u32, &[f64], u32)> = batch
-                            .rows
-                            .iter()
-                            .map(|&row| {
-                                (
-                                    row,
-                                    rel.attrs_of(row as usize),
-                                    rel.join_key_of(row as usize),
-                                )
-                            })
-                            .collect();
-                        session.push_with_ids(side, &rows).expect("valid batch");
-                        if let Some(wm) = &batch.watermark {
-                            session.set_watermark(side, wm).expect("sound watermark");
-                        }
-                        compute += t0.elapsed();
-                        drain(
-                            &mut session,
-                            arrival_clock_ms,
-                            &mut compute,
-                            &mut first,
-                            &mut results,
-                        );
-                    }
-                }
-                let arrival_end_ms = steps as f64 * interval;
-                session.close(SourceId::R);
-                session.close(SourceId::T);
-                drain(
-                    &mut session,
-                    arrival_end_ms,
-                    &mut compute,
-                    &mut first,
-                    &mut results,
-                );
-                let stats = session.finish();
-                assert!(!stats.cancelled);
-                runs.push(IngestRun {
-                    schedule: name,
-                    backend,
-                    interval_ms: interval,
-                    arrival_end_ms,
-                    first_result_ms: first,
-                    batch_first_result_ms: arrival_end_ms + batch_first_by_backend[bi],
-                    compute_ms: compute.as_secs_f64() * 1e3,
-                    results,
-                });
-            }
-        }
-    }
-    runs
-}
-
 /// One measured flexible-skyline run (see [`fdom`]).
 pub struct FdomRun {
     /// Workload distribution family.
@@ -929,7 +648,7 @@ pub struct FdomRun {
 /// scoring weights shrink, more trade-off pairs become F-dominated, and
 /// the answer interpolates from the full skyline toward a top-1-style
 /// result — the shrinkage column. Writes `fdom.csv` and machine-readable
-/// `BENCH_fdom.json`; CI uploads the JSON next to the threads/ingest
+/// `BENCH_fdom.json`; CI uploads the JSON next to the other `BENCH_*`
 /// artifacts.
 pub fn fdom(opt: &ExpOptions) {
     let runs = fdom_measurements(opt);
@@ -1620,7 +1339,7 @@ pub fn obs_overhead_gate(quick: bool) -> f64 {
 /// progressive workload (anti-correlated, d = 3, σ = 0.1) with the
 /// recorder off, attached-but-null, and fully recording into a bounded
 /// ring. Writes `obs.csv` and machine-readable `BENCH_obs.json`; CI
-/// uploads the JSON next to the threads/ingest/fdom artifacts.
+/// uploads the JSON next to the other `BENCH_*` artifacts.
 ///
 /// **Gate**: the `ring` leg's wall time must stay within
 /// [`obs_overhead_gate`] of the `null` leg's — panics otherwise, so a
@@ -2060,468 +1779,6 @@ pub fn ssmj_soundness(opt: &ExpOptions) {
     println!("rows written to {}", path.display());
 }
 
-/// One measured serving load point (see [`serving`]).
-pub struct ServingRun {
-    /// Simulated concurrent clients, each running one query over its own
-    /// TCP connection.
-    pub clients: usize,
-    /// Queries the server completed successfully.
-    pub queries_ok: u64,
-    /// Connections shed by admission control (0 when the cap fits the
-    /// client count, as in this sweep).
-    pub rejected: u64,
-    /// Wall-clock duration of the whole load point.
-    pub elapsed_ms: f64,
-    /// Completed queries per second over the load point.
-    pub qps: f64,
-    /// Median client-measured time-to-first-result.
-    pub first_p50_ms: f64,
-    /// 99th-percentile client-measured time-to-first-result.
-    pub first_p99_ms: f64,
-}
-
-/// Serving load generator: spins up the TCP server from `crates/server`
-/// over a synthetic anti-correlated catalog, then hits it with 100–1000
-/// simulated clients (one OS thread + one connection each, one query per
-/// client) and reports QPS plus client-observed p50/p99 time-to-first-
-/// result. A second sweep measures protocol-v2 subscriptions: standing
-/// streaming queries fed over the wire, reporting push-to-update latency
-/// at 100+ concurrent subscribers. Writes `serving.csv`,
-/// `serving_subscriptions.csv`, and machine-readable `BENCH_serving.json`
-/// (one-shot `points` plus a `subscriptions` section); CI runs the
-/// `--quick` points (100 clients, 100 subscribers) as a smoke and uploads
-/// the JSON next to the other BENCH artifacts.
-pub fn serving(opt: &ExpOptions) {
-    let runs = serving_measurements(opt);
-    let subs = subscription_measurements(opt);
-    write_serving_outputs(opt, &runs, &subs);
-}
-
-/// The measured core of [`serving`] at the default sweep sizes: 100
-/// clients in `--quick` mode, 100/250/500/1000 otherwise.
-pub fn serving_measurements(opt: &ExpOptions) -> Vec<ServingRun> {
-    let sweep: &[usize] = if opt.quick {
-        &[100]
-    } else {
-        &[100, 250, 500, 1000]
-    };
-    let rows = opt.pick_n(800); // --quick shrinks this to 80 via pick_n
-    let dims = opt.pick_dims(2);
-    serving_sweep(opt, sweep, rows, dims)
-}
-
-/// The measured subscription core of [`serving`]: 100 subscribers in
-/// `--quick` mode, 100/250 otherwise, each pushing `pick_n(200)` rows per
-/// source in 25-row batches.
-pub fn subscription_measurements(opt: &ExpOptions) -> Vec<SubscriptionRun> {
-    let sweep: &[usize] = if opt.quick { &[100] } else { &[100, 250] };
-    let rows = opt.pick_n(200);
-    let dims = opt.pick_dims(2);
-    subscription_sweep(opt, sweep, rows, dims, 25)
-}
-
-/// Runs one load point per entry in `sweep` against a fresh server (port
-/// 0, session cap = client count, 2 engine worker threads shared by every
-/// session). Split from [`serving_measurements`] so tests can drive a tiny
-/// sweep without the 100-client default. Panics — failing CI — on any
-/// connection, query, or cancellation anomaly.
-pub fn serving_sweep(
-    opt: &ExpOptions,
-    sweep: &[usize],
-    rows: usize,
-    dims: usize,
-) -> Vec<ServingRun> {
-    use progxe_query::{Engine, QueryRunner};
-    use progxe_server::{synthetic, Server, ServerConfig};
-    use std::time::Instant;
-
-    println!(
-        "== Serving: QPS + first-result latency vs concurrent clients \
-         (anti-correlated, N={rows}, d={dims}, seed={}) ==",
-        opt.seed
-    );
-    let sql = std::sync::Arc::new(synthetic::query_sql(dims));
-    let mut out = Vec::new();
-    for &clients in sweep {
-        let runner = QueryRunner::new(synthetic::catalog(rows, dims, opt.seed));
-        let handle = Server::start(
-            runner,
-            Engine::progxe_threads(2),
-            ServerConfig {
-                max_sessions: clients,
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind port 0");
-        let addr = handle.addr();
-
-        let started = Instant::now();
-        let workers: Vec<_> = (0..clients)
-            .map(|_| {
-                let sql = std::sync::Arc::clone(&sql);
-                std::thread::spawn(move || {
-                    let mut client =
-                        progxe_server::Client::connect(addr).expect("admitted under the cap");
-                    let outcome = client.run_query(&sql).expect("query frame exchange");
-                    assert!(
-                        outcome.error.is_none(),
-                        "server error under load: {:?}",
-                        outcome.error
-                    );
-                    let done = outcome.done.expect("terminal Done frame");
-                    assert!(
-                        !done.cancelled,
-                        "no client disconnected, yet a run cancelled"
-                    );
-                    outcome
-                        .first_result
-                        .expect("anti-correlated workloads always emit results")
-                })
-            })
-            .collect();
-        let mut firsts_ms: Vec<f64> = workers
-            .into_iter()
-            .map(|w| w.join().expect("client thread").as_secs_f64() * 1e3)
-            .collect();
-        let elapsed = started.elapsed();
-        firsts_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-
-        let metrics = handle.metrics();
-        let queries_ok = metrics.queries_ok();
-        let rejected = metrics.rejected();
-        assert_eq!(
-            metrics.queries_cancelled(),
-            0,
-            "load generator never cancels"
-        );
-        handle.shutdown();
-        assert_eq!(queries_ok, clients as u64, "every client's query completes");
-
-        let run = ServingRun {
-            clients,
-            queries_ok,
-            rejected,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            qps: queries_ok as f64 / elapsed.as_secs_f64(),
-            first_p50_ms: percentile(&firsts_ms, 0.50),
-            first_p99_ms: percentile(&firsts_ms, 0.99),
-        };
-        println!(
-            "{clients:>5} clients: {:.0} qps, first result p50 {:.1}ms / p99 {:.1}ms \
-             ({:.0}ms wall)",
-            run.qps, run.first_p50_ms, run.first_p99_ms, run.elapsed_ms
-        );
-        out.push(run);
-    }
-    out
-}
-
-/// One measured subscription load point (see [`serving`]).
-pub struct SubscriptionRun {
-    /// Concurrent subscribers, each holding one standing streaming query
-    /// over its own TCP connection and pushing its own arrival feed.
-    pub subscribers: usize,
-    /// Push frames sent across all subscribers.
-    pub pushes: u64,
-    /// `Update` frames received across all subscribers.
-    pub updates: u64,
-    /// Result tuples received across all subscribers.
-    pub results: u64,
-    /// Wall-clock duration of the whole load point.
-    pub elapsed_ms: f64,
-    /// Median push-to-update latency: time from writing a `Push` frame to
-    /// receiving an `Update` it unlocked.
-    pub update_p50_ms: f64,
-    /// 99th-percentile push-to-update latency.
-    pub update_p99_ms: f64,
-}
-
-/// Runs one subscription load point per entry in `sweep`: every
-/// subscriber connects v2, opens a standing query, and replays a
-/// seed-distinct [`progxe_server::synthetic::arrival_feed`] of `rows` rows per source in
-/// `batch`-row pushes, draining `Update`s on a second thread (the
-/// [`progxe_server::Client::into_split`] shape). Push-to-update latency
-/// attributes each update to the most recent push on its connection.
-/// Panics — failing CI — on any connection, frame, or cancellation
-/// anomaly.
-pub fn subscription_sweep(
-    opt: &ExpOptions,
-    sweep: &[usize],
-    rows: usize,
-    dims: usize,
-    batch: usize,
-) -> Vec<SubscriptionRun> {
-    use progxe_query::{Engine, QueryRunner};
-    use progxe_server::{synthetic, Client, Server, ServerConfig, ServerFrame};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    println!(
-        "== Serving: push-to-update latency vs concurrent subscribers \
-         (anti-correlated feeds, {rows} rows/source, d={dims}, batch={batch}, seed={}) ==",
-        opt.seed
-    );
-    let sql = Arc::new(synthetic::query_sql(dims));
-    let mut out = Vec::new();
-    for &subscribers in sweep {
-        let runner = QueryRunner::new(synthetic::streaming_catalog(60, dims, opt.seed));
-        let handle = Server::start(
-            runner,
-            Engine::progxe_threads(2),
-            ServerConfig {
-                max_sessions: subscribers,
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind port 0");
-        let addr = handle.addr();
-
-        let started = Instant::now();
-        let seed = opt.seed;
-        let workers: Vec<_> = (0..subscribers)
-            .map(|i| {
-                let sql = Arc::clone(&sql);
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("admitted under the cap");
-                    client.subscribe(0, &sql).expect("subscribe");
-                    match client.next_server_frame().expect("frame") {
-                        ServerFrame::SubAccepted { .. } => {}
-                        other => panic!("expected SubAccepted, got {other:?}"),
-                    }
-                    let feed = synthetic::arrival_feed(0, rows, dims, seed ^ (i as u64 + 1), batch);
-                    let (mut writer, mut reader) = client.into_split();
-
-                    // Reader thread drains until SubDone, attributing each
-                    // update to the most recent push (nanos since `origin`,
-                    // published through the atomic just before the write).
-                    let origin = Instant::now();
-                    let last_push = Arc::new(AtomicU64::new(0));
-                    let observed = Arc::clone(&last_push);
-                    let drain = std::thread::spawn(move || {
-                        let mut latencies_ms = Vec::new();
-                        let mut updates = 0u64;
-                        let mut results = 0u64;
-                        loop {
-                            match reader.next_server_frame().expect("frame") {
-                                ServerFrame::Update { batch, .. } => {
-                                    let now = origin.elapsed().as_nanos() as u64;
-                                    let sent = observed.load(Ordering::Acquire);
-                                    latencies_ms.push(now.saturating_sub(sent) as f64 / 1e6);
-                                    updates += 1;
-                                    results += batch.tuples.len() as u64;
-                                }
-                                ServerFrame::SubDone { done, .. } => {
-                                    assert!(!done.cancelled, "fully fed subs complete");
-                                    return (latencies_ms, updates, results);
-                                }
-                                other => panic!("expected Update or SubDone, got {other:?}"),
-                            }
-                        }
-                    });
-                    let pushes = feed.len() as u64;
-                    for frame in &feed {
-                        last_push.store(origin.elapsed().as_nanos() as u64, Ordering::Release);
-                        writer
-                            .send(&progxe_server::ClientFrame::Push(frame.clone()))
-                            .expect("push");
-                    }
-                    let (latencies_ms, updates, results) = drain.join().expect("reader thread");
-                    (pushes, latencies_ms, updates, results)
-                })
-            })
-            .collect();
-        let mut pushes = 0u64;
-        let mut updates = 0u64;
-        let mut results = 0u64;
-        let mut latencies_ms: Vec<f64> = Vec::new();
-        for worker in workers {
-            let (p, l, u, r) = worker.join().expect("subscriber thread");
-            pushes += p;
-            updates += u;
-            results += r;
-            latencies_ms.extend(l);
-        }
-        let elapsed = started.elapsed();
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-
-        let metrics = handle.metrics();
-        assert_eq!(
-            metrics.queries_ok(),
-            subscribers as u64,
-            "every subscription ran to completion"
-        );
-        assert_eq!(
-            metrics.queries_cancelled(),
-            0,
-            "the load generator never cancels"
-        );
-        handle.shutdown();
-        assert!(
-            !latencies_ms.is_empty(),
-            "anti-correlated feeds emit updates"
-        );
-
-        let run = SubscriptionRun {
-            subscribers,
-            pushes,
-            updates,
-            results,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            update_p50_ms: percentile(&latencies_ms, 0.50),
-            update_p99_ms: percentile(&latencies_ms, 0.99),
-        };
-        println!(
-            "{subscribers:>5} subscribers: {} pushes -> {} updates ({} results), \
-             push-to-update p50 {:.1}ms / p99 {:.1}ms ({:.0}ms wall)",
-            run.pushes,
-            run.updates,
-            run.results,
-            run.update_p50_ms,
-            run.update_p99_ms,
-            run.elapsed_ms
-        );
-        out.push(run);
-    }
-    out
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-/// Renders + persists one set of [`ServingRun`]s and [`SubscriptionRun`]s
-/// (`serving.csv`, `serving_subscriptions.csv`, `BENCH_serving.json`).
-/// Split from [`serving`] so tests can assert on the measurements and
-/// then exercise the writer without re-running the sweeps.
-fn write_serving_outputs(opt: &ExpOptions, runs: &[ServingRun], sub_runs: &[SubscriptionRun]) {
-    let mut table = Table::new(&["clients", "qps", "first p50", "first p99", "wall"]);
-    let mut rows = Vec::new();
-    let mut json_points = Vec::new();
-    for run in runs {
-        table.row(vec![
-            format!("{}", run.clients),
-            format!("{:.0}", run.qps),
-            format!("{:.1}ms", run.first_p50_ms),
-            format!("{:.1}ms", run.first_p99_ms),
-            format!("{:.0}ms", run.elapsed_ms),
-        ]);
-        rows.push(vec![
-            format!("{}", run.clients),
-            format!("{}", run.queries_ok),
-            format!("{}", run.rejected),
-            format!("{:.3}", run.elapsed_ms),
-            format!("{:.3}", run.qps),
-            format!("{:.3}", run.first_p50_ms),
-            format!("{:.3}", run.first_p99_ms),
-        ]);
-        json_points.push(json_object(&[
-            ("clients", format!("{}", run.clients)),
-            ("queries_ok", format!("{}", run.queries_ok)),
-            ("rejected", format!("{}", run.rejected)),
-            ("elapsed_ms", format!("{:.3}", run.elapsed_ms)),
-            ("qps", format!("{:.3}", run.qps)),
-            ("first_result_p50_ms", format!("{:.3}", run.first_p50_ms)),
-            ("first_result_p99_ms", format!("{:.3}", run.first_p99_ms)),
-        ]));
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "serving",
-        &[
-            "clients",
-            "queries_ok",
-            "rejected",
-            "elapsed_ms",
-            "qps",
-            "first_p50_ms",
-            "first_p99_ms",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-
-    let mut sub_table = Table::new(&[
-        "subscribers",
-        "pushes",
-        "updates",
-        "update p50",
-        "update p99",
-        "wall",
-    ]);
-    let mut sub_rows = Vec::new();
-    let mut sub_json_points = Vec::new();
-    for run in sub_runs {
-        sub_table.row(vec![
-            format!("{}", run.subscribers),
-            format!("{}", run.pushes),
-            format!("{}", run.updates),
-            format!("{:.1}ms", run.update_p50_ms),
-            format!("{:.1}ms", run.update_p99_ms),
-            format!("{:.0}ms", run.elapsed_ms),
-        ]);
-        sub_rows.push(vec![
-            format!("{}", run.subscribers),
-            format!("{}", run.pushes),
-            format!("{}", run.updates),
-            format!("{}", run.results),
-            format!("{:.3}", run.elapsed_ms),
-            format!("{:.3}", run.update_p50_ms),
-            format!("{:.3}", run.update_p99_ms),
-        ]);
-        sub_json_points.push(json_object(&[
-            ("subscribers", format!("{}", run.subscribers)),
-            ("pushes", format!("{}", run.pushes)),
-            ("updates", format!("{}", run.updates)),
-            ("results", format!("{}", run.results)),
-            ("elapsed_ms", format!("{:.3}", run.elapsed_ms)),
-            ("push_to_update_p50_ms", format!("{:.3}", run.update_p50_ms)),
-            ("push_to_update_p99_ms", format!("{:.3}", run.update_p99_ms)),
-        ]));
-    }
-    if !sub_runs.is_empty() {
-        println!("{}", sub_table.render());
-        let path = write_csv(
-            &opt.out,
-            "serving_subscriptions",
-            &[
-                "subscribers",
-                "pushes",
-                "updates",
-                "results",
-                "elapsed_ms",
-                "update_p50_ms",
-                "update_p99_ms",
-            ],
-            &sub_rows,
-        )
-        .unwrap();
-        println!("rows written to {}", path.display());
-    }
-
-    let json = json_object(&[
-        (
-            "workload",
-            json_object(&[
-                ("distribution", json_str("anti-correlated")),
-                ("n", format!("{}", opt.pick_n(800))),
-                ("dims", format!("{}", opt.pick_dims(2))),
-                ("seed", format!("{}", opt.seed)),
-            ]),
-        ),
-        ("engine_threads", "2".into()),
-        ("points", format!("[{}]", json_points.join(", "))),
-        ("subscriptions", format!("[{}]", sub_json_points.join(", "))),
-    ]);
-    let path = write_json(&opt.out, "BENCH_serving", &json).unwrap();
-    println!("json written to {}", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2560,115 +1817,6 @@ mod tests {
         let opt = quick_opts("progxe-cellbound");
         cellbound(&opt);
         assert!(opt.out.join("cellbound.csv").exists());
-    }
-
-    #[test]
-    fn serving_sweep_small_point_yields_sane_latencies_and_artifacts() {
-        let opt = quick_opts("progxe-serving");
-        // Tiny sweep (4 clients, 120-row tables) so the debug-mode test
-        // stays fast; the CI smoke runs the real 100-client point via
-        // `figures serving --quick` in release mode.
-        let runs = serving_sweep(&opt, &[4], 120, 2);
-        assert_eq!(runs.len(), 1);
-        let run = &runs[0];
-        assert_eq!(run.queries_ok, 4);
-        assert_eq!(run.rejected, 0);
-        assert!(run.qps > 0.0);
-        assert!(
-            run.first_p99_ms >= run.first_p50_ms,
-            "p99 {} must dominate p50 {}",
-            run.first_p99_ms,
-            run.first_p50_ms
-        );
-        // Tiny subscription point for the same reason (8 subscribers, 60
-        // rows/source); the CI smoke runs 100 via `figures serving --quick`.
-        let sub_runs = subscription_sweep(&opt, &[8], 60, 2, 20);
-        assert_eq!(sub_runs.len(), 1);
-        let sub = &sub_runs[0];
-        assert_eq!(sub.subscribers, 8);
-        assert!(sub.updates > 0, "feeds must unlock updates");
-        assert!(sub.results > 0, "anti-correlated feeds emit results");
-        assert!(
-            sub.update_p99_ms >= sub.update_p50_ms,
-            "p99 {} must dominate p50 {}",
-            sub.update_p99_ms,
-            sub.update_p50_ms
-        );
-        write_serving_outputs(&opt, &runs, &sub_runs);
-        assert!(opt.out.join("serving.csv").exists());
-        assert!(opt.out.join("serving_subscriptions.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_serving.json")).unwrap();
-        for key in [
-            "\"clients\"",
-            "\"qps\"",
-            "\"first_result_p50_ms\"",
-            "\"first_result_p99_ms\"",
-            "\"points\"",
-            "\"subscriptions\"",
-            "\"subscribers\"",
-            "\"push_to_update_p50_ms\"",
-            "\"push_to_update_p99_ms\"",
-        ] {
-            assert!(
-                json.contains(key),
-                "BENCH_serving.json missing {key}: {json}"
-            );
-        }
-    }
-
-    #[test]
-    fn ingest_quick_trickle_beats_the_batch_engine() {
-        let opt = quick_opts("progxe-ingest");
-        // The acceptance criterion behind `BENCH_ingest.json`: on the
-        // trickle workload (sorted small batches + watermarks) the
-        // streaming engine's first result must land strictly before the
-        // batch engine's, which cannot start until the last batch arrived
-        // — on BOTH backends. Asserted on the measurements; the writer
-        // then runs on the same runs (no second sweep).
-        let runs = ingest_measurements(&opt);
-        let mut trickle_seen = 0;
-        for run in &runs {
-            assert!(
-                run.results > 0,
-                "{}/{} emitted nothing",
-                run.schedule,
-                run.backend
-            );
-            if run.schedule == "trickle" {
-                trickle_seen += 1;
-                let first = run
-                    .first_result_ms
-                    .expect("trickle run must produce results");
-                assert!(
-                    first < run.batch_first_result_ms,
-                    "{}: streaming first {first:.3}ms not below batch {:.3}ms",
-                    run.backend,
-                    run.batch_first_result_ms
-                );
-                assert!(
-                    first < run.arrival_end_ms,
-                    "{}: trickle first result should precede full arrival",
-                    run.backend
-                );
-            }
-        }
-        assert!(trickle_seen >= 2, "both backends must run the trickle leg");
-
-        write_ingest_outputs(&opt, &runs);
-        assert!(opt.out.join("ingest.csv").exists());
-        let json = std::fs::read_to_string(opt.out.join("BENCH_ingest.json")).unwrap();
-        for key in [
-            "\"workload\"",
-            "\"schedule\"",
-            "\"interval_ms\"",
-            "\"first_result_ms\"",
-            "\"batch_first_result_ms\"",
-            "\"trickle\"",
-            "\"uniform-shuffle\"",
-            "\"pooled\"",
-        ] {
-            assert!(json.contains(key), "BENCH_ingest.json missing {key}");
-        }
     }
 
     #[test]

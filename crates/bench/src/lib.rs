@@ -1,5 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (Section VI) on scaled-down workloads.
+//! evaluation (Section VI) on scaled-down workloads, and runs the gated
+//! experiments CI enforces (`threads`, `kernels`, `fdom`, `obs`).
+//! Client-observed end-to-end and per-layer numbers are the separate
+//! `benchmark/` package's job.
 //!
 //! The paper's testbed (N = 500K tuples per source, AMD 2.6 GHz, Java
 //! HotSpot, runtimes of 100–10000 seconds per data point) is impractical to
@@ -16,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod microbench;
 pub mod report;
 pub mod runners;
 

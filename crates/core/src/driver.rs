@@ -40,7 +40,7 @@ use crate::executor::Prepared;
 use crate::lookahead::Region;
 use crate::progdetermine::{EmittedCell, ProgDetermine};
 use crate::progorder::Schedule;
-use crate::session::{CancellationToken, ResultEvent, SessionStep};
+use crate::session::{CancellationToken, ResultEvent};
 use crate::stats::{ExecStats, ResultTuple};
 use crate::tuple_level::{RegionBatch, RegionCtx, TupleLevelStats};
 use crate::{benefit, cost};
@@ -537,8 +537,8 @@ enum Advance {
 }
 
 /// The one region-execution loop of the codebase, behind a
-/// [`QuerySession`](crate::session::QuerySession) via [`SessionStep`] (batch
-/// pipeline) or polled directly by an
+/// [`QuerySession`](crate::session::QuerySession) through
+/// [`next_event`](Self::next_event) (batch pipeline) or polled directly by an
 /// [`IngestSession`](crate::ingest::IngestSession) (streaming pipeline).
 ///
 /// Owns a [`Committer`] and advances the region loop, queueing a
@@ -642,7 +642,7 @@ impl RegionDriver {
 
     /// Pulls the next driver outcome: an event, a stall (gated runs only),
     /// or the end of the run. The streaming-ingestion session polls this
-    /// directly; [`SessionStep::next_event`] wraps it for batch sessions.
+    /// directly; [`next_event`](Self::next_event) wraps it for batch sessions.
     pub fn poll_next(&mut self) -> DriverPoll {
         loop {
             if self.token.is_cancelled() {
@@ -867,9 +867,10 @@ fn absorb_batch_work(stats: &mut ExecStats, compute_time: Duration, work: &Tuple
     stats.tuples_prefiltered += work.locally_pruned + work.skipped;
 }
 
-impl SessionStep for RegionDriver {
-    /// Pulls the next event, stepping the region loop as needed.
-    fn next_event(&mut self) -> Option<ResultEvent> {
+impl RegionDriver {
+    /// Pulls the next event of a batch session, stepping the region loop as
+    /// needed; `None` once the run has completed or was cancelled.
+    pub fn next_event(&mut self) -> Option<ResultEvent> {
         match self.poll_next() {
             DriverPoll::Event(event) => Some(event),
             DriverPoll::Finished => None,
@@ -882,7 +883,8 @@ impl SessionStep for RegionDriver {
         }
     }
 
-    fn stats_snapshot(&self) -> ExecStats {
+    /// A snapshot of the statistics accumulated so far (mid-run safe).
+    pub fn stats_snapshot(&self) -> ExecStats {
         let mut stats = self.stats.clone();
         stats.total_time = self.start.elapsed();
         stats
@@ -893,7 +895,7 @@ impl SessionStep for RegionDriver {
     /// stop burning shared-pool CPU), merges cell-store counters into the
     /// stats, and flags an early stop (unresolved regions or undelivered
     /// events).
-    fn finalize(mut self: Box<Self>) -> ExecStats {
+    pub fn finalize(mut self) -> ExecStats {
         if !self.inflight.is_empty() {
             self.token.cancel();
         }
@@ -991,7 +993,7 @@ mod tests {
             .prepare(&r.view(), &t.view(), maps, token.clone())
             .unwrap();
         let driver = RegionDriver::new(prep, token.clone(), backend);
-        let mut session = QuerySession::stepped("test", token, Box::new(driver));
+        let mut session = QuerySession::stepped("test", token, driver);
         let mut ids = Vec::new();
         while let Some(event) = session.next_batch() {
             assert!(event.proven_final);
@@ -1064,7 +1066,7 @@ mod tests {
         );
         let window = driver.window;
         assert_eq!(window, 2 * threads);
-        let mut session = QuerySession::stepped("test", token, Box::new(driver));
+        let mut session = QuerySession::stepped("test", token, driver);
         while session.next_batch().is_some() {}
         let stats = session.finish();
         assert!(!stats.cancelled);
@@ -1236,7 +1238,7 @@ mod tests {
             .prepare(&r.view(), &t.view(), &maps, token.clone())
             .unwrap();
         let driver = RegionDriver::new(prep, token.clone(), ExecutorBackend::Inline);
-        let mut session = QuerySession::stepped("test", token, Box::new(driver));
+        let mut session = QuerySession::stepped("test", token, driver);
         while session.next_batch().is_some() {}
         let stats = session.finish();
         assert!(

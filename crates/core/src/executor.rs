@@ -267,7 +267,7 @@ impl ProgXe {
     ) -> Result<QuerySession<'a>> {
         let prep = self.prepare(r, t, maps, token.clone())?;
         let driver = RegionDriver::new(prep, token.clone(), ExecutorBackend::Inline);
-        Ok(QuerySession::stepped("progxe", token, Box::new(driver)))
+        Ok(QuerySession::stepped("progxe", token, driver))
     }
 
     /// Convenience wrapper: run to completion and collect all results.

@@ -824,7 +824,7 @@ impl IngestSession {
 
     /// A snapshot of the statistics accumulated so far (mid-ingest safe).
     pub fn stats_snapshot(&self) -> ExecStats {
-        let mut stats = crate::session::SessionStep::stats_snapshot(&self.driver);
+        let mut stats = self.driver.stats_snapshot();
         let inner = self.inner.lock().expect("ingest state poisoned");
         inner.fold_counters(&mut stats);
         stats
@@ -835,7 +835,7 @@ impl IngestSession {
     /// [`ExecStats::cancelled`].
     pub fn finish(self) -> ExecStats {
         let inner = self.inner;
-        let mut stats = crate::session::SessionStep::finalize(Box::new(self.driver));
+        let mut stats = self.driver.finalize();
         let guard = inner.lock().expect("ingest state poisoned");
         guard.fold_counters(&mut stats);
         stats

@@ -22,6 +22,7 @@
 //! phase-1) skyline pass, so their sessions defer the whole run to the
 //! first pull — cancelling an unpulled baseline session costs nothing.
 
+use crate::driver::RegionDriver;
 use crate::error::Result;
 use crate::executor::{ProgXe, RunOutput};
 use crate::mapping::MapSet;
@@ -122,24 +123,6 @@ impl Drop for DropCancel {
     }
 }
 
-/// An incrementally stepped query execution that a [`QuerySession`] can
-/// drive. The sequential ProgXe pipeline implements this, and so does the
-/// parallel driver in the `progxe-runtime` crate — which is exactly why the
-/// trait is public: external execution strategies plug into the same
-/// session contract through [`QuerySession::stepped`].
-pub trait SessionStep {
-    /// Produces the next result event, advancing execution as needed.
-    /// Returns `None` once the query has completed or was cancelled.
-    fn next_event(&mut self) -> Option<ResultEvent>;
-
-    /// A snapshot of the statistics accumulated so far (mid-run safe).
-    fn stats_snapshot(&self) -> ExecStats;
-
-    /// Consumes the stepper and returns final statistics. Implementations
-    /// must flag [`ExecStats::cancelled`] when work was left undone.
-    fn finalize(self: Box<Self>) -> ExecStats;
-}
-
 /// The uniform execution interface: one implementation per engine
 /// (ProgXe and each baseline), one consumption model for all of them.
 pub trait ProgressiveEngine {
@@ -180,10 +163,9 @@ struct DeferredState<'a> {
 }
 
 enum SessionInner<'a> {
-    /// Incrementally stepped execution (the unified
-    /// [`RegionDriver`](crate::driver::RegionDriver), or any external
-    /// [`SessionStep`]).
-    Stream(Box<dyn SessionStep + 'a>),
+    /// Incrementally stepped execution: the unified [`RegionDriver`] on
+    /// either backend.
+    Stream(Box<RegionDriver>),
     /// Blocking engine: the whole run happens at the first `next_batch`.
     Deferred(Box<DeferredState<'a>>),
 }
@@ -216,19 +198,13 @@ pub struct QuerySession<'a> {
 }
 
 impl<'a> QuerySession<'a> {
-    /// Wraps a [`SessionStep`] implementation (the core
-    /// [`RegionDriver`](crate::driver::RegionDriver) on either backend, or
-    /// any external stepper) together with the cancellation token it
-    /// watches. The token must be shared with the stepper: `cancel` relies
-    /// on it.
-    pub fn stepped(
-        engine: &'static str,
-        token: CancellationToken,
-        step: Box<dyn SessionStep + 'a>,
-    ) -> Self {
+    /// Wraps a [`RegionDriver`] (on either backend) together with the
+    /// cancellation token it watches. The token must be shared with the
+    /// driver: `cancel` relies on it.
+    pub fn stepped(engine: &'static str, token: CancellationToken, driver: RegionDriver) -> Self {
         Self {
             engine,
-            inner: SessionInner::Stream(step),
+            inner: SessionInner::Stream(Box::new(driver)),
             _drop_cancel: DropCancel(token.clone()),
             token,
             remap: (None, None),
@@ -313,7 +289,7 @@ impl<'a> QuerySession<'a> {
             return None;
         }
         let mut event = match &mut self.inner {
-            SessionInner::Stream(session) => session.next_event()?,
+            SessionInner::Stream(driver) => driver.next_event()?,
             SessionInner::Deferred(deferred) => {
                 if let Some(run) = deferred.run.take() {
                     let (events, run_stats) = run();
@@ -343,7 +319,7 @@ impl<'a> QuerySession<'a> {
     /// this is all zeros.
     pub fn stats_snapshot(&self) -> ExecStats {
         match &self.inner {
-            SessionInner::Stream(session) => session.stats_snapshot(),
+            SessionInner::Stream(driver) => driver.stats_snapshot(),
             SessionInner::Deferred(deferred) => deferred.stats.clone().unwrap_or_default(),
         }
     }
@@ -353,7 +329,7 @@ impl<'a> QuerySession<'a> {
     /// [`ExecStats::cancelled`] is set.
     pub fn finish(self) -> ExecStats {
         match self.inner {
-            SessionInner::Stream(session) => session.finalize(),
+            SessionInner::Stream(driver) => driver.finalize(),
             SessionInner::Deferred(deferred) => {
                 let mut stats = deferred.stats.unwrap_or_default();
                 // Never ran, or ran but results were not fully delivered.

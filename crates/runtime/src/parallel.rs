@@ -164,7 +164,7 @@ impl ParallelProgXe {
             ExecutorBackend::Inline
         };
         let driver = RegionDriver::new(prep, token.clone(), backend);
-        Ok(QuerySession::stepped("progxe-mt", token, Box::new(driver)))
+        Ok(QuerySession::stepped("progxe-mt", token, driver))
     }
 
     /// Opens a streaming-ingestion session whose region compute runs on

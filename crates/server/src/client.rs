@@ -1,6 +1,6 @@
 //! A small blocking client for the ProgXe wire protocol.
 //!
-//! Used by the integration tests and the bench load generator; also the
+//! Used by the integration tests and the `benchmark/` package; also the
 //! reference implementation for anyone speaking the protocol from another
 //! language. One [`Client`] maps to one connection; one-shot queries run
 //! sequentially and any number of subscriptions multiplex alongside them,
@@ -174,7 +174,7 @@ impl Client {
 
     /// Splits the connection into its two halves so one thread can keep
     /// pushing while another drains `Update`s — the multiplexed shape a
-    /// real subscriber (and the bench load generator) uses. The halves
+    /// real subscriber (and the `benchmark/` package) uses. The halves
     /// share the socket; dropping both closes it.
     pub fn into_split(self) -> (ClientWriter, ClientReader) {
         (

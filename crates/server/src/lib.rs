@@ -28,8 +28,8 @@
 //!
 //! * [`protocol`] — the length-prefixed wire format (frames, codec).
 //! * [`server`] — accept loop, admission control, per-connection serving.
-//! * [`client`] — a blocking reference client used by tests and the bench
-//!   load generator.
+//! * [`client`] — a blocking reference client used by tests and the
+//!   `benchmark/` package.
 //! * [`synthetic`] — datagen-backed catalogs for the `progxe-serve` binary
 //!   and load tests.
 //!

@@ -1,9 +1,9 @@
-//! Synthetic catalog for serving demos, tests, and the load generator.
+//! Synthetic catalog for serving demos, tests, and the benchmark.
 //!
 //! Builds a two-table catalog from the Börzsönyi-style generator in
 //! `crates/datagen` (the same workloads the paper's experiments use), so
 //! `progxe-serve` can come up with realistic data without any files on
-//! disk, and the bench load generator can dial query cost through row
+//! disk, and the `benchmark/` package can dial query cost through row
 //! count, dimensionality, and distribution.
 
 use crate::protocol::{PushFrame, PushRow};

@@ -1,15 +1,21 @@
 //! End-to-end serving tests: correctness over the wire, disconnect- and
-//! frame-driven cancellation, admission control, and clean shutdown.
+//! frame-driven cancellation, admission control, concurrent load, and clean
+//! shutdown.
 //!
 //! Every test binds port 0 and runs its own server; the "slow" catalogs
 //! (2000 anti-correlated rows) take seconds in debug mode, which is the
 //! runway the cancellation tests need to catch a query mid-flight.
 
 use progxe_core::ingest::IngestPoll;
+use progxe_core::stats::ExecStats;
 use progxe_query::exec::StreamingQuery;
 use progxe_query::{Engine, QueryRunner};
 use progxe_server::server::wait_for_cancelled;
-use progxe_server::{synthetic, Client, ErrorCode, PushFrame, Server, ServerConfig, ServerFrame};
+use progxe_server::{
+    synthetic, BatchFrame, Client, ErrorCode, PushFrame, Server, ServerConfig, ServerFrame,
+    WireTuple,
+};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn start_server(
@@ -79,6 +85,36 @@ fn apply_in_process(
             IngestPoll::Complete => return true,
         }
     }
+}
+
+/// Replays a whole feed into `query` with [`apply_in_process`] and finishes
+/// it. The feed must close both sources, so the run completes.
+fn replay_in_process(
+    mut query: StreamingQuery,
+    feed: &[PushFrame],
+) -> (Vec<TranscriptEvent>, ExecStats) {
+    let mut transcript = Vec::new();
+    let mut completed = false;
+    for frame in feed {
+        completed = apply_in_process(&mut query, frame, &mut transcript);
+    }
+    assert!(completed, "the feed closes both sources");
+    let stats = query.finish();
+    assert!(!stats.cancelled);
+    (transcript, stats)
+}
+
+/// One wire `Update` batch, flattened like an in-process event.
+fn wire_event(batch: &BatchFrame) -> TranscriptEvent {
+    (
+        batch.progress,
+        batch.proven_final,
+        batch
+            .tuples
+            .iter()
+            .map(|t| (t.r_idx, t.t_idx, t.values.clone()))
+            .collect(),
+    )
 }
 
 /// Reads the next frame and asserts the in-flight query was `Accepted` —
@@ -269,15 +305,7 @@ fn subscription_updates_are_bit_identical_to_an_in_process_transcript() {
         match client.next_server_frame().expect("frame") {
             ServerFrame::Update { sub_id: id, batch } => {
                 assert_eq!(id, sub_id);
-                wire.push((
-                    batch.progress,
-                    batch.proven_final,
-                    batch
-                        .tuples
-                        .iter()
-                        .map(|t| (t.r_idx, t.t_idx, t.values.clone()))
-                        .collect(),
-                ));
+                wire.push(wire_event(&batch));
             }
             ServerFrame::SubDone { sub_id: id, done } => {
                 assert_eq!(id, sub_id);
@@ -290,18 +318,11 @@ fn subscription_updates_are_bit_identical_to_an_in_process_transcript() {
 
     // In-process run: same engine config, same arrival schedule.
     let runner = QueryRunner::new(synthetic::streaming_catalog(50, dims, 3));
-    let mut query = runner
+    let query = runner
         .ingest_session(&sql, &Engine::progxe_threads(2))
         .expect("in-process session");
     assert_eq!(query.output_names(), columns.as_slice());
-    let mut reference: Vec<TranscriptEvent> = Vec::new();
-    let mut completed = false;
-    for frame in &feed {
-        completed = apply_in_process(&mut query, frame, &mut reference);
-    }
-    assert!(completed, "the feed closes both sources");
-    let stats = query.finish();
-    assert!(!stats.cancelled);
+    let (reference, stats) = replay_in_process(query, &feed);
 
     assert_eq!(
         wire, reference,
@@ -569,4 +590,125 @@ fn shutdown_with_a_live_query_terminates_cleanly() {
         "the live query was cancelled"
     );
     assert_eq!(metrics.queries_ok(), 0);
+}
+
+/// The serving load gate: one server, many one-shot clients and
+/// subscribers at once. Nothing is shed, cancelled or failed, and every
+/// client receives exactly what an in-process run of its query (or of its
+/// own arrival feed) emits.
+#[test]
+fn concurrent_clients_and_subscribers_match_in_process_runs() {
+    const CLIENTS: usize = 32;
+    const SUBSCRIBERS: usize = 16;
+    let (rows, dims, seed) = (200, 2, 17);
+    let sql = synthetic::query_sql(dims);
+    let runner = QueryRunner::new(synthetic::streaming_catalog(rows, dims, seed));
+    let engine = Engine::progxe_threads(2);
+
+    let reference: Vec<WireTuple> = runner
+        .run_collect(&sql, &engine)
+        .expect("reference run")
+        .results
+        .into_iter()
+        .map(|t| WireTuple {
+            r_idx: t.r_idx,
+            t_idx: t.t_idx,
+            values: t.values,
+        })
+        .collect();
+    assert!(!reference.is_empty(), "anti-correlated joins emit results");
+    let feeds: Vec<Vec<PushFrame>> = (0..SUBSCRIBERS as u64)
+        .map(|i| synthetic::arrival_feed(i, 120, dims, seed ^ (i + 1), 20))
+        .collect();
+    let transcripts: Vec<Vec<TranscriptEvent>> = feeds
+        .iter()
+        .map(|feed| {
+            let query = runner
+                .ingest_session(&sql, &engine)
+                .expect("in-process session");
+            replay_in_process(query, feed).0
+        })
+        .collect();
+
+    // Every connection is open before any query starts, so all of them are
+    // live at once against a cap of exactly that many.
+    let handle = Server::start(
+        runner,
+        engine,
+        ServerConfig {
+            max_sessions: CLIENTS + SUBSCRIBERS,
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind port 0");
+    let mut clients: Vec<Client> = (0..CLIENTS + SUBSCRIBERS)
+        .map(|_| Client::connect(handle.addr()).expect("admitted under the cap"))
+        .collect();
+    let subscribers = clients.split_off(CLIENTS);
+    let start = Barrier::new(CLIENTS + SUBSCRIBERS);
+    let (start, sql, reference) = (&start, &sql, &reference);
+    std::thread::scope(|s| {
+        for mut client in clients {
+            s.spawn(move || {
+                start.wait();
+                let outcome = client.run_query(sql).expect("query frame exchange");
+                assert!(
+                    outcome.error.is_none(),
+                    "server error under load: {:?}",
+                    outcome.error
+                );
+                let done = outcome.done.expect("terminal Done frame");
+                assert!(!done.cancelled, "no client cancelled, yet a run was");
+                assert_eq!(
+                    &outcome.tuples, reference,
+                    "wire results must equal run_collect"
+                );
+            });
+        }
+        for ((sub_id, mut client), (feed, transcript)) in (0u64..)
+            .zip(subscribers)
+            .zip(feeds.iter().zip(&transcripts))
+        {
+            s.spawn(move || {
+                start.wait();
+                client.subscribe(sub_id, sql).expect("subscribe");
+                match client.next_server_frame().expect("frame") {
+                    ServerFrame::SubAccepted { sub_id: id, .. } => assert_eq!(id, sub_id),
+                    other => panic!("expected SubAccepted, got {other:?}"),
+                }
+                for frame in feed {
+                    client.push(frame).expect("push");
+                }
+                let mut wire = Vec::new();
+                let done = loop {
+                    match client.next_server_frame().expect("frame") {
+                        ServerFrame::Update { sub_id: id, batch } => {
+                            assert_eq!(id, sub_id);
+                            wire.push(wire_event(&batch));
+                        }
+                        ServerFrame::SubDone { sub_id: id, done } => {
+                            assert_eq!(id, sub_id);
+                            break done;
+                        }
+                        other => panic!("expected Update or SubDone, got {other:?}"),
+                    }
+                };
+                assert!(!done.cancelled, "a fully fed subscription completes");
+                assert_eq!(
+                    &wire, transcript,
+                    "subscription {sub_id}: Update stream must equal the in-process replay"
+                );
+            });
+        }
+    });
+
+    // The server counts a run before writing its Done / SubDone, so the
+    // counters are final here. A second SubDone for one subscription would
+    // also push `queries_ok` past the total.
+    let metrics = handle.metrics();
+    handle.shutdown();
+    assert_eq!(metrics.queries_ok(), (CLIENTS + SUBSCRIBERS) as u64);
+    assert_eq!(metrics.queries_cancelled(), 0);
+    assert_eq!(metrics.queries_failed(), 0);
+    assert_eq!(metrics.rejected(), 0);
 }

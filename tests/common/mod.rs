@@ -111,7 +111,7 @@ fn traced_batch_stream(
     if !snapshot_filter {
         driver = driver.without_snapshot_filter();
     }
-    let mut session = QuerySession::stepped("kit", token, Box::new(driver));
+    let mut session = QuerySession::stepped("kit", token, driver);
     let mut stream = Stream::new();
     while let Some(event) = session.next_batch() {
         assert!(event.proven_final);

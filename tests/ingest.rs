@@ -264,7 +264,8 @@ fn cancel_during_ingestion_never_deadlocks() {
 }
 
 /// Early results taken mid-ingest are a strict prefix of the full run
-/// (take(k)-style consumption), and detaching afterwards cancels cleanly.
+/// (take(k)-style consumption), and detaching afterwards cancels cleanly —
+/// on both backends.
 #[test]
 fn take_k_style_early_stop_mid_ingest() {
     // Independent data populates the low output cells, which is what lets
@@ -276,58 +277,64 @@ fn take_k_style_early_stop_mid_ingest() {
         .generate();
     // Sorted trickle with watermarks so results flow before close.
     let spec_r = ArrivalSpec::trickle(10);
-    let full = {
-        let r = spec_r.schedule(&w.r);
-        let t = spec_r.schedule(&w.t);
-        run_schedule(&w, &r, &t, false)
-    };
-    let full_flat: Vec<(u32, u32)> = full.iter().flatten().copied().collect();
-    assert!(full_flat.len() >= 3, "workload too small for the test");
+    for pooled in [false, true] {
+        let full = {
+            let r = spec_r.schedule(&w.r);
+            let t = spec_r.schedule(&w.t);
+            run_schedule(&w, &r, &t, pooled)
+        };
+        let full_flat: Vec<(u32, u32)> = full.iter().flatten().copied().collect();
+        assert!(full_flat.len() >= 3, "workload too small for the test");
 
-    let mut session = open_session(false);
-    let r_sched = spec_r.schedule(&w.r);
-    let t_sched = spec_r.schedule(&w.t);
-    let k = 2;
-    let mut taken: Vec<(u32, u32)> = Vec::new();
-    'feed: for i in 0..r_sched.batches.len().max(t_sched.batches.len()) {
-        for (side, rel, sched) in [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)] {
-            let Some(batch) = sched.batches.get(i) else {
-                continue;
-            };
-            let rows: Vec<(u32, &[f64], u32)> = batch
-                .rows
-                .iter()
-                .map(|&row| {
-                    (
-                        row,
-                        rel.attrs_of(row as usize),
-                        rel.join_key_of(row as usize),
-                    )
-                })
-                .collect();
-            session.push_with_ids(side, &rows).unwrap();
-            if let Some(wm) = &batch.watermark {
-                session.set_watermark(side, wm).unwrap();
-            }
-            while taken.len() < k {
-                match session.poll() {
-                    IngestPoll::Batch(e) => {
-                        taken.extend(e.tuples.iter().map(|t| (t.r_idx, t.t_idx)))
+        let mut session = open_session(pooled);
+        let r_sched = spec_r.schedule(&w.r);
+        let t_sched = spec_r.schedule(&w.t);
+        let k = 2;
+        let mut taken: Vec<(u32, u32)> = Vec::new();
+        'feed: for i in 0..r_sched.batches.len().max(t_sched.batches.len()) {
+            for (side, rel, sched) in [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
+            {
+                let Some(batch) = sched.batches.get(i) else {
+                    continue;
+                };
+                let rows: Vec<(u32, &[f64], u32)> = batch
+                    .rows
+                    .iter()
+                    .map(|&row| {
+                        (
+                            row,
+                            rel.attrs_of(row as usize),
+                            rel.join_key_of(row as usize),
+                        )
+                    })
+                    .collect();
+                session.push_with_ids(side, &rows).unwrap();
+                if let Some(wm) = &batch.watermark {
+                    session.set_watermark(side, wm).unwrap();
+                }
+                while taken.len() < k {
+                    match session.poll() {
+                        IngestPoll::Batch(e) => {
+                            taken.extend(e.tuples.iter().map(|t| (t.r_idx, t.t_idx)))
+                        }
+                        _ => break,
                     }
-                    _ => break,
+                }
+                if taken.len() >= k {
+                    break 'feed;
                 }
             }
-            if taken.len() >= k {
-                break 'feed;
-            }
         }
+        assert!(
+            taken.len() >= k,
+            "pooled={pooled}: watermarked trickle must emit early"
+        );
+        session.cancel();
+        let stats = session.finish();
+        assert!(stats.cancelled);
+        // Prefix property: what was taken is exactly how the full run starts.
+        assert_eq!(&full_flat[..taken.len()], &taken[..]);
     }
-    assert!(taken.len() >= k, "watermarked trickle must emit early");
-    session.cancel();
-    let stats = session.finish();
-    assert!(stats.cancelled);
-    // Prefix property: what was taken is exactly how the full run starts.
-    assert_eq!(&full_flat[..taken.len()], &taken[..]);
 }
 
 // ── Watermark boundary semantics ─────────────────────────────────────────
