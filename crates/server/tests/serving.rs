@@ -620,15 +620,21 @@ fn concurrent_clients_and_subscribers_match_in_process_runs() {
     let feeds: Vec<Vec<PushFrame>> = (0..SUBSCRIBERS as u64)
         .map(|i| synthetic::arrival_feed(i, 120, dims, seed ^ (i + 1), 20))
         .collect();
-    let transcripts: Vec<Vec<TranscriptEvent>> = feeds
+    let transcripts: Vec<(Vec<TranscriptEvent>, ExecStats)> = feeds
         .iter()
         .map(|feed| {
             let query = runner
                 .ingest_session(&sql, &engine)
                 .expect("in-process session");
-            replay_in_process(query, feed).0
+            replay_in_process(query, feed)
         })
         .collect();
+    for (i, (_, stats)) in transcripts.iter().enumerate() {
+        assert!(
+            stats.results_emitted > 0,
+            "anti-correlated feed {i} must emit results"
+        );
+    }
 
     // Every connection is open before any query starts, so all of them are
     // live at once against a cap of exactly that many.
@@ -665,7 +671,7 @@ fn concurrent_clients_and_subscribers_match_in_process_runs() {
                 );
             });
         }
-        for ((sub_id, mut client), (feed, transcript)) in (0u64..)
+        for ((sub_id, mut client), (feed, (transcript, stats))) in (0u64..)
             .zip(subscribers)
             .zip(feeds.iter().zip(&transcripts))
         {
@@ -694,6 +700,7 @@ fn concurrent_clients_and_subscribers_match_in_process_runs() {
                     }
                 };
                 assert!(!done.cancelled, "a fully fed subscription completes");
+                assert_eq!(done.results, stats.results_emitted);
                 assert_eq!(
                     &wire, transcript,
                     "subscription {sub_id}: Update stream must equal the in-process replay"

@@ -290,8 +290,10 @@ fn take_k_style_early_stop_mid_ingest() {
         let r_sched = spec_r.schedule(&w.r);
         let t_sched = spec_r.schedule(&w.t);
         let k = 2;
+        let steps = r_sched.batches.len().max(t_sched.batches.len());
         let mut taken: Vec<(u32, u32)> = Vec::new();
-        'feed: for i in 0..r_sched.batches.len().max(t_sched.batches.len()) {
+        let mut taken_at = None;
+        'feed: for i in 0..steps {
             for (side, rel, sched) in [(SourceId::R, &w.r, &r_sched), (SourceId::T, &w.t, &t_sched)]
             {
                 let Some(batch) = sched.batches.get(i) else {
@@ -321,13 +323,19 @@ fn take_k_style_early_stop_mid_ingest() {
                     }
                 }
                 if taken.len() >= k {
+                    taken_at = Some(i);
                     break 'feed;
                 }
             }
         }
+        // "Early" means before the last batch arrives: an engine that held
+        // every result until all rows were in would reach k only at the
+        // final step.
+        let taken_at = taken_at.unwrap_or(steps);
         assert!(
-            taken.len() >= k,
-            "pooled={pooled}: watermarked trickle must emit early"
+            taken_at + 1 < steps,
+            "pooled={pooled}: watermarked trickle must emit before full arrival, \
+             but the first {k} results came at step {taken_at} of {steps}"
         );
         session.cancel();
         let stats = session.finish();
