@@ -36,7 +36,6 @@ use progxe_core::mapping::MapSet;
 use progxe_core::session::ProgressiveEngine;
 use progxe_core::source::SourceView;
 use progxe_datagen::{Distribution, SmjWorkload, WorkloadSpec};
-use progxe_runtime::ParallelProgXe;
 use progxe_skyline::Preference;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -387,10 +386,10 @@ pub fn threads(opt: &ExpOptions) {
 
     // Fastest of THREADS_REPS runs: one-shot wall times on a shared host
     // swing by tens of percent, and the gate below compares two of them.
-    let run_engine = |engine: Box<dyn ProgressiveEngine>, maps: &MapSet| {
+    let run_engine = |engine: ProgXe, maps: &MapSet| {
         (0..THREADS_REPS)
             .map(|_| {
-                let mut session = engine.open(&r, &t, maps).expect("valid configuration");
+                let mut session = engine.session(&r, &t, maps).expect("valid configuration");
                 let mut first: Option<Duration> = None;
                 while let Some(event) = session.next_batch() {
                     if first.is_none() && !event.tuples.is_empty() {
@@ -410,15 +409,8 @@ pub fn threads(opt: &ExpOptions) {
         stats: progxe_core::stats::ExecStats,
     }
     let base_cfg = default_config_for(dims, sigma);
-    let engine_for = |count: usize| -> Box<dyn ProgressiveEngine> {
-        let config = base_cfg.clone().with_threads(count);
-        if count > 1 {
-            Box::new(ParallelProgXe::new(config))
-        } else {
-            Box::new(ProgXe::new(config))
-        }
-    };
-    let measure = |mode: &'static str, engine: Box<dyn ProgressiveEngine>, maps: &MapSet| {
+    let engine_for = |count: usize| ProgXe::new(base_cfg.clone().with_threads(count));
+    let measure = |mode: &'static str, engine: ProgXe, maps: &MapSet| {
         let (first, stats) = run_engine(engine, maps);
         Run {
             mode,

@@ -75,12 +75,12 @@ pub struct ProgXeConfig {
     /// `None`, estimated as `1 / distinct-join-keys`.
     pub selectivity_hint: Option<f64>,
     /// Worker threads for the tuple-level phase. `1` (the default) runs the
-    /// unified region driver on its `Inline` backend inside
-    /// [`crate::executor::ProgXe`]; larger values are honored by the
-    /// `progxe-runtime` crate's pooled driver (and by the query layer's
-    /// engine dispatch), which fans region work units across a shared
-    /// thread pool while a single ordered committer preserves the
-    /// progressive-emission guarantees.
+    /// unified region driver on its `Inline` backend; larger values make
+    /// [`crate::executor::ProgXe`] — batch sessions and `open_ingest` alike
+    /// — fan region work units across its shared thread pool of this many
+    /// workers, while a single ordered committer preserves the
+    /// progressive-emission guarantees. Fixed when the engine is built
+    /// (`ProgXe::new` sizes the pool from it).
     pub threads: NonZeroUsize,
 }
 

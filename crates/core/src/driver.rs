@@ -1,19 +1,17 @@
 //! The unified region driver: one schedule-pop → tuple-level phase →
 //! ordered-commit loop for every execution backend.
 //!
-//! Before this module existed the repo implemented the ProgXe region loop
-//! twice — a sequential loop inside `executor.rs` and a parallel one in the
-//! `progxe-runtime` crate — with divergent hot paths. [`RegionDriver`]
-//! collapses them: the loop lives here exactly once, parameterized by an
-//! [`ExecutorBackend`]:
+//! The loop lives here exactly once, in [`RegionDriver`], parameterized by
+//! an [`ExecutorBackend`] that [`ProgXe`](crate::executor::ProgXe) picks
+//! from `ProgXeConfig::threads`:
 //!
 //! * [`ExecutorBackend::Inline`] — `threads = 1`. Regions are computed on
 //!   the calling thread, one per step, through the same work unit a pool
 //!   worker runs ([`RegionCtx::compute`]), filtering against the live
 //!   admitted-tuple slab.
 //! * [`ExecutorBackend::Pooled`] — `threads > 1`. Regions are fanned out as
-//!   pure work units through a [`TaskSpawner`] (the `progxe-runtime` crate
-//!   implements it for its shared thread pool) into a bounded dispatch
+//!   pure work units through a [`TaskSpawner`] (the engine's shared
+//!   [`ThreadPool`](crate::pool::ThreadPool)) into a bounded dispatch
 //!   window, and batches are committed **strictly in pop order** via a
 //!   reorder buffer — the discipline that keeps parallel emission
 //!   deterministic regardless of worker interleaving. Each unit carries
@@ -34,6 +32,35 @@
 //! matter who computed the batches. The schedule ([`crate::progorder`]) is
 //! one pop routine for every ordering policy; the committer feeds it each
 //! resolution and prices each new EL-graph root with [`benefit`] / [`cost`].
+//!
+//! ## Why parallel commit stays safe
+//!
+//! Algorithm 2's guarantee ("emit a cell only when no unresolved region can
+//! still place a tuple into a dominating cell") only cares that a region is
+//! *resolved after its tuples are in the store*. Workers never touch the
+//! store; the committer inserts a region's batch and resolves it in one
+//! step on either backend — in-flight regions simply stay unresolved,
+//! keeping their blocker counts up, so nothing they could still produce is
+//! ever contradicted by an early emission. Dispatch order deviating from
+//! sequential ProgOrder only shifts the *rate* optimization (Section IV),
+//! never correctness, as the paper's No-Order variation already
+//! establishes. And because every pop and every commit happens at a
+//! deterministic point of the loop — never "whichever worker finished
+//! first" — the emitted event sequence is a pure function of the query and
+//! its configuration; the admitted-slab snapshot a unit filters against is
+//! taken on the committer thread, so it is one too.
+//!
+//! ## Pool lifecycle
+//!
+//! Sessions **never construct a pool**: they borrow their engine's
+//! [`EngineRuntime`](crate::runtime::EngineRuntime), which lazily spawns
+//! one long-lived pool on the first non-trivial session and shares it with
+//! every later one (and with every clone of the engine) — spawn/join is
+//! paid once per engine, not once per query. Cancellation: workers check
+//! the shared token inside the probe loop and return partial batches
+//! flagged `completed = false`; the committer never commits those, so a
+//! cancelled query cannot emit a false positive, and its leftover jobs
+//! vacate the shared pool at their first token check.
 
 use crate::cells::CellStore;
 use crate::executor::Prepared;
@@ -398,10 +425,9 @@ impl std::fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-/// Something that can run `'static` jobs on worker threads. The
-/// `progxe-runtime` crate implements this for its shared thread pool;
-/// keeping the trait here lets [`RegionDriver`] stay pool-agnostic while
-/// the whole region loop lives in one place.
+/// Something that can run `'static` jobs on worker threads. The shared
+/// [`ThreadPool`](crate::pool::ThreadPool) implements it; keeping the
+/// driver behind the trait lets its tests substitute simpler spawners.
 pub trait TaskSpawner: Send + Sync {
     /// Enqueues a job for execution on some worker thread, or returns
     /// [`SpawnError`] if the spawner has shut down. `Ok` is a contract:
@@ -972,7 +998,7 @@ mod tests {
     }
 
     /// A minimal spawner: one OS thread per job. Exercises the pooled
-    /// code path without depending on the runtime crate.
+    /// code path without the shared pool.
     struct ThreadPerTask;
     impl TaskSpawner for ThreadPerTask {
         fn spawn_task(&self, job: Box<dyn FnOnce() + Send + 'static>) -> Result<(), SpawnError> {

@@ -20,11 +20,13 @@
 //! look-ahead two declared grids instead of two built from rows, and gets
 //! the same committer and work context back. The region loop itself —
 //! schedule pop, tuple-level phase, ordered commit — lives exactly once in
-//! [`crate::driver`]: the sequential path is the
+//! [`crate::driver`]. [`ProgXe`] picks its backend from
+//! [`ProgXeConfig::threads`]: at 1 the
 //! [`Inline`](crate::driver::ExecutorBackend::Inline) instantiation of
-//! [`crate::driver::RegionDriver`], and the `progxe-runtime`
-//! crate supplies the [`Pooled`](crate::driver::ExecutorBackend::Pooled)
-//! backend for `threads > 1`.
+//! [`crate::driver::RegionDriver`], above 1 the
+//! [`Pooled`](crate::driver::ExecutorBackend::Pooled) one on the engine's
+//! shared [`EngineRuntime`] pool — for batch sessions and
+//! [`ProgXe::open_ingest`] alike.
 //!
 //! The executor is deterministic given its configuration: grid construction,
 //! region ids, EL-graph tie-breaks, and the `Random` ordering's shuffle are
@@ -32,15 +34,17 @@
 
 use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
-use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver, RowIds};
+use crate::driver::{CommitterParts, ExecutorBackend, RegionDriver, RowIds, TaskSpawner};
 use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
 use crate::grid::{InputGrid, JoinSource};
+use crate::ingest::{IngestSession, StreamSpec};
 use crate::lookahead::{run_lookahead, track_cells, Lookahead, Region};
 use crate::mapping::MapSet;
 use crate::output_grid::MAX_DIMS;
 use crate::progdetermine::ProgDetermine;
 use crate::pushthrough::{push_through, Side};
+use crate::runtime::EngineRuntime;
 use crate::session::{CancellationToken, QuerySession};
 use crate::source::SourceView;
 use crate::stats::{ExecStats, Laps, ResultTuple};
@@ -53,12 +57,25 @@ use std::time::Instant;
 pub use crate::driver::Committer;
 
 /// The progressive SkyMapJoin executor.
-#[derive(Debug, Clone, Default)]
+///
+/// Runs its regions inline at `config.threads == 1` and on a shared
+/// worker pool above it. Cloning shares the [`EngineRuntime`]: clones and
+/// all their sessions use one pool.
+#[derive(Debug, Clone)]
 pub struct ProgXe {
     config: ProgXeConfig,
     /// Optional trace sink. `None` (the default) costs one branch per
     /// instrumentation site; see [`ProgXe::with_recorder`].
     recorder: Option<Arc<dyn Recorder>>,
+    /// The pool behind the Pooled backend, sized from `config.threads`;
+    /// spawned by the first non-trivial session at `threads > 1`.
+    runtime: Arc<EngineRuntime>,
+}
+
+impl Default for ProgXe {
+    fn default() -> Self {
+        Self::new(ProgXeConfig::default())
+    }
 }
 
 /// Collected output of [`ProgXe::run_collect`], [`QuerySession::collect`],
@@ -211,10 +228,12 @@ impl FrontEnd {
 }
 
 impl ProgXe {
-    /// Creates an executor with the given configuration.
+    /// Creates an executor with the given configuration and a fresh
+    /// (lazily spawned) runtime of `config.threads` workers.
     #[must_use]
     pub fn new(config: ProgXeConfig) -> Self {
         Self {
+            runtime: Arc::new(EngineRuntime::new(config.threads.get())),
             config,
             recorder: None,
         }
@@ -243,6 +262,25 @@ impl ProgXe {
         &self.config
     }
 
+    /// The shared execution runtime backing this engine's pooled sessions.
+    pub fn runtime(&self) -> &Arc<EngineRuntime> {
+        &self.runtime
+    }
+
+    /// The region loop's backend: Inline at `threads == 1` or for a run
+    /// with no region to compute, else Pooled on the engine's pool
+    /// (spawned here on first use).
+    fn backend(&self, has_regions: bool) -> ExecutorBackend {
+        if self.config.threads.get() == 1 || !has_regions {
+            return ExecutorBackend::Inline;
+        }
+        let pool = self.runtime.handle();
+        ExecutorBackend::Pooled {
+            threads: pool.threads(),
+            spawner: pool as Arc<dyn TaskSpawner>,
+        }
+    }
+
     /// Opens a pull-based [`QuerySession`] over the query with a fresh
     /// cancellation token. Validation, push-through, grid construction, and
     /// the output-space look-ahead happen here; tuple-level work is driven
@@ -257,7 +295,8 @@ impl ProgXe {
     }
 
     /// Like [`session`](Self::session), but sharing a caller-provided
-    /// cancellation token (e.g. one watched by a timeout thread).
+    /// cancellation token (e.g. one watched by a timeout thread). The
+    /// token stops the committer *and* every in-flight pooled worker.
     pub fn session_with_token<'a>(
         &self,
         r: &SourceView<'a>,
@@ -266,8 +305,30 @@ impl ProgXe {
         token: CancellationToken,
     ) -> Result<QuerySession<'a>> {
         let prep = self.prepare(r, t, maps, token.clone())?;
-        let driver = RegionDriver::new(prep, token.clone(), ExecutorBackend::Inline);
+        let backend = self.backend(prep.committer.is_some());
+        let driver = RegionDriver::new(prep, token.clone(), backend);
         Ok(QuerySession::stepped("progxe", token, driver))
+    }
+
+    /// Opens a streaming-ingestion session (see [`crate::ingest`]) on this
+    /// engine's backend. Pushes, watermarks and closes happen on the
+    /// caller's thread and overlap with pooled region joins; the
+    /// readiness-gated schedule keeps emission identical to the Inline
+    /// backend.
+    pub fn open_ingest(
+        &self,
+        maps: &MapSet,
+        r_spec: StreamSpec,
+        t_spec: StreamSpec,
+    ) -> Result<IngestSession> {
+        IngestSession::open_observed(
+            &self.config,
+            maps,
+            r_spec,
+            t_spec,
+            self.backend(true),
+            self.recorder.clone(),
+        )
     }
 
     /// Convenience wrapper: run to completion and collect all results.
@@ -284,9 +345,9 @@ impl ProgXe {
     /// loop. The cancellation token is checked between phases so a session
     /// cancelled during setup stops before tuple-level work.
     ///
-    /// This is the shared entry point of every backend: the inline session
-    /// *and* the `progxe-runtime` pooled driver receive the same
-    /// [`Committer`] and differ only in who computes the region batches.
+    /// This is the shared entry point of every backend: the Inline and the
+    /// Pooled driver receive the same [`Committer`] and differ only in who
+    /// computes the region batches.
     pub fn prepare(
         &self,
         r: &SourceView<'_>,
@@ -294,7 +355,8 @@ impl ProgXe {
         maps: &MapSet,
         token: CancellationToken,
     ) -> Result<Prepared> {
-        let mut front = FrontEnd::open(&self.config, maps, self.recorder.clone(), 1)?;
+        let threads = self.config.threads.get();
+        let mut front = FrontEnd::open(&self.config, maps, self.recorder.clone(), threads)?;
         if r.is_empty() || t.is_empty() {
             return Ok(front.trivial());
         }
@@ -912,5 +974,294 @@ mod tests {
         assert!(stats.join_build_rows > 0 && stats.join_build_rows <= built);
         assert!(stats.join_matches > 0 && stats.join_matches <= matches);
         assert!(stats.join_probes > 0 && stats.join_probes <= stats.join_pairs_evaluated);
+    }
+
+    /// `threads` alone picks the backend: at 2 the engine reports two
+    /// workers and spawns its pool once; at 1 it never spawns one, for a
+    /// batch or an ingest session.
+    #[test]
+    fn threads_pick_the_backend_and_spawn_the_pool_once() {
+        let r = random_source(200, 2, 5, 30);
+        let t = random_source(200, 2, 5, 31);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let pooled = ProgXe::new(ProgXeConfig::default().with_threads(2));
+        assert_eq!(pooled.runtime().pools_spawned(), 0, "runtime is lazy");
+        let out = pooled.run_collect(&r.view(), &t.view(), &maps).unwrap();
+        assert_eq!(out.stats.threads_used, 2);
+        assert_eq!(pooled.runtime().pools_spawned(), 1);
+
+        let inline = ProgXe::new(ProgXeConfig::default().with_threads(1));
+        assert_eq!(
+            run_and_sort(&inline, &r, &t, &maps),
+            run_and_sort(&pooled, &r, &t, &maps)
+        );
+        let spec = || StreamSpec::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
+        let stats = inline.open_ingest(&maps, spec(), spec()).unwrap().finish();
+        assert_eq!(stats.threads_used, 1);
+        assert_eq!(inline.runtime().pools_spawned(), 0);
+        assert_eq!(pooled.runtime().pools_spawned(), 1, "one pool per engine");
+    }
+
+    #[test]
+    fn pooled_run_is_self_deterministic() {
+        // Same query twice: identical event-by-event output, including
+        // batch boundaries — worker interleaving must not leak through.
+        let r = random_source(250, 2, 5, 3);
+        let t = random_source(250, 2, 5, 4);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
+        let run = || {
+            let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+            let mut batches = Vec::new();
+            while let Some(event) = session.next_batch() {
+                assert!(event.proven_final);
+                batches.push(event.tuples);
+            }
+            batches
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn pooled_take_k_cancels_workers() {
+        let r = random_source(400, 2, 4, 5);
+        let t = random_source(400, 2, 4, 6);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
+        let full = engine.run_collect(&r.view(), &t.view(), &maps).unwrap();
+        assert!(full.results.len() >= 3);
+        let partial = engine.open(&r.view(), &t.view(), &maps).unwrap().take(2);
+        assert_eq!(partial.results.len(), 2);
+        assert_eq!(&full.results[..2], &partial.results[..]);
+        assert!(partial.stats.cancelled);
+        assert!(partial.stats.regions_skipped > 0);
+    }
+
+    #[test]
+    fn finish_without_explicit_cancel_stops_inflight_workers() {
+        let r = random_source(400, 2, 4, 20);
+        let t = random_source(400, 2, 4, 21);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
+        let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+        assert!(session.next_batch().is_some());
+        // No cancel() call: finish() itself must skip the remaining work
+        // (firing the token for in-flight workers) rather than await it.
+        let stats = session.finish();
+        assert!(stats.cancelled);
+        assert!(stats.regions_skipped > 0);
+    }
+
+    #[test]
+    fn pre_cancelled_pooled_session_does_nothing() {
+        let r = random_source(100, 2, 5, 7);
+        let t = random_source(100, 2, 5, 8);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(2));
+        let token = CancellationToken::new();
+        token.cancel();
+        let mut session = engine
+            .session_with_token(&r.view(), &t.view(), &maps, token)
+            .unwrap();
+        assert!(session.next_batch().is_none());
+        let stats = session.finish();
+        assert!(stats.cancelled);
+        assert_eq!(stats.regions_processed, 0);
+        assert!(
+            !engine.runtime().is_running(),
+            "a trivial session must not spawn the pool"
+        );
+    }
+
+    #[test]
+    fn empty_inputs_do_not_spawn_the_pool() {
+        let r = SourceData::new(2);
+        let t = random_source(10, 2, 2, 9);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
+        let out = engine.run_collect(&r.view(), &t.view(), &maps).unwrap();
+        assert!(out.results.is_empty());
+        assert!(!out.stats.cancelled);
+        assert!(!engine.runtime().is_running());
+    }
+
+    fn exploding_maps() -> MapSet {
+        use crate::mapping::{GeneralMap, MappingFunction};
+        let exploding = GeneralMap::new(
+            "exploding",
+            |_r: &[f64], _t: &[f64]| panic!("user mapping function failed"),
+            |r_lo: &[f64], r_hi: &[f64], t_lo: &[f64], t_hi: &[f64]| {
+                (r_lo[0] + t_lo[0], r_hi[0] + t_hi[0])
+            },
+        );
+        MapSet::new(
+            vec![Box::new(exploding) as Box<dyn MappingFunction>],
+            Preference::all_lowest(1),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "progxe worker panicked while computing region")]
+    fn worker_panic_propagates_instead_of_masquerading_as_cancel() {
+        let r = random_source(50, 1, 1, 12);
+        let t = random_source(50, 1, 1, 13);
+        let maps = exploding_maps();
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(2));
+        let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+        while session.next_batch().is_some() {}
+    }
+
+    #[test]
+    fn pool_survives_a_query_with_panicking_maps() {
+        let r = random_source(50, 1, 1, 14);
+        let t = random_source(50, 1, 1, 15);
+        let maps = exploding_maps();
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(2));
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+            while session.next_batch().is_some() {}
+        }));
+        assert!(failed.is_err(), "the failing query must propagate");
+        // The *shared* pool must still serve healthy queries afterwards.
+        let good = MapSet::pairwise_sum(1, Preference::all_lowest(1));
+        let out = engine.run_collect(&r.view(), &t.view(), &good).unwrap();
+        assert!(!out.stats.cancelled);
+        assert_eq!(engine.runtime().pools_spawned(), 1);
+    }
+
+    #[test]
+    fn pooled_ingest_matches_inline_ingest_event_for_event() {
+        use crate::ingest::{IngestPoll, SourceId};
+        let rows_r = random_source(200, 2, 5, 50);
+        let rows_t = random_source(200, 2, 5, 51);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let spec = || StreamSpec::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
+
+        let run = |mut session: IngestSession| -> Vec<Vec<(u32, u32)>> {
+            let mut batches: Vec<Vec<(u32, u32)>> = Vec::new();
+            for (side, src) in [(SourceId::R, &rows_r), (SourceId::T, &rows_t)] {
+                // Trickled in four batches to exercise mid-ingest polls.
+                for chunk in 0..4 {
+                    let lo = chunk * 50;
+                    let rows: Vec<(&[f64], u32)> = (lo..lo + 50)
+                        .map(|i| (src.view().attrs_of(i), src.view().join_key_of(i)))
+                        .collect();
+                    session.push(side, &rows).unwrap();
+                    while let IngestPoll::Batch(e) = session.poll() {
+                        batches.push(e.tuples.iter().map(|t| (t.r_idx, t.t_idx)).collect());
+                    }
+                }
+                session.close(side);
+            }
+            loop {
+                match session.poll() {
+                    IngestPoll::Batch(e) => {
+                        batches.push(e.tuples.iter().map(|t| (t.r_idx, t.t_idx)).collect())
+                    }
+                    IngestPoll::NeedInput => panic!("closed session cannot need input"),
+                    IngestPoll::Complete => break,
+                }
+            }
+            let stats = session.finish();
+            assert!(!stats.cancelled);
+            assert_eq!(stats.tuples_ingested, 400);
+            batches
+        };
+
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(3));
+        let pooled = run(engine.open_ingest(&maps, spec(), spec()).unwrap());
+        assert_eq!(engine.runtime().pools_spawned(), 1);
+        let inline = IngestSession::open(&ProgXeConfig::default(), &maps, spec(), spec()).unwrap();
+        // The readiness-gated schedule serializes the dispatch window, so
+        // pooled and inline agree batch-for-batch — not just as sets.
+        assert_eq!(run(inline), pooled);
+        assert!(!pooled.is_empty());
+    }
+
+    #[test]
+    fn pooled_works_across_orderings() {
+        let r = random_source(200, 2, 5, 10);
+        let t = random_source(200, 2, 5, 11);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let reference = run_and_sort(&ProgXe::new(ProgXeConfig::default()), &r, &t, &maps);
+        for ordering in [
+            OrderingPolicy::ProgOrder,
+            OrderingPolicy::Random { seed: 1 },
+            OrderingPolicy::Fifo,
+        ] {
+            let engine = ProgXe::new(
+                ProgXeConfig::default()
+                    .with_ordering(ordering)
+                    .with_threads(3),
+            );
+            assert_eq!(
+                reference,
+                run_and_sort(&engine, &r, &t, &maps),
+                "{ordering:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_session_without_finish_fires_its_token_on_both_backends() {
+        // Regression: a dropped (not finished, not cancelled) session left
+        // its token unfired unless the driver happened to have in-flight
+        // dispatches — so pooled workers of an abandoned session could keep
+        // burning shared CPU. Drop must behave like cancel on *every*
+        // backend, including mid-stream with nothing in flight.
+        let r = random_source(300, 2, 6, 41);
+        let t = random_source(300, 2, 6, 42);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        for threads in [1, 3] {
+            let engine = ProgXe::new(ProgXeConfig::default().with_threads(threads));
+            let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+            let token = session.cancel_token();
+            assert!(session.next_batch().is_some(), "mid-stream, not unpulled");
+            drop(session);
+            assert!(
+                token.is_cancelled(),
+                "threads={threads}: drop must fire the token"
+            );
+        }
+        // Pooled ingest session, same contract.
+        let spec = || StreamSpec::new(vec![0.0, 0.0], vec![100.0, 100.0]).unwrap();
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(3));
+        let session = engine.open_ingest(&maps, spec(), spec()).unwrap();
+        let token = session.cancel_token();
+        drop(session);
+        assert!(token.is_cancelled(), "ingest: drop must fire the token");
+    }
+
+    #[test]
+    fn shutdown_under_a_live_session_cancels_instead_of_deadlocking() {
+        // Regression: `ThreadPool::execute` after shutdown used to enqueue
+        // into queues no worker would ever drain again (release builds
+        // compiled the debug_assert away), so the committer blocked forever
+        // in `wait_take` on a job that never ran. Pinned behavior: the
+        // pool is *closed* by `EngineRuntime::shutdown`, the session's next
+        // dispatch gets a typed `SpawnError`, and the run ends as a clean
+        // cancellation — never a deadlock, never a silent drop.
+        let r = random_source(400, 2, 8, 21);
+        let t = random_source(400, 2, 8, 22);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(2));
+        let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
+        // Let the first dispatch window land so the session is genuinely
+        // mid-flight, then rip the pool out from under it.
+        assert!(session.next_batch().is_some(), "workload emits something");
+        engine.runtime().shutdown();
+        // Draining must terminate (the whole point of the fix)...
+        while session.next_batch().is_some() {}
+        // ...and the interrupted run must say so.
+        let stats = session.finish();
+        assert!(
+            stats.cancelled,
+            "a shutdown racing a live session must surface as a cancelled run"
+        );
+        // The runtime stays usable: the next session respawns a pool.
+        let fresh = engine.run_collect(&r.view(), &t.view(), &maps).unwrap();
+        assert!(!fresh.stats.cancelled);
+        assert_eq!(engine.runtime().pools_spawned(), 2);
     }
 }

@@ -561,8 +561,9 @@ impl IngestInner {
 /// A progressive query over two incrementally arriving sources.
 ///
 /// Obtain one from [`IngestSession::open`] (Inline backend) or
-/// [`IngestSession::open_observed`] (any backend, e.g. the runtime crate's
-/// pooled one, and an optional trace recorder). Feed it with
+/// [`ProgXe::open_ingest`](crate::executor::ProgXe::open_ingest) (the
+/// engine's backend — pooled at `threads > 1` — and its trace recorder).
+/// Feed it with
 /// [`push`](Self::push) / [`set_watermark`](Self::set_watermark) /
 /// [`close`](Self::close), and interleave [`poll`](Self::poll) calls to
 /// drain proven-final result batches as regions unlock. Emitted
@@ -586,38 +587,29 @@ pub struct IngestSession {
 }
 
 impl IngestSession {
-    /// Opens an inline (single-threaded) streaming session.
+    /// Opens an inline (single-threaded) streaming session, whatever
+    /// `config.threads` says; [`ProgXe::open_ingest`] honours it.
+    ///
+    /// [`ProgXe::open_ingest`]: crate::executor::ProgXe::open_ingest
     pub fn open(
         config: &ProgXeConfig,
         maps: &MapSet,
         r_spec: StreamSpec,
         t_spec: StreamSpec,
     ) -> Result<IngestSession> {
-        let token = CancellationToken::new();
-        Self::open_observed(
-            config,
-            maps,
-            r_spec,
-            t_spec,
-            ExecutorBackend::Inline,
-            token,
-            None,
-        )
+        Self::open_observed(config, maps, r_spec, t_spec, ExecutorBackend::Inline, None)
     }
 
-    /// Opens a streaming session on an explicit executor backend (the
-    /// `progxe-runtime` crate runs ingestion over its shared thread pool)
-    /// with a caller-provided cancellation token. A [`Recorder`] makes the
-    /// session emit trace events: `lookahead` / `ingest_batch` spans,
-    /// `seal` / `stall` points, and the driver-side span taxonomy shared
-    /// with materialized execution.
-    pub fn open_observed(
+    /// Opens a streaming session on an explicit executor backend. A
+    /// [`Recorder`] makes the session emit trace events: `lookahead` /
+    /// `ingest_batch` spans, `seal` / `stall` points, and the driver-side
+    /// span taxonomy shared with materialized execution.
+    pub(crate) fn open_observed(
         config: &ProgXeConfig,
         maps: &MapSet,
         r_spec: StreamSpec,
         t_spec: StreamSpec,
         backend: ExecutorBackend,
-        token: CancellationToken,
         recorder: Option<Arc<dyn Recorder>>,
     ) -> Result<IngestSession> {
         let threads = match &backend {
@@ -676,6 +668,7 @@ impl IngestSession {
             last_batch_at: None,
             interarrival: Histogram::default(),
         }));
+        let token = CancellationToken::new();
         Ok(IngestSession {
             driver: RegionDriver::new(prep, token.clone(), backend),
             inner,

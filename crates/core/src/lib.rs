@@ -27,9 +27,11 @@
 //! The [`executor`] module builds the pipeline front end behind the public
 //! entry point [`ProgXe`]; the [`driver`] module owns the single region
 //! loop ([`driver::RegionDriver`]) that every backend — inline or pooled —
-//! executes. Results are consumed by pulling a streaming
-//! [`session::QuerySession`] (incremental batches, cancellation, `take(k)`
-//! early termination). Sources that *arrive* incrementally (the paper's
+//! executes. `ProgXeConfig::threads` picks the backend: above 1, regions
+//! run on a work-stealing [`pool`] that the engine's [`runtime`] spawns
+//! lazily and shares with every session and clone of the engine. Results
+//! are consumed by pulling a streaming [`session::QuerySession`]
+//! (incremental batches, cancellation, `take(k)` early termination). Sources that *arrive* incrementally (the paper's
 //! federated/web setting) open an [`ingest::IngestSession`] instead —
 //! through the same front end, look-ahead, committer and work context —
 //! which accepts row batches, watermarks, and per-source close signals,
@@ -69,9 +71,11 @@ pub mod ingest;
 pub mod lookahead;
 pub mod mapping;
 pub mod output_grid;
+pub mod pool;
 pub mod progdetermine;
 pub mod progorder;
 pub mod pushthrough;
+pub mod runtime;
 pub mod session;
 pub mod signature;
 pub mod sink;

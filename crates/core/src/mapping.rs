@@ -209,7 +209,7 @@ impl MappingFunction for GeneralMap {
 /// outputs. The preference dimensionality must equal the function count.
 ///
 /// Functions are stored behind [`Arc`], so cloning a `MapSet` is cheap
-/// (reference-count bumps) — this is what lets the parallel runtime ship
+/// (reference-count bumps) — this is what lets the pooled backend ship
 /// the mapping functions to worker threads as `Send + 'static` work units
 /// without re-planning the query.
 #[derive(Clone)]

@@ -1,12 +1,10 @@
 //! The per-engine execution runtime: one lazily-spawned, long-lived
 //! [`ThreadPool`] shared by every session of an engine.
 //!
-//! Before this module, `ParallelProgXe` constructed a fresh pool per
-//! session — fine for heavy analytical queries, but per-query spawn/join
-//! latency is exactly what a high-QPS serving layer cannot afford.
-//! [`EngineRuntime`] fixes the lifecycle: the pool is spawned on the first
-//! session that needs it, handed out as an `Arc` to every subsequent
-//! session, and joined when the last owner (normally the engine) drops it.
+//! The pool is spawned on the first session that needs it, handed out as
+//! an `Arc` to every subsequent session, and joined when the last owner
+//! (normally the engine) drops it — so a high-QPS serving layer pays
+//! thread spawn/join once per engine, not once per query.
 //!
 //! Sharing is safe because the drivers' work units are self-contained:
 //! each job owns `Arc`s of its query context, cancellation token, and
@@ -17,8 +15,8 @@
 //! unwind), so one bad mapping function cannot degrade the pool for every
 //! other query of the engine.
 
+use crate::driver::{SpawnError, TaskSpawner};
 use crate::pool::{PoolClosed, ThreadPool};
-use progxe_core::driver::{SpawnError, TaskSpawner};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 

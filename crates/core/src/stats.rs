@@ -29,7 +29,7 @@ pub struct ProgressRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
     /// Wall-clock duration of everything before the region loop, from the
-    /// start of `ProgXe::prepare` / `IngestSession::open_observed` until the
+    /// start of `ProgXe::prepare` / the ingest session's open until the
     /// pipeline is ready to pop its first region: exactly the sum of the
     /// six phase buckets below, which tile it without gaps.
     pub lookahead_time: Duration,

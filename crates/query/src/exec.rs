@@ -12,41 +12,23 @@ use crate::parser::{parse_query, ParseError};
 use crate::plan::{plan, plan_streaming, PlanError, PlannedQuery, SideFilter};
 use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::ProgXeConfig;
-use progxe_core::driver::ExecutorBackend;
 use progxe_core::executor::ProgXe;
 use progxe_core::ingest::{IngestError, IngestPoll, IngestSession, SourceId, StreamSpec};
-use progxe_core::session::{CancellationToken, ProgressiveEngine, QuerySession};
+use progxe_core::runtime::EngineRuntime;
+use progxe_core::session::{ProgressiveEngine, QuerySession};
 use progxe_core::stats::{ExecStats, ResultTuple};
 use progxe_obs::Recorder;
-use progxe_runtime::{EngineRuntime, ParallelProgXe};
 use std::fmt;
 use std::sync::Arc;
 
 /// Which execution strategy evaluates the query.
 #[derive(Debug, Clone)]
 pub enum Engine {
-    /// The paper's progressive framework. Construct via
-    /// [`Engine::progxe`]/[`Engine::progxe_with`]/[`Engine::progxe_threads`],
-    /// which size the runtime to `config.threads`; the variant is
-    /// `#[non_exhaustive]` so external code cannot *construct* a
-    /// mismatched pairing. For pooled sessions the runtime's worker count
-    /// is authoritative (it sizes the pool, the dispatch window, and
-    /// `threads_used`) — mutating `config.threads` on an existing engine
-    /// does not resize an already-shared pool.
-    #[non_exhaustive]
-    ProgXe {
-        /// Executor configuration; `threads > 1` routes through the
-        /// parallel runtime.
-        config: Box<ProgXeConfig>,
-        /// The engine's long-lived execution runtime: one lazily-spawned
-        /// thread pool shared by every session this `Engine` (and every
-        /// clone of it) opens. Never spawned while `threads == 1`.
-        runtime: Arc<EngineRuntime>,
-        /// Optional trace recorder attached via [`Engine::with_recorder`]:
-        /// every session (batch or streaming) this engine opens emits its
-        /// span/point/counter events into it. `None` keeps tracing off.
-        recorder: Option<Arc<dyn Recorder>>,
-    },
+    /// The paper's progressive framework. Every session this `Engine` (and
+    /// every clone of it) opens — batch or streaming — shares the
+    /// executor's one lazily spawned worker pool, which `threads == 1`
+    /// never spawns.
+    ProgXe(ProgXe),
     /// Join-first/skyline-later (blocking).
     JfSl(SkyAlgo),
     /// JF-SL with push-through pruning.
@@ -67,18 +49,12 @@ impl Engine {
         Self::progxe_with(ProgXeConfig::from_env())
     }
 
-    /// ProgXe with a custom configuration. A `threads` value above 1
-    /// routes execution through the parallel runtime (see
-    /// [`Engine::build`]); all sessions of this `Engine` value share one
-    /// lazily-spawned worker pool.
+    /// ProgXe with a custom configuration. A `threads` value above 1 runs
+    /// region work on a pool of that many workers, shared by all sessions
+    /// of this `Engine` value.
     #[must_use]
     pub fn progxe_with(config: ProgXeConfig) -> Self {
-        let runtime = Arc::new(EngineRuntime::new(config.threads.get()));
-        Engine::ProgXe {
-            config: Box::new(config),
-            runtime,
-            recorder: None,
-        }
+        Engine::ProgXe(ProgXe::new(config))
     }
 
     /// ProgXe with `threads` tuple-level workers and otherwise default
@@ -92,7 +68,7 @@ impl Engine {
     /// baselines, which are single-threaded by design).
     pub fn runtime(&self) -> Option<&Arc<EngineRuntime>> {
         match self {
-            Engine::ProgXe { runtime, .. } => Some(runtime),
+            Engine::ProgXe(progxe) => Some(progxe.runtime()),
             _ => None,
         }
     }
@@ -102,11 +78,11 @@ impl Engine {
     /// and counter events into it. A no-op on the baselines, which predate
     /// the span taxonomy and report through [`ExecStats`] only.
     #[must_use]
-    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
-        if let Engine::ProgXe { recorder, .. } = &mut self {
-            *recorder = Some(rec);
+    pub fn with_recorder(self, rec: Arc<dyn Recorder>) -> Self {
+        match self {
+            Engine::ProgXe(progxe) => Engine::ProgXe(progxe.with_recorder(rec)),
+            baseline => baseline,
         }
-        self
     }
 
     /// JF-SL with block-nested-loops.
@@ -142,7 +118,7 @@ impl Engine {
     /// Short name for diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
-            Engine::ProgXe { .. } => "progxe",
+            Engine::ProgXe(_) => "progxe",
             Engine::JfSl(_) => "jf-sl",
             Engine::JfSlPlus(_) => "jf-sl+",
             Engine::Ssmj(_) => "ssmj",
@@ -153,27 +129,13 @@ impl Engine {
     /// Instantiates the executable engine behind this description. This is
     /// the single construction point: everything downstream — sessions,
     /// sinks, the bench harness — talks to [`ProgressiveEngine`] only.
-    ///
-    /// A ProgXe configuration with `threads > 1` builds the parallel
-    /// engine ([`ParallelProgXe`]) *borrowing this `Engine`'s shared
-    /// [`EngineRuntime`]* — repeated `build()` calls (one per session in
-    /// [`QueryRunner::session`]) keep reusing the same worker pool. The
-    /// session contract (`next_batch` / `take(k)` / cancellation,
-    /// proven-final batches) is identical either way.
+    /// A ProgXe build is a clone sharing this `Engine`'s
+    /// [`EngineRuntime`], so repeated `build()` calls (one per session in
+    /// [`QueryRunner::session`]) keep reusing the same worker pool.
     #[must_use]
     pub fn build(&self) -> Box<dyn ProgressiveEngine> {
         match self {
-            Engine::ProgXe {
-                config,
-                runtime,
-                recorder,
-            } if config.threads.get() > 1 => Box::new(
-                ParallelProgXe::with_runtime((**config).clone(), Arc::clone(runtime))
-                    .with_recorder_opt(recorder.clone()),
-            ),
-            Engine::ProgXe {
-                config, recorder, ..
-            } => Box::new(ProgXe::new((**config).clone()).with_recorder_opt(recorder.clone())),
+            Engine::ProgXe(progxe) => Box::new(progxe.clone()),
             Engine::JfSl(algo) => Box::new(JfSlEngine::new(*algo)),
             Engine::JfSlPlus(algo) => Box::new(JfSlEngine::plus(*algo)),
             Engine::Ssmj(algo) => Box::new(SsmjEngine::new(*algo)),
@@ -435,12 +397,7 @@ impl QueryRunner {
     pub fn ingest_session(&self, sql: &str, engine: &Engine) -> Result<StreamingQuery, QueryError> {
         let query = parse_query(sql)?;
         let streaming = plan_streaming(&query, &self.catalog)?;
-        let Engine::ProgXe {
-            config,
-            runtime,
-            recorder,
-        } = engine
-        else {
+        let Engine::ProgXe(progxe) = engine else {
             return Err(QueryError::Unsupported(
                 "streaming ingestion requires the progxe engine",
             ));
@@ -448,23 +405,7 @@ impl QueryRunner {
         let r_spec = StreamSpec::new(streaming.r.lo.clone(), streaming.r.hi.clone())?;
         let t_spec = StreamSpec::new(streaming.t.lo.clone(), streaming.t.hi.clone())?;
         let dims = [r_spec.dims(), t_spec.dims()];
-        // Pooled-backend construction lives in one place: the runtime
-        // crate's engine (same dispatch shape as `Engine::build`).
-        let session = if config.threads.get() > 1 {
-            ParallelProgXe::with_runtime((**config).clone(), Arc::clone(runtime))
-                .with_recorder_opt(recorder.clone())
-                .open_ingest(&streaming.compiled.maps, r_spec, t_spec)?
-        } else {
-            IngestSession::open_observed(
-                config,
-                &streaming.compiled.maps,
-                r_spec,
-                t_spec,
-                ExecutorBackend::Inline,
-                CancellationToken::new(),
-                recorder.clone(),
-            )?
-        };
+        let session = progxe.open_ingest(&streaming.compiled.maps, r_spec, t_spec)?;
         Ok(StreamingQuery {
             session,
             output_names: streaming.compiled.output_names,
@@ -774,43 +715,32 @@ mod tests {
         assert_eq!(seq_ids, par_ids);
         assert_eq!(par.stats.threads_used, 4);
         assert_eq!(seq.output_names, par.output_names);
-        // Dispatch picks the parallel runtime exactly when threads > 1.
-        assert_eq!(Engine::progxe_threads(4).build().name(), "progxe-mt");
-        assert_eq!(Engine::progxe_threads(1).build().name(), "progxe");
     }
 
+    /// One `Engine` spawns at most one pool — none at `threads == 1` — for
+    /// its batch sessions, its clones' sessions and its streaming queries
+    /// together.
     #[test]
-    fn one_engine_shares_one_pool_across_sessions() {
-        let runner = QueryRunner::new(q1_catalog());
-        let engine = Engine::progxe_threads(3);
-        let runtime = engine.runtime().expect("progxe has a runtime").clone();
-        assert_eq!(runtime.pools_spawned(), 0, "runtime spawns lazily");
-        let a = runner.run_collect(Q1, &engine).unwrap();
-        let b = runner.run_collect(Q1, &engine).unwrap();
-        assert_eq!(a.results, b.results);
-        assert_eq!(
-            runtime.pools_spawned(),
-            1,
-            "every session of one Engine must reuse its pool"
-        );
-        // Engine clones share the runtime too.
-        let clone = engine.clone();
-        let _ = runner.run_collect(Q1, &clone).unwrap();
-        assert_eq!(runtime.pools_spawned(), 1);
-        // Dropping every owner shuts the pool down (workers joined).
-        let watch = runtime.pool_watch().expect("pool spawned");
-        drop(engine);
-        drop(clone);
-        drop(runtime);
-        assert!(watch.upgrade().is_none(), "pool must die with its engine");
-    }
-
-    #[test]
-    fn sequential_engine_never_spawns_a_pool() {
-        let runner = QueryRunner::new(q1_catalog());
-        let engine = Engine::progxe_with(ProgXeConfig::default());
-        let _ = runner.run_collect(Q1, &engine).unwrap();
-        assert_eq!(engine.runtime().unwrap().pools_spawned(), 0);
+    fn one_engine_spawns_one_pool_for_batch_and_streaming_sessions() {
+        let mut cat = q1_catalog();
+        let sup = cat.table("suppliers").unwrap().schema.clone();
+        let tra = cat.table("transporters").unwrap().schema.clone();
+        cat.register_streaming(sup, vec![0.0; 3], vec![1000.0; 3]);
+        cat.register_streaming(tra, vec![0.0; 2], vec![1000.0; 2]);
+        let runner = QueryRunner::new(cat);
+        let planned = runner.prepare(Q1).unwrap();
+        for (threads, pools) in [(1, 0), (2, 1)] {
+            let engine = Engine::progxe_threads(threads);
+            let runtime = engine.runtime().expect("progxe has a runtime");
+            assert_eq!(runtime.pools_spawned(), 0, "runtime spawns lazily");
+            let out = runner.session(&planned, &engine).unwrap().collect();
+            assert_eq!(out.stats.threads_used, threads);
+            let clone = engine.clone();
+            let _ = runner.run_collect(Q1, &clone).unwrap();
+            let streaming = runner.ingest_session(Q1, &engine).unwrap();
+            assert_eq!(streaming.finish().threads_used, threads);
+            assert_eq!(runtime.pools_spawned(), pools, "threads={threads}");
+        }
     }
 
     #[test]

@@ -1,50 +1,18 @@
-//! # progxe-runtime — shared execution runtime for parallel ProgXe
+//! # progxe-runtime — compatibility re-exports
 //!
-//! The paper's output-space look-ahead (§III) decomposes a SkyMapJoin query
-//! into output regions precisely so that tuple-level work is partitionable.
-//! This crate exploits that with three pieces:
-//!
-//! * [`pool`] — a dependency-free work-stealing thread pool (scoped to
-//!   `std::thread`, `Mutex`, and `Condvar`) whose workers survive
-//!   panicking user code;
-//! * [`runtime`] — [`EngineRuntime`], the per-engine lifecycle: one
-//!   lazily-spawned, long-lived pool shared by every session of an engine
-//!   (and by every clone of it), so high-QPS serving pays thread
-//!   spawn/join once per engine instead of once per query;
-//! * [`parallel`] — [`parallel::ParallelProgXe`], a drop-in
-//!   [`ProgressiveEngine`](progxe_core::session::ProgressiveEngine) that
-//!   instantiates the core's unified
-//!   [`RegionDriver`](progxe_core::driver::RegionDriver) on its `Pooled`
-//!   backend. The region loop itself lives in `progxe-core` — this crate
-//!   only provides the [`TaskSpawner`](progxe_core::driver::TaskSpawner)
-//!   implementation and the pool lifecycle.
-//!
-//! The division of labor keeps every progressive-output guarantee intact:
-//!
-//! * workers only ever touch immutable, owned state
-//!   ([`RegionCtx`](progxe_core::tuple_level::RegionCtx));
-//! * the committer — the sole owner of the cell store and the blocker
-//!   counts — applies batches strictly in the order regions were popped
-//!   from the schedule, so emission is **deterministic** regardless of
-//!   worker interleaving, and a cell still only emits once every region
-//!   that could dominate it has committed (no false positives, no false
-//!   negatives);
-//! * cancellation tokens are checked inside each worker's probe loop, so
-//!   `take(k)` and timeouts stop in-flight workers mid-region — and vacate
-//!   the shared pool for other sessions' work.
-//!
-//! Thread count comes from
-//! [`ProgXeConfig::threads`](progxe_core::config::ProgXeConfig) (env
-//! override: `PROGXE_THREADS`, via
-//! [`ProgXeConfig::from_env`](progxe_core::config::ProgXeConfig::from_env)).
+//! The work-stealing thread pool and the per-engine [`EngineRuntime`] live
+//! in `progxe-core` ([`progxe_core::pool`], [`progxe_core::runtime`]), and
+//! [`progxe_core::ProgXe`] runs its regions on that pool whenever
+//! `ProgXeConfig::threads > 1`. This crate only keeps the old names
+//! resolving for code that has not moved yet; new code should depend on
+//! `progxe-core` directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod parallel;
-pub mod pool;
-pub mod runtime;
+pub use progxe_core::pool::{self, PoolClosed, ThreadPool};
+pub use progxe_core::runtime::{self, EngineRuntime};
 
-pub use parallel::ParallelProgXe;
-pub use pool::{PoolClosed, ThreadPool};
-pub use runtime::EngineRuntime;
+/// The pooled engine is [`progxe_core::ProgXe`] itself, sized by
+/// `ProgXeConfig::threads`.
+pub type ParallelProgXe = progxe_core::ProgXe;

@@ -16,7 +16,6 @@ use progxe::baselines::{JfSlEngine, SkyAlgo};
 use progxe::core::prelude::*;
 use progxe::datagen::{Distribution, WorkloadSpec};
 use progxe::obs::{EventKind, MetricsRegistry, Point, Recorder, RingRecorder};
-use progxe::runtime::ParallelProgXe;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,13 +49,13 @@ fn main() {
     );
     let jfsl = JfSlEngine::new(SkyAlgo::Sfs);
 
-    // The parallel driver honors PROGXE_THREADS; unset, default to 4.
+    // The pooled run honors PROGXE_THREADS; unset, default to 4.
     let threads = if std::env::var_os("PROGXE_THREADS").is_some() {
         ProgXeConfig::from_env().threads.get()
     } else {
         4
     };
-    let parallel = ParallelProgXe::new(progxe.config().clone().with_threads(threads));
+    let parallel = ProgXe::new(progxe.config().clone().with_threads(threads));
 
     // All engines behind the same trait, the same pull loop.
     let (progxe_records, progxe_stats) = drain(progxe.open(&r, &t, &maps).unwrap());
@@ -97,7 +96,7 @@ fn main() {
     );
     println!("\nper-engine stats (ExecStats one-liners):");
     println!("  progxe       {progxe_stats}");
-    println!("  progxe-mt    {parallel_stats}");
+    println!("  progxe x{threads}   {parallel_stats}");
     println!("  jf-sl        {jfsl_stats}");
 
     // ── Observability: the same query again, traced live ────────────────

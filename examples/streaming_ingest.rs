@@ -12,10 +12,9 @@
 //! PROGXE_THREADS=4 cargo run --release --example streaming_ingest
 //! ```
 
-use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
+use progxe::core::ingest::{IngestPoll, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSpec, Distribution, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 
 fn main() {
     let spec = WorkloadSpec::new(4000, 3, Distribution::Independent, 0.05);
@@ -28,15 +27,10 @@ fn main() {
     let bounds = || StreamSpec::new(vec![1.0; spec.dims], vec![100.0; spec.dims]).unwrap();
 
     let config = ProgXeConfig::from_env();
-    let mut session = if config.threads.get() > 1 {
-        println!("backend: pooled ({} threads)", config.threads);
-        ParallelProgXe::new(config)
-            .open_ingest(&maps, bounds(), bounds())
-            .unwrap()
-    } else {
-        println!("backend: inline");
-        IngestSession::open(&config, &maps, bounds(), bounds()).unwrap()
-    };
+    println!("threads: {} (PROGXE_THREADS)", config.threads);
+    let mut session = ProgXe::new(config)
+        .open_ingest(&maps, bounds(), bounds())
+        .unwrap();
 
     // Sorted trickle: ~32 batches per source, watermark after each.
     let arrival = ArrivalSpec::trickle(spec.n_r / 32);

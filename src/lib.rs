@@ -7,8 +7,8 @@
 //! * [`skyline`] — preference model + classic skyline algorithms.
 //! * [`obs`] — tracing/metrics: spans, counters, histograms, `PROGXE_LOG`.
 //! * [`datagen`] — Börzsönyi-style synthetic workload generator.
-//! * [`core`] — the ProgXe framework (look-ahead, ProgOrder, ProgDetermine).
-//! * [`runtime`] — work-stealing thread pool + parallel ProgXe driver.
+//! * [`core`] — the ProgXe framework (look-ahead, ProgOrder, ProgDetermine)
+//!   and its shared work-stealing thread pool.
 //! * [`query`] — SkyMapJoin algebra, `PREFERRING` parser, planner.
 //! * [`server`] — TCP serving layer: framed progressive batches,
 //!   per-client cancellation, admission control.
@@ -21,6 +21,5 @@ pub use progxe_core as core;
 pub use progxe_datagen as datagen;
 pub use progxe_obs as obs;
 pub use progxe_query as query;
-pub use progxe_runtime as runtime;
 pub use progxe_server as server;
 pub use progxe_skyline as skyline;

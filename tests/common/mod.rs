@@ -9,7 +9,6 @@ use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::SmjWorkload;
 use progxe::obs::{EventKind, Recorder, RingRecorder, Span};
-use progxe::runtime::EngineRuntime;
 use std::sync::Arc;
 
 /// A bit-exact emission transcript: one inner vec per [`ResultEvent`],
@@ -32,31 +31,32 @@ pub fn event_key(event: &ResultEvent) -> Vec<(u32, u32, Vec<u64>)> {
         .collect()
 }
 
-/// The region driver's backend for `threads` workers: `Inline` for 1, else
-/// `Pooled` over `runtime`'s shared pool.
-pub fn backend(runtime: &EngineRuntime, threads: usize) -> ExecutorBackend {
-    if threads <= 1 {
+/// The backend `engine` runs its regions on: `Inline` at one thread, else
+/// `Pooled` on its shared pool. Built by hand because [`batch_stream`]
+/// drives the region loop itself, to reach the reference arrangement.
+fn backend(engine: &ProgXe) -> ExecutorBackend {
+    let threads = engine.config().threads.get();
+    if threads == 1 {
         return ExecutorBackend::Inline;
     }
-    let pool = runtime.handle();
     ExecutorBackend::Pooled {
-        threads: pool.threads(),
-        spawner: pool as Arc<dyn TaskSpawner>,
+        threads,
+        spawner: engine.runtime().handle() as Arc<dyn TaskSpawner>,
     }
 }
 
-/// Runs a closed-relation query straight through the region driver and
-/// returns its full event stream and stats. `snapshot_filter = false`
-/// selects the reference arrangement (no upstream rejection against the
-/// admitted slab).
+/// Runs a closed-relation query on `threads` workers straight through the
+/// region driver and returns its full event stream and stats.
+/// `snapshot_filter = false` selects the reference arrangement (no
+/// upstream rejection against the admitted slab).
 pub fn batch_stream(
     config: &ProgXeConfig,
     w: &SmjWorkload,
     maps: &MapSet,
-    backend: ExecutorBackend,
+    threads: usize,
     snapshot_filter: bool,
 ) -> (Stream, ExecStats) {
-    traced_batch_stream(config, w, maps, backend, snapshot_filter, None)
+    traced_batch_stream(config, w, maps, threads, snapshot_filter, None)
 }
 
 /// [`batch_stream`] under a recorder, additionally returning the region
@@ -65,7 +65,7 @@ pub fn batch_stream_commits(
     config: &ProgXeConfig,
     w: &SmjWorkload,
     maps: &MapSet,
-    backend: ExecutorBackend,
+    threads: usize,
     snapshot_filter: bool,
 ) -> (Stream, ExecStats, Vec<u64>) {
     let ring = Arc::new(RingRecorder::with_capacity(1 << 20));
@@ -73,7 +73,7 @@ pub fn batch_stream_commits(
         config,
         w,
         maps,
-        backend,
+        threads,
         snapshot_filter,
         Some(ring.clone()),
     );
@@ -96,18 +96,19 @@ fn traced_batch_stream(
     config: &ProgXeConfig,
     w: &SmjWorkload,
     maps: &MapSet,
-    backend: ExecutorBackend,
+    threads: usize,
     snapshot_filter: bool,
     ring: Option<Arc<RingRecorder>>,
 ) -> (Stream, ExecStats) {
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
     let token = CancellationToken::new();
-    let prep = ProgXe::new(config.clone())
-        .with_recorder_opt(ring.map(|ring| ring as Arc<dyn Recorder>))
+    let engine = ProgXe::new(config.clone().with_threads(threads))
+        .with_recorder_opt(ring.map(|ring| ring as Arc<dyn Recorder>));
+    let prep = engine
         .prepare(&r, &t, maps, token.clone())
         .expect("valid configuration");
-    let mut driver = RegionDriver::new(prep, token.clone(), backend);
+    let mut driver = RegionDriver::new(prep, token.clone(), backend(&engine));
     if !snapshot_filter {
         driver = driver.without_snapshot_filter();
     }
@@ -122,29 +123,23 @@ fn traced_batch_stream(
     (stream, stats)
 }
 
-/// Runs the same workload as a streaming-ingestion session: rows arrive in
-/// `chunks` slices per source (R and T interleaved, a drain after every
-/// push), then both sources close. Row ids are relation positions, so the
-/// result ids are comparable with [`batch_stream`]'s.
+/// Runs the same workload as a streaming-ingestion session on `threads`
+/// workers: rows arrive in `chunks` slices per source (R and T
+/// interleaved, a drain after every push), then both sources close. Row
+/// ids are relation positions, so the result ids are comparable with
+/// [`batch_stream`]'s.
 pub fn ingest_stream(
     config: &ProgXeConfig,
     w: &SmjWorkload,
     maps: &MapSet,
     spec: &StreamSpec,
-    backend: ExecutorBackend,
+    threads: usize,
     snapshot_filter: bool,
     chunks: usize,
 ) -> (Stream, ExecStats) {
-    let mut session = IngestSession::open_observed(
-        config,
-        maps,
-        spec.clone(),
-        spec.clone(),
-        backend,
-        CancellationToken::new(),
-        None,
-    )
-    .expect("valid configuration");
+    let mut session = ProgXe::new(config.clone().with_threads(threads))
+        .open_ingest(maps, spec.clone(), spec.clone())
+        .expect("valid configuration");
     if !snapshot_filter {
         session = session.without_snapshot_filter();
     }

@@ -19,7 +19,6 @@ use progxe::core::fdom::DominanceModel;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSpec, Distribution, SmjWorkload, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 use std::collections::BTreeSet;
 
 fn views(w: &SmjWorkload) -> (SourceView<'_>, SourceView<'_>) {
@@ -90,7 +89,7 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                     "{dist:?}/{seed}/{tight}: inline"
                 );
                 // ProgXe Pooled (shared worker pool).
-                let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+                let pooled = ProgXe::new(ProgXeConfig::default().with_threads(4))
                     .run_collect(&r, &t, &maps)
                     .unwrap();
                 assert_eq!(
@@ -98,15 +97,11 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                     expected,
                     "{dist:?}/{seed}/{tight}: pooled"
                 );
-                // The env-built engine — the dispatch the CI PROGXE_THREADS
+                // The env-built engine — the backend the CI PROGXE_THREADS
                 // matrix steers between Inline and Pooled.
-                let env_config = ProgXeConfig::from_env();
-                let env_out = if env_config.threads.get() > 1 {
-                    ParallelProgXe::new(env_config).run_collect(&r, &t, &maps)
-                } else {
-                    ProgXe::new(env_config).run_collect(&r, &t, &maps)
-                }
-                .unwrap();
+                let env_out = ProgXe::new(ProgXeConfig::from_env())
+                    .run_collect(&r, &t, &maps)
+                    .unwrap();
                 assert_eq!(
                     result_ids(&env_out.results),
                     expected,
@@ -168,7 +163,7 @@ fn fdominance_emission_is_no_retraction_and_deterministic() {
 
     let collect_stream = |pooled: bool| -> Vec<Vec<(u32, u32)>> {
         let mut session = if pooled {
-            ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+            ProgXe::new(ProgXeConfig::default().with_threads(4))
                 .open(&r, &t, &maps)
                 .unwrap()
         } else {
@@ -225,7 +220,7 @@ fn fdominance_emission_stream_is_bit_identical_across_backends() {
     let maps = flexible_maps(3, 0.5);
     let collect = |pooled: bool| -> Stream {
         let mut session = if pooled {
-            ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+            ProgXe::new(ProgXeConfig::default().with_threads(4))
                 .open(&r, &t, &maps)
                 .unwrap()
         } else {
@@ -367,14 +362,10 @@ fn streaming_ingest_is_schedule_invariant_under_fdominance() {
                         t_sched: &progxe::datagen::ArrivalSchedule,
                         pooled: bool|
      -> Transcript {
-        let config = ProgXeConfig::default();
-        let mut session = if pooled {
-            ParallelProgXe::new(config.with_threads(3))
-                .open_ingest(&maps, spec(), spec())
-                .unwrap()
-        } else {
-            IngestSession::open(&config, &maps, spec(), spec()).unwrap()
-        };
+        let threads = if pooled { 3 } else { 1 };
+        let mut session = ProgXe::new(ProgXeConfig::default().with_threads(threads))
+            .open_ingest(&maps, spec(), spec())
+            .unwrap();
         let mut transcript = Transcript::new();
         let mut seen = BTreeSet::new();
         let mut drain = |session: &mut IngestSession, transcript: &mut Transcript| {

@@ -15,7 +15,6 @@ mod common;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
 use progxe::datagen::{ArrivalSchedule, ArrivalSpec, Batching, Distribution, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 
 const N: usize = 120;
 const DIMS: usize = 2;
@@ -30,14 +29,10 @@ fn spec() -> StreamSpec {
 
 fn open_session(pooled: bool) -> IngestSession {
     let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    let config = ProgXeConfig::default();
-    if pooled {
-        ParallelProgXe::new(config.with_threads(3))
-            .open_ingest(&maps, spec(), spec())
-            .unwrap()
-    } else {
-        IngestSession::open(&config, &maps, spec(), spec()).unwrap()
-    }
+    let threads = if pooled { 3 } else { 1 };
+    ProgXe::new(ProgXeConfig::default().with_threads(threads))
+        .open_ingest(&maps, spec(), spec())
+        .unwrap()
 }
 
 /// Drains deliverable events, checking the session invariants as it goes.
@@ -362,14 +357,10 @@ fn boundary_spec() -> StreamSpec {
 
 fn open_boundary_session(pooled: bool) -> IngestSession {
     let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    let config = ProgXeConfig::default();
-    if pooled {
-        ParallelProgXe::new(config.with_threads(3))
-            .open_ingest(&maps, boundary_spec(), boundary_spec())
-            .unwrap()
-    } else {
-        IngestSession::open(&config, &maps, boundary_spec(), boundary_spec()).unwrap()
-    }
+    let threads = if pooled { 3 } else { 1 };
+    ProgXe::new(ProgXeConfig::default().with_threads(threads))
+        .open_ingest(&maps, boundary_spec(), boundary_spec())
+        .unwrap()
 }
 
 /// One arrival step: rows to push, then an optional watermark.

@@ -11,14 +11,11 @@
 //!   close, and `stall` points while the schedule is input-gated.
 
 use progxe::core::config::ProgXeConfig;
-use progxe::core::driver::ExecutorBackend;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::mapping::MapSet;
 use progxe::core::prelude::*;
-use progxe::core::session::CancellationToken;
 use progxe::datagen::{Distribution, SmjWorkload, WorkloadSpec};
 use progxe::obs::{Event, EventKind, Point, Recorder, RingRecorder, Span, SpanId};
-use progxe::runtime::ParallelProgXe;
 use progxe::skyline::Preference;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -129,7 +126,7 @@ fn spans_balance_and_backends_agree_on_emission() {
             assert!(spans > 0, "{ctx}: no spans recorded");
 
             let pooled_ring = big_ring();
-            let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+            let engine = ProgXe::new(ProgXeConfig::default().with_threads(4))
                 .with_recorder(pooled_ring.clone() as Arc<dyn Recorder>);
             let pooled = engine.run_collect(&r, &t, &maps).unwrap();
             drop(engine); // joins the pool: every worker-side event has landed
@@ -171,7 +168,7 @@ fn cancelled_sessions_close_every_span() {
                 let ctx = format!("{dist:?}/{seed}/{backend}/cancelled");
                 let ring = big_ring();
                 let pooled_engine = (backend == "pooled").then(|| {
-                    ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+                    ProgXe::new(ProgXeConfig::default().with_threads(4))
                         .with_recorder(ring.clone() as Arc<dyn Recorder>)
                 });
                 let out = match &pooled_engine {
@@ -242,16 +239,10 @@ fn ingest_traces_record_batches_seals_and_stalls() {
         };
 
         let ring = big_ring();
-        let mut session = IngestSession::open_observed(
-            &ProgXeConfig::default(),
-            &maps,
-            spec(),
-            spec(),
-            ExecutorBackend::Inline,
-            CancellationToken::new(),
-            Some(ring.clone() as Arc<dyn Recorder>),
-        )
-        .unwrap();
+        let mut session = ProgXe::new(ProgXeConfig::default())
+            .with_recorder(ring.clone() as Arc<dyn Recorder>)
+            .open_ingest(&maps, spec(), spec())
+            .unwrap();
         let (results, pushes) = run(&mut session);
         let stats = session.finish();
         assert!(!stats.cancelled, "{ctx}");
@@ -287,7 +278,7 @@ fn ingest_traces_record_batches_seals_and_stalls() {
 
         // The pooled backend must trace the identical emission.
         let pooled_ring = big_ring();
-        let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4))
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(4))
             .with_recorder(pooled_ring.clone() as Arc<dyn Recorder>);
         let mut pooled = engine.open_ingest(&maps, spec(), spec()).unwrap();
         let (pooled_results, _) = run(&mut pooled);

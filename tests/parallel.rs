@@ -14,7 +14,6 @@ use progxe::core::mapping::{GeneralMap, MapSet, MappingFunction};
 use progxe::core::prelude::*;
 use progxe::core::session::CancellationToken;
 use progxe::datagen::{Distribution, SmjWorkload, WorkloadSpec};
-use progxe::runtime::ParallelProgXe;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,7 +60,7 @@ fn parallel_matches_sequential_across_distributions_and_seeds() {
             let final_set: BTreeSet<_> = sequential.results.iter().map(result_key).collect();
             assert!(!final_set.is_empty(), "{dist:?}/{seed}: empty workload");
 
-            let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4));
+            let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
             let mut session = engine.open(&r, &t, &maps).unwrap();
             let mut emitted = BTreeSet::new();
             while let Some(event) = session.next_batch() {
@@ -78,6 +77,8 @@ fn parallel_matches_sequential_across_distributions_and_seeds() {
             }
             let stats = session.finish();
             assert!(!stats.cancelled, "{dist:?}/{seed}: spurious cancellation");
+            assert_eq!(stats.threads_used, 4);
+            assert_eq!(stats.results_emitted, sequential.stats.results_emitted);
             assert_eq!(
                 emitted, final_set,
                 "{dist:?}/{seed}: parallel final set diverged (false negatives)"
@@ -120,7 +121,7 @@ fn unified_driver_matches_oracle_on_every_backend() {
                 expected,
                 "{dist:?}/{seed}: inline diverged from the oracle"
             );
-            let pooled = ParallelProgXe::new(ProgXeConfig::default().with_threads(3))
+            let pooled = ProgXe::new(ProgXeConfig::default().with_threads(3))
                 .run_collect(&r, &t, &maps)
                 .unwrap();
             assert_eq!(
@@ -142,7 +143,7 @@ fn parallel_emission_is_deterministic_across_runs() {
         .generate();
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-    let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(4));
+    let engine = ProgXe::new(ProgXeConfig::default().with_threads(4));
     let run = || {
         let mut session = engine.open(&r, &t, &maps).unwrap();
         let mut batches = Vec::new();
@@ -175,7 +176,7 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
     let config = ProgXeConfig::default()
         .with_input_partitions(2)
         .with_threads(2);
-    let engine = ParallelProgXe::new(config);
+    let engine = ProgXe::new(config);
     let run = || {
         let mut session = engine.open(&r, &t, &maps).unwrap();
         let mut stream = Vec::new();
@@ -261,7 +262,6 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
         }
         out
     };
-    let runtime = progxe::runtime::EngineRuntime::new(2);
     let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
     let (mut found_dead, mut discarded) = (0, 0);
     for (n, sigma) in [(400usize, 0.05), (800, 0.02)] {
@@ -276,7 +276,7 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
                     .with_input_partitions(3)
                     .with_output_cells(cells)
                     .with_ordering(OrderingPolicy::Fifo);
-                common::batch_stream(&config, &w, &maps, common::backend(&runtime, threads), true)
+                common::batch_stream(&config, &w, &maps, threads, true)
             };
             let (dense, dense_stats) = run(101);
             let (fallback, fallback_stats) = run(102);
@@ -315,7 +315,6 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
 #[test]
 fn prog_order_runs_in_fifo_order_on_the_default_grids() {
     use progxe::core::config::OrderingPolicy;
-    let runtime = progxe::runtime::EngineRuntime::new(2);
     // (dims, partitions, cells) of the benchmark's shapes per dimensionality.
     for (dims, partitions, cells, n, sigma, dist) in [
         (
@@ -340,8 +339,7 @@ fn prog_order_runs_in_fifo_order_on_the_default_grids() {
         for threads in [1usize, 2] {
             let run = |ordering| {
                 let config = config.clone().with_ordering(ordering);
-                let backend = common::backend(&runtime, threads);
-                common::batch_stream_commits(&config, &w, &maps, backend, true)
+                common::batch_stream_commits(&config, &w, &maps, threads, true)
             };
             let (prog, stats, prog_commits) = run(OrderingPolicy::ProgOrder);
             let (fifo, _, fifo_commits) = run(OrderingPolicy::Fifo);
@@ -364,8 +362,8 @@ fn prog_order_runs_in_fifo_order_on_the_default_grids() {
     }
 }
 
-/// `ProgXeConfig::from_env` + the query dispatch rule means the CI matrix
-/// (PROGXE_THREADS=4) runs this very test through the parallel engine.
+/// `ProgXeConfig::from_env` means the CI matrix (PROGXE_THREADS=4) runs
+/// this very test on the pooled backend, against an inline reference.
 #[test]
 fn env_configured_thread_count_preserves_results() {
     let config = ProgXeConfig::from_env();
@@ -377,15 +375,9 @@ fn env_configured_thread_count_preserves_results() {
     let reference = ProgXe::new(ProgXeConfig::default())
         .run_collect(&r, &t, &maps)
         .unwrap();
-    let out = if config.threads.get() > 1 {
-        ParallelProgXe::new(config.clone())
-            .run_collect(&r, &t, &maps)
-            .unwrap()
-    } else {
-        ProgXe::new(config.clone())
-            .run_collect(&r, &t, &maps)
-            .unwrap()
-    };
+    let out = ProgXe::new(config.clone())
+        .run_collect(&r, &t, &maps)
+        .unwrap();
     let expect: BTreeSet<_> = reference.results.iter().map(result_key).collect();
     let got: BTreeSet<_> = out.results.iter().map(result_key).collect();
     assert_eq!(expect, got, "threads={}", config.threads.get());
@@ -522,7 +514,7 @@ fn engine_runtime_is_shared_and_shuts_down() {
         .generate();
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-    let engine = ParallelProgXe::new(ProgXeConfig::default().with_threads(3));
+    let engine = ProgXe::new(ProgXeConfig::default().with_threads(3));
     assert_eq!(engine.runtime().pools_spawned(), 0, "runtime spawns lazily");
     let a = engine.run_collect(&r, &t, &maps).unwrap();
     let b = engine.run_collect(&r, &t, &maps).unwrap();
@@ -576,7 +568,7 @@ fn parallel_worker_stops_mid_region_on_cancel() {
         Preference::all_lowest(1),
     )
     .unwrap();
-    let engine = ParallelProgXe::new(
+    let engine = ProgXe::new(
         ProgXeConfig::default()
             .with_input_partitions(1)
             .with_threads(2),

@@ -16,12 +16,11 @@
 
 mod common;
 
-use common::{backend, batch_stream, ingest_stream};
+use common::{batch_stream, ingest_stream};
 use progxe::core::ingest::StreamSpec;
 use progxe::core::mapping::{GeneralMap, MappingFunction, WeightedSum};
 use progxe::core::prelude::*;
 use progxe::datagen::{simplex_band, Distribution, WorkloadSpec};
-use progxe::runtime::EngineRuntime;
 
 /// Output `j` mixes two R attributes with one T attribute, a constant and a
 /// negative weight — sums whose rounding depends on the order of addition.
@@ -97,8 +96,6 @@ fn assert_same_work(fast: &ExecStats, slow: &ExecStats, flexible: bool, label: &
 
 #[test]
 fn columnar_and_per_match_producers_emit_identical_streams() {
-    let runtime2 = EngineRuntime::new(2);
-    let runtime4 = EngineRuntime::new(4);
     let mut skipped = 0u64;
     for (dims, n, sigma) in [(2usize, 300usize, 0.03), (3, 250, 0.04), (4, 200, 0.06)] {
         // The generator's declared value range is [1, 100].
@@ -124,29 +121,19 @@ fn columnar_and_per_match_producers_emit_identical_streams() {
                 let columnar = map_set(dims, true, orders.clone(), flexible);
                 let per_match = map_set(dims, false, orders, flexible);
                 for threads in [1usize, 2, 4] {
-                    let rt = if threads == 4 { &runtime4 } else { &runtime2 };
                     let label = format!("d={dims} {dist:?} {model} threads={threads}");
 
-                    let (fast, fast_stats) =
-                        batch_stream(&config, &w, &columnar, backend(rt, threads), true);
-                    let (slow, slow_stats) =
-                        batch_stream(&config, &w, &per_match, backend(rt, threads), true);
+                    let (fast, fast_stats) = batch_stream(&config, &w, &columnar, threads, true);
+                    let (slow, slow_stats) = batch_stream(&config, &w, &per_match, threads, true);
                     assert!(!fast.is_empty(), "{label}: nothing emitted");
                     assert_eq!(fast, slow, "{label}: batch stream moved");
                     assert_same_work(&fast_stats, &slow_stats, flexible, &label);
                     skipped += fast_stats.join_matches_skipped;
 
                     let (fast, fast_stats) =
-                        ingest_stream(&config, &w, &columnar, &spec, backend(rt, threads), true, 5);
-                    let (slow, slow_stats) = ingest_stream(
-                        &config,
-                        &w,
-                        &per_match,
-                        &spec,
-                        backend(rt, threads),
-                        true,
-                        5,
-                    );
+                        ingest_stream(&config, &w, &columnar, &spec, threads, true, 5);
+                    let (slow, slow_stats) =
+                        ingest_stream(&config, &w, &per_match, &spec, threads, true, 5);
                     assert!(!fast.is_empty(), "{label}: nothing streamed");
                     assert_eq!(fast, slow, "{label}: ingest stream moved");
                     assert_same_work(&fast_stats, &slow_stats, flexible, &label);

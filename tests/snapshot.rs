@@ -15,13 +15,12 @@
 
 mod common;
 
-use common::{backend, batch_stream, batch_stream_commits, ingest_stream};
+use common::{batch_stream, batch_stream_commits, ingest_stream};
 use progxe::core::config::OrderingPolicy;
 use progxe::core::ingest::StreamSpec;
 use progxe::core::mapping::{GeneralMap, MappingFunction};
 use progxe::core::prelude::*;
 use progxe::datagen::{simplex_band, Distribution, WorkloadSpec};
-use progxe::runtime::EngineRuntime;
 
 fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
     let pareto = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
@@ -41,8 +40,6 @@ fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
 /// static order, across distributions, dimensionalities and seeds.
 #[test]
 fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
-    let runtime2 = EngineRuntime::new(2);
-    let runtime4 = EngineRuntime::new(4);
     let mut filtered_somewhere = false;
     for (dims, n, sigma) in [(2usize, 300usize, 0.03), (3, 250, 0.04), (4, 200, 0.06)] {
         for dist in [
@@ -80,11 +77,8 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
                             .with_input_partitions(if dims == 2 { 3 } else { 2 })
                             .with_output_cells([24, 16, 8][dims - 2])
                             .with_ordering(ordering);
-                        let rt = if threads == 4 { &runtime4 } else { &runtime2 };
-                        let (on, on_stats) =
-                            batch_stream(&config, &w, &maps, backend(rt, threads), true);
-                        let (off, off_stats) =
-                            batch_stream(&config, &w, &maps, backend(rt, threads), false);
+                        let (on, on_stats) = batch_stream(&config, &w, &maps, threads, true);
+                        let (off, off_stats) = batch_stream(&config, &w, &maps, threads, false);
                         let label = format!(
                             "d={dims} {dist:?} seed={seed} {model} {ordering:?} threads={threads}"
                         );
@@ -112,8 +106,8 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
         .generate();
     let config = ProgXeConfig::default();
     let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
-    let (on, on_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), true);
-    let (off, off_stats) = batch_stream(&config, &w, &maps, backend(&runtime2, 1), false);
+    let (on, on_stats) = batch_stream(&config, &w, &maps, 1, true);
+    let (off, off_stats) = batch_stream(&config, &w, &maps, 1, false);
     assert_eq!(on, off, "d=3 N=2000: event stream moved");
     assert_admits(&on_stats, &off_stats, "pareto", "d=3 N=2000");
     assert_matches_conserved(&on_stats, &off_stats, "d=3 N=2000");
@@ -161,7 +155,6 @@ fn assert_matches_conserved(on: &ExecStats, off: &ExecStats, label: &str) {
 /// (window 1, `RegionCtx::compute` on either backend).
 #[test]
 fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
-    let runtime = EngineRuntime::new(2);
     let dims = 2;
     // The generator's declared value range is [1, 100].
     let spec = StreamSpec::new(vec![0.0; dims], vec![101.0; dims]).unwrap();
@@ -175,24 +168,9 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
             for (model, maps) in models(dims) {
                 let label = format!("{dist:?} seed={seed} {model}");
                 for threads in [1usize, 2] {
-                    let (on, on_stats) = ingest_stream(
-                        &config,
-                        &w,
-                        &maps,
-                        &spec,
-                        backend(&runtime, threads),
-                        true,
-                        6,
-                    );
-                    let (off, off_stats) = ingest_stream(
-                        &config,
-                        &w,
-                        &maps,
-                        &spec,
-                        backend(&runtime, threads),
-                        false,
-                        6,
-                    );
+                    let (on, on_stats) = ingest_stream(&config, &w, &maps, &spec, threads, true, 6);
+                    let (off, off_stats) =
+                        ingest_stream(&config, &w, &maps, &spec, threads, false, 6);
                     assert!(!on.is_empty(), "{label}: nothing emitted");
                     assert_eq!(on, off, "{label} threads={threads}: event stream moved");
                     assert_admits(&on_stats, &off_stats, model, &label);
@@ -218,7 +196,6 @@ fn snapshot_filter_is_invisible_in_the_ingest_event_stream() {
 /// is ascending grid coordinate and cannot observe that.
 #[test]
 fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
-    let runtime = EngineRuntime::new(2);
     let dims = 2;
     let spec = StreamSpec::new(vec![0.0; dims], vec![101.0; dims]).unwrap();
     let config = ProgXeConfig::default();
@@ -233,10 +210,8 @@ fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
             let w = WorkloadSpec::new(300, dims, dist, 0.03)
                 .with_seed(seed)
                 .generate();
-            let (inline, _) =
-                ingest_stream(&config, &w, &maps, &spec, backend(&runtime, 1), true, 6);
-            let (pooled, _) =
-                ingest_stream(&config, &w, &maps, &spec, backend(&runtime, 2), true, 6);
+            let (inline, _) = ingest_stream(&config, &w, &maps, &spec, 1, true, 6);
+            let (pooled, _) = ingest_stream(&config, &w, &maps, &spec, 2, true, 6);
             assert!(!inline.is_empty(), "{dist:?} seed={seed}: nothing emitted");
             assert_eq!(inline, pooled, "{dist:?} seed={seed}: backends diverge");
             multi_cell_events += inline.iter().filter(|event| event.len() > 1).count();
@@ -263,7 +238,6 @@ fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
 /// Inline ≠ Pooled(2) on d = 4 AntiCorrelated seed 3.
 #[test]
 fn every_arrangement_emits_the_same_stream() {
-    let runtime = EngineRuntime::new(2);
     let mut transient_somewhere = false;
     for (dims, n, sigma) in [(2usize, 600usize, 0.03), (3, 500, 0.04), (4, 400, 0.06)] {
         let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
@@ -279,9 +253,8 @@ fn every_arrangement_emits_the_same_stream() {
                 let w = WorkloadSpec::new(n, dims, dist, sigma)
                     .with_seed(seed)
                     .generate();
-                let run = |threads: usize, guard: bool| {
-                    batch_stream(&config, &w, &maps, backend(&runtime, threads), guard)
-                };
+                let run =
+                    |threads: usize, guard: bool| batch_stream(&config, &w, &maps, threads, guard);
                 let (reference, reference_stats) = run(1, false);
                 assert!(!reference.is_empty(), "d={dims} {dist:?} seed={seed}");
                 transient_somewhere |= reference_stats.tuples_evicted > 0;
@@ -313,7 +286,6 @@ fn every_arrangement_emits_the_same_stream() {
 /// a recorder — is the same with upstream rejection on and off.
 #[test]
 fn region_commit_order_does_not_observe_the_guard() {
-    let runtime = EngineRuntime::new(2);
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
     let config = ProgXeConfig::default()
         .with_input_partitions(16)
@@ -327,9 +299,9 @@ fn region_commit_order_does_not_observe_the_guard() {
             for threads in [1usize, 2] {
                 let label = format!("{dist:?} seed={seed} threads={threads}");
                 let (on, on_stats, on_commits) =
-                    batch_stream_commits(&config, &w, &maps, backend(&runtime, threads), true);
+                    batch_stream_commits(&config, &w, &maps, threads, true);
                 let (off, _, off_commits) =
-                    batch_stream_commits(&config, &w, &maps, backend(&runtime, threads), false);
+                    batch_stream_commits(&config, &w, &maps, threads, false);
                 assert_eq!(on, off, "{label}: event stream moved");
                 assert!(on_commits.len() > 10, "{label}: too few commits");
                 assert_eq!(on_commits, off_commits, "{label}: commit order moved");
@@ -351,7 +323,6 @@ fn region_commit_order_does_not_observe_the_guard() {
 /// reference and nothing panics.
 #[test]
 fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
-    let runtime = EngineRuntime::new(2);
     // Independent: corner tuples get an arbitrary dimension-1 value, so
     // some of them are good enough to be admitted.
     let w = WorkloadSpec::new(400, 2, Distribution::Independent, 0.05)
@@ -404,9 +375,8 @@ fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
         // Fifo visits the low corner last, so its batches meet a full slab.
         let config = ProgXeConfig::default().with_ordering(OrderingPolicy::Fifo);
         for threads in [1usize, 2] {
-            let (on, on_stats) = batch_stream(&config, &w, &maps, backend(&runtime, threads), true);
-            let (off, off_stats) =
-                batch_stream(&config, &w, &maps, backend(&runtime, threads), false);
+            let (on, on_stats) = batch_stream(&config, &w, &maps, threads, true);
+            let (off, off_stats) = batch_stream(&config, &w, &maps, threads, false);
             assert_eq!(on, off, "{label} threads={threads}: stream moved");
             assert_eq!(on_stats.tuples_inserted, off_stats.tuples_inserted);
             assert!(

@@ -18,9 +18,7 @@ fn views(w: &SmjWorkload) -> (SourceView<'_>, SourceView<'_>) {
 fn engines() -> Vec<Box<dyn ProgressiveEngine>> {
     vec![
         Box::new(ProgXe::new(ProgXeConfig::default())),
-        Box::new(progxe::runtime::ParallelProgXe::new(
-            ProgXeConfig::default().with_threads(4),
-        )),
+        Box::new(ProgXe::new(ProgXeConfig::default().with_threads(4))),
         Box::new(JfSlEngine::new(SkyAlgo::Bnl)),
         Box::new(JfSlEngine::plus(SkyAlgo::Sfs)),
         Box::new(SsmjEngine::new(SkyAlgo::Sfs)),
