@@ -16,7 +16,7 @@
 //! | Fig. 13 a–c | [`fig13`] | total time vs σ, ProgXe/ProgXe+/SSMJ |
 //! | Sec. III-B bound | [`cellbound`] | comparable cells vs `k^d − (k−1)^d` |
 //! | Sec. VI-B δ remark | [`ablate_delta`] | grid-granularity sensitivity |
-//! | Sec. VI-B overhead claim | [`ablate_order`] | ProgOrder cost vs benefit |
+//! | Sec. VI-B overhead claim | [`ablate_order`] | id order vs No-Order shuffle |
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
 //! | Figs. 11–12 at scale | [`scaling`] | first-output latency vs N |
 //! | parallel runtime | [`threads`] | wall time vs threads 1/2/4/8 (pooled(2) holds ≥ 2 regions in flight; full size: pooled(2) beats inline on general maps) |
@@ -408,7 +408,7 @@ pub fn threads(opt: &ExpOptions) {
         first: Option<Duration>,
         stats: progxe_core::stats::ExecStats,
     }
-    let base_cfg = default_config_for(dims, sigma);
+    let base_cfg = default_config_for(dims);
     let engine_for = |count: usize| ProgXe::new(base_cfg.clone().with_threads(count));
     let measure = |mode: &'static str, engine: ProgXe, maps: &MapSet| {
         let (first, stats) = run_engine(engine, maps);
@@ -578,8 +578,8 @@ const THREADS_WARMUP_BUDGET: Duration = Duration::from_secs(3);
 ///   least two regions — `inflight_peak` is a count fixed by the schedule,
 ///   not a timing, so it holds on any host, in debug, and at `--quick`
 ///   scale. A value of 1 is the scheduling bug this gate was added for (a
-///   root-free EL-graph handing out one region at a time: two workers'
-///   hand-off cost for zero overlap).
+///   schedule handing out one region at a time: two workers' hand-off cost
+///   for zero overlap).
 /// * Full-size release runs on a host with at least two hardware threads,
 ///   on the general-map run: pooled(2) must beat inline on wall time. The
 ///   separable run cannot carry this gate — with dominated key groups
@@ -666,7 +666,7 @@ pub fn fdom_measurements(opt: &ExpOptions) -> Vec<FdomRun> {
         "== Flexible skylines: shrinkage + first-result latency vs constraint tightness \
          (N={n}, d={dims}, sigma={sigma}) =="
     );
-    let config = default_config_for(dims, sigma);
+    let config = default_config_for(dims);
     let run_once = |maps: &MapSet, r: &SourceView<'_>, t: &SourceView<'_>| {
         let mut session = ProgXe::new(config.clone())
             .open(r, t, maps)
@@ -990,7 +990,7 @@ fn map_measurement(opt: &ExpOptions) -> KernelRun {
     let per_match = general_sum_maps(d);
 
     let token = CancellationToken::new();
-    let exec = ProgXe::new(default_config_for(d, sigma));
+    let exec = ProgXe::new(default_config_for(d));
     let ctx_of = |maps: &MapSet| {
         let prep = exec
             .prepare(&r, &t, maps, token.clone())
@@ -1381,7 +1381,7 @@ pub fn obs_measurements(opt: &ExpOptions) -> Vec<ObsRun> {
     );
     let w = workload(n, dims, Distribution::AntiCorrelated, sigma, opt.seed);
     let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
-    let config = default_config_for(dims, sigma);
+    let config = default_config_for(dims);
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
 
@@ -1539,7 +1539,7 @@ pub fn cellbound(opt: &ExpOptions) {
     let mut rows = Vec::new();
     for dims in [2usize, 3, 4] {
         let w = workload(n, dims, Distribution::Independent, sigma, opt.seed);
-        let config = default_config_for(dims, sigma);
+        let config = default_config_for(dims);
         let k = config.output_cells_per_dim as u64;
         let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
         let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
@@ -1613,7 +1613,7 @@ pub fn ablate_delta(opt: &ExpOptions) {
     let mut rows = Vec::new();
     for p in [1usize, 2, 3, 4] {
         for k in [8usize, 16, 32] {
-            let config = default_config_for(dims, sigma)
+            let config = default_config_for(dims)
                 .with_input_partitions(p)
                 .with_output_cells(k);
             let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
@@ -1653,24 +1653,15 @@ pub fn ablate_delta(opt: &ExpOptions) {
 }
 
 /// Section VI-B's overhead claim: "the overhead incurred due to ordering is
-/// insignificant but has good progressiveness benefits". Compares ProgOrder
-/// against random and FIFO ordering on identical workloads.
+/// insignificant but has good progressiveness benefits". Compares the
+/// ordered schedule (region ids ascending) against the No-Order arm's seeded
+/// shuffle on identical workloads.
 pub fn ablate_order(opt: &ExpOptions) {
     let n = opt.pick_n(2500);
     let dims = opt.pick_dims(4);
     let sigma = opt.sigma.unwrap_or(0.001);
     println!("== Ablation: ordering policy (N={n}, d={dims}, sigma={sigma}) ==");
-    // `fallbacks/regions` says when ProgOrder degenerated to FIFO: at
-    // `regions − 1` the EL-graph never had a root to rank.
-    let mut table = Table::new(&[
-        "distribution",
-        "policy",
-        "results",
-        "first",
-        "t50",
-        "total",
-        "fallbacks/regions",
-    ]);
+    let mut table = Table::new(&["distribution", "policy", "results", "first", "t50", "total"]);
     let mut rows = Vec::new();
     for dist in Distribution::ALL {
         let w = workload(n, dims, dist, sigma, opt.seed);
@@ -1680,11 +1671,10 @@ pub fn ablate_order(opt: &ExpOptions) {
         for (name, ordering) in [
             ("ProgOrder", OrderingPolicy::ProgOrder),
             ("Random", OrderingPolicy::Random { seed: 0x5EED }),
-            ("FIFO", OrderingPolicy::Fifo),
         ] {
-            let config = default_config_for(dims, sigma).with_ordering(ordering);
+            let config = default_config_for(dims).with_ordering(ordering);
             let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
-            let (run, stats) = drain_run(name, session);
+            let (run, _) = drain_run(name, session);
             table.row(vec![
                 dist.name().into(),
                 name.into(),
@@ -1692,7 +1682,6 @@ pub fn ablate_order(opt: &ExpOptions) {
                 fmt_opt_duration(run.first_result()),
                 fmt_opt_duration(run.time_to_fraction(0.5)),
                 fmt_duration(run.total_time),
-                format!("{}/{}", stats.ordering_fallbacks, stats.regions_created),
             ]);
             rows.push(vec![
                 dist.name().to_string(),
@@ -1705,8 +1694,6 @@ pub fn ablate_order(opt: &ExpOptions) {
                     .map(|d| d.as_micros().to_string())
                     .unwrap_or_default(),
                 format!("{}", run.total_time.as_micros()),
-                format!("{}", stats.ordering_fallbacks),
-                format!("{}", stats.regions_created),
             ]);
         }
     }
@@ -1721,8 +1708,6 @@ pub fn ablate_order(opt: &ExpOptions) {
             "first_us",
             "t50_us",
             "total_us",
-            "fallbacks",
-            "regions",
         ],
         &rows,
     )

@@ -67,9 +67,9 @@ impl AlgoKind {
     /// The head-to-head set of Figures 11–13.
     pub const VS_SSMJ: [AlgoKind; 3] = [AlgoKind::ProgXe, AlgoKind::ProgXePlus, AlgoKind::Ssmj];
 
-    /// Instantiates the engine this legend entry denotes; `dims` and
-    /// `sigma` parameterize the ProgXe grid configuration.
-    pub fn build(self, dims: usize, sigma: f64) -> Box<dyn ProgressiveEngine> {
+    /// Instantiates the engine this legend entry denotes; `dims` picks the
+    /// ProgXe grid configuration.
+    pub fn build(self, dims: usize) -> Box<dyn ProgressiveEngine> {
         match self {
             AlgoKind::ProgXe
             | AlgoKind::ProgXePlus
@@ -77,7 +77,7 @@ impl AlgoKind {
             | AlgoKind::ProgXePlusNoOrder => {
                 let push = matches!(self, AlgoKind::ProgXePlus | AlgoKind::ProgXePlusNoOrder);
                 let ordered = matches!(self, AlgoKind::ProgXe | AlgoKind::ProgXePlus);
-                let mut config = default_config_for(dims, sigma).with_push_through(push);
+                let mut config = default_config_for(dims).with_push_through(push);
                 if !ordered {
                     config = config.with_ordering(OrderingPolicy::Random { seed: 0x5EED });
                 }
@@ -144,7 +144,7 @@ impl RunResult {
 /// Grid granularity suited to the output dimensionality (keeps region
 /// counts and tracked-cell counts in the "abstraction ≪ data" regime the
 /// paper assumes).
-pub fn default_config_for(dims: usize, sigma: f64) -> ProgXeConfig {
+pub fn default_config_for(dims: usize) -> ProgXeConfig {
     let (input_p, output_k) = match dims {
         0 | 1 => (8, 64),
         2 => (6, 48),
@@ -155,7 +155,6 @@ pub fn default_config_for(dims: usize, sigma: f64) -> ProgXeConfig {
     ProgXeConfig::default()
         .with_input_partitions(input_p)
         .with_output_cells(output_k)
-        .with_selectivity_hint(sigma)
 }
 
 /// Runs one algorithm over a generated workload; `dims` output dimensions
@@ -172,12 +171,11 @@ fn run_algo_observed(
     on_open: impl FnOnce(CancellationToken),
 ) -> RunResult {
     let dims = workload.spec.dims;
-    let sigma = workload.spec.selectivity;
     let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
     let r = SourceView::new(&workload.r.attrs, &workload.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&workload.t.attrs, &workload.t.join_keys).expect("parallel arrays");
 
-    let engine = kind.build(dims, sigma);
+    let engine = kind.build(dims);
     let session = engine.open(&r, &t, &maps).expect("valid configuration");
     on_open(session.cancel_token());
     drain_run(kind.label(), session).0

@@ -214,9 +214,9 @@ pub struct CellStore {
 }
 
 /// Grid coordinate → tracked cell: the one cell index of a session, shared
-/// by insertion, the benefit model and
-/// [`ProgDetermine`](crate::progdetermine::ProgDetermine)'s dense arm. The
-/// arm is chosen by [`OutputGrid::dense_positions`], like the staircase.
+/// by insertion and [`ProgDetermine`](crate::progdetermine::ProgDetermine)'s
+/// dense arm. The arm is chosen by [`OutputGrid::dense_positions`], like
+/// the staircase.
 #[derive(Debug)]
 enum CellIndex {
     /// The tracked cell at each [`dense_position`] of the grid, or
@@ -683,7 +683,7 @@ impl CellStore {
     /// never populated and fully dominated by a populated cell. A function
     /// of the admitted tuples alone — unlike [`Cell::is_dead`], it does not
     /// depend on whether a rejected tuple ever visited the cell — and
-    /// `O(dims)` on a staircase grid. What the benefit model reads.
+    /// `O(dims)` on a staircase grid.
     pub fn cell_is_dead(&self, idx: u32) -> bool {
         let cell = &self.cells[idx as usize];
         cell.dead || (!cell.populated && self.fully_dominated(&cell.coord))

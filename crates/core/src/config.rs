@@ -7,8 +7,9 @@ use std::num::NonZeroUsize;
 /// How regions are ordered for tuple-level processing (Section IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingPolicy {
-    /// The paper's ProgOrder: rank = Benefit / Cost over EL-Graph roots
-    /// (Algorithm 1). This is "ProgXe" in the experiments.
+    /// Regions in ascending id order — "ProgXe" in the experiments. It
+    /// stands in for the paper's Algorithm 1 ranking, which is not
+    /// implemented ([`crate::progorder`] says why).
     ProgOrder,
     /// Regions are processed in a seeded random order — the paper's
     /// "ProgXe (No-Order)" variation. Progressive result determination
@@ -18,9 +19,6 @@ pub enum OrderingPolicy {
         /// Shuffle seed (deterministic given the seed).
         seed: u64,
     },
-    /// Regions in creation order — a deterministic ablation point between
-    /// ProgOrder and Random.
-    Fifo,
 }
 
 /// Join-signature realization per input partition (Section III-A: "either
@@ -64,15 +62,19 @@ pub struct ProgXeConfig {
     pub input_partitions_per_dim: usize,
     /// Output-grid cells per output dimension (the paper's δ).
     pub output_cells_per_dim: usize,
-    /// Region-ordering policy for tuple-level processing.
+    /// Region order for tuple-level processing: id order, or the
+    /// No-Order arm's seeded shuffle.
     pub ordering: OrderingPolicy,
     /// Join-signature realization.
     pub signature: SignatureConfig,
     /// Apply skyline partial push-through to each source before grid
     /// construction (the "+" in ProgXe+; Section VI-B).
     pub push_through: bool,
-    /// Join selectivity hint used by the benefit model (Equation 1). When
-    /// `None`, estimated as `1 / distinct-join-keys`.
+    /// Join selectivity hint σ, validated to `(0, 1]` but read by nothing
+    /// in the engine: the region schedule does not rank regions by their
+    /// estimated output (the paper's Equation 1). Kept for a grid-sizing
+    /// rule that would derive granularity from σ; without such a reader it
+    /// goes, together with its last callers.
     pub selectivity_hint: Option<f64>,
     /// Worker threads for the tuple-level phase. `1` (the default) runs the
     /// unified region driver on its `Inline` backend; larger values make
@@ -99,7 +101,9 @@ impl Default for ProgXeConfig {
 }
 
 impl ProgXeConfig {
-    /// The paper's four experimental variations (Section VI-B).
+    /// The paper's four experimental variations (Section VI-B). `ordered`
+    /// picks id order ([`OrderingPolicy::ProgOrder`]) over a seeded
+    /// shuffle ([`OrderingPolicy::Random`]).
     ///
     /// * `ordered = true,  push = false` → ProgXe
     /// * `ordered = true,  push = true ` → ProgXe+
@@ -147,7 +151,7 @@ impl ProgXeConfig {
         self
     }
 
-    /// Builder: provide the benefit model's selectivity hint.
+    /// Builder: set the (currently unread) selectivity hint.
     pub fn with_selectivity_hint(mut self, sigma: f64) -> Self {
         self.selectivity_hint = Some(sigma);
         self

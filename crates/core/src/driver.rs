@@ -30,8 +30,7 @@
 //! All emission decisions flow through it in schedule order, which is what
 //! keeps progressive output safe (no false positives or negatives) no
 //! matter who computed the batches. The schedule ([`crate::progorder`]) is
-//! one pop routine for every ordering policy; the committer feeds it each
-//! resolution and prices each new EL-graph root with [`benefit`] / [`cost`].
+//! a cursor over a fixed region order that no commit changes.
 //!
 //! ## Why parallel commit stays safe
 //!
@@ -70,24 +69,11 @@ use crate::progorder::Schedule;
 use crate::session::{CancellationToken, ResultEvent};
 use crate::stats::{ExecStats, ResultTuple};
 use crate::tuple_level::{RegionBatch, RegionCtx, TupleLevelStats};
-use crate::{benefit, cost};
 use progxe_obs::{Point, Span, Trace};
 use progxe_skyline::Order;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Cell-visit cap for ProgCount scans on oversized region boxes.
-const PROG_COUNT_VISIT_CAP: u64 = 4_096;
-
-/// ProgOrder's rank of an EL-graph root, `Benefit(R) / Cost(R)`
-/// (Equation 8), against the commits landed so far.
-fn rank(regions: &[Region], store: &CellStore, det: &ProgDetermine, sigma: f64, rid: u32) -> f64 {
-    let region = &regions[rid as usize];
-    let b = benefit::benefit(region, store, det, sigma, PROG_COUNT_VISIT_CAP);
-    let c = cost::region_cost(region, store.grid(), sigma).max(1.0);
-    b / c
-}
 
 /// Outcome of one schedule-pop attempt (see [`Committer::pop_gated`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,10 +86,7 @@ pub enum Popped {
     /// than skipping to a ready region — is what keeps the commit sequence,
     /// and with it the emission order, independent of the arrival schedule.
     Stalled,
-    /// Nothing is dispatchable right now: every region is resolved or in
-    /// flight, or — ProgOrder only — a genuine EL-graph root is in flight
-    /// and its commit must land (pushing new roots, or proving there are
-    /// none) before the schedule can choose again.
+    /// Every region has been handed out.
     Exhausted,
 }
 
@@ -169,8 +152,6 @@ pub struct Committer {
     det: ProgDetermine,
     orders: Vec<Order>,
     schedule: Schedule,
-    /// Join selectivity estimate σ of the benefit and cost models.
-    sigma: f64,
     resolved: usize,
     total_regions: usize,
     emitted_buf: Vec<EmittedCell>,
@@ -191,7 +172,6 @@ pub(crate) struct CommitterParts {
     pub store: CellStore,
     pub det: ProgDetermine,
     pub orders: Vec<Order>,
-    pub sigma: f64,
     pub started: Instant,
     pub trace: Trace,
 }
@@ -200,19 +180,14 @@ impl Committer {
     /// Assembles a committer over prepared pipeline state, building the
     /// region schedule for the configured ordering policy.
     pub(crate) fn new(parts: CommitterParts, ordering: crate::config::OrderingPolicy) -> Self {
-        let (regions, store, det) = (&parts.regions, &parts.store, &parts.det);
-        let schedule = Schedule::new(regions, store.grid().dims(), ordering, |rid| {
-            rank(regions, store, det, parts.sigma, rid)
-        });
         Self {
+            schedule: Schedule::new(parts.regions.len(), ordering),
             total_regions: parts.regions.len(),
             regions: parts.regions,
             row_ids: parts.row_ids,
             store: parts.store,
             det: parts.det,
             orders: parts.orders,
-            schedule,
-            sigma: parts.sigma,
             resolved: 0,
             emitted_buf: Vec::new(),
             started: parts.started,
@@ -246,9 +221,7 @@ impl Committer {
     }
 
     /// Picks the next region to work on, marking it dispatched.
-    /// [`Popped::Exhausted`] is final on an inline run, but on a pooled run
-    /// a region may become dispatchable again after an in-flight EL-graph
-    /// root commits.
+    /// [`Popped::Exhausted`] is final.
     ///
     /// `gate` is the streaming-ingestion readiness gate: when it rejects
     /// the region the schedule would hand out, the pop returns
@@ -256,11 +229,11 @@ impl Committer {
     /// region. The streaming-ingestion driver stalls until watermarks or a
     /// source close seal the region's input cells; order preservation under
     /// the gate keeps emission identical to the all-at-once run.
-    pub fn pop_gated(&mut self, stats: &mut ExecStats, gate: Option<&RegionCtx>) -> Popped {
+    pub fn pop_gated(&mut self, gate: Option<&RegionCtx>) -> Popped {
         let _span = self.trace.span(Span::RegionPop);
         let popped = self
             .schedule
-            .pop(|rid| gate.is_none_or(|g| g.is_ready(rid)), stats);
+            .pop(|rid| gate.is_none_or(|g| g.is_ready(rid)));
         if matches!(popped, Popped::Stalled) {
             self.trace.point(Point::Stall);
         }
@@ -335,9 +308,6 @@ impl Committer {
             .resolve_region(region, &mut self.store, &mut self.emitted_buf);
         stats.resolve_time += resolve_started.elapsed();
         self.resolved += 1;
-        let (regions, store, det, sigma) = (&self.regions, &self.store, &self.det, self.sigma);
-        self.schedule
-            .resolved(rid, |root| rank(regions, store, det, sigma, root));
         self.trace.gauge(
             "progress_estimate",
             self.resolved as f64 / self.total_regions.max(1) as f64,
@@ -441,11 +411,10 @@ pub enum ExecutorBackend {
     Inline,
     /// Fan region work units out through a [`TaskSpawner`] with a bounded
     /// dispatch window of `2 × threads`. The window fills whenever the
-    /// schedule can hand out that many regions — including on a root-free
-    /// EL-graph — and every unit rejects dominated tuples on its worker
-    /// against the admitted-tuple slab as it stood when the unit was
-    /// dispatched, leaving the ordered committer only the tuples that can
-    /// still be admitted.
+    /// schedule can hand out that many regions, and every unit rejects
+    /// dominated tuples on its worker against the admitted-tuple slab as it
+    /// stood when the unit was dispatched, leaving the ordered committer
+    /// only the tuples that can still be admitted.
     Pooled {
         /// Executes the work units (e.g. a shared thread pool handle).
         spawner: Arc<dyn TaskSpawner>,
@@ -709,7 +678,7 @@ impl RegionDriver {
         let mut stalled = false;
         let topup_started = Instant::now();
         while self.inflight.len() < self.window {
-            let rid = match committer.pop_gated(&mut self.stats, gate) {
+            let rid = match committer.pop_gated(gate) {
                 Popped::Region(rid) => rid,
                 Popped::Stalled => {
                     stalled = true;
@@ -1063,12 +1032,10 @@ mod tests {
         }
     }
 
-    /// The pooled dispatch window fills on a root-free EL-graph — the
-    /// default coarse grids make every region box overlap every other, so
-    /// ProgOrder runs on its cyclic fallback from the first pop — and the
-    /// committer still applies batches strictly in pop order.
+    /// The pooled dispatch window fills, and the committer still applies
+    /// batches strictly in pop order.
     #[test]
-    fn pooled_window_fills_on_a_root_free_graph_and_commits_in_pop_order() {
+    fn pooled_window_fills_and_commits_in_pop_order() {
         use progxe_obs::{EventKind, RingRecorder};
         let r = random_source(400, 2, 4, 11);
         let t = random_source(400, 2, 4, 12);
@@ -1080,7 +1047,6 @@ mod tests {
             .with_recorder(ring.clone())
             .prepare(&r.view(), &t.view(), &maps, token.clone())
             .unwrap();
-        let regions = prep.stats.regions_created;
         let threads = 2;
         let driver = RegionDriver::new(
             prep,
@@ -1096,12 +1062,6 @@ mod tests {
         while session.next_batch().is_some() {}
         let stats = session.finish();
         assert!(!stats.cancelled);
-        // (The very last region can become a root once everything else has
-        // committed — unless, as here, the window dispatched it first.)
-        assert!(
-            stats.ordering_fallbacks >= regions - 1,
-            "workload is not root-free; the test needs a coarser grid"
-        );
         assert_eq!(stats.inflight_peak, window, "window never filled");
 
         let mut popped = Vec::new();
@@ -1135,121 +1095,6 @@ mod tests {
             committed.len(),
             stats.regions_processed + stats.regions_computed_dead
         );
-    }
-
-    /// Hand-built committer over `(cell_lo, cell_hi)` region boxes on a
-    /// 10×10 output grid, ProgOrder schedule.
-    fn committer_over(boxes: &[[(u16, u16); 2]]) -> Committer {
-        use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
-        let coord = |(x, y): (u16, u16)| {
-            let mut c: Coord = [0; MAX_DIMS];
-            c[0] = x;
-            c[1] = y;
-            c
-        };
-        let regions: Arc<[Region]> = boxes
-            .iter()
-            .enumerate()
-            .map(|(id, &[lo, hi])| Region {
-                id: id as u32,
-                r_part: 0,
-                t_part: 0,
-                lo: vec![lo.0 as f64, lo.1 as f64],
-                hi: vec![hi.0 as f64 + 1.0, hi.1 as f64 + 1.0],
-                cell_lo: coord(lo),
-                cell_hi: coord(hi),
-                n_r: 1,
-                n_t: 1,
-                guaranteed: true,
-            })
-            .collect();
-        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
-        let mut store = CellStore::new(grid.clone());
-        for region in regions.iter() {
-            for c in grid.iter_box(region.cell_lo, region.cell_hi) {
-                store.track(c);
-            }
-        }
-        let det = ProgDetermine::new(&store, &regions);
-        Committer::new(
-            CommitterParts {
-                regions,
-                row_ids: RowIds::Identity,
-                store,
-                det,
-                orders: vec![Order::Lowest; 2],
-                sigma: 0.1,
-                started: Instant::now(),
-                trace: Trace::default(),
-            },
-            crate::config::OrderingPolicy::ProgOrder,
-        )
-    }
-
-    /// PR 2's guard survives the window fix: an empty queue while a genuine
-    /// EL-root is in flight is *not* the root-free case. Region 0 is the
-    /// only root (it can eliminate 1 and 2, which eliminate each other);
-    /// until it commits nothing else may be handed out — afterwards the
-    /// remaining cycle is root-free and both members pop back to back.
-    #[test]
-    fn an_in_flight_root_still_exhausts_the_schedule() {
-        let mut committer = committer_over(&[[(0, 0), (0, 0)], [(2, 2), (5, 5)], [(3, 3), (6, 6)]]);
-        let mut stats = ExecStats::default();
-        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(0));
-        assert_eq!(
-            committer.pop_gated(&mut stats, None),
-            Popped::Exhausted,
-            "the only root is in flight: wait for its commit"
-        );
-        assert_eq!(stats.ordering_fallbacks, 0);
-        let batch = RegionBatch {
-            completed: true,
-            ..RegionBatch::aborted(0, 2)
-        };
-        assert!(committer.commit_batch(batch, &mut stats).is_none());
-        // 1 and 2 only lost region 0's edge — still no root, nothing
-        // committed in between, and yet both are dispatchable.
-        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(1));
-        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(2));
-        assert_eq!(committer.pop_gated(&mut stats, None), Popped::Exhausted);
-        assert_eq!(stats.ordering_fallbacks, 2);
-    }
-
-    /// The schedule does not observe which rejected tuples reached the
-    /// store. Region 0's batch populates cell (3,6), which fully dominates
-    /// four cells of region 1's box and none of region 2's; once 0 commits
-    /// both are roots, alike in everything but `ProgCount`. Whether the
-    /// batch's dominated second tuple was dropped upstream or rejected by
-    /// the store — where it lands in one of those four cells and flags it
-    /// dead — region 2 outranks region 1.
-    #[test]
-    fn ranks_read_derived_cell_death() {
-        let pop_order = |batch_rows: &[[f64; 2]]| {
-            let mut committer =
-                committer_over(&[[(0, 0), (5, 8)], [(3, 8), (5, 9)], [(8, 3), (9, 5)]]);
-            let mut stats = ExecStats::default();
-            assert_eq!(committer.pop_gated(&mut stats, None), Popped::Region(0));
-            let batch = RegionBatch {
-                completed: true,
-                ids: (0..batch_rows.len() as u32).map(|i| (i, i)).collect(),
-                points: progxe_skyline::PointStore::from_rows(2, batch_rows),
-                ..RegionBatch::aborted(0, 2)
-            };
-            committer.commit_batch(batch, &mut stats);
-            let mut order = Vec::new();
-            while let Popped::Region(rid) = committer.pop_gated(&mut stats, None) {
-                order.push(rid);
-                assert!(!committer.region_box_is_dead(rid));
-                committer.discard_dead(rid, &mut stats);
-            }
-            assert_eq!(stats.ordering_fallbacks, 0, "every pop was a ranked root");
-            (order, committer.store.stats().tuples_rejected_dead_cell)
-        };
-        let (upstream, upstream_rejects) = pop_order(&[[3.5, 6.5]]);
-        let (store_side, store_rejects) = pop_order(&[[3.5, 6.5], [4.5, 8.5]]);
-        assert_eq!((upstream_rejects, store_rejects), (0, 1));
-        assert_eq!(upstream, vec![2, 1]);
-        assert_eq!(store_side, upstream);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! [`ProgXe::open_ingest`] alike.
 //!
 //! The executor is deterministic given its configuration: grid construction,
-//! region ids, EL-graph tie-breaks, and the `Random` ordering's shuffle are
-//! all seeded or ordinal.
+//! region ids, and the `Random` ordering's shuffle are all seeded or
+//! ordinal.
 
 use crate::cells::CellStore;
 use crate::config::ProgXeConfig;
@@ -168,14 +168,12 @@ impl FrontEnd {
     /// `region_lookahead_time`), tracks their cells, builds Algorithm 2's
     /// blocker counts and the committer over the region schedule, and the
     /// work context `work` wraps around the same regions; then closes the
-    /// ledger and the span. σ feeds the benefit/cost models, `row_ids`
-    /// translates emitted ids.
+    /// ledger and the span. `row_ids` translates emitted ids.
     pub(crate) fn finish(
         mut self,
         la: Lookahead,
         maps: &MapSet,
         config: &ProgXeConfig,
-        sigma: f64,
         row_ids: RowIds,
         work: impl FnOnce(Arc<[Region]>) -> RegionCtx,
     ) -> Prepared {
@@ -206,7 +204,6 @@ impl FrontEnd {
                 store,
                 det,
                 orders: maps.preference().orders().to_vec(),
-                sigma,
                 started: self.started,
                 trace: self.trace,
             },
@@ -407,12 +404,6 @@ impl ProgXe {
             return Ok(front.trivial());
         }
 
-        // Selectivity estimate for the benefit/cost models.
-        let sigma = self
-            .config
-            .selectivity_hint
-            .unwrap_or(1.0 / join_domain.max(1) as f64);
-
         // ── Grids + output-space look-ahead ──────────────────────────────
         let per_dim = self.config.input_partitions_per_dim;
         let r_view = SourceView::new(&r_attrs, &r_keys)?;
@@ -437,11 +428,9 @@ impl ProgXe {
             r: kept_r,
             t: kept_t,
         };
-        Ok(
-            front.finish(la, maps, &self.config, sigma, row_ids, |regions| {
-                RegionCtx::new(maps.clone(), columnar, r, t, regions)
-            }),
-        )
+        Ok(front.finish(la, maps, &self.config, row_ids, |regions| {
+            RegionCtx::new(maps.clone(), columnar, r, t, regions)
+        }))
     }
 }
 
@@ -579,7 +568,6 @@ mod tests {
             OrderingPolicy::ProgOrder,
             OrderingPolicy::Random { seed: 7 },
             OrderingPolicy::Random { seed: 99 },
-            OrderingPolicy::Fifo,
         ] {
             let exec = ProgXe::new(ProgXeConfig::default().with_ordering(ordering));
             assert_eq!(
@@ -899,7 +887,7 @@ mod tests {
         let ctx = prep.ctx.expect("non-trivial workload has a context");
         let mut stats = prep.stats;
         let mut ids = Vec::new();
-        while let crate::driver::Popped::Region(rid) = committer.pop_gated(&mut stats, None) {
+        while let crate::driver::Popped::Region(rid) = committer.pop_gated(None) {
             let event = if committer.region_box_is_dead(rid) {
                 committer.discard_dead(rid, &mut stats)
             } else {
@@ -1188,7 +1176,6 @@ mod tests {
         for ordering in [
             OrderingPolicy::ProgOrder,
             OrderingPolicy::Random { seed: 1 },
-            OrderingPolicy::Fifo,
         ] {
             let engine = ProgXe::new(
                 ProgXeConfig::default()

@@ -20,7 +20,7 @@
 //!   output-space look-ahead ([`run_lookahead`]) therefore keeps every
 //!   cell pair as a region — id `r_cell · t_cells + t_cell`, sizes zero,
 //!   nothing pruned — and `track_cells` premarks no cell, so the cell a
-//!   row lands in, and with it the whole region/EL-graph/blocker
+//!   row lands in, and with it the whole region/schedule/blocker
 //!   structure, is fixed up front and independent of arrival order.
 //! * Cells fill incrementally; a cell **seals** once its source closed or a
 //!   watermark passed the cell's slice, guaranteeing it can receive no more
@@ -70,21 +70,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Upper bound on `r_cells × t_cells` for a streaming session. The
-/// streaming pipeline enumerates *every* potential cell pair up front
-/// (signatures and emptiness are unknown before arrival), and the EL-graph
-/// compares every pair of regions — `O(n²)` box compares at open, as many
-/// again over the run's resolutions (it stores in-degrees, no edges) — so
-/// this cap bounds that time, keeping session setup well under a second.
-/// Lower `input_partitions_per_dim` to stay inside it at higher
-/// dimensionality.
+/// streaming pipeline provisions *every* potential cell pair at open
+/// (signatures and emptiness are unknown before arrival): one region per
+/// pair, the output cells their boxes cover, and Algorithm 2's blocker
+/// state over both — all before any row arrives. The subscriber's query
+/// chooses that size through its dimensionality (`partitions_per_dim^d`
+/// cells per side), so this cap bounds what a declared shape can make the
+/// session allocate. Lower `input_partitions_per_dim` to stay inside it at
+/// higher dimensionality.
 pub const MAX_STREAM_REGIONS: usize = 16_384;
-
-/// Benefit-model selectivity used when
-/// [`ProgXeConfig::selectivity_hint`] is unset on a streaming session. The
-/// batch pipeline estimates σ from the observed join-key domain, which a
-/// streaming session cannot know up front. The value only feeds the
-/// (count-free) rank constant, so it shifts no scheduling decision.
-const STREAM_DEFAULT_SIGMA: f64 = 0.01;
 
 /// Declared shape of one streaming source: attribute dimensionality plus
 /// per-dimension value bounds. The bounds fix the input-grid geometry
@@ -630,17 +624,16 @@ impl IngestSession {
             .filter(|&n| n <= MAX_STREAM_REGIONS);
         if total_regions.is_none() {
             return Err(Error::InvalidConfig(
-                "streaming session would create too many potential regions for the \
-                 quadratic EL-graph compares; reduce input_partitions_per_dim \
+                "streaming session would provision too many potential regions, \
+                 tracked cells and blocker state at open; reduce \
+                 input_partitions_per_dim or the dimensionality \
                  (see ingest::MAX_STREAM_REGIONS)",
             ));
         }
         // Every cell pair is provisioned: emptiness and join signatures are
         // unknowable before arrival, and a region missing here could later
         // deliver a tuple into a cell another region already released —
-        // exactly the false positive Principle 1 forbids. Region sizes are
-        // pinned to zero, which keeps the benefit/cost rank — and with it
-        // the schedule — a function of geometry and commit state only.
+        // exactly the false positive Principle 1 forbids.
         let (r_grid, t_grid) = (InputGrid::declared(&r_geo), InputGrid::declared(&t_geo));
         front.stats.partitions_r = r_cells;
         front.stats.partitions_t = t_cells;
@@ -648,10 +641,9 @@ impl IngestSession {
         let la = run_lookahead(&r_grid, &t_grid, maps, config.output_cells_per_dim as u16);
         front.stats.region_lookahead_time = front.laps.lap();
 
-        let sigma = config.selectivity_hint.unwrap_or(STREAM_DEFAULT_SIGMA);
         let columnar = maps.separable_at(r_spec.lo(), t_spec.lo());
         let trace = front.trace.clone();
-        let prep = front.finish(la, maps, config, sigma, RowIds::Identity, |regions| {
+        let prep = front.finish(la, maps, config, RowIds::Identity, |regions| {
             let r = JoinSource::streamed(Side::R, r_cells);
             let t = JoinSource::streamed(Side::T, t_cells);
             RegionCtx::new(maps.clone(), columnar, r, t, regions)
@@ -1191,6 +1183,20 @@ mod tests {
             spec(4),
         );
         assert!(matches!(err, Err(Error::InvalidConfig(_))));
+    }
+
+    /// At the default grid the subscriber's dimensionality alone decides
+    /// whether a session opens: d = 4 provisions 3⁴ × 3⁴ = 6 561 regions,
+    /// d = 5 would provision 3⁵ × 3⁵ = 59 049.
+    #[test]
+    fn the_region_cap_follows_the_declared_dimensionality() {
+        let engine = ProgXe::new(ProgXeConfig::default());
+        let open = |dims: usize| {
+            let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
+            engine.open_ingest(&maps, spec(dims), spec(dims))
+        };
+        assert!(open(4).is_ok());
+        assert!(matches!(open(5), Err(Error::InvalidConfig(_))));
     }
 
     #[test]

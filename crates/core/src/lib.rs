@@ -13,10 +13,11 @@
 //!    evaluation of the [`mapping`] functions) into *output regions*;
 //!    regions and output cells dominated at this abstraction level are
 //!    pruned before any tuple-level work.
-//! 2. **Progressive-driven ordering** ([`progorder`], [`elgraph`],
-//!    [`benefit`], [`cost`]) — an elimination graph plus a benefit/cost
-//!    model pick the region order that maximizes the early-output rate
-//!    (Algorithm 1).
+//! 2. **Region ordering** ([`progorder`]) — a cursor over the regions in
+//!    ascending id order (or a seeded shuffle, the No-Order arm). The
+//!    paper's Algorithm 1 ranks elimination-graph roots by Benefit / Cost
+//!    here; on this engine's grids that ranking reduced to id order or
+//!    mostly ran later than it, so it is not implemented.
 //! 3. **Tuple-level processing** ([`tuple_level`], [`cells`]) — the join,
 //!    map, and cell-restricted dominance comparisons for the chosen region.
 //! 4. **Progressive result determination** ([`progdetermine`]) — count-based
@@ -56,12 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benefit;
 pub mod cells;
 pub mod config;
-pub mod cost;
 pub mod driver;
-pub mod elgraph;
 pub mod error;
 pub mod executor;
 pub mod fdom;

@@ -48,13 +48,6 @@ pub struct Region {
     pub guaranteed: bool,
 }
 
-impl Region {
-    /// Total output cells in the region's box (`PartitionCount` in Eq. 2).
-    pub fn partition_count(&self, grid: &OutputGrid) -> u64 {
-        grid.box_volume(&self.cell_lo, &self.cell_hi)
-    }
-}
-
 /// Result of the look-ahead phase.
 #[derive(Debug)]
 pub struct Lookahead {
@@ -427,7 +420,11 @@ mod tests {
         let mut store = CellStore::new(la.grid.clone());
         let tracked = track_cells(&la, &mut store);
         assert_eq!(tracked.premarked_dead, 0);
-        let volumes: u64 = la.regions.iter().map(|r| r.partition_count(&la.grid)).sum();
+        let volumes: u64 = la
+            .regions
+            .iter()
+            .map(|r| la.grid.box_volume(&r.cell_lo, &r.cell_hi))
+            .sum();
         assert_eq!(tracked.positions_scanned, volumes);
         assert!((0..store.len() as u32).all(|idx| !store.cell_is_dead(idx)));
     }

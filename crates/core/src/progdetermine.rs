@@ -443,7 +443,7 @@ impl ProgDetermine {
             .collect()
     }
 
-    /// Current blocker count of a cell (diagnostics / benefit model): the
+    /// Current blocker count of a cell (diagnostics and the live-cell count): the
     /// unresolved regions that block it. Only meaningful while the cell is
     /// not dead — the scan arm stops counting for a cell it has seen dead.
     #[inline]

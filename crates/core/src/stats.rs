@@ -48,7 +48,8 @@ pub struct ExecStats {
     pub cell_track_time: Duration,
     /// Initial blocker counts (`ProgDetermine::new`).
     pub determine_init_time: Duration,
-    /// Region context, EL-graph and the initial ranks (`Committer::new`).
+    /// The region work context and the committer over the region
+    /// schedule (`Committer::new`).
     pub schedule_time: Duration,
     /// Total wall-clock duration of the run.
     pub total_time: Duration,
@@ -119,12 +120,6 @@ pub struct ExecStats {
     pub regions_computed_dead: usize,
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
-    /// ProgOrder pops that found no EL-graph root and handed out the
-    /// lowest-id undispatched region instead: overlapping region boxes give
-    /// mutual edges, so a component can be a cycle (see
-    /// [`crate::progorder`]). `regions_created − 1` means the run was in
-    /// Fifo order throughout.
-    pub ordering_fallbacks: usize,
 
     /// Output cells tracked.
     pub cells_tracked: usize,

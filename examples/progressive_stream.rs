@@ -44,8 +44,7 @@ fn main() {
     let progxe = ProgXe::new(
         ProgXeConfig::default()
             .with_input_partitions(3)
-            .with_output_cells(24)
-            .with_selectivity_hint(spec.selectivity),
+            .with_output_cells(24),
     );
     let jfsl = JfSlEngine::new(SkyAlgo::Sfs);
 

@@ -3,9 +3,8 @@
 //! distributions and seeds, the proven-final (no-retraction) guarantee
 //! under parallel commit, self-determinism of parallel emission,
 //! env-driven thread configuration, the committer's dense and fallback
-//! arms emitting one stream, ProgOrder running in Fifo order on the default
-//! grids, pool sharing across the sessions of one engine, and mid-region
-//! cancellation promptness on both backends.
+//! arms emitting one stream, pool sharing across the sessions of one
+//! engine, and mid-region cancellation promptness on both backends.
 
 mod common;
 
@@ -172,7 +171,7 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
     let (r, t) = views(&w);
     let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
     // Two input partitions per dimension: 64 regions whose boxes all
-    // overlap — the root-free EL-graph the benchmark workloads produce.
+    // overlap, as on the benchmark workloads' grids.
     let config = ProgXeConfig::default()
         .with_input_partitions(2)
         .with_threads(2);
@@ -236,11 +235,10 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
 /// value, region bound and partition bound is a whole number in `[0, 42]`
 /// while a cell is ~0.42 wide — distinct values land in distinct cells of
 /// either grid, in the same coordinate order, and every cell-level relation
-/// (blocking, full dominance, region death) reads the same on both. `Fifo`
-/// fixes the resolution order, which `ProgOrder` derives from cell counts.
+/// (blocking, full dominance, region death) reads the same on both. Both
+/// resolve regions in the same id order.
 #[test]
 fn dense_and_fallback_committer_arms_emit_the_same_stream() {
-    use progxe::core::config::OrderingPolicy;
     use progxe::core::output_grid::OutputGrid;
     use progxe::datagen::Relation;
 
@@ -274,8 +272,7 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
             let run = |cells: usize| {
                 let config = ProgXeConfig::default()
                     .with_input_partitions(3)
-                    .with_output_cells(cells)
-                    .with_ordering(OrderingPolicy::Fifo);
+                    .with_output_cells(cells);
                 common::batch_stream(&config, &w, &maps, threads, true)
             };
             let (dense, dense_stats) = run(101);
@@ -305,61 +302,6 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
         found_dead > 0 && discarded > 0,
         "a lookup never said yes: {found_dead} dead-cell rejections, {discarded} dead regions"
     );
-}
-
-/// On the default grids ProgOrder *is* Fifo. Every region box overlaps
-/// every other, so the EL-graph has no root until a single region is left,
-/// and the schedule hands out the lowest-id undispatched region: Fifo's
-/// order. Same event stream, same commit order, on Inline and Pooled(2) —
-/// whatever a change to the ranks claims, it starts from here.
-#[test]
-fn prog_order_runs_in_fifo_order_on_the_default_grids() {
-    use progxe::core::config::OrderingPolicy;
-    // (dims, partitions, cells) of the benchmark's shapes per dimensionality.
-    for (dims, partitions, cells, n, sigma, dist) in [
-        (
-            2usize,
-            6usize,
-            48usize,
-            1_000usize,
-            0.01,
-            Distribution::Independent,
-        ),
-        (3, 3, 24, 1_000, 0.1, Distribution::AntiCorrelated),
-        (4, 2, 12, 800, 0.01, Distribution::AntiCorrelated),
-    ] {
-        let w = WorkloadSpec::new(n, dims, dist, sigma)
-            .with_seed(7 * 64)
-            .generate();
-        let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
-        let config = ProgXeConfig::default()
-            .with_input_partitions(partitions)
-            .with_output_cells(cells)
-            .with_selectivity_hint(sigma);
-        for threads in [1usize, 2] {
-            let run = |ordering| {
-                let config = config.clone().with_ordering(ordering);
-                common::batch_stream_commits(&config, &w, &maps, threads, true)
-            };
-            let (prog, stats, prog_commits) = run(OrderingPolicy::ProgOrder);
-            let (fifo, _, fifo_commits) = run(OrderingPolicy::Fifo);
-            let label = format!("d={dims} threads={threads}");
-            assert!(prog.len() > 1, "{label}: not progressive");
-            assert_eq!(prog, fifo, "{label}: event streams differ");
-            assert_eq!(prog_commits, fifo_commits, "{label}: commit orders differ");
-            let regions = stats.regions_created;
-            assert!(regions > 100, "{label}: only {regions} regions");
-            // Inline resolves every other region before popping the last,
-            // which is then a root; Pooled may dispatch it while others are
-            // still in flight, so it falls back too.
-            let fallbacks = stats.ordering_fallbacks;
-            if threads == 1 {
-                assert_eq!(fallbacks, regions - 1, "{label}");
-            } else {
-                assert!((regions - 1..=regions).contains(&fallbacks), "{label}");
-            }
-        }
-    }
 }
 
 /// `ProgXeConfig::from_env` means the CI matrix (PROGXE_THREADS=4) runs

@@ -35,9 +35,8 @@ fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
 }
 
 /// Closed relations: filter on ≡ filter off, event for event, on Inline
-/// and on Pooled with 2 and 4 workers, under ProgOrder
-/// (root-free fallback *and* real roots, depending on the grid) and a
-/// static order, across distributions, dimensionalities and seeds.
+/// and on Pooled with 2 and 4 workers, under id order and a seeded
+/// shuffle, across distributions, dimensionalities and seeds.
 #[test]
 fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
     let mut filtered_somewhere = false;
@@ -53,7 +52,7 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
                     [
                         (OrderingPolicy::ProgOrder, 1usize),
                         (OrderingPolicy::ProgOrder, 2),
-                        (OrderingPolicy::Fifo, 2),
+                        (OrderingPolicy::Random { seed: 0x5EED }, 2),
                     ],
                 ),
                 (
@@ -61,7 +60,7 @@ fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
                     [
                         (OrderingPolicy::ProgOrder, 1),
                         (OrderingPolicy::ProgOrder, 4),
-                        (OrderingPolicy::Fifo, 1),
+                        (OrderingPolicy::Random { seed: 0x5EED }, 1),
                     ],
                 ),
             ] {
@@ -278,19 +277,17 @@ fn every_arrangement_emits_the_same_stream() {
     );
 }
 
-/// The guard does not move the *schedule* either. On a grid fine enough for
-/// the EL-graph to have roots, ProgOrder ranks regions by `ProgCount`, which
-/// skips dead cells; with death derived from the admitted tuples
-/// (`CellStore::cell_is_dead`) rather than discovered by whichever rejected
-/// tuple reaches the store, the region commit order — the `commit` spans of
-/// a recorder — is the same with upstream rejection on and off.
+/// The guard does not move the *schedule* either: the region commit order
+/// — the `commit` spans of a recorder — is the same with upstream
+/// rejection on and off, and strictly ascending in region id, inline and
+/// pooled. The 16 × 400 grid is fine enough that the paper's elimination
+/// graph has roots, so a schedule that ranked them would reorder it.
 #[test]
 fn region_commit_order_does_not_observe_the_guard() {
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
     let config = ProgXeConfig::default()
         .with_input_partitions(16)
         .with_output_cells(400);
-    let mut rooted = false;
     for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
         for seed in [5u64, 1701] {
             let w = WorkloadSpec::new(600, 2, dist, 0.03)
@@ -306,14 +303,13 @@ fn region_commit_order_does_not_observe_the_guard() {
                 assert!(on_commits.len() > 10, "{label}: too few commits");
                 assert_eq!(on_commits, off_commits, "{label}: commit order moved");
                 assert!(on_stats.tuples_prefiltered > 0, "{label}: guard idle");
-                rooted |= on_stats.ordering_fallbacks + 1 < on_stats.regions_created;
+                assert!(
+                    on_commits.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: commit order is not ascending in region id"
+                );
             }
         }
     }
-    assert!(
-        rooted,
-        "every pop was a root-free fallback: ranks were inert"
-    );
 }
 
 /// NaN and ±∞ mapped values reach the slab and the filter. The kernels
@@ -372,8 +368,9 @@ fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
             Preference::all_lowest(2),
         )
         .unwrap();
-        // Fifo visits the low corner last, so its batches meet a full slab.
-        let config = ProgXeConfig::default().with_ordering(OrderingPolicy::Fifo);
+        // Id order visits the low corner last, so its batches meet a full
+        // slab.
+        let config = ProgXeConfig::default();
         for threads in [1usize, 2] {
             let (on, on_stats) = batch_stream(&config, &w, &maps, threads, true);
             let (off, off_stats) = batch_stream(&config, &w, &maps, threads, false);

@@ -143,8 +143,7 @@ fn take_k_terminates_early_on_10k_anticorrelated() {
     let exec = ProgXe::new(
         ProgXeConfig::default()
             .with_input_partitions(6)
-            .with_output_cells(48)
-            .with_selectivity_hint(0.002),
+            .with_output_cells(48),
     );
 
     let full = exec.run_collect(&r, &t, &maps).unwrap();
