@@ -1606,7 +1606,7 @@ pub fn ablate_delta(opt: &ExpOptions) {
         "p (input)",
         "k (output)",
         "regions",
-        "cells",
+        "cells built",
         "total",
         "t50",
     ]);
@@ -1645,7 +1645,7 @@ pub fn ablate_delta(opt: &ExpOptions) {
     let path = write_csv(
         &opt.out,
         "ablate_delta",
-        &["p", "k", "regions", "cells", "total_us", "t50_us"],
+        &["p", "k", "regions", "cells_built", "total_us", "t50_us"],
         &rows,
     )
     .unwrap();

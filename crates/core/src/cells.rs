@@ -1,9 +1,15 @@
 //! Tracked output cells and tuple-level dominance maintenance
 //! (Section III-B).
 //!
-//! Every output-grid cell covered by a live region is *tracked*. Tuples are
-//! inserted one at a time; the store maintains the invariant that **the live
-//! tuple set is exactly the skyline of all tuples inserted so far**:
+//! A *tracked* cell is one the store holds a [`Cell`] for. Where
+//! [`ProgDetermine`](crate::progdetermine::ProgDetermine) counts blockers
+//! per grid position — Pareto over a dense-indexable grid,
+//! [`CellStore::materializes_lazily`] — a cell is materialized the first
+//! time a tuple lands in it, and pre-marked against the pessimistic
+//! skyline then; elsewhere every cell covered by a live region is tracked
+//! (and pre-marked) up front. Tuples are inserted one at a time; the store
+//! maintains the invariant that **the live tuple set is exactly the skyline
+//! of all tuples inserted so far**:
 //!
 //! * a new tuple is rejected if its cell is dead, or if a tuple in a
 //!   *comparable* cell dominates it (comparable = the `d` coordinate slabs —
@@ -22,8 +28,8 @@
 //!
 //! The store also owns the session's one coordinate → cell index
 //! ([`CellStore::find`]): on a dense-indexable grid a table over grid
-//! positions, so a lookup is `O(d)` arithmetic and a region's box is
-//! registered row by row ([`CellStore::track_box`]); a hash map otherwise.
+//! positions, so a lookup is `O(d)` arithmetic and a box is registered row
+//! by row ([`CellStore::track_box`]); a hash map otherwise.
 
 use crate::fdom::DominanceModel;
 use crate::fxhash::FxHashMap;
@@ -51,7 +57,12 @@ pub struct CellStats {
     /// Cells killed wholesale by full dominance. As observed by the store:
     /// an unpopulated cell counts when a tuple that reached the store first
     /// found it dead ([`CellStore::cell_is_dead`] needs no such visit).
+    /// Includes the pre-marked cells.
     pub cells_killed: u64,
+    /// Cells pre-marked dead by the pessimistic skyline (Example 3): at
+    /// tracking time on the eager arm, when the cell materializes on the
+    /// lazy one — so there only cells a tuple reached.
+    pub cells_premarked_dead: u64,
     /// Populated comparable cells actually examined across all insertions
     /// (the measured counterpart of the `k^d − (k−1)^d` bound).
     pub comparable_cells_visited: u64,
@@ -207,6 +218,13 @@ pub struct CellStore {
     fdom_member_proj: Vec<f64>,
     /// Reused single-point projection buffer.
     proj_tmp: Vec<f64>,
+    /// The pessimistic skyline, flattened (`dims` values per point): a
+    /// cell whose lower corner it dominates is pre-marked dead
+    /// ([`CellStore::premark`]). Empty until
+    /// [`set_pessimistic_skyline`](Self::set_pessimistic_skyline).
+    pessimistic: Vec<f64>,
+    /// Reused lower-corner buffer for [`CellStore::premark`].
+    corner: Vec<f64>,
     /// Every tuple ever admitted, oriented, row-major, in admission order
     /// (see [`CellStore::admitted_slab`]). Append-only: evictions and cell
     /// kills leave it untouched.
@@ -226,7 +244,8 @@ enum CellIndex {
     Sparse(FxHashMap<u128, u32>),
 }
 
-/// [`CellIndex::Dense`] entry of a grid position no region's box covers.
+/// [`CellIndex::Dense`] entry of a grid position without a tracked cell: no
+/// region's box covers it, or, on the lazy arm, no tuple landed there yet.
 pub(crate) const UNTRACKED: u32 = u32::MAX;
 
 /// Keeps the tuples whose `keep` flag is set — ids and points in step, in
@@ -258,8 +277,8 @@ impl CellStore {
     }
 
     /// [`with_model`](Self::with_model) with the dense-arm decision passed
-    /// in: `None` forces the hash index and the skyline walk (the
-    /// differential tests' oracle).
+    /// in: `None` forces the hash index and the skyline walk, and with them
+    /// eager tracking (the differential tests' oracle).
     pub(crate) fn build(
         grid: OutputGrid,
         model: DominanceModel,
@@ -292,6 +311,8 @@ impl CellStore {
             fdom_tuple_proj: Vec::new(),
             fdom_member_proj: Vec::new(),
             proj_tmp: Vec::new(),
+            pessimistic: Vec::new(),
+            corner: Vec::new(),
             admitted: Vec::new(),
         }
     }
@@ -308,6 +329,47 @@ impl CellStore {
         &self.grid
     }
 
+    /// Whether cells are materialized on first insert rather than tracked
+    /// up front: Pareto over a densely indexed grid — exactly where
+    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) keeps its
+    /// blocker counts per grid position (it asks this method), so
+    /// releasing a position needs no cell there. Elsewhere the blocker
+    /// counts and the waiting list are per cell and need every cell before
+    /// the first resolution.
+    pub fn materializes_lazily(&self) -> bool {
+        matches!(self.index, CellIndex::Dense(_)) && self.model.as_flexible().is_none()
+    }
+
+    /// Hands the store the pessimistic skyline, flattened (`dims` values
+    /// per point), for [`premark`](Self::premark).
+    pub(crate) fn set_pessimistic_skyline(&mut self, flat: Vec<f64>) {
+        self.pessimistic = flat;
+    }
+
+    /// Example 3's pre-marking of one cell: marks it dead when the
+    /// pessimistic skyline dominates its lower corner — no tuple landing in
+    /// it could be a result. Returns whether it died. The eager arm runs it
+    /// once per tracked cell; the lazy arm when the cell materializes.
+    pub(crate) fn premark(&mut self, idx: u32) -> bool {
+        if self.pessimistic.is_empty() {
+            return false;
+        }
+        let mut corner = std::mem::take(&mut self.corner);
+        self.grid
+            .lower_corner_into(&self.cells[idx as usize].coord, &mut corner);
+        let mut pairs = 0u64;
+        let dominated =
+            kernel::any_dominates(self.grid.dims(), &self.pessimistic, &corner, &mut pairs);
+        self.corner = corner;
+        self.stats.dominance_tests += pairs;
+        self.stats.dominance_pairs += pairs;
+        if dominated {
+            self.mark_dead(idx);
+            self.stats.cells_premarked_dead += 1;
+        }
+        dominated
+    }
+
     /// Registers a cell as tracked (idempotent); returns its index.
     ///
     /// # Panics
@@ -319,12 +381,14 @@ impl CellStore {
 
     /// Registers every cell of the inclusive box `[lo, hi]` as tracked
     /// (idempotent per cell) and returns the box's volume. New cells get
-    /// ascending indices in [`OutputGrid::iter_box`] order — first-touch
-    /// order over a sequence of boxes is what cell indices, hence the
-    /// schedule and the event stream, are pinned to. On a dense-indexable
-    /// grid the box is walked as rows along the last dimension: one
-    /// position computed per row, a fixed stride per step, a [`Cell`] built
-    /// only where the table has none.
+    /// ascending indices in [`OutputGrid::iter_box`] order. Eager tracking
+    /// ([`crate::lookahead::track_cells`]) registers every live region's
+    /// box this way; the lazy arm only ever registers the one cell a tuple
+    /// lands in. Nothing emitted depends on cell indices: cells release in
+    /// grid-coordinate order. On a dense-indexable grid the box is walked
+    /// as rows along the last dimension: one position computed per row, a
+    /// fixed stride per step, a [`Cell`] built only where the table has
+    /// none.
     ///
     /// # Panics
     /// Panics if the box is inverted or reaches outside the grid.
@@ -426,14 +490,6 @@ impl CellStore {
         self.stats
     }
 
-    /// Credits batched dominance work done on the store's behalf by other
-    /// phases (e.g. look-ahead cell pre-marking) so it shows up in the
-    /// same counters as the store's own kernel passes.
-    pub(crate) fn note_dominance_pairs(&mut self, pairs: u64) {
-        self.stats.dominance_tests += pairs;
-        self.stats.dominance_pairs += pairs;
-    }
-
     /// The append-only slab of every tuple the store has ever admitted:
     /// oriented values, row-major (`dims` per row), in admission order.
     ///
@@ -456,8 +512,8 @@ impl CellStore {
         self.cell_skyline.len()
     }
 
-    /// Marks a cell dead without inserting anything (used by look-ahead
-    /// pre-marking against the pessimistic skyline).
+    /// Marks a cell dead without inserting anything (pre-marking against
+    /// the pessimistic skyline, and cells a populated one fully dominates).
     pub fn mark_dead(&mut self, idx: u32) {
         let cell = &mut self.cells[idx as usize];
         debug_assert!(
@@ -702,17 +758,34 @@ impl CellStore {
     }
 
     /// Inserts one mapped join result (oriented values). Returns `true`
-    /// when the tuple was admitted.
+    /// when the tuple was admitted. On the lazy arm
+    /// ([`materializes_lazily`](Self::materializes_lazily)) the first tuple
+    /// to land in an untracked position materializes its cell, which is
+    /// pre-marked then; a tuple in a pre-marked cell is rejected as a
+    /// dead-cell tuple on either arm.
     ///
     /// # Panics
-    /// Panics if the tuple falls into an untracked cell — the look-ahead
-    /// phase must have tracked every cell of every live region's box.
-    #[allow(clippy::needless_range_loop)] // `d` indexes two parallel arrays
+    /// On the eager arm, panics if the tuple falls into an untracked cell —
+    /// the look-ahead must have tracked every cell of every live region's
+    /// box.
     pub fn insert(&mut self, r_idx: u32, t_idx: u32, oriented: &[f64]) -> bool {
-        let coord = self.grid.cell_of(oriented);
-        let idx = self
-            .find(&coord)
-            .expect("tuple mapped into an untracked cell: look-ahead box invariant violated");
+        self.insert_at(self.grid.cell_of(oriented), r_idx, t_idx, oriented)
+    }
+
+    /// [`insert`](Self::insert) of a tuple whose cell, `coord =
+    /// grid.cell_of(oriented)`, the caller already computed.
+    #[allow(clippy::needless_range_loop)] // `d` indexes two parallel arrays
+    pub(crate) fn insert_at(
+        &mut self,
+        coord: Coord,
+        r_idx: u32,
+        t_idx: u32,
+        oriented: &[f64],
+    ) -> bool {
+        let idx = match self.find(&coord) {
+            Some(idx) => idx,
+            None => self.materialize(coord),
+        };
         let dims = self.grid.dims();
 
         // 1. Dead cell: discard without any dominance comparison.
@@ -847,6 +920,23 @@ impl CellStore {
         true
     }
 
+    /// The lazy arm's first touch of a position: tracks its cell and
+    /// pre-marks it, as eager tracking would have before the first region.
+    ///
+    /// # Panics
+    /// Panics on the eager arm, where every cell of every live box is
+    /// tracked up front: an untracked cell there means the look-ahead box
+    /// invariant broke.
+    fn materialize(&mut self, coord: Coord) -> u32 {
+        assert!(
+            self.materializes_lazily(),
+            "tuple mapped into an untracked cell: look-ahead box invariant violated"
+        );
+        let idx = self.track(coord);
+        self.premark(idx);
+        idx
+    }
+
     /// Lazy cell death (insert step 2): a cell nothing was ever admitted
     /// into dies the first time something *tries* to land in it while a
     /// populated cell fully dominates it. Returns whether it died now.
@@ -919,6 +1009,30 @@ mod tests {
             assert_eq!(s.find(&coord(&[1, 1])), None, "in the grid, untracked");
             assert_eq!(s.len(), 1);
         }
+    }
+
+    /// The lazy arm builds the cell a tuple lands in, once.
+    #[test]
+    fn untracked_inserts_materialize_their_cell_on_the_lazy_arm() {
+        let [mut lazy, _] = both_arms(2, 4);
+        assert!(lazy.materializes_lazily() && lazy.is_empty());
+        assert!(lazy.insert(0, 0, &[1.5, 2.5]));
+        assert!(lazy.insert(1, 1, &[1.2, 2.8]), "same cell, incomparable");
+        assert_eq!(lazy.find(&coord(&[1, 2])), Some(0));
+        assert!(lazy.insert(2, 2, &[2.5, 0.5]));
+        assert_eq!(lazy.find(&coord(&[2, 0])), Some(1));
+        assert_eq!(lazy.len(), 2);
+        assert_eq!(lazy.cell(0).ids(), &[(0, 0), (1, 1)]);
+    }
+
+    /// The eager arm tracks every cell a tuple can reach up front, so an
+    /// untracked one means the look-ahead's box invariant broke.
+    #[test]
+    #[should_panic(expected = "untracked cell")]
+    fn untracked_inserts_panic_on_the_eager_arm() {
+        let [_, mut eager] = both_arms(2, 4);
+        assert!(!eager.materializes_lazily());
+        eager.insert(0, 0, &[1.5, 2.5]);
     }
 
     #[test]

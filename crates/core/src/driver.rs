@@ -270,7 +270,10 @@ impl Committer {
     ///
     /// # Panics
     /// Debug-asserts that the batch completed; committing a partial batch
-    /// would break Principle 1.
+    /// would break Principle 1. Panics if a surviving tuple lands in a
+    /// grid position no unresolved region blocks: the cell there is
+    /// released (or, lazily, would be built past its release), so the
+    /// tuple would be lost — the look-ahead's box invariant broke.
     pub fn commit_batch(
         &mut self,
         batch: RegionBatch,
@@ -288,7 +291,15 @@ impl Committer {
         } else {
             stats.regions_processed += 1;
             for (&(r, t), point) in batch.ids.iter().zip(batch.points.iter()) {
-                self.store.insert(r, t, point);
+                let coord = self.store.grid().cell_of(point);
+                assert!(
+                    self.det.awaits_tuples_at(&self.store, &coord),
+                    "a tuple of region {} landed in released grid position {:?}: \
+                     look-ahead box invariant violated",
+                    batch.rid,
+                    &coord[..self.store.grid().dims()]
+                );
+                self.store.insert_at(coord, r, t, point);
             }
         }
         let event = self.resolve(batch.rid, stats);
@@ -317,10 +328,11 @@ impl Committer {
             return None;
         }
         let mut tuples = Vec::new();
+        let grid = self.store.grid();
         for cell in self.emitted_buf.drain(..) {
             stats.cells_emitted += 1;
             self.trace.point(Point::Emit {
-                cell: u64::from(cell.cell_idx),
+                cell: grid.position(self.store.cell(cell.cell_idx).coord()),
                 n: cell.ids.len() as u64,
                 proven_final: true,
             });
@@ -374,6 +386,8 @@ impl Committer {
         stats.tuples_rejected_dominated = cell_stats.tuples_rejected_dominated;
         stats.tuples_rejected_dead_cell = cell_stats.tuples_rejected_dead_cell;
         stats.tuples_evicted = cell_stats.tuples_evicted;
+        stats.cells_tracked = self.store.len();
+        stats.cells_premarked_dead = cell_stats.cells_premarked_dead as usize;
         stats.comparable_cells_visited = cell_stats.comparable_cells_visited;
         stats.comparable_cells_max = cell_stats.comparable_cells_max;
         stats.tuples_fdom_filtered = cell_stats.tuples_fdom_filtered;
@@ -1095,6 +1109,48 @@ mod tests {
             committed.len(),
             stats.regions_processed + stats.regions_computed_dead
         );
+    }
+
+    /// A tuple committed into a grid position no unresolved region blocks
+    /// would never be emitted — its cell is released, or on the lazy arm
+    /// would be built past its release: the committer refuses it.
+    #[test]
+    #[should_panic(expected = "landed in released grid position")]
+    fn committing_into_a_released_position_panics() {
+        use crate::output_grid::MAX_DIMS;
+        use progxe_skyline::PointStore;
+        let r = random_source(120, 2, 3, 21);
+        let t = random_source(120, 2, 3, 22);
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let prep = ProgXe::new(ProgXeConfig::default().with_input_partitions(2))
+            .prepare(&r.view(), &t.view(), &maps, CancellationToken::new())
+            .unwrap();
+        let mut committer = prep.committer.expect("a non-trivial run");
+        assert!(committer.store.materializes_lazily());
+        let mut stats = ExecStats::default();
+        let empty = |rid| RegionBatch {
+            rid,
+            ids: Vec::new(),
+            points: PointStore::new(2),
+            stats: TupleLevelStats::default(),
+            completed: true,
+            compute_time: Duration::ZERO,
+        };
+        let mut rids = Vec::new();
+        while let Popped::Region(rid) = committer.pop_gated(None) {
+            rids.push(rid);
+        }
+        let last = rids.pop().expect("at least two regions");
+        for rid in rids {
+            committer.commit_batch(empty(rid), &mut stats);
+        }
+        // Only `last` is unresolved, and its upper box misses the origin.
+        assert_ne!(committer.regions[last as usize].cell_lo[..2], [0, 0]);
+        let origin = committer.store.grid().lower_corner(&[0; MAX_DIMS]);
+        let mut stray = empty(last);
+        stray.ids.push((0, 0));
+        stray.points.push(&origin);
+        committer.commit_batch(stray, &mut stats);
     }
 
     #[test]

@@ -165,10 +165,12 @@ impl FrontEnd {
 
     /// The back half every front end shares. Takes the look-ahead's
     /// regions (the caller has stamped everything up to
-    /// `region_lookahead_time`), tracks their cells, builds Algorithm 2's
-    /// blocker counts and the committer over the region schedule, and the
-    /// work context `work` wraps around the same regions; then closes the
-    /// ledger and the span. `row_ids` translates emitted ids.
+    /// `region_lookahead_time`), readies the cell store (every box cell
+    /// tracked up front only where cells do not materialize on first
+    /// insert), builds Algorithm 2's blocker counts and the committer over
+    /// the region schedule, and the work context `work` wraps around the
+    /// same regions; then closes the ledger and the span. `row_ids`
+    /// translates emitted ids.
     pub(crate) fn finish(
         mut self,
         la: Lookahead,
@@ -184,13 +186,10 @@ impl FrontEnd {
         // The store maintains its live set under Pareto regardless of the
         // model (sound superset — Pareto dominance implies F-dominance);
         // a flexible model additionally strengthens blocker counts and
-        // filters emissions. Region/cell pruning in `track_cells` stays
+        // filters emissions. Region/cell pruning and cell pre-marking stay
         // Pareto-based and therefore sound for any model.
         let mut store = CellStore::with_model(la.grid.clone(), maps.dominance().clone());
-        let tracked = track_cells(&la, &mut store);
-        stats.cells_premarked_dead = tracked.premarked_dead;
-        stats.cell_positions_scanned = tracked.positions_scanned;
-        stats.cells_tracked = store.len();
+        stats.cell_positions_scanned = track_cells(&la, &mut store);
         stats.cell_track_time = self.laps.lap();
         let regions: Arc<[Region]> = la.regions.into();
         let det = ProgDetermine::new(&store, &regions);
@@ -694,28 +693,43 @@ mod tests {
     }
 
     /// The look-ahead buckets tile `prepare`, and every computed region is
-    /// timed on both sides of the commit.
+    /// timed on both sides of the commit — with cells materialized on first
+    /// insert (Pareto; no box walked) and tracked up front (a flexible
+    /// model on the same grid; overlapping boxes walked).
     #[test]
     fn lookahead_buckets_add_up_and_the_phases_fit_the_wall() {
+        use crate::fdom::{DominanceModel, FDominance, WeightConstraint};
         let r = random_source(400, 3, 5, 19);
         let t = random_source(400, 3, 5, 20);
-        let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
-        let out = ProgXe::new(ProgXeConfig::default())
-            .run_collect(&r.view(), &t.view(), &maps)
+        let pareto = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+        let weights = FDominance::new(3, vec![WeightConstraint::at_least(3, 0, 0.2)]).unwrap();
+        let flexible = pareto
+            .clone()
+            .with_dominance(DominanceModel::flexible(weights))
             .unwrap();
-        let s = &out.stats;
-        s.assert_inline_ledger();
-        assert!(s.regions_processed > 0, "{s}");
-        assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
-        for bucket in [
-            s.remap_time,
-            s.grid_time,
-            s.region_lookahead_time,
-            s.cell_track_time,
-            s.determine_init_time,
-            s.schedule_time,
-        ] {
-            assert!(!bucket.is_zero(), "{s}");
+        for (maps, lazy) in [(pareto, true), (flexible, false)] {
+            let out = ProgXe::new(ProgXeConfig::default())
+                .run_collect(&r.view(), &t.view(), &maps)
+                .unwrap();
+            let s = &out.stats;
+            s.assert_inline_ledger();
+            assert!(s.regions_processed > 0, "{s}");
+            assert!(s.cells_tracked > 0, "{s}");
+            if lazy {
+                assert_eq!(s.cell_positions_scanned, 0, "{s}");
+            } else {
+                assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
+            }
+            for bucket in [
+                s.remap_time,
+                s.grid_time,
+                s.region_lookahead_time,
+                s.cell_track_time,
+                s.determine_init_time,
+                s.schedule_time,
+            ] {
+                assert!(!bucket.is_zero(), "{s}");
+            }
         }
     }
 

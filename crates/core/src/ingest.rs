@@ -19,9 +19,12 @@
 //!   signature that overlaps everything and guarantees nothing. The
 //!   output-space look-ahead ([`run_lookahead`]) therefore keeps every
 //!   cell pair as a region — id `r_cell · t_cells + t_cell`, sizes zero,
-//!   nothing pruned — and `track_cells` premarks no cell, so the cell a
-//!   row lands in, and with it the whole region/schedule/blocker
-//!   structure, is fixed up front and independent of arrival order.
+//!   nothing pruned — and the pessimistic skyline is empty, so no output
+//!   cell is ever pre-marked: the region/schedule/blocker structure is
+//!   fixed up front and independent of arrival order. (Output cells
+//!   themselves materialize as join results land in them, on the grids
+//!   where [`crate::cells::CellStore::materializes_lazily`]; no emission
+//!   depends on when.)
 //! * Cells fill incrementally; a cell **seals** once its source closed or a
 //!   watermark passed the cell's slice, guaranteeing it can receive no more
 //!   rows. Sealing prepares the cell's rows into its slot of the query's

@@ -9,7 +9,8 @@
 //!   skyline** — the skyline of upper-bound points of *guaranteed-populated*
 //!   regions — can never contribute a result and is discarded (Example 2);
 //! * an output cell whose best corner is dominated by the pessimistic
-//!   skyline is marked "non-contributing" from the start (Example 3).
+//!   skyline is marked "non-contributing" (Example 3) — from the start, or,
+//!   where cells materialize on first insert, the moment one does.
 //!
 //! Exact signatures make "overlap" a population *guarantee*; with Bloom
 //! signatures the executor skips region pruning (the guarantee is gone) but
@@ -60,9 +61,10 @@ pub struct Lookahead {
     pub pairs_rejected_by_signature: usize,
     /// Candidate regions pruned by region-level dominance (Example 2).
     pub regions_pruned: usize,
-    /// Pessimistic-skyline points: oriented upper bounds of guaranteed
-    /// regions, used later to pre-mark dominated cells.
-    pub pessimistic_skyline: Vec<Vec<f64>>,
+    /// Pessimistic-skyline points, flattened (`dims` values per point):
+    /// oriented upper bounds of guaranteed regions, used later to pre-mark
+    /// dominated cells.
+    pub pessimistic_skyline: Vec<f64>,
 }
 
 /// Runs the look-ahead phase over two partitioned inputs.
@@ -186,68 +188,44 @@ pub fn run_lookahead(
         });
     }
 
-    let pessimistic_skyline: Vec<Vec<f64>> = pes.iter().map(|(p, _)| p.to_vec()).collect();
     Lookahead {
         grid,
         regions,
         pairs_rejected_by_signature: rejected,
         regions_pruned: pruned,
-        pessimistic_skyline,
+        pessimistic_skyline: pes_flat,
     }
 }
 
-/// What [`track_cells`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrackedCells {
-    /// Σ box volumes over the live regions — grid positions visited to
-    /// register the (far fewer, boxes overlap) tracked cells.
-    pub positions_scanned: u64,
-    /// Cells pre-marked dead by the pessimistic skyline.
-    pub premarked_dead: usize,
-}
-
-/// Tracks every cell of every live region's box and pre-marks cells whose
-/// best corner is dominated by the pessimistic skyline (Example 3).
-pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> TrackedCells {
-    let mut pre_marked = 0usize;
+/// Readies the store's cells for the region loop and returns the grid
+/// positions visited doing so. The store gets the pessimistic skyline, for
+/// Example 3's pre-marking. Where cells materialize on first insert
+/// ([`CellStore::materializes_lazily`]) that is all — a cell is built, and
+/// pre-marked, when the first tuple lands in it — and nothing is visited.
+/// Elsewhere every cell of every live region's box is tracked now (Σ box
+/// volumes visited; boxes overlap, so far fewer cells) and pre-marked once.
+pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> u64 {
+    store.set_pessimistic_skyline(lookahead.pessimistic_skyline.clone());
+    if store.materializes_lazily() {
+        return 0;
+    }
     let positions_scanned = lookahead
         .regions
         .iter()
         .map(|region| store.track_box(&region.cell_lo, &region.cell_hi))
         .sum();
-    // Mark after tracking so shared cells are processed exactly once. The
-    // pessimistic skyline is flattened into one dense batch so each corner
-    // runs a single many-vs-one kernel pass; the corner buffer is reused
-    // across cells.
-    if !lookahead.pessimistic_skyline.is_empty() {
-        let d = lookahead.grid.dims();
-        let mut pes_flat: Vec<f64> = Vec::with_capacity(lookahead.pessimistic_skyline.len() * d);
-        for p in &lookahead.pessimistic_skyline {
-            pes_flat.extend_from_slice(p);
-        }
-        let mut corner = Vec::with_capacity(d);
-        let mut pairs = 0u64;
-        for idx in 0..store.len() as u32 {
-            store
-                .grid()
-                .lower_corner_into(store.cell(idx).coord(), &mut corner);
-            if kernel::any_dominates(d, &pes_flat, &corner, &mut pairs) {
-                store.mark_dead(idx);
-                pre_marked += 1;
-            }
-        }
-        store.note_dominance_pairs(pairs);
+    // Mark after tracking so shared cells are pre-marked exactly once.
+    for idx in 0..store.len() as u32 {
+        store.premark(idx);
     }
-    TrackedCells {
-        positions_scanned,
-        premarked_dead: pre_marked,
-    }
+    positions_scanned
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SignatureConfig;
+    use crate::fdom::DominanceModel;
     use crate::source::SourceData;
 
     fn setup(
@@ -371,22 +349,51 @@ mod tests {
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 16);
         assert_eq!(la.regions.len(), 2, "neither region fully pruned");
-        let mut store = CellStore::new(la.grid.clone());
-        let tracked = track_cells(&la, &mut store);
-        let marked = tracked.premarked_dead;
-        assert!(!store.is_empty());
-        assert!(tracked.positions_scanned >= store.len() as u64);
+        // (2, 1) is A's best output; (100, 100) is C's worst, in a cell
+        // whose corner UPPER(A) dominates.
+        let (good, doomed) = ([2.0, 1.0], [100.0, 100.0]);
+
+        // Eager: every box cell tracked and pre-marked before any tuple.
+        let mut eager = CellStore::build(la.grid.clone(), DominanceModel::Pareto, None);
+        let positions = track_cells(&la, &mut eager);
+        let marked = eager.stats().cells_premarked_dead;
+        assert!(!eager.is_empty());
+        assert!(positions >= eager.len() as u64);
         assert!(
             marked >= 2,
             "expected dominated cells pre-marked, got {marked}"
         );
+        assert!(eager.insert(0, 0, &good));
+        assert!(!eager.insert(1, 1, &doomed));
+        assert_eq!(eager.stats().tuples_rejected_dead_cell, 1);
+        assert_eq!(eager.stats().cells_premarked_dead, marked, "no new marks");
+
+        // Lazy: nothing tracked up front; a cell is pre-marked when the
+        // first tuple lands in it, and that tuple is a dead-cell rejection.
+        let mut lazy = CellStore::new(la.grid.clone());
+        assert!(lazy.materializes_lazily());
+        assert_eq!(track_cells(&la, &mut lazy), 0);
+        assert!(lazy.is_empty());
+        assert!(lazy.insert(0, 0, &good));
+        assert_eq!(lazy.stats().cells_premarked_dead, 0);
+        assert!(!lazy.insert(1, 1, &doomed));
+        let stats = lazy.stats();
+        assert_eq!(
+            (stats.cells_premarked_dead, stats.tuples_rejected_dead_cell),
+            (1, 1)
+        );
+        assert_eq!(stats.tuples_rejected_dominated, 0, "rejected untested");
+        assert_eq!(lazy.len(), 2, "one cell per tuple");
+        let cell = lazy.find(&la.grid.cell_of(&doomed)).unwrap();
+        assert!(lazy.cell(cell).is_dead());
     }
 
     /// What streaming ingestion's readiness borrows from the look-ahead:
     /// over two declared grids every cell pair survives as a region, id
     /// `r_cell · t_cells + t_cell`, sized zero, never guaranteed, bounded
     /// by the mapped slice bounds — nothing rejected, nothing pruned, and
-    /// no cell premarked.
+    /// no cell premarked. Tracked eagerly, every box cell is there and
+    /// alive; on the lazy arm the store opens empty.
     #[test]
     fn declared_grids_provision_every_cell_pair_in_order() {
         use crate::grid::GridGeometry;
@@ -417,16 +424,22 @@ mod tests {
             assert_eq!((region.lo[0], region.hi[0]), (raw_lo[0], raw_hi[0]));
             assert_eq!((region.lo[1], region.hi[1]), (-raw_hi[1], -raw_lo[1]));
         }
-        let mut store = CellStore::new(la.grid.clone());
-        let tracked = track_cells(&la, &mut store);
-        assert_eq!(tracked.premarked_dead, 0);
+        let mut store = CellStore::build(la.grid.clone(), DominanceModel::Pareto, None);
+        let positions = track_cells(&la, &mut store);
+        assert_eq!(store.stats().cells_premarked_dead, 0);
         let volumes: u64 = la
             .regions
             .iter()
             .map(|r| la.grid.box_volume(&r.cell_lo, &r.cell_hi))
             .sum();
-        assert_eq!(tracked.positions_scanned, volumes);
+        assert_eq!(positions, volumes);
+        assert!(!store.is_empty());
         assert!((0..store.len() as u32).all(|idx| !store.cell_is_dead(idx)));
+
+        let mut lazy = CellStore::new(la.grid.clone());
+        assert!(lazy.materializes_lazily());
+        assert_eq!(track_cells(&la, &mut lazy), 0);
+        assert!(lazy.is_empty(), "a declared grid opens with zero cells");
     }
 
     #[test]

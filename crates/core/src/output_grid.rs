@@ -167,10 +167,13 @@ impl OutputGrid {
     pub const DENSE_INDEX_BUDGET: usize = 1 << 20;
 
     /// The grid's volume when it is *dense-indexable* — at most
-    /// [`Self::DENSE_INDEX_BUDGET`] positions — else `None`. The one
-    /// predicate that puts [`CellStore`](crate::cells::CellStore) and
-    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) on their
-    /// dense arms, so the two cannot disagree.
+    /// [`Self::DENSE_INDEX_BUDGET`] positions — else `None`. The predicate
+    /// that puts [`CellStore`](crate::cells::CellStore) on its dense index
+    /// and staircase; under Pareto it also puts
+    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) on
+    /// per-position counts and the store on lazily built cells, both
+    /// through [`CellStore::materializes_lazily`](crate::cells::CellStore::materializes_lazily),
+    /// so the two cannot disagree.
     pub fn dense_positions(&self) -> Option<usize> {
         self.volume().filter(|&v| v <= Self::DENSE_INDEX_BUDGET)
     }
@@ -179,6 +182,17 @@ impl OutputGrid {
     /// overflow.
     pub fn volume(&self) -> Option<usize> {
         (self.cells_per_dim as usize).checked_pow(self.dims as u32)
+    }
+
+    /// A cell's grid position as a stable identity for reports: its
+    /// coordinate flattened like [`dense_position`] (dimension 0 fastest),
+    /// in `u64` arithmetic that wraps on grids of more than 2⁶⁴ positions.
+    pub fn position(&self, c: &Coord) -> u64 {
+        let k = u64::from(self.cells_per_dim);
+        c[..self.dims]
+            .iter()
+            .rev()
+            .fold(0, |pos, &v| pos.wrapping_mul(k).wrapping_add(u64::from(v)))
     }
 
     /// The cell containing an oriented point (boundary values clamp into
@@ -324,6 +338,7 @@ mod tests {
             all.sort_by_key(pack);
             for (pos, c) in all.iter().enumerate() {
                 assert_eq!(dense_position(c, dims, k), pos, "dims={dims} k={k} {c:?}");
+                assert_eq!(g.position(c), pos as u64, "dims={dims} k={k} {c:?}");
             }
             for lo in &all {
                 let mut visited = Vec::new();

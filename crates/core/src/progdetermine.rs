@@ -26,17 +26,20 @@
 //!
 //! ## Where the counts live
 //!
-//! The cells a region blocks are the upper box `{c : cell_lo ⪯ c}`. When
-//! the grid is dense-indexable
+//! The cells a region blocks are the upper box `{c : cell_lo ⪯ c}`. Under
+//! Pareto over a dense-indexable grid
 //! ([`OutputGrid::dense_positions`](crate::output_grid::OutputGrid::dense_positions))
 //! the counts are kept per grid *position* — the very prefix-sum grid the
 //! initial counts are computed in — and a resolution decrements that box
 //! row by row: it pays for the decrements it owes, not for a walk over
-//! every cell still waiting. Larger grids, and flexible models (below),
-//! keep one count per tracked cell and scan the waiting cells at every
-//! resolution. The choice is a function of the grid and the model alone;
-//! both arms release the same cells at the same resolution in the same
-//! order.
+//! every cell still waiting. Counting positions needs no cell, so there
+//! the store materializes cells on first insert; both read the one
+//! predicate [`CellStore::materializes_lazily`]. Larger grids, and
+//! flexible models (below), keep one count per tracked cell — every cell
+//! of every live box, tracked up front — and scan the waiting cells at
+//! every resolution. The choice is a function of the grid and the model
+//! alone; both arms release the same cells at the same resolution in the
+//! same order.
 //!
 //! ## Flexible skylines (F-dominance)
 //!
@@ -59,7 +62,7 @@
 
 use crate::cells::{CellStore, UNTRACKED};
 use crate::lookahead::Region;
-use crate::output_grid::{dense_position, for_each_upper_box_row, pack, weak_leq};
+use crate::output_grid::{dense_position, for_each_upper_box_row, pack, weak_leq, Coord};
 use progxe_skyline::PointStore;
 
 /// A batch of tuples proven final, emitted from one cell.
@@ -254,22 +257,22 @@ pub struct ProgDetermine {
 /// Where the blocker counts live — chosen once, by the grid and the model.
 #[derive(Debug)]
 enum Blockers {
-    /// Pareto over a dense-indexable grid
-    /// ([`OutputGrid::dense_positions`](crate::output_grid::OutputGrid::dense_positions)):
-    /// the prefix-sum grid the initial counts come from *is* the store. A
+    /// Pareto over a dense-indexable grid — where the store materializes
+    /// cells on first insert ([`CellStore::materializes_lazily`]): the
+    /// prefix-sum grid the initial counts come from *is* the store. A
     /// resolution decrements the region's upper box `{c : cell_lo ⪯ c}` row
     /// by row — cost proportional to the decrements it owes, whatever is
-    /// tracked, dead or already released. Which cell sits at a position is
-    /// the [`CellStore`]'s own index, on its dense arm by the same
-    /// predicate.
+    /// materialized, dead or already released. Which cell sits at a
+    /// position is the [`CellStore`]'s own dense index.
     Dense {
         /// Unresolved regions with `cell_lo ⪯ c`, per grid position
-        /// ([`dense_position`]) — tracked or not.
+        /// ([`dense_position`]) — materialized or not.
         counts: Vec<u32>,
     },
     /// Flexible models (blocking is not an upper box in grid coordinates)
-    /// and grids over the dense budget: one count per tracked cell, and a
-    /// scan of the cells still waiting at every resolution.
+    /// and grids over the dense budget: one count per tracked cell — all
+    /// tracked before this is built — and a scan of the cells still
+    /// waiting at every resolution.
     Scan {
         /// Blocker count per tracked cell (parallel to the cell store);
         /// no longer maintained once the cell is dead.
@@ -312,24 +315,26 @@ fn dense_blocker_counts(regions: &[Region], dims: usize, k: usize, volume: usize
 }
 
 impl ProgDetermine {
-    /// Computes initial blocker counts and picks where they are kept — a
-    /// function of the store's grid and model alone (see the module docs).
+    /// Computes initial blocker counts and picks where they are kept — on
+    /// the dense arm exactly when the store materializes cells lazily (see
+    /// the module docs). The scan arm counts the store's tracked cells, so
+    /// they must all be tracked by now.
     ///
     /// `blockers(c) = |{R : R.cell_lo ⪯ c}|` is a d-dimensional dominance
     /// count, so for moderate grids it is computed by prefix sums over a
     /// dense grid instead of the naive `O(cells × regions)` double loop
     /// (kept as a fallback for very fine grids).
     pub fn new(store: &CellStore, regions: &[Region]) -> Self {
-        Self::build(store, regions, store.dense_index().map(<[u32]>::len))
-    }
-
-    /// [`new`](Self::new) with the dense-arm decision passed in: `None`
-    /// forces the scan arm (the differential tests' oracle); `Some` needs
-    /// the store on its dense arm, whose table the dense arm reads.
-    fn build(store: &CellStore, regions: &[Region], dense_positions: Option<usize>) -> Self {
-        let (blockers, flexible_blocker_ops) = match store.model().as_flexible() {
-            Some(fdom) => Self::flexible_blockers(store, regions, fdom),
-            None => (Self::pareto_blockers(store, regions, dense_positions), 0),
+        let (blockers, flexible_blocker_ops) = if store.materializes_lazily() {
+            let grid = store.grid();
+            let volume = store.dense_index().expect("lazy stores are dense").len();
+            let k = grid.cells_per_dim() as usize;
+            let counts = dense_blocker_counts(regions, grid.dims(), k, volume);
+            (Blockers::Dense { counts }, 0)
+        } else if let Some(fdom) = store.model().as_flexible() {
+            Self::flexible_blockers(store, regions, fdom)
+        } else {
+            (Self::pareto_scan_blockers(store, regions), 0)
         };
         Self {
             blockers,
@@ -340,19 +345,10 @@ impl ProgDetermine {
         }
     }
 
-    fn pareto_blockers(
-        store: &CellStore,
-        regions: &[Region],
-        dense_positions: Option<usize>,
-    ) -> Blockers {
+    fn pareto_scan_blockers(store: &CellStore, regions: &[Region]) -> Blockers {
         let grid = store.grid();
         let dims = grid.dims();
         let k = grid.cells_per_dim() as usize;
-        if let Some(volume) = dense_positions {
-            return Blockers::Dense {
-                counts: dense_blocker_counts(regions, dims, k, volume),
-            };
-        }
         let mut counts = vec![0u32; store.len()];
         match grid.volume().filter(|&v| v <= SCRATCH_PREFIX_BUDGET) {
             Some(volume) => {
@@ -489,6 +485,25 @@ impl ProgDetermine {
         }
     }
 
+    /// Whether a tuple may still land at grid position `coord`: an
+    /// unresolved region blocks it, so nothing there has been released —
+    /// the box invariant emission rests on, checked by the committer for
+    /// every tuple it inserts. A tuple landing where this is `false` would
+    /// never be emitted. On the scan arm a position without a tracked cell
+    /// has no blocker, and a dead cell's stale count is no concern (it
+    /// rejects every tuple).
+    pub(crate) fn awaits_tuples_at(&self, store: &CellStore, coord: &Coord) -> bool {
+        match &self.blockers {
+            Blockers::Dense { counts } => {
+                let grid = store.grid();
+                counts[dense_position(coord, grid.dims(), grid.cells_per_dim() as usize)] > 0
+            }
+            Blockers::Scan { counts, .. } => store
+                .find(coord)
+                .is_some_and(|idx| store.cell(idx).is_dead() || counts[idx as usize] > 0),
+        }
+    }
+
     /// Resolves one region — processed *or* discarded — decrementing the
     /// blocker count of every cell it blocks. Cells whose count reaches
     /// zero are finalized: dead cells are dropped, all others emit their
@@ -595,7 +610,9 @@ impl ProgDetermine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
+    use crate::fdom::DominanceModel;
+    use crate::lookahead::{track_cells, Lookahead};
+    use crate::output_grid::{OutputGrid, MAX_DIMS};
 
     fn coord(x: u16, y: u16) -> Coord {
         let mut c: Coord = [0; MAX_DIMS];
@@ -821,12 +838,13 @@ mod tests {
         }
     }
 
-    /// The dense arm against the retained scan, one resolution at a time:
+    /// The dense arm over a lazily materializing store against the
+    /// retained scan over an eagerly tracked one, one resolution at a time:
     /// random overlapping regions for d = 1..4 — several sharing one
-    /// `cell_lo`, boxes leaving grid positions untracked, look-ahead
-    /// pre-marked dead cells — resolved in random order with inserts in
-    /// between (so cells are populated, killed eagerly and found dead
-    /// lazily between resolutions).
+    /// `cell_lo`, boxes leaving grid positions untracked, cells pre-marked
+    /// dead by a pessimistic skyline point — resolved in random order with
+    /// inserts in between (so cells are materialized, populated, killed
+    /// eagerly and found dead lazily between resolutions).
     #[test]
     fn dense_arm_releases_exactly_what_the_scan_releases() {
         let mut x: u64 = 0xD1FF;
@@ -838,6 +856,7 @@ mod tests {
         };
         let mut released_populated = 0usize;
         let mut dropped_dead = 0usize;
+        let (mut materialized, mut tracked, mut lazy_premarked) = (0, 0, 0);
         for (dims, k) in [
             (1usize, 1u16),
             (1, 12),
@@ -877,31 +896,30 @@ mod tests {
                     guaranteed: true,
                 });
             }
+            // A pessimistic skyline point somewhere in the grid: cells above
+            // it are pre-marked dead — up front on the eager store, on first
+            // insert on the lazy one.
+            let pessimistic: Vec<f64> = (0..dims).map(|_| next(k as u64) as f64 + 0.5).collect();
+            let la = Lookahead {
+                grid: grid.clone(),
+                regions: regions.clone(),
+                pairs_rejected_by_signature: 0,
+                regions_pruned: 0,
+                pessimistic_skyline: pessimistic,
+            };
             let mut dense_store = CellStore::new(grid.clone());
-            for r in &regions {
-                for c in grid.iter_box(r.cell_lo, r.cell_hi) {
-                    dense_store.track(c);
-                }
-            }
+            assert_eq!(track_cells(&la, &mut dense_store), 0);
+            assert!(dense_store.is_empty());
+            // The scan arm runs over an eager store of its own, fed
+            // identically.
+            let mut scan_store = CellStore::build(grid.clone(), DominanceModel::Pareto, None);
+            track_cells(&la, &mut scan_store);
             assert!(
-                dims == 1 || dense_store.len() < grid.dense_positions().unwrap(),
+                dims == 1 || scan_store.len() < grid.dense_positions().unwrap(),
                 "some grid positions must stay untracked"
             );
-            for idx in 0..dense_store.len() as u32 {
-                if next(8) == 0 {
-                    dense_store.mark_dead(idx);
-                }
-            }
-            // The scan arm runs over a store of its own, fed identically.
-            let mut scan_store = CellStore::new(grid.clone());
-            for (idx, cell) in dense_store.iter() {
-                assert_eq!(scan_store.track(*cell.coord()), idx);
-                if cell.is_dead() {
-                    scan_store.mark_dead(idx);
-                }
-            }
-            let mut dense = ProgDetermine::build(&dense_store, &regions, grid.dense_positions());
-            let mut scan = ProgDetermine::build(&scan_store, &regions, None);
+            let mut dense = ProgDetermine::new(&dense_store, &regions);
+            let mut scan = ProgDetermine::new(&scan_store, &regions);
             assert!(matches!(dense.blockers, Blockers::Dense { .. }));
             assert!(matches!(scan.blockers, Blockers::Scan { .. }));
 
@@ -919,6 +937,9 @@ mod tests {
                             (from.cell_lo[d] as u64 + next(span)) as f64 + next(100) as f64 / 100.0
                         })
                         .collect();
+                    let at = grid.cell_of(&p);
+                    assert!(dense.awaits_tuples_at(&dense_store, &at));
+                    assert!(scan.awaits_tuples_at(&scan_store, &at));
                     tuple += 1;
                     assert_eq!(
                         dense_store.insert(tuple, tuple, &p),
@@ -931,30 +952,27 @@ mod tests {
                 scan.resolve_region(&regions[rid as usize], &mut scan_store, &mut scan_out);
 
                 let label = format!("dims={dims} k={k} after region {rid}");
-                let emitted = |out: &[EmittedCell]| -> Vec<(u32, Vec<(u32, u32)>)> {
-                    out.iter().map(|e| (e.cell_idx, e.ids.clone())).collect()
-                };
-                assert_eq!(emitted(&dense_out), emitted(&scan_out), "{label}");
+                let emitted =
+                    |store: &CellStore, out: &[EmittedCell]| -> Vec<(u128, Vec<(u32, u32)>)> {
+                        out.iter()
+                            .map(|e| (pack(store.cell(e.cell_idx).coord()), e.ids.clone()))
+                            .collect()
+                    };
+                let released = emitted(&dense_store, &dense_out);
+                assert_eq!(released, emitted(&scan_store, &scan_out), "{label}");
                 assert!(
-                    dense_out
-                        .windows(2)
-                        .all(|w| pack(dense_store.cell(w[0].cell_idx).coord())
-                            < pack(dense_store.cell(w[1].cell_idx).coord())),
+                    released.windows(2).all(|w| w[0].0 < w[1].0),
                     "{label}: released out of coordinate order"
                 );
                 released_populated += dense_out.len();
-                for (idx, cell) in dense_store.iter() {
-                    let other = scan_store.cell(idx);
-                    // Empty released cells never reach `out`; the flag does.
-                    assert_eq!(cell.is_emitted(), other.is_emitted(), "{label} cell {idx}");
-                    assert_eq!(cell.is_dead(), other.is_dead(), "{label} cell {idx}");
+                for (idx, cell) in scan_store.iter() {
                     let blocking = unresolved
                         .iter()
                         .filter(|&&r| weak_leq(&regions[r as usize].cell_lo, cell.coord(), dims))
                         .count() as u32;
                     assert_eq!(
-                        dense.blockers_of(&dense_store, idx),
-                        blocking,
+                        dense.awaits_tuples_at(&dense_store, cell.coord()),
+                        blocking > 0,
                         "{label} cell {idx}"
                     );
                     // The scan stops counting for a cell it has seen dead.
@@ -966,16 +984,38 @@ mod tests {
                         );
                         assert_eq!(cell.is_emitted(), blocking == 0, "{label} cell {idx}");
                     }
+                    // A cell no tuple reached is not materialized.
+                    let Some(lazy) = dense_store.find(cell.coord()) else {
+                        assert!(!cell.is_populated(), "{label} cell {idx}");
+                        continue;
+                    };
+                    let other = dense_store.cell(lazy);
+                    // Empty released cells never reach `out`; the flag does.
+                    assert_eq!(cell.is_emitted(), other.is_emitted(), "{label} cell {idx}");
+                    assert_eq!(cell.is_dead(), other.is_dead(), "{label} cell {idx}");
+                    assert_eq!(cell.ids(), other.ids(), "{label} cell {idx}");
+                    assert_eq!(
+                        dense.blockers_of(&dense_store, lazy),
+                        blocking,
+                        "{label} cell {idx}"
+                    );
                 }
             }
             assert_eq!(dense.live_cells(&dense_store), 0);
             assert_eq!(scan.live_cells(&scan_store), 0);
             assert_eq!(dense.emitted_tuples(), scan.emitted_tuples());
-            dropped_dead += dense_store
+            let (lazy_stats, eager_stats) = (dense_store.stats(), scan_store.stats());
+            assert!(lazy_stats.cells_premarked_dead <= eager_stats.cells_premarked_dead);
+            lazy_premarked += lazy_stats.cells_premarked_dead;
+            materialized += dense_store.len();
+            tracked += scan_store.len();
+            dropped_dead += scan_store
                 .iter()
                 .filter(|(_, c)| c.is_dead() && !c.is_emitted())
                 .count();
         }
+        assert!(materialized < tracked, "{materialized} of {tracked}");
+        assert!(lazy_premarked > 0);
         assert!(released_populated > 20, "{released_populated}");
         assert!(dropped_dead > 20, "{dropped_dead}");
     }

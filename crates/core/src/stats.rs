@@ -43,7 +43,9 @@ pub struct ExecStats {
     /// Region generation and abstraction-level pruning (`run_lookahead`;
     /// over declared grids it provisions every potential region).
     pub region_lookahead_time: Duration,
-    /// Registering every cell of every region's box in the `CellStore`
+    /// Readying the `CellStore` (`track_cells`): where cells materialize
+    /// on first insert, building the store and handing it the pessimistic
+    /// skyline; elsewhere also registering every cell of every region's box
     /// and pre-marking pessimistically dominated cells.
     pub cell_track_time: Duration,
     /// Initial blocker counts (`ProgDetermine::new`).
@@ -121,13 +123,18 @@ pub struct ExecStats {
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
 
-    /// Output cells tracked.
+    /// Output cells the store held a `Cell` for by the end of the run.
+    /// Where cells materialize on first insert (Pareto over a
+    /// dense-indexable grid) those a tuple reached; elsewhere every cell of
+    /// every live region's box, tracked up front.
     pub cells_tracked: usize,
-    /// Grid positions visited to track them: Σ box volumes over the live
-    /// regions. Boxes overlap, so this is the work and
-    /// [`cells_tracked`](Self::cells_tracked) the outcome.
+    /// Grid positions visited to track cells up front: Σ box volumes over
+    /// the live regions (boxes overlap, so this is the work and
+    /// [`cells_tracked`](Self::cells_tracked) the outcome) — 0 where cells
+    /// materialize on first insert.
     pub cell_positions_scanned: u64,
-    /// Cells pre-marked dead by the pessimistic skyline.
+    /// Cells pre-marked dead by the pessimistic skyline: of the cells
+    /// tracked up front, or of those materialized on first insert.
     pub cells_premarked_dead: usize,
     /// Cells whose tuples were emitted.
     pub cells_emitted: usize,
@@ -267,7 +274,11 @@ impl ExecStats {
             self.lookahead_time + self.tuple_time + self.commit_time <= self.total_time,
             "{self}"
         );
-        assert!(self.cell_positions_scanned >= self.cells_tracked as u64);
+        assert!(
+            self.cell_positions_scanned == 0
+                || self.cell_positions_scanned >= self.cells_tracked as u64,
+            "{self}"
+        );
         let committed = (self.regions_processed + self.regions_computed_dead) as u64;
         assert_eq!(self.region_latency.count(), committed, "{self}");
         assert_eq!(self.commit_latency.count(), committed, "{self}");

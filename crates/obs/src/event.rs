@@ -40,7 +40,7 @@ impl fmt::Display for Source {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// Output-space look-ahead: grid build, region generation,
-    /// abstraction-level pruning, cell tracking.
+    /// abstraction-level pruning, cell-store set-up.
     Lookahead,
     /// One schedule pop: choosing (and re-checking) the next region.
     RegionPop,
@@ -83,7 +83,9 @@ impl Span {
 pub enum Point {
     /// An output cell's tuples were emitted as a proven-final batch.
     Emit {
-        /// Output-grid cell index.
+        /// The output cell's grid position: its coordinate flattened,
+        /// dimension 0 fastest — the same on every backend, whatever order
+        /// the cells were built in.
         cell: u64,
         /// Tuples emitted from the cell.
         n: u64,

@@ -8,7 +8,7 @@
 
 mod common;
 
-use progxe::core::config::ProgXeConfig;
+use progxe::core::config::{OrderingPolicy, ProgXeConfig};
 use progxe::core::mapping::{GeneralMap, MapSet, MappingFunction};
 use progxe::core::prelude::*;
 use progxe::core::session::CancellationToken;
@@ -224,19 +224,21 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
     );
 }
 
-/// The committer's two arms — dense structures for grids within
-/// `OutputGrid::DENSE_INDEX_BUDGET`, the scans beyond it — are
+/// The committer's two arms — dense structures and cells materialized on
+/// first insert for grids within `OutputGrid::DENSE_INDEX_BUDGET`, the
+/// scans over every box cell tracked up front beyond it — are
 /// indistinguishable from outside: the same workload through a grid just
 /// under the cap (101³ cells) and one just over it (102³) emits the same
-/// stream.
+/// stream, while the lazy arm builds fewer cells and pre-marks some of
+/// them as they materialize. Both resolve regions in the same order — id
+/// order, or one seeded shuffle.
 ///
 /// Two grids can only be compared on a workload their cells cut alike:
 /// attributes are whole numbers in three tight clusters, so every output
 /// value, region bound and partition bound is a whole number in `[0, 42]`
 /// while a cell is ~0.42 wide — distinct values land in distinct cells of
 /// either grid, in the same coordinate order, and every cell-level relation
-/// (blocking, full dominance, region death) reads the same on both. Both
-/// resolve regions in the same id order.
+/// (blocking, full dominance, region death) reads the same on both.
 #[test]
 fn dense_and_fallback_committer_arms_emit_the_same_stream() {
     use progxe::core::output_grid::OutputGrid;
@@ -261,23 +263,34 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
         out
     };
     let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
-    let (mut found_dead, mut discarded) = (0, 0);
+    let (mut found_dead, mut discarded, mut premarked) = (0, 0, 0);
     for (n, sigma) in [(400usize, 0.05), (800, 0.02)] {
         let mut w = WorkloadSpec::new(n, 3, Distribution::AntiCorrelated, sigma)
             .with_seed(17)
             .generate();
         w.r = clustered(&w.r);
         w.t = clustered(&w.t);
-        for threads in [1usize, 2] {
+        // A shuffled region order commits some tuples before the
+        // guaranteed region whose upper bound dominates their cell: the
+        // tuples that reach a pre-marked cell.
+        let orderings = [
+            OrderingPolicy::ProgOrder,
+            OrderingPolicy::Random { seed: 5 },
+        ];
+        for (threads, ordering) in [1usize, 2]
+            .into_iter()
+            .flat_map(|threads| orderings.map(|ordering| (threads, ordering)))
+        {
             let run = |cells: usize| {
                 let config = ProgXeConfig::default()
                     .with_input_partitions(3)
-                    .with_output_cells(cells);
+                    .with_output_cells(cells)
+                    .with_ordering(ordering);
                 common::batch_stream(&config, &w, &maps, threads, true)
             };
             let (dense, dense_stats) = run(101);
             let (fallback, fallback_stats) = run(102);
-            let label = format!("n={n} threads={threads}");
+            let label = format!("n={n} threads={threads} {ordering:?}");
             assert!(dense.len() > 1, "{label}: not progressive");
             assert!(
                 dense.iter().any(|event| event.len() > 1),
@@ -294,14 +307,27 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
                 ]
             };
             assert_eq!(counters(&dense_stats), counters(&fallback_stats), "{label}");
+            assert_eq!(dense_stats.cell_positions_scanned, 0, "{label}");
+            assert!(
+                dense_stats.cells_tracked < fallback_stats.cells_tracked,
+                "{label}: {} cells materialized, {} tracked",
+                dense_stats.cells_tracked,
+                fallback_stats.cells_tracked
+            );
+            assert!(
+                dense_stats.cells_premarked_dead <= fallback_stats.cells_premarked_dead,
+                "{label}"
+            );
             found_dead += dense_stats.tuples_rejected_dead_cell;
             discarded += dense_stats.regions_discarded_dead;
+            premarked += dense_stats.cells_premarked_dead;
         }
     }
     assert!(
         found_dead > 0 && discarded > 0,
         "a lookup never said yes: {found_dead} dead-cell rejections, {discarded} dead regions"
     );
+    assert!(premarked > 0, "no cell was pre-marked as it materialized");
 }
 
 /// `ProgXeConfig::from_env` means the CI matrix (PROGXE_THREADS=4) runs
