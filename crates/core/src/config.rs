@@ -60,7 +60,11 @@ pub enum SignatureConfig {
 pub struct ProgXeConfig {
     /// Grid partitions per attribute dimension on each input source.
     pub input_partitions_per_dim: usize,
-    /// Output-grid cells per output dimension (the paper's δ).
+    /// Output-grid cells per output dimension (the paper's δ) — an upper
+    /// bound: the grid is capped per output dimensionality to fit
+    /// [`OutputGrid::DENSE_INDEX_BUDGET`](crate::output_grid::OutputGrid::DENSE_INDEX_BUDGET)
+    /// positions (the default 24 stays 24 up to `d = 4`, becomes 16 at
+    /// `d = 5` and 5 at `d = 8`). The result set does not depend on it.
     pub output_cells_per_dim: usize,
     /// Region order for tuple-level processing: id order, or the
     /// No-Order arm's seeded shuffle.

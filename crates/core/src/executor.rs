@@ -166,8 +166,8 @@ impl FrontEnd {
     /// The back half every front end shares. Takes the look-ahead's
     /// regions (the caller has stamped everything up to
     /// `region_lookahead_time`), readies the cell store (every box cell
-    /// tracked up front only where cells do not materialize on first
-    /// insert), builds Algorithm 2's blocker counts and the committer over
+    /// tracked up front only under a flexible model), builds Algorithm 2's
+    /// blocker counts and the committer over
     /// the region schedule, and the work context `work` wraps around the
     /// same regions; then closes the ledger and the span. `row_ids`
     /// translates emitted ids.

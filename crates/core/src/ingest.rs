@@ -21,10 +21,10 @@
 //!   cell pair as a region — id `r_cell · t_cells + t_cell`, sizes zero,
 //!   nothing pruned — and the pessimistic skyline is empty, so no output
 //!   cell is ever pre-marked: the region/schedule/blocker structure is
-//!   fixed up front and independent of arrival order. (Output cells
-//!   themselves materialize as join results land in them, on the grids
-//!   where [`crate::cells::CellStore::materializes_lazily`]; no emission
-//!   depends on when.)
+//!   fixed up front and independent of arrival order. (Under Pareto,
+//!   output cells themselves materialize as join results land in them —
+//!   [`crate::cells::CellStore::materializes_lazily`]; no emission depends
+//!   on when.)
 //! * Cells fill incrementally; a cell **seals** once its source closed or a
 //!   watermark passed the cell's slice, guaranteeing it can receive no more
 //!   rows. Sealing prepares the cell's rows into its slot of the query's

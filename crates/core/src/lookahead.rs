@@ -202,8 +202,9 @@ pub fn run_lookahead(
 /// Example 3's pre-marking. Where cells materialize on first insert
 /// ([`CellStore::materializes_lazily`]) that is all — a cell is built, and
 /// pre-marked, when the first tuple lands in it — and nothing is visited.
-/// Elsewhere every cell of every live region's box is tracked now (Σ box
-/// volumes visited; boxes overlap, so far fewer cells) and pre-marked once.
+/// Under a flexible model every cell of every live region's box is tracked
+/// now (Σ box volumes visited; boxes overlap, so far fewer cells) and
+/// pre-marked once.
 pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> u64 {
     store.set_pessimistic_skyline(lookahead.pessimistic_skyline.clone());
     if store.materializes_lazily() {
@@ -225,8 +226,15 @@ pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> u64 {
 mod tests {
     use super::*;
     use crate::config::SignatureConfig;
-    use crate::fdom::DominanceModel;
+    use crate::fdom::{DominanceModel, FDominance};
     use crate::source::SourceData;
+
+    /// A store under a flexible model — the one that tracks cells eagerly.
+    /// The simplex admits every weighting, so it keeps the Pareto skyline.
+    fn eager_store(grid: &OutputGrid) -> CellStore {
+        let model = DominanceModel::flexible(FDominance::simplex(grid.dims()).unwrap());
+        CellStore::with_model(grid.clone(), model)
+    }
 
     fn setup(
         r_rows: &[(&[f64], u32)],
@@ -354,7 +362,7 @@ mod tests {
         let (good, doomed) = ([2.0, 1.0], [100.0, 100.0]);
 
         // Eager: every box cell tracked and pre-marked before any tuple.
-        let mut eager = CellStore::build(la.grid.clone(), DominanceModel::Pareto, None);
+        let mut eager = eager_store(&la.grid);
         let positions = track_cells(&la, &mut eager);
         let marked = eager.stats().cells_premarked_dead;
         assert!(!eager.is_empty());
@@ -424,7 +432,7 @@ mod tests {
             assert_eq!((region.lo[0], region.hi[0]), (raw_lo[0], raw_hi[0]));
             assert_eq!((region.lo[1], region.hi[1]), (-raw_hi[1], -raw_lo[1]));
         }
-        let mut store = CellStore::build(la.grid.clone(), DominanceModel::Pareto, None);
+        let mut store = eager_store(&la.grid);
         let positions = track_cells(&la, &mut store);
         assert_eq!(store.stats().cells_premarked_dead, 0);
         let volumes: u64 = la

@@ -113,7 +113,11 @@ pub struct OutputGrid {
 
 impl OutputGrid {
     /// Builds a grid over the oriented bounding box `[lo, hi]` with
-    /// `cells_per_dim` cells per dimension.
+    /// `cells_per_dim` cells per dimension — at most: a request whose grid
+    /// would exceed [`Self::DENSE_INDEX_BUDGET`] positions is capped to the
+    /// largest `k` with `k^dims` within it (1024 / 101 / 32 / 16 / 10 / 7 /
+    /// 5 cells for `dims` = 2…8). Coarser cells only coarsen the batches;
+    /// the result set does not depend on the grid.
     ///
     /// # Panics
     /// Panics on inconsistent inputs (zero dims, dims > [`MAX_DIMS`],
@@ -123,6 +127,7 @@ impl OutputGrid {
         assert!(dims > 0 && dims <= MAX_DIMS, "unsupported dims {dims}");
         assert_eq!(lo.len(), hi.len());
         assert!(cells_per_dim > 0);
+        let cells_per_dim = cells_per_dim.min(Self::max_cells_per_dim(dims));
         let width = lo
             .iter()
             .zip(&hi)
@@ -155,44 +160,48 @@ impl OutputGrid {
         self.cells_per_dim
     }
 
-    /// Largest grid volume (`cells_per_dim ^ dims`) the ordered committer
-    /// indexes densely. Its per-position state lives as long as the session
-    /// — 8 bytes per position in [`ProgDetermine`], 2 per position of a
-    /// `dims − 1` slice in [`CellStore`] — so this caps it at 8 MB per
-    /// session, next to the ~100 bytes every *tracked* cell costs anyway
-    /// (the default 24-cell grid fits up to `d = 4`, 2.5 MB).
+    /// Largest grid volume (`cells_per_dim ^ dims`) [`Self::new`] builds:
+    /// the cap on `cells_per_dim`, so every grid is densely indexable. The
+    /// ordered committer's per-position state lives as long as the session
+    /// — 4 bytes per position in [`ProgDetermine`]'s counts, 4 in
+    /// [`CellStore`]'s index, 2 per position of a `dims − 1` slice in its
+    /// staircase — so this holds it to about 8 MB per session, next to the
+    /// ~100 bytes every *built* cell costs anyway (the default 24-cell grid
+    /// fits up to `d = 4`, 2.5 MB).
     ///
     /// [`ProgDetermine`]: crate::progdetermine::ProgDetermine
     /// [`CellStore`]: crate::cells::CellStore
     pub const DENSE_INDEX_BUDGET: usize = 1 << 20;
 
-    /// The grid's volume when it is *dense-indexable* — at most
-    /// [`Self::DENSE_INDEX_BUDGET`] positions — else `None`. The predicate
-    /// that puts [`CellStore`](crate::cells::CellStore) on its dense index
-    /// and staircase; under Pareto it also puts
-    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) on
-    /// per-position counts and the store on lazily built cells, both
-    /// through [`CellStore::materializes_lazily`](crate::cells::CellStore::materializes_lazily),
-    /// so the two cannot disagree.
-    pub fn dense_positions(&self) -> Option<usize> {
-        self.volume().filter(|&v| v <= Self::DENSE_INDEX_BUDGET)
+    /// The largest `k ≤ u16::MAX` with `k^dims ≤ DENSE_INDEX_BUDGET`.
+    fn max_cells_per_dim(dims: usize) -> u16 {
+        let fits = |k: usize| {
+            k.checked_pow(dims as u32)
+                .is_some_and(|v| v <= Self::DENSE_INDEX_BUDGET)
+        };
+        // The float root is off by at most one either way.
+        let mut k = (Self::DENSE_INDEX_BUDGET as f64)
+            .powf(1.0 / dims as f64)
+            .round() as usize;
+        while !fits(k) {
+            k -= 1;
+        }
+        while fits(k + 1) {
+            k += 1;
+        }
+        k.min(u16::MAX as usize) as u16
     }
 
-    /// Number of cells in the grid (`cells_per_dim ^ dims`), or `None` on
-    /// overflow.
-    pub fn volume(&self) -> Option<usize> {
-        (self.cells_per_dim as usize).checked_pow(self.dims as u32)
+    /// Number of cells in the grid (`cells_per_dim ^ dims`), at most
+    /// [`Self::DENSE_INDEX_BUDGET`].
+    pub fn volume(&self) -> usize {
+        (self.cells_per_dim as usize).pow(self.dims as u32)
     }
 
     /// A cell's grid position as a stable identity for reports: its
-    /// coordinate flattened like [`dense_position`] (dimension 0 fastest),
-    /// in `u64` arithmetic that wraps on grids of more than 2⁶⁴ positions.
+    /// [`dense_position`] (dimension 0 fastest).
     pub fn position(&self, c: &Coord) -> u64 {
-        let k = u64::from(self.cells_per_dim);
-        c[..self.dims]
-            .iter()
-            .rev()
-            .fold(0, |pos, &v| pos.wrapping_mul(k).wrapping_add(u64::from(v)))
+        dense_position(c, self.dims, self.cells_per_dim as usize) as u64
     }
 
     /// The cell containing an oriented point (boundary values clamp into
@@ -329,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_positions_ascend_in_pack_order_and_upper_box_rows_cover_the_box() {
+    fn grid_positions_ascend_in_pack_order_and_upper_box_rows_cover_the_box() {
         for (dims, k) in [(1usize, 7usize), (2, 5), (3, 4), (4, 3), (2, 1)] {
             let g = OutputGrid::new(vec![0.0; dims], vec![1.0; dims], k as u16);
             let mut top: Coord = [0; MAX_DIMS];
@@ -359,20 +368,39 @@ mod tests {
         assert_eq!(dense_position(&coord(&[5]), 0, 9), 0);
     }
 
+    /// `new` builds `min(requested, cap)` cells per dimension, the cap
+    /// being the largest `k` whose grid fits the dense budget — so no grid
+    /// exceeds it.
     #[test]
-    fn dense_indexable_is_a_volume_cap() {
+    fn cells_per_dim_is_capped_to_the_dense_budget() {
+        let budget = OutputGrid::DENSE_INDEX_BUDGET;
         let grid = |dims: usize, k: u16| OutputGrid::new(vec![0.0; dims], vec![1.0; dims], k);
-        assert_eq!(grid(2, 48).dense_positions(), Some(2_304));
-        assert_eq!(grid(4, 12).dense_positions(), Some(20_736));
-        assert_eq!(grid(4, 24).dense_positions(), Some(331_776));
-        assert_eq!(
-            grid(2, 1024).dense_positions(),
-            Some(OutputGrid::DENSE_INDEX_BUDGET),
-            "the cap itself still fits"
-        );
-        assert_eq!(grid(2, 1025).dense_positions(), None);
-        assert_eq!(grid(5, 24).dense_positions(), None);
-        assert_eq!(grid(8, u16::MAX).dense_positions(), None, "k^d overflows");
+        for dims in 1..=MAX_DIMS {
+            let fits = |k: u16| {
+                (k as usize)
+                    .checked_pow(dims as u32)
+                    .is_some_and(|v| v <= budget)
+            };
+            let cap = (1..=u16::MAX).rev().find(|&k| fits(k)).unwrap();
+            for requested in [1, 2, 24, 1025, u16::MAX] {
+                let g = grid(dims, requested);
+                let k = g.cells_per_dim();
+                let label = format!("dims={dims} requested={requested}");
+                assert_eq!(k, requested.min(cap), "{label}");
+                assert!(g.volume() <= budget, "{label}");
+                if k < requested {
+                    assert!(fits(k) && !fits(k + 1), "{label}: not the largest fit");
+                }
+            }
+        }
+        let caps: Vec<u16> = (1..=MAX_DIMS)
+            .map(|d| grid(d, u16::MAX).cells_per_dim())
+            .collect();
+        assert_eq!(caps, [u16::MAX, 1024, 101, 32, 16, 10, 7, 5]);
+        assert_eq!(grid(5, 24).cells_per_dim(), 16);
+        assert_eq!(grid(2, 1025).cells_per_dim(), 1024);
+        assert_eq!(grid(2, 1024).volume(), budget, "the cap itself still fits");
+        assert_eq!(grid(4, 24).volume(), 331_776, "under the cap: as requested");
     }
 
     #[test]

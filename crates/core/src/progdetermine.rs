@@ -27,19 +27,16 @@
 //! ## Where the counts live
 //!
 //! The cells a region blocks are the upper box `{c : cell_lo ⪯ c}`. Under
-//! Pareto over a dense-indexable grid
-//! ([`OutputGrid::dense_positions`](crate::output_grid::OutputGrid::dense_positions))
-//! the counts are kept per grid *position* — the very prefix-sum grid the
-//! initial counts are computed in — and a resolution decrements that box
-//! row by row: it pays for the decrements it owes, not for a walk over
-//! every cell still waiting. Counting positions needs no cell, so there
-//! the store materializes cells on first insert; both read the one
-//! predicate [`CellStore::materializes_lazily`]. Larger grids, and
-//! flexible models (below), keep one count per tracked cell — every cell
-//! of every live box, tracked up front — and scan the waiting cells at
-//! every resolution. The choice is a function of the grid and the model
-//! alone; both arms release the same cells at the same resolution in the
-//! same order.
+//! Pareto the counts are kept per grid *position* — the very prefix-sum
+//! grid the initial counts are computed in; every grid fits
+//! [`OutputGrid::DENSE_INDEX_BUDGET`](crate::output_grid::OutputGrid::DENSE_INDEX_BUDGET)
+//! positions — and a resolution decrements that box row by row: it pays
+//! for the decrements it owes, not for a walk over every cell still
+//! waiting. Counting positions needs no cell, so there the store
+//! materializes cells on first insert ([`CellStore::materializes_lazily`]).
+//! Flexible models (below) block outside the upper box: they keep one
+//! count per tracked cell — every cell of every live box, tracked up
+//! front — and scan the waiting cells at every resolution.
 //!
 //! ## Flexible skylines (F-dominance)
 //!
@@ -62,7 +59,7 @@
 
 use crate::cells::{CellStore, UNTRACKED};
 use crate::lookahead::Region;
-use crate::output_grid::{dense_position, for_each_upper_box_row, pack, weak_leq, Coord};
+use crate::output_grid::{dense_position, for_each_upper_box_row, pack, Coord};
 use progxe_skyline::PointStore;
 
 /// A batch of tuples proven final, emitted from one cell.
@@ -254,48 +251,42 @@ pub struct ProgDetermine {
     released: Vec<u32>,
 }
 
-/// Where the blocker counts live — chosen once, by the grid and the model.
+/// Where the blocker counts live — chosen once, by the model.
 #[derive(Debug)]
 enum Blockers {
-    /// Pareto over a dense-indexable grid — where the store materializes
-    /// cells on first insert ([`CellStore::materializes_lazily`]): the
-    /// prefix-sum grid the initial counts come from *is* the store. A
-    /// resolution decrements the region's upper box `{c : cell_lo ⪯ c}` row
-    /// by row — cost proportional to the decrements it owes, whatever is
-    /// materialized, dead or already released. Which cell sits at a
+    /// Pareto — where the store materializes cells on first insert
+    /// ([`CellStore::materializes_lazily`]): the prefix-sum grid the
+    /// initial counts come from *is* the store. A resolution decrements
+    /// the region's upper box `{c : cell_lo ⪯ c}` row by row — cost
+    /// proportional to the decrements it owes, whatever is materialized,
+    /// dead or already released. Which cell sits at a
     /// position is the [`CellStore`]'s own dense index.
     Dense {
         /// Unresolved regions with `cell_lo ⪯ c`, per grid position
         /// ([`dense_position`]) — materialized or not.
         counts: Vec<u32>,
     },
-    /// Flexible models (blocking is not an upper box in grid coordinates)
-    /// and grids over the dense budget: one count per tracked cell — all
-    /// tracked before this is built — and a scan of the cells still
-    /// waiting at every resolution.
+    /// Flexible models (blocking is not an upper box in grid coordinates):
+    /// one count per tracked cell — all tracked before this is built — and
+    /// a scan of the cells still waiting at every resolution.
     Scan {
         /// Blocker count per tracked cell (parallel to the cell store);
         /// no longer maintained once the cell is dead.
         counts: Vec<u32>,
         /// Cells not yet released or seen dead.
         live: Vec<u32>,
-        /// Flexible-model blocker geometry (`None` under Pareto). The same
-        /// projections decide both the initial counts and every decrement,
-        /// so the two can never disagree.
-        fdom: Option<FdomBlockerIndex>,
+        /// The blocker geometry. The same projections decide both the
+        /// initial counts and every decrement, so the two can never
+        /// disagree.
+        fdom: FdomBlockerIndex,
     },
 }
-
-/// Grid volume up to which the scan arm still computes its *initial*
-/// Pareto counts by prefix sums over a scratch grid (4 bytes per position,
-/// freed before `new` returns).
-const SCRATCH_PREFIX_BUDGET: usize = 8 << 20;
 
 /// `|{R : R.cell_lo ⪯ c}|` for every position `c` of a `k^dims` grid, in
 /// `O(k^dims · dims + regions)`: each region's box corner is scattered into
 /// the grid and a prefix sum runs along every dimension.
-fn dense_blocker_counts(regions: &[Region], dims: usize, k: usize, volume: usize) -> Vec<u32> {
-    let mut dense = vec![0u32; volume];
+fn dense_blocker_counts(regions: &[Region], dims: usize, k: usize) -> Vec<u32> {
+    let mut dense = vec![0u32; k.pow(dims as u32)];
     for region in regions {
         dense[dense_position(&region.cell_lo, dims, k)] += 1;
     }
@@ -315,26 +306,20 @@ fn dense_blocker_counts(regions: &[Region], dims: usize, k: usize, volume: usize
 }
 
 impl ProgDetermine {
-    /// Computes initial blocker counts and picks where they are kept — on
-    /// the dense arm exactly when the store materializes cells lazily (see
-    /// the module docs). The scan arm counts the store's tracked cells, so
-    /// they must all be tracked by now.
-    ///
+    /// Computes initial blocker counts and picks where they are kept, by
+    /// the store's model (see the module docs). Under Pareto
     /// `blockers(c) = |{R : R.cell_lo ⪯ c}|` is a d-dimensional dominance
-    /// count, so for moderate grids it is computed by prefix sums over a
-    /// dense grid instead of the naive `O(cells × regions)` double loop
-    /// (kept as a fallback for very fine grids).
+    /// count, computed by prefix sums over the grid. The scan arm counts
+    /// the store's tracked cells, so they must all be tracked by now.
     pub fn new(store: &CellStore, regions: &[Region]) -> Self {
-        let (blockers, flexible_blocker_ops) = if store.materializes_lazily() {
-            let grid = store.grid();
-            let volume = store.dense_index().expect("lazy stores are dense").len();
-            let k = grid.cells_per_dim() as usize;
-            let counts = dense_blocker_counts(regions, grid.dims(), k, volume);
-            (Blockers::Dense { counts }, 0)
-        } else if let Some(fdom) = store.model().as_flexible() {
-            Self::flexible_blockers(store, regions, fdom)
-        } else {
-            (Self::pareto_scan_blockers(store, regions), 0)
+        let (blockers, flexible_blocker_ops) = match store.model().as_flexible() {
+            None => {
+                let grid = store.grid();
+                let k = grid.cells_per_dim() as usize;
+                let counts = dense_blocker_counts(regions, grid.dims(), k);
+                (Blockers::Dense { counts }, 0)
+            }
+            Some(fdom) => Self::flexible_blockers(store, regions, fdom),
         };
         Self {
             blockers,
@@ -342,35 +327,6 @@ impl ProgDetermine {
             emitted_cells: 0,
             emitted_tuples: 0,
             released: Vec::new(),
-        }
-    }
-
-    fn pareto_scan_blockers(store: &CellStore, regions: &[Region]) -> Blockers {
-        let grid = store.grid();
-        let dims = grid.dims();
-        let k = grid.cells_per_dim() as usize;
-        let mut counts = vec![0u32; store.len()];
-        match grid.volume().filter(|&v| v <= SCRATCH_PREFIX_BUDGET) {
-            Some(volume) => {
-                let dense = dense_blocker_counts(regions, dims, k, volume);
-                for (idx, cell) in store.iter() {
-                    counts[idx as usize] = dense[dense_position(cell.coord(), dims, k)];
-                }
-            }
-            None => {
-                for region in regions {
-                    for (idx, cell) in store.iter() {
-                        if weak_leq(&region.cell_lo, cell.coord(), dims) {
-                            counts[idx as usize] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Blockers::Scan {
-            counts,
-            live: Self::undead_cells(store),
-            fdom: None,
         }
     }
 
@@ -426,7 +382,7 @@ impl ProgDetermine {
         let blockers = Blockers::Scan {
             counts,
             live: Self::undead_cells(store),
-            fdom: Some(index),
+            fdom: index,
         };
         (blockers, ops)
     }
@@ -523,9 +479,7 @@ impl ProgDetermine {
         match &mut self.blockers {
             Blockers::Dense { counts } => {
                 let (dims, k) = (store.grid().dims(), store.grid().cells_per_dim() as usize);
-                let cell_at = store
-                    .dense_index()
-                    .expect("dense blocker counts are only kept over a densely indexed store");
+                let cell_at = store.dense_index();
                 // Ascending rows of ascending positions: `released` comes
                 // out in coordinate order.
                 for_each_upper_box_row(&region.cell_lo, dims, k, |row| {
@@ -551,7 +505,6 @@ impl ProgDetermine {
                 });
             }
             Blockers::Scan { counts, live, fdom } => {
-                let dims = store.grid().dims();
                 let mut i = 0;
                 while i < live.len() {
                     let idx = live[i];
@@ -563,11 +516,7 @@ impl ProgDetermine {
                     }
                     // The decrement predicate must be *identical* to the
                     // one the initial counts were computed with.
-                    let blocks = match fdom {
-                        Some(index) => index.blocks(region.id, idx),
-                        None => weak_leq(&region.cell_lo, cell.coord(), dims),
-                    };
-                    if !blocks {
+                    if !fdom.blocks(region.id, idx) {
                         i += 1;
                         continue;
                     }
@@ -610,9 +559,8 @@ impl ProgDetermine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fdom::DominanceModel;
     use crate::lookahead::{track_cells, Lookahead};
-    use crate::output_grid::{OutputGrid, MAX_DIMS};
+    use crate::output_grid::{weak_leq, OutputGrid, MAX_DIMS};
 
     fn coord(x: u16, y: u16) -> Coord {
         let mut c: Coord = [0; MAX_DIMS];
@@ -839,14 +787,16 @@ mod tests {
     }
 
     /// The dense arm over a lazily materializing store against the
-    /// retained scan over an eagerly tracked one, one resolution at a time:
-    /// random overlapping regions for d = 1..4 — several sharing one
-    /// `cell_lo`, boxes leaving grid positions untracked, cells pre-marked
-    /// dead by a pessimistic skyline point — resolved in random order with
+    /// definition, one resolution at a time: a resolution releases exactly
+    /// the materialized, non-dead, unreleased cells no unresolved region
+    /// blocks (`cell_lo ⪯ c`), in ascending coordinate. Random overlapping
+    /// regions for d = 1..4 — several sharing one `cell_lo`, boxes leaving
+    /// grid positions uncovered, cells pre-marked dead by a pessimistic
+    /// skyline point as they materialize — resolved in random order with
     /// inserts in between (so cells are materialized, populated, killed
     /// eagerly and found dead lazily between resolutions).
     #[test]
-    fn dense_arm_releases_exactly_what_the_scan_releases() {
+    fn dense_arm_releases_exactly_the_unblocked_cells() {
         let mut x: u64 = 0xD1FF;
         let mut next = |m: u64| -> u64 {
             x = x
@@ -856,7 +806,7 @@ mod tests {
         };
         let mut released_populated = 0usize;
         let mut dropped_dead = 0usize;
-        let (mut materialized, mut tracked, mut lazy_premarked) = (0, 0, 0);
+        let (mut materialized, mut covered, mut premarked) = (0, 0, 0);
         for (dims, k) in [
             (1usize, 1u16),
             (1, 12),
@@ -896,9 +846,19 @@ mod tests {
                     guaranteed: true,
                 });
             }
+            let mut top: Coord = [0; MAX_DIMS];
+            top[..dims].fill(k - 1);
+            let positions: Vec<Coord> = grid.iter_box([0; MAX_DIMS], top).collect();
+            covered += positions
+                .iter()
+                .filter(|c| {
+                    regions
+                        .iter()
+                        .any(|r| weak_leq(&r.cell_lo, c, dims) && weak_leq(c, &r.cell_hi, dims))
+                })
+                .count();
             // A pessimistic skyline point somewhere in the grid: cells above
-            // it are pre-marked dead — up front on the eager store, on first
-            // insert on the lazy one.
+            // it are pre-marked dead as they materialize.
             let pessimistic: Vec<f64> = (0..dims).map(|_| next(k as u64) as f64 + 0.5).collect();
             let la = Lookahead {
                 grid: grid.clone(),
@@ -907,23 +867,14 @@ mod tests {
                 regions_pruned: 0,
                 pessimistic_skyline: pessimistic,
             };
-            let mut dense_store = CellStore::new(grid.clone());
-            assert_eq!(track_cells(&la, &mut dense_store), 0);
-            assert!(dense_store.is_empty());
-            // The scan arm runs over an eager store of its own, fed
-            // identically.
-            let mut scan_store = CellStore::build(grid.clone(), DominanceModel::Pareto, None);
-            track_cells(&la, &mut scan_store);
-            assert!(
-                dims == 1 || scan_store.len() < grid.dense_positions().unwrap(),
-                "some grid positions must stay untracked"
-            );
-            let mut dense = ProgDetermine::new(&dense_store, &regions);
-            let mut scan = ProgDetermine::new(&scan_store, &regions);
-            assert!(matches!(dense.blockers, Blockers::Dense { .. }));
-            assert!(matches!(scan.blockers, Blockers::Scan { .. }));
+            let mut store = CellStore::new(grid.clone());
+            assert_eq!(track_cells(&la, &mut store), 0);
+            assert!(store.is_empty());
+            let mut det = ProgDetermine::new(&store, &regions);
+            assert!(matches!(det.blockers, Blockers::Dense { .. }));
 
             let mut unresolved: Vec<u32> = (0..regions.len() as u32).collect();
+            let mut released_before: Vec<u32> = Vec::new();
             let mut tuple = 0u32;
             while !unresolved.is_empty() {
                 // A few tuples out of unresolved regions' boxes — the only
@@ -937,87 +888,80 @@ mod tests {
                             (from.cell_lo[d] as u64 + next(span)) as f64 + next(100) as f64 / 100.0
                         })
                         .collect();
-                    let at = grid.cell_of(&p);
-                    assert!(dense.awaits_tuples_at(&dense_store, &at));
-                    assert!(scan.awaits_tuples_at(&scan_store, &at));
+                    assert!(det.awaits_tuples_at(&store, &grid.cell_of(&p)));
                     tuple += 1;
-                    assert_eq!(
-                        dense_store.insert(tuple, tuple, &p),
-                        scan_store.insert(tuple, tuple, &p)
-                    );
+                    store.insert(tuple, tuple, &p);
                 }
                 let rid = unresolved.swap_remove(next(unresolved.len() as u64) as usize);
-                let (mut dense_out, mut scan_out) = (Vec::new(), Vec::new());
-                dense.resolve_region(&regions[rid as usize], &mut dense_store, &mut dense_out);
-                scan.resolve_region(&regions[rid as usize], &mut scan_store, &mut scan_out);
+                let mut out = Vec::new();
+                det.resolve_region(&regions[rid as usize], &mut store, &mut out);
 
                 let label = format!("dims={dims} k={k} after region {rid}");
-                let emitted =
-                    |store: &CellStore, out: &[EmittedCell]| -> Vec<(u128, Vec<(u32, u32)>)> {
-                        out.iter()
-                            .map(|e| (pack(store.cell(e.cell_idx).coord()), e.ids.clone()))
-                            .collect()
-                    };
-                let released = emitted(&dense_store, &dense_out);
-                assert_eq!(released, emitted(&scan_store, &scan_out), "{label}");
-                assert!(
-                    released.windows(2).all(|w| w[0].0 < w[1].0),
-                    "{label}: released out of coordinate order"
-                );
-                released_populated += dense_out.len();
-                for (idx, cell) in scan_store.iter() {
-                    let blocking = unresolved
+                let blocking = |c: &Coord| {
+                    unresolved
                         .iter()
-                        .filter(|&&r| weak_leq(&regions[r as usize].cell_lo, cell.coord(), dims))
-                        .count() as u32;
+                        .filter(|&&r| weak_leq(&regions[r as usize].cell_lo, c, dims))
+                        .count() as u32
+                };
+                // By definition: every materialized cell that is not dead,
+                // not released before, and blocked by nobody.
+                let mut expected: Vec<u32> = store
+                    .iter()
+                    .filter(|&(idx, cell)| {
+                        !cell.is_dead()
+                            && !released_before.contains(&idx)
+                            && blocking(cell.coord()) == 0
+                    })
+                    .map(|(idx, _)| idx)
+                    .collect();
+                expected.sort_unstable_by_key(|&idx| pack(store.cell(idx).coord()));
+                let emitting: Vec<u32> = expected
+                    .iter()
+                    .copied()
+                    .filter(|&idx| !store.cell(idx).is_empty())
+                    .collect();
+                let got: Vec<u32> = out.iter().map(|e| e.cell_idx).collect();
+                assert_eq!(got, emitting, "{label}");
+                for e in &out {
+                    assert_eq!(e.ids, store.cell(e.cell_idx).ids(), "{label}");
+                }
+                released_before.extend(&expected);
+                released_populated += out.len();
+                for c in &positions {
+                    let blockers = blocking(c);
                     assert_eq!(
-                        dense.awaits_tuples_at(&dense_store, cell.coord()),
-                        blocking > 0,
-                        "{label} cell {idx}"
+                        det.awaits_tuples_at(&store, c),
+                        blockers > 0,
+                        "{label} {c:?}"
                     );
-                    // The scan stops counting for a cell it has seen dead.
-                    if !cell.is_dead() {
+                    if let Some(idx) = store.find(c) {
+                        assert_eq!(det.blockers_of(&store, idx), blockers, "{label} {c:?}");
                         assert_eq!(
-                            scan.blockers_of(&scan_store, idx),
-                            blocking,
-                            "{label} cell {idx}"
+                            store.cell(idx).is_emitted(),
+                            released_before.contains(&idx),
+                            "{label} {c:?}"
                         );
-                        assert_eq!(cell.is_emitted(), blocking == 0, "{label} cell {idx}");
                     }
-                    // A cell no tuple reached is not materialized.
-                    let Some(lazy) = dense_store.find(cell.coord()) else {
-                        assert!(!cell.is_populated(), "{label} cell {idx}");
-                        continue;
-                    };
-                    let other = dense_store.cell(lazy);
-                    // Empty released cells never reach `out`; the flag does.
-                    assert_eq!(cell.is_emitted(), other.is_emitted(), "{label} cell {idx}");
-                    assert_eq!(cell.is_dead(), other.is_dead(), "{label} cell {idx}");
-                    assert_eq!(cell.ids(), other.ids(), "{label} cell {idx}");
-                    assert_eq!(
-                        dense.blockers_of(&dense_store, lazy),
-                        blocking,
-                        "{label} cell {idx}"
-                    );
                 }
             }
-            assert_eq!(dense.live_cells(&dense_store), 0);
-            assert_eq!(scan.live_cells(&scan_store), 0);
-            assert_eq!(dense.emitted_tuples(), scan.emitted_tuples());
-            let (lazy_stats, eager_stats) = (dense_store.stats(), scan_store.stats());
-            assert!(lazy_stats.cells_premarked_dead <= eager_stats.cells_premarked_dead);
-            lazy_premarked += lazy_stats.cells_premarked_dead;
-            materialized += dense_store.len();
-            tracked += scan_store.len();
-            dropped_dead += scan_store
+            assert_eq!(det.live_cells(&store), 0);
+            let emitted: usize = store
+                .iter()
+                .filter(|(_, c)| c.is_emitted())
+                .map(|(_, c)| c.len())
+                .sum();
+            assert_eq!(det.emitted_tuples(), emitted);
+            premarked += store.stats().cells_premarked_dead;
+            materialized += store.len();
+            dropped_dead += store
                 .iter()
                 .filter(|(_, c)| c.is_dead() && !c.is_emitted())
                 .count();
         }
-        assert!(materialized < tracked, "{materialized} of {tracked}");
-        assert!(lazy_premarked > 0);
+        assert!(materialized < covered, "{materialized} of {covered}");
+        assert!(premarked > 0);
         assert!(released_populated > 20, "{released_populated}");
-        assert!(dropped_dead > 20, "{dropped_dead}");
+        assert!(dropped_dead > 10, "{dropped_dead}");
     }
 
     #[test]
@@ -1116,10 +1060,7 @@ mod tests {
             naive_ops
         );
         // Counts must equal the decrement predicate's brute-force totals.
-        let Blockers::Scan {
-            fdom: Some(index), ..
-        } = &det.blockers
-        else {
+        let Blockers::Scan { fdom: index, .. } = &det.blockers else {
             panic!("flexible models count on the scan arm");
         };
         for (idx, _) in store.iter() {

@@ -124,9 +124,9 @@ pub struct ExecStats {
     pub regions_processed: usize,
 
     /// Output cells the store held a `Cell` for by the end of the run.
-    /// Where cells materialize on first insert (Pareto over a
-    /// dense-indexable grid) those a tuple reached; elsewhere every cell of
-    /// every live region's box, tracked up front.
+    /// Where cells materialize on first insert (Pareto) those a tuple
+    /// reached; under a flexible model every cell of every live region's
+    /// box, tracked up front.
     pub cells_tracked: usize,
     /// Grid positions visited to track cells up front: Σ box volumes over
     /// the live regions (boxes overlap, so this is the work and

@@ -92,7 +92,8 @@ pub fn batch_stream_commits(
     (stream, stats, commits)
 }
 
-fn traced_batch_stream(
+/// [`batch_stream`] under an optional recorder.
+pub fn traced_batch_stream(
     config: &ProgXeConfig,
     w: &SmjWorkload,
     maps: &MapSet,

@@ -2,9 +2,9 @@
 //! Inline/Pooled equivalence (against a naive oracle) across workload
 //! distributions and seeds, the proven-final (no-retraction) guarantee
 //! under parallel commit, self-determinism of parallel emission,
-//! env-driven thread configuration, the committer's dense and fallback
-//! arms emitting one stream, pool sharing across the sessions of one
-//! engine, and mid-region cancellation promptness on both backends.
+//! env-driven thread configuration, the committer's ordered stream on the
+//! finest 3-d grid, pool sharing across the sessions of one engine, and
+//! mid-region cancellation promptness on both backends.
 
 mod common;
 
@@ -224,31 +224,23 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
     );
 }
 
-/// The committer's two arms — dense structures and cells materialized on
-/// first insert for grids within `OutputGrid::DENSE_INDEX_BUDGET`, the
-/// scans over every box cell tracked up front beyond it — are
-/// indistinguishable from outside: the same workload through a grid just
-/// under the cap (101³ cells) and one just over it (102³) emits the same
-/// stream, while the lazy arm builds fewer cells and pre-marks some of
-/// them as they materialize. Both resolve regions in the same order — id
-/// order, or one seeded shuffle.
+/// The ordered committer on the finest 3-d grid (101³ positions, the
+/// cap): its stream is the same on one thread and on two, its result set
+/// is the oracle's under either region order — id order, or one seeded
+/// shuffle — and the cells inside each event come in ascending grid
+/// coordinate (read off the trace's `emit` points, which carry each
+/// cell's grid position, grouped per event by the `results_emitted`
+/// counter that closes it).
 ///
-/// Two grids can only be compared on a workload their cells cut alike:
-/// attributes are whole numbers in three tight clusters, so every output
-/// value, region bound and partition bound is a whole number in `[0, 42]`
-/// while a cell is ~0.42 wide — distinct values land in distinct cells of
-/// either grid, in the same coordinate order, and every cell-level relation
-/// (blocking, full dominance, region death) reads the same on both.
+/// Attributes are whole numbers in three tight clusters, so outputs tie
+/// and cells fully dominate one another often: tuples land in dead cells,
+/// whole regions die, and — under the shuffle, which commits some tuples
+/// before the guaranteed region whose upper bound dominates their cell —
+/// cells are pre-marked as they materialize.
 #[test]
-fn dense_and_fallback_committer_arms_emit_the_same_stream() {
-    use progxe::core::output_grid::OutputGrid;
+fn committer_emits_one_ordered_stream_that_matches_the_oracle() {
     use progxe::datagen::Relation;
-
-    let grid = |k: u16| OutputGrid::new(vec![0.0; 3], vec![1.0; 3], k);
-    assert!(
-        grid(101).dense_positions().is_some() && grid(102).dense_positions().is_none(),
-        "the cap moved: pick grid sizes on either side of it"
-    );
+    use progxe::obs::{EventKind, Point, RingRecorder};
 
     let clustered = |rel: &Relation| {
         let mut out = Relation::with_capacity(3, rel.len());
@@ -270,57 +262,61 @@ fn dense_and_fallback_committer_arms_emit_the_same_stream() {
             .generate();
         w.r = clustered(&w.r);
         w.t = clustered(&w.t);
-        // A shuffled region order commits some tuples before the
-        // guaranteed region whose upper bound dominates their cell: the
-        // tuples that reach a pre-marked cell.
-        let orderings = [
+        let oracle = common::oracle::workload_oracle_ids(&w, &maps);
+        for ordering in [
             OrderingPolicy::ProgOrder,
             OrderingPolicy::Random { seed: 5 },
-        ];
-        for (threads, ordering) in [1usize, 2]
-            .into_iter()
-            .flat_map(|threads| orderings.map(|ordering| (threads, ordering)))
-        {
-            let run = |cells: usize| {
-                let config = ProgXeConfig::default()
-                    .with_input_partitions(3)
-                    .with_output_cells(cells)
-                    .with_ordering(ordering);
-                common::batch_stream(&config, &w, &maps, threads, true)
-            };
-            let (dense, dense_stats) = run(101);
-            let (fallback, fallback_stats) = run(102);
-            let label = format!("n={n} threads={threads} {ordering:?}");
-            assert!(dense.len() > 1, "{label}: not progressive");
+        ] {
+            let label = format!("n={n} {ordering:?}");
+            let config = ProgXeConfig::default()
+                .with_input_partitions(3)
+                .with_output_cells(101)
+                .with_ordering(ordering);
+            let ring = Arc::new(RingRecorder::with_capacity(1 << 20));
+            let (stream, stats) =
+                common::traced_batch_stream(&config, &w, &maps, 1, true, Some(ring.clone()));
+            assert_eq!(ring.dropped(), 0, "{label}: ring too small for the run");
+            assert!(stream.len() > 1, "{label}: not progressive");
             assert!(
-                dense.iter().any(|event| event.len() > 1),
+                stream.iter().any(|event| event.len() > 1),
                 "{label}: no event had an order to disagree on"
             );
-            assert_eq!(dense, fallback, "{label}: the arms are distinguishable");
-            let counters = |s: &ExecStats| {
-                [
-                    s.tuples_inserted,
-                    s.tuples_evicted,
-                    s.tuples_rejected_dead_cell,
-                    s.regions_discarded_dead as u64,
-                    s.regions_processed as u64,
-                ]
-            };
-            assert_eq!(counters(&dense_stats), counters(&fallback_stats), "{label}");
-            assert_eq!(dense_stats.cell_positions_scanned, 0, "{label}");
-            assert!(
-                dense_stats.cells_tracked < fallback_stats.cells_tracked,
-                "{label}: {} cells materialized, {} tracked",
-                dense_stats.cells_tracked,
-                fallback_stats.cells_tracked
+            let (pooled, _) = common::batch_stream(&config, &w, &maps, 2, true);
+            assert_eq!(
+                stream, pooled,
+                "{label}: threads 1 and 2 emit different streams"
             );
-            assert!(
-                dense_stats.cells_premarked_dead <= fallback_stats.cells_premarked_dead,
-                "{label}"
-            );
-            found_dead += dense_stats.tuples_rejected_dead_cell;
-            discarded += dense_stats.regions_discarded_dead;
-            premarked += dense_stats.cells_premarked_dead;
+
+            let emitted: Vec<(u32, u32)> = stream.iter().flatten().map(|x| (x.0, x.1)).collect();
+            let ids: BTreeSet<(u32, u32)> = emitted.iter().copied().collect();
+            assert_eq!(ids.len(), emitted.len(), "{label}: a tuple emitted twice");
+            assert_eq!(ids, oracle, "{label}");
+
+            let mut per_event: Vec<Vec<(u64, u64)>> = Vec::new();
+            let mut cells = Vec::new();
+            for event in ring.drain() {
+                match event.kind {
+                    EventKind::Point(Point::Emit { cell, n, .. }) => cells.push((cell, n)),
+                    EventKind::Counter {
+                        name: "results_emitted",
+                        ..
+                    } => per_event.push(std::mem::take(&mut cells)),
+                    _ => {}
+                }
+            }
+            let events: Vec<_> = stream.iter().filter(|event| !event.is_empty()).collect();
+            assert_eq!(per_event.len(), events.len(), "{label}");
+            for (event, cells) in events.iter().zip(&per_event) {
+                assert!(
+                    cells.windows(2).all(|pair| pair[0].0 < pair[1].0),
+                    "{label}: cells out of coordinate order: {cells:?}"
+                );
+                let tuples: u64 = cells.iter().map(|&(_, n)| n).sum();
+                assert_eq!(tuples, event.len() as u64, "{label}");
+            }
+            found_dead += stats.tuples_rejected_dead_cell;
+            discarded += stats.regions_discarded_dead;
+            premarked += stats.cells_premarked_dead;
         }
     }
     assert!(

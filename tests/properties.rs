@@ -452,20 +452,29 @@ fn result_ids(results: &[ResultTuple]) -> Vec<(u32, u32)> {
 
 /// ProgXe (default config) equals the nested-loop + naive-skyline oracle on
 /// arbitrary small instances — the headline correctness property of the
-/// whole framework.
+/// whole framework — on one thread and on two. After the 2-d cases come
+/// d = 5 and d = 8, where the default 24 cells per dimension exceed the
+/// dense budget and the grid is capped (16 and 5 cells).
 #[test]
 fn progxe_equals_oracle() {
     let mut rng = StdRng::seed_from_u64(0x0A1C);
-    for case in 0..48 {
-        let (r_rows, t_rows) = smj_instance(&mut rng, 2, 40, 4);
-        let r = build_source(&r_rows, 2);
-        let t = build_source(&t_rows, 2);
-        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+    let dims_per_case = std::iter::repeat_n(2, 48).chain([5, 5, 5, 5, 8, 8, 8, 8]);
+    for (case, dims) in dims_per_case.enumerate() {
+        let (r_rows, t_rows) = smj_instance(&mut rng, dims, 40, 4);
+        let r = build_source(&r_rows, dims);
+        let t = build_source(&t_rows, dims);
+        let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
         let expected = result_ids(&oracle_smj(&r.view(), &t.view(), &maps));
-        let out = ProgXe::new(ProgXeConfig::default())
-            .run_collect(&r.view(), &t.view(), &maps)
-            .unwrap();
-        assert_eq!(result_ids(&out.results), expected, "case {case}");
+        for threads in [1, 2] {
+            let out = ProgXe::new(ProgXeConfig::default().with_threads(threads))
+                .run_collect(&r.view(), &t.view(), &maps)
+                .unwrap();
+            assert_eq!(
+                result_ids(&out.results),
+                expected,
+                "case {case} dims={dims} threads={threads}"
+            );
+        }
     }
 }
 
