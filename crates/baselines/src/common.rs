@@ -6,10 +6,9 @@ use progxe_core::mapping::MapSet;
 use progxe_core::source::SourceView;
 use progxe_core::stats::ResultTuple;
 use progxe_skyline::{
-    bnl_skyline, bnl_skyline_under, dnc_skyline, naive_skyline, salsa_skyline, sfs_skyline,
-    sfs_skyline_under, PointStore, Preference, SkylineResult,
+    bnl_skyline, bnl_skyline_under, naive_skyline, sfs_skyline, sfs_skyline_under, PointStore,
+    Preference, SkylineResult,
 };
-use std::str::FromStr;
 use std::time::Duration;
 
 /// Which single-set skyline algorithm a baseline uses for its final pass.
@@ -20,10 +19,6 @@ pub enum SkyAlgo {
     Bnl,
     /// Sort-filter-skyline.
     Sfs,
-    /// Divide & conquer.
-    Dnc,
-    /// SaLSa (sorted access with early termination).
-    Salsa,
 }
 
 impl SkyAlgo {
@@ -32,21 +27,14 @@ impl SkyAlgo {
         match self {
             SkyAlgo::Bnl => bnl_skyline(store, pref),
             SkyAlgo::Sfs => sfs_skyline(store, pref),
-            SkyAlgo::Dnc => dnc_skyline(store, pref),
-            SkyAlgo::Salsa => salsa_skyline(store, pref),
         }
     }
 
     /// Runs the selected algorithm under the query's [`MapSet`] dominance
-    /// model. Pareto queries take the historical path unchanged. Under a
-    /// flexible model, BNL and SFS run **natively** on the model (both
-    /// only need a strict partial order / a strictly monotone presort
-    /// score); D&C and SaLSa — whose internals lean on coordinate-wise
-    /// Pareto geometry — compute the Pareto skyline first and then apply
-    /// the F-dominance filter, which is exact by the composition property
-    /// (see `progxe_core::fdom`): every F-dominator of a Pareto-skyline
-    /// member either is itself a member or is Pareto-dominated by one that
-    /// also F-dominates.
+    /// model. Pareto queries take the historical path unchanged; under a
+    /// flexible model both algorithms run **natively** on the model (BNL
+    /// needs a strict partial order, SFS a presort key that is a linear
+    /// extension of it).
     pub fn run_model(self, store: &PointStore, maps: &MapSet) -> SkylineResult {
         if maps.dominance().is_pareto() {
             return self.run(store, maps.preference());
@@ -55,35 +43,6 @@ impl SkyAlgo {
         match self {
             SkyAlgo::Bnl => bnl_skyline_under(store, &view),
             SkyAlgo::Sfs => sfs_skyline_under(store, &view),
-            SkyAlgo::Dnc | SkyAlgo::Salsa => {
-                let mut pareto = self.run(store, maps.preference());
-                fdom_filter_members(store, maps, &mut pareto);
-                pareto
-            }
-        }
-    }
-
-    /// Short name for harness output.
-    pub fn name(self) -> &'static str {
-        match self {
-            SkyAlgo::Bnl => "bnl",
-            SkyAlgo::Sfs => "sfs",
-            SkyAlgo::Dnc => "dnc",
-            SkyAlgo::Salsa => "salsa",
-        }
-    }
-}
-
-impl FromStr for SkyAlgo {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "bnl" => Ok(SkyAlgo::Bnl),
-            "sfs" => Ok(SkyAlgo::Sfs),
-            "dnc" => Ok(SkyAlgo::Dnc),
-            "salsa" => Ok(SkyAlgo::Salsa),
-            other => Err(format!("unknown skyline algorithm {other:?}")),
         }
     }
 }
@@ -111,10 +70,6 @@ pub struct BaselineStats {
     /// SSMJ only: batch-1 tuples later found dominated — the unsoundness
     /// under mapping functions the paper points out in Section VII.
     pub batch1_false_positives: u64,
-    /// SAJ only: tuples accessed per source before the threshold stop.
-    pub accessed_r: usize,
-    /// SAJ only: tuples accessed on T.
-    pub accessed_t: usize,
 }
 
 /// Materialized, mapped join output: raw values plus originating row ids.
@@ -190,19 +145,6 @@ pub fn results_from(out: &JoinedOutput, indices: &[usize]) -> Vec<ResultTuple> {
             values: out.points.point(i).to_vec(),
         })
         .collect()
-}
-
-/// Exact flexible-skyline filter over the members of a Pareto skyline:
-/// keeps member `i` iff no *member* F-dominates it. Complete by the
-/// composition property (every evicted F-dominator is represented by a
-/// surviving Pareto dominator that also F-dominates).
-fn fdom_filter_members(store: &PointStore, maps: &MapSet, sky: &mut SkylineResult) {
-    let members = sky.indices.clone();
-    sky.indices.retain(|&i| {
-        !members
-            .iter()
-            .any(|&j| j != i && maps.result_dominates(store.point(j), store.point(i)))
-    });
 }
 
 /// Reference answer: full nested-loop join + naive skyline under the
@@ -317,24 +259,12 @@ mod tests {
             expected.len(),
             pareto.len()
         );
-        for algo in [SkyAlgo::Bnl, SkyAlgo::Sfs, SkyAlgo::Dnc, SkyAlgo::Salsa] {
+        for algo in [SkyAlgo::Bnl, SkyAlgo::Sfs] {
             assert_eq!(
                 algo.run_model(&store, &maps).sorted_indices(),
                 expected,
                 "{algo:?} diverged under the flexible model"
             );
         }
-    }
-
-    #[test]
-    fn sky_algo_parse_and_run() {
-        let store = PointStore::from_rows(2, [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]);
-        let pref = Preference::all_lowest(2);
-        for algo in ["bnl", "sfs", "dnc", "salsa"] {
-            let a: SkyAlgo = algo.parse().unwrap();
-            assert_eq!(a.run(&store, &pref).sorted_indices(), vec![0, 1]);
-            assert_eq!(a.name(), algo);
-        }
-        assert!("nope".parse::<SkyAlgo>().is_err());
     }
 }

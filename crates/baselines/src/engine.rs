@@ -16,7 +16,6 @@
 
 use crate::common::{BaselineStats, SkyAlgo};
 use crate::jfsl::{jfsl, jfsl_plus};
-use crate::saj::saj;
 use crate::ssmj::ssmj;
 use progxe_core::error::Result;
 use progxe_core::mapping::MapSet;
@@ -193,43 +192,6 @@ impl ProgressiveEngine for SsmjEngine {
     }
 }
 
-/// SAJ — the Fagin/threshold-style baseline (blocking, early data access
-/// termination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SajEngine {
-    /// Skyline algorithm for the final pass.
-    pub algo: SkyAlgo,
-}
-
-impl SajEngine {
-    /// SAJ with the given skyline algorithm.
-    #[must_use]
-    pub fn new(algo: SkyAlgo) -> Self {
-        Self { algo }
-    }
-}
-
-impl ProgressiveEngine for SajEngine {
-    fn name(&self) -> &'static str {
-        "saj"
-    }
-
-    fn open<'a>(
-        &self,
-        r: &SourceView<'a>,
-        t: &SourceView<'a>,
-        maps: &'a MapSet,
-    ) -> Result<QuerySession<'a>> {
-        let (r, t, algo) = (*r, *t, self.algo);
-        let opened = Instant::now();
-        Ok(QuerySession::deferred(self.name(), move || {
-            let mut recorder = Recorder::with_start(opened);
-            let stats = saj(&r, &t, maps, algo, &mut recorder);
-            recorder.into_events(&stats, false)
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +224,6 @@ mod tests {
             Box::new(JfSlEngine::new(SkyAlgo::Bnl)),
             Box::new(JfSlEngine::plus(SkyAlgo::Sfs)),
             Box::new(SsmjEngine::new(SkyAlgo::Bnl)),
-            Box::new(SajEngine::new(SkyAlgo::Bnl)),
         ]
     }
 
@@ -365,8 +326,8 @@ mod tests {
         let t = random_source(100, 2, 4, 6);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         for engine in [
-            Box::new(JfSlEngine::new(SkyAlgo::Bnl)) as Box<dyn ProgressiveEngine>,
-            Box::new(SajEngine::new(SkyAlgo::Bnl)),
+            JfSlEngine::new(SkyAlgo::Bnl),
+            JfSlEngine::plus(SkyAlgo::Sfs),
         ] {
             let mut session = engine.open(&r.view(), &t.view(), &maps).unwrap();
             let event = session.next_batch().expect("one batch");

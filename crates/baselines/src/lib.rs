@@ -8,9 +8,6 @@
 //!   operator", ICDE 2007), as characterized in the paper: per-source
 //!   source-level (`LS(S)`) and group-level (`LS(N)`) lists, four join
 //!   phases, and results reported in *two batches*.
-//! * [`saj`](mod@saj) — **SAJ**: a Fagin/threshold-style algorithm over per-dimension
-//!   sorted access, following the join-first/skyline-later paradigm
-//!   (blocking output, but with early termination of data access).
 //!
 //! All baselines consume the same inputs as ProgXe ([`SourceView`],
 //! [`MapSet`]) and push [`ResultTuple`] batches through the same
@@ -25,13 +22,11 @@
 pub mod common;
 pub mod engine;
 pub mod jfsl;
-pub mod saj;
 pub mod ssmj;
 
 pub use common::{oracle_smj, BaselineStats, SkyAlgo};
-pub use engine::{baseline_exec_stats, JfSlEngine, SajEngine, SsmjEngine};
+pub use engine::{baseline_exec_stats, JfSlEngine, SsmjEngine};
 pub use jfsl::{jfsl, jfsl_plus};
-pub use saj::saj;
 pub use ssmj::ssmj;
 
 pub use progxe_core::mapping::MapSet;

@@ -27,8 +27,9 @@
 //! tuples" and SSMJ behaves like JF-SL with a single batch.
 
 use crate::common::{hash_join_into, results_from, BaselineStats, JoinedOutput, SkyAlgo};
-use progxe_core::fxhash::{FxHashMap, FxHashSet};
+use progxe_core::fxhash::FxHashSet;
 use progxe_core::mapping::MapSet;
+use progxe_core::pushthrough::{push_through, Side};
 use progxe_core::sink::ResultSink;
 use progxe_core::source::SourceView;
 use progxe_skyline::{bnl_skyline, PointStore, Preference};
@@ -46,27 +47,28 @@ struct ActiveLists {
 }
 
 /// Builds `LS(S)` / `LS(N)` from local component scores; `None` when the
-/// maps are not separable for this side.
+/// maps are not separable for this side. The group-level skylines are
+/// push-through's survivors (join partners come from `partner`), so a
+/// tuple leaves both lists only when a same-key tuple dominates it by a
+/// gap no partner's add rounds away.
 fn build_lists(
     src: &SourceView<'_>,
+    partner: &SourceView<'_>,
     maps: &MapSet,
-    is_r: bool,
+    side: Side,
     stats: &mut BaselineStats,
 ) -> Option<ActiveLists> {
+    let survivors = push_through(src, partner, maps, side)?;
     let n = src.len();
     let k = maps.out_dims();
     let pref = Preference::new(maps.preference().orders().to_vec());
     let mut scores = PointStore::with_capacity(k, n);
     let mut buf = Vec::with_capacity(k);
     for row in 0..n {
-        let ok = if is_r {
-            maps.r_components(src.attrs_of(row), &mut buf)
-        } else {
-            maps.t_components(src.attrs_of(row), &mut buf)
+        match side {
+            Side::R => maps.r_components(src.attrs_of(row), &mut buf),
+            Side::T => maps.t_components(src.attrs_of(row), &mut buf),
         };
-        if !ok {
-            return None;
-        }
         scores.push(&buf);
     }
 
@@ -74,54 +76,17 @@ fn build_lists(
     let source_sky = bnl_skyline(&scores, &pref);
     stats.dominance_tests += source_sky.stats.dominance_tests;
     let in_ls_s: FxHashSet<u32> = source_sky.indices.iter().map(|&i| i as u32).collect();
-
-    // Group-level skylines per join value.
-    let mut groups: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for row in 0..n {
-        groups
-            .entry(src.join_key_of(row))
-            .or_default()
-            .push(row as u32);
-    }
-    let mut ls_n = Vec::new();
-    let mut kept = in_ls_s.len();
-    for rows in groups.values() {
-        let mut window: Vec<u32> = Vec::new();
-        for &row in rows {
-            let p = scores.point(row as usize);
-            let mut dominated = false;
-            let mut w = 0;
-            while w < window.len() {
-                stats.dominance_tests += 1;
-                let q = scores.point(window[w] as usize);
-                if pref.dominates(q, p) {
-                    dominated = true;
-                    break;
-                }
-                if pref.dominates(p, q) {
-                    window.swap_remove(w);
-                } else {
-                    w += 1;
-                }
-            }
-            if !dominated {
-                window.push(row);
-            }
-        }
-        for row in window {
-            if !in_ls_s.contains(&row) {
-                ls_n.push(row);
-                kept += 1;
-            }
-        }
-    }
+    let ls_n: Vec<u32> = survivors
+        .iter()
+        .copied()
+        .filter(|row| !in_ls_s.contains(row))
+        .collect();
     let mut ls_s: Vec<u32> = in_ls_s.into_iter().collect();
     ls_s.sort_unstable();
-    ls_n.sort_unstable();
     Some(ActiveLists {
+        pruned: n - ls_s.len() - ls_n.len(),
         ls_s,
         ls_n,
-        pruned: n - kept,
     })
 }
 
@@ -139,8 +104,8 @@ pub fn ssmj<S: ResultSink + ?Sized>(
     let mut stats = BaselineStats::default();
 
     let (r_lists, t_lists) = match (
-        build_lists(r, maps, true, &mut stats),
-        build_lists(t, maps, false, &mut stats),
+        build_lists(r, t, maps, Side::R, &mut stats),
+        build_lists(t, r, maps, Side::T, &mut stats),
     ) {
         (Some(a), Some(b)) => (a, b),
         // Non-separable maps: degenerate to a single all-tuples list.

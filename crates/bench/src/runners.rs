@@ -8,7 +8,7 @@
 //! turning the event stream into the `(elapsed, cumulative)` series the
 //! paper's figures plot.
 
-use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
+use progxe_baselines::{JfSlEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::{OrderingPolicy, ProgXeConfig};
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
@@ -17,7 +17,6 @@ use progxe_core::source::SourceView;
 use progxe_core::stats::{ExecStats, ProgressRecord};
 use progxe_datagen::SmjWorkload;
 use progxe_skyline::Preference;
-use std::str::FromStr;
 use std::time::Duration;
 
 /// The algorithms under comparison, matching the paper's legends.
@@ -37,8 +36,6 @@ pub enum AlgoKind {
     JfSl,
     /// JF-SL+ (blocking + push-through).
     JfSlPlus,
-    /// SAJ (Fagin-style threshold baseline).
-    Saj,
 }
 
 impl AlgoKind {
@@ -52,7 +49,6 @@ impl AlgoKind {
             AlgoKind::Ssmj => "SSMJ",
             AlgoKind::JfSl => "JF-SL",
             AlgoKind::JfSlPlus => "JF-SL+",
-            AlgoKind::Saj => "SAJ",
         }
     }
 
@@ -86,25 +82,6 @@ impl AlgoKind {
             AlgoKind::Ssmj => Box::new(SsmjEngine::new(SkyAlgo::Sfs)),
             AlgoKind::JfSl => Box::new(JfSlEngine::new(SkyAlgo::Sfs)),
             AlgoKind::JfSlPlus => Box::new(JfSlEngine::plus(SkyAlgo::Sfs)),
-            AlgoKind::Saj => Box::new(SajEngine::new(SkyAlgo::Sfs)),
-        }
-    }
-}
-
-impl FromStr for AlgoKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "progxe" => Ok(AlgoKind::ProgXe),
-            "progxe+" | "progxe-plus" => Ok(AlgoKind::ProgXePlus),
-            "progxe-noorder" => Ok(AlgoKind::ProgXeNoOrder),
-            "progxe+-noorder" | "progxe-plus-noorder" => Ok(AlgoKind::ProgXePlusNoOrder),
-            "ssmj" => Ok(AlgoKind::Ssmj),
-            "jfsl" | "jf-sl" => Ok(AlgoKind::JfSl),
-            "jfsl+" | "jf-sl+" => Ok(AlgoKind::JfSlPlus),
-            "saj" => Ok(AlgoKind::Saj),
-            other => Err(format!("unknown algorithm {other:?}")),
         }
     }
 }
@@ -252,14 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_algo_names() {
-        assert_eq!("progxe".parse::<AlgoKind>(), Ok(AlgoKind::ProgXe));
-        assert_eq!("PROGXE+".parse::<AlgoKind>(), Ok(AlgoKind::ProgXePlus));
-        assert_eq!("ssmj".parse::<AlgoKind>(), Ok(AlgoKind::Ssmj));
-        assert!("nope".parse::<AlgoKind>().is_err());
-    }
-
-    #[test]
     fn all_algorithms_agree_on_result_count() {
         let workload = WorkloadSpec::new(300, 2, Distribution::Independent, 0.02).generate();
         let reference = run_algo(AlgoKind::JfSl, &workload).results;
@@ -269,7 +238,6 @@ mod tests {
             AlgoKind::ProgXePlus,
             AlgoKind::ProgXeNoOrder,
             AlgoKind::JfSlPlus,
-            AlgoKind::Saj,
         ] {
             let run = run_algo(kind, &workload);
             assert_eq!(run.results, reference, "{} diverged", run.algo);

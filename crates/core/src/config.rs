@@ -1,5 +1,6 @@
-//! Executor configuration: grid granularity, ordering policy, signatures,
-//! and the tuple-level parallelism knob.
+//! Executor configuration: grid granularity, ordering policy, push-through,
+//! and the tuple-level parallelism knob. Join signatures are always exact
+//! bitsets ([`crate::signature`] says why), so they have no knob.
 
 use crate::error::{Error, Result};
 use std::num::NonZeroUsize;
@@ -18,26 +19,6 @@ pub enum OrderingPolicy {
     Random {
         /// Shuffle seed (deterministic given the seed).
         seed: u64,
-    },
-}
-
-/// Join-signature realization per input partition (Section III-A: "either
-/// Bloom Filter or a bit vector").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignatureConfig {
-    /// Exact bitset over the join-key domain. Overlap ⇒ the partition pair
-    /// is *guaranteed* to produce a join result, enabling region-level
-    /// dominance pruning.
-    Exact,
-    /// Bloom filter with the given number of bits. Overlap may be a false
-    /// positive, so the executor automatically downgrades region-level
-    /// pruning to populated-cell marking only: a pair that merely *may*
-    /// join guarantees no tuple under its upper bound, and pruning other
-    /// regions (or premarking cells) against that bound could drop true
-    /// results (see [`crate::lookahead`]).
-    Bloom {
-        /// Filter size in bits (rounded up to a multiple of 64).
-        bits: usize,
     },
 }
 
@@ -69,8 +50,6 @@ pub struct ProgXeConfig {
     /// Region order for tuple-level processing: id order, or the
     /// No-Order arm's seeded shuffle.
     pub ordering: OrderingPolicy,
-    /// Join-signature realization.
-    pub signature: SignatureConfig,
     /// Apply skyline partial push-through to each source before grid
     /// construction (the "+" in ProgXe+; Section VI-B).
     pub push_through: bool,
@@ -96,7 +75,6 @@ impl Default for ProgXeConfig {
             input_partitions_per_dim: 3,
             output_cells_per_dim: 24,
             ordering: OrderingPolicy::ProgOrder,
-            signature: SignatureConfig::Exact,
             push_through: false,
             selectivity_hint: None,
             threads: NonZeroUsize::MIN,
@@ -140,12 +118,6 @@ impl ProgXeConfig {
     /// Builder: set ordering policy.
     pub fn with_ordering(mut self, ordering: OrderingPolicy) -> Self {
         self.ordering = ordering;
-        self
-    }
-
-    /// Builder: set signature kind.
-    pub fn with_signature(mut self, signature: SignatureConfig) -> Self {
-        self.signature = signature;
         self
     }
 
@@ -199,11 +171,6 @@ impl ProgXeConfig {
                 "output_cells_per_dim must fit in 16 bits",
             ));
         }
-        if let SignatureConfig::Bloom { bits } = self.signature {
-            if bits == 0 {
-                return Err(Error::InvalidConfig("bloom signature needs > 0 bits"));
-            }
-        }
         if let Some(s) = self.selectivity_hint {
             if !(s > 0.0 && s <= 1.0) {
                 return Err(Error::InvalidConfig("selectivity_hint must be in (0, 1]"));
@@ -240,10 +207,6 @@ mod tests {
             .is_err());
         assert!(ProgXeConfig::default()
             .with_output_cells(0)
-            .validate()
-            .is_err());
-        assert!(ProgXeConfig::default()
-            .with_signature(SignatureConfig::Bloom { bits: 0 })
             .validate()
             .is_err());
         assert!(ProgXeConfig::default()

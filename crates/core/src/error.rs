@@ -37,9 +37,13 @@ pub enum Error {
     },
     /// A configuration field is out of its valid range.
     InvalidConfig(&'static str),
-    /// A mapping function produced a non-finite value.
+    /// An input row holds NaN or ±∞. Input values must be finite
+    /// ([`SourceView::new`](crate::source::SourceView::new) checks);
+    /// mapped output values may still be non-finite.
     NonFiniteValue {
-        /// Output dimension that misbehaved.
+        /// Row position in its source.
+        row: usize,
+        /// Attribute column holding the value.
         dim: usize,
     },
     /// A flexible-dominance weight family is degenerate or mismatched
@@ -76,8 +80,11 @@ impl fmt::Display for Error {
                 )
             }
             Error::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
-            Error::NonFiniteValue { dim } => {
-                write!(f, "mapping function {dim} produced a non-finite value")
+            Error::NonFiniteValue { row, dim } => {
+                write!(
+                    f,
+                    "input row {row} holds a non-finite value in column {dim}"
+                )
             }
             Error::Dominance(e) => write!(f, "dominance model: {e}"),
         }
@@ -103,5 +110,7 @@ mod tests {
         assert!(e.to_string().contains("2"));
         let e = Error::InvalidConfig("output_cells_per_dim must be > 0");
         assert!(e.to_string().contains("output_cells_per_dim"));
+        let e = Error::NonFiniteValue { row: 12, dim: 3 };
+        assert!(e.to_string().contains("row 12") && e.to_string().contains("column 3"));
     }
 }

@@ -366,8 +366,8 @@ impl ProgXe {
         let stats = &mut front.stats;
         let (kept_r, kept_t) = if self.config.push_through {
             match (
-                push_through(r, maps, Side::R),
-                push_through(t, maps, Side::T),
+                push_through(r, t, maps, Side::R),
+                push_through(t, r, maps, Side::T),
             ) {
                 (Some(kr), Some(kt)) => {
                     stats.push_through_pruned_r = r.len() - kr.len();
@@ -405,10 +405,10 @@ impl ProgXe {
 
         // ── Grids + output-space look-ahead ──────────────────────────────
         let per_dim = self.config.input_partitions_per_dim;
-        let r_view = SourceView::new(&r_attrs, &r_keys)?;
-        let t_view = SourceView::new(&t_attrs, &t_keys)?;
-        let r_grid = InputGrid::build(&r_view, per_dim, self.config.signature, join_domain);
-        let t_grid = InputGrid::build(&t_view, per_dim, self.config.signature, join_domain);
+        let r_view = SourceView::checked(&r_attrs, &r_keys);
+        let t_view = SourceView::checked(&t_attrs, &t_keys);
+        let r_grid = InputGrid::build(&r_view, per_dim, join_domain);
+        let t_grid = InputGrid::build(&t_view, per_dim, join_domain);
         front.stats.partitions_r = r_grid.len();
         front.stats.partitions_t = t_grid.len();
         front.stats.grid_time = front.laps.lap();
@@ -468,7 +468,7 @@ pub(crate) fn shuffle(v: &mut [u32], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OrderingPolicy, SignatureConfig};
+    use crate::config::OrderingPolicy;
     use crate::mapping::MapSet;
     use crate::session::ProgressiveEngine;
     use crate::source::SourceData;
@@ -592,21 +592,6 @@ mod tests {
         assert!(
             stats.push_through_pruned_r > 0,
             "group pruning should remove something on 150×2d×4keys"
-        );
-    }
-
-    #[test]
-    fn bloom_signatures_preserve_results() {
-        let r = random_source(100, 2, 10, 9);
-        let t = random_source(100, 2, 10, 10);
-        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-        let exact = ProgXe::new(ProgXeConfig::default());
-        let bloom = ProgXe::new(
-            ProgXeConfig::default().with_signature(SignatureConfig::Bloom { bits: 128 }),
-        );
-        assert_eq!(
-            run_and_sort(&exact, &r, &t, &maps),
-            run_and_sort(&bloom, &r, &t, &maps)
         );
     }
 
@@ -940,8 +925,8 @@ mod tests {
         // Push-through is off, so the prepared partitions are the grids of
         // the raw sources.
         let domain = keys as usize;
-        let r_grid = InputGrid::build(&r.view(), per_dim, SignatureConfig::Exact, domain);
-        let t_grid = InputGrid::build(&t.view(), per_dim, SignatureConfig::Exact, domain);
+        let r_grid = InputGrid::build(&r.view(), per_dim, domain);
+        let t_grid = InputGrid::build(&t.view(), per_dim, domain);
         let key_counts = |src: &SourceData, rows: &[u32]| {
             let mut counts = vec![0u64; domain];
             for &row in rows {

@@ -214,9 +214,6 @@ pub struct FDominance {
     /// Flattened `vertex_count × dims` vertex matrix, rows sorted
     /// lexicographically (canonical, deterministic order).
     vertices: Vec<f64>,
-    /// `Σ_k v_k` — a single weight vector whose dot product is strictly
-    /// monotone w.r.t. F-dominance (used as the SFS presort score).
-    score_weights: Vec<f64>,
 }
 
 impl FDominance {
@@ -270,17 +267,10 @@ impl FDominance {
             enumerate_vertices(dims, &constraints)?
         };
 
-        let mut score_weights = vec![0.0; dims];
-        for row in vertices.chunks_exact(dims) {
-            for (s, &v) in score_weights.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
         Ok(Self {
             dims,
             constraints,
             vertices,
-            score_weights,
         })
     }
 
@@ -639,23 +629,6 @@ impl Dominance for QueryDominance<'_> {
     }
 
     #[inline]
-    fn monotone_score(&self, a: &[f64]) -> f64 {
-        match self.model {
-            DominanceModel::Pareto => self.orders.iter().zip(a).map(|(o, &v)| o.orient(v)).sum(),
-            DominanceModel::Flexible(f) => {
-                // Σ_k v_k·oriented(a): strictly monotone because a strict
-                // witness in W implies a strict witness at some vertex.
-                self.orders
-                    .iter()
-                    .zip(a)
-                    .zip(&f.score_weights)
-                    .map(|((o, &v), &w)| w * o.orient(v))
-                    .sum()
-            }
-        }
-    }
-
-    #[inline]
     fn kernel_dims(&self) -> usize {
         match self.model {
             DominanceModel::Pareto => self.orders.len(),
@@ -899,32 +872,6 @@ mod tests {
         for (a, b) in cases {
             assert_eq!(qd.dominates(&a, &b), pref.dominates(&a, &b));
             assert_eq!(qd.dominates(&b, &a), pref.dominates(&b, &a));
-            assert_eq!(qd.monotone_score(&a), pref.monotone_score(&a));
         }
-    }
-
-    #[test]
-    fn query_dominance_monotone_score_is_strict_under_fdominance() {
-        let orders = vec![Order::Lowest, Order::Lowest];
-        let fdom = FDominance::new(2, band(2, 0.4, 0.6)).unwrap();
-        let model = DominanceModel::flexible(fdom);
-        let qd = QueryDominance::new(&orders, &model);
-        let mut x: u64 = 77;
-        let mut next = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((x >> 33) % 100) as f64 / 10.0
-        };
-        let mut hits = 0;
-        for _ in 0..1000 {
-            let a = [next(), next()];
-            let b = [next(), next()];
-            if qd.dominates(&a, &b) {
-                hits += 1;
-                assert!(qd.monotone_score(&a) < qd.monotone_score(&b));
-            }
-        }
-        assert!(hits > 10, "generator produced only {hits} dominated pairs");
     }
 }

@@ -18,7 +18,6 @@
 //! a [`JoinSource`]: filled by the first region that joins it, or, on a
 //! stream, when the cell seals.
 
-use crate::config::SignatureConfig;
 use crate::fxhash::FxHashMap;
 use crate::mapping::MapSet;
 use crate::pushthrough::Side;
@@ -133,7 +132,7 @@ impl GridGeometry {
 ///
 /// A grid built from rows holds only non-empty partitions with tight
 /// bounds; a declared grid holds every cell, with its slice bounds, no
-/// rows yet, and [`JoinSignature::unknown`].
+/// rows yet, and [`JoinSignature::Unknown`].
 #[derive(Debug, Clone)]
 pub struct InputPartition {
     /// Dense partition id within its grid.
@@ -175,12 +174,7 @@ impl InputGrid {
     ///
     /// `join_domain` is the exclusive upper bound of join-key values
     /// (`max key + 1`), used to size exact signatures.
-    pub fn build(
-        source: &SourceView<'_>,
-        per_dim: usize,
-        signature: SignatureConfig,
-        join_domain: usize,
-    ) -> Self {
+    pub fn build(source: &SourceView<'_>, per_dim: usize, join_domain: usize) -> Self {
         assert!(per_dim > 0, "per_dim must be positive");
         let n = source.len();
         if n == 0 {
@@ -211,7 +205,7 @@ impl InputGrid {
             let tuples = buckets.remove(&key).expect("key came from the map");
             let mut p_lo = source.attrs_of(tuples[0] as usize).to_vec();
             let mut p_hi = p_lo.clone();
-            let mut sig = JoinSignature::empty(signature, join_domain);
+            let mut sig = JoinSignature::empty(join_domain);
             for &row in &tuples {
                 let attrs = source.attrs_of(row as usize);
                 for d in 0..dims {
@@ -234,7 +228,7 @@ impl InputGrid {
     /// A stream's grid over declared bounds: one partition per cell of
     /// `geo`, id = linear cell index, bounded by the cell's slice. Neither
     /// rows nor join values are known before arrival, so every partition
-    /// is empty and carries [`JoinSignature::unknown`] — every pair of
+    /// is empty and carries [`JoinSignature::Unknown`] — every pair of
     /// cells becomes a region the look-ahead can neither reject nor prune.
     ///
     /// # Panics
@@ -249,7 +243,7 @@ impl InputGrid {
                     tuples: Vec::new(),
                     lo,
                     hi,
-                    signature: JoinSignature::unknown(),
+                    signature: JoinSignature::Unknown,
                 }
             })
             .collect();
@@ -622,7 +616,7 @@ impl JoinSource {
             };
             let rows = &grid.partitions()[part as usize].tuples;
             built = rows.len() as u64;
-            let view = SourceView::new(attrs, keys).expect("filtered arrays are parallel");
+            let view = SourceView::checked(attrs, keys);
             JoinSide::build(maps, self.side, columnar, &view, rows, rows.clone())
         });
         (side, built)
@@ -647,7 +641,7 @@ mod tests {
             (&[1.0, 99.0], 3),
             (&[99.0, 1.0], 4),
         ]);
-        let g = InputGrid::build(&s.view(), 2, SignatureConfig::Exact, 5);
+        let g = InputGrid::build(&s.view(), 2, 5);
         assert_eq!(g.total_tuples(), 5);
         let mut seen: Vec<u32> = g
             .partitions()
@@ -661,7 +655,7 @@ mod tests {
     #[test]
     fn bounds_are_tight() {
         let s = source(&[(&[10.0, 20.0], 0), (&[12.0, 22.0], 0)]);
-        let g = InputGrid::build(&s.view(), 1, SignatureConfig::Exact, 1);
+        let g = InputGrid::build(&s.view(), 1, 1);
         assert_eq!(g.len(), 1);
         let p = &g.partitions()[0];
         assert_eq!(p.lo, vec![10.0, 20.0]);
@@ -677,7 +671,7 @@ mod tests {
             (&[85.0, 95.0], 1),
             (&[40.0, 45.0], 2),
         ]);
-        let g = InputGrid::build(&s.view(), 3, SignatureConfig::Exact, 3);
+        let g = InputGrid::build(&s.view(), 3, 3);
         for p in g.partitions() {
             for &row in &p.tuples {
                 let attrs = s.view().attrs_of(row as usize);
@@ -691,21 +685,22 @@ mod tests {
     #[test]
     fn signatures_reflect_membership() {
         let s = source(&[(&[1.0], 7), (&[2.0], 9), (&[99.0], 3)]);
-        let g = InputGrid::build(&s.view(), 2, SignatureConfig::Exact, 10);
+        let g = InputGrid::build(&s.view(), 2, 10);
         let low = g
             .partitions()
             .iter()
             .find(|p| p.lo[0] < 50.0)
             .expect("low partition exists");
-        assert!(low.signature.maybe_contains(7));
-        assert!(low.signature.maybe_contains(9));
-        assert!(!low.signature.maybe_contains(3));
+        let mut want = JoinSignature::empty(10);
+        want.insert(7);
+        want.insert(9);
+        assert_eq!(low.signature, want);
     }
 
     #[test]
     fn constant_dimension_collapses() {
         let s = source(&[(&[5.0, 1.0], 0), (&[5.0, 9.0], 0)]);
-        let g = InputGrid::build(&s.view(), 4, SignatureConfig::Exact, 1);
+        let g = InputGrid::build(&s.view(), 4, 1);
         // dim 0 constant → one slice; dim 1 splits.
         assert!(g.len() >= 2);
         assert_eq!(g.total_tuples(), 2);
@@ -714,14 +709,14 @@ mod tests {
     #[test]
     fn empty_source_empty_grid() {
         let s = SourceData::new(2);
-        let g = InputGrid::build(&s.view(), 3, SignatureConfig::Exact, 1);
+        let g = InputGrid::build(&s.view(), 3, 1);
         assert!(g.is_empty());
     }
 
     #[test]
     fn max_value_tuples_clamp_into_top_slice() {
         let s = source(&[(&[0.0], 0), (&[100.0], 0)]);
-        let g = InputGrid::build(&s.view(), 4, SignatureConfig::Exact, 1);
+        let g = InputGrid::build(&s.view(), 4, 1);
         assert_eq!(g.total_tuples(), 2);
     }
 
@@ -765,7 +760,7 @@ mod tests {
         ]);
         let (lo, hi) = s.view().attrs().bounds().unwrap();
         let geo = GridGeometry::from_bounds(&lo, &hi, 3);
-        let g = InputGrid::build(&s.view(), 3, SignatureConfig::Exact, 3);
+        let g = InputGrid::build(&s.view(), 3, 3);
         for p in g.partitions() {
             let cell = geo.linear_of(s.view().attrs_of(p.tuples[0] as usize));
             for &row in &p.tuples {
@@ -854,31 +849,47 @@ mod tests {
         assert!(overflowed, "no sum overflowed");
     }
 
+    /// A side whose components leave the finite range is unbounded. Inputs
+    /// are finite, but a weighted map's components need not be:
+    /// `2·r0 − 2·r1` is +∞ at (1e308, 0), −∞ at (0, 1e308) and NaN at
+    /// (1e308, 1e308).
     #[test]
     fn non_finite_or_raw_sides_are_unbounded() {
+        use crate::mapping::{MappingFunction, WeightedSum};
         use progxe_skyline::Preference;
-        let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
-        let side = |values: &[f64], columnar| {
-            let mut src = SourceData::new(1);
-            for &v in values {
-                src.push(&[v], 0);
+        let map = WeightedSum::new(vec![2.0, -2.0], vec![1.0]);
+        let maps = MapSet::new(
+            vec![Box::new(map) as Box<dyn MappingFunction>],
+            Preference::all_lowest(1),
+        )
+        .unwrap();
+        let side = |values: &[[f64; 2]], columnar| {
+            let mut src = SourceData::new(2);
+            for v in values {
+                src.push(v, 0);
             }
             let rows: Vec<u32> = (0..values.len() as u32).collect();
             JoinSide::build(&maps, Side::R, columnar, &src.view(), &rows, rows.clone())
         };
-        assert!(side(&[1.0, -0.0, f64::MAX], true).bounds().is_some());
-        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(side(&[1.0, poison, 2.0], true).bounds().is_none());
+        let finite = [[1.0, 0.0], [-0.0, 0.0], [f64::MAX / 4.0, 0.0]];
+        assert!(side(&finite, true).bounds().is_some());
+        for poison in [[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]] {
+            assert!(side(&[[1.0, 0.0], poison, [2.0, 0.0]], true)
+                .bounds()
+                .is_none());
         }
-        assert!(side(&[1.0], false).bounds().is_none(), "raw attributes");
+        assert!(
+            side(&[[1.0, 0.0]], false).bounds().is_none(),
+            "raw attributes"
+        );
         assert!(side(&[], true).bounds().is_none(), "sealed empty");
     }
 
     #[test]
     fn deterministic_partition_ids() {
         let s = source(&[(&[1.0], 0), (&[99.0], 1), (&[50.0], 2)]);
-        let a = InputGrid::build(&s.view(), 3, SignatureConfig::Exact, 3);
-        let b = InputGrid::build(&s.view(), 3, SignatureConfig::Exact, 3);
+        let a = InputGrid::build(&s.view(), 3, 3);
+        let b = InputGrid::build(&s.view(), 3, 3);
         for (pa, pb) in a.partitions().iter().zip(b.partitions()) {
             assert_eq!(pa.id, pb.id);
             assert_eq!(pa.tuples, pb.tuples);

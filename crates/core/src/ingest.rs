@@ -367,7 +367,7 @@ impl SourceState {
         let mut members = std::mem::take(&mut self.buckets[cell]);
         members.sort_unstable_by_key(|&idx| self.ids[idx as usize]);
         let ids = members.iter().map(|&idx| self.ids[idx as usize]).collect();
-        let src = SourceView::new(&self.attrs, &self.keys).expect("arrival arrays are parallel");
+        let src = SourceView::checked(&self.attrs, &self.keys);
         ctx.seal(side, cell, &src, &members, ids);
         members.len()
     }

@@ -81,7 +81,7 @@ pub mod source;
 pub mod stats;
 pub mod tuple_level;
 
-pub use config::{OrderingPolicy, ProgXeConfig, SignatureConfig};
+pub use config::{OrderingPolicy, ProgXeConfig};
 pub use driver::{Committer, DriverPoll, ExecutorBackend, Popped, RegionDriver, TaskSpawner};
 pub use error::{Error, Result};
 pub use executor::{ProgXe, RunOutput};
@@ -95,7 +95,7 @@ pub use stats::{ExecStats, ProgressRecord, ResultTuple};
 
 /// One-stop imports for examples and downstream crates.
 pub mod prelude {
-    pub use crate::config::{OrderingPolicy, ProgXeConfig, SignatureConfig};
+    pub use crate::config::{OrderingPolicy, ProgXeConfig};
     pub use crate::executor::{ProgXe, RunOutput};
     pub use crate::fdom::{DominanceModel, FDominance, FdomError, WeightConstraint};
     pub use crate::ingest::{IngestError, IngestPoll, IngestSession, SourceId, StreamSpec};

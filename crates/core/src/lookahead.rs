@@ -12,9 +12,11 @@
 //!   skyline is marked "non-contributing" (Example 3) — from the start, or,
 //!   where cells materialize on first insert, the moment one does.
 //!
-//! Exact signatures make "overlap" a population *guarantee*; with Bloom
-//! signatures the executor skips region pruning (the guarantee is gone) but
-//! keeps every other mechanism.
+//! Exact signatures make "overlap" a population *guarantee*. A declared
+//! streaming grid's partitions carry
+//! [`JoinSignature::Unknown`](crate::signature::JoinSignature::Unknown):
+//! their overlap guarantees nothing, so no region is pruned and no
+//! pessimistic-skyline point comes from them.
 
 use crate::cells::CellStore;
 use crate::grid::InputGrid;
@@ -225,7 +227,6 @@ pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SignatureConfig;
     use crate::fdom::{DominanceModel, FDominance};
     use crate::source::SourceData;
 
@@ -240,13 +241,12 @@ mod tests {
         r_rows: &[(&[f64], u32)],
         t_rows: &[(&[f64], u32)],
         per_dim: usize,
-        sig: SignatureConfig,
     ) -> (SourceData, SourceData, InputGrid, InputGrid) {
         let r = SourceData::from_rows(r_rows[0].0.len(), r_rows);
         let t = SourceData::from_rows(t_rows[0].0.len(), t_rows);
         let domain = 16;
-        let rg = InputGrid::build(&r.view(), per_dim, sig, domain);
-        let tg = InputGrid::build(&t.view(), per_dim, sig, domain);
+        let rg = InputGrid::build(&r.view(), per_dim, domain);
+        let tg = InputGrid::build(&t.view(), per_dim, domain);
         (r, t, rg, tg)
     }
 
@@ -256,7 +256,6 @@ mod tests {
             &[(&[1.0, 1.0], 0), (&[99.0, 99.0], 1)],
             &[(&[1.0, 1.0], 2), (&[99.0, 99.0], 3)],
             2,
-            SignatureConfig::Exact,
         );
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 8);
@@ -270,7 +269,6 @@ mod tests {
             &[(&[1.0, 1.0], 0), (&[99.0, 99.0], 0)],
             &[(&[1.0, 1.0], 0)],
             2,
-            SignatureConfig::Exact,
         );
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 8);
@@ -296,7 +294,7 @@ mod tests {
             .collect();
         let r_refs: Vec<(&[f64], u32)> = rows_r.iter().map(|(v, k)| (v.as_slice(), *k)).collect();
         let t_refs: Vec<(&[f64], u32)> = rows_t.iter().map(|(v, k)| (v.as_slice(), *k)).collect();
-        let (r, t, rg, tg) = setup(&r_refs, &t_refs, 3, SignatureConfig::Exact);
+        let (r, t, rg, tg) = setup(&r_refs, &t_refs, 3);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 16);
 
@@ -328,16 +326,27 @@ mod tests {
         }
     }
 
+    /// A non-exact overlap guarantees nothing: a declared grid (every
+    /// partition [`JoinSignature::Unknown`]) against a grid built from
+    /// rows yields regions that are never guaranteed, so none is pruned
+    /// and the pessimistic skyline stays empty — although the near
+    /// region's upper bound strictly dominates the far region's lower
+    /// bound, which would prune the far one were the near one known to be
+    /// populated.
+    ///
+    /// [`JoinSignature::Unknown`]: crate::signature::JoinSignature::Unknown
     #[test]
-    fn bloom_disables_guarantees_and_pruning() {
-        let (_r, _t, rg, tg) = setup(
-            &[(&[1.0, 1.0], 0), (&[99.0, 99.0], 0)],
-            &[(&[1.0, 1.0], 0)],
-            2,
-            SignatureConfig::Bloom { bits: 256 },
-        );
+    fn unknown_signatures_disable_guarantees_and_pruning() {
+        use crate::grid::GridGeometry;
+        let geo = GridGeometry::from_bounds(&[1.0, 1.0], &[99.0, 99.0], 3);
+        let rg = InputGrid::declared(&geo);
+        let t = SourceData::from_rows(2, &[(&[1.0, 1.0], 0)]);
+        let tg = InputGrid::build(&t.view(), 1, 1);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 8);
+        assert_eq!(la.regions.len(), 9);
+        let (near, far) = (&la.regions[0], &la.regions[8]);
+        assert!(near.hi.iter().zip(&far.lo).all(|(h, l)| h < l));
         assert_eq!(la.regions_pruned, 0, "no pruning without guarantees");
         assert!(la.regions.iter().all(|r| !r.guaranteed));
         assert!(la.pessimistic_skyline.is_empty());
@@ -352,8 +361,8 @@ mod tests {
         // and must be pre-marked (the paper's Example 3).
         let r = SourceData::from_rows(2, &[(&[1.0, 0.0], 0), (&[99.0, 20.0], 0)]);
         let t = SourceData::from_rows(2, &[(&[1.0, 1.0], 0), (&[1.0, 80.0], 0)]);
-        let rg = InputGrid::build(&r.view(), 2, SignatureConfig::Exact, 1);
-        let tg = InputGrid::build(&t.view(), 1, SignatureConfig::Exact, 1);
+        let rg = InputGrid::build(&r.view(), 2, 1);
+        let tg = InputGrid::build(&t.view(), 1, 1);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &tg, &maps, 16);
         assert_eq!(la.regions.len(), 2, "neither region fully pruned");
@@ -453,7 +462,7 @@ mod tests {
     #[test]
     fn empty_sources_produce_empty_lookahead() {
         let r = SourceData::new(2);
-        let rg = InputGrid::build(&r.view(), 2, SignatureConfig::Exact, 1);
+        let rg = InputGrid::build(&r.view(), 2, 1);
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         let la = run_lookahead(&rg, &rg, &maps, 8);
         assert!(la.regions.is_empty());
@@ -462,12 +471,7 @@ mod tests {
     #[test]
     fn highest_preference_orients_bounds() {
         use progxe_skyline::Order;
-        let (_r, _t, rg, tg) = setup(
-            &[(&[10.0, 20.0], 0)],
-            &[(&[1.0, 2.0], 0)],
-            1,
-            SignatureConfig::Exact,
-        );
+        let (_r, _t, rg, tg) = setup(&[(&[10.0, 20.0], 0)], &[(&[1.0, 2.0], 0)], 1);
         let maps = MapSet::pairwise_sum(2, Preference::new(vec![Order::Lowest, Order::Highest]));
         let la = run_lookahead(&rg, &tg, &maps, 8);
         assert_eq!(la.regions.len(), 1);

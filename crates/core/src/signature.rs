@@ -5,64 +5,39 @@
 //! the partition. These signatures can be efficiently maintained by either
 //! Bloom Filter or a bit vector."
 //!
-//! The *exact* bitset realization guarantees that overlapping signatures
-//! imply at least one join result — the property region-level dominance
-//! pruning relies on ("guaranteed to be populated"). The Bloom realization
-//! trades that guarantee for O(bits) memory independent of the join domain;
-//! overlap then only means "may join", and the executor must weaken its
-//! pruning accordingly.
-
-use crate::config::SignatureConfig;
+//! This is the bit vector. The executor remaps join keys to dense ids
+//! before building grids, so an exact bitset never needs more bits than
+//! there are distinct keys, and a Bloom filter's memory argument does not
+//! apply. Exactness is what region-level dominance pruning relies on:
+//! overlapping exact signatures imply at least one join result
+//! ("guaranteed to be populated"). The one other form is
+//! [`JoinSignature::Unknown`], the signature of a declared streaming cell
+//! whose rows have not arrived: it may join anything and guarantees
+//! nothing.
 
 /// Signature of the join-domain values present in one partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinSignature {
     /// Exact membership bitset over the join domain `0..domain_size`.
     Exact(BitSet),
-    /// Bloom filter: 2 hash probes per value.
-    Bloom(BitSet),
+    /// Join values not known yet — a declared streaming cell before its
+    /// rows arrive. It may hold any value, so it overlaps every signature
+    /// and guarantees nothing.
+    Unknown,
 }
 
 impl JoinSignature {
-    /// Creates an empty signature of the configured kind for a join domain
-    /// of `domain_size` values.
-    pub fn empty(config: SignatureConfig, domain_size: usize) -> Self {
-        match config {
-            SignatureConfig::Exact => JoinSignature::Exact(BitSet::new(domain_size)),
-            SignatureConfig::Bloom { bits } => JoinSignature::Bloom(BitSet::new(bits.max(64))),
-        }
+    /// Creates an empty exact signature for a join domain of
+    /// `domain_size` values.
+    pub fn empty(domain_size: usize) -> Self {
+        JoinSignature::Exact(BitSet::new(domain_size))
     }
 
-    /// The signature of a partition whose join values are not known yet —
-    /// a streaming cell before its rows arrive: it may hold any value, so
-    /// it overlaps every signature that holds one and guarantees nothing.
-    pub fn unknown() -> Self {
-        let mut bits = BitSet::new(64);
-        bits.words.fill(u64::MAX);
-        JoinSignature::Bloom(bits)
-    }
-
-    /// Registers a join value.
+    /// Registers a join value (a no-op on an unknown signature, which
+    /// already admits every value).
     pub fn insert(&mut self, value: u32) {
-        match self {
-            JoinSignature::Exact(bits) => bits.set(value as usize),
-            JoinSignature::Bloom(bits) => {
-                let (h1, h2) = bloom_hashes(value, bits.capacity());
-                bits.set(h1);
-                bits.set(h2);
-            }
-        }
-    }
-
-    /// Whether the value may be present. Exact signatures answer precisely;
-    /// Bloom signatures may report false positives.
-    pub fn maybe_contains(&self, value: u32) -> bool {
-        match self {
-            JoinSignature::Exact(bits) => bits.get(value as usize),
-            JoinSignature::Bloom(bits) => {
-                let (h1, h2) = bloom_hashes(value, bits.capacity());
-                bits.get(h1) && bits.get(h2)
-            }
+        if let JoinSignature::Exact(bits) = self {
+            bits.set(value as usize);
         }
     }
 
@@ -71,9 +46,6 @@ impl JoinSignature {
     pub fn overlaps(&self, other: &JoinSignature) -> bool {
         match (self, other) {
             (JoinSignature::Exact(a), JoinSignature::Exact(b)) => a.intersects(b),
-            (JoinSignature::Bloom(a), JoinSignature::Bloom(b)) => a.intersects(b),
-            // Mixed kinds cannot arise from one executor run; conservatively
-            // report overlap so no join results are ever lost.
             _ => true,
         }
     }
@@ -82,14 +54,6 @@ impl JoinSignature {
     pub fn is_exact(&self) -> bool {
         matches!(self, JoinSignature::Exact(_))
     }
-}
-
-fn bloom_hashes(value: u32, capacity: usize) -> (usize, usize) {
-    // Two independent multiplicative hashes; capacity is ≥ 64.
-    let v = value as u64;
-    let h1 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 13;
-    let h2 = v.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) >> 17;
-    (h1 as usize % capacity, h2 as usize % capacity)
 }
 
 /// A plain fixed-capacity bitset.
@@ -106,12 +70,6 @@ impl BitSet {
             words: vec![0; capacity.div_ceil(64).max(1)],
             capacity: capacity.max(1),
         }
-    }
-
-    /// Bit capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Sets bit `i`.
@@ -141,11 +99,6 @@ impl BitSet {
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +114,6 @@ mod tests {
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(128));
         assert!(!b.get(500), "out of range reads are false");
-        assert_eq!(b.count_ones(), 3);
     }
 
     #[test]
@@ -177,52 +129,31 @@ mod tests {
 
     #[test]
     fn exact_signature_is_precise() {
-        let mut a = JoinSignature::empty(SignatureConfig::Exact, 1000);
-        let mut b = JoinSignature::empty(SignatureConfig::Exact, 1000);
+        let mut a = JoinSignature::empty(1000);
+        let mut b = JoinSignature::empty(1000);
         a.insert(5);
         a.insert(999);
         b.insert(6);
         assert!(!a.overlaps(&b));
         b.insert(999);
         assert!(a.overlaps(&b));
-        assert!(a.maybe_contains(5));
-        assert!(!a.maybe_contains(6));
         assert!(a.is_exact());
     }
 
     #[test]
-    fn bloom_signature_has_no_false_negatives() {
-        let mut s = JoinSignature::empty(SignatureConfig::Bloom { bits: 256 }, 0);
-        for v in 0..50 {
-            s.insert(v * 17);
-        }
-        for v in 0..50 {
-            assert!(s.maybe_contains(v * 17), "false negative at {}", v * 17);
-        }
-        assert!(!s.is_exact());
-    }
-
-    #[test]
-    fn bloom_overlap_superset_of_true_overlap() {
-        let mut a = JoinSignature::empty(SignatureConfig::Bloom { bits: 1024 }, 0);
-        let mut b = JoinSignature::empty(SignatureConfig::Bloom { bits: 1024 }, 0);
-        a.insert(42);
-        b.insert(42);
-        assert!(a.overlaps(&b), "shared value must overlap");
-    }
-
-    #[test]
     fn unknown_signatures_overlap_and_guarantee_nothing() {
-        let u = JoinSignature::unknown();
-        assert!(u.overlaps(&JoinSignature::unknown()));
-        assert!(u.maybe_contains(0) && u.maybe_contains(u32::MAX));
+        let u = JoinSignature::Unknown;
+        assert!(u.overlaps(&JoinSignature::Unknown));
+        let mut exact = JoinSignature::empty(8);
+        exact.insert(3);
+        assert!(u.overlaps(&exact) && exact.overlaps(&u));
         assert!(!u.is_exact());
     }
 
     #[test]
     fn empty_signatures_do_not_overlap_exact() {
-        let a = JoinSignature::empty(SignatureConfig::Exact, 64);
-        let b = JoinSignature::empty(SignatureConfig::Exact, 64);
+        let a = JoinSignature::empty(64);
+        let b = JoinSignature::empty(64);
         assert!(!a.overlaps(&b));
     }
 }

@@ -9,6 +9,10 @@ use progxe_skyline::PointStore;
 /// in views. `attrs` holds the mapping-relevant attributes (one row per
 /// tuple) and `join_keys` the equi-join key of each tuple, both indexed by
 /// row position.
+///
+/// Every attribute value behind a view is finite: [`SourceView::new`]
+/// rejects NaN and ±∞, so the engines never see them as input (a mapping
+/// function may still produce them as output).
 #[derive(Debug, Clone, Copy)]
 pub struct SourceView<'a> {
     attrs: &'a PointStore,
@@ -16,7 +20,13 @@ pub struct SourceView<'a> {
 }
 
 impl<'a> SourceView<'a> {
-    /// Creates a view, validating that the two arrays are parallel.
+    /// Creates a view, validating that the two arrays are parallel and
+    /// that every attribute value is finite.
+    ///
+    /// # Errors
+    /// [`Error::SourceShape`] for arrays of different lengths,
+    /// [`Error::NonFiniteValue`] naming the first row and column that holds
+    /// NaN or ±∞.
     pub fn new(attrs: &'a PointStore, join_keys: &'a [u32]) -> Result<Self> {
         if attrs.len() != join_keys.len() {
             return Err(Error::SourceShape {
@@ -24,7 +34,22 @@ impl<'a> SourceView<'a> {
                 key_rows: join_keys.len(),
             });
         }
+        if let Some(pos) = attrs.raw().iter().position(|v| !v.is_finite()) {
+            return Err(Error::NonFiniteValue {
+                row: pos / attrs.dims(),
+                dim: pos % attrs.dims(),
+            });
+        }
         Ok(Self { attrs, join_keys })
+    }
+
+    /// A view over rows already checked: copies of a checked view's rows,
+    /// or ingest rows that `push` admitted within finite declared bounds.
+    /// Skips [`new`](Self::new)'s scan.
+    pub(crate) fn checked(attrs: &'a PointStore, join_keys: &'a [u32]) -> Self {
+        debug_assert_eq!(attrs.len(), join_keys.len(), "arrays must be parallel");
+        debug_assert!(attrs.raw().iter().all(|v| v.is_finite()));
+        Self { attrs, join_keys }
     }
 
     /// Number of tuples.
@@ -141,12 +166,22 @@ impl SourceData {
         self.join_keys.is_empty()
     }
 
-    /// A borrowed view suitable for the executor.
+    /// A borrowed view suitable for the executor; [`try_view`] without
+    /// the `Result`.
     ///
     /// # Panics
-    /// Never panics: the arrays are parallel by construction.
+    /// Panics when a value is NaN or ±∞ (the arrays are parallel by
+    /// construction).
+    ///
+    /// [`try_view`]: Self::try_view
     pub fn view(&self) -> SourceView<'_> {
-        SourceView::new(&self.attrs, &self.join_keys).expect("SourceData arrays are parallel")
+        self.try_view().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A borrowed view, or [`Error::NonFiniteValue`] naming the first
+    /// row and column that holds NaN or ±∞.
+    pub fn try_view(&self) -> Result<SourceView<'_>> {
+        SourceView::new(&self.attrs, &self.join_keys)
     }
 }
 
@@ -162,6 +197,25 @@ mod tests {
             SourceView::new(&attrs, &keys),
             Err(Error::SourceShape { .. })
         ));
+    }
+
+    #[test]
+    fn view_rejects_non_finite_values_naming_row_and_column() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let s = SourceData::from_rows(3, &[(&[1.0, 2.0, 3.0], 0), (&[4.0, 5.0, bad], 1)]);
+            assert_eq!(
+                s.try_view().unwrap_err(),
+                Error::NonFiniteValue { row: 1, dim: 2 }
+            );
+        }
+        let extremes = SourceData::from_rows(1, &[(&[f64::MAX], 0), (&[-f64::MAX], 0)]);
+        assert!(extremes.try_view().is_ok(), "finite extremes are valid");
+    }
+
+    #[test]
+    #[should_panic(expected = "input row 0 holds a non-finite value in column 1")]
+    fn view_panics_on_non_finite_values() {
+        SourceData::from_rows(2, &[(&[0.0, f64::NAN], 0)]).view();
     }
 
     #[test]

@@ -1021,34 +1021,46 @@ mod tests {
     /// Sides holding a NaN, a `+∞` or a `−∞` component — the `−∞ + ∞`
     /// pairing included, whose row is NaN behind a finite-looking corner —
     /// are unbounded: the look-ahead stays off and the batch is, bit for
-    /// bit, join + local filter + snapshot filter.
+    /// bit, join + local filter + snapshot filter. Inputs are finite; the
+    /// first output's map overflows them into the poisons: `2·a0` per side
+    /// is ±∞ at a0 = ±1e308, and `2·(a0 − a1)` is NaN at (1e308, 1e308).
     #[test]
     fn non_finite_sides_are_never_pruned() {
-        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        use crate::mapping::{MappingFunction, WeightedSum};
+        let weighted = |w: Vec<f64>| {
+            let maps: Vec<Box<dyn MappingFunction>> = vec![
+                Box::new(WeightedSum::new(w.clone(), w)),
+                Box::new(WeightedSum::new(vec![0.0, 1.0], vec![0.0, 1.0])),
+            ];
+            MapSet::new(maps, Preference::all_lowest(2)).unwrap()
+        };
+        let (doubled, differenced) = (weighted(vec![2.0, 0.0]), weighted(vec![2.0, -2.0]));
         let token = CancellationToken::new();
         // Dominates every finite corner: whatever may be pruned, is.
         let snapshot = [-f64::MAX, -f64::MAX];
         let bits = |batch: &RegionBatch| -> Vec<u64> {
             batch.points.raw().iter().map(|v| v.to_bits()).collect()
         };
-        for (r_poison, t_poison) in [
-            (f64::NAN, 1.0),
-            (f64::INFINITY, 1.0),
-            (1.0, f64::NEG_INFINITY),
-            (f64::NEG_INFINITY, f64::INFINITY),
-            (1.0, 1.0),
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (maps, r_row, t_row, r_poison, t_poison) in [
+            (&differenced, [1e308, 1e308], [1.0, 3.0], f64::NAN, 0.0),
+            (&doubled, [1e308, 2.0], [1.0, 3.0], inf, 0.0),
+            (&doubled, [1.0, 2.0], [-1e308, 3.0], 0.0, ninf),
+            // No row beats the pairing's second output, 0.
+            (&doubled, [-1e308, 0.0], [1e308, 0.0], ninf, inf),
+            (&doubled, [1.0, 2.0], [1.0, 3.0], 0.0, 0.0),
         ] {
             let mut state = 0xBAD_u64;
             let (mut r, mut t) = (
                 random_relation(40, 0.0, &mut state),
                 random_relation(30, 0.0, &mut state),
             );
-            r.push(&[r_poison, 2.0], 1);
-            t.push(&[t_poison, 3.0], 1);
-            let (rp, tp) = partitions(&r, &t, &maps);
-            let batch = join_batch(0, &rp, &tp, &maps, &snapshot, &token);
+            r.push(&r_row, 1);
+            t.push(&t_row, 1);
+            let (rp, tp) = partitions(&r, &t, maps);
+            let batch = join_batch(0, &rp, &tp, maps, &snapshot, &token);
 
-            let label = format!("poison ({r_poison}, {t_poison})");
+            let label = format!("poison components ({r_poison}, {t_poison})");
             if r_poison.is_finite() && t_poison.is_finite() {
                 // The control: bounded sides, everything skipped.
                 assert_eq!(batch.stats.matches, 0, "{label}");
@@ -1056,11 +1068,10 @@ mod tests {
                 continue;
             }
             let mut reference = RegionBatch::aborted(0, 2);
-            let (mut stats, completed) =
-                join_region(&rp, &tp, &maps, &[], &token, |pairs, rows| {
-                    reference.ids.extend_from_slice(pairs);
-                    reference.points.extend_from_flat(rows);
-                });
+            let (mut stats, completed) = join_region(&rp, &tp, maps, &[], &token, |pairs, rows| {
+                reference.ids.extend_from_slice(pairs);
+                reference.points.extend_from_flat(rows);
+            });
             assert!(completed);
             local_skyline_filter(
                 &mut reference.ids,

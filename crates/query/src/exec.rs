@@ -10,12 +10,14 @@
 use crate::catalog::Catalog;
 use crate::parser::{parse_query, ParseError};
 use crate::plan::{plan, plan_streaming, PlanError, PlannedQuery, SideFilter};
-use progxe_baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
+use progxe_baselines::{JfSlEngine, SkyAlgo, SsmjEngine};
 use progxe_core::config::ProgXeConfig;
+use progxe_core::error::Error;
 use progxe_core::executor::ProgXe;
 use progxe_core::ingest::{IngestError, IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe_core::runtime::EngineRuntime;
 use progxe_core::session::{ProgressiveEngine, QuerySession};
+use progxe_core::source::{SourceData, SourceView};
 use progxe_core::stats::{ExecStats, ResultTuple};
 use progxe_obs::Recorder;
 use std::fmt;
@@ -35,8 +37,6 @@ pub enum Engine {
     JfSlPlus(SkyAlgo),
     /// The two-batch SSMJ baseline.
     Ssmj(SkyAlgo),
-    /// The Fagin-style threshold baseline.
-    Saj(SkyAlgo),
 }
 
 impl Engine {
@@ -109,12 +109,6 @@ impl Engine {
         Engine::Ssmj(SkyAlgo::Sfs)
     }
 
-    /// SAJ with sort-filter-skyline.
-    #[must_use]
-    pub fn saj_sfs() -> Self {
-        Engine::Saj(SkyAlgo::Sfs)
-    }
-
     /// Short name for diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
@@ -122,7 +116,6 @@ impl Engine {
             Engine::JfSl(_) => "jf-sl",
             Engine::JfSlPlus(_) => "jf-sl+",
             Engine::Ssmj(_) => "ssmj",
-            Engine::Saj(_) => "saj",
         }
     }
 
@@ -139,7 +132,6 @@ impl Engine {
             Engine::JfSl(algo) => Box::new(JfSlEngine::new(*algo)),
             Engine::JfSlPlus(algo) => Box::new(JfSlEngine::plus(*algo)),
             Engine::Ssmj(algo) => Box::new(SsmjEngine::new(*algo)),
-            Engine::Saj(algo) => Box::new(SajEngine::new(*algo)),
         }
     }
 }
@@ -148,6 +140,23 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// A view over one planned source, or [`Error::NonFiniteValue`] naming the
+/// catalog table's row (`rows` maps filtered positions back to it).
+fn source_view<'p>(
+    data: &'p SourceData,
+    rows: Option<&[u32]>,
+) -> Result<SourceView<'p>, QueryError> {
+    data.try_view().map_err(|e| {
+        QueryError::Exec(match e {
+            Error::NonFiniteValue { row, dim } => Error::NonFiniteValue {
+                row: rows.map_or(row, |ids| ids[row] as usize),
+                dim,
+            },
+            e => e,
+        })
+    })
 }
 
 /// Everything that can go wrong running a query end to end.
@@ -368,9 +377,11 @@ impl QueryRunner {
         planned: &'p PlannedQuery,
         engine: &Engine,
     ) -> Result<QuerySession<'p>, QueryError> {
+        let r = source_view(&planned.r, planned.r_rows.as_deref())?;
+        let t = source_view(&planned.t, planned.t_rows.as_deref())?;
         let session = engine
             .build()
-            .open(&planned.r.view(), &planned.t.view(), &planned.maps)?
+            .open(&r, &t, &planned.maps)?
             .with_id_translation(planned.r_rows.clone(), planned.t_rows.clone());
         Ok(session)
     }
@@ -480,6 +491,35 @@ mod tests {
          WHERE R.country = T.country AND R.manCap >= 100 \
          PREFERRING LOWEST(tCost) AND LOWEST(delay)";
 
+    /// A NaN or ±∞ in a row the query reads is a typed error naming the
+    /// catalog row, on every engine; one in a row the WHERE clause drops
+    /// is never read.
+    #[test]
+    fn non_finite_input_is_a_typed_error_naming_the_catalog_row() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cat = q1_catalog();
+            let mut suppliers = cat.table("Suppliers").unwrap().data.clone();
+            suppliers.push(&[1.0, bad, 300.0], 0); // row 3, read by Q1
+            suppliers.push(&[bad, 1.0, 10.0], 0); // row 4, filtered out
+            let schema = cat.table("Suppliers").unwrap().schema.clone();
+            cat.register(schema, suppliers);
+            let runner = QueryRunner::new(cat);
+            for engine in [Engine::progxe(), Engine::jfsl_sfs(), Engine::ssmj_sfs()] {
+                let err = runner.run_collect(Q1, &engine).expect_err("rejected");
+                assert!(
+                    matches!(
+                        err,
+                        QueryError::Exec(Error::NonFiniteValue { row: 3, dim: 1 })
+                    ),
+                    "{engine}: {err}"
+                );
+            }
+            // manCap >= 400 reads row 1 only.
+            let filtered = Q1.replace(">= 100", ">= 400");
+            assert!(runner.run_collect(&filtered, &Engine::progxe()).is_ok());
+        }
+    }
+
     #[test]
     fn all_engines_agree_on_q1() {
         let runner = QueryRunner::new(q1_catalog());
@@ -488,7 +528,6 @@ mod tests {
             Engine::jfsl_bnl(),
             Engine::jfsl_plus_sfs(),
             Engine::Ssmj(SkyAlgo::Bnl),
-            Engine::Saj(SkyAlgo::Bnl),
         ];
         let mut reference: Option<Vec<(u32, u32)>> = None;
         for engine in &engines {
@@ -528,7 +567,6 @@ mod tests {
             Engine::jfsl_bnl(),
             Engine::jfsl_plus_sfs(),
             Engine::Ssmj(SkyAlgo::Sfs),
-            Engine::Saj(SkyAlgo::Bnl),
         ];
         let pareto = runner.run_collect(Q1, &Engine::progxe()).unwrap();
         let pareto_ids: Vec<(u32, u32)> =
@@ -948,7 +986,6 @@ mod tests {
         assert_eq!(Engine::progxe().name(), "progxe");
         assert_eq!(Engine::Ssmj(SkyAlgo::Bnl).name(), "ssmj");
         assert_eq!(Engine::jfsl_plus_sfs().to_string(), "jf-sl+");
-        assert_eq!(Engine::saj_sfs().to_string(), "saj");
         assert_eq!(Engine::ssmj_sfs().build().name(), "ssmj");
     }
 }

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Pipeline: [`parser`] text → [`ast`] → [`plan`] (validated against a
-//! [`catalog::Catalog`]) → [`exec`] (ProgXe / JF-SL / SSMJ / SAJ).
+//! [`catalog::Catalog`]) → [`exec`] (ProgXe / JF-SL / SSMJ).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -109,9 +109,10 @@ pub enum ErrorCode {
     /// Admission control shed this connection: the server is at its
     /// concurrent-session cap. Retry later; the server never queues.
     Overloaded = 1,
-    /// The query failed to parse or plan, or a subscription frame was
-    /// invalid (unknown `sub_id`, duplicate `sub_id`, rejected rows,
-    /// v2 frame before the Hello echo). The connection stays usable.
+    /// The query failed to parse or plan, a row it reads holds NaN or ±∞,
+    /// or a subscription frame was invalid (unknown `sub_id`, duplicate
+    /// `sub_id`, rejected rows, v2 frame before the Hello echo). The
+    /// connection stays usable.
     BadQuery = 2,
     /// The engine failed during execution.
     Internal = 3,

@@ -584,10 +584,18 @@ fn run_query(
                 .metrics
                 .queries_failed
                 .fetch_add(1, Ordering::Relaxed);
+            // A NaN or ±∞ in a row the query reads is the query's input
+            // at fault, not the engine.
+            let code = match e {
+                QueryError::Exec(progxe_core::error::Error::NonFiniteValue { .. }) => {
+                    ErrorCode::BadQuery
+                }
+                _ => ErrorCode::Internal,
+            };
             write_server_frame(
                 writer,
                 &ServerFrame::Error {
-                    code: ErrorCode::Internal,
+                    code,
                     message: e.to_string(),
                 },
             )?;

@@ -275,6 +275,40 @@ fn bad_query_is_reported_in_band_and_the_connection_survives() {
     assert_eq!(metrics.queries_ok(), 1);
 }
 
+/// A NaN or ±∞ in a catalog row the query reads arrives as
+/// `Error(BadQuery)` naming the row; the connection stays usable for a
+/// query over clean tables.
+#[test]
+fn non_finite_catalog_row_is_a_bad_query_and_the_connection_survives() {
+    let mut cat = synthetic::catalog(200, 2, 8);
+    let mut r = cat.table("R").unwrap().data.clone();
+    r.push(&[1.0, f64::NAN], 0);
+    let schema = cat.table("R").unwrap().schema.clone();
+    cat.register(schema, r);
+    let handle = Server::start(
+        QueryRunner::new(cat),
+        Engine::progxe_threads(2),
+        ServerConfig { max_sessions: 8 },
+        "127.0.0.1:0",
+    )
+    .expect("bind port 0");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let outcome = client
+        .run_query(&synthetic::query_sql(2))
+        .expect("frame exchange");
+    let (code, message) = outcome.error.expect("typed error for a NaN row");
+    assert_eq!(code, ErrorCode::BadQuery);
+    assert!(message.contains("row 200"), "{message}");
+    assert!(outcome.done.is_none());
+
+    let clean = synthetic::query_sql(2).replace("FROM R R", "FROM T R");
+    let outcome = client.run_query(&clean).expect("retry runs");
+    assert!(outcome.error.is_none());
+    assert!(!outcome.tuples.is_empty());
+    handle.shutdown();
+}
+
 #[test]
 fn subscription_updates_are_bit_identical_to_an_in_process_transcript() {
     let rows = 240;

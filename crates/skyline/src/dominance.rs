@@ -24,12 +24,6 @@ pub trait Dominance {
     /// True iff `a` dominates `b`.
     fn dominates(&self, a: &[f64], b: &[f64]) -> bool;
 
-    /// A score that is strictly monotone with respect to the relation: if
-    /// `a` dominates `b` then `monotone_score(a) < monotone_score(b)`.
-    /// Presorting algorithms (SFS) rely on this to guarantee that no tuple
-    /// is dominated by a later one in ascending score order.
-    fn monotone_score(&self, a: &[f64]) -> f64;
-
     /// Dimensionality of the relation's *kernel space*: a space in which
     /// this relation is exactly all-lowest Pareto dominance, so the batched
     /// kernels in [`crate::kernel`] apply. For Pareto this is `dims()`
@@ -62,11 +56,6 @@ impl Dominance for Preference {
     #[inline]
     fn dominates(&self, a: &[f64], b: &[f64]) -> bool {
         Preference::dominates(self, a, b)
-    }
-
-    #[inline]
-    fn monotone_score(&self, a: &[f64]) -> f64 {
-        Preference::monotone_score(self, a)
     }
 
     #[inline]

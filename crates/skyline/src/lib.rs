@@ -6,12 +6,12 @@
 //!
 //! * [`bnl`] — Block-Nested-Loops, the baseline window algorithm of
 //!   Börzsönyi, Kossmann & Stocker (ICDE 2001).
-//! * [`sfs`] — Sort-Filter-Skyline: presorting by a monotone score makes a
-//!   single filtering pass sufficient and the output *progressive*.
-//! * [`dnc`] — divide & conquer in the spirit of Kung, Luccio & Preparata
-//!   (J. ACM 1975), whose `O(n log^α n)` bound the paper's cost model uses.
-//! * [`salsa`] — a SaLSa-style sort-and-limit algorithm (Bartolini, Ciaccia
-//!   & Patella, CIKM 2006) that can stop before scanning the whole input.
+//! * [`sfs`] — Sort-Filter-Skyline: presorting in a linear extension of
+//!   dominance makes a single filtering pass sufficient and the output
+//!   *progressive*.
+//! * [`reference`](mod@reference) — the quadratic naive skyline every test oracle uses.
+//! * [`kernel`] — the batched columnar dominance kernels the engine's
+//!   tuple-level phase and committer run.
 //!
 //! All algorithms operate on a [`PointStore`] (a dense row-major matrix of
 //! `f64` attribute values) under a [`Preference`] (per-dimension
@@ -24,22 +24,18 @@
 #![warn(missing_docs)]
 
 pub mod bnl;
-pub mod dnc;
 pub mod dominance;
 pub mod kernel;
 pub mod point;
 pub mod preference;
 pub mod reference;
-pub mod salsa;
 pub mod sfs;
 pub mod stats;
 
 pub use bnl::{bnl_skyline, bnl_skyline_under};
-pub use dnc::dnc_skyline;
 pub use dominance::{DomRelation, Dominance};
 pub use point::PointStore;
 pub use preference::{Order, Preference};
 pub use reference::{naive_skyline, naive_skyline_under};
-pub use salsa::salsa_skyline;
 pub use sfs::{sfs_skyline, sfs_skyline_under};
 pub use stats::{SkylineResult, SkylineStats};

@@ -35,7 +35,7 @@ impl Order {
     /// Maps a value onto the canonical "lower is better" orientation.
     ///
     /// Sorting oriented values ascending puts better values first regardless
-    /// of the original direction; algorithms that presort (SFS, SaLSa) use
+    /// of the original direction; algorithms that presort (SFS) use
     /// this to stay direction-agnostic.
     #[inline]
     pub fn orient(self, v: f64) -> f64 {
@@ -150,38 +150,6 @@ impl Preference {
             (true, true) => unreachable!("early return above"),
         }
     }
-
-    /// A monotone score used by presorting algorithms: the sum of oriented
-    /// values. If `a` dominates `b` then `score(a) < score(b)`, so no tuple
-    /// can be dominated by a tuple that appears later in ascending order.
-    #[inline]
-    pub fn monotone_score(&self, a: &[f64]) -> f64 {
-        self.orders
-            .iter()
-            .zip(a)
-            .map(|(ord, &v)| ord.orient(v))
-            .sum()
-    }
-
-    /// The minimum oriented coordinate — the `minC` sort key of SaLSa.
-    #[inline]
-    pub fn min_oriented(&self, a: &[f64]) -> f64 {
-        self.orders
-            .iter()
-            .zip(a)
-            .map(|(ord, &v)| ord.orient(v))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The maximum oriented coordinate — SaLSa's stop-value ingredient.
-    #[inline]
-    pub fn max_oriented(&self, a: &[f64]) -> f64 {
-        self.orders
-            .iter()
-            .zip(a)
-            .map(|(ord, &v)| ord.orient(v))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 impl fmt::Debug for Preference {
@@ -263,22 +231,6 @@ mod tests {
             p.compare(&[1.0, 2.0], &[2.0, 1.0]),
             DomRelation::Incomparable
         );
-    }
-
-    #[test]
-    fn monotone_score_is_dominance_consistent() {
-        let p = Preference::new(vec![Order::Lowest, Order::Highest]);
-        let a = [1.0, 9.0];
-        let b = [2.0, 5.0];
-        assert!(p.dominates(&a, &b));
-        assert!(p.monotone_score(&a) < p.monotone_score(&b));
-    }
-
-    #[test]
-    fn min_max_oriented() {
-        let p = Preference::all_lowest(3);
-        assert_eq!(p.min_oriented(&[3.0, 1.0, 2.0]), 1.0);
-        assert_eq!(p.max_oriented(&[3.0, 1.0, 2.0]), 3.0);
     }
 
     #[test]

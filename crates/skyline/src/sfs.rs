@@ -1,26 +1,32 @@
 //! Sort-Filter-Skyline (SFS).
 //!
-//! Presorting the input by a monotone score guarantees that no tuple can be
-//! dominated by a tuple appearing *later* in the sorted order. A single pass
-//! with an append-only window then suffices — window entries are never
-//! evicted — and every admitted tuple is immediately *final*, which makes
-//! SFS a progressive single-set skyline algorithm (the paper's Section VII
-//! discusses this family \[4\], \[5\]).
+//! Presorting the input in a linear extension of the dominance relation
+//! guarantees that no tuple can be dominated by a tuple appearing *later*
+//! in the sorted order. A single pass with an append-only window then
+//! suffices — window entries are never evicted — and every admitted tuple
+//! is immediately *final*, which makes SFS a progressive single-set skyline
+//! algorithm (the paper's Section VII discusses this family \[4\], \[5\]).
+//!
+//! The order is `presort_cmp` over kernel rows: mostly the coordinate
+//! sum, with the ties a rounded sum produces broken so that the order stays
+//! a linear extension on every f64 input.
 
 use crate::dominance::Dominance;
 use crate::{kernel, PointStore, Preference, SkylineResult, SkylineStats};
+use std::cmp::Ordering;
 
-/// Computes the skyline by sorting on [`Preference::monotone_score`] and
-/// filtering in one pass. Output indices are in score order (ascending),
-/// i.e. in the order a progressive consumer would receive them.
+/// Computes the skyline by presorting on the coordinate sum (ties broken
+/// lexicographically; see the module docs) and filtering in one pass. Output indices are in
+/// presort order, i.e. in the order a progressive consumer would receive
+/// them.
 pub fn sfs_skyline(store: &PointStore, pref: &Preference) -> SkylineResult {
     sfs_skyline_under(store, pref)
 }
 
-/// [`sfs_skyline`] generalized over any [`Dominance`] model. Correct for
-/// any model whose [`Dominance::monotone_score`] honors the strict-monotone
-/// contract — a dominated tuple always sorts after some dominator, so the
-/// append-only window stays sufficient.
+/// [`sfs_skyline`] generalized over any [`Dominance`] model. The presort
+/// runs on the model's kernel rows, where the relation is all-lowest Pareto
+/// dominance, so a dominated tuple always sorts after its dominators and
+/// the append-only window stays sufficient.
 pub fn sfs_skyline_under<D: Dominance>(store: &PointStore, dom: &D) -> SkylineResult {
     let mut result = SkylineResult::default();
     sfs_skyline_with_under(
@@ -52,27 +58,71 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
 ) {
     assert_eq!(store.dims(), dom.dims(), "store/dominance dims mismatch");
     let n = store.len();
-    // Score each tuple once instead of once per sort comparison.
-    let scores: Vec<f64> = store.iter().map(|p| dom.monotone_score(p)).collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    // total_cmp is safe here: scores of finite inputs are finite.
-    order.sort_by(|&a, &b| scores[a as usize].total_cmp(&scores[b as usize]));
-    // Project once into kernel space; the append-only window then runs on
-    // the batched many-vs-one kernel. SFS never evicts, so a PointStore of
-    // kernel rows is all the window state needed.
+    // Project once into kernel space; the presort reads the kernel rows and
+    // the append-only window runs on the batched many-vs-one kernel. SFS
+    // never evicts, so a PointStore of kernel rows is all the window state
+    // needed.
     let kd = dom.kernel_dims();
     let mut kbuf = Vec::new();
     let kdata = kernel::project_store(dom, store, &mut kbuf);
+    let row = |i: u32| &kdata[i as usize * kd..(i as usize + 1) * kd];
+    // Key each row once instead of once per sort comparison.
+    let keys: Vec<(i32, f64)> = (0..n as u32).map(|i| sum_key(row(i))).collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| presort_cmp((keys[a as usize], row(a)), (keys[b as usize], row(b))));
     let mut window = PointStore::new(kd);
     for &i in &order {
         stats.tuples_scanned += 1;
-        let p = &kdata[i as usize * kd..(i as usize + 1) * kd];
+        let p = row(i);
         if kernel::any_dominates(kd, window.raw(), p, &mut stats.dominance_tests) {
             continue;
         }
         window.push(p);
         emit(i as usize);
     }
+}
+
+/// The presort's primary key of one kernel row: its count of `+∞`
+/// coordinates minus its count of `−∞` ones, then the float sum of its
+/// finite ones (a plain sum is NaN on a row holding both infinities).
+fn sum_key(row: &[f64]) -> (i32, f64) {
+    row.iter().fold((0, 0.0), |(inf, sum), &v| {
+        if v == f64::INFINITY {
+            (inf + 1, sum)
+        } else if v == f64::NEG_INFINITY {
+            (inf - 1, sum)
+        } else {
+            (inf, sum + v)
+        }
+    })
+}
+
+/// SFS's presort order on two kernel rows (all-lowest Pareto space) keyed
+/// by [`sum_key`]: the key, then the coordinates lexicographically.
+///
+/// It is a linear extension of kernel dominance on rows without NaN. Let
+/// `a` dominate `b` (`a ≤ b` everywhere, `<` somewhere). Every `+∞` of `a`
+/// is one of `b`'s and every `−∞` of `b` is one of `a`'s, so the infinity
+/// counts compare `≤`; if they are equal, both rows hold their infinities at
+/// the same positions, and since a float sum is monotone in each term (also
+/// where it rounds or overflows) the finite sums compare `≤`. When both tie
+/// — rounding makes that possible for distinct rows — the first coordinate
+/// where the rows differ is one where `a < b`. Zeros of either sign tie, as
+/// they do in the kernels. A NaN coordinate, which the kernels treat as a
+/// tie, has no place in any linear extension; the comparison stays a total
+/// order so the sort is well defined.
+fn presort_cmp((ka, a): ((i32, f64), &[f64]), (kb, b): ((i32, f64), &[f64])) -> Ordering {
+    let lex = || {
+        let mut pairs = a.iter().zip(b).map(|(&x, &y)| tie_cmp(x, y));
+        pairs.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    };
+    ka.0.cmp(&kb.0).then(tie_cmp(ka.1, kb.1)).then_with(lex)
+}
+
+/// `<` / `>` as the kernels compare, made total: `-0.0 + 0.0` is `+0.0`, so
+/// the two zeros tie, and `total_cmp` places NaN instead of failing.
+fn tie_cmp(x: f64, y: f64) -> Ordering {
+    (x + 0.0).total_cmp(&(y + 0.0))
 }
 
 #[cfg(test)]
@@ -101,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn emits_in_monotone_score_order() {
+    fn emits_in_sum_order() {
         let s = PointStore::from_rows(2, [[3.0, 3.0], [1.0, 1.0], [0.5, 4.0]]);
         let p = Preference::all_lowest(2);
         let r = sfs_skyline(&s, &p);
@@ -131,6 +181,47 @@ mod tests {
         sfs_skyline_with(&s, &p, |i| seen.push(i), &mut stats);
         assert_eq!(seen.len(), 2);
         assert_eq!(stats.tuples_scanned, 3);
+    }
+
+    /// A dominator whose rounded sum ties its victim's still sorts first:
+    /// at 1e16 the float spacing is 2, so 1e16 + 0 and 1e16 + 1 sum alike.
+    /// Zeros of either sign tie, as in the kernels, so the lexicographic
+    /// tie-break reads past them.
+    #[test]
+    fn rounding_ties_keep_dominators_first() {
+        let s = PointStore::from_rows(
+            3,
+            [
+                [-0.0, 1e16, 1.0],
+                [0.0, 1e16, 0.0],
+                [1e16, 1.0, 0.0],
+                [1e16, 0.0, 0.0],
+            ],
+        );
+        assert_eq!(1e16 + 1.0, 1e16, "the sums tie");
+        let p = Preference::all_lowest(3);
+        assert_eq!(sfs_skyline(&s, &p).sorted_indices(), vec![1, 3]);
+        assert_eq!(naive_skyline(&s, &p).sorted_indices(), vec![1, 3]);
+    }
+
+    /// Rows holding both infinities — whose float sum is NaN — still sort
+    /// after their dominators and before their victims.
+    #[test]
+    fn opposite_infinities_keep_a_linear_extension() {
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let s = PointStore::from_rows(
+            2,
+            [[inf, 0.0], [inf, ninf], [5.0, ninf], [1.0, 2.0], [inf, inf]],
+        );
+        let p = Preference::all_lowest(2);
+        let expected = naive_skyline(&s, &p).sorted_indices();
+        assert_eq!(expected, vec![2, 3]);
+        assert_eq!(sfs_skyline(&s, &p).sorted_indices(), expected);
+        let mixed = Preference::new(vec![crate::Order::Highest, crate::Order::Lowest]);
+        assert_eq!(
+            sfs_skyline(&s, &mixed).sorted_indices(),
+            naive_skyline(&s, &mixed).sorted_indices()
+        );
     }
 
     #[test]

@@ -11,18 +11,6 @@ pub struct SkylineStats {
     pub dominance_tests: u64,
     /// Number of input tuples inspected (including dominated ones).
     pub tuples_scanned: u64,
-    /// For algorithms with early termination (SaLSa), how many input tuples
-    /// were *never* inspected because the stop condition fired.
-    pub tuples_skipped: u64,
-}
-
-impl SkylineStats {
-    /// Merges counters from a sub-computation (e.g. a divide & conquer half).
-    pub fn absorb(&mut self, other: SkylineStats) {
-        self.dominance_tests += other.dominance_tests;
-        self.tuples_scanned += other.tuples_scanned;
-        self.tuples_skipped += other.tuples_skipped;
-    }
 }
 
 /// Result of a skyline computation: indices of the non-dominated points in
@@ -57,23 +45,6 @@ impl SkylineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_sums_counters() {
-        let mut a = SkylineStats {
-            dominance_tests: 3,
-            tuples_scanned: 5,
-            tuples_skipped: 1,
-        };
-        a.absorb(SkylineStats {
-            dominance_tests: 2,
-            tuples_scanned: 4,
-            tuples_skipped: 0,
-        });
-        assert_eq!(a.dominance_tests, 5);
-        assert_eq!(a.tuples_scanned, 9);
-        assert_eq!(a.tuples_skipped, 1);
-    }
 
     #[test]
     fn sorted_indices_sorts() {

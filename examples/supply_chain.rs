@@ -88,7 +88,6 @@ fn main() {
         Engine::ssmj_sfs(),
         Engine::jfsl_sfs(),
         Engine::jfsl_plus_sfs(),
-        Engine::saj_sfs(),
     ] {
         let mut session = runner.session(&planned, &engine).expect("Q1 runs");
         let mut records = Vec::new();

@@ -12,7 +12,7 @@
 //! * [`query`] — SkyMapJoin algebra, `PREFERRING` parser, planner.
 //! * [`server`] — TCP serving layer: framed progressive batches,
 //!   per-client cancellation, admission control.
-//! * [`baselines`] — JF-SL, JF-SL+, SSMJ, SAJ.
+//! * [`baselines`] — JF-SL, JF-SL+, SSMJ.
 
 #![forbid(unsafe_code)]
 

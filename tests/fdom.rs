@@ -14,7 +14,7 @@
 
 mod common;
 
-use progxe::baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
+use progxe::baselines::{JfSlEngine, SkyAlgo, SsmjEngine};
 use progxe::core::fdom::DominanceModel;
 use progxe::core::ingest::{IngestPoll, IngestSession, SourceId, StreamSpec};
 use progxe::core::prelude::*;
@@ -108,16 +108,14 @@ fn fskyline_matches_oracle_across_engines_and_backends() {
                     "{dist:?}/{seed}/{tight}: env-dispatched engine"
                 );
 
-                // The four baselines, across two skyline algorithms each
-                // (BNL/SFS run the model natively; DNC/SaLSa go through
-                // the Pareto-then-filter composition).
+                // The three baselines, across both skyline algorithms (BNL
+                // and SFS each run the model natively).
                 let baselines: Vec<Box<dyn ProgressiveEngine>> = vec![
                     Box::new(JfSlEngine::new(SkyAlgo::Bnl)),
-                    Box::new(JfSlEngine::new(SkyAlgo::Dnc)),
+                    Box::new(JfSlEngine::new(SkyAlgo::Sfs)),
                     Box::new(JfSlEngine::plus(SkyAlgo::Sfs)),
-                    Box::new(JfSlEngine::plus(SkyAlgo::Salsa)),
+                    Box::new(JfSlEngine::plus(SkyAlgo::Bnl)),
                     Box::new(SsmjEngine::new(SkyAlgo::Sfs)),
-                    Box::new(SajEngine::new(SkyAlgo::Bnl)),
                 ];
                 for engine in baselines {
                     let out = engine.run_collect(&r, &t, &maps).unwrap();

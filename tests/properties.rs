@@ -7,13 +7,13 @@
 //! therefore reproduces deterministically from the case index printed in
 //! the assertion message.
 
-use progxe::baselines::oracle_smj;
+use progxe::baselines::{oracle_smj, JfSlEngine, SkyAlgo, SsmjEngine};
 use progxe::core::fdom::{FDominance, WeightConstraint};
 use progxe::core::prelude::*;
+use progxe::core::Error;
 use progxe::datagen::rng::{Rng, StdRng};
-use progxe::skyline::{
-    bnl_skyline, dnc_skyline, naive_skyline, salsa_skyline, sfs_skyline, DomRelation, PointStore,
-};
+use progxe::datagen::{Distribution, WorkloadSpec};
+use progxe::skyline::{bnl_skyline, naive_skyline, sfs_skyline, DomRelation, PointStore};
 
 /// Small integer grid: plenty of ties and dominance chains.
 fn small_value(rng: &mut StdRng) -> f64 {
@@ -90,16 +90,6 @@ fn skyline_algorithms_agree() {
             sfs_skyline(&s, &pref).sorted_indices(),
             expected,
             "case {case}: sfs"
-        );
-        assert_eq!(
-            dnc_skyline(&s, &pref).sorted_indices(),
-            expected,
-            "case {case}: dnc"
-        );
-        assert_eq!(
-            salsa_skyline(&s, &pref).sorted_indices(),
-            expected,
-            "case {case}: salsa"
         );
     }
 }
@@ -568,5 +558,184 @@ fn mixed_directions_equal_oracle() {
             .run_collect(&r.view(), &t.view(), &maps)
             .unwrap();
         assert_eq!(result_ids(&out.results), expected, "case {case}");
+    }
+}
+
+/// The value axis of the oracle checks: which f64s an instance's
+/// attributes are drawn from.
+#[derive(Debug, Clone, Copy)]
+enum Values {
+    /// Integers just above 2^53: exact ties between coordinates, and sums
+    /// of distinct values that round to ties.
+    Integers,
+    /// Small integers mixed with ±1e308, whose mapped sums overflow to ±∞.
+    Extremes,
+}
+
+fn axis_value(rng: &mut StdRng, values: Values) -> f64 {
+    let small = rng.gen_range(0u32..12) as f64;
+    match values {
+        Values::Integers => 2f64.powi(53) + 2.0 * small,
+        Values::Extremes => match rng.gen_range(0u32..6) {
+            0 => 1e308,
+            1 => -1e308,
+            _ => small,
+        },
+    }
+}
+
+fn axis_source(rng: &mut StdRng, values: Values, dims: usize, max_rows: usize) -> SourceData {
+    let mut s = SourceData::new(dims);
+    for _ in 0..rng.gen_range(1..max_rows) {
+        let row: Vec<f64> = (0..dims).map(|_| axis_value(rng, values)).collect();
+        s.push(&row, rng.gen_range(0..4));
+    }
+    s
+}
+
+/// Every engine on one instance: each returns the oracle's result set;
+/// SSMJ's stream is a superset whose surplus is exactly the batch-1
+/// tuples it reports retracted.
+fn assert_every_engine_equals_oracle(
+    label: &str,
+    r: &SourceView<'_>,
+    t: &SourceView<'_>,
+    maps: &MapSet,
+) {
+    let expected = result_ids(&oracle_smj(r, t, maps));
+    let engines: Vec<(&str, Box<dyn ProgressiveEngine>)> = vec![
+        ("progxe/1", Box::new(ProgXe::new(ProgXeConfig::default()))),
+        (
+            "progxe/2",
+            Box::new(ProgXe::new(ProgXeConfig::default().with_threads(2))),
+        ),
+        ("jf-sl (bnl)", Box::new(JfSlEngine::new(SkyAlgo::Bnl))),
+        ("jf-sl (sfs)", Box::new(JfSlEngine::new(SkyAlgo::Sfs))),
+        ("jf-sl+ (sfs)", Box::new(JfSlEngine::plus(SkyAlgo::Sfs))),
+    ];
+    for (name, engine) in engines {
+        let out = engine.run_collect(r, t, maps).unwrap();
+        assert_eq!(result_ids(&out.results), expected, "{label}: {name}");
+    }
+    let out = SsmjEngine::new(SkyAlgo::Sfs)
+        .run_collect(r, t, maps)
+        .unwrap();
+    let mut emitted = result_ids(&out.results);
+    emitted.dedup();
+    for id in &expected {
+        assert!(emitted.contains(id), "{label}: ssmj missing {id:?}");
+    }
+    assert_eq!(
+        emitted.len(),
+        expected.len() + out.stats.results_retracted as usize,
+        "{label}: ssmj surplus"
+    );
+}
+
+/// The value axis through every engine: exact integer ties, sums that
+/// round to ties, and mapped sums that overflow to ±∞ — under all-lowest
+/// and mixed preference directions. (Small integers, whose sums are exact,
+/// are `progxe_equals_oracle`'s and `skyline_algorithms_agree`'s inputs.)
+#[test]
+fn every_engine_equals_oracle_along_the_value_axis() {
+    let mut rng = StdRng::seed_from_u64(0x7A1E);
+    for values in [Values::Integers, Values::Extremes] {
+        for case in 0..32 {
+            let dims = rng.gen_range(2usize..4);
+            let r = axis_source(&mut rng, values, dims, 40);
+            let t = axis_source(&mut rng, values, dims, 40);
+            let orders = (0..dims)
+                .map(|_| {
+                    if rng.gen_range(0u32..3) == 0 {
+                        Order::Highest
+                    } else {
+                        Order::Lowest
+                    }
+                })
+                .collect();
+            let maps = MapSet::pairwise_sum(dims, Preference::new(orders));
+            let label = format!("{values:?} case {case} dims={dims}");
+            assert_every_engine_equals_oracle(&label, &r.view(), &t.view(), &maps);
+        }
+    }
+}
+
+/// A NaN or ±∞ anywhere in an input is rejected where a view is built,
+/// with the error naming its row and column, so no engine ever sees one.
+#[test]
+fn non_finite_input_rows_are_a_typed_error() {
+    let mut rng = StdRng::seed_from_u64(0x4A4E);
+    for case in 0..48 {
+        let (dims, n) = (rng.gen_range(1usize..4), rng.gen_range(1usize..30));
+        let (row, dim) = (rng.gen_range(0..n), rng.gen_range(0..dims));
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][case % 3];
+        let mut s = SourceData::new(dims);
+        for i in 0..n {
+            let mut values: Vec<f64> = (0..dims)
+                .map(|_| axis_value(&mut rng, Values::Extremes))
+                .collect();
+            if i == row {
+                values[dim] = bad;
+            }
+            s.push(&values, 0);
+        }
+        assert_eq!(
+            SourceView::new(&s.attrs, &s.join_keys).unwrap_err(),
+            Error::NonFiniteValue { row, dim },
+            "case {case}: {bad} at row {row}, column {dim}"
+        );
+    }
+}
+
+/// The rows of the non-finite-input table: one 500-row anti-correlated
+/// instance with R row 3 column 0 and R row 10 column 1 overwritten.
+/// NaN and ±∞ are typed errors; the finite extremes — including the row
+/// whose mapped sums overflow to ∞ — equal the oracle on every engine
+/// (61 and 15 results).
+#[test]
+fn non_finite_table_rows_equal_the_oracle_or_a_typed_error() {
+    let base = WorkloadSpec::new(500, 3, Distribution::AntiCorrelated, 0.05)
+        .with_seed(7)
+        .generate();
+    let source = |rel: &progxe::datagen::Relation, patch: &dyn Fn(usize, &mut [f64])| {
+        let mut s = SourceData::new(3);
+        for i in 0..rel.len() {
+            let mut row = rel.attrs_of(i).to_vec();
+            patch(i, &mut row);
+            s.push(&row, rel.join_key_of(i));
+        }
+        s
+    };
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    for (value, t_dim0, expected) in [
+        (f64::NAN, None, None),
+        (f64::INFINITY, None, None),
+        (f64::NEG_INFINITY, None, None),
+        (-1e308, None, Some(61)),
+        (1e308, Some(1e308), Some(15)),
+    ] {
+        let overwrite = |i: usize, row: &mut [f64]| match i {
+            3 => row[0] = value,
+            10 => row[1] = value,
+            _ => {}
+        };
+        let r = source(&base.r, &overwrite);
+        let t = source(&base.t, &|_, row: &mut [f64]| {
+            if let Some(v) = t_dim0 {
+                row[0] = v;
+            }
+        });
+        let label = format!("R rows 3 and 10 at {value}");
+        let Some(expected) = expected else {
+            assert_eq!(
+                r.try_view().unwrap_err(),
+                Error::NonFiniteValue { row: 3, dim: 0 },
+                "{label}"
+            );
+            continue;
+        };
+        let (r, t) = (r.view(), t.view());
+        assert_eq!(oracle_smj(&r, &t, &maps).len(), expected, "{label}");
+        assert_every_engine_equals_oracle(&label, &r, &t, &maps);
     }
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use progxe::baselines::{JfSlEngine, SajEngine, SkyAlgo, SsmjEngine};
+use progxe::baselines::{JfSlEngine, SkyAlgo, SsmjEngine};
 use progxe::core::prelude::*;
 use progxe::datagen::{Distribution, SmjWorkload, WorkloadSpec};
 
@@ -22,7 +22,6 @@ fn engines() -> Vec<Box<dyn ProgressiveEngine>> {
         Box::new(JfSlEngine::new(SkyAlgo::Bnl)),
         Box::new(JfSlEngine::plus(SkyAlgo::Sfs)),
         Box::new(SsmjEngine::new(SkyAlgo::Sfs)),
-        Box::new(SajEngine::new(SkyAlgo::Sfs)),
     ]
 }
 
