@@ -30,6 +30,7 @@ use crate::report::{
 use crate::runners::{
     default_config_for, drain_run, run_algo, run_algo_with_timeout, AlgoKind, RunResult,
 };
+use progxe_core::cells::KeyedRows;
 use progxe_core::config::OrderingPolicy;
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
@@ -1003,14 +1004,15 @@ fn map_measurement(opt: &ExpOptions) -> KernelRun {
 
     let mut matches = 0u64;
     let (mut fast_ms, mut slow_ms) = (f64::INFINITY, f64::INFINITY);
+    let unguarded = KeyedRows::default();
     for repeat in 0..3 {
         let (mut fast, mut slow) = (0.0f64, 0.0f64);
         for rid in 0..regions as u32 {
             let t0 = Instant::now();
-            let a = fast_ctx.compute(rid, &[], &token);
+            let a = fast_ctx.compute(rid, &unguarded, &token);
             fast += t0.elapsed().as_secs_f64() * 1e3;
             let t0 = Instant::now();
-            let b = slow_ctx.compute(rid, &[], &token);
+            let b = slow_ctx.compute(rid, &unguarded, &token);
             slow += t0.elapsed().as_secs_f64() * 1e3;
             if repeat == 0 {
                 assert!(

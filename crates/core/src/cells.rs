@@ -21,22 +21,30 @@
 //!   populated cell. A cell that is fully dominated is dead — every tuple it
 //!   could ever hold is dominated by any tuple of the dominator.
 //!
-//! Slab indices over *populated* cells keep each insertion's candidate set
-//! close to the theoretical bound instead of scanning the whole grid, and
-//! a *staircase* over the populated cells answers "is this cell fully
+//! The comparable cells of an insert come from per-dimension *buckets*:
+//! for every dimension and coordinate, the populated cells with that
+//! coordinate there, each held as its packed coordinate beside its
+//! index. One branch-free pass over the `d` buckets through the inserted
+//! cell yields both the weakly-lower cells (for reject) and the
+//! weakly-upper ones (for evict); a cell counts in the first dimension in
+//! which it shares the inserted cell's coordinate, so each comes out once.
+//! A *staircase* over the populated cells answers "is this cell fully
 //! dominated" in `O(d)` instead of a skyline walk.
 //!
 //! The store also owns the session's one coordinate → cell index
 //! ([`CellStore::find`]): a table over grid positions — every grid fits
 //! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic
-//! and a box is registered row by row ([`CellStore::track_box`]).
+//! and a box is registered row by row ([`CellStore::track_box`]), and the
+//! *admitted slab* ([`CellStore::admitted_slab`]): every tuple it ever
+//! admitted, in SFS's presort order, which the batch producers filter
+//! against.
 
 use crate::fdom::DominanceModel;
-use crate::fxhash::FxHashMap;
-use crate::output_grid::{
-    dense_position, for_each_upper_box_row, full_dominates, weak_leq, Coord, OutputGrid,
-};
+use crate::output_grid::{dense_position, for_each_upper_box_row, weak_leq, Coord, OutputGrid};
+use progxe_skyline::sfs::{presort_cmp, sum_key, SumKey};
 use progxe_skyline::{kernel, PointStore};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Work counters for tuple-level processing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,8 +105,6 @@ pub struct Cell {
     populated: bool,
     dead: bool,
     emitted: bool,
-    /// Visit stamp for O(1) slab-union deduplication during insertion.
-    last_visit: u64,
 }
 
 impl Cell {
@@ -110,7 +116,6 @@ impl Cell {
             populated: false,
             dead: false,
             emitted: false,
-            last_visit: 0,
         }
     }
 
@@ -183,10 +188,16 @@ pub struct CellStore {
     /// tracked cell at each [`dense_position`] of the grid, or
     /// [`UNTRACKED`] — 4 bytes per grid position, at most 4 MB.
     index: Vec<u32>,
-    /// Per-dimension slab index: coordinate value → populated cell indices.
-    slabs: Vec<FxHashMap<u16, Vec<u32>>>,
-    /// Populated cells not fully dominated by another populated cell.
-    cell_skyline: Vec<u32>,
+    /// The grid's packed-coordinate layout.
+    lanes: Lanes,
+    /// Per dimension, per coordinate: the populated cells with that
+    /// coordinate there, as [`Lanes::entry`]s in population order. Sized
+    /// lazily, up to the largest coordinate populated; empty at `dims = 1`,
+    /// where the only cell sharing a coordinate with another is itself.
+    buckets: Vec<Vec<Vec<u64>>>,
+    /// Populated cells not fully dominated by another populated cell, as
+    /// [`Lanes::entry`]s.
+    cell_skyline: Vec<u64>,
     /// The *staircase* of the ever-populated cells: one entry per
     /// position `q` of the first `dims − 1` dimensions, holding the smallest
     /// last coordinate of any cell ever populated whose prefix is `⪯ q`
@@ -198,10 +209,9 @@ pub struct CellStore {
     /// the executor's eager dead-region sweep (Algorithm 1, line 9).
     fresh_skyline: Vec<u32>,
     stats: CellStats,
-    /// Reused candidate buffer for slab-union enumeration.
-    scratch_candidates: Vec<u32>,
-    /// Monotone visit counter paired with `Cell::last_visit`.
-    visit_epoch: u64,
+    /// Reused weakly-lower / weakly-upper comparable-cell buffers.
+    scratch_below: Vec<u32>,
+    scratch_above: Vec<u32>,
     /// Cached per-cell lower-corner vertex projections for the flexible
     /// emission filter (`cells × vertex_count`, rebuilt when stale).
     fdom_cell_proj: Vec<f64>,
@@ -228,10 +238,202 @@ pub struct CellStore {
     pessimistic: Vec<f64>,
     /// Reused lower-corner buffer for [`CellStore::premark`].
     corner: Vec<f64>,
-    /// Every tuple ever admitted, oriented, row-major, in admission order
-    /// (see [`CellStore::admitted_slab`]). Append-only: evictions and cell
-    /// kills leave it untouched.
-    admitted: Vec<f64>,
+    /// Every tuple admitted up to the last
+    /// [`publish_admitted`](CellStore::publish_admitted), in presort order
+    /// (see [`CellStore::admitted_slab`]). Evictions and cell kills leave
+    /// it untouched; a publish replaces it, so a work unit's clone never
+    /// changes under it.
+    admitted: Arc<KeyedRows>,
+    /// Tuples admitted since the last publish, oriented, row-major, in
+    /// admission order.
+    fresh: Vec<f64>,
+}
+
+/// Rows in SFS's presort order ([`presort_cmp`]), each row's [`SumKey`]
+/// kept beside it: the store's admitted slab, and a work unit's guard cut
+/// from it. A row can weakly dominate a point only if its key is `≤` the
+/// point's ([`SumKey`]), so the prefix keyed `≤` a point's key holds every
+/// row that can dominate it.
+#[derive(Debug, Clone, Default)]
+pub struct KeyedRows {
+    keys: Vec<SumKey>,
+    /// Row-major, `rows.len() / keys.len()` values per row.
+    rows: Vec<f64>,
+}
+
+impl KeyedRows {
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True when there are no rows.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Every row, flat.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[f64] {
+        &self.rows
+    }
+
+    /// The prefix of rows whose key is `≤ key`, flat.
+    pub(crate) fn rows_upto(&self, key: SumKey) -> &[f64] {
+        let n = self.keys.partition_point(|k| *k <= key);
+        &self.rows[..self.rows.len() / self.len().max(1) * n]
+    }
+
+    /// The rows that can weakly dominate `point`, flat: the prefix keyed
+    /// `≤` its key ([`rows_upto`](Self::rows_upto)), or every row when
+    /// there are at most [`SHORT_SCAN`] of them.
+    #[inline]
+    pub(crate) fn reach(&self, point: &[f64]) -> &[f64] {
+        if self.len() <= SHORT_SCAN {
+            &self.rows
+        } else {
+            self.rows_upto(sum_key(point))
+        }
+    }
+
+    /// `rows` (flat, `dims` values per row) in presort order.
+    #[cfg(test)]
+    pub(crate) fn sorted(dims: usize, rows: &[f64]) -> Self {
+        let mut sorted = Self::default();
+        sorted.merge(dims, rows);
+        sorted
+    }
+
+    /// The rows `⪯ upper` in every coordinate, in order — one pass over
+    /// the rows that can be `⪯` it ([`reach`](Self::reach)).
+    pub(crate) fn weakly_below(&self, upper: &[f64]) -> KeyedRows {
+        let mut below = KeyedRows::default();
+        let reach = self.reach(upper);
+        for (row, &key) in reach.chunks_exact(upper.len()).zip(&self.keys) {
+            if row.iter().zip(upper).all(|(v, u)| v <= u) {
+                below.push(key, row);
+            }
+        }
+        below
+    }
+
+    /// Appends a row; the caller keeps the order.
+    fn push(&mut self, key: SumKey, row: &[f64]) {
+        debug_assert!(self.keys.last().is_none_or(|&last| last <= key));
+        self.keys.push(key);
+        self.rows.extend_from_slice(row);
+    }
+
+    /// Merges `fresh` (flat rows of `dims` values, any order) into place:
+    /// sorts the few new rows, then merges from the back, so only rows
+    /// after the first insertion point move. A new row goes after the equal
+    /// rows already there, so the result is the stable sort of the rows in
+    /// the order they came.
+    fn merge(&mut self, dims: usize, fresh: &[f64]) {
+        let row = |i: usize| &fresh[i * dims..(i + 1) * dims];
+        let mut add: Vec<(SumKey, usize)> = (0..fresh.len() / dims)
+            .map(|i| (sum_key(row(i)), i))
+            .collect();
+        let Some(&(filler, _)) = add.first() else {
+            return;
+        };
+        add.sort_by(|&(ka, a), &(kb, b)| presort_cmp((ka, row(a)), (kb, row(b))));
+        let (mut old, mut new) = (self.len(), add.len());
+        self.keys.resize(old + new, filler);
+        self.rows.resize((old + new) * dims, 0.0);
+        while new > 0 {
+            let at = old + new - 1;
+            let (key, i) = add[new - 1];
+            let keep_old = old > 0 && {
+                let last = (self.keys[old - 1], &self.rows[(old - 1) * dims..old * dims]);
+                presort_cmp(last, (key, row(i))) == Ordering::Greater
+            };
+            if keep_old {
+                old -= 1;
+                self.keys[at] = self.keys[old];
+                self.rows
+                    .copy_within(old * dims..(old + 1) * dims, at * dims);
+            } else {
+                new -= 1;
+                self.keys[at] = key;
+                self.rows[at * dims..(at + 1) * dims].copy_from_slice(row(i));
+            }
+        }
+    }
+}
+
+/// Rows up to which [`KeyedRows::reach`] skips the key cut and scans the
+/// rows whole: two kernel chunks. On so few rows the cut's key and binary
+/// search per tested point cost more than the rows they could skip: on a
+/// 2-d query, whose guards hold about eight rows, they made the region
+/// compute about a tenth slower.
+const SHORT_SCAN: usize = 2 * kernel::CHUNK;
+
+/// The bit layout of a packed cell coordinate: dimension `i` in lane `i`,
+/// each lane wide enough for coordinate `k − 1` plus a *guard* bit above
+/// it. With the guard bits set on the minuend, a subtraction borrows inside
+/// each lane and never across one, so one `u32` subtraction compares all
+/// `dims` coordinates at once. Every grid fits: `k^d ≤ 2^20` keeps
+/// `d ·` lane width `≤ 32` (17 bits at `d = 1`, `k = 65 535`; 32 at
+/// `d = 8`, `k = 5`).
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    width: u32,
+    /// The guard bit of every lane.
+    guard: u32,
+    /// The lowest bit of every lane.
+    low: u32,
+}
+
+impl Lanes {
+    fn new(dims: usize, k: u16) -> Self {
+        let width = u32::BITS - u32::from(k - 1).leading_zeros() + 1;
+        assert!(
+            dims as u32 * width <= u32::BITS,
+            "{dims} lanes of {width} bits do not pack into 32"
+        );
+        let (mut guard, mut low) = (0, 0);
+        for lane in 0..dims as u32 {
+            low |= 1 << (lane * width);
+            guard |= 1 << (lane * width + width - 1);
+        }
+        Self { width, guard, low }
+    }
+
+    fn pack(&self, c: &Coord, dims: usize) -> u32 {
+        (c[..dims].iter().rev()).fold(0, |packed, &v| packed << self.width | u32::from(v))
+    }
+
+    /// A bucket entry: cell `idx` beside its packed coordinate.
+    fn entry(idx: u32, packed: u32) -> u64 {
+        u64::from(idx) << 32 | u64::from(packed)
+    }
+
+    /// `(cell index, packed coordinate)` of an [`entry`](Self::entry).
+    fn split(entry: u64) -> (u32, u32) {
+        ((entry >> 32) as u32, entry as u32)
+    }
+
+    /// `a ⪯ b` in every lane.
+    #[inline]
+    fn weak_leq(&self, a: u32, b: u32) -> bool {
+        ((b | self.guard) - a) & self.guard == self.guard
+    }
+
+    /// `a < b` in every lane: [`full_dominates`](crate::output_grid::full_dominates).
+    #[inline]
+    fn full_dominates(&self, a: u32, b: u32) -> bool {
+        ((b | self.guard) - (a + self.low)) & self.guard == self.guard
+    }
+
+    /// Whether `a` and `b` differ in every one of the first `lanes` lanes.
+    #[inline]
+    fn differ_below(&self, a: u32, b: u32, lanes: usize) -> bool {
+        let below = self.guard & ((1u64 << (lanes as u32 * self.width)) - 1) as u32;
+        (((a ^ b) | self.guard) - self.low) & below == below
+    }
 }
 
 /// [`CellStore`] index entry of a grid position without a tracked cell: no
@@ -244,6 +446,13 @@ pub(crate) fn retain_tuples(ids: &mut Vec<(u32, u32)>, points: &mut PointStore, 
     let mut flags = keep.iter();
     ids.retain(|_| *flags.next().expect("one flag per tuple"));
     points.compact(keep);
+}
+
+/// `cells` in ascending order.
+fn sorted(cells: &[u32]) -> Vec<u32> {
+    let mut cells = cells.to_vec();
+    cells.sort_unstable();
+    cells
 }
 
 /// [`CellStore::stair`] entry over which no cell was populated yet — above
@@ -263,6 +472,7 @@ impl CellStore {
     /// filter for flexible skylines.
     pub fn with_model(grid: OutputGrid, model: DominanceModel) -> Self {
         let dims = grid.dims();
+        let lanes = Lanes::new(dims, grid.cells_per_dim());
         let volume = grid.volume();
         let stair = vec![STAIR_NONE; volume / grid.cells_per_dim() as usize];
         let index = vec![UNTRACKED; volume];
@@ -271,13 +481,14 @@ impl CellStore {
             model,
             cells: Vec::new(),
             index,
-            slabs: vec![FxHashMap::default(); dims],
+            lanes,
+            buckets: vec![Vec::new(); dims],
             cell_skyline: Vec::new(),
             stair,
             fresh_skyline: Vec::new(),
             stats: CellStats::default(),
-            scratch_candidates: Vec::new(),
-            visit_epoch: 0,
+            scratch_below: Vec::new(),
+            scratch_above: Vec::new(),
             fdom_cell_proj: Vec::new(),
             fdom_filter_order: Vec::new(),
             fdom_filter_keys: Vec::new(),
@@ -288,7 +499,8 @@ impl CellStore {
             proj_tmp: Vec::new(),
             pessimistic: Vec::new(),
             corner: Vec::new(),
-            admitted: Vec::new(),
+            admitted: Arc::default(),
+            fresh: Vec::new(),
         }
     }
 
@@ -442,21 +654,35 @@ impl CellStore {
         self.stats
     }
 
-    /// The append-only slab of every tuple the store has ever admitted:
-    /// oriented values, row-major (`dims` per row), in admission order.
+    /// The slab of every tuple the store admitted up to the last
+    /// [`publish_admitted`](Self::publish_admitted): oriented values in
+    /// SFS's presort order, each row's key beside it.
     ///
-    /// Any prefix of it is a sound *upstream rejection filter*: a tuple
+    /// Any subset of it is a sound *upstream rejection filter*: a tuple
     /// Pareto-dominated by a slab row can never be admitted, because the
     /// row is either still live or was removed by something that dominates
     /// it (an evicting tuple, or any tuple of a fully dominating cell), and
     /// dominance is transitive. Batch producers test their survivors
-    /// against a snapshot of it before the ordered committer ever sees
-    /// them ([`crate::tuple_level`]). Rows with a NaN coordinate are never
-    /// recorded: the kernels treat NaN as a tie, which is not transitive,
-    /// so such a row could reject a tuple its own evictor would not.
+    /// against it before the ordered committer ever sees them
+    /// ([`crate::tuple_level`]); the key order lets them test a point
+    /// against the prefix of rows that can dominate it only. Rows with a
+    /// NaN coordinate are never recorded: the kernels treat NaN as a tie,
+    /// which is not transitive, so such a row could reject a tuple its own
+    /// evictor would not. The `Arc` is never mutated once handed out: a
+    /// publish that finds it shared merges into a copy.
     #[inline]
-    pub fn admitted_slab(&self) -> &[f64] {
+    pub fn admitted_slab(&self) -> &Arc<KeyedRows> {
         &self.admitted
+    }
+
+    /// Merges the tuples admitted since the last call into the slab — the
+    /// committer calls it once per commit, so a work unit dispatched after
+    /// a commit sees every tuple that commit admitted.
+    pub fn publish_admitted(&mut self) {
+        if !self.fresh.is_empty() {
+            Arc::make_mut(&mut self.admitted).merge(self.grid.dims(), &self.fresh);
+            self.fresh.clear();
+        }
     }
 
     /// Current populated-cell skyline size (diagnostics).
@@ -541,14 +767,19 @@ impl CellStore {
                 proj.extend_from_slice(&buf);
             }
             self.fdom_cell_proj = proj;
+            // A NaN corner projection (a corner mixing ±∞) bounds nothing:
+            // key it −∞, so every prefix visits the cell.
+            let key = |ci: u32| {
+                let v = self.fdom_cell_proj[ci as usize * k];
+                if v.is_nan() {
+                    f64::NEG_INFINITY
+                } else {
+                    v
+                }
+            };
             let mut order: Vec<u32> = (0..self.cells.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                self.fdom_cell_proj[a as usize * k].total_cmp(&self.fdom_cell_proj[b as usize * k])
-            });
-            self.fdom_filter_keys = order
-                .iter()
-                .map(|&ci| self.fdom_cell_proj[ci as usize * k])
-                .collect();
+            order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+            self.fdom_filter_keys = order.iter().map(|&ci| key(ci)).collect();
             self.fdom_filter_order = order;
         }
 
@@ -678,10 +909,8 @@ impl CellStore {
     /// per populated-skyline cell: the staircase's cross-check in debug
     /// builds.
     fn fully_dominated_by_skyline_walk(&self, coord: &Coord) -> bool {
-        let dims = self.grid.dims();
-        self.cell_skyline
-            .iter()
-            .any(|&s| full_dominates(&self.cells[s as usize].coord, coord, dims))
+        let packed = self.lanes.pack(coord, self.grid.dims());
+        (self.cell_skyline.iter()).any(|&s| (self.lanes).full_dominates(Lanes::split(s).1, packed))
     }
 
     /// Whether cell `idx` can never contribute results: flagged dead, or
@@ -749,31 +978,15 @@ impl CellStore {
             return false;
         }
 
-        // 3. Check the new tuple against tuples in comparable cells
-        //    (slab union, weak-≤ filtered — includes this cell itself).
-        //    Deduplication across slabs uses per-cell visit stamps, which
-        //    profiled far cheaper than hashing on this hot path.
-        self.visit_epoch += 1;
-        let epoch = self.visit_epoch;
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        candidates.clear();
-        for d in 0..dims {
-            if let Some(slab) = self.slabs[d].get(&coord[d]) {
-                for &cand in slab {
-                    let cell = &mut self.cells[cand as usize];
-                    if cell.last_visit != epoch {
-                        cell.last_visit = epoch;
-                        candidates.push(cand);
-                    }
-                }
-            }
-        }
+        // 3. Check the new tuple against tuples in comparable cells —
+        //    weakly lower, this cell itself included.
+        let (below, above) = self.comparable_cells(idx, &coord);
         let mut rejected = false;
         let mut cells_examined = 0u64;
         let mut pairs = 0u64;
-        for &cand in &candidates {
+        for &cand in &below {
             let cell = &self.cells[cand as usize];
-            if cell.dead || !weak_leq(&cell.coord, &coord, dims) {
+            if cell.dead {
                 continue;
             }
             cells_examined += 1;
@@ -787,23 +1000,25 @@ impl CellStore {
         self.stats.comparable_cells_visited += cells_examined;
         self.stats.comparable_cells_max = self.stats.comparable_cells_max.max(cells_examined);
         if rejected {
-            self.scratch_candidates = candidates;
+            self.scratch_below = below;
+            self.scratch_above = above;
             self.stats.dominance_tests += pairs;
             self.stats.dominance_pairs += pairs;
             self.stats.tuples_rejected_dominated += 1;
             return false;
         }
 
-        // 4. Evict live tuples the new one dominates (reverse slab scan).
-        //    Emitted cells are skipped: their tuples are proven final, so
-        //    nothing can dominate them (and their ids are already shipped).
-        //    One batched dominated-mask per cell and one stable compaction:
-        //    a cell's tuple order is the admission order of its live
-        //    tuples, whatever transient tuples came and went in between.
+        // 4. Evict live tuples the new one dominates, in the weakly upper
+        //    comparable cells. Emitted cells are skipped: their tuples are
+        //    proven final, so nothing can dominate them (and their ids are
+        //    already shipped). One batched dominated-mask per cell and one
+        //    stable compaction: a cell's tuple order is the admission order
+        //    of its live tuples, whatever transient tuples came and went in
+        //    between.
         let mut mask = std::mem::take(&mut self.scratch_mask);
-        for &cand in &candidates {
+        for &cand in &above {
             let cell = &mut self.cells[cand as usize];
-            if cell.dead || cell.emitted || !weak_leq(&coord, &cell.coord, dims) {
+            if cell.dead || cell.emitted {
                 continue;
             }
             mask.clear();
@@ -817,11 +1032,12 @@ impl CellStore {
             }
         }
         self.scratch_mask = mask;
-        self.scratch_candidates = candidates;
+        self.scratch_below = below;
+        self.scratch_above = above;
         self.stats.dominance_tests += pairs;
         self.stats.dominance_pairs += pairs;
 
-        // 5. Admit the tuple; on first population update slab indices and
+        // 5. Admit the tuple; on first population update the buckets and
         //    the populated-cell skyline (killing fully dominated cells).
         let newly_populated = !self.cells[idx as usize].populated;
         {
@@ -831,25 +1047,33 @@ impl CellStore {
             cell.populated = true;
         }
         if !oriented.iter().any(|v| v.is_nan()) {
-            self.admitted.extend_from_slice(oriented);
+            self.fresh.extend_from_slice(oriented);
         }
         self.stats.tuples_inserted += 1;
         if newly_populated {
-            for d in 0..dims {
-                self.slabs[d].entry(coord[d]).or_default().push(idx);
+            let lanes = self.lanes;
+            let packed = lanes.pack(&coord, dims);
+            let entry = Lanes::entry(idx, packed);
+            if dims > 1 {
+                for (buckets, &v) in self.buckets.iter_mut().zip(&coord[..dims]) {
+                    if buckets.len() <= usize::from(v) {
+                        buckets.resize_with(usize::from(v) + 1, Vec::new);
+                    }
+                    buckets[usize::from(v)].push(entry);
+                }
             }
             // Evict skyline cells this one fully dominates; they die.
             let mut s = 0;
             while s < self.cell_skyline.len() {
-                let victim = self.cell_skyline[s];
-                if full_dominates(&coord, &self.cells[victim as usize].coord, dims) {
+                let (victim, victim_packed) = Lanes::split(self.cell_skyline[s]);
+                if lanes.full_dominates(packed, victim_packed) {
                     self.cell_skyline.swap_remove(s);
                     self.mark_dead(victim);
                 } else {
                     s += 1;
                 }
             }
-            self.cell_skyline.push(idx);
+            self.cell_skyline.push(entry);
             self.fresh_skyline.push(idx);
             // Lower the staircase over every prefix this cell's prefix is
             // `⪯` — nothing to do when a cell at or below its own prefix
@@ -866,6 +1090,72 @@ impl CellStore {
             }
         }
         true
+    }
+
+    /// The populated cells comparable to the cell `idx` at `coord` — those
+    /// sharing a coordinate with it — split into the weakly lower ones and
+    /// the weakly upper ones (the cell itself, when populated, is both),
+    /// each once, in bucket order: by the first dimension where it shares
+    /// the coordinate, then in population order. One branch-free pass over
+    /// the packed coordinates of the `d` buckets through `coord`. Dead
+    /// cells are included; the caller skips them.
+    fn comparable_cells(&mut self, idx: u32, coord: &Coord) -> (Vec<u32>, Vec<u32>) {
+        let dims = self.grid.dims();
+        let lanes = self.lanes;
+        let packed = lanes.pack(coord, dims);
+        let mut below = std::mem::take(&mut self.scratch_below);
+        let mut above = std::mem::take(&mut self.scratch_above);
+        below.clear();
+        above.clear();
+        if dims == 1 && self.cells[idx as usize].populated {
+            below.push(idx);
+            above.push(idx);
+        }
+        for (d, buckets) in self.buckets.iter().enumerate() {
+            let Some(bucket) = buckets.get(usize::from(coord[d])) else {
+                continue;
+            };
+            let (mut nb, mut na) = (below.len(), above.len());
+            below.resize(nb + bucket.len(), 0);
+            above.resize(na + bucket.len(), 0);
+            for &entry in bucket {
+                let (cell, other) = Lanes::split(entry);
+                // Met in an earlier bucket if it shares an earlier coordinate.
+                let first = lanes.differ_below(packed, other, d);
+                below[nb] = cell;
+                nb += usize::from(first & lanes.weak_leq(other, packed));
+                above[na] = cell;
+                na += usize::from(first & lanes.weak_leq(packed, other));
+            }
+            below.truncate(nb);
+            above.truncate(na);
+        }
+        debug_assert_eq!(
+            (sorted(&below), sorted(&above)),
+            self.comparable_cells_by_definition(coord),
+            "packed comparable-cell pass disagrees with the definition at {:?}",
+            &coord[..dims]
+        );
+        (below, above)
+    }
+
+    /// [`comparable_cells`](Self::comparable_cells) by definition, sorted:
+    /// every populated cell sharing a coordinate with `coord` and weakly
+    /// below it, and those weakly above it. The pass's cross-check in debug
+    /// builds.
+    fn comparable_cells_by_definition(&self, coord: &Coord) -> (Vec<u32>, Vec<u32>) {
+        let dims = self.grid.dims();
+        let shared = |c: &Coord| (0..dims).any(|d| c[d] == coord[d]);
+        let (mut below, mut above) = (Vec::new(), Vec::new());
+        for (i, cell) in self.iter().filter(|(_, c)| c.populated && shared(&c.coord)) {
+            if weak_leq(&cell.coord, coord, dims) {
+                below.push(i);
+            }
+            if weak_leq(coord, &cell.coord, dims) {
+                above.push(i);
+            }
+        }
+        (below, above)
     }
 
     /// The lazy arm's first touch of a position: tracks its cell and
@@ -919,7 +1209,7 @@ impl CellStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output_grid::{pack, MAX_DIMS};
+    use crate::output_grid::{full_dominates, pack, MAX_DIMS};
 
     fn coord(vals: &[u16]) -> Coord {
         let mut c: Coord = [0; MAX_DIMS];
@@ -933,6 +1223,21 @@ mod tests {
         // Track everything for these unit tests.
         s.track_box(&coord(&[0, 0]), &coord(&[9, 9]));
         s
+    }
+
+    /// A seeded LCG: `next(m)` draws from `0..m`.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut x = seed;
+        move |m| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// A `k × k` grid of unit cells, under Pareto.
@@ -1471,5 +1776,281 @@ mod tests {
         assert_eq!(points.len(), 1);
         assert!(s.cell(idx).is_emitted());
         assert_eq!(s.live_tuples(), 0);
+    }
+
+    /// After every publish the slab is every admitted NaN-free row, stably
+    /// sorted by SFS's presort order, each key beside its row and the keys
+    /// ascending — whether the publish merged in place or, with an earlier
+    /// slab still held, into a copy. Ties, signed zeros, rounding ties
+    /// above 2^53 and both infinities in the mix.
+    #[test]
+    fn admitted_slab_is_the_presorted_admission_list() {
+        let mut next = rng(0x51AB);
+        let big = 2f64.powi(53);
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            2.5,
+            big,
+            big + 2.0,
+            1e308,
+            -1e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let (mut nan_admitted, mut copied) = (false, false);
+        for dims in [1usize, 2, 3] {
+            let mut s = square_store(dims, 4);
+            let mut admitted: Vec<Vec<f64>> = Vec::new();
+            let mut held = Vec::new();
+            for round in 0..60u32 {
+                for i in 0..next(6) as u32 {
+                    let mut row: Vec<f64> = (0..dims)
+                        .map(|_| values[next(values.len() as u64) as usize])
+                        .collect();
+                    // A trade-off between the first and last coordinate
+                    // keeps most rows incomparable.
+                    row[dims - 1] = -row[0];
+                    if s.insert(round, i, &row) {
+                        if row.iter().any(|v| v.is_nan()) {
+                            nan_admitted = true;
+                        } else {
+                            admitted.push(row);
+                        }
+                    }
+                }
+                if round % 3 == 0 {
+                    held.push(Arc::clone(s.admitted_slab()));
+                }
+                let before = Arc::as_ptr(s.admitted_slab());
+                s.publish_admitted();
+                copied |= Arc::as_ptr(s.admitted_slab()) != before;
+                let mut expected = admitted.clone();
+                expected.sort_by(|a, b| presort_cmp((sum_key(a), a), (sum_key(b), b)));
+                let slab = s.admitted_slab();
+                let label = format!("dims={dims} round={round}");
+                assert_eq!(bits(slab.rows()), bits(&expected.concat()), "{label}");
+                for (key, row) in slab.keys.iter().zip(&expected) {
+                    assert_eq!(*key, sum_key(row), "{label}");
+                }
+                assert!(slab.keys.windows(2).all(|w| w[0] <= w[1]), "{label}");
+            }
+            assert!(
+                admitted.len() > 10,
+                "dims={dims}: {} admitted",
+                admitted.len()
+            );
+        }
+        assert!(nan_admitted, "no NaN row was ever admitted");
+        assert!(copied, "no publish met a held slab");
+    }
+
+    /// The packed comparable-cell pass against the definition — every
+    /// populated cell sharing a coordinate with the probed one, weakly below
+    /// it and weakly above it, each once — and the packed lane tests against
+    /// `weak_leq` / `full_dominates`, on random populations from `d = 1` at
+    /// `k = 65 535` (one 17-bit lane) to `d = 8` (eight lanes filling 32
+    /// bits). Coordinates come from a few values per dimension, `0` and
+    /// `k − 1` among them, so populated cells share coordinates often.
+    #[test]
+    fn packed_comparable_pass_matches_the_definition() {
+        let mut next = rng(0xFA57);
+        for (dims, k) in [
+            (1usize, 65_535u16),
+            (1, 2),
+            (2, 1024),
+            (2, 7),
+            (3, 101),
+            (3, 4),
+            (4, 32),
+            (5, 16),
+            (6, 10),
+            (7, 7),
+            (8, 5),
+            (8, 1),
+        ] {
+            let mut s = square_store(dims, k);
+            assert_eq!(s.grid().cells_per_dim(), k, "under the cap");
+            let picks: Vec<Vec<u16>> = (0..dims)
+                .map(|_| {
+                    let mut values = vec![0, k - 1];
+                    values.extend((0..3).map(|_| next(k as u64) as u16));
+                    values
+                })
+                .collect();
+            let mut populated: Vec<Coord> = Vec::new();
+            let (mut compared, mut shared) = (0usize, 0usize);
+            for i in 0..80u32 {
+                let draw = |next: &mut dyn FnMut(u64) -> u64| {
+                    let mut c: Coord = [0; MAX_DIMS];
+                    for d in 0..dims {
+                        c[d] = picks[d][next(5) as usize];
+                    }
+                    c
+                };
+                let c = draw(&mut next);
+                let p: Vec<f64> = (c[..dims].iter())
+                    .map(|&v| v as f64 + next(100) as f64 / 100.0)
+                    .collect();
+                if s.insert(i, i, &p) && !populated.contains(&c) {
+                    populated.push(c);
+                }
+                let probe = draw(&mut next);
+                let idx = s.track(probe);
+                let (below, above) = s.comparable_cells(idx, &probe);
+                let label = format!("dims={dims} k={k} insert={i} probe={:?}", &probe[..dims]);
+                let definition = s.comparable_cells_by_definition(&probe);
+                assert_eq!((sorted(&below), sorted(&above)), definition, "{label}");
+                shared += below.len() + above.len();
+                let lanes = s.lanes;
+                let packed = lanes.pack(&probe, dims);
+                for q in &populated {
+                    let other = lanes.pack(q, dims);
+                    assert_eq!(
+                        lanes.weak_leq(other, packed),
+                        weak_leq(q, &probe, dims),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        lanes.full_dominates(other, packed),
+                        full_dominates(q, &probe, dims),
+                        "{label} {:?}",
+                        &q[..dims]
+                    );
+                    compared += 1;
+                }
+            }
+            assert!(shared > 0 && compared > 0, "dims={dims} k={k}");
+            if dims == 1 {
+                assert_eq!(
+                    s.buckets[0].capacity(),
+                    0,
+                    "no per-coordinate buckets at d = 1"
+                );
+            }
+        }
+    }
+
+    /// The packed lane tests against their definitions on random pairs of
+    /// coordinates, half of them drawn from each dimension's edge values
+    /// (`0`, `1`, `k − 2`, `k − 1`, and `2^15 − 1` / `2^15` where the grid
+    /// reaches them — a 16-bit lane with a guard bit inside it would get
+    /// those wrong at `k = 65 535`).
+    #[test]
+    fn packed_lanes_compare_like_coordinates() {
+        let mut next = rng(0x1A7E5);
+        for (dims, k) in [
+            (1usize, 65_535u16),
+            (1, 40_000),
+            (1, 2),
+            (2, 1024),
+            (3, 101),
+            (4, 32),
+            (5, 16),
+            (6, 10),
+            (7, 7),
+            (8, 5),
+            (8, 1),
+        ] {
+            let lanes = Lanes::new(dims, k);
+            let edges: Vec<u16> = [0, 1, k.saturating_sub(2), k - 1, 0x7FFF, 0x8000]
+                .into_iter()
+                .filter(|&v| v < k)
+                .collect();
+            let mut draw = || -> Coord {
+                let mut c: Coord = [0; MAX_DIMS];
+                for v in &mut c[..dims] {
+                    *v = if next(2) == 0 {
+                        edges[next(edges.len() as u64) as usize]
+                    } else {
+                        next(k as u64) as u16
+                    };
+                }
+                c
+            };
+            for _ in 0..4000 {
+                let (a, b) = (draw(), draw());
+                let (pa, pb) = (lanes.pack(&a, dims), lanes.pack(&b, dims));
+                let label = format!("dims={dims} k={k} {:?} {:?}", &a[..dims], &b[..dims]);
+                assert_eq!(lanes.weak_leq(pa, pb), weak_leq(&a, &b, dims), "{label}");
+                assert_eq!(
+                    lanes.full_dominates(pa, pb),
+                    full_dominates(&a, &b, dims),
+                    "{label}"
+                );
+                for lanes_below in 0..=dims {
+                    let differ = (0..lanes_below).all(|d| a[d] != b[d]);
+                    assert_eq!(lanes.differ_below(pa, pb, lanes_below), differ, "{label}");
+                }
+            }
+        }
+    }
+
+    /// The key cut never drops a dominator. Along the value axis —
+    /// integers above 2^53 whose sums round to ties, and ±1e308 / ±MAX
+    /// whose sums overflow to ±∞ — a slab row dominates a point exactly
+    /// when a row of the prefix keyed `≤` the point's does, and
+    /// [`KeyedRows::weakly_below`] keeps exactly the rows `⪯` a corner, in
+    /// slab order.
+    #[test]
+    fn the_key_cut_never_drops_a_dominator() {
+        let mut next = rng(0xC07);
+        let big = 2f64.powi(53);
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            big,
+            big + 2.0,
+            big + 4.0,
+            1e308,
+            -1e308,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let (mut cut, mut tied) = (0, 0);
+        for case in 0..400 {
+            let dims = 1 + case % 4;
+            let mut draw = || -> Vec<f64> {
+                (0..dims)
+                    .map(|_| values[next(values.len() as u64) as usize])
+                    .collect()
+            };
+            let rows: Vec<f64> = (0..1 + case % 37).flat_map(|_| draw()).collect();
+            let slab = KeyedRows::sorted(dims, &rows);
+            for _ in 0..24 {
+                let p = draw();
+                let label = format!("case {case}: {p:?} against {rows:?}");
+                let mut tests = 0;
+                let reach = slab.rows_upto(sum_key(&p));
+                let dominated = kernel::any_dominates(dims, slab.rows(), &p, &mut tests);
+                let by_cut = kernel::any_dominates(dims, reach, &p, &mut tests);
+                assert_eq!(by_cut, dominated, "{label}");
+                let by_reach = kernel::any_dominates(dims, slab.reach(&p), &p, &mut tests);
+                assert_eq!(by_reach, dominated, "{label}");
+                cut += usize::from(dominated && reach.len() < slab.rows().len());
+                tied += usize::from(slab.rows().chunks_exact(dims).zip(&slab.keys).any(
+                    |(row, &key)| {
+                        key == sum_key(&p) && kernel::any_dominates(dims, row, &p, &mut tests)
+                    },
+                ));
+                let below: Vec<f64> = (slab.rows().chunks_exact(dims))
+                    .filter(|row| row.iter().zip(&p).all(|(v, u)| v <= u))
+                    .flatten()
+                    .copied()
+                    .collect();
+                assert_eq!(bits(slab.weakly_below(&p).rows()), bits(&below), "{label}");
+            }
+        }
+        assert!(cut > 100, "the cut left dominators behind only {cut} times");
+        assert!(
+            tied > 20,
+            "a dominator tied its point's key only {tied} times"
+        );
     }
 }

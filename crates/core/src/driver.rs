@@ -61,7 +61,7 @@
 //! cancelled query cannot emit a false positive, and its leftover jobs
 //! vacate the shared pool at their first token check.
 
-use crate::cells::CellStore;
+use crate::cells::{CellStore, KeyedRows};
 use crate::executor::Prepared;
 use crate::lookahead::Region;
 use crate::progdetermine::{EmittedCell, ProgDetermine};
@@ -240,10 +240,10 @@ impl Committer {
         popped
     }
 
-    /// The cell store's append-only slab of admitted tuples
+    /// The cell store's slab of admitted tuples
     /// ([`CellStore::admitted_slab`]) as of the commits landed so far — what
     /// a batch producer filters against ([`RegionCtx::compute`]).
-    pub fn admitted_slab(&self) -> &[f64] {
+    pub fn admitted_slab(&self) -> &Arc<KeyedRows> {
         self.store.admitted_slab()
     }
 
@@ -301,6 +301,7 @@ impl Committer {
                 );
                 self.store.insert_at(coord, r, t, point);
             }
+            self.store.publish_admitted();
         }
         let event = self.resolve(batch.rid, stats);
         let commit_elapsed = commit_started.elapsed();
@@ -378,7 +379,8 @@ impl Committer {
             );
         }
         let cell_stats = self.store.stats();
-        // `+=`: worker-local pre-filter tests were already accumulated.
+        // `+=`: worker-side tests were already accumulated.
+        stats.store_dominance_tests += cell_stats.dominance_tests;
         stats.dominance_tests += cell_stats.dominance_tests;
         stats.dominance_pairs += cell_stats.dominance_pairs;
         stats.fdom_vertex_evals += cell_stats.fdom_vertex_evals;
@@ -582,10 +584,6 @@ pub struct RegionDriver {
     /// differently per arrival schedule and break emission-order
     /// invariance.
     window: usize,
-    /// The admitted-tuple slab as last handed to a pooled work unit;
-    /// re-cloned at dispatch only when the store's slab has grown since
-    /// (append-only, so equal length means equal content).
-    snapshot: Arc<[f64]>,
     /// Whether work units filter against the admitted slab. Always true in
     /// production; see [`RegionDriver::without_snapshot_filter`].
     snapshot_filter: bool,
@@ -629,7 +627,6 @@ impl RegionDriver {
             inflight: VecDeque::new(),
             next_seq: 0,
             window,
-            snapshot: Arc::from([]),
             snapshot_filter: true,
             ready: VecDeque::new(),
             done,
@@ -720,12 +717,13 @@ impl RegionDriver {
                         region_id: u64::from(rid),
                         pairs: committer.pair_bound(rid),
                     });
-                    // Inline borrows the live slab: nothing commits while
-                    // this region computes.
-                    let snapshot: &[f64] = if self.snapshot_filter {
+                    // Inline borrows the store's slab: nothing commits
+                    // while this region computes.
+                    let unfiltered = KeyedRows::default();
+                    let snapshot = if self.snapshot_filter {
                         committer.admitted_slab()
                     } else {
-                        &[]
+                        &unfiltered
                     };
                     let batch = work.compute(rid, snapshot, &self.token);
                     span.end();
@@ -743,13 +741,14 @@ impl RegionDriver {
                     // The slab as it stands *now*, on the committer thread,
                     // at this fixed point of the pop/commit sequence — which
                     // is what makes the unit's output, and the counters it
-                    // reports, independent of worker timing.
-                    if self.snapshot_filter
-                        && committer.admitted_slab().len() != self.snapshot.len()
-                    {
-                        self.snapshot = Arc::from(committer.admitted_slab());
-                    }
-                    let snapshot = Arc::clone(&self.snapshot);
+                    // reports, independent of worker timing. A pointer
+                    // copy: the store publishes a new slab rather than
+                    // changing one a unit holds.
+                    let snapshot = if self.snapshot_filter {
+                        Arc::clone(committer.admitted_slab())
+                    } else {
+                        Arc::default()
+                    };
                     let spawned = spawner.spawn_task(Box::new(move || {
                         let guard = DeliveryGuard {
                             queue,
@@ -868,9 +867,12 @@ fn absorb_batch_work(stats: &mut ExecStats, compute_time: Duration, work: &Tuple
     stats.join_build_rows += work.build_rows;
     stats.join_matches += work.matches;
     stats.join_matches_skipped += work.skipped;
-    stats.dominance_tests += work.local_dominance_tests;
+    let tests = work.lookahead_dominance_tests + work.filter_dominance_tests;
+    stats.lookahead_dominance_tests += work.lookahead_dominance_tests;
+    stats.filter_dominance_tests += work.filter_dominance_tests;
+    stats.dominance_tests += tests;
     // Look-ahead and filter stage run entirely on the batched kernels.
-    stats.dominance_pairs += work.local_dominance_tests;
+    stats.dominance_pairs += tests;
     stats.fdom_vertex_evals += work.fdom_vertex_evals;
     // A skipped match is a tuple rejected upstream of the committer too.
     stats.tuples_prefiltered += work.locally_pruned + work.skipped;

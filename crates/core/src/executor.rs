@@ -468,6 +468,7 @@ pub(crate) fn shuffle(v: &mut [u32], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::KeyedRows;
     use crate::config::OrderingPolicy;
     use crate::mapping::MapSet;
     use crate::session::ProgressiveEngine;
@@ -904,6 +905,40 @@ mod tests {
         assert_eq!(ids, expected);
     }
 
+    /// `dominance_tests` is the sum of its three sites — the key-group
+    /// look-ahead, the batch filters and the cell store — on either backend,
+    /// under Pareto and under a flexible model, and every site does work on
+    /// a query where the guard has something to reject.
+    #[test]
+    fn dominance_tests_are_the_sum_of_their_sites() {
+        let r = random_source(600, 3, 6, 91);
+        let t = random_source(500, 3, 6, 92);
+        let pareto = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+        let simplex = crate::fdom::FDominance::simplex(3).unwrap();
+        let flexible = (pareto.clone())
+            .with_dominance(crate::fdom::DominanceModel::flexible(simplex))
+            .unwrap();
+        for (label, maps) in [("pareto", &pareto), ("flexible", &flexible)] {
+            for threads in [1, 2] {
+                let config = ProgXeConfig::default()
+                    .with_input_partitions(2)
+                    .with_threads(threads);
+                let stats = ProgXe::new(config)
+                    .run_collect(&r.view(), &t.view(), maps)
+                    .unwrap()
+                    .stats;
+                let sites = [
+                    stats.lookahead_dominance_tests,
+                    stats.filter_dominance_tests,
+                    stats.store_dominance_tests,
+                ];
+                let label = format!("{label}, {threads} threads: {sites:?}");
+                assert_eq!(stats.dominance_tests, sites.iter().sum::<u64>(), "{label}");
+                assert!(sites.iter().all(|&n| n > 0), "{label}");
+            }
+        }
+    }
+
     /// The join counters against an independent count: per region,
     /// `matches` is Σ over join keys of (R rows with the key) × (T rows
     /// with it), `probes` the larger partition's rows and `pairs_examined`
@@ -940,7 +975,7 @@ mod tests {
             let tp = &t_grid.partitions()[region.t_part as usize];
             let (rc, tc) = (key_counts(&r, &rp.tuples), key_counts(&t, &tp.tuples));
             let expected: u64 = rc.iter().zip(&tc).map(|(a, b)| a * b).sum();
-            let work = ctx.compute(region.id, &[], &token).stats;
+            let work = ctx.compute(region.id, &KeyedRows::default(), &token).stats;
             assert_eq!(work.matches, expected, "region {}", region.id);
             assert_eq!(work.probes, rp.len().max(tp.len()) as u64);
             assert_eq!(work.pairs_examined, (rp.len() * tp.len()) as u64);
@@ -951,7 +986,9 @@ mod tests {
         assert!(regions_per_row > 2 * 700, "rows pair into several regions");
         assert!(built > 0 && built <= 700, "{built} rows grouped");
         assert_eq!(
-            ctx.compute(0, &[], &token).stats.build_rows,
+            ctx.compute(0, &KeyedRows::default(), &token)
+                .stats
+                .build_rows,
             0,
             "built once"
         );

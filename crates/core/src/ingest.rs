@@ -1081,7 +1081,11 @@ mod tests {
         session.close(SourceId::T);
         let ctx = Arc::clone(&session.inner.lock().unwrap().ctx);
         assert!(!ctx.is_ready(0));
-        ctx.compute(0, &[], &CancellationToken::new());
+        ctx.compute(
+            0,
+            &crate::cells::KeyedRows::default(),
+            &CancellationToken::new(),
+        );
     }
 
     #[test]

@@ -75,7 +75,10 @@ pub struct EmittedCell {
 
 /// Precomputed vertex projections realizing the flexible blocker relation:
 /// region `rid` blocks cell `c` iff
-/// `region_proj[rid·k ..][j] ≤ cell_proj[c·k ..][j]` for every vertex `j`.
+/// `region_proj[rid·k ..][j] > cell_proj[c·k ..][j]` at no vertex `j`.
+/// Mapped values may reach ±∞, and a projection mixing them is NaN; a NaN
+/// proves nothing, so it blocks — a region must block every cell of its
+/// own box, or the cell could be released before the region's tuples land.
 #[derive(Debug)]
 struct FdomBlockerIndex {
     /// Vertices of the weight polytope.
@@ -91,8 +94,15 @@ impl FdomBlockerIndex {
     fn blocks(&self, rid: u32, cell_idx: u32) -> bool {
         let r = &self.region_proj[rid as usize * self.k..(rid as usize + 1) * self.k];
         let c = &self.cell_proj[cell_idx as usize * self.k..(cell_idx as usize + 1) * self.k];
-        r.iter().zip(c).all(|(x, y)| x <= y)
+        r.iter().zip(c).all(|(&x, &y)| not_above(x, y))
     }
+}
+
+/// The flexible blocker test at one vertex: the region's projection is not
+/// above the cell's. A NaN proves nothing, so it blocks.
+#[inline]
+fn not_above(region: f64, cell: f64) -> bool {
+    region.partial_cmp(&cell) != Some(std::cmp::Ordering::Greater)
 }
 
 /// Leaf size of the blocker-count tree: below this, points are tested
@@ -109,11 +119,12 @@ const DOM_TREE_LEAF: usize = 16;
 /// to arbitrary (projection-space) coordinates, replacing the PR 5
 /// `O(regions × cells × vertices)` double loop.
 ///
-/// Exactness: leaves test the same `x ≤ y` predicate as
+/// Exactness: leaves test the same `not_above` predicate as
 /// [`FdomBlockerIndex::blocks`]; subtree-wide counting is only taken when
-/// the box maximum (`all ≤ q`) proves it, and subtrees containing any NaN
-/// projection never take that shortcut (NaN compares un-≤, so such regions
-/// must count as non-blocking — the leaf test gets them right).
+/// the box maximum (`all ≤ q`) proves it, and pruning only when the box
+/// minimum (`any > q`) does. Subtrees containing a NaN projection take
+/// neither shortcut: the box ignores NaN, which blocks — the leaf test
+/// gets them right.
 #[derive(Debug)]
 struct DomCountTree {
     k: usize,
@@ -216,7 +227,7 @@ impl DomCountTree {
         let node = &self.nodes[ni as usize];
         let bb = &self.bbox[ni as usize * 2 * k..(ni as usize + 1) * 2 * k];
         let (lo, hi) = bb.split_at(k);
-        if lo.iter().zip(q).any(|(l, qv)| l > qv) {
+        if !self.has_nan[ni as usize] && lo.iter().zip(q).any(|(l, qv)| l > qv) {
             return 0;
         }
         if !self.has_nan[ni as usize] && hi.iter().zip(q).all(|(h, qv)| h <= qv) {
@@ -227,7 +238,7 @@ impl DomCountTree {
             for r in node.start..node.end {
                 *ops += 1;
                 let p = &self.pts[r as usize * k..(r as usize + 1) * k];
-                if p.iter().zip(q).all(|(x, y)| x <= y) {
+                if p.iter().zip(q).all(|(&x, &y)| not_above(x, y)) {
                     c += 1;
                 }
             }
@@ -996,10 +1007,11 @@ mod tests {
         }
     }
 
+    /// A NaN lane proves nothing, so it blocks whatever the query holds
+    /// there, and neither shortcut may skip a subtree holding one — the
+    /// box ignores NaN.
     #[test]
-    fn dom_count_tree_treats_nan_points_as_non_blocking() {
-        // A NaN projection never satisfies `x <= y`, so such points must
-        // not be swept up by the whole-subtree shortcut.
+    fn dom_count_tree_counts_nan_points_as_blocking() {
         let k = 2;
         let mut pts = Vec::new();
         for i in 0..40 {
@@ -1007,13 +1019,20 @@ mod tests {
             pts.push(if i % 7 == 0 { f64::NAN } else { 1.0 });
         }
         let tree = DomCountTree::build(k, &pts);
-        let q = [100.0, 100.0];
-        let expected = pts
-            .chunks_exact(k)
-            .filter(|p| p.iter().zip(&q).all(|(a, b)| a <= b))
-            .count() as u32;
+        for q in [[100.0, 100.0], [100.0, 0.5], [-1.0, 100.0], [f64::NAN, 0.5]] {
+            let expected = pts
+                .chunks_exact(k)
+                .filter(|p| p.iter().zip(&q).all(|(&a, &b)| not_above(a, b)))
+                .count() as u32;
+            let mut ops = 0;
+            assert_eq!(tree.count_dominated(&q, &mut ops), expected, "{q:?}");
+        }
         let mut ops = 0;
-        assert_eq!(tree.count_dominated(&q, &mut ops), expected);
+        assert_eq!(
+            tree.count_dominated(&[100.0, 0.5], &mut ops),
+            6,
+            "the NaN points"
+        );
     }
 
     #[test]

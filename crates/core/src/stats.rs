@@ -158,8 +158,18 @@ pub struct ExecStats {
     /// `join_matches + join_matches_skipped` is the logical match count —
     /// what the same run produces with the look-ahead off.
     pub join_matches_skipped: u64,
-    /// Pairwise dominance tests at tuple level.
+    /// Pairwise dominance tests at tuple level: the sum of the three sites
+    /// below.
     pub dominance_tests: u64,
+    /// Dominance tests of the key-group look-ahead (settle and probe
+    /// corners, on the work units).
+    pub lookahead_dominance_tests: u64,
+    /// Dominance tests of the batch filters (local skyline and guard, on
+    /// the work units).
+    pub filter_dominance_tests: u64,
+    /// Dominance tests of the cell store (reject, evict, premark and the
+    /// flexible emission filter, on the committer).
+    pub store_dominance_tests: u64,
     /// Subset of [`ExecStats::dominance_tests`] executed through the
     /// batched columnar kernels ([`progxe_skyline::kernel`]) rather than
     /// one-at-a-time scalar calls. Early-exit probes charge whole chunks,
@@ -365,6 +375,18 @@ impl ExecStats {
                 Value::U64(self.join_matches_skipped),
             )
             .push("dominance_tests", Value::U64(self.dominance_tests))
+            .push(
+                "lookahead_dominance_tests",
+                Value::U64(self.lookahead_dominance_tests),
+            )
+            .push(
+                "filter_dominance_tests",
+                Value::U64(self.filter_dominance_tests),
+            )
+            .push(
+                "store_dominance_tests",
+                Value::U64(self.store_dominance_tests),
+            )
             .push("cancelled", Value::Bool(self.cancelled));
         if self.dominance_pairs > 0 {
             r.push("dominance_pairs", Value::U64(self.dominance_pairs));

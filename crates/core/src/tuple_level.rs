@@ -26,6 +26,17 @@
 //! the corner it dominates every row of the expansion, and the group is
 //! skipped unexpanded.
 //!
+//! The guard is cut from the store's admitted slab as it stood at dispatch
+//! ([`CellStore::admitted_slab`]: every tuple the store ever admitted, in
+//! SFS's presort order with each row's key beside it): one order-preserving
+//! pass keeps the rows `⪯` the region's upper corner, reading only the slab
+//! prefix keyed `≤` that corner. The key order pays twice more: a row keyed
+//! above a point cannot dominate it, so the look-ahead's key corners and
+//! the guard filter below test each point against the guard prefix keyed
+//! `≤` the point's own (rows with an equal key are still tested). A guard
+//! of a few rows is scanned whole (`KeyedRows::reach`): there the key
+//! and search would cost more than they skip.
+//!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
 //! ([`RegionCtx`] is `Send + Sync` and owns all inputs), while Algorithm 2's
@@ -34,17 +45,15 @@
 //! its own batch: a local skyline pre-filter (a one-row vectorized sweep,
 //! then a bounded window) — sound because Pareto dominance is transitive,
 //! so a tuple dominated inside its batch can never survive the shared store
-//! either — and then rejection against the guard: a dispatch-time snapshot
-//! of every tuple the store has ever admitted
-//! ([`CellStore::admitted_slab`]), which moves the bulk of
+//! either — and then rejection against the guard, which moves the bulk of
 //! `CellStore::insert`'s rejections off the serial committer. A rejected
 //! tuple leaves nothing behind in the store (cell death is derived from the
 //! admitted tuples, [`CellStore::cell_is_dead`]), so where it is rejected
 //! is invisible downstream.
 
-use crate::cells::retain_tuples;
 #[cfg(doc)]
 use crate::cells::CellStore;
+use crate::cells::{retain_tuples, KeyedRows};
 use crate::fdom::DominanceModel;
 use crate::grid::{add_rows, JoinSide, JoinSource, SideBounds};
 use crate::lookahead::Region;
@@ -84,11 +93,13 @@ pub struct TupleLevelStats {
     /// Rows this unit grouped by join key, being the first to join their
     /// partition (batch pipeline; streaming ingestion groups at seal time).
     pub build_rows: u64,
-    /// Pairwise dominance tests performed ahead of the committer — the
-    /// key-group look-ahead's corner tests, the local pre-filter and the
-    /// admitted-slab snapshot filter. All run on the batched kernels, so
-    /// this advances at chunk granularity.
-    pub local_dominance_tests: u64,
+    /// Pairwise dominance tests of the key-group look-ahead: its key
+    /// (settle) and probe-row corner tests. Batched kernels, so this
+    /// advances at chunk granularity.
+    pub lookahead_dominance_tests: u64,
+    /// Pairwise dominance tests of the batch filters: the local skyline
+    /// pre-filter and the guard filter. Batched kernels too.
+    pub filter_dominance_tests: u64,
     /// Produced tuples dropped by the batch filter stage before reaching
     /// the committer.
     pub locally_pruned: u64,
@@ -105,8 +116,9 @@ pub struct TupleLevelStats {
 /// counters and whether the region ran to completion (`false` = cancelled
 /// mid-region).
 ///
-/// `guard` holds tuples the cell store has admitted (flat, oriented, no NaN
-/// — any subset of [`CellStore::admitted_slab`]). Over two bounded sides a
+/// `guard` holds tuples the cell store has admitted (oriented, no NaN, in
+/// key order — any subset of [`CellStore::admitted_slab`]). Over two
+/// bounded sides a
 /// non-empty guard switches the key-group look-ahead on: a key whose corner
 /// `probe group minimum + build group minimum` a guard row dominates is
 /// settled for the whole region, and a probe row of a key still alive skips
@@ -122,7 +134,7 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
-    guard: &[f64],
+    guard: &KeyedRows,
     token: &CancellationToken,
     mut emit: F,
 ) -> (TupleLevelStats, bool) {
@@ -149,7 +161,7 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
         _ => None,
     };
     let settled = bounds.map_or_else(Vec::new, |(probe_bounds, build_bounds)| {
-        let tests = &mut stats.local_dominance_tests;
+        let tests = &mut stats.lookahead_dominance_tests;
         settle_keys(probe, probe_bounds, build, build_bounds, guard, tests)
     });
     let mut corner = vec![0.0f64; dims];
@@ -166,7 +178,8 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
             let dominated = bounds.is_some_and(|(_, build_bounds)| {
                 settled[g] || {
                     add_rows(probe_row, build_bounds.group_min(g), &mut corner);
-                    kernel::any_dominates(dims, guard, &corner, &mut stats.local_dominance_tests)
+                    let tests = &mut stats.lookahead_dominance_tests;
+                    kernel::any_dominates(dims, guard.rows(), &corner, tests)
                 }
             });
             if dominated {
@@ -222,14 +235,15 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
 /// The key level of the look-ahead, once per work unit: for every join key
 /// both sides hold (one merge of the two ascending key tables), whether a
 /// `guard` row dominates `probe group minimum + build group minimum` — the
-/// lower corner of everything the key produces in this region. Indexed by
-/// build group.
+/// lower corner of everything the key produces in this region — testing
+/// only the guard rows that can dominate the corner ([`KeyedRows::reach`]).
+/// Indexed by build group.
 fn settle_keys(
     probe: &JoinSide,
     probe_bounds: &SideBounds,
     build: &JoinSide,
     build_bounds: &SideBounds,
-    guard: &[f64],
+    guard: &KeyedRows,
     tests: &mut u64,
 ) -> Vec<bool> {
     let (probe_keys, build_keys) = (probe.group_keys(), build.group_keys());
@@ -246,7 +260,8 @@ fn settle_keys(
                     build_bounds.group_min(b),
                     &mut corner,
                 );
-                settled[b] = kernel::any_dominates(corner.len(), guard, &corner, tests);
+                let reach = guard.reach(&corner);
+                settled[b] = kernel::any_dominates(corner.len(), reach, &corner, tests);
                 p += 1;
                 b += 1;
             }
@@ -255,39 +270,30 @@ fn settle_keys(
     settled
 }
 
-/// The guard of one work unit: the rows of `snapshot` (a prefix of
-/// [`CellStore::admitted_slab`]) that can dominate anything the region
-/// produces. Over two bounded sides those are the rows `⪯ r.max + t.max` —
-/// an exact upper corner of the region's rounded outputs, by the same
-/// monotone add as the lower ones — ordered by coordinate sum so the
-/// early-exit kernel meets the likeliest dominators first. Otherwise the
-/// snapshot as it is.
-fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a [f64]) -> Cow<'a, [f64]> {
+/// The guard of one work unit: the rows of `snapshot` (the cell store's
+/// [`admitted_slab`](CellStore::admitted_slab) at dispatch) that can
+/// dominate anything the region produces. Over two bounded sides those are
+/// the rows `⪯ r.max + t.max` — an exact upper corner of the region's
+/// rounded outputs, by the same monotone add as the lower ones — found by
+/// one order-preserving pass over the slab prefix whose key is `≤` the
+/// corner's, so the guard stays in key order. Otherwise the snapshot as
+/// it is.
+fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a KeyedRows) -> Cow<'a, KeyedRows> {
     let (Some(r_bounds), Some(t_bounds)) = (r.bounds(), t.bounds()) else {
         return Cow::Borrowed(snapshot);
     };
     let mut upper = vec![0.0f64; r.width()];
     add_rows(r_bounds.max(), t_bounds.max(), &mut upper);
-    let mut picked: Vec<(f64, &[f64])> = snapshot
-        .chunks_exact(upper.len())
-        .filter(|row| row.iter().zip(&upper).all(|(v, u)| v <= u))
-        .map(|row| (row.iter().sum(), row))
-        .collect();
-    picked.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut guard = Vec::with_capacity(picked.len() * upper.len());
-    for (_, row) in picked {
-        guard.extend_from_slice(row);
-    }
-    Cow::Owned(guard)
+    Cow::Owned(snapshot.weakly_below(&upper))
 }
 
 /// One pure, parallelizable work unit: join + map +
 /// orient the prepared partition pair of region `rid` behind the key-group
 /// look-ahead, pre-filter the batch down to its local skyline, and drop
 /// every survivor dominated by the unit's guard — what `region_guard` keeps
-/// of `snapshot`, a prefix of the cell store's
-/// [`admitted_slab`](CellStore::admitted_slab) (empty = no upstream
-/// rejection). All three only drop tuples the committer's cell store would
+/// of `snapshot`, the cell store's
+/// [`admitted_slab`](CellStore::admitted_slab) as of dispatch (empty = no
+/// upstream rejection). All three only drop tuples the committer's cell store would
 /// reject anyway. A cancelled join is passed through unfiltered and flagged
 /// `completed == false` — it must be discarded whole.
 fn join_batch(
@@ -295,7 +301,7 @@ fn join_batch(
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
-    snapshot: &[f64],
+    snapshot: &KeyedRows,
     token: &CancellationToken,
 ) -> RegionBatch {
     let started = Instant::now();
@@ -425,7 +431,12 @@ impl RegionCtx {
     ///
     /// # Panics
     /// Panics if a cell of a stream's region has not sealed.
-    pub fn compute(&self, rid: u32, snapshot: &[f64], token: &CancellationToken) -> RegionBatch {
+    pub fn compute(
+        &self,
+        rid: u32,
+        snapshot: &KeyedRows,
+        token: &CancellationToken,
+    ) -> RegionBatch {
         let started = Instant::now();
         let (r, t, built) = self.sides(rid);
         let mut batch = join_batch(rid, r, t, &self.maps, snapshot, token);
@@ -473,8 +484,10 @@ impl RegionBatch {
     }
 }
 
-/// Drops every tuple Pareto-dominated by a row of `guard` (flat, oriented,
-/// `points.dims()` values per row), preserving order. Pareto is the right
+/// Drops every tuple Pareto-dominated by a row of `guard` (oriented,
+/// `points.dims()` values per row, in key order), preserving order; a tuple
+/// is tested only against the guard rows that can dominate it
+/// ([`KeyedRows::reach`]). Pareto is the right
 /// relation under any model: the slab records what the store — which
 /// maintains its live set under Pareto — admitted, and Pareto dominance
 /// implies F-dominance. Tuples with a NaN coordinate are passed through
@@ -484,18 +497,18 @@ impl RegionBatch {
 fn snapshot_filter(
     ids: &mut Vec<(u32, u32)>,
     points: &mut PointStore,
-    guard: &[f64],
+    guard: &KeyedRows,
     stats: &mut TupleLevelStats,
 ) {
     if guard.is_empty() || ids.is_empty() {
         return;
     }
     let dims = points.dims();
+    let tests = &mut stats.filter_dominance_tests;
     let keep: Vec<bool> = points
         .iter()
         .map(|p| {
-            p.iter().any(|v| v.is_nan())
-                || !kernel::any_dominates(dims, guard, p, &mut stats.local_dominance_tests)
+            p.iter().any(|v| v.is_nan()) || !kernel::any_dominates(dims, guard.reach(p), p, tests)
         })
         .collect();
     retain_kept(ids, points, &keep, stats);
@@ -555,8 +568,8 @@ fn local_skyline_filter(
         }
     };
     let kdata: &[f64] = projected.as_deref().unwrap_or(points.raw());
-    let mut keep = champion_sweep(kd, kdata, &mut stats.local_dominance_tests);
-    window_filter(kd, kdata, &mut keep, &mut stats.local_dominance_tests);
+    let mut keep = champion_sweep(kd, kdata, &mut stats.filter_dominance_tests);
+    window_filter(kd, kdata, &mut keep, &mut stats.filter_dominance_tests);
     retain_kept(ids, points, &keep, stats);
 }
 
@@ -642,6 +655,7 @@ mod tests {
     use crate::output_grid::OutputGrid;
     use crate::source::SourceData;
     use progxe_skyline::Preference;
+    use std::sync::Arc;
 
     /// Each source whole, as one prepared partition.
     fn partitions(r: &SourceData, t: &SourceData, maps: &MapSet) -> (JoinSide, JoinSide) {
@@ -679,7 +693,7 @@ mod tests {
         token: &CancellationToken,
     ) -> (TupleLevelStats, bool) {
         let dims = maps.out_dims();
-        join_region(r, t, maps, &[], token, |pairs, rows| {
+        join_region(r, t, maps, &KeyedRows::default(), token, |pairs, rows| {
             for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
                 store.insert(r_id, t_id, row);
             }
@@ -765,7 +779,8 @@ mod tests {
         // The work unit selects its guard and settles keys before the first
         // probe row: a token that fired by then still stops the unit before
         // anything is expanded.
-        let batch = join_batch(0, &rp, &tp, &maps, &[-1.0], &token);
+        let guard = KeyedRows::sorted(1, &[-1.0]);
+        let batch = join_batch(0, &rp, &tp, &maps, &guard, &token);
         assert!(!batch.completed);
         assert_eq!((batch.stats.matches, batch.ids.len()), (0, 0));
     }
@@ -784,7 +799,8 @@ mod tests {
         }
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let (rp, tp) = partitions(&src, &src, &maps);
-        for guard in [&[][..], &[100.5]] {
+        let at_100 = KeyedRows::sorted(1, &[100.5]);
+        for guard in [&KeyedRows::default(), &at_100] {
             let token = CancellationToken::new();
             let mut seen = 0usize;
             let (stats, completed) = join_region(&rp, &tp, &maps, guard, &token, |pairs, rows| {
@@ -799,7 +815,7 @@ mod tests {
         }
         // Run to the end, that guard skips every probe row above 100.
         let token = CancellationToken::new();
-        let (stats, completed) = join_region(&rp, &tp, &maps, &[100.5], &token, |_, _| {});
+        let (stats, completed) = join_region(&rp, &tp, &maps, &at_100, &token, |_, _| {});
         assert!(completed);
         assert_eq!((stats.matches, stats.skipped), (101 * 224, 123 * 224));
     }
@@ -866,7 +882,7 @@ mod tests {
         local_skyline_filter(&mut ids, &mut points, &pref, &mut stats);
         assert_eq!(ids, vec![(1, 1), (2, 2), (3, 3)], "order preserved");
         assert_eq!(stats.locally_pruned, 2);
-        assert!(stats.local_dominance_tests > 0);
+        assert!(stats.filter_dominance_tests > 0);
     }
 
     #[test]
@@ -931,19 +947,21 @@ mod tests {
             for (i, &(r, t)) in ids.iter().enumerate() {
                 plain.insert(r, t, points.point(i));
             }
-            let snapshot = filtered.admitted_slab().to_vec();
+            let snapshot = Arc::clone(filtered.admitted_slab());
             snapshot_filter(&mut ids, &mut points, &snapshot, &mut stats);
             for (i, &(r, t)) in ids.iter().enumerate() {
                 filtered.insert(r, t, points.point(i));
             }
+            filtered.publish_admitted();
             assert_same_cells(&plain, &filtered, &format!("batch {batch}"));
             nan_admitted |=
                 (plain.iter()).any(|(_, c)| c.points().raw().iter().any(|v| v.is_nan()));
         }
         assert!(stats.locally_pruned > 200, "filter barely fired");
         assert!(nan_admitted, "no NaN tuple was ever admitted");
-        assert!(filtered.admitted_slab().iter().all(|v| !v.is_nan()));
-        assert!(filtered.admitted_slab().iter().any(|v| v.is_infinite()));
+        let slab = filtered.admitted_slab().rows();
+        assert!(slab.iter().all(|v| !v.is_nan()));
+        assert!(slab.iter().any(|v| v.is_infinite()));
         assert_eq!(
             plain.stats().tuples_inserted,
             filtered.stats().tuples_inserted
@@ -1001,7 +1019,7 @@ mod tests {
             let (rp, tp) = (&sides[ri].0, &sides[ti].1);
             let (plain, completed) = join_into_store(rp, tp, &maps, &mut streamed, &token);
             assert!(completed);
-            let snapshot = batched.admitted_slab().to_vec();
+            let snapshot = Arc::clone(batched.admitted_slab());
             let batch = join_batch(rid as u32, rp, tp, &maps, &snapshot, &token);
             assert!(batch.completed);
             assert_eq!(plain.matches, batch.stats.matches + batch.stats.skipped);
@@ -1009,6 +1027,7 @@ mod tests {
             for (&(r, t), point) in batch.ids.iter().zip(batch.points.iter()) {
                 batched.insert(r, t, point);
             }
+            batched.publish_admitted();
             assert_same_cells(&streamed, &batched, &format!("region {rid}"));
         }
         assert!(skipped > 0, "the look-ahead never fired");
@@ -1037,7 +1056,7 @@ mod tests {
         let (doubled, differenced) = (weighted(vec![2.0, 0.0]), weighted(vec![2.0, -2.0]));
         let token = CancellationToken::new();
         // Dominates every finite corner: whatever may be pruned, is.
-        let snapshot = [-f64::MAX, -f64::MAX];
+        let snapshot = KeyedRows::sorted(2, &[-f64::MAX, -f64::MAX]);
         let bits = |batch: &RegionBatch| -> Vec<u64> {
             batch.points.raw().iter().map(|v| v.to_bits()).collect()
         };
@@ -1068,10 +1087,12 @@ mod tests {
                 continue;
             }
             let mut reference = RegionBatch::aborted(0, 2);
-            let (mut stats, completed) = join_region(&rp, &tp, maps, &[], &token, |pairs, rows| {
-                reference.ids.extend_from_slice(pairs);
-                reference.points.extend_from_flat(rows);
-            });
+            let unguarded = KeyedRows::default();
+            let (mut stats, completed) =
+                join_region(&rp, &tp, maps, &unguarded, &token, |pairs, rows| {
+                    reference.ids.extend_from_slice(pairs);
+                    reference.points.extend_from_flat(rows);
+                });
             assert!(completed);
             local_skyline_filter(
                 &mut reference.ids,

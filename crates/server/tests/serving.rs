@@ -12,8 +12,8 @@ use progxe_query::exec::StreamingQuery;
 use progxe_query::{Engine, QueryRunner};
 use progxe_server::server::wait_for_cancelled;
 use progxe_server::{
-    synthetic, BatchFrame, Client, ErrorCode, PushFrame, Server, ServerConfig, ServerFrame,
-    WireTuple,
+    synthetic, BatchFrame, Client, ErrorCode, PushFrame, PushRow, Server, ServerConfig,
+    ServerFrame, WireTuple,
 };
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -368,6 +368,80 @@ fn subscription_updates_are_bit_identical_to_an_in_process_transcript() {
     handle.shutdown();
     assert_eq!(metrics.queries_ok(), 1);
     assert_eq!(metrics.queries_cancelled(), 0);
+}
+
+/// A `Push` carrying a NaN, `+∞` or `−∞` is a `SubError(BadQuery)` that
+/// names the offending dimension and changes nothing: the subscription
+/// completes on the valid pushes that follow with exactly the transcript
+/// of a replay that never saw the bad rows, and the same connection still
+/// answers a one-shot query.
+#[test]
+fn non_finite_push_is_a_sub_error_and_the_subscription_survives() {
+    let dims = 2;
+    let handle = start_streaming_server(50, dims, 3, 8);
+    let sql = synthetic::query_sql(dims);
+    let sub_id = 9;
+    let feed = synthetic::arrival_feed(sub_id, 240, dims, 13, 24);
+    let bad = [(f64::NAN, 1), (f64::INFINITY, 0), (f64::NEG_INFINITY, 1)];
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.subscribe(sub_id, &sql).expect("subscribe");
+    assert!(matches!(
+        client.next_server_frame().expect("frame"),
+        ServerFrame::SubAccepted { .. }
+    ));
+    for (i, frame) in feed.iter().enumerate() {
+        if let Some(&(value, dim)) = bad.get(i / 3).filter(|_| i % 3 == 1) {
+            let mut attrs = vec![50.0; dims];
+            attrs[dim] = value;
+            client
+                .push(&PushFrame {
+                    sub_id,
+                    source: frame.source,
+                    rows: vec![PushRow { attrs, key: 0 }],
+                    watermark: None,
+                    close: false,
+                })
+                .expect("push");
+        }
+        client.push(frame).expect("push");
+    }
+    let (mut wire, mut errors) = (Vec::new(), Vec::new());
+    let done = loop {
+        match client.next_server_frame().expect("frame") {
+            ServerFrame::Update { batch, .. } => wire.push(wire_event(&batch)),
+            ServerFrame::SubError {
+                sub_id: id,
+                code,
+                message,
+            } => {
+                assert_eq!((id, code), (sub_id, ErrorCode::BadQuery), "{message}");
+                errors.push(message);
+            }
+            ServerFrame::SubDone { done, .. } => break done,
+            other => panic!("expected Update, SubError or SubDone, got {other:?}"),
+        }
+    };
+    assert_eq!(errors.len(), bad.len(), "{errors:?}");
+    for (message, (value, dim)) in errors.iter().zip(bad) {
+        assert!(
+            message.contains(&value.to_string()) && message.contains(&format!("dimension {dim}")),
+            "{message}"
+        );
+    }
+    assert!(!done.cancelled, "the subscription completes");
+
+    let runner = QueryRunner::new(synthetic::streaming_catalog(50, dims, 3));
+    let query = runner
+        .ingest_session(&sql, &Engine::progxe_threads(2))
+        .expect("in-process session");
+    let (reference, stats) = replay_in_process(query, &feed);
+    assert_eq!(wire, reference, "the bad pushes left a trace");
+    assert_eq!(done.results, stats.results_emitted);
+
+    let outcome = client.run_query(&sql).expect("one-shot after the errors");
+    assert!(outcome.error.is_none(), "{:?}", outcome.error);
+    assert!(outcome.done.is_some() && !outcome.tuples.is_empty());
+    handle.shutdown();
 }
 
 #[test]

@@ -67,7 +67,7 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
     let kdata = kernel::project_store(dom, store, &mut kbuf);
     let row = |i: u32| &kdata[i as usize * kd..(i as usize + 1) * kd];
     // Key each row once instead of once per sort comparison.
-    let keys: Vec<(i32, f64)> = (0..n as u32).map(|i| sum_key(row(i))).collect();
+    let keys: Vec<SumKey> = (0..n as u32).map(|i| sum_key(row(i))).collect();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|&a, &b| presort_cmp((keys[a as usize], row(a)), (keys[b as usize], row(b))));
     let mut window = PointStore::new(kd);
@@ -82,11 +82,44 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
     }
 }
 
-/// The presort's primary key of one kernel row: its count of `+∞`
-/// coordinates minus its count of `−∞` ones, then the float sum of its
-/// finite ones (a plain sum is NaN on a row holding both infinities).
-fn sum_key(row: &[f64]) -> (i32, f64) {
-    row.iter().fold((0, 0.0), |(inf, sum), &v| {
+/// The presort's primary key of one kernel row ([`sum_key`]): its count
+/// of `+∞` coordinates minus its count of `−∞` ones, then the float sum of
+/// its finite ones (a plain sum is NaN on a row holding both infinities).
+///
+/// Ordered by the count, then the sum with the two zeros tied. On rows
+/// without NaN it is monotone under weak dominance: `a ⪯ b` everywhere
+/// gives `sum_key(a) ≤ sum_key(b)` (see [`presort_cmp`]), so a row whose
+/// key is *greater* than a point's cannot dominate it; rows whose keys
+/// tie with it still can.
+#[derive(Debug, Clone, Copy)]
+pub struct SumKey {
+    infinities: i32,
+    sum: f64,
+}
+
+impl Ord for SumKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.infinities.cmp(&other.infinities)).then(tie_cmp(self.sum, other.sum))
+    }
+}
+
+impl PartialOrd for SumKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SumKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for SumKey {}
+
+/// The [`SumKey`] of one kernel row.
+pub fn sum_key(row: &[f64]) -> SumKey {
+    let (infinities, sum) = row.iter().fold((0, 0.0), |(inf, sum), &v| {
         if v == f64::INFINITY {
             (inf + 1, sum)
         } else if v == f64::NEG_INFINITY {
@@ -94,7 +127,8 @@ fn sum_key(row: &[f64]) -> (i32, f64) {
         } else {
             (inf, sum + v)
         }
-    })
+    });
+    SumKey { infinities, sum }
 }
 
 /// SFS's presort order on two kernel rows (all-lowest Pareto space) keyed
@@ -111,12 +145,12 @@ fn sum_key(row: &[f64]) -> (i32, f64) {
 /// they do in the kernels. A NaN coordinate, which the kernels treat as a
 /// tie, has no place in any linear extension; the comparison stays a total
 /// order so the sort is well defined.
-fn presort_cmp((ka, a): ((i32, f64), &[f64]), (kb, b): ((i32, f64), &[f64])) -> Ordering {
+pub fn presort_cmp((ka, a): (SumKey, &[f64]), (kb, b): (SumKey, &[f64])) -> Ordering {
     let lex = || {
         let mut pairs = a.iter().zip(b).map(|(&x, &y)| tie_cmp(x, y));
         pairs.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
     };
-    ka.0.cmp(&kb.0).then(tie_cmp(ka.1, kb.1)).then_with(lex)
+    ka.cmp(&kb).then_with(lex)
 }
 
 /// `<` / `>` as the kernels compare, made total: `-0.0 + 0.0` is `+0.0`, so

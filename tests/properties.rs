@@ -632,12 +632,11 @@ fn assert_every_engine_equals_oracle(
     );
 }
 
-/// The value axis through every engine: exact integer ties, sums that
-/// round to ties, and mapped sums that overflow to ±∞ — under all-lowest
-/// and mixed preference directions. (Small integers, whose sums are exact,
-/// are `progxe_equals_oracle`'s and `skyline_algorithms_agree`'s inputs.)
-#[test]
-fn every_engine_equals_oracle_along_the_value_axis() {
+/// Calls `check` on the value axis's instances: 32 per [`Values`] kind,
+/// two or three dimensions, each direction `Highest` with odds 1 in 3.
+fn for_each_value_axis_instance(
+    mut check: impl FnMut(&str, &SourceView<'_>, &SourceView<'_>, &MapSet),
+) {
     let mut rng = StdRng::seed_from_u64(0x7A1E);
     for values in [Values::Integers, Values::Extremes] {
         for case in 0..32 {
@@ -655,9 +654,92 @@ fn every_engine_equals_oracle_along_the_value_axis() {
                 .collect();
             let maps = MapSet::pairwise_sum(dims, Preference::new(orders));
             let label = format!("{values:?} case {case} dims={dims}");
-            assert_every_engine_equals_oracle(&label, &r.view(), &t.view(), &maps);
+            check(&label, &r.view(), &t.view(), &maps);
         }
     }
+}
+
+/// A result set as [`result_ids`] lists it.
+type ResultIds = Vec<(u32, u32)>;
+
+/// ProgXe's F-skylines of one instance at 1 and 2 threads, under the
+/// `simplex_band` weight polytopes at tightness 0.3 (wide) and 0.7
+/// (narrow, nested inside the wide one): `[(threads, wide, narrow)]`.
+fn flexible_skylines(
+    r: &SourceView<'_>,
+    t: &SourceView<'_>,
+    maps: &MapSet,
+) -> Vec<(usize, ResultIds, ResultIds)> {
+    let dims = maps.out_dims();
+    let under = |tightness: f64, threads: usize| {
+        let band = progxe::datagen::simplex_band(dims, tightness);
+        let model = progxe::core::fdom::flexible_model(dims, band).expect("non-empty band");
+        let flexible = maps.clone().with_dominance(model).unwrap();
+        let engine = ProgXe::new(ProgXeConfig::default().with_threads(threads));
+        result_ids(&engine.run_collect(r, t, &flexible).unwrap().results)
+    };
+    [1, 2]
+        .map(|threads| (threads, under(0.3, threads), under(0.7, threads)))
+        .into()
+}
+
+/// The value axis through every engine: exact integer ties, sums that
+/// round to ties, and mapped sums that overflow to ±∞ — under all-lowest
+/// and mixed preference directions. (Small integers, whose sums are exact,
+/// are `progxe_equals_oracle`'s and `skyline_algorithms_agree`'s inputs.)
+/// The same instances carry one of the flexible skyline's free oracles
+/// (Lupi et al.): ProgXe's F-skyline, under two weight polytopes, is a
+/// non-empty subset of the Pareto skyline, the same at 1 and 2 threads.
+/// Mapped sums at ±∞ make vertex projections ±∞ and NaN. A NaN region
+/// projection must block, or a cell is released before its region's tuples
+/// land (the committer's box-invariant panic); a NaN cell corner must stay
+/// inside the emission filter's reachable prefix, or a Pareto-dominated
+/// tuple is emitted.
+#[test]
+fn every_engine_equals_oracle_along_the_value_axis() {
+    for_each_value_axis_instance(|label, r, t, maps| {
+        assert_every_engine_equals_oracle(label, r, t, maps);
+        let pareto = result_ids(&oracle_smj(r, t, maps));
+        let fskys = flexible_skylines(r, t, maps);
+        let (one, two) = (&fskys[0], &fskys[1]);
+        assert_eq!(
+            (&one.1, &one.2),
+            (&two.1, &two.2),
+            "{label}: threads disagree"
+        );
+        for (threads, wide, narrow) in fskys {
+            for (polytope, fsky) in [("wide", wide), ("narrow", narrow)] {
+                let label = format!("{label}, {threads} threads, {polytope}");
+                assert!(
+                    fsky.iter().all(|id| pareto.contains(id)),
+                    "{label}: ⊄ Pareto"
+                );
+                assert!(!fsky.is_empty() || pareto.is_empty(), "{label}: empty");
+            }
+        }
+    });
+}
+
+/// The other free oracle: the F-skyline shrinks as the polytope tightens,
+/// F-skyline(narrow) ⊆ F-skyline(wide). It holds in exact arithmetic and
+/// fails on the value axis: on `Integers case 5` two Pareto-incomparable
+/// results near 2^54 differ by (4, −4), less than one ulp after weighting,
+/// so a wide-polytope vertex projection rounds to a tie and F-dominance
+/// holds under the wide polytope but not under the narrow one. Vertex
+/// projections compare `v·a` with `v·b` rather than the sign of
+/// `v·(a − b)`; see ROADMAP.
+#[test]
+#[ignore = "known failure: rounded vertex projections are not monotone in the polytope"]
+fn flexible_skylines_shrink_as_the_polytope_tightens_along_the_value_axis() {
+    for_each_value_axis_instance(|label, r, t, maps| {
+        for (threads, wide, narrow) in flexible_skylines(r, t, maps) {
+            let label = format!("{label}, {threads} threads");
+            assert!(
+                narrow.iter().all(|id| wide.contains(id)),
+                "{label}: narrow ⊄ wide"
+            );
+        }
+    });
 }
 
 /// A NaN or ±∞ anywhere in an input is rejected where a view is built,
