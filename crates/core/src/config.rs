@@ -39,7 +39,13 @@ pub enum OrderingPolicy {
 /// queries interchangeably.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgXeConfig {
-    /// Grid partitions per attribute dimension on each input source.
+    /// Grid partitions per attribute dimension on each input source — an
+    /// upper bound: a grid built from rows is capped per attribute
+    /// dimensionality to at most
+    /// [`INPUT_CELL_BUDGET`](crate::grid::INPUT_CELL_BUDGET) cells
+    /// ([`capped_slices`](crate::grid::capped_slices): 256 at `d = 2`, 16
+    /// at `d = 4`, 4 at `d = 8`). A stream's declared grid is bounded by
+    /// [`MAX_STREAM_REGIONS`](crate::ingest::MAX_STREAM_REGIONS) instead.
     pub input_partitions_per_dim: usize,
     /// Output-grid cells per output dimension (the paper's δ) — an upper
     /// bound: the grid is capped per output dimensionality to fit

@@ -647,6 +647,39 @@ mod tests {
         }
     }
 
+    /// Every partition pair is accounted for exactly once: rejected by
+    /// signature, pruned by the look-ahead, or a region —
+    /// `partitions_r · partitions_t = rejected + pruned + created`.
+    #[test]
+    fn every_partition_pair_is_rejected_pruned_or_a_region() {
+        let (mut rejected, mut pruned) = (0, 0);
+        for (seed, (p, k)) in (30..).zip([(1, 4), (2, 8), (3, 24), (5, 16), (8, 48)]) {
+            for (dims, keys) in [(2, 3), (3, 40)] {
+                let r = random_source(120, dims, keys, seed);
+                let t = random_source(90, dims, keys, seed + 100);
+                let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
+                let config = ProgXeConfig::default()
+                    .with_input_partitions(p)
+                    .with_output_cells(k);
+                let s = ProgXe::new(config)
+                    .run_collect(&r.view(), &t.view(), &maps)
+                    .unwrap()
+                    .stats;
+                assert_eq!(
+                    s.partitions_r * s.partitions_t,
+                    s.pairs_rejected_by_signature + s.regions_pruned_lookahead + s.regions_created,
+                    "p = {p}, k = {k}, d = {dims}, {keys} keys"
+                );
+                rejected += s.pairs_rejected_by_signature;
+                pruned += s.regions_pruned_lookahead;
+            }
+        }
+        assert!(
+            rejected > 0 && pruned > 0,
+            "rejected {rejected}, pruned {pruned}"
+        );
+    }
+
     #[test]
     fn emitted_results_never_duplicate() {
         let r = random_source(150, 2, 5, 15);

@@ -2,7 +2,10 @@
 //!
 //! "We assume the input data sets are partitioned into a multi-dimensional
 //! grid structure." Each source is cut into `p` equal-width slices per
-//! attribute dimension; only non-empty partitions are materialized. Every
+//! attribute dimension (capped so a grid has at most [`INPUT_CELL_BUDGET`]
+//! cells); only non-empty partitions are materialized. [`InputGrid::build`]
+//! is a counting sort over a dense array of per-cell counters: two passes
+//! over the rows, no hashing and no growing buckets. Every
 //! partition carries (a) the row indices of its tuples, (b) a *tight*
 //! bounding box (the min/max of its members, which maps to tighter output
 //! regions than the raw cell geometry — a sound refinement), and (c) the
@@ -18,7 +21,6 @@
 //! a [`JoinSource`]: filled by the first region that joins it, or, on a
 //! stream, when the cell seals.
 
-use crate::fxhash::FxHashMap;
 use crate::mapping::MapSet;
 use crate::pushthrough::Side;
 use crate::signature::JoinSignature;
@@ -84,12 +86,12 @@ impl GridGeometry {
 
     /// Linear cell index of a point (row-major, dimension 0 most
     /// significant — matches [`InputGrid::build`]'s bucketing).
+    #[inline]
     pub fn linear_of(&self, p: &[f64]) -> usize {
-        let mut linear = 0usize;
-        for (d, &v) in p.iter().enumerate().take(self.dims()) {
-            linear = linear * self.per_dim + self.slot(d, v);
-        }
-        linear
+        let top = self.per_dim - 1;
+        (p.iter().zip(&self.lo).zip(&self.width)).fold(0, |linear, ((&v, &lo), &width)| {
+            linear * self.per_dim + (((v - lo) / width) as usize).min(top)
+        })
     }
 
     /// Slice index along dimension `d` of the cell with linear index
@@ -126,6 +128,28 @@ impl GridGeometry {
     pub fn slice_hi(&self, d: usize, slot: usize) -> f64 {
         self.lo[d] + (slot as f64 + 1.0) * self.width[d]
     }
+}
+
+/// Most cells a grid built from rows ([`InputGrid::build`]) may have: its
+/// per-cell counters are a dense array. A finer grid would also make the
+/// look-ahead's partition-pair enumeration infeasible.
+pub const INPUT_CELL_BUDGET: usize = 1 << 16;
+
+/// Slices per dimension that [`InputGrid::build`] cuts a `dims`-dimensional
+/// source into when asked for `per_dim`: the largest `s ≤ per_dim` with
+/// `s^dims ≤` [`INPUT_CELL_BUDGET`] (65 536 / 256 / 40 / 16 / 9 / 6 / 4 / 4
+/// for d = 1…8).
+pub fn capped_slices(per_dim: usize, dims: usize) -> usize {
+    let fits = |s: usize| {
+        s.checked_pow(dims as u32)
+            .is_some_and(|cells| cells <= INPUT_CELL_BUDGET)
+    };
+    let root = (INPUT_CELL_BUDGET as f64).powf(1.0 / dims.max(1) as f64) as usize;
+    let mut slices = per_dim.min(root + 1);
+    while !fits(slices) {
+        slices -= 1;
+    }
+    slices
 }
 
 /// One input partition (`I^R_a` in the paper's notation).
@@ -170,7 +194,15 @@ pub struct InputGrid {
 }
 
 impl InputGrid {
-    /// Partitions `source` into `per_dim` slices per attribute dimension.
+    /// Partitions `source` into `per_dim` slices per attribute dimension —
+    /// at most [`capped_slices`]`(per_dim, dims)`, so the grid has no more
+    /// than [`INPUT_CELL_BUDGET`] cells.
+    ///
+    /// A counting sort: one pass finds each row's cell and counts rows per
+    /// cell in a dense array, a second appends every row, in ascending row
+    /// order, to its partition (sized up front), folding it into the
+    /// partition's bounds and signature. Partitions are the non-empty cells
+    /// in ascending linear index.
     ///
     /// `join_domain` is the exclusive upper bound of join-key values
     /// (`max key + 1`), used to size exact signatures.
@@ -187,40 +219,45 @@ impl InputGrid {
             .attrs()
             .bounds()
             .expect("non-empty source has bounds");
-        let geo = GridGeometry::from_bounds(&lo, &hi, per_dim);
+        let geo = GridGeometry::from_bounds(&lo, &hi, capped_slices(per_dim, dims));
+        let cells = geo.cell_count().expect("a capped grid's cell count fits");
 
-        // Bucket tuples by grid cell (linear index).
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for row in 0..n {
-            let linear = geo.linear_of(source.attrs_of(row)) as u64;
-            buckets.entry(linear).or_default().push(row as u32);
+        let mut cell_of = Vec::with_capacity(n);
+        let mut counts = vec![0u32; cells];
+        for p in source.attrs().iter() {
+            let cell = geo.linear_of(p);
+            counts[cell] += 1;
+            cell_of.push(cell as u32);
         }
-
-        // Materialize non-empty partitions with tight bounds + signatures.
-        // Sort buckets by linear index for deterministic partition ids.
-        let mut keys: Vec<u64> = buckets.keys().copied().collect();
-        keys.sort_unstable();
-        let mut partitions = Vec::with_capacity(keys.len());
-        for (id, key) in keys.into_iter().enumerate() {
-            let tuples = buckets.remove(&key).expect("key came from the map");
-            let mut p_lo = source.attrs_of(tuples[0] as usize).to_vec();
-            let mut p_hi = p_lo.clone();
-            let mut sig = JoinSignature::empty(join_domain);
-            for &row in &tuples {
-                let attrs = source.attrs_of(row as usize);
-                for d in 0..dims {
-                    p_lo[d] = p_lo[d].min(attrs[d]);
-                    p_hi[d] = p_hi[d].max(attrs[d]);
-                }
-                sig.insert(source.join_key_of(row as usize));
+        // Each non-empty cell opens a partition sized to its count; from here
+        // on `counts` maps a cell to its partition id.
+        let mut partitions = Vec::new();
+        for count in &mut counts {
+            if *count > 0 {
+                let id = partitions.len() as u32;
+                partitions.push(InputPartition {
+                    id,
+                    tuples: Vec::with_capacity(*count as usize),
+                    lo: Vec::new(),
+                    hi: Vec::new(),
+                    signature: JoinSignature::empty(join_domain),
+                });
+                *count = id;
             }
-            partitions.push(InputPartition {
-                id: id as u32,
-                tuples,
-                lo: p_lo,
-                hi: p_hi,
-                signature: sig,
-            });
+        }
+        for (row, &cell) in cell_of.iter().enumerate() {
+            let part = &mut partitions[counts[cell as usize] as usize];
+            let attrs = source.attrs_of(row);
+            if part.tuples.is_empty() {
+                part.lo = attrs.to_vec();
+                part.hi = attrs.to_vec();
+            }
+            for (d, &v) in attrs.iter().enumerate() {
+                part.lo[d] = part.lo[d].min(v);
+                part.hi[d] = part.hi[d].max(v);
+            }
+            part.tuples.push(row as u32);
+            part.signature.insert(source.join_key_of(row));
         }
         Self { partitions }
     }
@@ -883,6 +920,133 @@ mod tests {
             "raw attributes"
         );
         assert!(side(&[], true).bounds().is_none(), "sealed empty");
+    }
+
+    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |m| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        }
+    }
+
+    /// The grid by definition: bucket every row by its cell under the
+    /// capped data-bounds geometry, order buckets by linear index, fold
+    /// bounds and signature over each bucket in row order.
+    fn bucketed(source: &SourceView<'_>, per_dim: usize, domain: usize) -> Vec<InputPartition> {
+        let Some((lo, hi)) = source.attrs().bounds() else {
+            return Vec::new();
+        };
+        let geo = GridGeometry::from_bounds(&lo, &hi, capped_slices(per_dim, source.dims()));
+        let mut buckets = std::collections::BTreeMap::<usize, Vec<u32>>::new();
+        for row in 0..source.len() {
+            let cell = geo.linear_of(source.attrs_of(row));
+            buckets.entry(cell).or_default().push(row as u32);
+        }
+        (0u32..)
+            .zip(buckets.into_values())
+            .map(|(id, tuples)| {
+                let mut lo = source.attrs_of(tuples[0] as usize).to_vec();
+                let mut hi = lo.clone();
+                let mut signature = JoinSignature::empty(domain);
+                for &row in &tuples {
+                    for (d, &v) in source.attrs_of(row as usize).iter().enumerate() {
+                        lo[d] = lo[d].min(v);
+                        hi[d] = hi[d].max(v);
+                    }
+                    signature.insert(source.join_key_of(row as usize));
+                }
+                InputPartition {
+                    id,
+                    tuples,
+                    lo,
+                    hi,
+                    signature,
+                }
+            })
+            .collect()
+    }
+
+    /// `InputGrid::build` against [`bucketed`], bit for bit, on random
+    /// sources of d = 1…8 whose dimensions are each one of: spread values,
+    /// values on slice boundaries, one constant (zero extent), or ±1e308 —
+    /// with duplicate rows throughout.
+    #[test]
+    fn build_matches_a_bucketing_reference() {
+        let mut next = lcg(0x6_12D);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cases = 0;
+        for round in 0..160 {
+            let dims = 1 + round % 8;
+            let per_dim = [1, 2, 3, 5, 16, 300][next(6) as usize];
+            let domain = 1 + next(40) as usize;
+            let kinds: Vec<u64> = (0..dims).map(|_| next(4)).collect();
+            let mut src = SourceData::new(dims);
+            let mut row = vec![0.0; dims];
+            for _ in 0..1 + next(300) {
+                if src.is_empty() || next(5) != 0 {
+                    for (v, &kind) in row.iter_mut().zip(&kinds) {
+                        *v = match kind {
+                            0 => next(100_000) as f64 / 37.0,
+                            // 0…60 in whole steps: every multiple of 60 / p
+                            // that is a whole number is a slice boundary.
+                            1 => next(61) as f64,
+                            2 => 4.25,
+                            _ => [-1e308, 1e308, 0.0, -1.0][next(4) as usize],
+                        };
+                    }
+                }
+                src.push(&row, next(domain as u64) as u32);
+            }
+            let view = src.view();
+            let got = InputGrid::build(&view, per_dim, domain);
+            let want = bucketed(&view, per_dim, domain);
+            let at = format!("round {round}: d = {dims}, p = {per_dim}, kinds {kinds:?}");
+            assert_eq!(got.len(), want.len(), "{at}");
+            for (g, w) in got.partitions().iter().zip(&want) {
+                assert_eq!(g.id, w.id, "{at}");
+                assert_eq!(g.tuples, w.tuples, "{at}: partition {}", w.id);
+                assert_eq!(bits(&g.lo), bits(&w.lo), "{at}: partition {}", w.id);
+                assert_eq!(bits(&g.hi), bits(&w.hi), "{at}: partition {}", w.id);
+                assert_eq!(g.signature, w.signature, "{at}: partition {}", w.id);
+            }
+            cases += usize::from(want.len() > 1);
+        }
+        assert!(cases > 80, "only {cases} sources split at all");
+    }
+
+    /// The slice cap: `min(p, cap_d)` slices, `cap_d` the largest count
+    /// whose d-th power fits the budget — and `build` cuts that many (1 001
+    /// points spread along dimension 0, every other dimension constant, so
+    /// the partitions are exactly the slices along dimension 0).
+    #[test]
+    fn build_caps_slices_per_dim() {
+        for dims in 1..=8usize {
+            let power = |s: usize| s.checked_pow(dims as u32).unwrap_or(usize::MAX);
+            let cap = (1..=INPUT_CELL_BUDGET)
+                .take_while(|&s| power(s) <= INPUT_CELL_BUDGET)
+                .last()
+                .unwrap();
+            assert!(power(cap) <= INPUT_CELL_BUDGET && INPUT_CELL_BUDGET < power(cap + 1));
+            let mut src = SourceData::new(dims);
+            let mut row = vec![0.0; dims];
+            for i in 0..=1000 {
+                row[0] = i as f64 / 1000.0;
+                src.push(&row, 0);
+            }
+            for per_dim in [1, 2, 3, 16, 300] {
+                let slices = per_dim.min(cap);
+                assert_eq!(
+                    capped_slices(per_dim, dims),
+                    slices,
+                    "d = {dims}, p = {per_dim}"
+                );
+                let g = InputGrid::build(&src.view(), per_dim, 1);
+                assert_eq!(g.len(), slices, "d = {dims}, p = {per_dim}");
+            }
+        }
     }
 
     #[test]

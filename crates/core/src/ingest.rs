@@ -903,6 +903,28 @@ mod tests {
             .collect()
     }
 
+    /// The batch ledger on a stream: every declared cell pair is a region,
+    /// none rejected and none pruned.
+    #[test]
+    fn every_declared_cell_pair_is_a_region() {
+        let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        for p in [1, 2, 5] {
+            let config = ProgXeConfig::default().with_input_partitions(p);
+            let session = IngestSession::open(&config, &maps, spec(2), spec(2)).unwrap();
+            let s = session.stats_snapshot();
+            assert_eq!((s.partitions_r, s.partitions_t), (p * p, p * p));
+            assert_eq!(
+                (s.pairs_rejected_by_signature, s.regions_pruned_lookahead),
+                (0, 0)
+            );
+            assert_eq!(
+                s.partitions_r * s.partitions_t,
+                s.regions_created,
+                "p = {p}"
+            );
+        }
+    }
+
     #[test]
     fn all_at_once_matches_batch_engine_result_set() {
         let rows_r = random_rows(150, 2, 5, 1);

@@ -17,6 +17,12 @@
 //! [`JoinSignature::Unknown`](crate::signature::JoinSignature::Unknown):
 //! their overlap guarantees nothing, so no region is pruned and no
 //! pessimistic-skyline point comes from them.
+//!
+//! The phase pays per candidate pair only for reasoning over bounds: a
+//! candidate is a row of two flat buffers of oriented bounds, and a
+//! [`Region`] — with its own bound vectors — is built only for a candidate
+//! the pessimistic skyline does not prune (most of them are, on the
+//! benchmark's small queries).
 
 use crate::cells::CellStore;
 use crate::grid::InputGrid;
@@ -70,30 +76,28 @@ pub struct Lookahead {
 }
 
 /// Runs the look-ahead phase over two partitioned inputs.
+///
+/// Candidates — the signature-compatible partition pairs, in R-major
+/// order — live only as rows of two flat buffers of oriented bounds beside
+/// their `(r_part, t_part, guaranteed)`; the global box, the pessimistic
+/// window and the prune pass read those rows. Only a candidate that
+/// survives the prune becomes a [`Region`], numbered in candidate order.
 pub fn run_lookahead(
     r_grid: &InputGrid,
     t_grid: &InputGrid,
     maps: &MapSet,
     output_cells_per_dim: u16,
 ) -> Lookahead {
-    let out_dims = maps.out_dims();
-    assert!(out_dims <= MAX_DIMS);
-    let orders = maps.preference().orders().to_vec();
+    let dims = maps.out_dims();
+    assert!(dims <= MAX_DIMS);
+    let orders = maps.preference().orders();
 
     // 1. Enumerate join-compatible partition pairs and map their bounds.
-    struct Candidate {
-        r_part: u32,
-        t_part: u32,
-        lo: Vec<f64>,
-        hi: Vec<f64>,
-        n_r: u32,
-        n_t: u32,
-        guaranteed: bool,
-    }
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let (mut los, mut his) = (Vec::new(), Vec::new());
+    let mut owners: Vec<(u32, u32, bool)> = Vec::new();
     let mut rejected = 0usize;
-    let mut raw_lo = Vec::with_capacity(out_dims);
-    let mut raw_hi = Vec::with_capacity(out_dims);
+    let mut raw_lo = Vec::with_capacity(dims);
+    let mut raw_hi = Vec::with_capacity(dims);
     for rp in r_grid.partitions() {
         for tp in t_grid.partitions() {
             if !rp.signature.overlaps(&tp.signature) {
@@ -102,56 +106,47 @@ pub fn run_lookahead(
             }
             maps.eval_bounds_into(&rp.lo, &rp.hi, &tp.lo, &tp.hi, &mut raw_lo, &mut raw_hi);
             // Orient: negation for HIGHEST dims swaps the interval ends.
-            let mut lo = Vec::with_capacity(out_dims);
-            let mut hi = Vec::with_capacity(out_dims);
-            for j in 0..out_dims {
-                let a = orders[j].orient(raw_lo[j]);
-                let b = orders[j].orient(raw_hi[j]);
-                lo.push(a.min(b));
-                hi.push(a.max(b));
+            for ((o, &l), &h) in orders.iter().zip(&raw_lo).zip(&raw_hi) {
+                let (a, b) = (o.orient(l), o.orient(h));
+                los.push(a.min(b));
+                his.push(a.max(b));
             }
-            candidates.push(Candidate {
-                r_part: rp.id,
-                t_part: tp.id,
-                lo,
-                hi,
-                n_r: rp.len() as u32,
-                n_t: tp.len() as u32,
-                guaranteed: rp.signature.is_exact() && tp.signature.is_exact(),
-            });
+            let guaranteed = rp.signature.is_exact() && tp.signature.is_exact();
+            owners.push((rp.id, tp.id, guaranteed));
         }
     }
 
     // Degenerate input: no joinable pairs at all.
-    if candidates.is_empty() {
+    if owners.is_empty() {
         return Lookahead {
-            grid: OutputGrid::new(vec![0.0; out_dims], vec![1.0; out_dims], 1),
+            grid: OutputGrid::new(vec![0.0; dims], vec![1.0; dims], 1),
             regions: Vec::new(),
             pairs_rejected_by_signature: rejected,
             regions_pruned: 0,
             pessimistic_skyline: Vec::new(),
         };
     }
+    let lo_of = |i: usize| &los[i * dims..(i + 1) * dims];
+    let hi_of = |i: usize| &his[i * dims..(i + 1) * dims];
 
     // 2. Global output bounding box → output grid.
-    let mut g_lo = candidates[0].lo.clone();
-    let mut g_hi = candidates[0].hi.clone();
-    for c in &candidates[1..] {
-        for j in 0..out_dims {
-            g_lo[j] = g_lo[j].min(c.lo[j]);
-            g_hi[j] = g_hi[j].max(c.hi[j]);
+    let (mut g_lo, mut g_hi) = (lo_of(0).to_vec(), hi_of(0).to_vec());
+    for i in 1..owners.len() {
+        for (g, &v) in g_lo.iter_mut().zip(lo_of(i)) {
+            *g = g.min(v);
+        }
+        for (g, &v) in g_hi.iter_mut().zip(hi_of(i)) {
+            *g = g.max(v);
         }
     }
     let grid = OutputGrid::new(g_lo, g_hi, output_cells_per_dim);
 
     // 3. Pessimistic skyline over guaranteed regions' upper bounds
-    //    (Figure 3). Tags carry the owning candidate so a region is never
-    //    pruned by its own upper bound.
-    let pref = Preference::all_lowest(out_dims);
-    let mut pes: BnlWindow<usize> = BnlWindow::new(pref);
-    for (i, c) in candidates.iter().enumerate() {
-        if c.guaranteed {
-            pes.offer(&c.hi, i);
+    //    (Figure 3).
+    let mut pes: BnlWindow<()> = BnlWindow::new(Preference::all_lowest(dims));
+    for (i, &(_, _, guaranteed)) in owners.iter().enumerate() {
+        if guaranteed {
+            pes.offer(hi_of(i), ());
         }
     }
 
@@ -161,32 +156,32 @@ pub fn run_lookahead(
     //    many-vs-one pass. No owner exclusion is needed: a region's own
     //    upper bound can never *strictly* dominate its own lower bound
     //    (`lo[j] ≤ hi[j]` by construction rules out any `hi[j] < lo[j]`,
-    //    and NaN bounds compare as ties), so dropping the old
-    //    `owner != i` guard is behavior-preserving.
+    //    and NaN bounds compare as ties).
     let mut pes_flat: Vec<f64> = Vec::new();
     for (p, _) in pes.iter() {
         pes_flat.extend_from_slice(p);
     }
-    let mut regions = Vec::with_capacity(candidates.len());
+    let mut regions = Vec::new();
     let mut pruned = 0usize;
     let mut pairs = 0u64;
-    for c in candidates.iter() {
-        if kernel::any_dominates(out_dims, &pes_flat, &c.lo, &mut pairs) {
+    for (i, &(r_part, t_part, guaranteed)) in owners.iter().enumerate() {
+        let (lo, hi) = (lo_of(i), hi_of(i));
+        if kernel::any_dominates(dims, &pes_flat, lo, &mut pairs) {
             pruned += 1;
             continue;
         }
-        let (cell_lo, cell_hi) = grid.box_of(&c.lo, &c.hi);
+        let (cell_lo, cell_hi) = grid.box_of(lo, hi);
         regions.push(Region {
             id: regions.len() as u32,
-            r_part: c.r_part,
-            t_part: c.t_part,
-            lo: c.lo.clone(),
-            hi: c.hi.clone(),
+            r_part,
+            t_part,
+            lo: lo.to_vec(),
+            hi: hi.to_vec(),
             cell_lo,
             cell_hi,
-            n_r: c.n_r,
-            n_t: c.n_t,
-            guaranteed: c.guaranteed,
+            n_r: r_grid.partitions()[r_part as usize].len() as u32,
+            n_t: t_grid.partitions()[t_part as usize].len() as u32,
+            guaranteed,
         });
     }
 
@@ -457,6 +452,236 @@ mod tests {
         assert!(lazy.materializes_lazily());
         assert_eq!(track_cells(&la, &mut lazy), 0);
         assert!(lazy.is_empty(), "a declared grid opens with zero cells");
+    }
+
+    /// The look-ahead as it was written first — one `Candidate` with its
+    /// own bound vectors per compatible pair — kept as the oracle of
+    /// [`run_lookahead`]'s flat-buffer form.
+    fn per_candidate(
+        r_grid: &InputGrid,
+        t_grid: &InputGrid,
+        maps: &MapSet,
+        output_cells_per_dim: u16,
+    ) -> Lookahead {
+        let out_dims = maps.out_dims();
+        let orders = maps.preference().orders().to_vec();
+        struct Candidate {
+            r_part: u32,
+            t_part: u32,
+            lo: Vec<f64>,
+            hi: Vec<f64>,
+            n_r: u32,
+            n_t: u32,
+            guaranteed: bool,
+        }
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut rejected = 0usize;
+        let (mut raw_lo, mut raw_hi) = (Vec::new(), Vec::new());
+        for rp in r_grid.partitions() {
+            for tp in t_grid.partitions() {
+                if !rp.signature.overlaps(&tp.signature) {
+                    rejected += 1;
+                    continue;
+                }
+                maps.eval_bounds_into(&rp.lo, &rp.hi, &tp.lo, &tp.hi, &mut raw_lo, &mut raw_hi);
+                let mut lo = Vec::with_capacity(out_dims);
+                let mut hi = Vec::with_capacity(out_dims);
+                for j in 0..out_dims {
+                    let a = orders[j].orient(raw_lo[j]);
+                    let b = orders[j].orient(raw_hi[j]);
+                    lo.push(a.min(b));
+                    hi.push(a.max(b));
+                }
+                candidates.push(Candidate {
+                    r_part: rp.id,
+                    t_part: tp.id,
+                    lo,
+                    hi,
+                    n_r: rp.len() as u32,
+                    n_t: tp.len() as u32,
+                    guaranteed: rp.signature.is_exact() && tp.signature.is_exact(),
+                });
+            }
+        }
+        if candidates.is_empty() {
+            return Lookahead {
+                grid: OutputGrid::new(vec![0.0; out_dims], vec![1.0; out_dims], 1),
+                regions: Vec::new(),
+                pairs_rejected_by_signature: rejected,
+                regions_pruned: 0,
+                pessimistic_skyline: Vec::new(),
+            };
+        }
+        let mut g_lo = candidates[0].lo.clone();
+        let mut g_hi = candidates[0].hi.clone();
+        for c in &candidates[1..] {
+            for j in 0..out_dims {
+                g_lo[j] = g_lo[j].min(c.lo[j]);
+                g_hi[j] = g_hi[j].max(c.hi[j]);
+            }
+        }
+        let grid = OutputGrid::new(g_lo, g_hi, output_cells_per_dim);
+        let mut pes: BnlWindow<usize> = BnlWindow::new(Preference::all_lowest(out_dims));
+        for (i, c) in candidates.iter().enumerate() {
+            if c.guaranteed {
+                pes.offer(&c.hi, i);
+            }
+        }
+        let mut pes_flat: Vec<f64> = Vec::new();
+        for (p, _) in pes.iter() {
+            pes_flat.extend_from_slice(p);
+        }
+        let mut regions = Vec::with_capacity(candidates.len());
+        let mut pruned = 0usize;
+        let mut pairs = 0u64;
+        for c in candidates.iter() {
+            if kernel::any_dominates(out_dims, &pes_flat, &c.lo, &mut pairs) {
+                pruned += 1;
+                continue;
+            }
+            let (cell_lo, cell_hi) = grid.box_of(&c.lo, &c.hi);
+            regions.push(Region {
+                id: regions.len() as u32,
+                r_part: c.r_part,
+                t_part: c.t_part,
+                lo: c.lo.clone(),
+                hi: c.hi.clone(),
+                cell_lo,
+                cell_hi,
+                n_r: c.n_r,
+                n_t: c.n_t,
+                guaranteed: c.guaranteed,
+            });
+        }
+        Lookahead {
+            grid,
+            regions,
+            pairs_rejected_by_signature: rejected,
+            regions_pruned: pruned,
+            pessimistic_skyline: pes_flat,
+        }
+    }
+
+    /// Asserts two look-aheads equal in every field, `f64`s bit for bit;
+    /// returns the pruned count.
+    fn assert_same(got: &Lookahead, want: &Lookahead, at: &str) -> usize {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fields = |r: &Region| {
+            (
+                (r.id, r.r_part, r.t_part, r.n_r, r.n_t, r.guaranteed),
+                (bits(&r.lo), bits(&r.hi), r.cell_lo, r.cell_hi),
+            )
+        };
+        assert_eq!(
+            (got.grid.dims(), got.grid.cells_per_dim()),
+            (want.grid.dims(), want.grid.cells_per_dim()),
+            "{at}: grid"
+        );
+        assert_eq!(got.regions.len(), want.regions.len(), "{at}: regions");
+        for (g, w) in got.regions.iter().zip(&want.regions) {
+            assert_eq!(fields(g), fields(w), "{at}: region {}", w.id);
+        }
+        assert_eq!(
+            (got.pairs_rejected_by_signature, got.regions_pruned),
+            (want.pairs_rejected_by_signature, want.regions_pruned),
+            "{at}: rejected, pruned"
+        );
+        assert_eq!(
+            bits(&got.pessimistic_skyline),
+            bits(&want.pessimistic_skyline),
+            "{at}: pessimistic skyline"
+        );
+        want.regions_pruned
+    }
+
+    /// [`run_lookahead`] against [`per_candidate`] on random inputs: exact
+    /// grids over few and many join keys (rejections, guarantees and
+    /// pruning), a declared grid on either side (`Unknown` signatures),
+    /// `HIGHEST` outputs, and weighted maps over ±1e308 inputs whose bounds
+    /// overflow to ±∞.
+    #[test]
+    fn flat_lookahead_matches_the_per_candidate_reference() {
+        use crate::grid::GridGeometry;
+        use crate::mapping::{MappingFunction, WeightedSum};
+        use progxe_skyline::Order;
+        let mut state = 0x10_0CA_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let (mut pruned, mut rejected, mut overflowed) = (0, 0, false);
+        for round in 0..120 {
+            let dims = 1 + round % 3;
+            let huge = round % 4 == 3;
+            let keys = [1, 3, 40][next(3) as usize];
+            let relation = |next: &mut dyn FnMut(u64) -> u64| {
+                let mut src = SourceData::new(dims);
+                let mut row = vec![0.0; dims];
+                for _ in 0..1 + next(80) {
+                    for v in row.iter_mut() {
+                        *v = if huge && next(3) == 0 {
+                            [-1e308, 1e308][next(2) as usize]
+                        } else {
+                            next(1000) as f64 / 9.0
+                        };
+                    }
+                    src.push(&row, next(keys) as u32);
+                }
+                src
+            };
+            let (r, t) = (relation(&mut next), relation(&mut next));
+            let orders: Vec<Order> = (0..dims)
+                .map(|_| [Order::Lowest, Order::Highest][next(2) as usize])
+                .collect();
+            let maps = if huge {
+                // One R term may overflow; the T terms stay finite, so no
+                // bound is `∞ − ∞`.
+                let weighted = (0..dims)
+                    .map(|_| {
+                        let mut r_weights = vec![0.0; dims];
+                        r_weights[next(dims as u64) as usize] = [2.0, -2.0][next(2) as usize];
+                        let t_weights = (0..dims).map(|_| [0.5, 0.0][next(2) as usize]).collect();
+                        let map = WeightedSum::new(r_weights, t_weights);
+                        Box::new(map) as Box<dyn MappingFunction>
+                    })
+                    .collect();
+                MapSet::new(weighted, Preference::new(orders)).unwrap()
+            } else {
+                MapSet::pairwise_sum(dims, Preference::new(orders))
+            };
+            let (p, k) = ([1, 2, 3, 5][next(4) as usize], [1, 4, 16][next(3) as usize]);
+            let domain = keys as usize;
+            let mut rg = InputGrid::build(&r.view(), p, domain);
+            let mut tg = InputGrid::build(&t.view(), p, domain);
+            // Declared slice bounds over ±1e308 would be `0 · ∞`: declare
+            // only finite-width grids.
+            match if huge { 2 } else { next(4) } {
+                0 => {
+                    let (lo, hi) = r.view().attrs().bounds().unwrap();
+                    rg = InputGrid::declared(&GridGeometry::from_bounds(&lo, &hi, p));
+                }
+                1 => {
+                    let (lo, hi) = t.view().attrs().bounds().unwrap();
+                    tg = InputGrid::declared(&GridGeometry::from_bounds(&lo, &hi, p));
+                }
+                _ => {}
+            }
+            let got = run_lookahead(&rg, &tg, &maps, k);
+            let want = per_candidate(&rg, &tg, &maps, k);
+            pruned += assert_same(&got, &want, &format!("round {round}"));
+            rejected += want.pairs_rejected_by_signature;
+            overflowed |= want
+                .regions
+                .iter()
+                .any(|r| r.lo.iter().chain(&r.hi).any(|v| !v.is_finite()));
+        }
+        assert!(
+            pruned > 0 && rejected > 0,
+            "pruned {pruned}, rejected {rejected}"
+        );
+        assert!(overflowed, "no bound overflowed");
     }
 
     #[test]

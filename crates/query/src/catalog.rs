@@ -2,6 +2,7 @@
 
 use progxe_core::source::SourceData;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Schema of one table: ordered column names. By convention every column is
 /// numeric (`f64`) except the join key, which is an integer column stored
@@ -46,8 +47,9 @@ impl TableSchema {
 pub struct BoundTable {
     /// The schema.
     pub schema: TableSchema,
-    /// The data: attributes (matching `schema.columns`) + join keys.
-    pub data: SourceData,
+    /// The data: attributes (matching `schema.columns`) + join keys, shared
+    /// with every plan that reads it unfiltered.
+    pub data: Arc<SourceData>,
 }
 
 /// A schema registered for streaming ingestion: no materialized rows, but
@@ -94,7 +96,10 @@ impl Catalog {
         );
         self.tables.insert(
             schema.name.to_ascii_lowercase(),
-            BoundTable { schema, data },
+            BoundTable {
+                schema,
+                data: Arc::new(data),
+            },
         );
     }
 

@@ -498,7 +498,7 @@ mod tests {
     fn non_finite_input_is_a_typed_error_naming_the_catalog_row() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut cat = q1_catalog();
-            let mut suppliers = cat.table("Suppliers").unwrap().data.clone();
+            let mut suppliers = (*cat.table("Suppliers").unwrap().data).clone();
             suppliers.push(&[1.0, bad, 300.0], 0); // row 3, read by Q1
             suppliers.push(&[bad, 1.0, 10.0], 0); // row 4, filtered out
             let schema = cat.table("Suppliers").unwrap().schema.clone();

@@ -8,6 +8,7 @@ use progxe_core::mapping::{MapSet, MappingFunction, WeightedSum};
 use progxe_core::source::SourceData;
 use progxe_skyline::{Order, Preference};
 use std::fmt;
+use std::sync::Arc;
 
 /// Planning failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,10 +88,11 @@ impl std::error::Error for PlanError {}
 
 /// A fully validated, executable query.
 pub struct PlannedQuery {
-    /// Filtered left source (rows surviving the R-side filters).
-    pub r: SourceData,
-    /// Filtered right source.
-    pub t: SourceData,
+    /// Filtered left source (rows surviving the R-side filters) — the
+    /// catalog's own table, shared, when the query has no R-side filter.
+    pub r: Arc<SourceData>,
+    /// Filtered right source, shared likewise.
+    pub t: Arc<SourceData>,
     /// Original row id per filtered R row; `None` when the query has no
     /// R-side filter, so row ids already are the table's.
     pub r_rows: Option<Vec<u32>>,
@@ -366,10 +368,13 @@ fn compile_weights(clause: &WeightsClause, outputs: usize) -> Result<DominanceMo
 }
 
 /// The rows of `data` passing every filter, with their original row ids —
-/// `None` when there is nothing to filter by.
-fn apply_filters(data: &SourceData, filters: &[SideFilter]) -> (SourceData, Option<Vec<u32>>) {
+/// `data` itself and `None` when there is nothing to filter by.
+fn apply_filters(
+    data: &Arc<SourceData>,
+    filters: &[SideFilter],
+) -> (Arc<SourceData>, Option<Vec<u32>>) {
     if filters.is_empty() {
-        return (data.clone(), None);
+        return (Arc::clone(data), None);
     }
     let dims = data.attrs.dims();
     let mut out = SourceData::new(dims);
@@ -381,7 +386,7 @@ fn apply_filters(data: &SourceData, filters: &[SideFilter]) -> (SourceData, Opti
             rows.push(row as u32);
         }
     }
-    (out, Some(rows))
+    (Arc::new(out), Some(rows))
 }
 
 #[cfg(test)]
@@ -438,6 +443,21 @@ mod tests {
         p.maps
             .eval_into(p.r.attrs.point(0), p.t.attrs.point(0), &mut out);
         assert_eq!(out, vec![10.0 + 2.0, 2.0 * 3.0 + 4.0]);
+    }
+
+    /// A side without a filter reads the catalog's table itself; a filtered
+    /// side gets its own copy.
+    #[test]
+    fn unfiltered_sides_share_the_catalog_table() {
+        let cat = catalog();
+        let table = |name| &cat.table(name).unwrap().data;
+        let p = plan(&parse_query(Q1).unwrap(), &cat).unwrap();
+        assert!(!Arc::ptr_eq(&p.r, table("Suppliers")), "filtered");
+        assert!(Arc::ptr_eq(&p.t, table("Transporters")));
+        let unfiltered = Q1.replace(" AND R.manCap >= 100", "");
+        let p = plan(&parse_query(&unfiltered).unwrap(), &cat).unwrap();
+        assert!(Arc::ptr_eq(&p.r, table("Suppliers")));
+        assert!(Arc::ptr_eq(&p.t, table("Transporters")));
     }
 
     #[test]

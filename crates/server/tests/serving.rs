@@ -281,7 +281,7 @@ fn bad_query_is_reported_in_band_and_the_connection_survives() {
 #[test]
 fn non_finite_catalog_row_is_a_bad_query_and_the_connection_survives() {
     let mut cat = synthetic::catalog(200, 2, 8);
-    let mut r = cat.table("R").unwrap().data.clone();
+    let mut r = (*cat.table("R").unwrap().data).clone();
     r.push(&[1.0, f64::NAN], 0);
     let schema = cat.table("R").unwrap().schema.clone();
     cat.register(schema, r);
