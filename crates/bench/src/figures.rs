@@ -821,15 +821,15 @@ fn write_fdom_outputs(opt: &ExpOptions, runs: &[FdomRun]) {
 /// One measured kernel-vs-scalar comparison (see [`kernels`]).
 pub struct KernelRun {
     /// `"mask"` (batched dominated-mask vs per-row scalar loop),
-    /// `"blocker"` (kd-tree flexible blocker counts vs the retired
-    /// `regions × cells` double loop) or `"map"` (the tuple-level join's
+    /// `"blocker"` (kd-tree registration counts under a flexible model vs
+    /// the `regions × cells` double loop) or `"map"` (the tuple-level join's
     /// columnar row producer vs its per-match `eval` producer).
     pub kind: &'static str,
     /// Value dimensions (mask, map rows) / polytope vertices (blocker rows).
     pub dims: usize,
     /// Batch rows (mask) / region count (blocker) / rows per source (map).
     pub n: usize,
-    /// Query points (mask) / tracked cells (blocker) / regions joined (map).
+    /// Query points (mask) / materialized cells (blocker) / regions joined (map).
     pub queries: usize,
     /// Best-of-repeats wall time of the scalar/naive side.
     pub scalar_ms: f64,
@@ -855,7 +855,7 @@ pub struct KernelRun {
 /// Columnar-kernel microbenchmarks: batched dominated-mask throughput vs
 /// the one-pair-at-a-time scalar loop across dims × batch sizes
 /// (anti-correlated data — the dominance-heavy worst case), and the
-/// kd-tree flexible blocker index vs the retired `regions × cells` loop at
+/// kd-tree blocker registration counts vs the `regions × cells` loop at
 /// growing region counts, and the tuple-level join's columnar row producer
 /// vs the per-match `eval` producer over one region set. Both sides are
 /// verified to produce identical answers before timing is reported. Writes
@@ -1040,8 +1040,10 @@ fn map_measurement(opt: &ExpOptions) -> KernelRun {
     }
 }
 
-/// Blocker-index half of [`kernel_measurements`]: kd-tree dominance counts
-/// vs the retired naive double loop, identical counts verified per cell.
+/// Blocker-index half of [`kernel_measurements`]: the registration counts
+/// `ProgDetermine` gives materialized cells (kd-tree dominance counts over
+/// the region keys, here under a flexible model) vs the naive double loop,
+/// identical counts verified per cell.
 fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
     use progxe_core::cells::CellStore;
     use progxe_core::fdom::flexible_model;
@@ -1057,7 +1059,7 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
         &[400, 1_600, 6_400]
     };
     let cells_per_dim: u16 = if opt.quick { 16 } else { 32 };
-    println!("== Flexible blocker counting: kd-tree index vs naive double loop ==");
+    println!("== Blocker registration counts: kd-tree index vs naive double loop ==");
 
     let model = flexible_model(2, simplex_band(2, 0.5)).expect("band is non-empty");
     let fdom = model.as_flexible().expect("flexible by construction");
@@ -1092,22 +1094,28 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
                 guaranteed: true,
             });
         }
+        // One tuple at the centre of every box cell materializes the cell,
+        // admitted or not.
         let mut store = CellStore::with_model(grid.clone(), model.clone());
+        let mut tuple = 0;
         for r in &regions {
             for c in grid.iter_box(r.cell_lo, r.cell_hi) {
-                store.track(c);
+                let (lo, hi) = (grid.lower_corner(&c), grid.upper_corner(&c));
+                let centre: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
+                tuple += 1;
+                store.insert(tuple, tuple, &centre);
             }
         }
         let cells = store.len();
 
-        // Indexed side: ProgDetermine::new projects everything and answers
-        // each cell through the kd-tree.
+        // Indexed side: ProgDetermine::new keys the regions, builds the
+        // kd-tree and registers every materialized cell through it.
         let t0 = Instant::now();
         let det = ProgDetermine::new(&store, &regions);
         let batched_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // Naive side (the retired PR 5 implementation): same projections,
-        // then the full regions × cells double loop.
+        // Naive side: same projections, then the full regions × cells
+        // double loop.
         let t0 = Instant::now();
         let mut buf = Vec::with_capacity(k);
         let mut region_proj = Vec::with_capacity(n_regions * k);
@@ -1153,7 +1161,7 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
             speedup: scalar_ms / batched_ms,
             scalar_mpairs_s: naive_ops as f64 / (scalar_ms * 1e3),
             batched_mpairs_s: naive_ops as f64 / (batched_ms * 1e3),
-            index_ops: det.flexible_blocker_ops(),
+            index_ops: det.blocker_count_ops(),
             naive_ops,
         });
     }
@@ -1594,7 +1602,10 @@ pub fn cellbound(opt: &ExpOptions) {
 }
 
 /// Section VI-B's δ remark: sensitivity to grid granularity (input
-/// partitions per dimension × output cells per dimension).
+/// partitions per dimension × output cells per dimension). Beside total
+/// and half-result time, each row shows the ordered committer's share:
+/// `commit` (every `Committer::commit_batch`) and, of it and of the
+/// dead-region discards, `resolve` (`ProgDetermine::resolve_region`).
 pub fn ablate_delta(opt: &ExpOptions) {
     let n = opt.pick_n(2000);
     let dims = opt.pick_dims(3);
@@ -1611,6 +1622,8 @@ pub fn ablate_delta(opt: &ExpOptions) {
         "cells built",
         "total",
         "t50",
+        "commit",
+        "resolve",
     ]);
     let mut rows = Vec::new();
     for p in [1usize, 2, 3, 4] {
@@ -1632,6 +1645,8 @@ pub fn ablate_delta(opt: &ExpOptions) {
                 format!("{}", stats.cells_tracked),
                 fmt_duration(stats.total_time),
                 fmt_opt_duration(half),
+                fmt_duration(stats.commit_time),
+                fmt_duration(stats.resolve_time),
             ]);
             rows.push(vec![
                 format!("{p}"),
@@ -1640,6 +1655,8 @@ pub fn ablate_delta(opt: &ExpOptions) {
                 format!("{}", stats.cells_tracked),
                 format!("{}", stats.total_time.as_micros()),
                 half.map(|d| d.as_micros().to_string()).unwrap_or_default(),
+                format!("{}", stats.commit_time.as_micros()),
+                format!("{}", stats.resolve_time.as_micros()),
             ]);
         }
     }
@@ -1647,7 +1664,16 @@ pub fn ablate_delta(opt: &ExpOptions) {
     let path = write_csv(
         &opt.out,
         "ablate_delta",
-        &["p", "k", "regions", "cells_built", "total_us", "t50_us"],
+        &[
+            "p",
+            "k",
+            "regions",
+            "cells_built",
+            "total_us",
+            "t50_us",
+            "commit_us",
+            "resolve_us",
+        ],
         &rows,
     )
     .unwrap();
@@ -1796,6 +1822,16 @@ mod tests {
         let opt = quick_opts("progxe-cellbound");
         cellbound(&opt);
         assert!(opt.out.join("cellbound.csv").exists());
+    }
+
+    #[test]
+    fn ablate_delta_quick_reports_the_committer_share() {
+        let opt = quick_opts("progxe-ablate-delta");
+        ablate_delta(&opt);
+        let csv = std::fs::read_to_string(opt.out.join("ablate_delta.csv")).unwrap();
+        let header = csv.lines().next().unwrap();
+        assert!(header.ends_with("commit_us,resolve_us"), "{header}");
+        assert_eq!(csv.lines().count(), 1 + 4 * 3, "one row per (p, k)");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Tracked output cells and tuple-level dominance maintenance
 //! (Section III-B).
 //!
-//! A *tracked* cell is one the store holds a [`Cell`] for. Under Pareto,
-//! where [`ProgDetermine`](crate::progdetermine::ProgDetermine) counts
-//! blockers per grid position ([`CellStore::materializes_lazily`]), a cell
-//! is materialized the first time a tuple lands in it, and pre-marked
-//! against the pessimistic skyline then; under a flexible model every cell
-//! covered by a live region is tracked (and pre-marked) up front. Tuples
-//! are inserted one at a time; the store maintains the invariant that
+//! A *tracked* cell is one the store holds a [`Cell`] for. Under every
+//! dominance model a cell is materialized the first time a tuple lands in
+//! it, and pre-marked against the pessimistic skyline then;
+//! [`ProgDetermine`](crate::progdetermine::ProgDetermine) gives it its
+//! blocker count at that point. Tuples are inserted one at a time; the
+//! store maintains the invariant that
 //! **the live tuple set is exactly the skyline of all tuples inserted so
 //! far**:
 //!
@@ -33,10 +32,9 @@
 //!
 //! The store also owns the session's one coordinate → cell index
 //! ([`CellStore::find`]): a table over grid positions — every grid fits
-//! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic
-//! and a box is registered row by row ([`CellStore::track_box`]), and the
-//! *admitted slab* ([`CellStore::admitted_slab`]): every tuple it ever
-//! admitted, in SFS's presort order, which the batch producers filter
+//! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic,
+//! and the *admitted slab* ([`CellStore::admitted_slab`]): every tuple it
+//! ever admitted, in SFS's presort order, which the batch producers filter
 //! against.
 
 use crate::fdom::DominanceModel;
@@ -67,9 +65,8 @@ pub struct CellStats {
     /// found it dead ([`CellStore::cell_is_dead`] needs no such visit).
     /// Includes the pre-marked cells.
     pub cells_killed: u64,
-    /// Cells pre-marked dead by the pessimistic skyline (Example 3): at
-    /// tracking time on the eager arm, when the cell materializes on the
-    /// lazy one — so there only cells a tuple reached.
+    /// Cells pre-marked dead by the pessimistic skyline (Example 3), when
+    /// the cell materializes — so only cells a tuple reached.
     pub cells_premarked_dead: u64,
     /// Populated comparable cells actually examined across all insertions
     /// (the measured counterpart of the `k^d − (k−1)^d` bound).
@@ -183,8 +180,7 @@ pub struct CellStore {
     /// ([`CellStore::filter_emitted`]).
     model: DominanceModel,
     cells: Vec<Cell>,
-    /// Grid coordinate → tracked cell, the session's one cell index, shared
-    /// with [`ProgDetermine`](crate::progdetermine::ProgDetermine): the
+    /// Grid coordinate → tracked cell, the session's one cell index: the
     /// tracked cell at each [`dense_position`] of the grid, or
     /// [`UNTRACKED`] — 4 bytes per grid position, at most 4 MB.
     index: Vec<u32>,
@@ -213,10 +209,11 @@ pub struct CellStore {
     scratch_below: Vec<u32>,
     scratch_above: Vec<u32>,
     /// Cached per-cell lower-corner vertex projections for the flexible
-    /// emission filter (`cells × vertex_count`, rebuilt when stale).
+    /// emission filter (`cells × vertex_count`, extended as cells
+    /// materialize).
     fdom_cell_proj: Vec<f64>,
     /// Cell indices sorted by first projected corner coordinate — the
-    /// emission filter's prefix bound (rebuilt with `fdom_cell_proj`).
+    /// emission filter's prefix bound (extended with `fdom_cell_proj`).
     fdom_filter_order: Vec<u32>,
     /// First projected corner coordinate per `fdom_filter_order` entry,
     /// ascending, for binary-searching the reachable prefix.
@@ -437,8 +434,8 @@ impl Lanes {
 }
 
 /// [`CellStore`] index entry of a grid position without a tracked cell: no
-/// region's box covers it, or, on the lazy arm, no tuple landed there yet.
-pub(crate) const UNTRACKED: u32 = u32::MAX;
+/// tuple landed there yet.
+const UNTRACKED: u32 = u32::MAX;
 
 /// Keeps the tuples whose `keep` flag is set — ids and points in step, in
 /// place, order preserved.
@@ -516,30 +513,18 @@ impl CellStore {
         &self.grid
     }
 
-    /// Whether cells are materialized on first insert rather than tracked
-    /// up front: the model is Pareto — exactly where
-    /// [`ProgDetermine`](crate::progdetermine::ProgDetermine) keeps its
-    /// blocker counts per grid position (it asks this method), so
-    /// releasing a position needs no cell there. Under a flexible model the
-    /// blocker counts and the waiting list are per cell and need every cell
-    /// before the first resolution.
-    pub fn materializes_lazily(&self) -> bool {
-        self.model.as_flexible().is_none()
-    }
-
     /// Hands the store the pessimistic skyline, flattened (`dims` values
     /// per point), for [`premark`](Self::premark).
     pub(crate) fn set_pessimistic_skyline(&mut self, flat: Vec<f64>) {
         self.pessimistic = flat;
     }
 
-    /// Example 3's pre-marking of one cell: marks it dead when the
-    /// pessimistic skyline dominates its lower corner — no tuple landing in
-    /// it could be a result. Returns whether it died. The eager arm runs it
-    /// once per tracked cell; the lazy arm when the cell materializes.
-    pub(crate) fn premark(&mut self, idx: u32) -> bool {
+    /// Example 3's pre-marking of one cell, when it materializes: marks it
+    /// dead when the pessimistic skyline dominates its lower corner — no
+    /// tuple landing in it could be a result.
+    fn premark(&mut self, idx: u32) {
         if self.pessimistic.is_empty() {
-            return false;
+            return;
         }
         let mut corner = std::mem::take(&mut self.corner);
         self.grid
@@ -554,62 +539,6 @@ impl CellStore {
             self.mark_dead(idx);
             self.stats.cells_premarked_dead += 1;
         }
-        dominated
-    }
-
-    /// Registers a cell as tracked (idempotent); returns its index.
-    ///
-    /// # Panics
-    /// Panics if `coord` lies outside the grid.
-    pub fn track(&mut self, coord: Coord) -> u32 {
-        self.track_box(&coord, &coord);
-        self.find(&coord).expect("just tracked")
-    }
-
-    /// Registers every cell of the inclusive box `[lo, hi]` as tracked
-    /// (idempotent per cell) and returns the box's volume. New cells get
-    /// ascending indices in [`OutputGrid::iter_box`] order. Eager tracking
-    /// ([`crate::lookahead::track_cells`]) registers every live region's
-    /// box this way; the lazy arm only ever registers the one cell a tuple
-    /// lands in. Nothing emitted depends on cell indices: cells release in
-    /// grid-coordinate order. The box is walked as rows along the last
-    /// dimension: one position computed per row, a fixed stride per step, a
-    /// [`Cell`] built only where the index has none.
-    ///
-    /// # Panics
-    /// Panics if the box is inverted or reaches outside the grid.
-    pub fn track_box(&mut self, lo: &Coord, hi: &Coord) -> u64 {
-        let dims = self.grid.dims();
-        let k = self.grid.cells_per_dim();
-        assert!(
-            weak_leq(lo, hi, dims) && hi[..dims].iter().all(|&v| v < k),
-            "box {:?}..={:?} is not inside the {k}-cell grid",
-            &lo[..dims],
-            &hi[..dims]
-        );
-        let last = dims - 1;
-        let stride = (k as usize).pow(last as u32);
-        // `row` runs over the outer dimensions like `iter_box` does:
-        // dimension `last − 1` fastest.
-        let mut row = *lo;
-        loop {
-            let mut pos = dense_position(&row, dims, k as usize);
-            for v in lo[last]..=hi[last] {
-                if self.index[pos] == UNTRACKED {
-                    self.index[pos] = self.cells.len() as u32;
-                    let mut coord = row;
-                    coord[last] = v;
-                    self.cells.push(Cell::new(coord, dims));
-                }
-                pos += stride;
-            }
-            let Some(d) = (0..last).rev().find(|&d| row[d] < hi[d]) else {
-                break;
-            };
-            row[d] += 1;
-            row[d + 1..last].copy_from_slice(&lo[d + 1..last]);
-        }
-        self.grid.box_volume(lo, hi)
     }
 
     /// Number of tracked cells.
@@ -640,12 +569,6 @@ impl CellStore {
             return None;
         }
         Some(self.index[dense_position(coord, dims, k as usize)]).filter(|&idx| idx != UNTRACKED)
-    }
-
-    /// The cell index: the tracked cell at each [`dense_position`] of the
-    /// grid, or [`UNTRACKED`].
-    pub(crate) fn dense_index(&self) -> &[u32] {
-        &self.index
     }
 
     /// Work counters.
@@ -752,35 +675,29 @@ impl CellStore {
             DominanceModel::Flexible(f) => std::sync::Arc::clone(f),
         };
         let k = fdom.vertex_count();
-        // (Re)build the per-cell lower-corner projections and the sorted
-        // first-coordinate index when cells were tracked since the last
-        // filter call (all tracking happens during setup, so in practice
-        // this runs once per query). Cell geometry is immutable, so the
-        // index never goes stale otherwise.
-        if self.fdom_cell_proj.len() != self.cells.len() * k {
-            let mut proj = Vec::with_capacity(self.cells.len() * k);
-            let mut buf = Vec::with_capacity(k);
-            let mut corner = Vec::new();
-            for cell in &self.cells {
-                self.grid.lower_corner_into(&cell.coord, &mut corner);
-                fdom.project_into(&corner, &mut buf);
-                proj.extend_from_slice(&buf);
-            }
-            self.fdom_cell_proj = proj;
+        // Project the lower corners of the cells materialized since the
+        // last filter call, and slot each into the first-coordinate order
+        // behind its equals. Cell geometry is immutable, so nothing else
+        // goes stale.
+        let mut buf = Vec::with_capacity(k);
+        let mut corner = Vec::new();
+        for ci in (self.fdom_cell_proj.len() / k) as u32..self.cells.len() as u32 {
+            self.grid
+                .lower_corner_into(&self.cells[ci as usize].coord, &mut corner);
+            fdom.project_into(&corner, &mut buf);
+            self.fdom_cell_proj.extend_from_slice(&buf);
             // A NaN corner projection (a corner mixing ±∞) bounds nothing:
             // key it −∞, so every prefix visits the cell.
-            let key = |ci: u32| {
-                let v = self.fdom_cell_proj[ci as usize * k];
-                if v.is_nan() {
-                    f64::NEG_INFINITY
-                } else {
-                    v
-                }
+            let key = if buf[0].is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                buf[0]
             };
-            let mut order: Vec<u32> = (0..self.cells.len() as u32).collect();
-            order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
-            self.fdom_filter_keys = order.iter().map(|&ci| key(ci)).collect();
-            self.fdom_filter_order = order;
+            let at = self
+                .fdom_filter_keys
+                .partition_point(|v| v.total_cmp(&key).is_le());
+            self.fdom_filter_keys.insert(at, key);
+            self.fdom_filter_order.insert(at, ci);
         }
 
         let n = ids.len();
@@ -936,16 +853,9 @@ impl CellStore {
     }
 
     /// Inserts one mapped join result (oriented values). Returns `true`
-    /// when the tuple was admitted. On the lazy arm
-    /// ([`materializes_lazily`](Self::materializes_lazily)) the first tuple
-    /// to land in an untracked position materializes its cell, which is
-    /// pre-marked then; a tuple in a pre-marked cell is rejected as a
-    /// dead-cell tuple on either arm.
-    ///
-    /// # Panics
-    /// On the eager arm, panics if the tuple falls into an untracked cell —
-    /// the look-ahead must have tracked every cell of every live region's
-    /// box.
+    /// when the tuple was admitted. The first tuple to land in an untracked
+    /// position materializes its cell, which is pre-marked then; a tuple in
+    /// a pre-marked cell is rejected as a dead-cell tuple.
     pub fn insert(&mut self, r_idx: u32, t_idx: u32, oriented: &[f64]) -> bool {
         self.insert_at(self.grid.cell_of(oriented), r_idx, t_idx, oriented)
     }
@@ -1158,19 +1068,24 @@ impl CellStore {
         (below, above)
     }
 
-    /// The lazy arm's first touch of a position: tracks its cell and
-    /// pre-marks it, as eager tracking would have before the first region.
+    /// The first touch of an untracked position: builds its cell, indexes
+    /// it and pre-marks it.
     ///
     /// # Panics
-    /// Panics on the eager arm, where every cell of every live box is
-    /// tracked up front: an untracked cell there means the look-ahead box
-    /// invariant broke.
+    /// Panics if `coord` lies outside the grid, where it would alias
+    /// another position.
     fn materialize(&mut self, coord: Coord) -> u32 {
+        let (dims, k) = (self.grid.dims(), self.grid.cells_per_dim());
         assert!(
-            self.materializes_lazily(),
-            "tuple mapped into an untracked cell: look-ahead box invariant violated"
+            coord[..dims].iter().all(|&v| v < k),
+            "cell {:?} is not inside the {k}-cell grid",
+            &coord[..dims]
         );
-        let idx = self.track(coord);
+        let idx = self.cells.len() as u32;
+        let slot = &mut self.index[dense_position(&coord, dims, k as usize)];
+        debug_assert_eq!(*slot, UNTRACKED, "{coord:?} materialized twice");
+        *slot = idx;
+        self.cells.push(Cell::new(coord, dims));
         self.premark(idx);
         idx
     }
@@ -1218,11 +1133,7 @@ mod tests {
     }
 
     fn store_10x10() -> CellStore {
-        let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
-        let mut s = CellStore::new(grid);
-        // Track everything for these unit tests.
-        s.track_box(&coord(&[0, 0]), &coord(&[9, 9]));
-        s
+        CellStore::new(OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10))
     }
 
     /// A seeded LCG: `next(m)` draws from `0..m`.
@@ -1250,8 +1161,8 @@ mod tests {
     #[test]
     fn out_of_grid_coordinates_are_not_found() {
         let mut s = square_store(2, 4);
-        let inside = s.track(coord(&[0, 1]));
-        assert_eq!(s.find(&coord(&[0, 1])), Some(inside));
+        assert!(s.insert(0, 0, &[0.5, 1.5]));
+        assert_eq!(s.find(&coord(&[0, 1])), Some(0));
         assert_eq!(s.find(&coord(&[4, 0])), None, "aliases (0, 1)");
         assert_eq!(s.find(&coord(&[0, 4])), None, "past the table");
         assert_eq!(s.find(&coord(&[u16::MAX, u16::MAX])), None);
@@ -1259,56 +1170,32 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
-    /// The lazy arm builds the cell a tuple lands in, once.
+    /// A store builds the cell a tuple lands in, once, under every model.
     #[test]
-    fn untracked_inserts_materialize_their_cell_on_the_lazy_arm() {
-        let mut lazy = square_store(2, 4);
-        assert!(lazy.materializes_lazily() && lazy.is_empty());
-        assert!(lazy.insert(0, 0, &[1.5, 2.5]));
-        assert!(lazy.insert(1, 1, &[1.2, 2.8]), "same cell, incomparable");
-        assert_eq!(lazy.find(&coord(&[1, 2])), Some(0));
-        assert!(lazy.insert(2, 2, &[2.5, 0.5]));
-        assert_eq!(lazy.find(&coord(&[2, 0])), Some(1));
-        assert_eq!(lazy.len(), 2);
-        assert_eq!(lazy.cell(0).ids(), &[(0, 0), (1, 1)]);
-    }
-
-    /// The eager arm tracks every cell a tuple can reach up front, so an
-    /// untracked one means the look-ahead's box invariant broke.
-    #[test]
-    #[should_panic(expected = "untracked cell")]
-    fn untracked_inserts_panic_on_the_eager_arm() {
-        let grid = OutputGrid::new(vec![0.0; 2], vec![4.0; 2], 4);
+    fn inserts_materialize_their_cell_once() {
         let simplex = crate::fdom::FDominance::simplex(2).unwrap();
-        let mut eager = CellStore::with_model(grid, DominanceModel::flexible(simplex));
-        assert!(!eager.materializes_lazily());
-        eager.insert(0, 0, &[1.5, 2.5]);
+        for model in [DominanceModel::Pareto, DominanceModel::flexible(simplex)] {
+            let grid = OutputGrid::new(vec![0.0; 2], vec![4.0; 2], 4);
+            let mut s = CellStore::with_model(grid, model);
+            assert!(s.is_empty());
+            assert!(s.insert(0, 0, &[1.5, 2.5]));
+            assert!(s.insert(1, 1, &[1.2, 2.8]), "same cell, incomparable");
+            assert_eq!(s.find(&coord(&[1, 2])), Some(0));
+            assert!(s.insert(2, 2, &[2.5, 0.5]));
+            assert_eq!(s.find(&coord(&[2, 0])), Some(1));
+            assert_eq!(s.len(), 2);
+            assert_eq!(s.cell(0).ids(), &[(0, 0), (1, 1)]);
+        }
     }
 
+    /// The cell index against the definition — one hash probe per
+    /// coordinate: cells get ascending indices in the order tuples first
+    /// land in them, rejected or not, and `find` agrees on every grid
+    /// position probed, tracked or not, up to a 2-d grid exactly on the
+    /// dense budget.
     #[test]
-    #[should_panic(expected = "is not inside the 4-cell grid")]
-    fn track_box_rejects_a_box_that_leaves_the_grid() {
-        square_store(2, 4).track_box(&coord(&[2, 0]), &coord(&[4, 0]));
-    }
-
-    #[test]
-    #[should_panic(expected = "is not inside the 4-cell grid")]
-    fn track_box_rejects_an_inverted_box() {
-        square_store(2, 4).track_box(&coord(&[2, 2]), &coord(&[3, 1]));
-    }
-
-    /// `track_box` against the definition — `iter_box` plus one hash probe
-    /// per coordinate: same cells under the same indices, and `find`
-    /// agreeing on every grid position, tracked or not.
-    #[test]
-    fn track_box_assigns_the_indices_of_the_per_coordinate_loop() {
-        let mut x: u64 = 0xB0C5;
-        let mut next = |m: u64| -> u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % m
-        };
+    fn inserts_index_cells_in_first_landing_order() {
+        let mut next = rng(0xB0C5);
         let budget_side = 1u16 << (OutputGrid::DENSE_INDEX_BUDGET.trailing_zeros() / 2);
         assert_eq!(
             (budget_side as usize).pow(2),
@@ -1328,60 +1215,51 @@ mod tests {
         ] {
             let mut store = square_store(dims, k);
             assert_eq!(store.grid().cells_per_dim(), k, "under the cap");
-            // A single cell, a box on the grid's top edge, then random
-            // overlapping boxes (small extents, so large grids stay cheap).
+            // The grid's top cell, then clusters around random cells (so
+            // large grids stay cheap to probe).
             let top = coord(&vec![k - 1; dims]);
-            let mut boxes = vec![(top, top)];
-            let mut edge_lo = top;
-            edge_lo[dims - 1] = k.saturating_sub(3);
-            boxes.push((edge_lo, top));
+            let mut landed = vec![top];
             for _ in 0..24 {
-                let (mut lo, mut hi): (Coord, Coord) = ([0; MAX_DIMS], [0; MAX_DIMS]);
-                for d in 0..dims {
-                    lo[d] = next(k as u64) as u16;
-                    hi[d] = (lo[d] + next(4) as u16).min(k - 1);
+                let centre: Vec<u16> = (0..dims).map(|_| next(k as u64) as u16).collect();
+                for _ in 0..4 {
+                    let c: Vec<u16> = (centre.iter())
+                        .map(|&v| (v + next(3) as u16).min(k - 1))
+                        .collect();
+                    landed.push(coord(&c));
                 }
-                boxes.push((lo, hi));
             }
-
             let mut expected: Vec<Coord> = Vec::new();
             let mut seen: std::collections::HashMap<u128, u32> = Default::default();
-            for &(lo, hi) in &boxes {
-                for c in store.grid().iter_box(lo, hi) {
-                    seen.entry(pack(&c)).or_insert_with(|| {
-                        expected.push(c);
-                        expected.len() as u32 - 1
-                    });
-                }
+            for (i, c) in landed.iter().enumerate() {
+                let p: Vec<f64> = c[..dims].iter().map(|&v| v as f64 + 0.5).collect();
+                store.insert(i as u32, i as u32, &p);
+                seen.entry(pack(c)).or_insert_with(|| {
+                    expected.push(*c);
+                    expected.len() as u32 - 1
+                });
             }
             let label = format!("dims={dims} k={k}");
-            let mut scanned = 0;
-            for (lo, hi) in &boxes {
-                scanned += store.track_box(lo, hi);
-            }
             let got: Vec<Coord> = store.iter().map(|(_, c)| *c.coord()).collect();
             assert_eq!(got, expected, "{label}");
-            let volumes: u64 = boxes
-                .iter()
-                .map(|(lo, hi)| store.grid().box_volume(lo, hi))
-                .sum();
-            assert_eq!(scanned, volumes, "{label}");
-            assert!(scanned > expected.len() as u64, "{label}: boxes overlap");
+            assert!(landed.len() > expected.len(), "{label}: cells shared");
             // Every position of a small grid; on the budget-sized ones
-            // the boxes' own cells and their neighbours.
+            // the landed cells and their neighbours.
             let probes: Vec<Coord> = if k < 100 {
                 store.grid().iter_box([0; MAX_DIMS], top).collect()
             } else {
-                boxes
+                landed
                     .iter()
-                    .flat_map(|&(lo, hi)| {
-                        let lo = coord(&[lo[0].saturating_sub(1), lo[1].saturating_sub(1)]);
-                        let hi = coord(&[(hi[0] + 1).min(k - 1), (hi[1] + 1).min(k - 1)]);
+                    .flat_map(|c| {
+                        let lo = coord(&[c[0].saturating_sub(1), c[1].saturating_sub(1)]);
+                        let hi = coord(&[(c[0] + 1).min(k - 1), (c[1] + 1).min(k - 1)]);
                         store.grid().iter_box(lo, hi)
                     })
                     .collect()
             };
-            untracked_probes += probes.len() - expected.len();
+            untracked_probes += probes
+                .iter()
+                .filter(|c| !seen.contains_key(&pack(c)))
+                .count();
             for c in &probes {
                 assert_eq!(
                     store.find(c),
@@ -1390,24 +1268,8 @@ mod tests {
                     &c[..dims]
                 );
             }
-            // Re-tracking is idempotent, cell by cell and box by box.
-            assert_eq!(store.track(expected[0]), 0, "{label}");
-            store.track_box(&boxes[2].0, &boxes[2].1);
-            assert_eq!(store.len(), expected.len(), "{label}");
         }
         assert!(untracked_probes > 500, "{untracked_probes}");
-    }
-
-    #[test]
-    fn track_is_idempotent() {
-        let grid = OutputGrid::new(vec![0.0], vec![1.0], 4);
-        let mut s = CellStore::new(grid);
-        let mut c: Coord = [0; MAX_DIMS];
-        c[0] = 2;
-        let a = s.track(c);
-        let b = s.track(c);
-        assert_eq!(a, b);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -1468,8 +1330,7 @@ mod tests {
     #[test]
     fn cell_is_dead_does_not_wait_for_a_visit() {
         let mut s = store_10x10();
-        let idx = |s: &CellStore, p: &[f64]| s.find(&s.grid().cell_of(p)).unwrap();
-        let (far, beside) = (idx(&s, &[8.5, 8.5]), idx(&s, &[1.5, 8.5]));
+        let (far, beside) = (s.materialize(coord(&[8, 8])), s.materialize(coord(&[1, 8])));
         assert!(!s.cell_is_dead(far));
         assert!(s.insert(0, 0, &[1.5, 1.5]));
         assert!(s.cell_is_dead(far) && !s.cell(far).is_dead());
@@ -1624,7 +1485,6 @@ mod tests {
                 top[..dims].fill(k - 1);
                 let all: Vec<Coord> = grid.iter_box([0; MAX_DIMS], top).collect();
                 let mut s = CellStore::new(grid);
-                s.track_box(&[0; MAX_DIMS], &top);
                 let mut populated: Vec<Coord> = Vec::new();
                 // Later rounds start high so the staircase keeps falling.
                 let bias = if round < 3 { 0 } else { k as u64 / 2 };
@@ -1682,15 +1542,7 @@ mod tests {
         )
         .unwrap();
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
-        let mut s = CellStore::with_model(grid.clone(), DominanceModel::flexible(fdom));
-        for x in 0..10u16 {
-            for y in 0..10u16 {
-                let mut c: Coord = [0; MAX_DIMS];
-                c[0] = x;
-                c[1] = y;
-                s.track(c);
-            }
-        }
+        let mut s = CellStore::with_model(grid, DominanceModel::flexible(fdom));
         assert!(s.insert(0, 0, &[2.0, 2.5]));
         assert!(s.insert(1, 1, &[8.0, 0.5]), "Pareto keeps the trade-off");
 
@@ -1723,15 +1575,7 @@ mod tests {
         )
         .unwrap();
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![32.0, 32.0], 32);
-        let mut s = CellStore::with_model(grid.clone(), DominanceModel::flexible(fdom));
-        for x in 0..32u16 {
-            for y in 0..32u16 {
-                let mut c: Coord = [0; MAX_DIMS];
-                c[0] = x;
-                c[1] = y;
-                s.track(c);
-            }
-        }
+        let mut s = CellStore::with_model(grid, DominanceModel::flexible(fdom));
         let mut populated = 0u64;
         for i in 0..32u32 {
             let v = i as f64 + 0.5;
@@ -1898,7 +1742,7 @@ mod tests {
                     populated.push(c);
                 }
                 let probe = draw(&mut next);
-                let idx = s.track(probe);
+                let idx = s.find(&probe).unwrap_or_else(|| s.materialize(probe));
                 let (below, above) = s.comparable_cells(idx, &probe);
                 let label = format!("dims={dims} k={k} insert={i} probe={:?}", &probe[..dims]);
                 let definition = s.comparable_cells_by_definition(&probe);

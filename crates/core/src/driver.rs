@@ -272,7 +272,7 @@ impl Committer {
     /// Debug-asserts that the batch completed; committing a partial batch
     /// would break Principle 1. Panics if a surviving tuple lands in a
     /// grid position no unresolved region blocks: the cell there is
-    /// released (or, lazily, would be built past its release), so the
+    /// released (or would be built past its release), so the
     /// tuple would be lost — the look-ahead's box invariant broke.
     pub fn commit_batch(
         &mut self,
@@ -292,6 +292,9 @@ impl Committer {
             stats.regions_processed += 1;
             for (&(r, t), point) in batch.ids.iter().zip(batch.points.iter()) {
                 let coord = self.store.grid().cell_of(point);
+                // Checked once the insert has built the cell, so a new
+                // cell's blocker count is taken once, at registration.
+                self.store.insert_at(coord, r, t, point);
                 assert!(
                     self.det.awaits_tuples_at(&self.store, &coord),
                     "a tuple of region {} landed in released grid position {:?}: \
@@ -299,7 +302,6 @@ impl Committer {
                     batch.rid,
                     &coord[..self.store.grid().dims()]
                 );
-                self.store.insert_at(coord, r, t, point);
             }
             self.store.publish_admitted();
         }
@@ -373,7 +375,7 @@ impl Committer {
             // All regions resolved ⇒ every live cell must have been
             // released.
             debug_assert_eq!(
-                self.det.live_cells(&self.store),
+                self.det.live_cells(),
                 0,
                 "cells left blocked after all regions resolved"
             );
@@ -1114,8 +1116,8 @@ mod tests {
     }
 
     /// A tuple committed into a grid position no unresolved region blocks
-    /// would never be emitted — its cell is released, or on the lazy arm
-    /// would be built past its release: the committer refuses it.
+    /// would never be emitted — its cell is released, or would be built
+    /// past its release: the committer refuses it.
     #[test]
     #[should_panic(expected = "landed in released grid position")]
     fn committing_into_a_released_position_panics() {
@@ -1128,7 +1130,6 @@ mod tests {
             .prepare(&r.view(), &t.view(), &maps, CancellationToken::new())
             .unwrap();
         let mut committer = prep.committer.expect("a non-trivial run");
-        assert!(committer.store.materializes_lazily());
         let mut stats = ExecStats::default();
         let empty = |rid| RegionBatch {
             rid,

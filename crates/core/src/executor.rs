@@ -165,12 +165,11 @@ impl FrontEnd {
 
     /// The back half every front end shares. Takes the look-ahead's
     /// regions (the caller has stamped everything up to
-    /// `region_lookahead_time`), readies the cell store (every box cell
-    /// tracked up front only under a flexible model), builds Algorithm 2's
-    /// blocker counts and the committer over
-    /// the region schedule, and the work context `work` wraps around the
-    /// same regions; then closes the ledger and the span. `row_ids`
-    /// translates emitted ids.
+    /// `region_lookahead_time`), readies the cell store (empty: cells
+    /// materialize on first insert), builds Algorithm 2's blocker structure
+    /// and the committer over the region schedule, and the work context
+    /// `work` wraps around the same regions; then closes the ledger and the
+    /// span. `row_ids` translates emitted ids.
     pub(crate) fn finish(
         mut self,
         la: Lookahead,
@@ -189,8 +188,7 @@ impl FrontEnd {
         // filters emissions. Region/cell pruning and cell pre-marking stay
         // Pareto-based and therefore sound for any model.
         let mut store = CellStore::with_model(la.grid.clone(), maps.dominance().clone());
-        stats.cell_positions_scanned = track_cells(&la, &mut store);
-        stats.cell_track_time = self.laps.lap();
+        track_cells(&la, &mut store);
         let regions: Arc<[Region]> = la.regions.into();
         let det = ProgDetermine::new(&store, &regions);
         stats.determine_init_time = self.laps.lap();
@@ -712,9 +710,9 @@ mod tests {
     }
 
     /// The look-ahead buckets tile `prepare`, and every computed region is
-    /// timed on both sides of the commit — with cells materialized on first
-    /// insert (Pareto; no box walked) and tracked up front (a flexible
-    /// model on the same grid; overlapping boxes walked).
+    /// timed on both sides of the commit — under Pareto and under a
+    /// flexible model on the same grid, both materializing cells on first
+    /// insert.
     #[test]
     fn lookahead_buckets_add_up_and_the_phases_fit_the_wall() {
         use crate::fdom::{DominanceModel, FDominance, WeightConstraint};
@@ -726,7 +724,7 @@ mod tests {
             .clone()
             .with_dominance(DominanceModel::flexible(weights))
             .unwrap();
-        for (maps, lazy) in [(pareto, true), (flexible, false)] {
+        for maps in [pareto, flexible] {
             let out = ProgXe::new(ProgXeConfig::default())
                 .run_collect(&r.view(), &t.view(), &maps)
                 .unwrap();
@@ -734,16 +732,10 @@ mod tests {
             s.assert_inline_ledger();
             assert!(s.regions_processed > 0, "{s}");
             assert!(s.cells_tracked > 0, "{s}");
-            if lazy {
-                assert_eq!(s.cell_positions_scanned, 0, "{s}");
-            } else {
-                assert!(s.cell_positions_scanned > s.cells_tracked as u64, "{s}");
-            }
             for bucket in [
                 s.remap_time,
                 s.grid_time,
                 s.region_lookahead_time,
-                s.cell_track_time,
                 s.determine_init_time,
                 s.schedule_time,
             ] {

@@ -58,7 +58,7 @@
 //! live set. See `ProgDetermine` for the argument.
 
 use crate::error::{Error, Result};
-use crate::output_grid::MAX_DIMS;
+use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
 use progxe_skyline::{kernel, Dominance, Order};
 use std::fmt;
 use std::sync::Arc;
@@ -345,6 +345,11 @@ impl FDominance {
     /// blocker bookkeeping uses.
     pub fn project_into(&self, p: &[f64], out: &mut Vec<f64>) {
         out.clear();
+        self.project_onto(p, out);
+    }
+
+    /// [`project_into`](Self::project_into) appending to `out`.
+    fn project_onto(&self, p: &[f64], out: &mut Vec<f64>) {
         for v in self.vertices.chunks_exact(self.dims) {
             out.push(v.iter().zip(p).map(|(x, y)| x * y).sum());
         }
@@ -572,6 +577,38 @@ impl DominanceModel {
         match self {
             DominanceModel::Pareto => pareto_lowest_dominates(a, b),
             DominanceModel::Flexible(f) => f.dominates_oriented(a, b),
+        }
+    }
+
+    /// Lanes of a blocker key ([`crate::progdetermine`]): one per output
+    /// dimension under Pareto, one per polytope vertex under a flexible
+    /// model.
+    pub(crate) fn blocker_lanes(&self, dims: usize) -> usize {
+        self.as_flexible().map_or(dims, FDominance::vertex_count)
+    }
+
+    /// Appends a region's blocker key to `keys`: under Pareto the grid
+    /// coordinate of its box's lowest cell, `cell_lo`; under a flexible
+    /// model the vertex projections of its oriented lower bound `lo`.
+    pub(crate) fn push_region_key(&self, cell_lo: &Coord, lo: &[f64], keys: &mut Vec<f64>) {
+        match self {
+            DominanceModel::Pareto => {
+                keys.extend(cell_lo[..lo.len()].iter().map(|&v| f64::from(v)))
+            }
+            DominanceModel::Flexible(f) => f.project_onto(lo, keys),
+        }
+    }
+
+    /// Appends the blocker key of the cell at `coord` to `keys`: under
+    /// Pareto its grid coordinate; under a flexible model the vertex
+    /// projections of its oriented upper corner. A region blocks the cell
+    /// iff its key is nowhere above the cell's.
+    pub(crate) fn push_cell_key(&self, grid: &OutputGrid, coord: &Coord, keys: &mut Vec<f64>) {
+        match self {
+            DominanceModel::Pareto => {
+                keys.extend(coord[..grid.dims()].iter().map(|&v| f64::from(v)))
+            }
+            DominanceModel::Flexible(f) => f.project_onto(&grid.upper_corner(coord), keys),
         }
     }
 

@@ -21,10 +21,10 @@
 //!   cell pair as a region — id `r_cell · t_cells + t_cell`, sizes zero,
 //!   nothing pruned — and the pessimistic skyline is empty, so no output
 //!   cell is ever pre-marked: the region/schedule/blocker structure is
-//!   fixed up front and independent of arrival order. (Under Pareto,
-//!   output cells themselves materialize as join results land in them —
-//!   [`crate::cells::CellStore::materializes_lazily`]; no emission depends
-//!   on when.)
+//!   fixed up front and independent of arrival order. (Output cells
+//!   themselves materialize, and get their blocker counts, as join results
+//!   land in them, under every dominance model; no emission depends on
+//!   when.)
 //! * Cells fill incrementally; a cell **seals** once its source closed or a
 //!   watermark passed the cell's slice, guaranteeing it can receive no more
 //!   rows. Sealing prepares the cell's rows into its slot of the query's
@@ -75,8 +75,8 @@ use std::time::Instant;
 /// Upper bound on `r_cells × t_cells` for a streaming session. The
 /// streaming pipeline provisions *every* potential cell pair at open
 /// (signatures and emptiness are unknown before arrival): one region per
-/// pair, the output cells their boxes cover, and Algorithm 2's blocker
-/// state over both — all before any row arrives. The subscriber's query
+/// pair and Algorithm 2's blocker index over their keys — all before any
+/// row arrives (output cells materialize as results land). The subscriber's query
 /// chooses that size through its dimensionality (`partitions_per_dim^d`
 /// cells per side), so this cap bounds what a declared shape can make the
 /// session allocate. Lower `input_partitions_per_dim` to stay inside it at
@@ -96,6 +96,8 @@ pub struct StreamSpec {
 
 impl StreamSpec {
     /// Declares a source whose rows lie inside `[lo, hi]` per dimension.
+    /// Each bound, and each extent `hi − lo`, must be finite: the input
+    /// grid slices the extent.
     pub fn new(lo: Vec<f64>, hi: Vec<f64>) -> Result<Self> {
         if lo.is_empty() || lo.len() != hi.len() {
             return Err(Error::InvalidConfig(
@@ -106,6 +108,11 @@ impl StreamSpec {
             if !l.is_finite() || !h.is_finite() || l > h {
                 return Err(Error::InvalidConfig(
                     "stream spec bounds must be finite with lo <= hi",
+                ));
+            }
+            if !(h - l).is_finite() {
+                return Err(Error::InvalidConfig(
+                    "stream spec extents hi - lo must be finite",
                 ));
             }
         }
@@ -627,8 +634,8 @@ impl IngestSession {
             .filter(|&n| n <= MAX_STREAM_REGIONS);
         if total_regions.is_none() {
             return Err(Error::InvalidConfig(
-                "streaming session would provision too many potential regions, \
-                 tracked cells and blocker state at open; reduce \
+                "streaming session would provision too many potential regions \
+                 and blocker keys at open; reduce \
                  input_partitions_per_dim or the dimensionality \
                  (see ingest::MAX_STREAM_REGIONS)",
             ));
@@ -947,7 +954,7 @@ mod tests {
             stats.remap_time.is_zero(),
             "nothing to remap before arrival"
         );
-        assert!(!stats.cell_track_time.is_zero() && !stats.schedule_time.is_zero());
+        assert!(!stats.determine_init_time.is_zero() && !stats.schedule_time.is_zero());
         ids.sort_unstable();
         assert_eq!(ids, batch_oracle(&rows_r, &rows_t, &maps));
     }
@@ -1235,6 +1242,9 @@ mod tests {
         assert!(StreamSpec::new(vec![2.0], vec![1.0]).is_err());
         assert!(StreamSpec::new(vec![f64::NAN], vec![1.0]).is_err());
         assert!(StreamSpec::new(vec![0.0], vec![f64::INFINITY]).is_err());
+        let overflow = StreamSpec::new(vec![0.0, -1e308], vec![1.0, 1e308]);
+        assert!(matches!(overflow, Err(Error::InvalidConfig(_))));
+        assert!(StreamSpec::new(vec![-1e308], vec![0.0]).is_ok());
         let s = StreamSpec::new(vec![0.0, 1.0], vec![5.0, 1.0]).unwrap();
         assert_eq!(s.dims(), 2);
     }

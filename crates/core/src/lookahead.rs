@@ -194,29 +194,11 @@ pub fn run_lookahead(
     }
 }
 
-/// Readies the store's cells for the region loop and returns the grid
-/// positions visited doing so. The store gets the pessimistic skyline, for
-/// Example 3's pre-marking. Where cells materialize on first insert
-/// ([`CellStore::materializes_lazily`]) that is all — a cell is built, and
-/// pre-marked, when the first tuple lands in it — and nothing is visited.
-/// Under a flexible model every cell of every live region's box is tracked
-/// now (Σ box volumes visited; boxes overlap, so far fewer cells) and
-/// pre-marked once.
-pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) -> u64 {
+/// Readies the store for the region loop: hands it the pessimistic
+/// skyline, for Example 3's pre-marking. That is all, under every model —
+/// a cell is built, and pre-marked, when the first tuple lands in it.
+pub fn track_cells(lookahead: &Lookahead, store: &mut CellStore) {
     store.set_pessimistic_skyline(lookahead.pessimistic_skyline.clone());
-    if store.materializes_lazily() {
-        return 0;
-    }
-    let positions_scanned = lookahead
-        .regions
-        .iter()
-        .map(|region| store.track_box(&region.cell_lo, &region.cell_hi))
-        .sum();
-    // Mark after tracking so shared cells are pre-marked exactly once.
-    for idx in 0..store.len() as u32 {
-        store.premark(idx);
-    }
-    positions_scanned
 }
 
 #[cfg(test)]
@@ -225,11 +207,14 @@ mod tests {
     use crate::fdom::{DominanceModel, FDominance};
     use crate::source::SourceData;
 
-    /// A store under a flexible model — the one that tracks cells eagerly.
-    /// The simplex admits every weighting, so it keeps the Pareto skyline.
-    fn eager_store(grid: &OutputGrid) -> CellStore {
+    /// A Pareto store and one under a flexible model — the simplex, which
+    /// admits every weighting and so keeps the Pareto skyline.
+    fn stores(grid: &OutputGrid) -> [CellStore; 2] {
         let model = DominanceModel::flexible(FDominance::simplex(grid.dims()).unwrap());
-        CellStore::with_model(grid.clone(), model)
+        [
+            CellStore::new(grid.clone()),
+            CellStore::with_model(grid.clone(), model),
+        ]
     }
 
     fn setup(
@@ -365,47 +350,31 @@ mod tests {
         // whose corner UPPER(A) dominates.
         let (good, doomed) = ([2.0, 1.0], [100.0, 100.0]);
 
-        // Eager: every box cell tracked and pre-marked before any tuple.
-        let mut eager = eager_store(&la.grid);
-        let positions = track_cells(&la, &mut eager);
-        let marked = eager.stats().cells_premarked_dead;
-        assert!(!eager.is_empty());
-        assert!(positions >= eager.len() as u64);
-        assert!(
-            marked >= 2,
-            "expected dominated cells pre-marked, got {marked}"
-        );
-        assert!(eager.insert(0, 0, &good));
-        assert!(!eager.insert(1, 1, &doomed));
-        assert_eq!(eager.stats().tuples_rejected_dead_cell, 1);
-        assert_eq!(eager.stats().cells_premarked_dead, marked, "no new marks");
-
-        // Lazy: nothing tracked up front; a cell is pre-marked when the
-        // first tuple lands in it, and that tuple is a dead-cell rejection.
-        let mut lazy = CellStore::new(la.grid.clone());
-        assert!(lazy.materializes_lazily());
-        assert_eq!(track_cells(&la, &mut lazy), 0);
-        assert!(lazy.is_empty());
-        assert!(lazy.insert(0, 0, &good));
-        assert_eq!(lazy.stats().cells_premarked_dead, 0);
-        assert!(!lazy.insert(1, 1, &doomed));
-        let stats = lazy.stats();
-        assert_eq!(
-            (stats.cells_premarked_dead, stats.tuples_rejected_dead_cell),
-            (1, 1)
-        );
-        assert_eq!(stats.tuples_rejected_dominated, 0, "rejected untested");
-        assert_eq!(lazy.len(), 2, "one cell per tuple");
-        let cell = lazy.find(&la.grid.cell_of(&doomed)).unwrap();
-        assert!(lazy.cell(cell).is_dead());
+        // Nothing tracked up front; a cell is pre-marked when the first
+        // tuple lands in it, and that tuple is a dead-cell rejection.
+        for mut store in stores(&la.grid) {
+            track_cells(&la, &mut store);
+            assert!(store.is_empty());
+            assert!(store.insert(0, 0, &good));
+            assert_eq!(store.stats().cells_premarked_dead, 0);
+            assert!(!store.insert(1, 1, &doomed));
+            let stats = store.stats();
+            assert_eq!(
+                (stats.cells_premarked_dead, stats.tuples_rejected_dead_cell),
+                (1, 1)
+            );
+            assert_eq!(stats.tuples_rejected_dominated, 0, "rejected untested");
+            assert_eq!(store.len(), 2, "one cell per tuple");
+            let cell = store.find(&la.grid.cell_of(&doomed)).unwrap();
+            assert!(store.cell(cell).is_dead());
+        }
     }
 
     /// What streaming ingestion's readiness borrows from the look-ahead:
     /// over two declared grids every cell pair survives as a region, id
     /// `r_cell · t_cells + t_cell`, sized zero, never guaranteed, bounded
     /// by the mapped slice bounds — nothing rejected, nothing pruned, and
-    /// no cell premarked. Tracked eagerly, every box cell is there and
-    /// alive; on the lazy arm the store opens empty.
+    /// no cell premarked. The store opens empty under every model.
     #[test]
     fn declared_grids_provision_every_cell_pair_in_order() {
         use crate::grid::GridGeometry;
@@ -436,22 +405,10 @@ mod tests {
             assert_eq!((region.lo[0], region.hi[0]), (raw_lo[0], raw_hi[0]));
             assert_eq!((region.lo[1], region.hi[1]), (-raw_hi[1], -raw_lo[1]));
         }
-        let mut store = eager_store(&la.grid);
-        let positions = track_cells(&la, &mut store);
-        assert_eq!(store.stats().cells_premarked_dead, 0);
-        let volumes: u64 = la
-            .regions
-            .iter()
-            .map(|r| la.grid.box_volume(&r.cell_lo, &r.cell_hi))
-            .sum();
-        assert_eq!(positions, volumes);
-        assert!(!store.is_empty());
-        assert!((0..store.len() as u32).all(|idx| !store.cell_is_dead(idx)));
-
-        let mut lazy = CellStore::new(la.grid.clone());
-        assert!(lazy.materializes_lazily());
-        assert_eq!(track_cells(&la, &mut lazy), 0);
-        assert!(lazy.is_empty(), "a declared grid opens with zero cells");
+        for mut store in stores(&la.grid) {
+            track_cells(&la, &mut store);
+            assert!(store.is_empty(), "a declared grid opens with zero cells");
+        }
     }
 
     /// The look-ahead as it was written first — one `Candidate` with its

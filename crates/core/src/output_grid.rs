@@ -70,8 +70,8 @@ pub fn dense_position(c: &Coord, dims: usize, k: usize) -> usize {
 
 /// Calls `row` with every maximal run of consecutive [`dense_position`]s
 /// inside the upper box `{c : lo ⪯ c}` of a `k^dims` array, in ascending
-/// position order. Both dense committer structures are updated this way:
-/// an upper box is `(k − lo₀)`-long rows along dimension 0.
+/// position order. The cell store's staircase is updated this way: an
+/// upper box is `(k − lo₀)`-long rows along dimension 0.
 pub fn for_each_upper_box_row(
     lo: &Coord,
     dims: usize,
@@ -163,13 +163,11 @@ impl OutputGrid {
     /// Largest grid volume (`cells_per_dim ^ dims`) [`Self::new`] builds:
     /// the cap on `cells_per_dim`, so every grid is densely indexable. The
     /// ordered committer's per-position state lives as long as the session
-    /// — 4 bytes per position in [`ProgDetermine`]'s counts, 4 in
-    /// [`CellStore`]'s index, 2 per position of a `dims − 1` slice in its
-    /// staircase — so this holds it to about 8 MB per session, next to the
-    /// ~100 bytes every *built* cell costs anyway (the default 24-cell grid
-    /// fits up to `d = 4`, 2.5 MB).
+    /// — 4 bytes per position in [`CellStore`]'s index, 2 per position of a
+    /// `dims − 1` slice in its staircase — so this holds it to about 4 MB
+    /// per session, next to the ~100 bytes every *built* cell costs anyway
+    /// (the default 24-cell grid fits up to `d = 4`, 1.3 MB).
     ///
-    /// [`ProgDetermine`]: crate::progdetermine::ProgDetermine
     /// [`CellStore`]: crate::cells::CellStore
     pub const DENSE_INDEX_BUDGET: usize = 1 << 20;
 

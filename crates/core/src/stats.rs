@@ -31,7 +31,7 @@ pub struct ExecStats {
     /// Wall-clock duration of everything before the region loop, from the
     /// start of `ProgXe::prepare` / the ingest session's open until the
     /// pipeline is ready to pop its first region: exactly the sum of the
-    /// six phase buckets below, which tile it without gaps.
+    /// five phase buckets below, which tile it without gaps.
     pub lookahead_time: Duration,
     /// Push-through (when enabled), dense join-key remapping and the copy
     /// of the kept rows (zero under streaming ingestion: nothing has
@@ -43,12 +43,10 @@ pub struct ExecStats {
     /// Region generation and abstraction-level pruning (`run_lookahead`;
     /// over declared grids it provisions every potential region).
     pub region_lookahead_time: Duration,
-    /// Readying the `CellStore` (`track_cells`): where cells materialize
-    /// on first insert, building the store and handing it the pessimistic
-    /// skyline; elsewhere also registering every cell of every region's box
-    /// and pre-marking pessimistically dominated cells.
-    pub cell_track_time: Duration,
-    /// Initial blocker counts (`ProgDetermine::new`).
+    /// The empty `CellStore` with the pessimistic skyline (`track_cells`)
+    /// and the blocker structure over the region keys
+    /// (`ProgDetermine::new`). Cells materialize, and get their blocker
+    /// counts, as tuples land during the region loop.
     pub determine_init_time: Duration,
     /// The region work context and the committer over the region
     /// schedule (`Committer::new`).
@@ -123,18 +121,11 @@ pub struct ExecStats {
     /// Regions that went through tuple-level processing.
     pub regions_processed: usize,
 
-    /// Output cells the store held a `Cell` for by the end of the run.
-    /// Where cells materialize on first insert (Pareto) those a tuple
-    /// reached; under a flexible model every cell of every live region's
-    /// box, tracked up front.
+    /// Output cells the store held a `Cell` for by the end of the run:
+    /// those a tuple reached (cells materialize on first insert).
     pub cells_tracked: usize,
-    /// Grid positions visited to track cells up front: Σ box volumes over
-    /// the live regions (boxes overlap, so this is the work and
-    /// [`cells_tracked`](Self::cells_tracked) the outcome) — 0 where cells
-    /// materialize on first insert.
-    pub cell_positions_scanned: u64,
-    /// Cells pre-marked dead by the pessimistic skyline: of the cells
-    /// tracked up front, or of those materialized on first insert.
+    /// Cells pre-marked dead by the pessimistic skyline, of those
+    /// materialized.
     pub cells_premarked_dead: usize,
     /// Cells whose tuples were emitted.
     pub cells_emitted: usize,
@@ -254,13 +245,12 @@ impl Laps {
 }
 
 impl ExecStats {
-    /// The six phase buckets [`lookahead_time`](Self::lookahead_time) is
+    /// The five phase buckets [`lookahead_time`](Self::lookahead_time) is
     /// defined as the sum of.
     fn lookahead_phase_sum(&self) -> Duration {
         self.remap_time
             + self.grid_time
             + self.region_lookahead_time
-            + self.cell_track_time
             + self.determine_init_time
             + self.schedule_time
     }
@@ -282,11 +272,6 @@ impl ExecStats {
         assert!(!self.lookahead_time.is_zero(), "{self}");
         assert!(
             self.lookahead_time + self.tuple_time + self.commit_time <= self.total_time,
-            "{self}"
-        );
-        assert!(
-            self.cell_positions_scanned == 0
-                || self.cell_positions_scanned >= self.cells_tracked as u64,
             "{self}"
         );
         let committed = (self.regions_processed + self.regions_computed_dead) as u64;
@@ -331,7 +316,6 @@ impl ExecStats {
                 "region_lookahead_ms",
                 Value::DurationMs(self.region_lookahead_time),
             )
-            .push("cell_track_ms", Value::DurationMs(self.cell_track_time))
             .push(
                 "determine_init_ms",
                 Value::DurationMs(self.determine_init_time),
@@ -358,10 +342,6 @@ impl ExecStats {
                 Value::U64(self.regions_computed_dead as u64),
             )
             .push("cells_tracked", Value::U64(self.cells_tracked as u64))
-            .push(
-                "cell_positions_scanned",
-                Value::U64(self.cell_positions_scanned),
-            )
             .push("cells_emitted", Value::U64(self.cells_emitted as u64))
             .push(
                 "join_pairs_evaluated",
@@ -445,14 +425,11 @@ impl std::fmt::Display for ExecStats {
             write!(
                 f,
                 " [look-ahead {:.1?}: remap {:.1?}, grid {:.1?}, regions {:.1?}, \
-                 cells {:.1?} ({} positions for {} cells), blockers {:.1?}, schedule {:.1?}]",
+                 blockers {:.1?}, schedule {:.1?}]",
                 self.lookahead_time,
                 self.remap_time,
                 self.grid_time,
                 self.region_lookahead_time,
-                self.cell_track_time,
-                self.cell_positions_scanned,
-                self.cells_tracked,
                 self.determine_init_time,
                 self.schedule_time,
             )?;
@@ -575,34 +552,31 @@ mod tests {
         s.remap_time = Duration::from_micros(100);
         s.grid_time = Duration::from_micros(500);
         s.region_lookahead_time = Duration::from_micros(300);
-        s.cell_track_time = Duration::from_micros(700);
         s.determine_init_time = Duration::from_micros(200);
         s.schedule_time = Duration::from_micros(900);
         s.cells_tracked = 12_096;
-        s.cell_positions_scanned = 262_656;
         s.close_lookahead_ledger();
-        assert_eq!(s.lookahead_time, Duration::from_micros(2_700));
+        assert_eq!(s.lookahead_time, Duration::from_micros(2_000));
         let line = s.to_string();
         assert!(!line.contains('\n'));
         assert!(
             line.contains(
-                "[look-ahead 2.7ms: remap 100.0µs, grid 500.0µs, regions 300.0µs, \
-                 cells 700.0µs (262656 positions for 12096 cells), blockers 200.0µs, \
-                 schedule 900.0µs]"
+                "[look-ahead 2.0ms: remap 100.0µs, grid 500.0µs, regions 300.0µs, \
+                 blockers 200.0µs, schedule 900.0µs]"
             ),
             "{line}"
         );
         let json = s.report().to_json();
         assert!(
             json.contains(
-                "\"lookahead_ms\": 2.700, \"remap_ms\": 0.100, \"grid_ms\": 0.500, \
-                 \"region_lookahead_ms\": 0.300, \"cell_track_ms\": 0.700, \
-                 \"determine_init_ms\": 0.200, \"schedule_ms\": 0.900"
+                "\"lookahead_ms\": 2.000, \"remap_ms\": 0.100, \"grid_ms\": 0.500, \
+                 \"region_lookahead_ms\": 0.300, \"determine_init_ms\": 0.200, \
+                 \"schedule_ms\": 0.900"
             ),
             "the buckets sit directly under their sum: {json}"
         );
         assert!(
-            json.contains("\"cells_tracked\": 12096, \"cell_positions_scanned\": 262656"),
+            json.contains("\"cells_tracked\": 12096, \"cells_emitted\": 0"),
             "{json}"
         );
     }

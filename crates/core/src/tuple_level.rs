@@ -652,7 +652,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::cells::CellStore;
-    use crate::output_grid::OutputGrid;
+    use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
     use crate::source::SourceData;
     use progxe_skyline::Preference;
     use std::sync::Arc;
@@ -665,19 +665,6 @@ mod tests {
             JoinSide::build(maps, side, columnar, &src.view(), &rows, rows.clone())
         };
         (whole(r, Side::R), whole(t, Side::T))
-    }
-
-    fn tracked_store(grid: OutputGrid) -> CellStore {
-        let mut store = CellStore::new(grid.clone());
-        let lo = grid.cell_of(&vec![f64::NEG_INFINITY; grid.dims()]);
-        let mut hi = lo;
-        for h in hi.iter_mut().take(grid.dims()) {
-            *h = grid.cells_per_dim() - 1;
-        }
-        for c in grid.iter_box(lo, hi) {
-            store.track(c);
-        }
-        store
     }
 
     /// The unfiltered reference a work unit must be invisible against: joins
@@ -717,7 +704,7 @@ mod tests {
         let r = SourceData::from_rows(1, &[(&[1.0], 0), (&[2.0], 1), (&[3.0], 0)]);
         let t = SourceData::from_rows(1, &[(&[10.0], 0), (&[20.0], 2)]);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
-        let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![40.0], 8));
+        let mut store = CellStore::new(OutputGrid::new(vec![0.0], vec![40.0], 8));
         let stats = run(&r, &t, &maps, &mut store);
         // Matching pairs: (r0,t0) and (r2,t0) — but 11 dominates 13 in 1-d,
         // so only one tuple survives.
@@ -734,7 +721,7 @@ mod tests {
         let t = SourceData::from_rows(1, &[(&[4.0], 0)]);
         let maps = MapSet::pairwise_sum(1, Preference::new(vec![Order::Highest]));
         // Oriented output = -(3+4) = -7.
-        let mut store = tracked_store(OutputGrid::new(vec![-10.0], vec![0.0], 8));
+        let mut store = CellStore::new(OutputGrid::new(vec![-10.0], vec![0.0], 8));
         run(&r, &t, &maps, &mut store);
         assert_eq!(store.live_tuples(), 1);
         let (_, cell) = store.iter().find(|(_, c)| !c.is_empty()).unwrap();
@@ -748,7 +735,7 @@ mod tests {
         let r = SourceData::from_rows(1, &[(&[1.0], 5)]);
         let t = SourceData::from_rows(1, &[(&[1.0], 5), (&[2.0], 5), (&[3.0], 5), (&[4.0], 5)]);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
-        let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
+        let mut store = CellStore::new(OutputGrid::new(vec![0.0], vec![10.0], 8));
         run(&r, &t, &maps, &mut store);
         let (_, cell) = store.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(
@@ -758,7 +745,7 @@ mod tests {
         );
 
         // Mirrored: big R, small T.
-        let mut store2 = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
+        let mut store2 = CellStore::new(OutputGrid::new(vec![0.0], vec![10.0], 8));
         run(&t, &r, &maps, &mut store2);
         let (_, cell2) = store2.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(cell2.ids(), &[(0, 0)]);
@@ -768,7 +755,7 @@ mod tests {
     fn pre_cancelled_token_stops_before_any_probe() {
         let r = SourceData::from_rows(1, &[(&[1.0], 0), (&[2.0], 0)]);
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
-        let mut store = tracked_store(OutputGrid::new(vec![0.0], vec![10.0], 8));
+        let mut store = CellStore::new(OutputGrid::new(vec![0.0], vec![10.0], 8));
         let token = CancellationToken::new();
         token.cancel();
         let (rp, tp) = partitions(&r, &r, &maps);
@@ -895,17 +882,22 @@ mod tests {
         assert_eq!(ids.len(), 2, "equal tuples are incomparable");
     }
 
-    /// Every cell's live tuples (in order) and derived death — all of a
-    /// store's state that anything downstream of the committer reads.
+    /// Every grid position's live tuples (in order) and derived death —
+    /// all of a store's state that anything downstream of the committer
+    /// reads. A position without a cell holds nothing, and is dead iff a
+    /// populated cell fully dominates it.
     fn assert_same_cells(plain: &CellStore, filtered: &CellStore, at: &str) {
-        for ((i, a), (_, b)) in plain.iter().zip(filtered.iter()) {
-            let at = format!("{at}, cell {:?}", &a.coord()[..plain.grid().dims()]);
-            assert_eq!(a.ids(), b.ids(), "{at}: live tuples");
-            assert_eq!(
-                plain.cell_is_dead(i),
-                filtered.cell_is_dead(i),
-                "{at}: dead"
-            );
+        let grid = plain.grid();
+        let mut top = [0; MAX_DIMS];
+        top[..grid.dims()].fill(grid.cells_per_dim() - 1);
+        let ids =
+            |s: &CellStore, c: &Coord| s.find(c).map_or(Vec::new(), |i| s.cell(i).ids().to_vec());
+        let dead =
+            |s: &CellStore, c: &Coord| s.find(c).map_or(s.region_is_dead(c), |i| s.cell_is_dead(i));
+        for c in grid.iter_box([0; MAX_DIMS], top) {
+            let at = format!("{at}, cell {:?}", &c[..grid.dims()]);
+            assert_eq!(ids(plain, &c), ids(filtered, &c), "{at}: live tuples");
+            assert_eq!(dead(plain, &c), dead(filtered, &c), "{at}: dead");
         }
     }
 
@@ -921,8 +913,8 @@ mod tests {
     #[test]
     fn upstream_rejection_equals_store_side_rejection() {
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![10.0, 10.0], 10);
-        let mut plain = tracked_store(grid.clone());
-        let mut filtered = tracked_store(grid.clone());
+        let mut plain = CellStore::new(grid.clone());
+        let mut filtered = CellStore::new(grid.clone());
         let mut state = 0xD1FF_u64;
         let mut next = || {
             state = state
@@ -997,8 +989,8 @@ mod tests {
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
         // Coarse cells, so a transient's eviction has neighbours to permute.
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![40.0, 40.0], 4);
-        let mut streamed = tracked_store(grid.clone());
-        let mut batched = tracked_store(grid);
+        let mut streamed = CellStore::new(grid.clone());
+        let mut batched = CellStore::new(grid);
         let mut state = 0x5EED_u64;
         let token = CancellationToken::new();
         let sides: Vec<(JoinSide, JoinSide)> = [0.0, 10.0, 5.0]

@@ -631,6 +631,31 @@ mod tests {
         assert_eq!(streamed, expected);
     }
 
+    /// Declared bounds whose extent overflows (`1e308 − (−1e308)`) are
+    /// finite one by one, so the catalog registers them; opening the stream
+    /// refuses them as a typed configuration error rather than slicing the
+    /// input grid at NaN bounds.
+    #[test]
+    fn overflowing_stream_extents_are_refused_at_open() {
+        let mut cat = q1_catalog();
+        let sup = cat.table("suppliers").unwrap().clone();
+        let tra = cat.table("transporters").unwrap().clone();
+        cat.register_streaming(
+            sup.schema.clone(),
+            vec![-1e308, 0.0, 0.0],
+            vec![1e308, 1000.0, 1000.0],
+        );
+        cat.register_streaming(tra.schema.clone(), vec![0.0; 2], vec![1000.0; 2]);
+        let runner = QueryRunner::new(cat);
+        match runner.ingest_session(Q1, &Engine::progxe()) {
+            Err(QueryError::Exec(progxe_core::error::Error::InvalidConfig(msg))) => {
+                assert!(msg.contains("hi - lo"), "{msg}")
+            }
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("an overflowing extent opened a stream"),
+        }
+    }
+
     #[test]
     fn degenerate_weights_surface_as_plan_errors() {
         let runner = QueryRunner::new(q1_catalog());
