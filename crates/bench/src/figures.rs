@@ -20,7 +20,7 @@
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
 //! | Figs. 11–12 at scale | [`scaling`] | first-output latency vs N |
 //! | parallel runtime | [`threads`] | wall time vs threads 1/2/4/8 (pooled(2) holds ≥ 2 regions in flight; full size: pooled(2) beats inline on general maps) |
-//! | columnar kernels | [`kernels`] | batched vs scalar, index vs naive (batched never loses to scalar; the blocker index does less work; full size: the columnar map producer wins) |
+//! | columnar kernels | [`kernels`] | batched vs scalar, index vs naive (batched never loses to scalar; the blocker index and the dominance forest do less work; full size: the columnar map producer wins) |
 //! | flexible skylines | [`fdom`] | shrinkage + latency vs band tightness (the unit test: tightness 0 ≡ Pareto, answers shrink monotonically) |
 //! | tracing overhead | [`obs`] | recorder off / null / ring (ring within [`obs_overhead_gate`] of null) |
 
@@ -30,14 +30,13 @@ use crate::report::{
 use crate::runners::{
     default_config_for, drain_run, run_algo, run_algo_with_timeout, AlgoKind, RunResult,
 };
-use progxe_core::cells::KeyedRows;
 use progxe_core::config::OrderingPolicy;
 use progxe_core::executor::ProgXe;
 use progxe_core::mapping::MapSet;
 use progxe_core::session::ProgressiveEngine;
 use progxe_core::source::SourceView;
 use progxe_datagen::{Distribution, SmjWorkload, WorkloadSpec};
-use progxe_skyline::Preference;
+use progxe_skyline::{DominanceForest, Preference};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -822,14 +821,18 @@ fn write_fdom_outputs(opt: &ExpOptions, runs: &[FdomRun]) {
 pub struct KernelRun {
     /// `"mask"` (batched dominated-mask vs per-row scalar loop),
     /// `"blocker"` (kd-tree registration counts under a flexible model vs
-    /// the `regions × cells` double loop) or `"map"` (the tuple-level join's
-    /// columnar row producer vs its per-match `eval` producer).
+    /// the `regions × cells` double loop), `"exists"` (dominance-forest
+    /// queries vs a linear `any_dominates` scan) or `"map"` (the tuple-level
+    /// join's columnar row producer vs its per-match `eval` producer).
     pub kind: &'static str,
-    /// Value dimensions (mask, map rows) / polytope vertices (blocker rows).
+    /// Value dimensions (mask, exists, map rows) / polytope vertices
+    /// (blocker rows).
     pub dims: usize,
-    /// Batch rows (mask) / region count (blocker) / rows per source (map).
+    /// Batch rows (mask, exists) / region count (blocker) / rows per
+    /// source (map).
     pub n: usize,
-    /// Query points (mask) / materialized cells (blocker) / regions joined (map).
+    /// Query points (mask, exists) / materialized cells (blocker) / regions
+    /// joined (map).
     pub queries: usize,
     /// Best-of-repeats wall time of the scalar/naive side.
     pub scalar_ms: f64,
@@ -844,25 +847,28 @@ pub struct KernelRun {
     /// per second.
     pub batched_mpairs_s: f64,
     /// Work the index actually did (blocker rows: tree node visits + leaf
-    /// tests; mask rows: equals `naive_ops` — the mask has no early exit;
-    /// map rows: join matches mapped).
+    /// tests; exists rows: leaf boxes + rows tested; mask rows: equals
+    /// `naive_ops` — the mask has no early exit; map rows: join matches
+    /// mapped).
     pub index_ops: u64,
-    /// Work the retired implementation would do (`n × queries`; map rows:
+    /// Work the retired implementation would do (`n × queries`; exists
+    /// rows: the linear scan's row tests, early exits included; map rows:
     /// the same join matches).
     pub naive_ops: u64,
 }
 
 /// Columnar-kernel microbenchmarks: batched dominated-mask throughput vs
 /// the one-pair-at-a-time scalar loop across dims × batch sizes
-/// (anti-correlated data — the dominance-heavy worst case), and the
-/// kd-tree blocker registration counts vs the `regions × cells` loop at
-/// growing region counts, and the tuple-level join's columnar row producer
-/// vs the per-match `eval` producer over one region set. Both sides are
-/// verified to produce identical answers before timing is reported. Writes
-/// `kernels.csv` and machine-readable `BENCH_kernels.json`; panics (failing
-/// CI) if the batched kernel loses to scalar, the blocker index fails to do
-/// less work than the naive loop, or (full size) the columnar producer is
-/// not faster than the per-match one.
+/// (anti-correlated data — the dominance-heavy worst case), the kd-tree
+/// blocker registration counts vs the `regions × cells` loop at growing
+/// region counts, dominance-forest queries vs a linear scan of the same
+/// rows, and the tuple-level join's columnar row producer vs the per-match
+/// `eval` producer over one region set. Both sides are verified to produce
+/// identical answers before timing is reported. Writes `kernels.csv` and
+/// machine-readable `BENCH_kernels.json`; panics (failing CI) if the
+/// batched kernel loses to scalar, the blocker index or the forest fails
+/// to do less work than its naive side, or (full size) the columnar
+/// producer is not faster than the per-match one.
 pub fn kernels(opt: &ExpOptions) {
     let runs = kernel_measurements(opt);
     assert_kernel_gates(&runs, opt.quick);
@@ -944,6 +950,7 @@ pub fn kernel_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
     }
 
     runs.extend(blocker_measurements(opt));
+    runs.extend(exists_measurements(opt));
     runs.push(map_measurement(opt));
     runs
 }
@@ -1004,7 +1011,7 @@ fn map_measurement(opt: &ExpOptions) -> KernelRun {
 
     let mut matches = 0u64;
     let (mut fast_ms, mut slow_ms) = (f64::INFINITY, f64::INFINITY);
-    let unguarded = KeyedRows::default();
+    let unguarded = DominanceForest::default();
     for repeat in 0..3 {
         let (mut fast, mut slow) = (0.0f64, 0.0f64);
         for rid in 0..regions as u32 {
@@ -1038,6 +1045,68 @@ fn map_measurement(opt: &ExpOptions) -> KernelRun {
         index_ops: matches,
         naive_ops: matches,
     }
+}
+
+/// Exists half of [`kernel_measurements`]: "does a row dominate q?" asked
+/// of a [`DominanceForest`] published in commit-sized batches and of one
+/// linear [`kernel::any_dominates`](progxe_skyline::kernel::any_dominates)
+/// scan over the same rows — anti-correlated rows and queries at
+/// d ∈ {2, 3, 4, 5}, identical answers verified per query.
+fn exists_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
+    use progxe_skyline::kernel;
+    use std::time::Instant;
+
+    let (n, queries, batch) = if opt.quick {
+        (4_096, 512, 64)
+    } else {
+        (32_768, 4_096, 64)
+    };
+    println!("== Admitted-row exists queries: dominance forest vs linear scan ==");
+    let mut runs = Vec::new();
+    for d in 2..=5usize {
+        let w = workload(n + queries, d, Distribution::AntiCorrelated, 0.01, opt.seed);
+        let rows = &w.r.attrs.raw()[..n * d];
+        let qs = &w.t.attrs.raw()[..queries * d];
+        let mut forest = DominanceForest::new(d);
+        for commit in rows.chunks(batch * d) {
+            forest.publish(commit);
+        }
+        let (mut scalar_ms, mut batched_ms) = (f64::INFINITY, f64::INFINITY);
+        let (mut linear, mut work) = (0u64, 0u64);
+        for _ in 0..3 {
+            let (mut tests, mut answers) = (0u64, Vec::with_capacity(queries));
+            let t0 = Instant::now();
+            for q in qs.chunks_exact(d) {
+                answers.push(kernel::any_dominates(d, rows, q, &mut tests));
+            }
+            scalar_ms = scalar_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            let mut ops = 0u64;
+            let t0 = Instant::now();
+            for (q, &expected) in qs.chunks_exact(d).zip(&answers) {
+                let got = forest.any_dominates(q, &mut ops);
+                assert_eq!(
+                    got, expected,
+                    "d={d}: forest diverged from the linear scan on {q:?}"
+                );
+            }
+            batched_ms = batched_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            (linear, work) = (tests, ops);
+        }
+        runs.push(KernelRun {
+            kind: "exists",
+            dims: d,
+            n,
+            queries,
+            scalar_ms,
+            batched_ms,
+            speedup: scalar_ms / batched_ms,
+            scalar_mpairs_s: linear as f64 / (scalar_ms * 1e3),
+            batched_mpairs_s: linear as f64 / (batched_ms * 1e3),
+            index_ops: work,
+            naive_ops: linear,
+        });
+    }
+    runs
 }
 
 /// Blocker-index half of [`kernel_measurements`]: the registration counts
@@ -1171,14 +1240,16 @@ fn blocker_measurements(opt: &ExpOptions) -> Vec<KernelRun> {
 /// The CI gates behind `BENCH_kernels.json`: the batched mask kernel must
 /// never lose to the scalar loop; on the full-size run the flagship
 /// configuration (d=3, N=10k, anti-correlated) must win by ≥ 1.5× and the
-/// columnar map producer must beat the per-match one; and the blocker
-/// index must do strictly less work than `regions × cells`.
+/// columnar map producer must beat the per-match one; the blocker index
+/// must do strictly less work than `regions × cells`, and the dominance
+/// forest strictly less than the linear scan.
 ///
 /// Wall-clock gates are release-only: the batched win comes from
 /// autovectorization, which debug builds don't perform, and the in-process
 /// unit test runs in debug under full-suite core contention. The ops-based
 /// blocker gate (and every differential equality check in the measurement
-/// loops) stays on everywhere. CI enforces the timing gates via the release
+/// loops) stays on everywhere, and so does the forest's. CI enforces the
+/// timing gates via the release
 /// `figures -- kernels --quick` step.
 fn assert_kernel_gates(runs: &[KernelRun], quick: bool) {
     let timing = !cfg!(debug_assertions);
@@ -1195,6 +1266,13 @@ fn assert_kernel_gates(runs: &[KernelRun], quick: bool) {
                 run.index_ops < run.naive_ops,
                 "blocker index did {} ops, naive bound is {}",
                 run.index_ops,
+                run.naive_ops
+            ),
+            "exists" => assert!(
+                run.index_ops < run.naive_ops,
+                "dominance forest did {} units of work at d={}, the linear scan {} tests",
+                run.index_ops,
+                run.dims,
                 run.naive_ops
             ),
             // Quick regions hold a few dozen matches each: timer noise.

@@ -33,16 +33,13 @@
 //! The store also owns the session's one coordinate → cell index
 //! ([`CellStore::find`]): a table over grid positions — every grid fits
 //! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic,
-//! and the *admitted slab* ([`CellStore::admitted_slab`]): every tuple it
-//! ever admitted, in SFS's presort order, which the batch producers filter
-//! against.
+//! and the *admitted forest* ([`CellStore::admitted`]): a dominance index
+//! over every tuple it ever admitted, which the batch producers ask before
+//! expanding a key group or keeping a tuple.
 
 use crate::fdom::DominanceModel;
 use crate::output_grid::{dense_position, for_each_upper_box_row, weak_leq, Coord, OutputGrid};
-use progxe_skyline::sfs::{presort_cmp, sum_key, SumKey};
-use progxe_skyline::{kernel, PointStore};
-use std::cmp::Ordering;
-use std::sync::Arc;
+use progxe_skyline::{kernel, DominanceForest, PointStore};
 
 /// Work counters for tuple-level processing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,137 +233,15 @@ pub struct CellStore {
     /// Reused lower-corner buffer for [`CellStore::premark`].
     corner: Vec<f64>,
     /// Every tuple admitted up to the last
-    /// [`publish_admitted`](CellStore::publish_admitted), in presort order
-    /// (see [`CellStore::admitted_slab`]). Evictions and cell kills leave
-    /// it untouched; a publish replaces it, so a work unit's clone never
+    /// [`publish_admitted`](CellStore::publish_admitted) (see
+    /// [`CellStore::admitted`]). Evictions and cell kills leave it
+    /// untouched; a publish adds a run, so a work unit's clone never
     /// changes under it.
-    admitted: Arc<KeyedRows>,
+    admitted: DominanceForest,
     /// Tuples admitted since the last publish, oriented, row-major, in
     /// admission order.
     fresh: Vec<f64>,
 }
-
-/// Rows in SFS's presort order ([`presort_cmp`]), each row's [`SumKey`]
-/// kept beside it: the store's admitted slab, and a work unit's guard cut
-/// from it. A row can weakly dominate a point only if its key is `≤` the
-/// point's ([`SumKey`]), so the prefix keyed `≤` a point's key holds every
-/// row that can dominate it.
-#[derive(Debug, Clone, Default)]
-pub struct KeyedRows {
-    keys: Vec<SumKey>,
-    /// Row-major, `rows.len() / keys.len()` values per row.
-    rows: Vec<f64>,
-}
-
-impl KeyedRows {
-    /// Number of rows.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when there are no rows.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Every row, flat.
-    #[inline]
-    pub(crate) fn rows(&self) -> &[f64] {
-        &self.rows
-    }
-
-    /// The prefix of rows whose key is `≤ key`, flat.
-    pub(crate) fn rows_upto(&self, key: SumKey) -> &[f64] {
-        let n = self.keys.partition_point(|k| *k <= key);
-        &self.rows[..self.rows.len() / self.len().max(1) * n]
-    }
-
-    /// The rows that can weakly dominate `point`, flat: the prefix keyed
-    /// `≤` its key ([`rows_upto`](Self::rows_upto)), or every row when
-    /// there are at most [`SHORT_SCAN`] of them.
-    #[inline]
-    pub(crate) fn reach(&self, point: &[f64]) -> &[f64] {
-        if self.len() <= SHORT_SCAN {
-            &self.rows
-        } else {
-            self.rows_upto(sum_key(point))
-        }
-    }
-
-    /// `rows` (flat, `dims` values per row) in presort order.
-    #[cfg(test)]
-    pub(crate) fn sorted(dims: usize, rows: &[f64]) -> Self {
-        let mut sorted = Self::default();
-        sorted.merge(dims, rows);
-        sorted
-    }
-
-    /// The rows `⪯ upper` in every coordinate, in order — one pass over
-    /// the rows that can be `⪯` it ([`reach`](Self::reach)).
-    pub(crate) fn weakly_below(&self, upper: &[f64]) -> KeyedRows {
-        let mut below = KeyedRows::default();
-        let reach = self.reach(upper);
-        for (row, &key) in reach.chunks_exact(upper.len()).zip(&self.keys) {
-            if row.iter().zip(upper).all(|(v, u)| v <= u) {
-                below.push(key, row);
-            }
-        }
-        below
-    }
-
-    /// Appends a row; the caller keeps the order.
-    fn push(&mut self, key: SumKey, row: &[f64]) {
-        debug_assert!(self.keys.last().is_none_or(|&last| last <= key));
-        self.keys.push(key);
-        self.rows.extend_from_slice(row);
-    }
-
-    /// Merges `fresh` (flat rows of `dims` values, any order) into place:
-    /// sorts the few new rows, then merges from the back, so only rows
-    /// after the first insertion point move. A new row goes after the equal
-    /// rows already there, so the result is the stable sort of the rows in
-    /// the order they came.
-    fn merge(&mut self, dims: usize, fresh: &[f64]) {
-        let row = |i: usize| &fresh[i * dims..(i + 1) * dims];
-        let mut add: Vec<(SumKey, usize)> = (0..fresh.len() / dims)
-            .map(|i| (sum_key(row(i)), i))
-            .collect();
-        let Some(&(filler, _)) = add.first() else {
-            return;
-        };
-        add.sort_by(|&(ka, a), &(kb, b)| presort_cmp((ka, row(a)), (kb, row(b))));
-        let (mut old, mut new) = (self.len(), add.len());
-        self.keys.resize(old + new, filler);
-        self.rows.resize((old + new) * dims, 0.0);
-        while new > 0 {
-            let at = old + new - 1;
-            let (key, i) = add[new - 1];
-            let keep_old = old > 0 && {
-                let last = (self.keys[old - 1], &self.rows[(old - 1) * dims..old * dims]);
-                presort_cmp(last, (key, row(i))) == Ordering::Greater
-            };
-            if keep_old {
-                old -= 1;
-                self.keys[at] = self.keys[old];
-                self.rows
-                    .copy_within(old * dims..(old + 1) * dims, at * dims);
-            } else {
-                new -= 1;
-                self.keys[at] = key;
-                self.rows[at * dims..(at + 1) * dims].copy_from_slice(row(i));
-            }
-        }
-    }
-}
-
-/// Rows up to which [`KeyedRows::reach`] skips the key cut and scans the
-/// rows whole: two kernel chunks. On so few rows the cut's key and binary
-/// search per tested point cost more than the rows they could skip: on a
-/// 2-d query, whose guards hold about eight rows, they made the region
-/// compute about a tenth slower.
-const SHORT_SCAN: usize = 2 * kernel::CHUNK;
 
 /// The bit layout of a packed cell coordinate: dimension `i` in lane `i`,
 /// each lane wide enough for coordinate `k − 1` plus a *guard* bit above
@@ -496,7 +371,7 @@ impl CellStore {
             proj_tmp: Vec::new(),
             pessimistic: Vec::new(),
             corner: Vec::new(),
-            admitted: Arc::default(),
+            admitted: DominanceForest::new(dims),
             fresh: Vec::new(),
         }
     }
@@ -577,35 +452,32 @@ impl CellStore {
         self.stats
     }
 
-    /// The slab of every tuple the store admitted up to the last
-    /// [`publish_admitted`](Self::publish_admitted): oriented values in
-    /// SFS's presort order, each row's key beside it.
+    /// The dominance index over every tuple the store admitted up to the
+    /// last [`publish_admitted`](Self::publish_admitted), oriented values.
     ///
-    /// Any subset of it is a sound *upstream rejection filter*: a tuple
-    /// Pareto-dominated by a slab row can never be admitted, because the
-    /// row is either still live or was removed by something that dominates
-    /// it (an evicting tuple, or any tuple of a fully dominating cell), and
-    /// dominance is transitive. Batch producers test their survivors
-    /// against it before the ordered committer ever sees them
-    /// ([`crate::tuple_level`]); the key order lets them test a point
-    /// against the prefix of rows that can dominate it only. Rows with a
-    /// NaN coordinate are never recorded: the kernels treat NaN as a tie,
-    /// which is not transitive, so such a row could reject a tuple its own
-    /// evictor would not. The `Arc` is never mutated once handed out: a
-    /// publish that finds it shared merges into a copy.
+    /// "Does a row of it dominate this tuple?" is a sound *upstream
+    /// rejection test*: a tuple Pareto-dominated by an admitted row can
+    /// never be admitted, because the row is either still live or was
+    /// removed by something that dominates it (an evicting tuple, or any
+    /// tuple of a fully dominating cell), and dominance is transitive. Batch
+    /// producers ask it before expanding a key group and for every survivor
+    /// of their batch, before the ordered committer ever sees them
+    /// ([`crate::tuple_level`]). Rows with a NaN coordinate are never
+    /// recorded: the kernels treat NaN as a tie, which is not transitive,
+    /// so such a row could reject a tuple its own evictor would not. A
+    /// clone is a snapshot: publishing adds runs to the store's forest and
+    /// never changes one a work unit holds.
     #[inline]
-    pub fn admitted_slab(&self) -> &Arc<KeyedRows> {
+    pub fn admitted(&self) -> &DominanceForest {
         &self.admitted
     }
 
-    /// Merges the tuples admitted since the last call into the slab — the
+    /// Adds the tuples admitted since the last call to the forest — the
     /// committer calls it once per commit, so a work unit dispatched after
     /// a commit sees every tuple that commit admitted.
     pub fn publish_admitted(&mut self) {
-        if !self.fresh.is_empty() {
-            Arc::make_mut(&mut self.admitted).merge(self.grid.dims(), &self.fresh);
-            self.fresh.clear();
-        }
+        self.admitted.publish(&self.fresh);
+        self.fresh.clear();
     }
 
     /// Current populated-cell skyline size (diagnostics).
@@ -1622,13 +1494,20 @@ mod tests {
         assert_eq!(s.live_tuples(), 0);
     }
 
-    /// After every publish the slab is every admitted NaN-free row, stably
-    /// sorted by SFS's presort order, each key beside its row and the keys
-    /// ascending — whether the publish merged in place or, with an earlier
-    /// slab still held, into a copy. Ties, signed zeros, rounding ties
-    /// above 2^53 and both infinities in the mix.
+    /// The rows of `forest`, each as its bit pattern, sorted: the forest
+    /// keeps no admission order, so rows compare as a multiset.
+    fn row_set(forest: &DominanceForest) -> Vec<Vec<u64>> {
+        let mut rows: Vec<Vec<u64>> = forest.rows().map(bits).collect();
+        rows.sort();
+        rows
+    }
+
+    /// After every publish the forest holds exactly the admitted NaN-free
+    /// rows, and a clone taken at an earlier publish still holds exactly
+    /// the rows admitted by then. Ties, signed zeros, rounding ties above
+    /// 2^53 and both infinities in the mix.
     #[test]
-    fn admitted_slab_is_the_presorted_admission_list() {
+    fn admitted_forest_holds_every_admitted_row() {
         let mut next = rng(0x51AB);
         let big = 2f64.powi(53);
         let values = [
@@ -1644,11 +1523,11 @@ mod tests {
             f64::NEG_INFINITY,
             f64::NAN,
         ];
-        let (mut nan_admitted, mut copied) = (false, false);
+        let mut nan_admitted = false;
         for dims in [1usize, 2, 3] {
             let mut s = square_store(dims, 4);
-            let mut admitted: Vec<Vec<f64>> = Vec::new();
-            let mut held = Vec::new();
+            let mut admitted: Vec<Vec<u64>> = Vec::new();
+            let mut held: Vec<(DominanceForest, Vec<Vec<u64>>)> = Vec::new();
             for round in 0..60u32 {
                 for i in 0..next(6) as u32 {
                     let mut row: Vec<f64> = (0..dims)
@@ -1661,25 +1540,21 @@ mod tests {
                         if row.iter().any(|v| v.is_nan()) {
                             nan_admitted = true;
                         } else {
-                            admitted.push(row);
+                            admitted.push(bits(&row));
                         }
                     }
                 }
-                if round % 3 == 0 {
-                    held.push(Arc::clone(s.admitted_slab()));
-                }
-                let before = Arc::as_ptr(s.admitted_slab());
                 s.publish_admitted();
-                copied |= Arc::as_ptr(s.admitted_slab()) != before;
-                let mut expected = admitted.clone();
-                expected.sort_by(|a, b| presort_cmp((sum_key(a), a), (sum_key(b), b)));
-                let slab = s.admitted_slab();
+                admitted.sort();
                 let label = format!("dims={dims} round={round}");
-                assert_eq!(bits(slab.rows()), bits(&expected.concat()), "{label}");
-                for (key, row) in slab.keys.iter().zip(&expected) {
-                    assert_eq!(*key, sum_key(row), "{label}");
+                assert_eq!(row_set(s.admitted()), admitted, "{label}");
+                assert_eq!(s.admitted().len(), admitted.len(), "{label}");
+                if round % 3 == 0 {
+                    held.push((s.admitted().clone(), admitted.clone()));
                 }
-                assert!(slab.keys.windows(2).all(|w| w[0] <= w[1]), "{label}");
+                for (snapshot, rows) in &held {
+                    assert_eq!(&row_set(snapshot), rows, "{label}: a held clone moved");
+                }
             }
             assert!(
                 admitted.len() > 10,
@@ -1688,7 +1563,6 @@ mod tests {
             );
         }
         assert!(nan_admitted, "no NaN row was ever admitted");
-        assert!(copied, "no publish met a held slab");
     }
 
     /// The packed comparable-cell pass against the definition — every
@@ -1832,14 +1706,13 @@ mod tests {
         }
     }
 
-    /// The key cut never drops a dominator. Along the value axis —
-    /// integers above 2^53 whose sums round to ties, and ±1e308 / ±MAX
-    /// whose sums overflow to ±∞ — a slab row dominates a point exactly
-    /// when a row of the prefix keyed `≤` the point's does, and
-    /// [`KeyedRows::weakly_below`] keeps exactly the rows `⪯` a corner, in
-    /// slab order.
+    /// The store's forest answers like a scan of every row it admitted.
+    /// Along the value axis — integers above 2^53 whose sums round to ties,
+    /// and ±1e308 / ±MAX whose sums overflow to ±∞ — a point is dominated
+    /// through the forest exactly when a row of the admission list
+    /// dominates it, whatever run or leaf holds that row.
     #[test]
-    fn the_key_cut_never_drops_a_dominator() {
+    fn admitted_forest_answers_like_a_scan() {
         let mut next = rng(0xC07);
         let big = 2f64.powi(53);
         let values = [
@@ -1857,44 +1730,42 @@ mod tests {
             f64::INFINITY,
             f64::NEG_INFINITY,
         ];
-        let (mut cut, mut tied) = (0, 0);
-        for case in 0..400 {
+        let (mut dominated, mut free) = (0, 0);
+        for case in 0..60 {
             let dims = 1 + case % 4;
             let mut draw = || -> Vec<f64> {
                 (0..dims)
                     .map(|_| values[next(values.len() as u64) as usize])
                     .collect()
             };
-            let rows: Vec<f64> = (0..1 + case % 37).flat_map(|_| draw()).collect();
-            let slab = KeyedRows::sorted(dims, &rows);
-            for _ in 0..24 {
-                let p = draw();
-                let label = format!("case {case}: {p:?} against {rows:?}");
-                let mut tests = 0;
-                let reach = slab.rows_upto(sum_key(&p));
-                let dominated = kernel::any_dominates(dims, slab.rows(), &p, &mut tests);
-                let by_cut = kernel::any_dominates(dims, reach, &p, &mut tests);
-                assert_eq!(by_cut, dominated, "{label}");
-                let by_reach = kernel::any_dominates(dims, slab.reach(&p), &p, &mut tests);
-                assert_eq!(by_reach, dominated, "{label}");
-                cut += usize::from(dominated && reach.len() < slab.rows().len());
-                tied += usize::from(slab.rows().chunks_exact(dims).zip(&slab.keys).any(
-                    |(row, &key)| {
-                        key == sum_key(&p) && kernel::any_dominates(dims, row, &p, &mut tests)
-                    },
-                ));
-                let below: Vec<f64> = (slab.rows().chunks_exact(dims))
-                    .filter(|row| row.iter().zip(&p).all(|(v, u)| v <= u))
-                    .flatten()
-                    .copied()
-                    .collect();
-                assert_eq!(bits(slab.weakly_below(&p).rows()), bits(&below), "{label}");
+            let mut s = square_store(dims, 4);
+            let mut admitted: Vec<f64> = Vec::new();
+            for round in 0..12u32 {
+                for i in 0..6 {
+                    let row = draw();
+                    if s.insert(round, i, &row) {
+                        admitted.extend_from_slice(&row);
+                    }
+                }
+                s.publish_admitted();
+                for _ in 0..16 {
+                    let p = draw();
+                    let (mut tests, mut work) = (0, 0);
+                    let expected = kernel::any_dominates(dims, &admitted, &p, &mut tests);
+                    let label = format!("case {case}: {p:?} against {admitted:?}");
+                    assert_eq!(
+                        s.admitted().any_dominates(&p, &mut work),
+                        expected,
+                        "{label}"
+                    );
+                    dominated += usize::from(expected);
+                    free += usize::from(!expected);
+                }
             }
         }
-        assert!(cut > 100, "the cut left dominators behind only {cut} times");
         assert!(
-            tied > 20,
-            "a dominator tied its point's key only {tied} times"
+            dominated > 500 && free > 500,
+            "{dominated} dominated, {free} free"
         );
     }
 }

@@ -8,14 +8,14 @@
 //! * [`ExecutorBackend::Inline`] — `threads = 1`. Regions are computed on
 //!   the calling thread, one per step, through the same work unit a pool
 //!   worker runs ([`RegionCtx::compute`]), filtering against the live
-//!   admitted-tuple slab.
+//!   admitted-tuple forest.
 //! * [`ExecutorBackend::Pooled`] — `threads > 1`. Regions are fanned out as
 //!   pure work units through a [`TaskSpawner`] (the engine's shared
 //!   [`ThreadPool`](crate::pool::ThreadPool)) into a bounded dispatch
 //!   window, and batches are committed **strictly in pop order** via a
 //!   reorder buffer — the discipline that keeps parallel emission
 //!   deterministic regardless of worker interleaving. Each unit carries
-//!   the store's admitted-tuple slab as it stood at dispatch and rejects
+//!   the store's admitted-tuple forest as it stood at dispatch and rejects
 //!   dominated tuples against it on the worker, so the serial committer
 //!   only sees the few tuples that can still be admitted.
 //!
@@ -46,7 +46,7 @@
 //! establishes. And because every pop and every commit happens at a
 //! deterministic point of the loop — never "whichever worker finished
 //! first" — the emitted event sequence is a pure function of the query and
-//! its configuration; the admitted-slab snapshot a unit filters against is
+//! its configuration; the admitted-forest snapshot a unit filters against is
 //! taken on the committer thread, so it is one too.
 //!
 //! ## Pool lifecycle
@@ -61,7 +61,7 @@
 //! cancelled query cannot emit a false positive, and its leftover jobs
 //! vacate the shared pool at their first token check.
 
-use crate::cells::{CellStore, KeyedRows};
+use crate::cells::CellStore;
 use crate::executor::Prepared;
 use crate::lookahead::Region;
 use crate::progdetermine::{EmittedCell, ProgDetermine};
@@ -70,7 +70,7 @@ use crate::session::{CancellationToken, ResultEvent};
 use crate::stats::{ExecStats, ResultTuple};
 use crate::tuple_level::{RegionBatch, RegionCtx, TupleLevelStats};
 use progxe_obs::{Point, Span, Trace};
-use progxe_skyline::Order;
+use progxe_skyline::{DominanceForest, Order};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -240,11 +240,11 @@ impl Committer {
         popped
     }
 
-    /// The cell store's slab of admitted tuples
-    /// ([`CellStore::admitted_slab`]) as of the commits landed so far — what
-    /// a batch producer filters against ([`RegionCtx::compute`]).
-    pub fn admitted_slab(&self) -> &Arc<KeyedRows> {
-        self.store.admitted_slab()
+    /// The cell store's forest of admitted tuples
+    /// ([`CellStore::admitted`]) as of the commits landed so far — what a
+    /// batch producer prunes and filters against ([`RegionCtx::compute`]).
+    pub fn admitted(&self) -> &DominanceForest {
+        self.store.admitted()
     }
 
     /// Whether the region's whole output box is fully dominated by results
@@ -430,7 +430,7 @@ pub enum ExecutorBackend {
     /// Fan region work units out through a [`TaskSpawner`] with a bounded
     /// dispatch window of `2 × threads`. The window fills whenever the
     /// schedule can hand out that many regions, and every unit rejects
-    /// dominated tuples on its worker against the admitted-tuple slab as it
+    /// dominated tuples on its worker against the admitted-tuple forest as it
     /// stood when the unit was dispatched, leaving the ordered committer
     /// only the tuples that can still be admitted.
     Pooled {
@@ -586,7 +586,7 @@ pub struct RegionDriver {
     /// differently per arrival schedule and break emission-order
     /// invariance.
     window: usize,
-    /// Whether work units filter against the admitted slab. Always true in
+    /// Whether work units filter against the admitted forest. Always true in
     /// production; see [`RegionDriver::without_snapshot_filter`].
     snapshot_filter: bool,
     ready: VecDeque<ResultEvent>,
@@ -719,11 +719,11 @@ impl RegionDriver {
                         region_id: u64::from(rid),
                         pairs: committer.pair_bound(rid),
                     });
-                    // Inline borrows the store's slab: nothing commits
+                    // Inline borrows the store's forest: nothing commits
                     // while this region computes.
-                    let unfiltered = KeyedRows::default();
+                    let unfiltered = DominanceForest::default();
                     let snapshot = if self.snapshot_filter {
-                        committer.admitted_slab()
+                        committer.admitted()
                     } else {
                         &unfiltered
                     };
@@ -740,16 +740,16 @@ impl RegionDriver {
                     let dims = work.maps().out_dims();
                     let trace = self.trace.clone();
                     let pairs = committer.pair_bound(rid);
-                    // The slab as it stands *now*, on the committer thread,
-                    // at this fixed point of the pop/commit sequence — which
-                    // is what makes the unit's output, and the counters it
-                    // reports, independent of worker timing. A pointer
-                    // copy: the store publishes a new slab rather than
+                    // The forest as it stands *now*, on the committer
+                    // thread, at this fixed point of the pop/commit sequence
+                    // — which is what makes the unit's output, and the
+                    // counters it reports, independent of worker timing. A
+                    // pointer copy per run: a publish adds runs rather than
                     // changing one a unit holds.
                     let snapshot = if self.snapshot_filter {
-                        Arc::clone(committer.admitted_slab())
+                        committer.admitted().clone()
                     } else {
-                        Arc::default()
+                        DominanceForest::default()
                     };
                     let spawned = spawner.spawn_task(Box::new(move || {
                         let guard = DeliveryGuard {

@@ -466,12 +466,11 @@ pub(crate) fn shuffle(v: &mut [u32], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::KeyedRows;
     use crate::config::OrderingPolicy;
     use crate::mapping::MapSet;
     use crate::session::ProgressiveEngine;
     use crate::source::SourceData;
-    use progxe_skyline::{naive_skyline, Preference};
+    use progxe_skyline::{naive_skyline, DominanceForest, Preference};
 
     /// Oracle: full nested-loop join + map + naive skyline.
     fn oracle(r: &SourceData, t: &SourceData, maps: &MapSet) -> Vec<(u32, u32)> {
@@ -916,7 +915,7 @@ mod tests {
             let event = if committer.region_box_is_dead(rid) {
                 committer.discard_dead(rid, &mut stats)
             } else {
-                let batch = ctx.compute(rid, committer.admitted_slab(), &token);
+                let batch = ctx.compute(rid, committer.admitted(), &token);
                 assert!(batch.completed);
                 committer.commit_batch(batch, &mut stats)
             };
@@ -1000,7 +999,9 @@ mod tests {
             let tp = &t_grid.partitions()[region.t_part as usize];
             let (rc, tc) = (key_counts(&r, &rp.tuples), key_counts(&t, &tp.tuples));
             let expected: u64 = rc.iter().zip(&tc).map(|(a, b)| a * b).sum();
-            let work = ctx.compute(region.id, &KeyedRows::default(), &token).stats;
+            let work = ctx
+                .compute(region.id, &DominanceForest::default(), &token)
+                .stats;
             assert_eq!(work.matches, expected, "region {}", region.id);
             assert_eq!(work.probes, rp.len().max(tp.len()) as u64);
             assert_eq!(work.pairs_examined, (rp.len() * tp.len()) as u64);
@@ -1011,7 +1012,7 @@ mod tests {
         assert!(regions_per_row > 2 * 700, "rows pair into several regions");
         assert!(built > 0 && built <= 700, "{built} rows grouped");
         assert_eq!(
-            ctx.compute(0, &KeyedRows::default(), &token)
+            ctx.compute(0, &DominanceForest::default(), &token)
                 .stats
                 .build_rows,
             0,

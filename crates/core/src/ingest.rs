@@ -1112,7 +1112,7 @@ mod tests {
         assert!(!ctx.is_ready(0));
         ctx.compute(
             0,
-            &crate::cells::KeyedRows::default(),
+            &progxe_skyline::DominanceForest::default(),
             &CancellationToken::new(),
         );
     }

@@ -152,11 +152,12 @@ pub struct ExecStats {
     /// Pairwise dominance tests at tuple level: the sum of the three sites
     /// below.
     pub dominance_tests: u64,
-    /// Dominance tests of the key-group look-ahead (settle and probe
-    /// corners, on the work units).
+    /// Work of the key-group look-ahead (settle and probe corners, on the
+    /// work units): admitted-forest leaf boxes tested plus rows tested.
     pub lookahead_dominance_tests: u64,
-    /// Dominance tests of the batch filters (local skyline and guard, on
-    /// the work units).
+    /// Work of the batch filters (on the work units): the local skyline's
+    /// pair tests plus the admitted-forest filter's leaf boxes and rows
+    /// tested.
     pub filter_dominance_tests: u64,
     /// Dominance tests of the cell store (reject, evict, premark and the
     /// flexible emission filter, on the committer).
@@ -184,7 +185,7 @@ pub struct ExecStats {
     /// Tuples rejected upstream of the cell store: join matches skipped
     /// unexpanded ([`ExecStats::join_matches_skipped`]) plus produced tuples
     /// dropped by the batch filter stage — the bounded local skyline
-    /// pre-filter and the admitted-slab snapshot filter.
+    /// pre-filter and the admitted-forest snapshot filter.
     pub tuples_prefiltered: u64,
     /// Populated comparable cells examined across insertions (Section
     /// III-B's `k^d − (k−1)^d` bound, measured).

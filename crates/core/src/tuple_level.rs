@@ -22,20 +22,17 @@
 //! region-level look-ahead (Section III-A) one level down. Two bounded
 //! columnar sides ([`JoinSide::bounds`]) give every expansion an exact lower
 //! corner, `probe row + group minimum`, computed with the add that produces
-//! the rows; when a tuple the store already admitted (the *guard*) dominates
-//! the corner it dominates every row of the expansion, and the group is
-//! skipped unexpanded.
+//! the rows; when a tuple the store already admitted dominates the corner
+//! it dominates every row of the expansion, and the group is skipped
+//! unexpanded.
 //!
-//! The guard is cut from the store's admitted slab as it stood at dispatch
-//! ([`CellStore::admitted_slab`]: every tuple the store ever admitted, in
-//! SFS's presort order with each row's key beside it): one order-preserving
-//! pass keeps the rows `⪯` the region's upper corner, reading only the slab
-//! prefix keyed `≤` that corner. The key order pays twice more: a row keyed
-//! above a point cannot dominate it, so the look-ahead's key corners and
-//! the guard filter below test each point against the guard prefix keyed
-//! `≤` the point's own (rows with an equal key are still tested). A guard
-//! of a few rows is scanned whole (`KeyedRows::reach`): there the key
-//! and search would cost more than they skip.
+//! Every such question — a key's corner, a probe row's corner, a batch
+//! survivor — goes to the store's admitted forest as it stood at dispatch
+//! ([`CellStore::admitted`]: a [`DominanceForest`] over every tuple the
+//! store ever admitted, whose leaf boxes skip the rows that cannot dominate
+//! the point). No per-unit guard is cut from it: a row that dominates a
+//! point inside the region is `⪯` the region's upper corner anyway, so
+//! asking the whole forest gives the same answer as asking those rows.
 //!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
@@ -45,15 +42,15 @@
 //! its own batch: a local skyline pre-filter (a one-row vectorized sweep,
 //! then a bounded window) — sound because Pareto dominance is transitive,
 //! so a tuple dominated inside its batch can never survive the shared store
-//! either — and then rejection against the guard, which moves the bulk of
-//! `CellStore::insert`'s rejections off the serial committer. A rejected
-//! tuple leaves nothing behind in the store (cell death is derived from the
-//! admitted tuples, [`CellStore::cell_is_dead`]), so where it is rejected
-//! is invisible downstream.
+//! either — and then rejection against the admitted forest, which moves
+//! the bulk of `CellStore::insert`'s rejections off the serial committer.
+//! A rejected tuple leaves nothing behind in the store (cell death is
+//! derived from the admitted tuples, [`CellStore::cell_is_dead`]), so where
+//! it is rejected is invisible downstream.
 
+use crate::cells::retain_tuples;
 #[cfg(doc)]
 use crate::cells::CellStore;
-use crate::cells::{retain_tuples, KeyedRows};
 use crate::fdom::DominanceModel;
 use crate::grid::{add_rows, JoinSide, JoinSource, SideBounds};
 use crate::lookahead::Region;
@@ -61,8 +58,7 @@ use crate::mapping::MapSet;
 use crate::pushthrough::Side;
 use crate::session::CancellationToken;
 use crate::source::SourceView;
-use progxe_skyline::{kernel, PointStore};
-use std::borrow::Cow;
+use progxe_skyline::{kernel, DominanceForest, PointStore};
 use std::time::{Duration, Instant};
 
 /// Most join matches produced between two cancellation-token checks — the
@@ -93,12 +89,14 @@ pub struct TupleLevelStats {
     /// Rows this unit grouped by join key, being the first to join their
     /// partition (batch pipeline; streaming ingestion groups at seal time).
     pub build_rows: u64,
-    /// Pairwise dominance tests of the key-group look-ahead: its key
-    /// (settle) and probe-row corner tests. Batched kernels, so this
-    /// advances at chunk granularity.
+    /// Work of the key-group look-ahead's key (settle) and probe-row
+    /// corner queries to the admitted forest: leaf boxes tested plus rows
+    /// tested ([`DominanceForest::any_dominates`]). Rows are tested by the
+    /// batched kernels, so this advances at chunk granularity.
     pub lookahead_dominance_tests: u64,
-    /// Pairwise dominance tests of the batch filters: the local skyline
-    /// pre-filter and the guard filter. Batched kernels too.
+    /// Work of the batch filters: pairwise tests of the local skyline
+    /// pre-filter, plus the admitted-forest filter's leaf boxes and rows
+    /// tested. Batched kernels too.
     pub filter_dominance_tests: u64,
     /// Produced tuples dropped by the batch filter stage before reaching
     /// the committer.
@@ -116,17 +114,16 @@ pub struct TupleLevelStats {
 /// counters and whether the region ran to completion (`false` = cancelled
 /// mid-region).
 ///
-/// `guard` holds tuples the cell store has admitted (oriented, no NaN, in
-/// key order — any subset of [`CellStore::admitted_slab`]). Over two
-/// bounded sides a
-/// non-empty guard switches the key-group look-ahead on: a key whose corner
-/// `probe group minimum + build group minimum` a guard row dominates is
-/// settled for the whole region, and a probe row of a key still alive skips
-/// its group when `probe row + build group minimum` is dominated. The test
-/// is Pareto whatever the query's model (Pareto dominance implies
-/// F-dominance, and the store's live set is Pareto-maintained). Skipped
-/// matches are counted, never emitted; an empty guard switches the
-/// look-ahead off.
+/// `admitted` holds tuples the cell store has admitted (oriented, no NaN —
+/// [`CellStore::admitted`] or a snapshot of it). Over two bounded sides a
+/// non-empty forest switches the key-group look-ahead on: a key whose
+/// corner `probe group minimum + build group minimum` an admitted row
+/// dominates is settled for the whole region, and a probe row of a key
+/// still alive skips its group when `probe row + build group minimum` is
+/// dominated. The test is Pareto whatever the query's model (Pareto
+/// dominance implies F-dominance, and the store's live set is
+/// Pareto-maintained). Skipped matches are counted, never emitted; an
+/// empty forest switches the look-ahead off.
 ///
 /// Generic over the consumer (not `dyn`) so `emit` stays inlinable in the
 /// hot loop.
@@ -134,7 +131,7 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
-    guard: &KeyedRows,
+    admitted: &DominanceForest,
     token: &CancellationToken,
     mut emit: F,
 ) -> (TupleLevelStats, bool) {
@@ -155,14 +152,14 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
 
     // The look-ahead's inputs: both sides' corners, and the key verdicts.
     let bounds = match (probe.bounds(), build.bounds()) {
-        (Some(probe_bounds), Some(build_bounds)) if !guard.is_empty() => {
+        (Some(probe_bounds), Some(build_bounds)) if !admitted.is_empty() => {
             Some((probe_bounds, build_bounds))
         }
         _ => None,
     };
     let settled = bounds.map_or_else(Vec::new, |(probe_bounds, build_bounds)| {
         let tests = &mut stats.lookahead_dominance_tests;
-        settle_keys(probe, probe_bounds, build, build_bounds, guard, tests)
+        settle_keys(probe, probe_bounds, build, build_bounds, admitted, tests)
     });
     let mut corner = vec![0.0f64; dims];
 
@@ -179,7 +176,7 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
                 settled[g] || {
                     add_rows(probe_row, build_bounds.group_min(g), &mut corner);
                     let tests = &mut stats.lookahead_dominance_tests;
-                    kernel::any_dominates(dims, guard.rows(), &corner, tests)
+                    admitted.any_dominates(&corner, tests)
                 }
             });
             if dominated {
@@ -233,17 +230,16 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
 }
 
 /// The key level of the look-ahead, once per work unit: for every join key
-/// both sides hold (one merge of the two ascending key tables), whether a
-/// `guard` row dominates `probe group minimum + build group minimum` — the
-/// lower corner of everything the key produces in this region — testing
-/// only the guard rows that can dominate the corner ([`KeyedRows::reach`]).
+/// both sides hold (one merge of the two ascending key tables), whether an
+/// `admitted` row dominates `probe group minimum + build group minimum` —
+/// the lower corner of everything the key produces in this region.
 /// Indexed by build group.
 fn settle_keys(
     probe: &JoinSide,
     probe_bounds: &SideBounds,
     build: &JoinSide,
     build_bounds: &SideBounds,
-    guard: &KeyedRows,
+    admitted: &DominanceForest,
     tests: &mut u64,
 ) -> Vec<bool> {
     let (probe_keys, build_keys) = (probe.group_keys(), build.group_keys());
@@ -260,8 +256,7 @@ fn settle_keys(
                     build_bounds.group_min(b),
                     &mut corner,
                 );
-                let reach = guard.reach(&corner);
-                settled[b] = kernel::any_dominates(corner.len(), reach, &corner, tests);
+                settled[b] = admitted.any_dominates(&corner, tests);
                 p += 1;
                 b += 1;
             }
@@ -270,51 +265,33 @@ fn settle_keys(
     settled
 }
 
-/// The guard of one work unit: the rows of `snapshot` (the cell store's
-/// [`admitted_slab`](CellStore::admitted_slab) at dispatch) that can
-/// dominate anything the region produces. Over two bounded sides those are
-/// the rows `⪯ r.max + t.max` — an exact upper corner of the region's
-/// rounded outputs, by the same monotone add as the lower ones — found by
-/// one order-preserving pass over the slab prefix whose key is `≤` the
-/// corner's, so the guard stays in key order. Otherwise the snapshot as
-/// it is.
-fn region_guard<'a>(r: &JoinSide, t: &JoinSide, snapshot: &'a KeyedRows) -> Cow<'a, KeyedRows> {
-    let (Some(r_bounds), Some(t_bounds)) = (r.bounds(), t.bounds()) else {
-        return Cow::Borrowed(snapshot);
-    };
-    let mut upper = vec![0.0f64; r.width()];
-    add_rows(r_bounds.max(), t_bounds.max(), &mut upper);
-    Cow::Owned(snapshot.weakly_below(&upper))
-}
-
-/// One pure, parallelizable work unit: join + map +
-/// orient the prepared partition pair of region `rid` behind the key-group
-/// look-ahead, pre-filter the batch down to its local skyline, and drop
-/// every survivor dominated by the unit's guard — what `region_guard` keeps
-/// of `snapshot`, the cell store's
-/// [`admitted_slab`](CellStore::admitted_slab) as of dispatch (empty = no
-/// upstream rejection). All three only drop tuples the committer's cell store would
-/// reject anyway. A cancelled join is passed through unfiltered and flagged
-/// `completed == false` — it must be discarded whole.
+/// One pure, parallelizable work unit: join + map + orient the prepared
+/// partition pair of region `rid` behind the key-group look-ahead,
+/// pre-filter the batch down to its local skyline, and drop every survivor
+/// dominated by a row of `snapshot`, the cell store's
+/// [`admitted`](CellStore::admitted) forest as of dispatch (empty = no
+/// upstream rejection). All three only drop tuples the committer's cell
+/// store would reject anyway. A cancelled join is passed through
+/// unfiltered and flagged `completed == false` — it must be discarded
+/// whole.
 fn join_batch(
     rid: u32,
     r: &JoinSide,
     t: &JoinSide,
     maps: &MapSet,
-    snapshot: &KeyedRows,
+    snapshot: &DominanceForest,
     token: &CancellationToken,
 ) -> RegionBatch {
     let started = Instant::now();
     let mut ids: Vec<(u32, u32)> = Vec::new();
     let mut points = PointStore::new(maps.out_dims());
-    let guard = region_guard(r, t, snapshot);
-    let (mut stats, completed) = join_region(r, t, maps, &guard, token, |pairs, rows| {
+    let (mut stats, completed) = join_region(r, t, maps, snapshot, token, |pairs, rows| {
         ids.extend_from_slice(pairs);
         points.extend_from_flat(rows);
     });
     if completed {
         local_skyline_filter(&mut ids, &mut points, maps.dominance(), &mut stats);
-        snapshot_filter(&mut ids, &mut points, &guard, &mut stats);
+        snapshot_filter(&mut ids, &mut points, snapshot, &mut stats);
     }
     RegionBatch {
         rid,
@@ -434,7 +411,7 @@ impl RegionCtx {
     pub fn compute(
         &self,
         rid: u32,
-        snapshot: &KeyedRows,
+        snapshot: &DominanceForest,
         token: &CancellationToken,
     ) -> RegionBatch {
         let started = Instant::now();
@@ -484,32 +461,27 @@ impl RegionBatch {
     }
 }
 
-/// Drops every tuple Pareto-dominated by a row of `guard` (oriented,
-/// `points.dims()` values per row, in key order), preserving order; a tuple
-/// is tested only against the guard rows that can dominate it
-/// ([`KeyedRows::reach`]). Pareto is the right
-/// relation under any model: the slab records what the store — which
+/// Drops every tuple Pareto-dominated by a row of `admitted` (oriented,
+/// `points.dims()` values per row), preserving order. Pareto is the right
+/// relation under any model: the forest records what the store — which
 /// maintains its live set under Pareto — admitted, and Pareto dominance
 /// implies F-dominance. Tuples with a NaN coordinate are passed through
-/// untested (NaN-as-tie dominance is not transitive; the slab holds no such
-/// rows either), so the relation applied here is a strict partial order and
-/// the soundness argument on [`CellStore::admitted_slab`] holds.
+/// untested (NaN-as-tie dominance is not transitive; the forest holds no
+/// such rows either), so the relation applied here is a strict partial
+/// order and the soundness argument on [`CellStore::admitted`] holds.
 fn snapshot_filter(
     ids: &mut Vec<(u32, u32)>,
     points: &mut PointStore,
-    guard: &KeyedRows,
+    admitted: &DominanceForest,
     stats: &mut TupleLevelStats,
 ) {
-    if guard.is_empty() || ids.is_empty() {
+    if admitted.is_empty() || ids.is_empty() {
         return;
     }
-    let dims = points.dims();
     let tests = &mut stats.filter_dominance_tests;
     let keep: Vec<bool> = points
         .iter()
-        .map(|p| {
-            p.iter().any(|v| v.is_nan()) || !kernel::any_dominates(dims, guard.reach(p), p, tests)
-        })
+        .map(|p| p.iter().any(|v| v.is_nan()) || !admitted.any_dominates(p, tests))
         .collect();
     retain_kept(ids, points, &keep, stats);
 }
@@ -655,7 +627,13 @@ mod tests {
     use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};
     use crate::source::SourceData;
     use progxe_skyline::Preference;
-    use std::sync::Arc;
+
+    /// A forest over `rows` (flat, `dims` values per row), one publish.
+    fn forest_of(dims: usize, rows: &[f64]) -> DominanceForest {
+        let mut forest = DominanceForest::new(dims);
+        forest.publish(rows);
+        forest
+    }
 
     /// Each source whole, as one prepared partition.
     fn partitions(r: &SourceData, t: &SourceData, maps: &MapSet) -> (JoinSide, JoinSide) {
@@ -680,11 +658,18 @@ mod tests {
         token: &CancellationToken,
     ) -> (TupleLevelStats, bool) {
         let dims = maps.out_dims();
-        join_region(r, t, maps, &KeyedRows::default(), token, |pairs, rows| {
-            for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
-                store.insert(r_id, t_id, row);
-            }
-        })
+        join_region(
+            r,
+            t,
+            maps,
+            &DominanceForest::default(),
+            token,
+            |pairs, rows| {
+                for (&(r_id, t_id), row) in pairs.iter().zip(rows.chunks_exact(dims)) {
+                    store.insert(r_id, t_id, row);
+                }
+            },
+        )
     }
 
     fn run(
@@ -763,11 +748,10 @@ mod tests {
         assert!(!completed);
         assert_eq!(stats.matches, 0);
         assert_eq!(store.live_tuples(), 0);
-        // The work unit selects its guard and settles keys before the first
-        // probe row: a token that fired by then still stops the unit before
-        // anything is expanded.
-        let guard = KeyedRows::sorted(1, &[-1.0]);
-        let batch = join_batch(0, &rp, &tp, &maps, &guard, &token);
+        // The work unit settles keys before the first probe row: a token
+        // that fired by then still stops the unit before anything is
+        // expanded.
+        let batch = join_batch(0, &rp, &tp, &maps, &forest_of(1, &[-1.0]), &token);
         assert!(!batch.completed);
         assert_eq!((batch.stats.matches, batch.ids.len()), (0, 0));
     }
@@ -776,7 +760,7 @@ mod tests {
     /// consumer on the first chunk it sees: the columnar producer stops
     /// within `CANCEL_CHECK_INTERVAL` work items instead of finishing the
     /// group (`tests/parallel.rs` cancels the per-match one from inside a
-    /// map) — with the look-ahead off, and with a guard that leaves the key
+    /// map) — with the look-ahead off, and with an admitted row that leaves the key
     /// alive and would skip the later probe rows.
     #[test]
     fn mid_group_cancel_stops_within_the_check_interval() {
@@ -786,8 +770,8 @@ mod tests {
         }
         let maps = MapSet::pairwise_sum(1, Preference::all_lowest(1));
         let (rp, tp) = partitions(&src, &src, &maps);
-        let at_100 = KeyedRows::sorted(1, &[100.5]);
-        for guard in [&KeyedRows::default(), &at_100] {
+        let at_100 = forest_of(1, &[100.5]);
+        for guard in [&DominanceForest::default(), &at_100] {
             let token = CancellationToken::new();
             let mut seen = 0usize;
             let (stats, completed) = join_region(&rp, &tp, &maps, guard, &token, |pairs, rows| {
@@ -800,7 +784,7 @@ mod tests {
             assert_eq!((stats.matches, stats.skipped), (seen as u64, 0));
             assert!(stats.pairs_examined < 224 * 224, "partial work only");
         }
-        // Run to the end, that guard skips every probe row above 100.
+        // Run to the end, that row skips every probe row above 100.
         let token = CancellationToken::new();
         let (stats, completed) = join_region(&rp, &tp, &maps, &at_100, &token, |_, _| {});
         assert!(completed);
@@ -902,13 +886,14 @@ mod tests {
     }
 
     /// The store-level contract of upstream rejection: filtering each batch
-    /// against the slab as it stood before the batch, then inserting the
-    /// survivors, leaves every cell holding the live tuples, in the order,
-    /// plain insertion of the whole batch does, and the same cells dead
+    /// against the admitted forest as it stood before the batch, then
+    /// inserting the survivors, leaves every cell holding the live tuples,
+    /// in the order, plain insertion of the whole batch does, and the same
+    /// cells dead
     /// ([`CellStore::cell_is_dead`]; the *flags* differ — a rejected tuple
     /// that never reaches the store cannot memoize its cell's death) — with
     /// NaN and ±∞ coordinates in the mix. NaN-as-tie dominance is not
-    /// transitive, so NaN rows must stay out of the slab and NaN candidates
+    /// transitive, so NaN rows must stay out of the forest and NaN candidates
     /// must pass through untested; without either guard this diverges.
     #[test]
     fn upstream_rejection_equals_store_side_rejection() {
@@ -939,7 +924,7 @@ mod tests {
             for (i, &(r, t)) in ids.iter().enumerate() {
                 plain.insert(r, t, points.point(i));
             }
-            let snapshot = Arc::clone(filtered.admitted_slab());
+            let snapshot = filtered.admitted().clone();
             snapshot_filter(&mut ids, &mut points, &snapshot, &mut stats);
             for (i, &(r, t)) in ids.iter().enumerate() {
                 filtered.insert(r, t, points.point(i));
@@ -951,9 +936,9 @@ mod tests {
         }
         assert!(stats.locally_pruned > 200, "filter barely fired");
         assert!(nan_admitted, "no NaN tuple was ever admitted");
-        let slab = filtered.admitted_slab().rows();
-        assert!(slab.iter().all(|v| !v.is_nan()));
-        assert!(slab.iter().any(|v| v.is_infinite()));
+        let admitted = || filtered.admitted().rows().flatten();
+        assert!(admitted().all(|v| !v.is_nan()));
+        assert!(admitted().any(|v| v.is_infinite()));
         assert_eq!(
             plain.stats().tuples_inserted,
             filtered.stats().tuples_inserted
@@ -978,7 +963,7 @@ mod tests {
 
     /// The same contract one level up, for the key-group look-ahead:
     /// committing `join_batch`'s output — pruned against the store's own
-    /// slab as it stood before the unit, locally filtered, snapshot
+    /// forest as it stood before the unit, locally filtered, snapshot
     /// filtered — leaves every cell exactly as streaming the region's every
     /// match into the store (`join_into_store`) does. The streaming side
     /// admits transient tuples the batch side never sees; eviction is
@@ -1003,7 +988,7 @@ mod tests {
             })
             .collect();
         let mut skipped = 0u64;
-        // Worst corner first, so later regions meet a guard that matters.
+        // Worst corner first, so later regions meet admitted rows that matter.
         for (rid, (ri, ti)) in [(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (1, 0), (0, 0)]
             .into_iter()
             .enumerate()
@@ -1011,7 +996,7 @@ mod tests {
             let (rp, tp) = (&sides[ri].0, &sides[ti].1);
             let (plain, completed) = join_into_store(rp, tp, &maps, &mut streamed, &token);
             assert!(completed);
-            let snapshot = Arc::clone(batched.admitted_slab());
+            let snapshot = batched.admitted().clone();
             let batch = join_batch(rid as u32, rp, tp, &maps, &snapshot, &token);
             assert!(batch.completed);
             assert_eq!(plain.matches, batch.stats.matches + batch.stats.skipped);
@@ -1048,7 +1033,7 @@ mod tests {
         let (doubled, differenced) = (weighted(vec![2.0, 0.0]), weighted(vec![2.0, -2.0]));
         let token = CancellationToken::new();
         // Dominates every finite corner: whatever may be pruned, is.
-        let snapshot = KeyedRows::sorted(2, &[-f64::MAX, -f64::MAX]);
+        let snapshot = forest_of(2, &[-f64::MAX, -f64::MAX]);
         let bits = |batch: &RegionBatch| -> Vec<u64> {
             batch.points.raw().iter().map(|v| v.to_bits()).collect()
         };
@@ -1079,7 +1064,7 @@ mod tests {
                 continue;
             }
             let mut reference = RegionBatch::aborted(0, 2);
-            let unguarded = KeyedRows::default();
+            let unguarded = DominanceForest::default();
             let (mut stats, completed) =
                 join_region(&rp, &tp, maps, &unguarded, &token, |pairs, rows| {
                     reference.ids.extend_from_slice(pairs);

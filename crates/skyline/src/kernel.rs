@@ -137,9 +137,10 @@ macro_rules! dims_dispatch {
         }
     };
 }
+pub(crate) use dims_dispatch;
 
 #[inline(always)]
-fn row_dominates_spec<const D: usize>(row: &[f64], q: &[f64]) -> bool {
+pub(crate) fn row_dominates_spec<const D: usize>(row: &[f64], q: &[f64]) -> bool {
     if D == 0 {
         // Generic fallback for projection spaces wider than 8.
         return row_dominates(row, q);
@@ -153,7 +154,7 @@ fn row_dominates_spec<const D: usize>(row: &[f64], q: &[f64]) -> bool {
     !gt && lt
 }
 
-fn any_dominates_spec<const D: usize>(
+pub(crate) fn any_dominates_spec<const D: usize>(
     dims: usize,
     batch: &[f64],
     q: &[f64],

@@ -12,6 +12,9 @@
 //! * [`reference`](mod@reference) — the quadratic naive skyline every test oracle uses.
 //! * [`kernel`] — the batched columnar dominance kernels the engine's
 //!   tuple-level phase and committer run.
+//! * [`forest`] — the dominance index over the rows a query admitted so
+//!   far, which the tuple-level phase asks before expanding or keeping a
+//!   tuple.
 //!
 //! All algorithms operate on a [`PointStore`] (a dense row-major matrix of
 //! `f64` attribute values) under a [`Preference`] (per-dimension
@@ -25,6 +28,7 @@
 
 pub mod bnl;
 pub mod dominance;
+pub mod forest;
 pub mod kernel;
 pub mod point;
 pub mod preference;
@@ -34,6 +38,7 @@ pub mod stats;
 
 pub use bnl::{bnl_skyline, bnl_skyline_under};
 pub use dominance::{DomRelation, Dominance};
+pub use forest::DominanceForest;
 pub use point::PointStore;
 pub use preference::{Order, Preference};
 pub use reference::{naive_skyline, naive_skyline_under};

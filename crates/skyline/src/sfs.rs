@@ -92,7 +92,7 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
 /// key is *greater* than a point's cannot dominate it; rows whose keys
 /// tie with it still can.
 #[derive(Debug, Clone, Copy)]
-pub struct SumKey {
+pub(crate) struct SumKey {
     infinities: i32,
     sum: f64,
 }
@@ -118,7 +118,7 @@ impl PartialEq for SumKey {
 impl Eq for SumKey {}
 
 /// The [`SumKey`] of one kernel row.
-pub fn sum_key(row: &[f64]) -> SumKey {
+pub(crate) fn sum_key(row: &[f64]) -> SumKey {
     let (infinities, sum) = row.iter().fold((0, 0.0), |(inf, sum), &v| {
         if v == f64::INFINITY {
             (inf + 1, sum)
@@ -145,7 +145,7 @@ pub fn sum_key(row: &[f64]) -> SumKey {
 /// they do in the kernels. A NaN coordinate, which the kernels treat as a
 /// tie, has no place in any linear extension; the comparison stays a total
 /// order so the sort is well defined.
-pub fn presort_cmp((ka, a): (SumKey, &[f64]), (kb, b): (SumKey, &[f64])) -> Ordering {
+fn presort_cmp((ka, a): (SumKey, &[f64]), (kb, b): (SumKey, &[f64])) -> Ordering {
     let lex = || {
         let mut pairs = a.iter().zip(b).map(|(&x, &y)| tie_cmp(x, y));
         pairs.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)

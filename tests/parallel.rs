@@ -158,7 +158,7 @@ fn parallel_emission_is_deterministic_across_runs() {
 }
 
 /// Determinism reaches the counters, not just the stream. The pooled
-/// driver takes each work unit's admitted-slab snapshot on the committer
+/// driver takes each work unit's admitted-forest snapshot on the committer
 /// thread at dispatch — a fixed point of the pop/commit sequence — so the
 /// worker-side filter does the same work, and speculation wastes the same
 /// regions, on every run, however the workers interleave. And with two

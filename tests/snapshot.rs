@@ -1,10 +1,11 @@
 //! Differential suite for worker-side rejection against the admitted-tuple
-//! slab (`CellStore::admitted_slab`, filtered in the shared batch-compute
+//! forest (`CellStore::admitted`, filtered in the shared batch-compute
 //! path of `tuple_level` / `ingest`).
 //!
-//! Contract under test: handing work units the slab snapshot moves *where*
-//! a dominated tuple is rejected — on the worker, most of them before their
-//! key group is even expanded (the key-group look-ahead shares the guard),
+//! Contract under test: handing work units the forest snapshot (the
+//! *guard*) moves *where* a dominated tuple is rejected — on the worker,
+//! most of them before their key group is even expanded (the key-group
+//! look-ahead asks the same forest),
 //! instead of inside `CellStore::insert` on the ordered committer — and
 //! nothing else. The `ResultEvent` sequence (ids, value bits, order, batch
 //! boundaries) is identical with the filter on and off, for Pareto and
