@@ -30,7 +30,7 @@ experiments:
   fig13           Figure 13 a-c  total time vs selectivity vs SSMJ
   cellbound       Section III-B  comparable-cell bound, measured
   ablate-delta    Section VI-B   grid-granularity sensitivity
-  ablate-order    Section VI-B   id order vs No-Order shuffle
+  ablate-order    Section VI-B   origin-first order vs No-Order shuffle (gated)
   ssmj-soundness  Section VII    SSMJ batch-1 false positives
   scaling         first-output latency growth vs N (vs SSMJ, JF-SL)
   threads         end-to-end speedup vs ProgXeConfig::threads (parallel runtime, gated)

@@ -1,8 +1,8 @@
 //! One function per paper figure/ablation: generate the workload(s), run
-//! the algorithms, print the series the figure plots, write CSVs. The last
-//! four rows are the experiments CI runs on every change, each with the
-//! gate it enforces in parentheses. End-to-end and per-layer timings are
-//! the `benchmark/` package's job, not this module's.
+//! the algorithms, print the series the figure plots, write CSVs. A gate
+//! an experiment enforces is in parentheses; CI runs every gated one.
+//! End-to-end and per-layer timings are the `benchmark/` package's job,
+//! not this module's.
 //!
 //! Figure-to-function map (the README's "Paper-to-module map" places the
 //! harness in the whole system):
@@ -16,7 +16,7 @@
 //! | Fig. 13 a–c | [`fig13`] | total time vs σ, ProgXe/ProgXe+/SSMJ |
 //! | Sec. III-B bound | [`cellbound`] | comparable cells vs `k^d − (k−1)^d` |
 //! | Sec. VI-B δ remark | [`ablate_delta`] | grid-granularity sensitivity |
-//! | Sec. VI-B overhead claim | [`ablate_order`] | id order vs No-Order shuffle |
+//! | Sec. VI-B overhead claim | [`ablate_order`] | origin-first order vs No-Order shuffle (regions resolved before the first and the half result: ProgOrder ≤ Random) |
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
 //! | Figs. 11–12 at scale | [`scaling`] | first-output latency vs N |
 //! | parallel runtime | [`threads`] | wall time vs threads 1/2/4/8 (pooled(2) holds ≥ 2 regions in flight; full size: pooled(2) beats inline on general maps) |
@@ -1760,27 +1760,49 @@ pub fn ablate_delta(opt: &ExpOptions) {
 
 /// Section VI-B's overhead claim: "the overhead incurred due to ordering is
 /// insignificant but has good progressiveness benefits". Compares the
-/// ordered schedule (region ids ascending) against the No-Order arm's seeded
-/// shuffle on identical workloads.
+/// origin-first schedule (`ProgOrder`: regions in SFS presort order of
+/// their oriented lower corners) against the No-Order arm's seeded shuffle
+/// on identical workloads. Beside the times, two host-free columns count
+/// the regions resolved before the first result and before half of them
+/// (the batch's progress estimate × regions created). The claim is
+/// asserted on those counts: on every distribution, `ProgOrder` resolves
+/// no more regions than `Random` before either.
 pub fn ablate_order(opt: &ExpOptions) {
     let n = opt.pick_n(2500);
     let dims = opt.pick_dims(4);
     let sigma = opt.sigma.unwrap_or(0.001);
     println!("== Ablation: ordering policy (N={n}, d={dims}, sigma={sigma}) ==");
-    let mut table = Table::new(&["distribution", "policy", "results", "first", "t50", "total"]);
+    let mut table = Table::new(&[
+        "distribution",
+        "policy",
+        "results",
+        "first",
+        "t50",
+        "total",
+        "regions to first",
+        "regions to half",
+    ]);
     let mut rows = Vec::new();
+    let mut losses = Vec::new();
     for dist in Distribution::ALL {
         let w = workload(n, dims, dist, sigma, opt.seed);
         let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
         let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
         let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
+        let mut arms = Vec::new();
         for (name, ordering) in [
             ("ProgOrder", OrderingPolicy::ProgOrder),
             ("Random", OrderingPolicy::Random { seed: 0x5EED }),
         ] {
             let config = default_config_for(dims).with_ordering(ordering);
             let session = ProgXe::new(config).session(&r, &t, &maps).unwrap();
-            let (run, _) = drain_run(name, session);
+            let (run, stats) = drain_run(name, session);
+            let regions = |fraction| {
+                run.progress_to_fraction(fraction)
+                    .map(|p| (p * stats.regions_created as f64).round() as u64)
+            };
+            let resolved = [regions(0.0), regions(0.5)];
+            let count = |c: Option<u64>| c.map(|c| c.to_string()).unwrap_or_default();
             table.row(vec![
                 dist.name().into(),
                 name.into(),
@@ -1788,6 +1810,8 @@ pub fn ablate_order(opt: &ExpOptions) {
                 fmt_opt_duration(run.first_result()),
                 fmt_opt_duration(run.time_to_fraction(0.5)),
                 fmt_duration(run.total_time),
+                format!("{} of {}", count(resolved[0]), stats.regions_created),
+                count(resolved[1]),
             ]);
             rows.push(vec![
                 dist.name().to_string(),
@@ -1800,10 +1824,23 @@ pub fn ablate_order(opt: &ExpOptions) {
                     .map(|d| d.as_micros().to_string())
                     .unwrap_or_default(),
                 format!("{}", run.total_time.as_micros()),
+                format!("{}", stats.regions_created),
+                count(resolved[0]),
+                count(resolved[1]),
             ]);
+            arms.push(resolved);
+        }
+        if arms[0][0] > arms[1][0] || arms[0][1] > arms[1][1] {
+            losses.push(dist.name());
         }
     }
     println!("{}", table.render());
+    println!(
+        "claim: ProgOrder resolves no more regions than Random before the first and the half \
+         result | holds on {} of {} distributions",
+        Distribution::ALL.len() - losses.len(),
+        Distribution::ALL.len()
+    );
     let path = write_csv(
         &opt.out,
         "ablate_order",
@@ -1814,11 +1851,18 @@ pub fn ablate_order(opt: &ExpOptions) {
             "first_us",
             "t50_us",
             "total_us",
+            "regions",
+            "regions_to_first",
+            "regions_to_half",
         ],
         &rows,
     )
     .unwrap();
     println!("rows written to {}", path.display());
+    assert!(
+        losses.is_empty(),
+        "ProgOrder resolved more regions than Random before its first or half result on {losses:?}"
+    );
 }
 
 /// Section VII's claim, quantified: SSMJ's batch-1 results are not final
@@ -1910,6 +1954,19 @@ mod tests {
         let header = csv.lines().next().unwrap();
         assert!(header.ends_with("commit_us,resolve_us"), "{header}");
         assert_eq!(csv.lines().count(), 1 + 4 * 3, "one row per (p, k)");
+    }
+
+    #[test]
+    fn ablate_order_quick_holds_the_ordering_claim() {
+        let opt = quick_opts("progxe-ablate-order");
+        ablate_order(&opt);
+        let csv = std::fs::read_to_string(opt.out.join("ablate_order.csv")).unwrap();
+        let header = csv.lines().next().unwrap();
+        assert!(
+            header.ends_with("regions_to_first,regions_to_half"),
+            "{header}"
+        );
+        assert_eq!(csv.lines().count(), 1 + 3 * 2, "one row per arm");
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub struct RunResult {
     pub algo: &'static str,
     /// `(elapsed, cumulative results)` per output batch.
     pub records: Vec<ProgressRecord>,
+    /// Each batch's [`progress_estimate`], parallel to `records` — for
+    /// ProgXe the share of its regions resolved when the batch came out.
+    ///
+    /// [`progress_estimate`]: progxe_core::session::ResultEvent::progress_estimate
+    pub progress: Vec<f64>,
     /// Total wall-clock time.
     pub total_time: Duration,
     /// Total results reported (for SSMJ this may exceed the true skyline by
@@ -105,11 +110,24 @@ pub struct RunResult {
 impl RunResult {
     /// Time at which `fraction` (0..=1) of the results had been reported.
     pub fn time_to_fraction(&self, fraction: f64) -> Option<Duration> {
+        self.batch_reaching(fraction)
+            .map(|i| self.records[i].elapsed)
+    }
+
+    /// Progress estimate of the batch that brought the results reported to
+    /// `fraction` (0..=1) of the total; at `0.0`, of the first non-empty
+    /// batch.
+    pub fn progress_to_fraction(&self, fraction: f64) -> Option<f64> {
+        self.batch_reaching(fraction).map(|i| self.progress[i])
+    }
+
+    /// Index of the first batch with at least `fraction` of the results
+    /// (and at least one) reported.
+    fn batch_reaching(&self, fraction: f64) -> Option<usize> {
         let target = (self.results as f64 * fraction).ceil() as u64;
         self.records
             .iter()
-            .find(|r| r.cumulative >= target.max(1))
-            .map(|r| r.elapsed)
+            .position(|r| r.cumulative >= target.max(1))
     }
 
     /// Time of the first reported result.
@@ -162,7 +180,7 @@ fn run_algo_observed(
 /// at [`ResultEvent::elapsed`](progxe_core::session::ResultEvent::elapsed)
 /// — and returns it with the run's final statistics.
 pub fn drain_run(algo: &'static str, mut session: QuerySession<'_>) -> (RunResult, ExecStats) {
-    let mut records = Vec::new();
+    let (mut records, mut progress) = (Vec::new(), Vec::new());
     let mut cumulative = 0u64;
     while let Some(event) = session.next_batch() {
         cumulative += event.tuples.len() as u64;
@@ -170,11 +188,13 @@ pub fn drain_run(algo: &'static str, mut session: QuerySession<'_>) -> (RunResul
             elapsed: event.elapsed,
             cumulative,
         });
+        progress.push(event.progress_estimate);
     }
     let stats = session.finish();
     let run = RunResult {
         algo,
         records,
+        progress,
         total_time: stats.total_time,
         results: cumulative,
         false_positives: stats.results_retracted,

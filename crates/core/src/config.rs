@@ -8,7 +8,8 @@ use std::num::NonZeroUsize;
 /// How regions are ordered for tuple-level processing (Section IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingPolicy {
-    /// Regions in ascending id order — "ProgXe" in the experiments. It
+    /// Regions origin first — in SFS presort order of their oriented lower
+    /// corners, equal corners by id — "ProgXe" in the experiments. It
     /// stands in for the paper's Algorithm 1 ranking, which is not
     /// implemented ([`crate::progorder`] says why).
     ProgOrder,
@@ -53,7 +54,7 @@ pub struct ProgXeConfig {
     /// positions (the default 24 stays 24 up to `d = 4`, becomes 16 at
     /// `d = 5` and 5 at `d = 8`). The result set does not depend on it.
     pub output_cells_per_dim: usize,
-    /// Region order for tuple-level processing: id order, or the
+    /// Region order for tuple-level processing: origin first, or the
     /// No-Order arm's seeded shuffle.
     pub ordering: OrderingPolicy,
     /// Apply skyline partial push-through to each source before grid
@@ -90,8 +91,8 @@ impl Default for ProgXeConfig {
 
 impl ProgXeConfig {
     /// The paper's four experimental variations (Section VI-B). `ordered`
-    /// picks id order ([`OrderingPolicy::ProgOrder`]) over a seeded
-    /// shuffle ([`OrderingPolicy::Random`]).
+    /// picks the origin-first order ([`OrderingPolicy::ProgOrder`]) over a
+    /// seeded shuffle ([`OrderingPolicy::Random`]).
     ///
     /// * `ordered = true,  push = false` → ProgXe
     /// * `ordered = true,  push = true ` → ProgXe+

@@ -30,7 +30,8 @@
 //! All emission decisions flow through it in schedule order, which is what
 //! keeps progressive output safe (no false positives or negatives) no
 //! matter who computed the batches. The schedule ([`crate::progorder`]) is
-//! a cursor over a fixed region order that no commit changes.
+//! a cursor over a fixed region order — origin first, or the No-Order
+//! arm's shuffle — that no commit changes.
 //!
 //! ## Why parallel commit stays safe
 //!
@@ -181,7 +182,7 @@ impl Committer {
     /// region schedule for the configured ordering policy.
     pub(crate) fn new(parts: CommitterParts, ordering: crate::config::OrderingPolicy) -> Self {
         Self {
-            schedule: Schedule::new(parts.regions.len(), ordering),
+            schedule: Schedule::new(&parts.regions, ordering),
             total_regions: parts.regions.len(),
             regions: parts.regions,
             row_ids: parts.row_ids,

@@ -13,11 +13,12 @@
 //!    evaluation of the [`mapping`] functions) into *output regions*;
 //!    regions and output cells dominated at this abstraction level are
 //!    pruned before any tuple-level work.
-//! 2. **Region ordering** ([`progorder`]) — a cursor over the regions in
-//!    ascending id order (or a seeded shuffle, the No-Order arm). The
-//!    paper's Algorithm 1 ranks elimination-graph roots by Benefit / Cost
-//!    here; on this engine's grids that ranking reduced to id order or
-//!    mostly ran later than it, so it is not implemented.
+//! 2. **Region ordering** ([`progorder`]) — a cursor over the regions
+//!    origin first: SFS's presort of their oriented lower corners (or a
+//!    seeded shuffle, the No-Order arm). The paper's Algorithm 1 ranks
+//!    elimination-graph roots by Benefit / Cost here; on this engine's
+//!    grids that ranking reduced to its fallback order or mostly ran later
+//!    than it, so it is not implemented.
 //! 3. **Tuple-level processing** ([`tuple_level`], [`cells`]) — the join,
 //!    map, and cell-restricted dominance comparisons for the chosen region.
 //! 4. **Progressive result determination** ([`progdetermine`]) — count-based

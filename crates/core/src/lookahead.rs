@@ -93,18 +93,32 @@ pub fn run_lookahead(
     let orders = maps.preference().orders();
 
     // 1. Enumerate join-compatible partition pairs and map their bounds.
+    //    Under separable maps each partition's interval terms are computed
+    //    once and added per pair, which is `eval_bounds` bit for bit.
     let (mut los, mut his) = (Vec::new(), Vec::new());
     let mut owners: Vec<(u32, u32, bool)> = Vec::new();
     let mut rejected = 0usize;
     let mut raw_lo = Vec::with_capacity(dims);
     let mut raw_hi = Vec::with_capacity(dims);
-    for rp in r_grid.partitions() {
-        for tp in t_grid.partitions() {
+    let r_terms = side_terms(r_grid, |lo, hi, out| maps.r_bounds_into(lo, hi, out));
+    let t_terms = side_terms(t_grid, |lo, hi, out| maps.t_bounds_into(lo, hi, out));
+    for (ri, rp) in r_grid.partitions().iter().enumerate() {
+        for (ti, tp) in t_grid.partitions().iter().enumerate() {
             if !rp.signature.overlaps(&tp.signature) {
                 rejected += 1;
                 continue;
             }
-            maps.eval_bounds_into(&rp.lo, &rp.hi, &tp.lo, &tp.hi, &mut raw_lo, &mut raw_hi);
+            if let (Some(r), Some(t)) = (&r_terms, &t_terms) {
+                raw_lo.clear();
+                raw_hi.clear();
+                let (r, t) = (&r[ri * dims..][..dims], &t[ti * dims..][..dims]);
+                for (&(r_min, r_max), &(t_min, t_max)) in r.iter().zip(t) {
+                    raw_lo.push(r_min + t_min);
+                    raw_hi.push(r_max + t_max);
+                }
+            } else {
+                maps.eval_bounds_into(&rp.lo, &rp.hi, &tp.lo, &tp.hi, &mut raw_lo, &mut raw_hi);
+            }
             // Orient: negation for HIGHEST dims swaps the interval ends.
             for ((o, &l), &h) in orders.iter().zip(&raw_lo).zip(&raw_hi) {
                 let (a, b) = (o.orient(l), o.orient(h));
@@ -192,6 +206,24 @@ pub fn run_lookahead(
         regions_pruned: pruned,
         pessimistic_skyline: pes_flat,
     }
+}
+
+/// Every partition's interval terms of one side, `dims` `(min, max)` pairs
+/// per partition in grid order, or `None` when a map does not enclose
+/// separably (`terms` says so).
+fn side_terms(
+    grid: &InputGrid,
+    terms: impl Fn(&[f64], &[f64], &mut Vec<(f64, f64)>) -> bool,
+) -> Option<Vec<(f64, f64)>> {
+    let mut all = Vec::new();
+    let mut one = Vec::new();
+    for p in grid.partitions() {
+        if !terms(&p.lo, &p.hi, &mut one) {
+            return None;
+        }
+        all.extend_from_slice(&one);
+    }
+    Some(all)
 }
 
 /// Readies the store for the region loop: hands it the pessimistic
@@ -555,11 +587,16 @@ mod tests {
     /// grids over few and many join keys (rejections, guarantees and
     /// pruning), a declared grid on either side (`Unknown` signatures),
     /// `HIGHEST` outputs, and weighted maps over ±1e308 inputs whose bounds
-    /// overflow to ±∞.
+    /// overflow to ±∞. The reference evaluates every pair's bounds through
+    /// `eval_bounds`; the flat form adds per-partition terms when every map
+    /// encloses separably, so the region bounds, compared bit for bit,
+    /// check that the sums are exact. Some rounds hide one map or all of
+    /// them behind a [`GeneralMap`](crate::mapping::GeneralMap) with the
+    /// same bounds, which keeps the per-pair evaluation.
     #[test]
     fn flat_lookahead_matches_the_per_candidate_reference() {
         use crate::grid::GridGeometry;
-        use crate::mapping::{MappingFunction, WeightedSum};
+        use crate::mapping::{GeneralMap, MappingFunction, WeightedSum};
         use progxe_skyline::Order;
         let mut state = 0x10_0CA_u64;
         let mut next = move |m: u64| {
@@ -569,6 +606,7 @@ mod tests {
             (state >> 33) % m
         };
         let (mut pruned, mut rejected, mut overflowed) = (0, 0, false);
+        let mut separable = [0, 0];
         for round in 0..120 {
             let dims = 1 + round % 3;
             let huge = round % 4 == 3;
@@ -592,22 +630,47 @@ mod tests {
             let orders: Vec<Order> = (0..dims)
                 .map(|_| [Order::Lowest, Order::Highest][next(2) as usize])
                 .collect();
-            let maps = if huge {
-                // One R term may overflow; the T terms stay finite, so no
-                // bound is `∞ − ∞`.
+            let variant = next(4);
+            let maps = if huge || variant > 0 {
+                // Over huge inputs one R term may overflow; the T terms
+                // stay finite, so no bound is `∞ − ∞`. Finite inputs get
+                // fractional, negative and constant terms.
                 let weighted = (0..dims)
                     .map(|_| {
-                        let mut r_weights = vec![0.0; dims];
-                        r_weights[next(dims as u64) as usize] = [2.0, -2.0][next(2) as usize];
-                        let t_weights = (0..dims).map(|_| [0.5, 0.0][next(2) as usize]).collect();
-                        let map = WeightedSum::new(r_weights, t_weights);
-                        Box::new(map) as Box<dyn MappingFunction>
+                        let map = if huge {
+                            let mut r_weights = vec![0.0; dims];
+                            r_weights[next(dims as u64) as usize] = [2.0, -2.0][next(2) as usize];
+                            let t_weights =
+                                (0..dims).map(|_| [0.5, 0.0][next(2) as usize]).collect();
+                            WeightedSum::new(r_weights, t_weights)
+                        } else {
+                            let mut weight = || (next(7) as f64 - 3.0) / 3.0;
+                            let r_weights = (0..dims).map(|_| weight()).collect();
+                            let t_weights = (0..dims).map(|_| weight()).collect();
+                            WeightedSum::new(r_weights, t_weights).with_constant(weight())
+                        };
+                        // Variant 2 hides every map, variant 3 one at random.
+                        if variant == 2 || (variant == 3 && next(2) == 0) {
+                            let bounds = map.clone();
+                            Box::new(GeneralMap::new(
+                                "hidden",
+                                move |r: &[f64], t: &[f64]| map.eval(r, t),
+                                move |r_lo: &[f64], r_hi: &[f64], t_lo: &[f64], t_hi: &[f64]| {
+                                    bounds.eval_bounds(r_lo, r_hi, t_lo, t_hi)
+                                },
+                            )) as Box<dyn MappingFunction>
+                        } else {
+                            Box::new(map) as Box<dyn MappingFunction>
+                        }
                     })
                     .collect();
                 MapSet::new(weighted, Preference::new(orders)).unwrap()
             } else {
                 MapSet::pairwise_sum(dims, Preference::new(orders))
             };
+            let probe = [0.0; 3];
+            let whole = maps.r_bounds_into(&probe[..dims], &probe[..dims], &mut Vec::new());
+            separable[usize::from(whole)] += 1;
             let (p, k) = ([1, 2, 3, 5][next(4) as usize], [1, 4, 16][next(3) as usize]);
             let domain = keys as usize;
             let mut rg = InputGrid::build(&r.view(), p, domain);
@@ -639,6 +702,10 @@ mod tests {
             "pruned {pruned}, rejected {rejected}"
         );
         assert!(overflowed, "no bound overflowed");
+        assert!(
+            separable.iter().all(|&n| n > 10),
+            "separable: {separable:?}"
+        );
     }
 
     #[test]

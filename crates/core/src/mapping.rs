@@ -42,6 +42,21 @@ pub trait MappingFunction: Send + Sync {
         None
     }
 
+    /// Optional separable enclosure, the interval form of
+    /// [`MappingFunction::r_component`]'s contract: `eval_bounds(r_lo,
+    /// r_hi, t_lo, t_hi)` is bit for bit `(r.0 + t.0, r.1 + t.1)` for
+    /// `r = r_bounds(r_lo, r_hi)` and `t = t_bounds(t_lo, t_hi)`. The
+    /// look-ahead then computes each partition's terms once and adds them
+    /// per partition pair. All or nothing, as for the components.
+    fn r_bounds(&self, _lo: &[f64], _hi: &[f64]) -> Option<(f64, f64)> {
+        None
+    }
+
+    /// The T-side half of [`MappingFunction::r_bounds`]'s contract.
+    fn t_bounds(&self, _lo: &[f64], _hi: &[f64]) -> Option<(f64, f64)> {
+        None
+    }
+
     /// Human-readable description for plan explain output.
     fn describe(&self) -> String {
         "<map>".to_owned()
@@ -132,6 +147,14 @@ impl MappingFunction for WeightedSum {
         let (rmin, rmax) = Self::side_bounds(self.constant, &self.r_weights, r_lo, r_hi);
         let (tmin, tmax) = Self::side_bounds(0.0, &self.t_weights, t_lo, t_hi);
         (rmin + tmin, rmax + tmax)
+    }
+
+    fn r_bounds(&self, lo: &[f64], hi: &[f64]) -> Option<(f64, f64)> {
+        Some(Self::side_bounds(self.constant, &self.r_weights, lo, hi))
+    }
+
+    fn t_bounds(&self, lo: &[f64], hi: &[f64]) -> Option<(f64, f64)> {
+        Some(Self::side_bounds(0.0, &self.t_weights, lo, hi))
     }
 
     fn r_component(&self, r: &[f64]) -> Option<f64> {
@@ -328,6 +351,32 @@ impl MapSet {
             lo.push(a);
             hi.push(b);
         }
+    }
+
+    /// Per-source interval terms of a partition box under the separable
+    /// enclosure of [`MappingFunction::r_bounds`], written into `out` as
+    /// one `(min, max)` per function; `false` when any map has none.
+    pub(crate) fn r_bounds_into(&self, lo: &[f64], hi: &[f64], out: &mut Vec<(f64, f64)>) -> bool {
+        out.clear();
+        for m in &self.maps {
+            match m.r_bounds(lo, hi) {
+                Some(b) => out.push(b),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Mirror of [`MapSet::r_bounds_into`] for the T side.
+    pub(crate) fn t_bounds_into(&self, lo: &[f64], hi: &[f64], out: &mut Vec<(f64, f64)>) -> bool {
+        out.clear();
+        for m in &self.maps {
+            match m.t_bounds(lo, hi) {
+                Some(b) => out.push(b),
+                None => return false,
+            }
+        }
+        true
     }
 
     /// Whether every function decomposes per the exact additive contract of

@@ -57,7 +57,6 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
     stats: &mut SkylineStats,
 ) {
     assert_eq!(store.dims(), dom.dims(), "store/dominance dims mismatch");
-    let n = store.len();
     // Project once into kernel space; the presort reads the kernel rows and
     // the append-only window runs on the batched many-vs-one kernel. SFS
     // never evicts, so a PointStore of kernel rows is all the window state
@@ -65,15 +64,10 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
     let kd = dom.kernel_dims();
     let mut kbuf = Vec::new();
     let kdata = kernel::project_store(dom, store, &mut kbuf);
-    let row = |i: u32| &kdata[i as usize * kd..(i as usize + 1) * kd];
-    // Key each row once instead of once per sort comparison.
-    let keys: Vec<SumKey> = (0..n as u32).map(|i| sum_key(row(i))).collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| presort_cmp((keys[a as usize], row(a)), (keys[b as usize], row(b))));
     let mut window = PointStore::new(kd);
-    for &i in &order {
+    for i in presort_order(kd, kdata) {
         stats.tuples_scanned += 1;
-        let p = row(i);
+        let p = &kdata[i as usize * kd..(i as usize + 1) * kd];
         if kernel::any_dominates(kd, window.raw(), p, &mut stats.dominance_tests) {
             continue;
         }
@@ -82,44 +76,36 @@ pub fn sfs_skyline_with_under<D: Dominance, F: FnMut(usize)>(
     }
 }
 
+/// The indices of `rows` — kernel rows of `kd` values each, in all-lowest
+/// Pareto space — in SFS's presort order (see the module docs): a stable
+/// sort by the coordinate-sum key, each row keyed once, then the
+/// coordinates lexicographically; rows that tie on both keep their input
+/// order. On rows without NaN no row sorts after one it dominates; a NaN
+/// coordinate still gets a fixed place, so the order is total.
+pub fn presort_order(kd: usize, rows: &[f64]) -> Vec<u32> {
+    let row = |i: u32| &rows[i as usize * kd..(i as usize + 1) * kd];
+    let keys: Vec<SumKey> = rows.chunks_exact(kd).map(sum_key).collect();
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    order.sort_by(|&a, &b| presort_cmp((keys[a as usize], row(a)), (keys[b as usize], row(b))));
+    order
+}
+
 /// The presort's primary key of one kernel row ([`sum_key`]): its count
 /// of `+∞` coordinates minus its count of `−∞` ones, then the float sum of
 /// its finite ones (a plain sum is NaN on a row holding both infinities).
 ///
-/// Ordered by the count, then the sum with the two zeros tied. On rows
-/// without NaN it is monotone under weak dominance: `a ⪯ b` everywhere
-/// gives `sum_key(a) ≤ sum_key(b)` (see [`presort_cmp`]), so a row whose
-/// key is *greater* than a point's cannot dominate it; rows whose keys
-/// tie with it still can.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SumKey {
-    infinities: i32,
-    sum: f64,
-}
-
-impl Ord for SumKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.infinities.cmp(&other.infinities)).then(tie_cmp(self.sum, other.sum))
-    }
-}
-
-impl PartialOrd for SumKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for SumKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for SumKey {}
+/// Ordered by the count, then the sum with the two zeros tied and NaN
+/// placed as `total_cmp` places it; both are packed into one integer whose
+/// order is that one. On rows without NaN it is monotone under weak
+/// dominance: `a ⪯ b` everywhere gives `sum_key(a) ≤ sum_key(b)` (see
+/// [`presort_cmp`]), so a row whose key is *greater* than a point's
+/// cannot dominate it; rows whose keys tie with it still can.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SumKey(u128);
 
 /// The [`SumKey`] of one kernel row.
 pub(crate) fn sum_key(row: &[f64]) -> SumKey {
-    let (infinities, sum) = row.iter().fold((0, 0.0), |(inf, sum), &v| {
+    let (infinities, sum) = row.iter().fold((0i32, 0.0), |(inf, sum), &v| {
         if v == f64::INFINITY {
             (inf + 1, sum)
         } else if v == f64::NEG_INFINITY {
@@ -128,7 +114,19 @@ pub(crate) fn sum_key(row: &[f64]) -> SumKey {
             (inf, sum + v)
         }
     });
-    SumKey { infinities, sum }
+    // Flipping the sign bit makes both halves order as unsigned integers.
+    let count = (infinities as u32 ^ 1 << 31) as u128;
+    SumKey(count << 64 | total_order_bits(sum + 0.0) as u128)
+}
+
+/// The bits of `x` mapped so that their unsigned order is `total_cmp`'s.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// SFS's presort order on two kernel rows (all-lowest Pareto space) keyed

@@ -27,11 +27,18 @@ fn spec() -> StreamSpec {
     StreamSpec::new(vec![0.0; DIMS], vec![101.0; DIMS]).unwrap()
 }
 
+/// The fuzz's query: pairwise sums, every dimension minimized.
+fn lowest() -> MapSet {
+    MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS))
+}
+
 fn open_session(pooled: bool) -> IngestSession {
-    let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    let threads = if pooled { 3 } else { 1 };
+    open_query(&lowest(), if pooled { 3 } else { 1 })
+}
+
+fn open_query(maps: &MapSet, threads: usize) -> IngestSession {
     ProgXe::new(ProgXeConfig::default().with_threads(threads))
-        .open_ingest(&maps, spec(), spec())
+        .open_ingest(maps, spec(), spec())
         .unwrap()
 }
 
@@ -69,7 +76,16 @@ fn run_schedule(
     t_sched: &ArrivalSchedule,
     pooled: bool,
 ) -> Transcript {
-    let mut session = open_session(pooled);
+    feed(w, r_sched, t_sched, open_session(pooled))
+}
+
+/// [`run_schedule`] into an open session of any query.
+fn feed(
+    w: &progxe::datagen::SmjWorkload,
+    r_sched: &ArrivalSchedule,
+    t_sched: &ArrivalSchedule,
+    mut session: IngestSession,
+) -> Transcript {
     let mut transcript = Transcript::new();
     let mut seen = std::collections::HashSet::new();
     let mut progress = 0.0;
@@ -110,22 +126,25 @@ fn run_schedule(
 
 /// The all-at-once oracle: everything pushed in relation order, then close.
 fn oracle(w: &progxe::datagen::SmjWorkload, pooled: bool) -> Transcript {
-    let all = |rel: &progxe::datagen::Relation| ArrivalSchedule {
+    run_schedule(w, &all_at_once(&w.r), &all_at_once(&w.t), pooled)
+}
+
+/// One batch of every row in relation order, no watermark.
+fn all_at_once(rel: &progxe::datagen::Relation) -> ArrivalSchedule {
+    ArrivalSchedule {
         batches: vec![progxe::datagen::ArrivalBatch {
             rows: (0..rel.len() as u32).collect(),
             watermark: None,
         }],
-    };
-    run_schedule(w, &all(&w.r), &all(&w.t), pooled)
+    }
 }
 
 /// The batch engine's result set on the same workload.
-fn batch_ids(w: &progxe::datagen::SmjWorkload) -> Vec<(u32, u32)> {
-    let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
+fn batch_ids(w: &progxe::datagen::SmjWorkload, maps: &MapSet) -> Vec<(u32, u32)> {
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
     let out = ProgXe::new(ProgXeConfig::default())
-        .run_collect(&r, &t, &maps)
+        .run_collect(&r, &t, maps)
         .unwrap();
     let mut ids: Vec<(u32, u32)> = out.results.iter().map(|x| (x.r_idx, x.t_idx)).collect();
     ids.sort_unstable();
@@ -133,9 +152,8 @@ fn batch_ids(w: &progxe::datagen::SmjWorkload) -> Vec<(u32, u32)> {
 }
 
 /// The shared brute-force oracle's result set (tests/common/oracle.rs).
-fn naive_ids(w: &progxe::datagen::SmjWorkload) -> Vec<(u32, u32)> {
-    let maps = MapSet::pairwise_sum(DIMS, Preference::all_lowest(DIMS));
-    common::oracle::workload_oracle_ids(w, &maps)
+fn naive_ids(w: &progxe::datagen::SmjWorkload, maps: &MapSet) -> Vec<(u32, u32)> {
+    common::oracle::workload_oracle_ids(w, maps)
         .into_iter()
         .collect()
 }
@@ -209,8 +227,16 @@ fn arrival_order_fuzz(pooled: bool) {
             // shared brute-force oracle.
             let mut flat: Vec<(u32, u32)> = reference.iter().flatten().copied().collect();
             flat.sort_unstable();
-            assert_eq!(flat, batch_ids(&w), "{dist:?}/{seed}: oracle vs batch");
-            assert_eq!(flat, naive_ids(&w), "{dist:?}/{seed}: oracle vs naive");
+            assert_eq!(
+                flat,
+                batch_ids(&w, &lowest()),
+                "{dist:?}/{seed}: oracle vs batch"
+            );
+            assert_eq!(
+                flat,
+                naive_ids(&w, &lowest()),
+                "{dist:?}/{seed}: oracle vs naive"
+            );
 
             for (si, spec) in schedule_specs(seed).into_iter().enumerate() {
                 // R and T follow differently-seeded variants of the same
@@ -232,6 +258,58 @@ fn arrival_order_fuzz(pooled: bool) {
         schedules_run >= 50,
         "fuzz grid shrank below the 50-schedule floor ({schedules_run})"
     );
+}
+
+/// The arrival-invariance contract beyond all-LOWEST: under an all-HIGHEST
+/// and a mixed preference the origin-first schedule starts from another
+/// corner of the declared grids, which a sorted feed seals last. Every
+/// sampled schedule still emits the all-at-once stream, on Inline and on
+/// Pooled with 2 workers, the two backends' streams are equal, and the
+/// result set is the batch engine's and the brute-force oracle's.
+#[test]
+fn arrival_invariance_holds_under_highest_and_mixed_preferences() {
+    for orders in [
+        vec![Order::Highest; DIMS],
+        vec![Order::Lowest, Order::Highest],
+    ] {
+        let maps = MapSet::pairwise_sum(DIMS, Preference::new(orders.clone()));
+        for (dist, seed) in [
+            (Distribution::Independent, 11u64),
+            (Distribution::AntiCorrelated, 29),
+        ] {
+            let label = format!("{orders:?}/{dist:?}");
+            let w = WorkloadSpec::new(N, DIMS, dist, 0.1)
+                .with_seed(seed)
+                .generate();
+            let all = |threads| {
+                feed(
+                    &w,
+                    &all_at_once(&w.r),
+                    &all_at_once(&w.t),
+                    open_query(&maps, threads),
+                )
+            };
+            let reference = all(1);
+            assert_eq!(all(2), reference, "{label}: Pooled(2) vs Inline");
+            let mut flat: Vec<(u32, u32)> = reference.iter().flatten().copied().collect();
+            assert!(!flat.is_empty(), "{label}: no results");
+            flat.sort_unstable();
+            assert_eq!(flat, batch_ids(&w, &maps), "{label}: vs batch");
+            assert_eq!(flat, naive_ids(&w, &maps), "{label}: vs naive");
+            for (si, spec) in schedule_specs(seed).into_iter().enumerate() {
+                let mut t_spec = spec.clone();
+                t_spec.seed = spec.seed.wrapping_add(1);
+                let (r_sched, t_sched) = (spec.schedule(&w.r), t_spec.schedule(&w.t));
+                for threads in [1, 2] {
+                    let transcript = feed(&w, &r_sched, &t_sched, open_query(&maps, threads));
+                    assert_eq!(
+                        transcript, reference,
+                        "{label}/schedule {si}/threads {threads}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// `cancel()` during ingestion on a never-closed source stops cleanly —

@@ -226,7 +226,7 @@ fn parallel_counters_are_deterministic_and_the_window_fills() {
 
 /// The ordered committer on the finest 3-d grid (101³ positions, the
 /// cap): its stream is the same on one thread and on two, its result set
-/// is the oracle's under either region order — id order, or one seeded
+/// is the oracle's under either region order — origin first, or one seeded
 /// shuffle — and the cells inside each event come in ascending grid
 /// coordinate (read off the trace's `emit` points, which carry each
 /// cell's grid position, grouped per event by the `results_emitted`

@@ -21,7 +21,7 @@ use progxe::core::config::OrderingPolicy;
 use progxe::core::ingest::StreamSpec;
 use progxe::core::mapping::{GeneralMap, MappingFunction};
 use progxe::core::prelude::*;
-use progxe::datagen::{simplex_band, Distribution, WorkloadSpec};
+use progxe::datagen::{simplex_band, Distribution, SmjWorkload, WorkloadSpec};
 
 fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
     let pareto = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
@@ -36,8 +36,8 @@ fn models(dims: usize) -> Vec<(&'static str, MapSet)> {
 }
 
 /// Closed relations: filter on ≡ filter off, event for event, on Inline
-/// and on Pooled with 2 and 4 workers, under id order and a seeded
-/// shuffle, across distributions, dimensionalities and seeds.
+/// and on Pooled with 2 and 4 workers, under the origin-first order and a
+/// seeded shuffle, across distributions, dimensionalities and seeds.
 #[test]
 fn snapshot_filter_is_invisible_in_the_batch_event_stream() {
     let mut filtered_somewhere = false;
@@ -280,9 +280,10 @@ fn every_arrangement_emits_the_same_stream() {
 
 /// The guard does not move the *schedule* either: the region commit order
 /// — the `commit` spans of a recorder — is the same with upstream
-/// rejection on and off, and strictly ascending in region id, inline and
-/// pooled. The 16 × 400 grid is fine enough that the paper's elimination
-/// graph has roots, so a schedule that ranked them would reorder it.
+/// rejection on and off, and strictly ascending in the origin-first order
+/// ([`origin_first_ranks`]), inline and pooled. The 16 × 400 grid is fine
+/// enough that the paper's elimination graph has roots, so a schedule that
+/// ranked them would reorder it.
 #[test]
 fn region_commit_order_does_not_observe_the_guard() {
     let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
@@ -304,13 +305,41 @@ fn region_commit_order_does_not_observe_the_guard() {
                 assert!(on_commits.len() > 10, "{label}: too few commits");
                 assert_eq!(on_commits, off_commits, "{label}: commit order moved");
                 assert!(on_stats.tuples_prefiltered > 0, "{label}: guard idle");
+                let rank = origin_first_ranks(&config, &w, &maps);
                 assert!(
-                    on_commits.windows(2).all(|w| w[0] < w[1]),
-                    "{label}: commit order is not ascending in region id"
+                    on_commits
+                        .windows(2)
+                        .all(|w| rank[w[0] as usize] < rank[w[1] as usize]),
+                    "{label}: commit order is not origin first"
                 );
             }
         }
     }
+}
+
+/// Each region's position in the origin-first order of `ProgOrder`: by the
+/// coordinate sum of its oriented lower corner, then the corner
+/// lexicographically, then its id. Written for finite corners, which
+/// these inputs have.
+fn origin_first_ranks(config: &ProgXeConfig, w: &SmjWorkload, maps: &MapSet) -> Vec<usize> {
+    let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
+    let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
+    let prep = ProgXe::new(config.clone())
+        .prepare(&r, &t, maps, CancellationToken::new())
+        .unwrap();
+    let regions = prep.ctx.expect("a non-trivial run").regions().to_vec();
+    assert!(regions.iter().flat_map(|r| &r.lo).all(|v| v.is_finite()));
+    let key = |i: usize| {
+        let lo = &regions[i].lo;
+        (lo.iter().fold(0.0, |s, v| s + v), lo.clone(), i)
+    };
+    let mut order: Vec<usize> = (0..regions.len()).collect();
+    order.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap());
+    let mut rank = vec![0; regions.len()];
+    for (position, &region) in order.iter().enumerate() {
+        rank[region] = position;
+    }
+    rank
 }
 
 /// NaN and ±∞ mapped values reach the slab and the filter. The kernels
@@ -369,8 +398,8 @@ fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
             Preference::all_lowest(2),
         )
         .unwrap();
-        // Id order visits the low corner last, so its batches meet a full
-        // slab.
+        // The default grid, committed origin first: the poisoned corner's
+        // batches meet the forest as it stands when their region comes up.
         let config = ProgXeConfig::default();
         for threads in [1usize, 2] {
             let (on, on_stats) = batch_stream(&config, &w, &maps, threads, true);
