@@ -318,9 +318,11 @@ impl InputGrid {
 /// Rows are held twice. In *partition order* — the order a region probes
 /// them in, which fixes the emission order — and *grouped by join key*
 /// (stable, CSR offsets over ascending keys), which is what the other side
-/// of a region looks a probe row's key up in. Both orders carry the id a
-/// result reports for the row and a row-major slab of [`width`](Self::width)
-/// values per row:
+/// of a region expands. Both orders carry the id a result reports for the
+/// row and a row-major slab of [`width`](Self::width) values per row; a row
+/// in partition order also carries the index of its key group, so a region
+/// that has matched the two sides' key tables once (one merge) reaches a
+/// probe row's partner group without a key lookup:
 ///
 /// * separable maps ([`MapSet::separable_at`]): the row's *oriented*
 ///   components, one per output dimension, so a mapped, oriented join
@@ -342,7 +344,8 @@ pub struct JoinSide {
     components: bool,
     width: usize,
     ids: Vec<u32>,
-    keys: Vec<u32>,
+    /// Per row in partition order, the index of its key group.
+    row_group: Vec<u32>,
     slab: Vec<f64>,
     group_keys: Vec<u32>,
     /// `group_keys.len() + 1` offsets into `group_ids` / `group_slab` rows.
@@ -432,6 +435,8 @@ impl JoinSide {
             .map(|(&key, at)| u64::from(key) << 32 | at)
             .collect();
         order.sort_unstable();
+        // The keys are in `order` now; their slots take the group indices.
+        let mut row_group = keys;
         let mut group_keys = Vec::new();
         let mut group_starts = Vec::new();
         let mut group_ids = Vec::with_capacity(n);
@@ -445,6 +450,7 @@ impl JoinSide {
                 group_keys.push(key);
                 group_starts.push(at as u32);
             }
+            row_group[i] = (group_keys.len() - 1) as u32;
             group_ids.push(ids[i]);
             group_slab.extend_from_slice(row);
             if !bounded {
@@ -464,7 +470,7 @@ impl JoinSide {
             components: columnar,
             width,
             ids,
-            keys,
+            row_group,
             slab,
             group_keys,
             group_starts,
@@ -503,11 +509,12 @@ impl JoinSide {
         self.components
     }
 
-    /// Row `i` in partition order: `(result id, join key, slab row)`.
+    /// Row `i` in partition order: `(result id, key group index, slab
+    /// row)`.
     #[inline]
     pub fn row(&self, i: usize) -> (u32, u32, &[f64]) {
         let values = &self.slab[i * self.width..(i + 1) * self.width];
-        (self.ids[i], self.keys[i], values)
+        (self.ids[i], self.row_group[i], values)
     }
 
     /// The distinct join keys, ascending — one per key group, in group
@@ -515,12 +522,6 @@ impl JoinSide {
     #[inline]
     pub fn group_keys(&self) -> &[u32] {
         &self.group_keys
-    }
-
-    /// Index of the key group holding the rows with join key `key`.
-    #[inline]
-    pub fn group_of(&self, key: u32) -> Option<usize> {
-        self.group_keys.binary_search(&key).ok()
     }
 
     /// The rows of key group `g`, in partition order: their result ids and
@@ -811,7 +812,8 @@ mod tests {
     /// subnormals, ±0, magnitudes whose sums overflow to ±∞, duplicate keys,
     /// single-row groups, one dimension flipped by `HIGHEST` — every row
     /// of every expansion lies between its corners, and the key's corner
-    /// below the row's.
+    /// below the row's. Each probe row's group index names the group that
+    /// holds it, under its join key.
     #[test]
     fn corners_bound_every_expanded_row() {
         use progxe_skyline::{Order, Preference};
@@ -858,8 +860,15 @@ mod tests {
             let mut upper = [0.0; 2];
             add_rows(pb.max(), bb.max(), &mut upper);
             for i in 0..probe.len() {
-                let (_, key, probe_row) = probe.row(i);
-                let Some(g) = build.group_of(key) else {
+                let (id, pg, probe_row) = probe.row(i);
+                let key = probe.group_keys()[pg as usize];
+                assert_eq!(
+                    key,
+                    r.view().join_key_of(i),
+                    "round {round}: row {i}'s group"
+                );
+                assert!(probe.group(pg as usize).0.contains(&id));
+                let Ok(g) = build.group_keys().binary_search(&key) else {
                     continue;
                 };
                 let (ids, slab) = build.group(g);
@@ -867,7 +876,7 @@ mod tests {
                 add_rows(probe_row, slab, &mut rows);
                 let (mut corner, mut key_corner) = ([0.0; 2], [0.0; 2]);
                 add_rows(probe_row, bb.group_min(g), &mut corner);
-                let pg = probe.group_of(key).unwrap();
+                let pg = pg as usize;
                 add_rows(pb.group_min(pg), bb.group_min(g), &mut key_corner);
                 assert_eq!(rows.len(), ids.len() * 2);
                 for row in rows.chunks_exact(2) {

@@ -152,8 +152,9 @@ pub struct ExecStats {
     /// Pairwise dominance tests at tuple level: the sum of the three sites
     /// below.
     pub dominance_tests: u64,
-    /// Work of the key-group look-ahead (settle and probe corners, on the
-    /// work units): admitted-forest leaf boxes tested plus rows tested.
+    /// Work of the key-group look-ahead (key and probe-row corners, on the
+    /// work units): rows of each unit's recent-dominator window tested,
+    /// plus admitted-forest leaf boxes and rows tested.
     pub lookahead_dominance_tests: u64,
     /// Work of the batch filters (on the work units): the local skyline's
     /// pair tests plus the admitted-forest filter's leaf boxes and rows

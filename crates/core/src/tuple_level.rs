@@ -9,14 +9,16 @@
 //!
 //! The producer is columnar. Each input partition is prepared once per
 //! query as a [`JoinSide`] — rows grouped by join key beside a slab of
-//! per-row oriented map components — so `join_region` is one loop: for
-//! each probe row in partition order, look the smaller side's key group up
-//! and add the probe row's components to the group's slab, a chunk of rows
-//! at a time. Maps that do not decompose ([`MapSet::separable_at`]) go
-//! through the same loop with a second row producer that calls `eval` per
-//! match over slabs of raw attributes. The token is checked between chunks,
-//! so a `take(k)` consumer or a timeout stops a huge region — even a single
-//! huge key group — mid-flight.
+//! per-row oriented map components, each row carrying the index of its key
+//! group. `join_region` merges the two sides' key tables once, which gives
+//! every probe key group its partner group on the smaller side, and is then
+//! one loop: for each probe row in partition order, read its group's
+//! partner and add the probe row's components to the partner's slab, a
+//! chunk of rows at a time. Maps that do not decompose
+//! ([`MapSet::separable_at`]) go through the same loop with a second row
+//! producer that calls `eval` per match over slabs of raw attributes. The
+//! token is checked between chunks, so a `take(k)` consumer or a timeout
+//! stops a huge region — even a single huge key group — mid-flight.
 //!
 //! Ahead of the expansion sits the *key-group look-ahead* — the paper's
 //! region-level look-ahead (Section III-A) one level down. Two bounded
@@ -26,13 +28,19 @@
 //! it dominates every row of the expansion, and the group is skipped
 //! unexpanded.
 //!
+//! The key corners are tested in the same merge, so a settled key costs its
+//! probe rows nothing but the skip count.
+//!
 //! Every such question — a key's corner, a probe row's corner, a batch
 //! survivor — goes to the store's admitted forest as it stood at dispatch
 //! ([`CellStore::admitted`]: a [`DominanceForest`] over every tuple the
 //! store ever admitted, whose leaf boxes skip the rows that cannot dominate
 //! the point). No per-unit guard is cut from it: a row that dominates a
 //! point inside the region is `⪯` the region's upper corner anyway, so
-//! asking the whole forest gives the same answer as asking those rows.
+//! asking the whole forest gives the same answer as asking those rows. The
+//! corner questions first try the last few rows the forest answered with
+//! (`RecentDominators`): a handful of admitted rows dominate most corners
+//! of a region, and a forest row's answer is the forest's.
 //!
 //! The batch split follows the paper's own decomposition: everything up
 //! to the cell-restricted dominance insert is *pure* per-region work
@@ -72,6 +80,11 @@ pub const CANCEL_CHECK_INTERVAL: usize = 256;
 /// filtering at `O(matches × window)`.
 const LOCAL_FILTER_WINDOW: usize = 256;
 
+/// Most admitted rows a work unit keeps as recent dominators
+/// ([`RecentDominators`]). On the join-bound benchmark inputs 4 left the
+/// least look-ahead work of 1, 2, 4 and 8.
+const RECENT_DOMINATORS: usize = 4;
+
 /// Work counters from processing one region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TupleLevelStats {
@@ -89,9 +102,10 @@ pub struct TupleLevelStats {
     /// Rows this unit grouped by join key, being the first to join their
     /// partition (batch pipeline; streaming ingestion groups at seal time).
     pub build_rows: u64,
-    /// Work of the key-group look-ahead's key (settle) and probe-row
-    /// corner queries to the admitted forest: leaf boxes tested plus rows
-    /// tested ([`DominanceForest::any_dominates`]). Rows are tested by the
+    /// Work of the key-group look-ahead's key and probe-row corner
+    /// queries: the rows of the unit's recent-dominator window tested, plus
+    /// the admitted forest's leaf boxes and rows tested
+    /// ([`DominanceForest::find_dominator`]). Rows are tested by the
     /// batched kernels, so this advances at chunk granularity.
     pub lookahead_dominance_tests: u64,
     /// Work of the batch filters: pairwise tests of the local skyline
@@ -114,16 +128,20 @@ pub struct TupleLevelStats {
 /// counters and whether the region ran to completion (`false` = cancelled
 /// mid-region).
 ///
+/// One merge of the two sides' key tables ([`match_keys`]) gives every
+/// probe key group its [`Partner`] up front; a probe row reads its group's
+/// through [`JoinSide::row`]'s group index, with no key lookup.
+///
 /// `admitted` holds tuples the cell store has admitted (oriented, no NaN —
 /// [`CellStore::admitted`] or a snapshot of it). Over two bounded sides a
 /// non-empty forest switches the key-group look-ahead on: a key whose
 /// corner `probe group minimum + build group minimum` an admitted row
 /// dominates is settled for the whole region, and a probe row of a key
 /// still alive skips its group when `probe row + build group minimum` is
-/// dominated. The test is Pareto whatever the query's model (Pareto
-/// dominance implies F-dominance, and the store's live set is
-/// Pareto-maintained). Skipped matches are counted, never emitted; an
-/// empty forest switches the look-ahead off.
+/// dominated. Both questions go through [`RecentDominators`]. The test is
+/// Pareto whatever the query's model (Pareto dominance implies F-dominance,
+/// and the store's live set is Pareto-maintained). Skipped matches are
+/// counted, never emitted; an empty forest switches the look-ahead off.
 ///
 /// Generic over the consumer (not `dyn`) so `emit` stays inlinable in the
 /// hot loop.
@@ -157,10 +175,9 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
         }
         _ => None,
     };
-    let settled = bounds.map_or_else(Vec::new, |(probe_bounds, build_bounds)| {
-        let tests = &mut stats.lookahead_dominance_tests;
-        settle_keys(probe, probe_bounds, build, build_bounds, admitted, tests)
-    });
+    let mut recent = RecentDominators::new(admitted);
+    let tests = &mut stats.lookahead_dominance_tests;
+    let partners = match_keys(probe, build, bounds, &mut recent, tests);
     let mut corner = vec![0.0f64; dims];
 
     // The token is re-read (one relaxed load) before every chunk and at the
@@ -168,20 +185,22 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     // a pre-cancelled token stops before any join work.
     let mut joined = 0usize;
     'probe: while joined < probe.len() {
-        let (probe_id, key, probe_row) = probe.row(joined);
+        let (probe_id, group, probe_row) = probe.row(joined);
         let (mut ids, mut slab): (&[u32], &[f64]) = (&[], &[]);
-        if let Some(g) = build.group_of(key) {
-            (ids, slab) = build.group(g);
-            let dominated = bounds.is_some_and(|(_, build_bounds)| {
-                settled[g] || {
+        match partners[group as usize] {
+            Partner::Absent => {}
+            Partner::Settled(g) => stats.skipped += build.group(g as usize).0.len() as u64,
+            Partner::Live(g) => {
+                let g = g as usize;
+                (ids, slab) = build.group(g);
+                let dominated = bounds.is_some_and(|(_, build_bounds)| {
                     add_rows(probe_row, build_bounds.group_min(g), &mut corner);
-                    let tests = &mut stats.lookahead_dominance_tests;
-                    admitted.any_dominates(&corner, tests)
+                    recent.dominates(&corner, &mut stats.lookahead_dominance_tests)
+                });
+                if dominated {
+                    stats.skipped += ids.len() as u64;
+                    (ids, slab) = (&[], &[]);
                 }
-            });
-            if dominated {
-                stats.skipped += ids.len() as u64;
-                (ids, slab) = (&[], &[]);
             }
         }
         let mut chunks = (ids.chunks(CANCEL_CHECK_INTERVAL)).zip(slab.chunks(chunk_values));
@@ -229,21 +248,34 @@ pub(crate) fn join_region<F: FnMut(&[(u32, u32)], &[f64])>(
     (stats, joined == probe.len())
 }
 
-/// The key level of the look-ahead, once per work unit: for every join key
-/// both sides hold (one merge of the two ascending key tables), whether an
-/// `admitted` row dominates `probe group minimum + build group minimum` —
+/// What one probe key group meets on the build side of a region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Partner {
+    /// The key is not on the build side: the group's rows match nothing.
+    Absent,
+    /// Build group `g` holds the key, and an admitted row dominates the
+    /// key's corner: every match of the group is skipped.
+    Settled(u32),
+    /// Build group `g` holds the key, still alive: each probe row's own
+    /// corner decides.
+    Live(u32),
+}
+
+/// The key level of the join, once per work unit: one merge of the two
+/// ascending key tables gives every probe key group its [`Partner`]. With
+/// `bounds` (the look-ahead on), a key both sides hold is settled when an
+/// admitted row dominates `probe group minimum + build group minimum` —
 /// the lower corner of everything the key produces in this region.
-/// Indexed by build group.
-fn settle_keys(
+/// Indexed by probe group.
+fn match_keys(
     probe: &JoinSide,
-    probe_bounds: &SideBounds,
     build: &JoinSide,
-    build_bounds: &SideBounds,
-    admitted: &DominanceForest,
+    bounds: Option<(&SideBounds, &SideBounds)>,
+    recent: &mut RecentDominators<'_>,
     tests: &mut u64,
-) -> Vec<bool> {
+) -> Vec<Partner> {
     let (probe_keys, build_keys) = (probe.group_keys(), build.group_keys());
-    let mut settled = vec![false; build_keys.len()];
+    let mut partners = vec![Partner::Absent; probe_keys.len()];
     let mut corner = vec![0.0f64; probe.width()];
     let (mut p, mut b) = (0, 0);
     while p < probe_keys.len() && b < build_keys.len() {
@@ -251,18 +283,68 @@ fn settle_keys(
             std::cmp::Ordering::Less => p += 1,
             std::cmp::Ordering::Greater => b += 1,
             std::cmp::Ordering::Equal => {
-                add_rows(
-                    probe_bounds.group_min(p),
-                    build_bounds.group_min(b),
-                    &mut corner,
-                );
-                settled[b] = admitted.any_dominates(&corner, tests);
+                let settled = bounds.is_some_and(|(probe_bounds, build_bounds)| {
+                    let (probe_min, build_min) =
+                        (probe_bounds.group_min(p), build_bounds.group_min(b));
+                    add_rows(probe_min, build_min, &mut corner);
+                    recent.dominates(&corner, tests)
+                });
+                partners[p] = if settled {
+                    Partner::Settled(b as u32)
+                } else {
+                    Partner::Live(b as u32)
+                };
                 p += 1;
                 b += 1;
             }
         }
     }
-    settled
+    partners
+}
+
+/// The admitted forest behind a small window of the rows it last answered
+/// with — BNL's self-organizing window (Börzsönyi, Kossmann and Stocker,
+/// "The Skyline Operator", ICDE 2001) in front of an index: a few admitted
+/// rows dominate most of a region's corners, and testing them is cheaper
+/// than a forest walk. The window holds forest rows only, so every answer
+/// is the forest's.
+struct RecentDominators<'f> {
+    forest: &'f DominanceForest,
+    /// Up to [`RECENT_DOMINATORS`] rows, flat.
+    rows: Vec<f64>,
+    /// The window slot the next forest answer overwrites once it is full.
+    next: usize,
+}
+
+impl<'f> RecentDominators<'f> {
+    fn new(forest: &'f DominanceForest) -> Self {
+        Self {
+            forest,
+            rows: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Whether a row of the forest strictly dominates `q`: the window
+    /// first (batched kernel), then the forest, whose dominator joins the
+    /// window in place of the oldest. `tests` advances by the window's row
+    /// tests plus the forest's work.
+    fn dominates(&mut self, q: &[f64], tests: &mut u64) -> bool {
+        let dims = q.len();
+        if kernel::any_dominates(dims, &self.rows, q, tests) {
+            return true;
+        }
+        let Some(row) = self.forest.find_dominator(q, tests) else {
+            return false;
+        };
+        if self.rows.len() < RECENT_DOMINATORS * dims {
+            self.rows.extend_from_slice(row);
+        } else {
+            self.rows[self.next * dims..(self.next + 1) * dims].copy_from_slice(row);
+            self.next = (self.next + 1) % RECENT_DOMINATORS;
+        }
+        true
+    }
 }
 
 /// One pure, parallelizable work unit: join + map + orient the prepared
@@ -1114,5 +1196,296 @@ mod tests {
         local_skyline_filter(&mut ids, &mut points, &model, &mut stats);
         assert_eq!(ids, vec![(0, 0)], "F-dominated batch member dropped");
         assert_eq!(stats.locally_pruned, 1);
+    }
+
+    /// The per-row loop the key merge replaced, kept as the reference
+    /// `join_region` must match: every probe row binary-searches the build
+    /// side's key table, a separate pass settles the keys, and every
+    /// corner is a fresh forest query.
+    fn join_region_per_row<F: FnMut(&[(u32, u32)], &[f64])>(
+        r: &JoinSide,
+        t: &JoinSide,
+        maps: &MapSet,
+        admitted: &DominanceForest,
+        token: &CancellationToken,
+        mut emit: F,
+    ) -> (TupleLevelStats, bool) {
+        let mut stats = TupleLevelStats::default();
+        let (build, probe, build_is_r) = if r.len() <= t.len() {
+            (r, t, true)
+        } else {
+            (t, r, false)
+        };
+        let (columnar, dims, width) = (build.holds_components(), maps.out_dims(), build.width());
+        let orders = maps.preference().orders();
+        let mut rows = vec![0.0f64; CANCEL_CHECK_INTERVAL * dims];
+        let mut raw = Vec::with_capacity(dims);
+        let bounds = match (probe.bounds(), build.bounds()) {
+            (Some(p), Some(b)) if !admitted.is_empty() => Some((p, b)),
+            _ => None,
+        };
+        let tests = &mut stats.lookahead_dominance_tests;
+        let settled = bounds.map_or_else(Vec::new, |(probe_bounds, build_bounds)| {
+            let (probe_keys, build_keys) = (probe.group_keys(), build.group_keys());
+            let mut settled = vec![false; build_keys.len()];
+            let mut corner = vec![0.0f64; dims];
+            for (b, key) in build_keys.iter().enumerate() {
+                if let Ok(p) = probe_keys.binary_search(key) {
+                    add_rows(
+                        probe_bounds.group_min(p),
+                        build_bounds.group_min(b),
+                        &mut corner,
+                    );
+                    settled[b] = admitted.any_dominates(&corner, tests);
+                }
+            }
+            settled
+        });
+        let mut corner = vec![0.0f64; dims];
+        let mut joined = 0usize;
+        'probe: while joined < probe.len() {
+            let (probe_id, group, probe_row) = probe.row(joined);
+            let key = probe.group_keys()[group as usize];
+            let (mut ids, mut slab): (&[u32], &[f64]) = (&[], &[]);
+            if let Ok(g) = build.group_keys().binary_search(&key) {
+                (ids, slab) = build.group(g);
+                let dominated = bounds.is_some_and(|(_, build_bounds)| {
+                    settled[g] || {
+                        add_rows(probe_row, build_bounds.group_min(g), &mut corner);
+                        let tests = &mut stats.lookahead_dominance_tests;
+                        admitted.any_dominates(&corner, tests)
+                    }
+                });
+                if dominated {
+                    stats.skipped += ids.len() as u64;
+                    (ids, slab) = (&[], &[]);
+                }
+            }
+            let chunks = ids.chunks(CANCEL_CHECK_INTERVAL);
+            let mut chunks = chunks.zip(slab.chunks(CANCEL_CHECK_INTERVAL * width));
+            loop {
+                if token.is_cancelled() {
+                    break 'probe;
+                }
+                let Some((build_ids, build_rows)) = chunks.next() else {
+                    break;
+                };
+                let pairs: Vec<(u32, u32)> = (build_ids.iter())
+                    .map(|&b| {
+                        if build_is_r {
+                            (b, probe_id)
+                        } else {
+                            (probe_id, b)
+                        }
+                    })
+                    .collect();
+                let out = &mut rows[..build_ids.len() * dims];
+                if columnar {
+                    add_rows(probe_row, build_rows, out);
+                } else {
+                    let build_rows = build_rows.chunks_exact(width);
+                    for (out_row, build_row) in out.chunks_exact_mut(dims).zip(build_rows) {
+                        if build_is_r {
+                            maps.eval_into(build_row, probe_row, &mut raw);
+                        } else {
+                            maps.eval_into(probe_row, build_row, &mut raw);
+                        }
+                        for ((o, &v), order) in out_row.iter_mut().zip(&raw).zip(orders) {
+                            *o = order.orient(v);
+                        }
+                    }
+                }
+                emit(&pairs, out);
+                stats.matches += build_ids.len() as u64;
+            }
+            joined += 1;
+        }
+        stats.probes = joined as u64;
+        stats.pairs_examined = joined as u64 * build.len() as u64;
+        (stats, joined == probe.len())
+    }
+
+    /// Every chunk a join hands its consumer: pairs and row bits.
+    type Chunks = Vec<(Vec<(u32, u32)>, Vec<u64>)>;
+
+    /// Runs `join` with a consumer that records every chunk and fires the
+    /// token on the `stop_after`-th.
+    fn recorded(
+        stop_after: usize,
+        join: impl FnOnce(
+            &CancellationToken,
+            &mut dyn FnMut(&[(u32, u32)], &[f64]),
+        ) -> (TupleLevelStats, bool),
+    ) -> (Chunks, TupleLevelStats, bool) {
+        let token = CancellationToken::new();
+        let mut chunks = Chunks::new();
+        let (stats, completed) = join(&token, &mut |pairs, rows| {
+            chunks.push((pairs.to_vec(), rows.iter().map(|v| v.to_bits()).collect()));
+            if chunks.len() == stop_after {
+                token.cancel();
+            }
+        });
+        (chunks, stats, completed)
+    }
+
+    /// `join_region` and the per-row reference over the same inputs, the
+    /// token fired on the `stop_after`-th chunk: equal chunks and equal
+    /// counts. Returns both runs' stats and `join_region`'s chunks.
+    fn assert_joins_alike(
+        (r, t): (&JoinSide, &JoinSide),
+        maps: &MapSet,
+        admitted: &DominanceForest,
+        stop_after: usize,
+        label: &str,
+    ) -> (TupleLevelStats, TupleLevelStats, Chunks) {
+        let (chunks, new, new_completed) = recorded(stop_after, |token, emit| {
+            join_region(r, t, maps, admitted, token, emit)
+        });
+        let (reference, old, old_completed) = recorded(stop_after, |token, emit| {
+            join_region_per_row(r, t, maps, admitted, token, emit)
+        });
+        let label = format!("{label}, token at chunk {stop_after}");
+        assert_eq!(new_completed, old_completed, "{label}");
+        assert_eq!(chunks.len(), reference.len(), "{label}: chunk count");
+        assert!(chunks == reference, "{label}: chunks differ");
+        let counts = |s: &TupleLevelStats| (s.matches, s.skipped, s.probes, s.pairs_examined);
+        assert_eq!(counts(&new), counts(&old), "{label}: counts");
+        (new, old, chunks)
+    }
+
+    /// A relation of `n` rows over `[lo, lo + 10)²`: join keys drawn from
+    /// `keys`, except that `heavy` takes about half of the rows.
+    fn keyed_relation(
+        n: usize,
+        lo: f64,
+        keys: std::ops::Range<u32>,
+        heavy: u32,
+        next: &mut impl FnMut(u64) -> u64,
+    ) -> SourceData {
+        let mut src = SourceData::new(2);
+        for _ in 0..n {
+            let row = [
+                lo + next(1000) as f64 / 100.0,
+                lo + next(1000) as f64 / 100.0,
+            ];
+            let key = if next(2) == 0 {
+                heavy
+            } else {
+                keys.start + next(u64::from(keys.end - keys.start)) as u32
+            };
+            src.push(&row, key);
+        }
+        src
+    }
+
+    /// The key merge, the row → group index and the recent-dominator window
+    /// change nothing a consumer sees: over random partitions — keys on one
+    /// side only, settled keys, one key holding half of the rows (a group
+    /// past the check interval) — with an admitted forest, an empty one, an
+    /// unbounded side and `GeneralMap` sides, `join_region` hands out the
+    /// reference's chunks with the reference's counts, also when the token
+    /// fires on the first chunk, mid-group and half-way.
+    #[test]
+    fn key_merge_emits_like_the_per_row_loop() {
+        let mut state = 0x6E0_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let summed = MapSet::pairwise_sum(2, Preference::all_lowest(2));
+        let (mut absent, mut settled, mut row_skips, mut mid_group) = (0, 0, 0u64, 0);
+        let (mut new_tests, mut old_tests) = (0u64, 0u64);
+        let mut unbounded_seen = false;
+        for case in 0..12 {
+            let heavy = 5;
+            let r = keyed_relation(520 + next(240) as usize, 0.0, 0..10, heavy, &mut next);
+            let t = keyed_relation(520 + next(240) as usize, 0.0, 3..14, heavy, &mut next);
+            // Admitted rows from far below every corner to above most.
+            let floor = [-1.0, 1.0, 3.0, 6.0][case % 4];
+            let admitted: Vec<f64> = (0..2 * (1 + next(40)))
+                .map(|_| floor + next(800) as f64 / 100.0)
+                .collect();
+            let forest = forest_of(2, &admitted);
+            let (rp, tp) = partitions(&r, &t, &summed);
+            let (probe, build) = if rp.len() <= tp.len() {
+                (&tp, &rp)
+            } else {
+                (&rp, &tp)
+            };
+            let mut recent = RecentDominators::new(&forest);
+            let bounds = Some((probe.bounds().unwrap(), build.bounds().unwrap()));
+            for partner in match_keys(probe, build, bounds, &mut recent, &mut 0) {
+                absent += usize::from(partner == Partner::Absent);
+                settled += usize::from(matches!(partner, Partner::Settled(_)));
+            }
+
+            for guard in [&forest, &DominanceForest::default()] {
+                let label = format!("case {case}, forest of {} rows", guard.len());
+                let (new, old, chunks) =
+                    assert_joins_alike((&rp, &tp), &summed, guard, usize::MAX, &label);
+                new_tests += new.lookahead_dominance_tests;
+                old_tests += old.lookahead_dominance_tests;
+                // The probe id of a chunk: the pair component of the larger side.
+                let probe_id = |c: usize| {
+                    let (r_id, t_id) = chunks[c].0[0];
+                    if rp.len() <= tp.len() {
+                        t_id
+                    } else {
+                        r_id
+                    }
+                };
+                let inside = (0..chunks.len().saturating_sub(1)).find(|&c| {
+                    chunks[c].0.len() == CANCEL_CHECK_INTERVAL && probe_id(c) == probe_id(c + 1)
+                });
+                mid_group += usize::from(inside.is_some());
+                let stops = [Some(1), inside.map(|c| c + 1), Some(chunks.len() / 2 + 1)];
+                for stop in stops.into_iter().flatten() {
+                    assert_joins_alike((&rp, &tp), &summed, guard, stop, &label);
+                }
+                if !guard.is_empty() {
+                    row_skips += new.skipped;
+                }
+            }
+
+            // One +∞ component (2 · 1e308) leaves the R side unbounded.
+            let doubled = {
+                use crate::mapping::{MappingFunction, WeightedSum};
+                let maps: Vec<Box<dyn MappingFunction>> = vec![
+                    Box::new(WeightedSum::new(vec![2.0, 0.0], vec![2.0, 0.0])),
+                    Box::new(WeightedSum::new(vec![0.0, 1.0], vec![0.0, 1.0])),
+                ];
+                MapSet::new(maps, Preference::all_lowest(2)).unwrap()
+            };
+            let mut r_inf = r.clone();
+            r_inf.push(&[1e308, 0.0], heavy);
+            let (rp, tp) = partitions(&r_inf, &t, &doubled);
+            unbounded_seen |= rp.bounds().is_none();
+            assert_joins_alike((&rp, &tp), &doubled, &forest, usize::MAX, "unbounded");
+
+            // Maps hidden in `GeneralMap`s: raw-attribute sides, `eval` per match.
+            if case % 3 == 0 {
+                use crate::mapping::{GeneralMap, MappingFunction};
+                let maps: Vec<Box<dyn MappingFunction>> = vec![
+                    Box::new(GeneralMap::max_of(0, 0)),
+                    Box::new(GeneralMap::max_of(1, 1)),
+                ];
+                let general = MapSet::new(maps, Preference::all_lowest(2)).unwrap();
+                let (rp, tp) = partitions(&r, &t, &general);
+                assert!(!rp.holds_components());
+                assert_joins_alike((&rp, &tp), &general, &forest, usize::MAX, "general");
+                assert_joins_alike((&rp, &tp), &general, &forest, 3, "general");
+            }
+        }
+        assert!(
+            absent > 0 && settled > 0,
+            "{absent} absent, {settled} settled"
+        );
+        assert!(row_skips > 0 && mid_group > 0 && unbounded_seen);
+        assert!(
+            new_tests < old_tests,
+            "the window saved nothing: {new_tests} vs {old_tests} tests"
+        );
     }
 }

@@ -113,13 +113,21 @@ impl DominanceForest {
         self.runs.push(Arc::new(Run::build(dims, rows)));
     }
 
-    /// Whether some row strictly dominates `q` (no coordinate greater, one
-    /// less; a NaN in `q` ties every row there, as in the kernels). Exactly
-    /// `kernel::any_dominates` over every row. `work` advances by one per
-    /// leaf box tested plus the row tests the kernel charges.
+    /// Whether some row strictly dominates `q`: `find_dominator(q, work)`
+    /// answered `Some`.
+    #[inline]
     pub fn any_dominates(&self, q: &[f64], work: &mut u64) -> bool {
+        self.find_dominator(q, work).is_some()
+    }
+
+    /// A row that strictly dominates `q` (no coordinate greater, one less;
+    /// a NaN in `q` ties every row there, as in the kernels), or `None`
+    /// when no row does — exactly when `kernel::any_dominates` over every
+    /// row answers no. `work` advances by one per leaf box tested plus the
+    /// row tests the kernel charges.
+    pub fn find_dominator(&self, q: &[f64], work: &mut u64) -> Option<&[f64]> {
         if self.runs.is_empty() {
-            return false;
+            return None;
         }
         debug_assert_eq!(q.len(), self.dims);
         // A NaN coordinate has no place in the key order: walk every leaf.
@@ -128,14 +136,14 @@ impl DominanceForest {
     }
 }
 
-fn query_spec<const D: usize>(
-    forest: &DominanceForest,
+fn query_spec<'f, const D: usize>(
+    forest: &'f DominanceForest,
     q: &[f64],
     key: Option<SumKey>,
     work: &mut u64,
-) -> bool {
+) -> Option<&'f [f64]> {
     let d = if D == 0 { forest.dims } else { D };
-    forest.runs.iter().any(|run| {
+    forest.runs.iter().find_map(|run| {
         let reach = key.map_or(run.keys.len(), |key| {
             run.keys.partition_point(|leaf| *leaf <= key)
         });
@@ -149,15 +157,21 @@ fn query_spec<const D: usize>(
             if outside {
                 continue;
             }
-            if row_dominates_spec::<D>(hi, q) {
-                return true;
-            }
             let rows = &run.rows[run.starts[leaf] as usize * d..run.starts[leaf + 1] as usize * d];
-            if any_dominates_spec::<D>(d, rows, q, work) {
-                return true;
+            // Every row is `⪯ hi`, so when `hi` dominates `q` each one does.
+            if row_dominates_spec::<D>(hi, q) {
+                return Some(&rows[..d]);
+            }
+            // Block by block, so a hit is looked up among `CHUNK` rows.
+            for block in rows.chunks(CHUNK * d) {
+                if any_dominates_spec::<D>(d, block, q, work) {
+                    return block
+                        .chunks_exact(d)
+                        .find(|row| row_dominates_spec::<D>(row, q));
+                }
             }
         }
-        false
+        None
     })
 }
 
@@ -261,7 +275,9 @@ mod tests {
     /// ±`f64::MAX` whose sums overflow. Queries are drawn from the same
     /// values, copied from published rows, or put on a leaf box's face
     /// (one coordinate of a copied row set to a random leaf's `lo` or `hi`
-    /// there), and a few carry a NaN.
+    /// there), and a few carry a NaN. `find_dominator` finds a row exactly
+    /// when the scan says yes, and the row is a published one that strictly
+    /// dominates the query.
     #[test]
     fn answers_like_a_linear_scan() {
         let big = 2f64.powi(53);
@@ -327,6 +343,16 @@ mod tests {
                     let expected = kernel::any_dominates(dims, &all, &q, &mut linear);
                     let label = format!("case {case}: q {q:?} over {all:?}");
                     assert_eq!(forest.any_dominates(&q, &mut work), expected, "{label}");
+                    let found = forest.find_dominator(&q, &mut work);
+                    assert_eq!(found.is_some(), expected, "{label}");
+                    if let Some(row) = found {
+                        assert!(kernel::dominates_scalar(row, &q), "{label}: {row:?}");
+                        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert!(
+                            all.chunks_exact(dims).any(|r| bits(r) == bits(row)),
+                            "{label}: {row:?} was never published"
+                        );
+                    }
                     if expected {
                         yes += 1;
                     } else {
