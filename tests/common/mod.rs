@@ -101,6 +101,20 @@ pub fn traced_batch_stream(
     snapshot_filter: bool,
     ring: Option<Arc<RingRecorder>>,
 ) -> (Stream, ExecStats) {
+    let (events, stats) = batch_events(config, w, maps, threads, snapshot_filter, ring);
+    (events.iter().map(event_key).collect(), stats)
+}
+
+/// The events of [`traced_batch_stream`] themselves, progress estimates
+/// included.
+pub fn batch_events(
+    config: &ProgXeConfig,
+    w: &SmjWorkload,
+    maps: &MapSet,
+    threads: usize,
+    snapshot_filter: bool,
+    ring: Option<Arc<RingRecorder>>,
+) -> (Vec<ResultEvent>, ExecStats) {
     let r = SourceView::new(&w.r.attrs, &w.r.join_keys).expect("parallel arrays");
     let t = SourceView::new(&w.t.attrs, &w.t.join_keys).expect("parallel arrays");
     let token = CancellationToken::new();
@@ -114,14 +128,14 @@ pub fn traced_batch_stream(
         driver = driver.without_snapshot_filter();
     }
     let mut session = QuerySession::stepped("kit", token, driver);
-    let mut stream = Stream::new();
+    let mut events = Vec::new();
     while let Some(event) = session.next_batch() {
         assert!(event.proven_final);
-        stream.push(event_key(&event));
+        events.push(event);
     }
     let stats = session.finish();
     assert!(!stats.cancelled);
-    (stream, stats)
+    (events, stats)
 }
 
 /// Runs the same workload as a streaming-ingestion session on `threads`
@@ -138,16 +152,30 @@ pub fn ingest_stream(
     snapshot_filter: bool,
     chunks: usize,
 ) -> (Stream, ExecStats) {
+    let (events, stats) = ingest_events(config, w, maps, spec, threads, snapshot_filter, chunks);
+    (events.iter().map(event_key).collect(), stats)
+}
+
+/// The events of [`ingest_stream`] themselves, progress estimates included.
+pub fn ingest_events(
+    config: &ProgXeConfig,
+    w: &SmjWorkload,
+    maps: &MapSet,
+    spec: &StreamSpec,
+    threads: usize,
+    snapshot_filter: bool,
+    chunks: usize,
+) -> (Vec<ResultEvent>, ExecStats) {
     let mut session = ProgXe::new(config.clone().with_threads(threads))
         .open_ingest(maps, spec.clone(), spec.clone())
         .expect("valid configuration");
     if !snapshot_filter {
         session = session.without_snapshot_filter();
     }
-    let mut stream = Stream::new();
-    let drain = |session: &mut IngestSession, stream: &mut Stream| {
+    let mut events = Vec::new();
+    let drain = |session: &mut IngestSession, events: &mut Vec<ResultEvent>| {
         while let IngestPoll::Batch(event) = session.poll() {
-            stream.push(event_key(&event));
+            events.push(event);
         }
     };
     let step = w.r.len().max(w.t.len()).div_ceil(chunks.max(1));
@@ -157,13 +185,13 @@ pub fn ingest_stream(
                 .map(|i| (i as u32, rel.attrs_of(i), rel.join_key_of(i)))
                 .collect();
             session.push_with_ids(side, &rows).expect("rows in bounds");
-            drain(&mut session, &mut stream);
+            drain(&mut session, &mut events);
         }
     }
     session.close(SourceId::R);
     session.close(SourceId::T);
-    drain(&mut session, &mut stream);
+    drain(&mut session, &mut events);
     let stats = session.finish();
     assert!(!stats.cancelled);
-    (stream, stats)
+    (events, stats)
 }

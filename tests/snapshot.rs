@@ -426,3 +426,159 @@ fn non_finite_mapped_values_neither_prune_wrongly_nor_panic() {
         }
     }
 }
+
+/// One pinned run: a label, the FNV-1a hash of its events, its
+/// `results_emitted`, and its store counters `[inserted, rejected
+/// dominated, rejected dead cell, evicted]`.
+type Pin = (&'static str, u64, u64, [u64; 4]);
+
+/// The pinned transcripts of [`emission_matches_the_pinned_stream_hashes`].
+#[rustfmt::skip]
+const PINNED: &[Pin] = &[
+    ("join seed=7 threads=1 pt=false", 0x8fbb7b84a7376ca3, 326, [382, 0, 0, 56]),
+    ("join seed=7 threads=1 pt=true", 0x1fb896d8bea276ce, 326, [379, 0, 0, 53]),
+    ("join seed=7 threads=2 pt=false", 0x325b2ce44f1ac86c, 326, [382, 4, 6, 56]),
+    ("join seed=7 threads=2 pt=true", 0x8e091d83d9f80aac, 326, [379, 8, 6, 53]),
+    ("join seed=448 threads=1 pt=false", 0x39a3937f32d17193, 257, [338, 0, 0, 81]),
+    ("join seed=448 threads=1 pt=true", 0x0a5d67815d1a0242, 257, [335, 0, 0, 78]),
+    ("join seed=448 threads=2 pt=false", 0xbaaab3e5e1243b29, 257, [338, 13, 9, 81]),
+    ("join seed=448 threads=2 pt=true", 0xa1629a046e680c3d, 257, [335, 13, 15, 78]),
+    ("small seed=7 threads=1 pt=false", 0x639b482d35e2a83e, 15, [15, 0, 0, 0]),
+    ("small seed=7 threads=1 pt=true", 0xc9514c165b4be5d7, 15, [15, 0, 0, 0]),
+    ("small seed=7 threads=2 pt=false", 0x7b9b84ae4acc743c, 15, [15, 5, 12, 0]),
+    ("small seed=7 threads=2 pt=true", 0xf6bd3704a4f93ceb, 15, [15, 4, 11, 0]),
+    ("small seed=448 threads=1 pt=false", 0xa101e345ac9b1573, 13, [14, 0, 0, 1]),
+    ("small seed=448 threads=1 pt=true", 0xbb1ea7988c103d9c, 13, [14, 0, 0, 1]),
+    ("small seed=448 threads=2 pt=false", 0x8a048e87b8b7decf, 13, [14, 0, 5, 1]),
+    ("small seed=448 threads=2 pt=true", 0xe1c82055ad9c9534, 13, [14, 2, 5, 1]),
+    ("commit seed=7 threads=1 pt=false", 0x4e358c1d2cd4ecbe, 684, [801, 0, 0, 117]),
+    ("commit seed=7 threads=1 pt=true", 0x4fbc3549969d8a99, 684, [800, 0, 0, 116]),
+    ("commit seed=7 threads=2 pt=false", 0x3979193eed23c9f4, 684, [801, 21, 4, 117]),
+    ("commit seed=7 threads=2 pt=true", 0xe0d58c97bc86f301, 684, [800, 23, 4, 116]),
+    ("commit seed=448 threads=1 pt=false", 0xb1cabe63d53f7d0f, 744, [878, 0, 0, 134]),
+    ("commit seed=448 threads=1 pt=true", 0xb109d79b08fd5e89, 744, [874, 0, 0, 130]),
+    ("commit seed=448 threads=2 pt=false", 0x03b4c575fd0e0c1e, 744, [878, 18, 2, 134]),
+    ("commit seed=448 threads=2 pt=true", 0x9da6d8d1fd898a40, 744, [874, 13, 2, 130]),
+    ("stream seed=7 threads=1 pt=false", 0x6752e5d458e3c8e3, 85, [96, 0, 0, 11]),
+    ("stream seed=7 threads=1 pt=true", 0x66b635b389a62daa, 85, [95, 0, 0, 10]),
+    ("stream seed=7 threads=2 pt=false", 0x17ef09c391370a6c, 85, [96, 14, 32, 11]),
+    ("stream seed=7 threads=2 pt=true", 0xd5813987e498d931, 85, [95, 10, 13, 10]),
+    ("stream seed=448 threads=1 pt=false", 0xa2e34da7844c46a4, 102, [111, 0, 0, 9]),
+    ("stream seed=448 threads=1 pt=true", 0xa466fa09e89b38e6, 102, [112, 0, 0, 10]),
+    ("stream seed=448 threads=2 pt=false", 0x210b249369bddd72, 102, [111, 11, 12, 9]),
+    ("stream seed=448 threads=2 pt=true", 0x6fbf532fbfb6dddf, 102, [112, 15, 14, 10]),
+    ("ingest threads=1", 0x78f7d1567b1df61d, 85, [96, 0, 0, 11]),
+    ("ingest threads=2", 0x78f7d1567b1df61d, 85, [96, 0, 0, 11]),
+    ("flexible threads=1", 0x7f0f7f7e26b34264, 16, [105, 0, 0, 12]),
+    ("flexible threads=2", 0x7f0f7f7e26b34264, 16, [105, 1, 4, 12]),
+];
+
+/// FNV-1a over every event in order: its progress estimate's bits, its
+/// length, then each tuple's ids and value bits — so ids, values, order,
+/// batch boundaries and progress all move the hash.
+fn events_hash(events: &[ResultEvent]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for event in events {
+        word(event.progress_estimate.to_bits());
+        word(event.tuples.len() as u64);
+        for x in &event.tuples {
+            word(u64::from(x.r_idx) << 32 | u64::from(x.t_idx));
+            x.values.iter().for_each(|v| word(v.to_bits()));
+        }
+    }
+    hash
+}
+
+/// Emission pinned across refactors of the committer: the event stream of
+/// fixed inputs, hashed, must equal the recorded one. The inputs are the
+/// benchmark workloads' shapes (dimensionality, distribution, σ and grid;
+/// the one-shot inputs at a fifth of their rows, so that a debug run stays
+/// short) at seeds 7 and 448, on Inline and Pooled(2), with push-through
+/// off and on; the streaming feed's shape through an ingest session on
+/// each backend; and a flexible query of `tests/fdom.rs`. The store's
+/// counters are pinned as well: a Pooled unit filters against the forest
+/// as of its dispatch, a fixed point of the pop/commit sequence, so its
+/// counters are as deterministic as Inline's. On a mismatch the message
+/// carries the whole computed table.
+#[test]
+fn emission_matches_the_pinned_stream_hashes() {
+    let grid = |dims: usize| match dims {
+        2 => (6, 48),
+        3 => (3, 24),
+        _ => (2, 12),
+    };
+    let config = |dims: usize, sigma: f64| {
+        let (p, k) = grid(dims);
+        ProgXeConfig::default()
+            .with_input_partitions(p)
+            .with_output_cells(k)
+            .with_selectivity_hint(sigma)
+    };
+    let pin = |label: String, (events, stats): (Vec<ResultEvent>, ExecStats)| {
+        let counters = [
+            stats.tuples_inserted,
+            stats.tuples_rejected_dominated,
+            stats.tuples_rejected_dead_cell,
+            stats.tuples_evicted,
+        ];
+        assert!(!events.is_empty(), "{label}: nothing emitted");
+        (label, events_hash(&events), stats.results_emitted, counters)
+    };
+    let mut got = Vec::new();
+    for (shape, rows, dims, dist, sigma) in [
+        ("join", 2_000, 3usize, Distribution::AntiCorrelated, 0.1),
+        ("small", 2_000, 2, Distribution::Independent, 0.01),
+        ("commit", 2_000, 4, Distribution::AntiCorrelated, 0.01),
+        ("stream", 1_000, 3, Distribution::Independent, 0.1),
+    ] {
+        let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
+        for seed in [7u64, 448] {
+            let w = WorkloadSpec::new(rows, dims, dist, sigma)
+                .with_seed(seed)
+                .generate();
+            for threads in [1usize, 2] {
+                for push_through in [false, true] {
+                    let config = config(dims, sigma).with_push_through(push_through);
+                    let label = format!("{shape} seed={seed} threads={threads} pt={push_through}");
+                    let run = common::batch_events(&config, &w, &maps, threads, true, None);
+                    got.push(pin(label, run));
+                }
+            }
+        }
+    }
+    // The streaming feed: 1 000 rows a side in 20 pushes each.
+    let w = WorkloadSpec::new(1_000, 3, Distribution::Independent, 0.1)
+        .with_seed(7)
+        .generate();
+    let maps = MapSet::pairwise_sum(3, Preference::all_lowest(3));
+    let spec = StreamSpec::new(vec![0.0; 3], vec![101.0; 3]).unwrap();
+    for threads in [1usize, 2] {
+        let run = common::ingest_events(&config(3, 0.1), &w, &maps, &spec, threads, true, 20);
+        got.push(pin(format!("ingest threads={threads}"), run));
+    }
+    // `tests/fdom.rs`' bit-identity query.
+    let w = WorkloadSpec::new(400, 3, Distribution::AntiCorrelated, 0.03)
+        .with_seed(11)
+        .generate();
+    let (_, flexible) = models(3).pop().unwrap();
+    for threads in [1usize, 2] {
+        let run =
+            common::batch_events(&ProgXeConfig::default(), &w, &flexible, threads, true, None);
+        got.push(pin(format!("flexible threads={threads}"), run));
+    }
+
+    let table: String = got
+        .iter()
+        .map(|(label, hash, emitted, counters)| {
+            format!("    (\"{label}\", {hash:#018x}, {emitted}, {counters:?}),\n")
+        })
+        .collect();
+    let matches = got.len() == PINNED.len()
+        && (got.iter().zip(PINNED)).all(|(g, p)| (g.0.as_str(), g.1, g.2, g.3) == *p);
+    assert!(matches, "emission moved; computed:\n{table}");
+}
