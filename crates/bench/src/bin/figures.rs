@@ -7,15 +7,15 @@
 //!                          [--out DIR] [--quick]
 //! ```
 //!
-//! Experiments: fig10-prog, fig10-time, fig11, fig12, fig13, cellbound,
-//! ablate-delta, ablate-order, ssmj-soundness, scaling, threads, fdom, obs,
+//! Experiments: fig10-prog, fig10-time, fig11, fig12, fig13, ablate-delta,
+//! ablate-order, ssmj-soundness, scaling, threads, fdom, obs,
 //! kernels, all.
 //!
 //! Run in release mode: `cargo run --release -p progxe-bench --bin figures -- all`.
 
 use progxe_bench::figures::{
-    ablate_delta, ablate_order, cellbound, fdom, fig10_prog, fig10_time, fig11, fig12, fig13,
-    kernels, obs, scaling, ssmj_soundness, threads, ExpOptions,
+    ablate_delta, ablate_order, fdom, fig10_prog, fig10_time, fig11, fig12, fig13, kernels, obs,
+    scaling, ssmj_soundness, threads, ExpOptions,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,7 +28,6 @@ experiments:
   fig11           Figure 11 a-f  ProgXe / ProgXe+ / SSMJ progressiveness
   fig12           Figure 12 a-b  d = 5 progressiveness (SSMJ degenerates)
   fig13           Figure 13 a-c  total time vs selectivity vs SSMJ
-  cellbound       Section III-B  comparable-cell bound, measured
   ablate-delta    Section VI-B   grid-granularity sensitivity
   ablate-order    Section VI-B   origin-first order vs No-Order shuffle (gated)
   ssmj-soundness  Section VII    SSMJ batch-1 false positives
@@ -48,13 +47,12 @@ options:
   --quick       shrink workloads ~10x (smoke-test mode)";
 
 /// Every experiment, in the order `all` runs them.
-const EXPERIMENTS: [&str; 14] = [
+const EXPERIMENTS: [&str; 13] = [
     "fig10-prog",
     "fig10-time",
     "fig11",
     "fig12",
     "fig13",
-    "cellbound",
     "ablate-delta",
     "ablate-order",
     "ssmj-soundness",
@@ -116,7 +114,6 @@ fn main() -> ExitCode {
             "fig11" => fig11(opt),
             "fig12" => fig12(opt),
             "fig13" => fig13(opt),
-            "cellbound" => cellbound(opt),
             "ablate-delta" => ablate_delta(opt),
             "ablate-order" => ablate_order(opt),
             "ssmj-soundness" => ssmj_soundness(opt),

@@ -14,7 +14,6 @@
 //! | Fig. 11 a–f | [`fig11`] | results vs time, ProgXe/ProgXe+/SSMJ, σ ∈ {0.01, 0.1} |
 //! | Fig. 12 a–b | [`fig12`] | results vs time at d = 5, σ = 0.1 |
 //! | Fig. 13 a–c | [`fig13`] | total time vs σ, ProgXe/ProgXe+/SSMJ |
-//! | Sec. III-B bound | [`cellbound`] | comparable cells vs `k^d − (k−1)^d` |
 //! | Sec. VI-B δ remark | [`ablate_delta`] | grid-granularity sensitivity |
 //! | Sec. VI-B overhead claim | [`ablate_order`] | origin-first order vs No-Order shuffle (regions resolved before the first and the half result: ProgOrder ≤ Random) |
 //! | Sec. VII claim | [`ssmj_soundness`] | SSMJ batch-1 false positives |
@@ -1608,77 +1607,6 @@ fn write_obs_outputs(opt: &ExpOptions, runs: &[ObsRun], gate: f64) {
     println!("json written to {}", path.display());
 }
 
-/// Section III-B: the comparable-cell bound. For each new tuple, dominance
-/// comparisons are confined to at most `k^d − (k−1)^d` of the `k^d` output
-/// cells; this experiment reports the *measured* average candidate cells
-/// per insertion against both bounds.
-pub fn cellbound(opt: &ExpOptions) {
-    let n = opt.pick_n(2000);
-    let sigma = opt.sigma.unwrap_or(0.01);
-    println!("== Section III-B: comparable-cell bound (N={n}, sigma={sigma}) ==");
-    let mut table = Table::new(&[
-        "d",
-        "k",
-        "cells k^d",
-        "bound k^d-(k-1)^d",
-        "measured avg",
-        "measured max",
-    ]);
-    let mut rows = Vec::new();
-    for dims in [2usize, 3, 4] {
-        let w = workload(n, dims, Distribution::Independent, sigma, opt.seed);
-        let config = default_config_for(dims);
-        let k = config.output_cells_per_dim as u64;
-        let maps = MapSet::pairwise_sum(dims, Preference::all_lowest(dims));
-        let r = SourceView::new(&w.r.attrs, &w.r.join_keys).unwrap();
-        let t = SourceView::new(&w.t.attrs, &w.t.join_keys).unwrap();
-        let stats = ProgXe::new(config)
-            .run_collect(&r, &t, &maps)
-            .unwrap()
-            .stats;
-        let attempts = stats.tuples_inserted + stats.tuples_rejected_dominated;
-        let avg = if attempts == 0 {
-            0.0
-        } else {
-            stats.comparable_cells_visited as f64 / attempts as f64
-        };
-        let naive = k.pow(dims as u32);
-        let bound = naive - (k - 1).pow(dims as u32);
-        table.row(vec![
-            format!("{dims}"),
-            format!("{k}"),
-            format!("{naive}"),
-            format!("{bound}"),
-            format!("{avg:.1}"),
-            format!("{}", stats.comparable_cells_max),
-        ]);
-        rows.push(vec![
-            format!("{dims}"),
-            format!("{k}"),
-            format!("{naive}"),
-            format!("{bound}"),
-            format!("{avg:.3}"),
-            format!("{}", stats.comparable_cells_max),
-        ]);
-    }
-    println!("{}", table.render());
-    let path = write_csv(
-        &opt.out,
-        "cellbound",
-        &[
-            "d",
-            "k",
-            "naive_cells",
-            "bound",
-            "measured_avg",
-            "measured_max",
-        ],
-        &rows,
-    )
-    .unwrap();
-    println!("rows written to {}", path.display());
-}
-
 /// Section VI-B's δ remark: sensitivity to grid granularity (input
 /// partitions per dimension × output cells per dimension). Beside total
 /// and half-result time, each row shows the ordered committer's share:
@@ -1937,13 +1865,6 @@ mod tests {
         let opt = quick_opts("progxe-ssmj");
         ssmj_soundness(&opt);
         assert!(opt.out.join("ssmj_soundness.csv").exists());
-    }
-
-    #[test]
-    fn cellbound_quick_runs() {
-        let opt = quick_opts("progxe-cellbound");
-        cellbound(&opt);
-        assert!(opt.out.join("cellbound.csv").exists());
     }
 
     #[test]

@@ -1,44 +1,39 @@
-//! Tracked output cells and tuple-level dominance maintenance
-//! (Section III-B).
+//! Tracked output cells and tuple-level dominance (Section III-B).
 //!
 //! A *tracked* cell is one the store holds a [`Cell`] for. Under every
 //! dominance model a cell is materialized the first time a tuple lands in
 //! it, and pre-marked against the pessimistic skyline then;
 //! [`ProgDetermine`](crate::progdetermine::ProgDetermine) gives it its
-//! blocker count at that point. Tuples are inserted one at a time; the
-//! store maintains the invariant that
-//! **the live tuple set is exactly the skyline of all tuples inserted so
-//! far**:
+//! blocker count at that point. Tuples are inserted one at a time, and
+//! the store never evicts one:
 //!
-//! * a new tuple is rejected if its cell is dead, or if a tuple in a
-//!   *comparable* cell dominates it (comparable = the `d` coordinate slabs —
-//!   the `k^d − (k−1)^d` bound of Section III-B);
-//! * an admitted tuple evicts existing tuples it dominates (slab scan in the
-//!   other direction) and kills *fully dominated* populated cells wholesale;
+//! * a new tuple is rejected if its cell is dead, or if a tuple the store
+//!   admitted earlier dominates it — asked of the *admitted forest*
+//!   ([`CellStore::admitted`]), the rows admitted since its last publish
+//!   and the admitted rows with a NaN coordinate;
+//! * a released cell ([`CellStore::take_emitted`]) drops the members an
+//!   admitted tuple dominates, keeping the rest in admission order. Its
+//!   release proves that no tuple still to come dominates them, so the
+//!   survivors are exactly the skyline of everything inserted, restricted
+//!   to the cell — what a live set kept exact by eviction on every insert
+//!   would hold then (Section III-B's scheme; dominance is transitive, so
+//!   "an admitted tuple dominates x" and "a live tuple dominates x" agree,
+//!   as in the presorted skyline that never evicts, SFS);
 //! * cell-level full dominance is tracked through the *populated-cell
 //!   skyline*: the set of populated cells not fully dominated by another
 //!   populated cell. A cell that is fully dominated is dead — every tuple it
-//!   could ever hold is dominated by any tuple of the dominator.
-//!
-//! The comparable cells of an insert come from per-dimension *buckets*:
-//! for every dimension and coordinate, the populated cells with that
-//! coordinate there, each held as its packed coordinate beside its
-//! index. One branch-free pass over the `d` buckets through the inserted
-//! cell yields both the weakly-lower cells (for reject) and the
-//! weakly-upper ones (for evict); a cell counts in the first dimension in
-//! which it shares the inserted cell's coordinate, so each comes out once.
-//! A *staircase* over the populated cells answers "is this cell fully
-//! dominated" in `O(d)` instead of a skyline walk.
+//!   could ever hold is dominated by any tuple of the dominator — and
+//!   drops its members. A *staircase* over the populated cells answers "is
+//!   this cell fully dominated" in `O(d)` instead of a skyline walk.
 //!
 //! The store also owns the session's one coordinate → cell index
 //! ([`CellStore::find`]): a table over grid positions — every grid fits
-//! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic,
-//! and the *admitted forest* ([`CellStore::admitted`]): a dominance index
-//! over every tuple it ever admitted, which the batch producers ask before
-//! expanding a key group or keeping a tuple.
+//! [`OutputGrid::DENSE_INDEX_BUDGET`] — so a lookup is `O(d)` arithmetic.
+//! The batch producers ask the admitted forest too, before expanding a
+//! key group or keeping a tuple.
 
 use crate::fdom::DominanceModel;
-use crate::output_grid::{dense_position, for_each_upper_box_row, weak_leq, Coord, OutputGrid};
+use crate::output_grid::{dense_position, for_each_upper_box_row, Coord, OutputGrid};
 use progxe_skyline::{kernel, DominanceForest, PointStore};
 
 /// Work counters for tuple-level processing.
@@ -48,14 +43,16 @@ pub struct CellStats {
     pub dominance_tests: u64,
     /// Tuples admitted into cells.
     pub tuples_inserted: u64,
-    /// Tuples rejected because a live tuple dominates them.
+    /// Tuples rejected because an admitted tuple dominates them.
     pub tuples_rejected_dominated: u64,
     /// Tuples rejected because their cell is dead (no comparison needed —
     /// the paper's "discarded without performing any dominance comparisons").
     /// As observed by the store: a tuple rejected upstream of it
     /// ([`crate::tuple_level`]) is not counted here, whatever its cell.
     pub tuples_rejected_dead_cell: u64,
-    /// Previously admitted tuples evicted by newer dominating tuples.
+    /// Admitted tuples that never reach emission: dropped at their cell's
+    /// release because a later admitted tuple dominates them, or cleared
+    /// with their cell when it died.
     pub tuples_evicted: u64,
     /// Cells killed wholesale by full dominance. As observed by the store:
     /// an unpopulated cell counts when a tuple that reached the store first
@@ -65,11 +62,6 @@ pub struct CellStats {
     /// Cells pre-marked dead by the pessimistic skyline (Example 3), when
     /// the cell materializes — so only cells a tuple reached.
     pub cells_premarked_dead: u64,
-    /// Populated comparable cells actually examined across all insertions
-    /// (the measured counterpart of the `k^d − (k−1)^d` bound).
-    pub comparable_cells_visited: u64,
-    /// Largest comparable-cell set examined by a single insertion.
-    pub comparable_cells_max: u64,
     /// Pareto-optimal tuples removed from emission by the flexible-model
     /// filter (0 under the Pareto model) — the measured result-set
     /// shrinkage of a flexible skyline.
@@ -92,9 +84,11 @@ pub struct CellStats {
 #[derive(Debug)]
 pub struct Cell {
     coord: Coord,
-    /// `(r_idx, t_idx)` of surviving tuples, parallel to `points`.
+    /// `(r_idx, t_idx)` of the admitted tuples, in admission order,
+    /// parallel to `points`. Until the cell's release they may include
+    /// tuples a later admission dominates.
     ids: Vec<(u32, u32)>,
-    /// Oriented output values of surviving tuples.
+    /// Oriented output values of the admitted tuples.
     points: PointStore,
     populated: bool,
     dead: bool,
@@ -119,25 +113,26 @@ impl Cell {
         &self.coord
     }
 
-    /// Surviving tuple ids.
+    /// Admitted tuple ids (see [`CellStore::take_emitted`] for the ones
+    /// that survive release).
     #[inline]
     pub fn ids(&self) -> &[(u32, u32)] {
         &self.ids
     }
 
-    /// Surviving tuple values (oriented), parallel to [`Cell::ids`].
+    /// Admitted tuple values (oriented), parallel to [`Cell::ids`].
     #[inline]
     pub fn points(&self) -> &PointStore {
         &self.points
     }
 
-    /// Number of surviving tuples.
+    /// Number of admitted tuples held.
     #[inline]
     pub fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// True when no tuples survive in the cell.
+    /// True when the cell holds no tuple.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
@@ -170,10 +165,10 @@ impl Cell {
 #[derive(Debug)]
 pub struct CellStore {
     grid: OutputGrid,
-    /// The query's dominance model. The live-set invariant is maintained
-    /// under **Pareto** regardless (a sound superset for any flexible
-    /// model, since Pareto dominance implies F-dominance); a flexible
-    /// model additionally filters tuples at emission time
+    /// The query's dominance model. Insert and release test **Pareto**
+    /// dominance regardless (a sound superset for any flexible model,
+    /// since Pareto dominance implies F-dominance); a flexible model
+    /// additionally filters tuples at emission time
     /// ([`CellStore::filter_emitted`]).
     model: DominanceModel,
     cells: Vec<Cell>,
@@ -183,11 +178,6 @@ pub struct CellStore {
     index: Vec<u32>,
     /// The grid's packed-coordinate layout.
     lanes: Lanes,
-    /// Per dimension, per coordinate: the populated cells with that
-    /// coordinate there, as [`Lanes::entry`]s in population order. Sized
-    /// lazily, up to the largest coordinate populated; empty at `dims = 1`,
-    /// where the only cell sharing a coordinate with another is itself.
-    buckets: Vec<Vec<Vec<u64>>>,
     /// Populated cells not fully dominated by another populated cell, as
     /// [`Lanes::entry`]s.
     cell_skyline: Vec<u64>,
@@ -202,9 +192,6 @@ pub struct CellStore {
     /// the executor's eager dead-region sweep (Algorithm 1, line 9).
     fresh_skyline: Vec<u32>,
     stats: CellStats,
-    /// Reused weakly-lower / weakly-upper comparable-cell buffers.
-    scratch_below: Vec<u32>,
-    scratch_above: Vec<u32>,
     /// Cached per-cell lower-corner vertex projections for the flexible
     /// emission filter (`cells × vertex_count`, extended as cells
     /// materialize).
@@ -215,9 +202,7 @@ pub struct CellStore {
     /// First projected corner coordinate per `fdom_filter_order` entry,
     /// ascending, for binary-searching the reachable prefix.
     fdom_filter_keys: Vec<f64>,
-    /// Reused eviction mask for the batched dominated-row scans.
-    scratch_mask: Vec<bool>,
-    /// Reused keep flags for the emission filter.
+    /// Reused keep flags for the release and emission filters.
     scratch_keep: Vec<bool>,
     /// Reused candidate-tuple projections for the emission filter.
     fdom_tuple_proj: Vec<f64>,
@@ -232,15 +217,18 @@ pub struct CellStore {
     pessimistic: Vec<f64>,
     /// Reused lower-corner buffer for [`CellStore::premark`].
     corner: Vec<f64>,
-    /// Every tuple admitted up to the last
+    /// Every NaN-free tuple admitted up to the last
     /// [`publish_admitted`](CellStore::publish_admitted) (see
-    /// [`CellStore::admitted`]). Evictions and cell kills leave it
+    /// [`CellStore::admitted`]). Releases and cell kills leave it
     /// untouched; a publish adds a run, so a work unit's clone never
     /// changes under it.
     admitted: DominanceForest,
-    /// Tuples admitted since the last publish, oriented, row-major, in
-    /// admission order.
+    /// NaN-free tuples admitted since the last publish, oriented,
+    /// row-major, in admission order.
     fresh: Vec<f64>,
+    /// Every admitted tuple with a NaN coordinate, oriented, row-major:
+    /// never published, since NaN-as-tie dominance is not transitive.
+    nan_rows: Vec<f64>,
 }
 
 /// The bit layout of a packed cell coordinate: dimension `i` in lane `i`,
@@ -278,7 +266,7 @@ impl Lanes {
         (c[..dims].iter().rev()).fold(0, |packed, &v| packed << self.width | u32::from(v))
     }
 
-    /// A bucket entry: cell `idx` beside its packed coordinate.
+    /// A cell-skyline entry: cell `idx` beside its packed coordinate.
     fn entry(idx: u32, packed: u32) -> u64 {
         u64::from(idx) << 32 | u64::from(packed)
     }
@@ -288,25 +276,19 @@ impl Lanes {
         ((entry >> 32) as u32, entry as u32)
     }
 
-    /// `a ⪯ b` in every lane.
-    #[inline]
-    fn weak_leq(&self, a: u32, b: u32) -> bool {
-        ((b | self.guard) - a) & self.guard == self.guard
-    }
-
     /// `a < b` in every lane: [`full_dominates`](crate::output_grid::full_dominates).
     #[inline]
     fn full_dominates(&self, a: u32, b: u32) -> bool {
         ((b | self.guard) - (a + self.low)) & self.guard == self.guard
     }
-
-    /// Whether `a` and `b` differ in every one of the first `lanes` lanes.
-    #[inline]
-    fn differ_below(&self, a: u32, b: u32, lanes: usize) -> bool {
-        let below = self.guard & ((1u64 << (lanes as u32 * self.width)) - 1) as u32;
-        (((a ^ b) | self.guard) - self.low) & below == below
-    }
 }
+
+/// Unpublished rows at which an insert publishes them. The store scans
+/// them linearly, so without it a batch admitting thousands of rows (one
+/// region covering the whole grid) makes its commit quadratic: at d = 6,
+/// N = 4 000 on a `(1, 8)` grid, 13 474 admits in one batch, 128 did the
+/// least dominance work of 64…2 048.
+const FRESH_ROWS: usize = 128;
 
 /// [`CellStore`] index entry of a grid position without a tracked cell: no
 /// tuple landed there yet.
@@ -318,13 +300,6 @@ pub(crate) fn retain_tuples(ids: &mut Vec<(u32, u32)>, points: &mut PointStore, 
     let mut flags = keep.iter();
     ids.retain(|_| *flags.next().expect("one flag per tuple"));
     points.compact(keep);
-}
-
-/// `cells` in ascending order.
-fn sorted(cells: &[u32]) -> Vec<u32> {
-    let mut cells = cells.to_vec();
-    cells.sort_unstable();
-    cells
 }
 
 /// [`CellStore::stair`] entry over which no cell was populated yet — above
@@ -354,17 +329,13 @@ impl CellStore {
             cells: Vec::new(),
             index,
             lanes,
-            buckets: vec![Vec::new(); dims],
             cell_skyline: Vec::new(),
             stair,
             fresh_skyline: Vec::new(),
             stats: CellStats::default(),
-            scratch_below: Vec::new(),
-            scratch_above: Vec::new(),
             fdom_cell_proj: Vec::new(),
             fdom_filter_order: Vec::new(),
             fdom_filter_keys: Vec::new(),
-            scratch_mask: Vec::new(),
             scratch_keep: Vec::new(),
             fdom_tuple_proj: Vec::new(),
             fdom_member_proj: Vec::new(),
@@ -373,6 +344,7 @@ impl CellStore {
             corner: Vec::new(),
             admitted: DominanceForest::new(dims),
             fresh: Vec::new(),
+            nan_rows: Vec::new(),
         }
     }
 
@@ -455,26 +427,24 @@ impl CellStore {
     /// The dominance index over every tuple the store admitted up to the
     /// last [`publish_admitted`](Self::publish_admitted), oriented values.
     ///
-    /// "Does a row of it dominate this tuple?" is a sound *upstream
-    /// rejection test*: a tuple Pareto-dominated by an admitted row can
-    /// never be admitted, because the row is either still live or was
-    /// removed by something that dominates it (an evicting tuple, or any
-    /// tuple of a fully dominating cell), and dominance is transitive. Batch
-    /// producers ask it before expanding a key group and for every survivor
-    /// of their batch, before the ordered committer ever sees them
-    /// ([`crate::tuple_level`]). Rows with a NaN coordinate are never
-    /// recorded: the kernels treat NaN as a tie, which is not transitive,
-    /// so such a row could reject a tuple its own evictor would not. A
-    /// clone is a snapshot: publishing adds runs to the store's forest and
-    /// never changes one a work unit holds.
+    /// "Does a row of it dominate this tuple?" is the store's own
+    /// rejection test ([`insert`](Self::insert)), and so a sound *upstream*
+    /// one: batch producers ask it before expanding a key group and for
+    /// every survivor of their batch, before the ordered committer ever
+    /// sees them ([`crate::tuple_level`]). Rows with a NaN coordinate are
+    /// never recorded: the kernels treat NaN as a tie, which is not
+    /// transitive, so the store keeps those rows in a list of their own
+    /// that only it scans. A clone is a snapshot: publishing adds runs to
+    /// the store's forest and never changes one a work unit holds.
     #[inline]
     pub fn admitted(&self) -> &DominanceForest {
         &self.admitted
     }
 
-    /// Adds the tuples admitted since the last call to the forest — the
-    /// committer calls it once per commit, so a work unit dispatched after
-    /// a commit sees every tuple that commit admitted.
+    /// Adds the NaN-free tuples admitted since the last call to the forest
+    /// — the committer calls it once per commit, so a work unit dispatched
+    /// after a commit sees every tuple that commit admitted; an insert
+    /// calls it when `FRESH_ROWS` rows wait.
     pub fn publish_admitted(&mut self) {
         self.admitted.publish(&self.fresh);
         self.fresh.clear();
@@ -502,29 +472,64 @@ impl CellStore {
         }
     }
 
-    /// Marks a cell emitted and returns a copy of its surviving tuples.
+    /// Marks a cell emitted: drops its members an admitted tuple dominates
+    /// (counted in [`CellStats::tuples_evicted`]) and returns a copy of the
+    /// survivors, in admission order.
     ///
-    /// The tuples deliberately *stay* in the store: they are final skyline
-    /// members, and future insertions into comparable cells must still be
-    /// tested against them. (Nothing can ever evict them — emission proved
-    /// no future tuple dominates them.)
+    /// The release proved that no tuple still to come dominates a member,
+    /// so the survivors are final skyline members. They deliberately *stay*
+    /// in the cell, for the flexible emission filter of later releases
+    /// ([`filter_emitted`](Self::filter_emitted)).
     pub fn take_emitted(&mut self, idx: u32) -> (Vec<(u32, u32)>, PointStore) {
+        debug_assert!(!self.cells[idx as usize].emitted, "cell emitted twice");
+        let mut keep = std::mem::take(&mut self.scratch_keep);
+        keep.clear();
+        let (mut work, mut pairs) = (0, 0);
+        for p in self.cells[idx as usize].points.iter() {
+            keep.push(!self.admitted_dominates(p, &mut work, &mut pairs));
+        }
+        self.count_tests(work, pairs);
+        let dropped = keep.iter().filter(|&&kept| !kept).count();
         let cell = &mut self.cells[idx as usize];
-        debug_assert!(!cell.emitted, "cell emitted twice");
         cell.emitted = true;
+        if dropped > 0 {
+            retain_tuples(&mut cell.ids, &mut cell.points, &keep);
+            self.stats.tuples_evicted += dropped as u64;
+        }
+        self.scratch_keep = keep;
         (cell.ids.clone(), cell.points.clone())
     }
 
+    /// Whether a tuple the store admitted dominates `p`: a row of the
+    /// forest, an unpublished row, or a NaN row. `work` counts the forest's
+    /// leaf boxes and rows tested, `pairs` the kernels' pair tests.
+    fn admitted_dominates(&self, p: &[f64], work: &mut u64, pairs: &mut u64) -> bool {
+        let dims = self.grid.dims();
+        self.admitted.any_dominates(p, work)
+            || kernel::any_dominates(dims, &self.fresh, p, pairs)
+            || kernel::any_dominates(dims, &self.nan_rows, p, pairs)
+    }
+
+    /// Adds the work of [`admitted_dominates`](Self::admitted_dominates)
+    /// calls to the dominance counters.
+    fn count_tests(&mut self, work: u64, pairs: u64) {
+        self.stats.dominance_tests += work + pairs;
+        self.stats.dominance_pairs += pairs;
+    }
+
     /// Flexible-model emission filter: drops tuples of an about-to-emit
-    /// cell that are **F-dominated** by some live tuple of the store. A
-    /// no-op under the Pareto model (where live already means
-    /// non-dominated).
+    /// cell that are **F-dominated** by some tuple a cell of the store
+    /// holds. A no-op under the Pareto model (where the release already
+    /// dropped every dominated tuple).
     ///
     /// Correctness rests on the composition property (see [`crate::fdom`]):
     /// every produced tuple that F-dominates an emission candidate is
-    /// either live itself or Pareto-dominated by a live tuple that also
-    /// F-dominates the candidate — so testing against the live set is
-    /// complete. The strengthened blocker counts of
+    /// either held by a cell itself or Pareto-dominated by a held tuple
+    /// that also F-dominates the candidate — so testing against the cells'
+    /// members is complete. Members an admitted tuple Pareto-dominates
+    /// (those of cells not released yet) add work, not answers: their
+    /// dominator F-dominates whatever they do. The strengthened blocker
+    /// counts of
     /// [`crate::progdetermine::ProgDetermine`] guarantee no *future* tuple
     /// can F-dominate anything emitted here, preserving no-retraction.
     ///
@@ -734,7 +739,6 @@ impl CellStore {
 
     /// [`insert`](Self::insert) of a tuple whose cell, `coord =
     /// grid.cell_of(oriented)`, the caller already computed.
-    #[allow(clippy::needless_range_loop)] // `d` indexes two parallel arrays
     pub(crate) fn insert_at(
         &mut self,
         coord: Coord,
@@ -760,67 +764,19 @@ impl CellStore {
             return false;
         }
 
-        // 3. Check the new tuple against tuples in comparable cells —
-        //    weakly lower, this cell itself included.
-        let (below, above) = self.comparable_cells(idx, &coord);
-        let mut rejected = false;
-        let mut cells_examined = 0u64;
-        let mut pairs = 0u64;
-        for &cand in &below {
-            let cell = &self.cells[cand as usize];
-            if cell.dead {
-                continue;
-            }
-            cells_examined += 1;
-            // Cell tuples are stored oriented (all-lowest), so the batched
-            // many-vs-one kernel scans the cell's flat buffer directly.
-            if kernel::any_dominates(dims, cell.points.raw(), oriented, &mut pairs) {
-                rejected = true;
-                break;
-            }
-        }
-        self.stats.comparable_cells_visited += cells_examined;
-        self.stats.comparable_cells_max = self.stats.comparable_cells_max.max(cells_examined);
-        if rejected {
-            self.scratch_below = below;
-            self.scratch_above = above;
-            self.stats.dominance_tests += pairs;
-            self.stats.dominance_pairs += pairs;
+        // 3. Reject the tuple if an admitted one dominates it. Nothing is
+        //    evicted: a member a later admission dominates leaves at its
+        //    cell's release (`take_emitted`).
+        let (mut work, mut pairs) = (0, 0);
+        let dominated = self.admitted_dominates(oriented, &mut work, &mut pairs);
+        self.count_tests(work, pairs);
+        if dominated {
             self.stats.tuples_rejected_dominated += 1;
             return false;
         }
 
-        // 4. Evict live tuples the new one dominates, in the weakly upper
-        //    comparable cells. Emitted cells are skipped: their tuples are
-        //    proven final, so nothing can dominate them (and their ids are
-        //    already shipped). One batched dominated-mask per cell and one
-        //    stable compaction: a cell's tuple order is the admission order
-        //    of its live tuples, whatever transient tuples came and went in
-        //    between.
-        let mut mask = std::mem::take(&mut self.scratch_mask);
-        for &cand in &above {
-            let cell = &mut self.cells[cand as usize];
-            if cell.dead || cell.emitted {
-                continue;
-            }
-            mask.clear();
-            mask.resize(cell.points.len(), false);
-            let hits =
-                kernel::dominated_mask(dims, cell.points.raw(), oriented, &mut mask, &mut pairs);
-            if hits > 0 {
-                mask.iter_mut().for_each(|evicted| *evicted = !*evicted);
-                retain_tuples(&mut cell.ids, &mut cell.points, &mask);
-                self.stats.tuples_evicted += hits as u64;
-            }
-        }
-        self.scratch_mask = mask;
-        self.scratch_below = below;
-        self.scratch_above = above;
-        self.stats.dominance_tests += pairs;
-        self.stats.dominance_pairs += pairs;
-
-        // 5. Admit the tuple; on first population update the buckets and
-        //    the populated-cell skyline (killing fully dominated cells).
+        // 4. Admit the tuple; on first population update the populated-cell
+        //    skyline (killing fully dominated cells) and the staircase.
         let newly_populated = !self.cells[idx as usize].populated;
         {
             let cell = &mut self.cells[idx as usize];
@@ -828,23 +784,19 @@ impl CellStore {
             cell.points.push(oriented);
             cell.populated = true;
         }
-        if !oriented.iter().any(|v| v.is_nan()) {
+        if oriented.iter().any(|v| v.is_nan()) {
+            self.nan_rows.extend_from_slice(oriented);
+        } else {
             self.fresh.extend_from_slice(oriented);
+            if self.fresh.len() >= FRESH_ROWS * dims {
+                self.publish_admitted();
+            }
         }
         self.stats.tuples_inserted += 1;
         if newly_populated {
             let lanes = self.lanes;
             let packed = lanes.pack(&coord, dims);
-            let entry = Lanes::entry(idx, packed);
-            if dims > 1 {
-                for (buckets, &v) in self.buckets.iter_mut().zip(&coord[..dims]) {
-                    if buckets.len() <= usize::from(v) {
-                        buckets.resize_with(usize::from(v) + 1, Vec::new);
-                    }
-                    buckets[usize::from(v)].push(entry);
-                }
-            }
-            // Evict skyline cells this one fully dominates; they die.
+            // Skyline cells this one fully dominates leave it and die.
             let mut s = 0;
             while s < self.cell_skyline.len() {
                 let (victim, victim_packed) = Lanes::split(self.cell_skyline[s]);
@@ -855,7 +807,7 @@ impl CellStore {
                     s += 1;
                 }
             }
-            self.cell_skyline.push(entry);
+            self.cell_skyline.push(Lanes::entry(idx, packed));
             self.fresh_skyline.push(idx);
             // Lower the staircase over every prefix this cell's prefix is
             // `⪯` — nothing to do when a cell at or below its own prefix
@@ -872,72 +824,6 @@ impl CellStore {
             }
         }
         true
-    }
-
-    /// The populated cells comparable to the cell `idx` at `coord` — those
-    /// sharing a coordinate with it — split into the weakly lower ones and
-    /// the weakly upper ones (the cell itself, when populated, is both),
-    /// each once, in bucket order: by the first dimension where it shares
-    /// the coordinate, then in population order. One branch-free pass over
-    /// the packed coordinates of the `d` buckets through `coord`. Dead
-    /// cells are included; the caller skips them.
-    fn comparable_cells(&mut self, idx: u32, coord: &Coord) -> (Vec<u32>, Vec<u32>) {
-        let dims = self.grid.dims();
-        let lanes = self.lanes;
-        let packed = lanes.pack(coord, dims);
-        let mut below = std::mem::take(&mut self.scratch_below);
-        let mut above = std::mem::take(&mut self.scratch_above);
-        below.clear();
-        above.clear();
-        if dims == 1 && self.cells[idx as usize].populated {
-            below.push(idx);
-            above.push(idx);
-        }
-        for (d, buckets) in self.buckets.iter().enumerate() {
-            let Some(bucket) = buckets.get(usize::from(coord[d])) else {
-                continue;
-            };
-            let (mut nb, mut na) = (below.len(), above.len());
-            below.resize(nb + bucket.len(), 0);
-            above.resize(na + bucket.len(), 0);
-            for &entry in bucket {
-                let (cell, other) = Lanes::split(entry);
-                // Met in an earlier bucket if it shares an earlier coordinate.
-                let first = lanes.differ_below(packed, other, d);
-                below[nb] = cell;
-                nb += usize::from(first & lanes.weak_leq(other, packed));
-                above[na] = cell;
-                na += usize::from(first & lanes.weak_leq(packed, other));
-            }
-            below.truncate(nb);
-            above.truncate(na);
-        }
-        debug_assert_eq!(
-            (sorted(&below), sorted(&above)),
-            self.comparable_cells_by_definition(coord),
-            "packed comparable-cell pass disagrees with the definition at {:?}",
-            &coord[..dims]
-        );
-        (below, above)
-    }
-
-    /// [`comparable_cells`](Self::comparable_cells) by definition, sorted:
-    /// every populated cell sharing a coordinate with `coord` and weakly
-    /// below it, and those weakly above it. The pass's cross-check in debug
-    /// builds.
-    fn comparable_cells_by_definition(&self, coord: &Coord) -> (Vec<u32>, Vec<u32>) {
-        let dims = self.grid.dims();
-        let shared = |c: &Coord| (0..dims).any(|d| c[d] == coord[d]);
-        let (mut below, mut above) = (Vec::new(), Vec::new());
-        for (i, cell) in self.iter().filter(|(_, c)| c.populated && shared(&c.coord)) {
-            if weak_leq(&cell.coord, coord, dims) {
-                below.push(i);
-            }
-            if weak_leq(coord, &cell.coord, dims) {
-                above.push(i);
-            }
-        }
-        (below, above)
     }
 
     /// The first touch of an untracked position: builds its cell, indexes
@@ -981,15 +867,6 @@ impl CellStore {
     /// Iterates over tracked cells with their indices.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Cell)> {
         self.cells.iter().enumerate().map(|(i, c)| (i as u32, c))
-    }
-
-    /// Total surviving tuples across all cells (diagnostics).
-    pub fn live_tuples(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| !c.emitted)
-            .map(|c| c.len())
-            .sum()
     }
 }
 
@@ -1213,12 +1090,21 @@ mod tests {
         assert_eq!(s.stats().cells_killed, 1);
     }
 
-    /// A cell's tuple order is the admission order of its live tuples: a
-    /// transient tuple, admitted and later evicted, leaves the survivors
-    /// as if it had never been there.
+    /// Releases every live cell, in index order; the tuples handed out.
+    fn release_all(s: &mut CellStore) -> Vec<(u32, u32)> {
+        let live: Vec<u32> = (0..s.len() as u32)
+            .filter(|&i| !s.cell_is_dead(i))
+            .collect();
+        live.into_iter().flat_map(|i| s.take_emitted(i).0).collect()
+    }
+
+    /// A released cell's tuples come in the admission order of the
+    /// survivors: a transient tuple, admitted and later dominated, leaves
+    /// them as if it had never been there — and counts as evicted at the
+    /// release, not before.
     #[test]
-    fn eviction_keeps_the_admission_order_of_the_survivors() {
-        let cell_ids = |with_transient: bool| {
+    fn release_keeps_the_admission_order_of_the_survivors() {
+        let released = |with_transient: bool| {
             let mut s = store_10x10();
             if with_transient {
                 assert!(s.insert(9, 9, &[5.5, 5.5]));
@@ -1230,29 +1116,56 @@ mod tests {
             {
                 assert!(s.insert(i as u32, i as u32, p));
             }
-            // Evicts the transient (and only it).
+            // Dominates the transient (and only it).
             assert!(s.insert(4, 4, &[5.45, 5.45]));
-            assert_eq!(s.stats().tuples_evicted, u64::from(with_transient));
+            assert_eq!(s.stats().tuples_evicted, 0, "nothing leaves before release");
             let idx = s.find(&s.grid().cell_of(&[5.5, 5.5])).unwrap();
-            (s.cell(idx).ids().to_vec(), s.cell(idx).points().clone())
+            let out = s.take_emitted(idx);
+            assert_eq!(s.stats().tuples_evicted, u64::from(with_transient));
+            assert_eq!(s.cell(idx).ids(), out.0, "the cell keeps the survivors");
+            out
         };
-        let (ids, points) = cell_ids(true);
+        let (ids, points) = released(true);
         assert_eq!(ids, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
-        assert_eq!((ids, points), cell_ids(false));
+        assert_eq!((ids, points), released(false));
     }
 
     #[test]
-    fn eviction_removes_dominated_neighbors() {
+    fn release_drops_members_a_neighbor_dominates() {
         let mut s = store_10x10();
         assert!(s.insert(0, 0, &[7.5, 5.5])); // cell (7,5)
         assert!(s.insert(1, 1, &[2.5, 5.5])); // same row, dominates the first
         let victim = s.find(&s.grid().cell_of(&[7.5, 5.5])).unwrap();
+        assert_eq!(s.cell(victim).ids(), &[(0, 0)], "held until release");
+        assert!(s.take_emitted(victim).0.is_empty());
         assert!(s.cell(victim).is_empty());
         assert_eq!(s.stats().tuples_evicted, 1);
         assert!(
             !s.cell(victim).is_dead(),
-            "partial dominance evicts tuples, not cells"
+            "partial dominance drops tuples, not cells"
         );
+    }
+
+    /// A NaN row never enters the forest, yet dominates as the kernels say
+    /// (NaN as a tie): admitted after a finite row it dominates, it
+    /// removes that row at release, and it rejects a later one.
+    #[test]
+    fn a_nan_row_dominates_at_release_and_at_insert() {
+        let mut s = store_10x10();
+        assert!(s.insert(0, 0, &[5.5, 5.5]));
+        assert!(s.insert(1, 1, &[f64::NAN, 5.2]), "a tie, then 5.2 < 5.5");
+        s.publish_admitted();
+        assert_eq!(s.admitted().len(), 1, "the NaN row stays out");
+        assert!(
+            !s.insert(2, 2, &[5.6, 5.3]),
+            "only the NaN row dominates it"
+        );
+        assert_eq!(s.stats().tuples_rejected_dominated, 1);
+        let idx = s.find(&s.grid().cell_of(&[5.5, 5.5])).unwrap();
+        assert!(s.take_emitted(idx).0.is_empty());
+        assert_eq!(s.stats().tuples_evicted, 1);
+        let nan_cell = s.find(&s.grid().cell_of(&[f64::NAN, 5.2])).unwrap();
+        assert_eq!(s.take_emitted(nan_cell).0, vec![(1, 1)]);
     }
 
     #[test]
@@ -1260,7 +1173,7 @@ mod tests {
         let mut s = store_10x10();
         assert!(s.insert(0, 0, &[2.5, 7.5]));
         assert!(s.insert(1, 1, &[7.5, 2.5]));
-        assert_eq!(s.live_tuples(), 2);
+        assert_eq!(release_all(&mut s).len(), 2);
     }
 
     #[test]
@@ -1268,45 +1181,49 @@ mod tests {
         let mut s = store_10x10();
         assert!(s.insert(0, 0, &[5.5, 5.5]));
         assert!(s.insert(1, 1, &[5.5, 5.5]));
-        assert_eq!(s.live_tuples(), 2);
+        assert_eq!(release_all(&mut s).len(), 2);
     }
 
+    /// The release-time invariant against brute force: after any prefix of
+    /// a pseudo-random insert sequence, each live cell releases exactly the
+    /// skyline of everything inserted, restricted to the cell, in
+    /// admission order — whether the dominators were published or not —
+    /// and a dead cell holds no skyline tuple.
     #[test]
-    fn live_set_is_always_skyline_of_inserted() {
-        // Deterministic pseudo-random stress: after each insert, the live
-        // tuples must equal the skyline of everything inserted so far.
-        let mut s = store_10x10();
-        let pref = progxe_skyline::Preference::all_lowest(2);
-        let mut inserted: Vec<[f64; 2]> = Vec::new();
-        let mut x: u64 = 42;
-        for i in 0..300u32 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = ((x >> 33) % 100) as f64 / 10.0;
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let b = ((x >> 33) % 100) as f64 / 10.0;
-            s.insert(i, i, &[a, b]);
-            inserted.push([a, b]);
-
-            let mut live: Vec<[f64; 2]> = Vec::new();
-            for (_, cell) in s.iter() {
-                for p in cell.points().iter() {
-                    live.push([p[0], p[1]]);
+    fn released_cells_hold_the_skyline_of_everything_inserted() {
+        let mut next = rng(42);
+        for (dims, k) in [(2usize, 10u16), (3, 5)] {
+            let pref = progxe_skyline::Preference::all_lowest(dims);
+            let rows: Vec<Vec<f64>> = (0..300)
+                .map(|_| {
+                    (0..dims)
+                        .map(|_| next(10 * k as u64) as f64 / 10.0)
+                        .collect()
+                })
+                .collect();
+            for n in (1..rows.len()).step_by(23).chain([rows.len()]) {
+                let mut s = square_store(dims, k);
+                for (i, p) in rows[..n].iter().enumerate() {
+                    s.insert(i as u32, i as u32, p);
+                }
+                if n % 2 == 0 {
+                    s.publish_admitted();
+                }
+                for idx in 0..s.len() as u32 {
+                    let coord = *s.cell(idx).coord();
+                    let skyline: Vec<(u32, u32)> = (rows[..n].iter().enumerate())
+                        .filter(|(_, p)| s.grid().cell_of(p) == coord)
+                        .filter(|(_, p)| !rows[..n].iter().any(|q| pref.dominates(q, p)))
+                        .map(|(i, _)| (i as u32, i as u32))
+                        .collect();
+                    let label = format!("dims={dims} n={n} cell {:?}", &coord[..dims]);
+                    if s.cell_is_dead(idx) {
+                        assert!(skyline.is_empty(), "{label}: a dead cell holds {skyline:?}");
+                    } else {
+                        assert_eq!(s.take_emitted(idx).0, skyline, "{label}");
+                    }
                 }
             }
-            let expected: Vec<[f64; 2]> = inserted
-                .iter()
-                .filter(|p| !inserted.iter().any(|q| pref.dominates(&q[..], &p[..])))
-                .copied()
-                .collect();
-            let mut live_s = live.clone();
-            let mut exp_s = expected.clone();
-            live_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            exp_s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(live_s, exp_s, "diverged after {} inserts", i + 1);
         }
     }
 
@@ -1483,7 +1400,7 @@ mod tests {
     }
 
     #[test]
-    fn take_emitted_moves_tuples_out() {
+    fn take_emitted_marks_the_cell_and_copies_its_tuples() {
         let mut s = store_10x10();
         s.insert(3, 4, &[5.5, 5.5]);
         let idx = s.find(&s.grid().cell_of(&[5.5, 5.5])).unwrap();
@@ -1491,7 +1408,7 @@ mod tests {
         assert_eq!(ids, vec![(3, 4)]);
         assert_eq!(points.len(), 1);
         assert!(s.cell(idx).is_emitted());
-        assert_eq!(s.live_tuples(), 0);
+        assert_eq!(s.cell(idx).ids(), &[(3, 4)], "emitted tuples stay");
     }
 
     /// The rows of `forest`, each as its bit pattern, sorted: the forest
@@ -1565,97 +1482,12 @@ mod tests {
         assert!(nan_admitted, "no NaN row was ever admitted");
     }
 
-    /// The packed comparable-cell pass against the definition — every
-    /// populated cell sharing a coordinate with the probed one, weakly below
-    /// it and weakly above it, each once — and the packed lane tests against
-    /// `weak_leq` / `full_dominates`, on random populations from `d = 1` at
-    /// `k = 65 535` (one 17-bit lane) to `d = 8` (eight lanes filling 32
-    /// bits). Coordinates come from a few values per dimension, `0` and
-    /// `k − 1` among them, so populated cells share coordinates often.
-    #[test]
-    fn packed_comparable_pass_matches_the_definition() {
-        let mut next = rng(0xFA57);
-        for (dims, k) in [
-            (1usize, 65_535u16),
-            (1, 2),
-            (2, 1024),
-            (2, 7),
-            (3, 101),
-            (3, 4),
-            (4, 32),
-            (5, 16),
-            (6, 10),
-            (7, 7),
-            (8, 5),
-            (8, 1),
-        ] {
-            let mut s = square_store(dims, k);
-            assert_eq!(s.grid().cells_per_dim(), k, "under the cap");
-            let picks: Vec<Vec<u16>> = (0..dims)
-                .map(|_| {
-                    let mut values = vec![0, k - 1];
-                    values.extend((0..3).map(|_| next(k as u64) as u16));
-                    values
-                })
-                .collect();
-            let mut populated: Vec<Coord> = Vec::new();
-            let (mut compared, mut shared) = (0usize, 0usize);
-            for i in 0..80u32 {
-                let draw = |next: &mut dyn FnMut(u64) -> u64| {
-                    let mut c: Coord = [0; MAX_DIMS];
-                    for d in 0..dims {
-                        c[d] = picks[d][next(5) as usize];
-                    }
-                    c
-                };
-                let c = draw(&mut next);
-                let p: Vec<f64> = (c[..dims].iter())
-                    .map(|&v| v as f64 + next(100) as f64 / 100.0)
-                    .collect();
-                if s.insert(i, i, &p) && !populated.contains(&c) {
-                    populated.push(c);
-                }
-                let probe = draw(&mut next);
-                let idx = s.find(&probe).unwrap_or_else(|| s.materialize(probe));
-                let (below, above) = s.comparable_cells(idx, &probe);
-                let label = format!("dims={dims} k={k} insert={i} probe={:?}", &probe[..dims]);
-                let definition = s.comparable_cells_by_definition(&probe);
-                assert_eq!((sorted(&below), sorted(&above)), definition, "{label}");
-                shared += below.len() + above.len();
-                let lanes = s.lanes;
-                let packed = lanes.pack(&probe, dims);
-                for q in &populated {
-                    let other = lanes.pack(q, dims);
-                    assert_eq!(
-                        lanes.weak_leq(other, packed),
-                        weak_leq(q, &probe, dims),
-                        "{label}"
-                    );
-                    assert_eq!(
-                        lanes.full_dominates(other, packed),
-                        full_dominates(q, &probe, dims),
-                        "{label} {:?}",
-                        &q[..dims]
-                    );
-                    compared += 1;
-                }
-            }
-            assert!(shared > 0 && compared > 0, "dims={dims} k={k}");
-            if dims == 1 {
-                assert_eq!(
-                    s.buckets[0].capacity(),
-                    0,
-                    "no per-coordinate buckets at d = 1"
-                );
-            }
-        }
-    }
-
-    /// The packed lane tests against their definitions on random pairs of
-    /// coordinates, half of them drawn from each dimension's edge values
-    /// (`0`, `1`, `k − 2`, `k − 1`, and `2^15 − 1` / `2^15` where the grid
-    /// reaches them — a 16-bit lane with a guard bit inside it would get
-    /// those wrong at `k = 65 535`).
+    /// The packed full-dominance test against its definition on random
+    /// pairs of coordinates, from `d = 1` at `k = 65 535` (one 17-bit
+    /// lane) to `d = 8` (eight lanes filling 32 bits), half of them drawn
+    /// from each dimension's edge values (`0`, `1`, `k − 2`, `k − 1`, and
+    /// `2^15 − 1` / `2^15` where the grid reaches them — a 16-bit lane with
+    /// a guard bit inside it would get those wrong at `k = 65 535`).
     #[test]
     fn packed_lanes_compare_like_coordinates() {
         let mut next = rng(0x1A7E5);
@@ -1692,18 +1524,34 @@ mod tests {
                 let (a, b) = (draw(), draw());
                 let (pa, pb) = (lanes.pack(&a, dims), lanes.pack(&b, dims));
                 let label = format!("dims={dims} k={k} {:?} {:?}", &a[..dims], &b[..dims]);
-                assert_eq!(lanes.weak_leq(pa, pb), weak_leq(&a, &b, dims), "{label}");
                 assert_eq!(
                     lanes.full_dominates(pa, pb),
                     full_dominates(&a, &b, dims),
                     "{label}"
                 );
-                for lanes_below in 0..=dims {
-                    let differ = (0..lanes_below).all(|d| a[d] != b[d]);
-                    assert_eq!(lanes.differ_below(pa, pb, lanes_below), differ, "{label}");
-                }
             }
         }
+    }
+
+    /// A batch longer than [`FRESH_ROWS`] publishes as it goes, and
+    /// rejects against the published rows as against unpublished ones.
+    #[test]
+    fn long_batches_publish_in_runs() {
+        let n = 3 * FRESH_ROWS + 5;
+        let mut s = store_10x10();
+        // An anti-diagonal: mutually incomparable.
+        let row = |i: usize| [i as f64 * 9.0 / n as f64, 9.0 - i as f64 * 9.0 / n as f64];
+        for i in 0..n {
+            assert!(s.insert(i as u32, 0, &row(i)));
+        }
+        assert_eq!(s.admitted().len(), 3 * FRESH_ROWS);
+        for i in [0, FRESH_ROWS, n - 1] {
+            let [a, b] = row(i);
+            assert!(!s.insert(i as u32, 1, &[a + 1e-9, b + 1e-9]), "row {i}");
+        }
+        assert_eq!(s.stats().tuples_rejected_dominated, 3);
+        s.publish_admitted();
+        assert_eq!(s.admitted().len(), n);
     }
 
     /// The store's forest answers like a scan of every row it admitted.

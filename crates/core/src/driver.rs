@@ -266,8 +266,10 @@ impl Committer {
     /// results committed in the meantime (a region dispatched early may be
     /// dead by the time its batch lands — counted as
     /// [`ExecStats::regions_computed_dead`]), then the surviving tuples go
-    /// through the cell-restricted dominance insert, and the region
-    /// resolves.
+    /// through the store's insert — rejected if their cell is dead or an
+    /// admitted tuple dominates them, never evicting one — the admitted
+    /// ones are published to the forest, and the region resolves, releasing
+    /// cells without the members a later admission dominates.
     ///
     /// # Panics
     /// Debug-asserts that the batch completed; committing a partial batch
@@ -393,8 +395,6 @@ impl Committer {
         stats.tuples_evicted = cell_stats.tuples_evicted;
         stats.cells_tracked = self.store.len();
         stats.cells_premarked_dead = cell_stats.cells_premarked_dead as usize;
-        stats.comparable_cells_visited = cell_stats.comparable_cells_visited;
-        stats.comparable_cells_max = cell_stats.comparable_cells_max;
         stats.tuples_fdom_filtered = cell_stats.tuples_fdom_filtered;
     }
 }

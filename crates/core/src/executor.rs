@@ -182,7 +182,7 @@ impl FrontEnd {
         stats.pairs_rejected_by_signature = la.pairs_rejected_by_signature;
         stats.regions_pruned_lookahead = la.regions_pruned;
         stats.regions_created = la.regions.len();
-        // The store maintains its live set under Pareto regardless of the
+        // The store rejects and releases under Pareto regardless of the
         // model (sound superset — Pareto dominance implies F-dominance);
         // a flexible model additionally strengthens blocker counts and
         // filters emissions. Region/cell pruning and cell pre-marking stay

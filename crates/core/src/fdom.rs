@@ -40,14 +40,15 @@
 //!
 //! 1. **Pareto dominance implies F-dominance** (weights are non-negative),
 //!    so every Pareto-based pruning step — dead regions, killed cells,
-//!    push-through, the local skyline pre-filter, eviction inside the cell
-//!    store — discards only tuples that are also F-dominated. Region-level
+//!    push-through, the local skyline pre-filter, rejection and the
+//!    release filter of the cell store — discards only tuples that are
+//!    also F-dominated. Region-level
 //!    reasoning stays sound unchanged.
 //! 2. **F-dominance composes through Pareto**: if `s` F-dominates `t` and
 //!    `u` Pareto-dominates `s`, then `u` F-dominates `t`. Hence the
-//!    F-skyline can be computed by filtering the *Pareto-maintained* live
-//!    set — every F-dominator that was evicted is represented by a live
-//!    Pareto dominator that also F-dominates.
+//!    F-skyline can be computed by filtering the tuples the cells hold
+//!    under Pareto — every F-dominator the store dropped or never admitted
+//!    is represented by a held Pareto dominator that also F-dominates.
 //!
 //! What Pareto machinery *cannot* provide is emission finality: `u` can
 //! F-dominate `t` from a cell that is Pareto-incomparable to `t`'s. The
@@ -55,7 +56,7 @@
 //! strengthened under a flexible model (a region blocks a cell iff its
 //! best corner could weakly F-dominate the cell's worst corner — checked
 //! at the vertices), and emitted cells pass a final F-filter against the
-//! live set. See `ProgDetermine` for the argument.
+//! tuples the cells hold. See `ProgDetermine` for the argument.
 
 use crate::error::{Error, Result};
 use crate::output_grid::{Coord, OutputGrid, MAX_DIMS};

@@ -17,7 +17,8 @@
 //!   `a ≤ b` without full dominance forces `a[j] = b[j]` in some dimension,
 //!   the partial dominators of `b` are exactly the union of the `d`
 //!   coordinate *slabs* through `b` — the paper's `k^d − (k−1)^d`
-//!   comparable-partition bound.
+//!   comparable-partition bound (the cell store asks its admitted forest
+//!   instead of walking them).
 
 /// Maximum supported output dimensionality (paper evaluates d ≤ 5).
 pub const MAX_DIMS: usize = 8;

@@ -18,11 +18,13 @@
 //! "populated full dominator" case instead *kills* the cell the moment it is
 //! observed (handled in [`crate::cells`]).
 //!
-//! When the last blocker of a live, non-dead cell resolves, its surviving
-//! tuples are final skyline members — they are emitted immediately. The
-//! cells one resolution releases are emitted in **ascending grid
-//! coordinate** ([`pack`] order, dimension 0 fastest): a property of the
-//! cells, not of when the store found which of their neighbours dead.
+//! When the last blocker of a live, non-dead cell resolves, no tuple still
+//! to come can dominate its members: those no admitted tuple dominates
+//! are final skyline members, and they are emitted immediately
+//! ([`CellStore::take_emitted`] drops the rest). The cells one resolution
+//! releases are emitted in **ascending grid coordinate** ([`pack`] order,
+//! dimension 0 fastest): a property of the cells, not of when the store
+//! found which of their neighbours dead.
 //!
 //! ## Where the counts live
 //!
@@ -425,10 +427,10 @@ impl ProgDetermine {
 
     /// Resolves one region — processed *or* discarded — decrementing the
     /// blocker count of every cell it blocks. Cells whose count reaches
-    /// zero are finalized: dead cells are dropped, all others emit their
-    /// surviving tuples into `out`, **in ascending grid coordinate**
-    /// ([`pack`] order, dimension 0 fastest) — a property of the cells
-    /// released, not of how or when the store got to know them.
+    /// zero are finalized: dead cells are dropped, all others emit the
+    /// tuples no admitted tuple dominates into `out`, **in ascending grid
+    /// coordinate** ([`pack`] order, dimension 0 fastest) — a property of
+    /// the cells released, not of how or when the store got to know them.
     ///
     /// Must be called exactly once per region, *after* the region's tuples
     /// (if any) have been inserted into `store`.

@@ -160,8 +160,10 @@ pub struct ExecStats {
     /// pair tests plus the admitted-forest filter's leaf boxes and rows
     /// tested.
     pub filter_dominance_tests: u64,
-    /// Dominance tests of the cell store (reject, evict, premark and the
-    /// flexible emission filter, on the committer).
+    /// Work of the cell store, on the committer: the admitted-forest leaf
+    /// boxes and rows tested, plus the pair tests against its unpublished
+    /// and NaN rows, at insert (reject) and at release (drop the dominated
+    /// members); the premark tests; and the flexible emission filter's.
     pub store_dominance_tests: u64,
     /// Subset of [`ExecStats::dominance_tests`] executed through the
     /// batched columnar kernels ([`progxe_skyline::kernel`]) rather than
@@ -174,25 +176,22 @@ pub struct ExecStats {
     pub fdom_vertex_evals: u64,
     /// Tuples admitted into cells.
     pub tuples_inserted: u64,
-    /// Tuples rejected: dominated by a live tuple.
+    /// Tuples rejected: dominated by a tuple admitted earlier.
     pub tuples_rejected_dominated: u64,
     /// Tuples rejected: landed in a dead cell (no comparisons needed). As
     /// observed by the cell store — tuples rejected upstream of it
     /// ([`ExecStats::tuples_prefiltered`]) are not counted, whatever their
     /// cell.
     pub tuples_rejected_dead_cell: u64,
-    /// Admitted tuples later evicted by dominating arrivals.
+    /// Admitted tuples that never reach emission: dropped when their cell
+    /// is released because a later admission dominates them, or cleared
+    /// with their cell when it died. Nothing leaves a cell before that.
     pub tuples_evicted: u64,
     /// Tuples rejected upstream of the cell store: join matches skipped
     /// unexpanded ([`ExecStats::join_matches_skipped`]) plus produced tuples
     /// dropped by the batch filter stage — the bounded local skyline
     /// pre-filter and the admitted-forest snapshot filter.
     pub tuples_prefiltered: u64,
-    /// Populated comparable cells examined across insertions (Section
-    /// III-B's `k^d − (k−1)^d` bound, measured).
-    pub comparable_cells_visited: u64,
-    /// Largest comparable-cell set examined by one insertion.
-    pub comparable_cells_max: u64,
     /// Pareto-optimal tuples removed at emission by the flexible-dominance
     /// filter (always 0 under the default Pareto model) — the measured
     /// result-set shrinkage of an F-skyline query.

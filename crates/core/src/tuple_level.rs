@@ -140,7 +140,7 @@ pub struct TupleLevelStats {
 /// still alive skips its group when `probe row + build group minimum` is
 /// dominated. Both questions go through [`RecentDominators`]. The test is
 /// Pareto whatever the query's model (Pareto dominance implies F-dominance,
-/// and the store's live set is Pareto-maintained). Skipped matches are
+/// and the store rejects by Pareto dominance). Skipped matches are
 /// counted, never emitted; an empty forest switches the look-ahead off.
 ///
 /// Generic over the consumer (not `dyn`) so `emit` stays inlinable in the
@@ -546,8 +546,8 @@ impl RegionBatch {
 /// Drops every tuple Pareto-dominated by a row of `admitted` (oriented,
 /// `points.dims()` values per row), preserving order. Pareto is the right
 /// relation under any model: the forest records what the store — which
-/// maintains its live set under Pareto — admitted, and Pareto dominance
-/// implies F-dominance. Tuples with a NaN coordinate are passed through
+/// rejects under Pareto — admitted, and Pareto dominance implies
+/// F-dominance. Tuples with a NaN coordinate are passed through
 /// untested (NaN-as-tie dominance is not transitive; the forest holds no
 /// such rows either), so the relation applied here is a strict partial
 /// order and the soundness argument on [`CellStore::admitted`] holds.
@@ -778,7 +778,10 @@ mod tests {
         assert_eq!(stats.matches, 2);
         assert_eq!(stats.pairs_examined, 6, "logical n_R·n_T");
         assert_eq!(stats.probes, 3, "the larger side probes");
-        assert_eq!(store.live_tuples(), 1);
+        let released: Vec<(u32, u32)> = (0..store.len() as u32)
+            .flat_map(|idx| store.take_emitted(idx).0)
+            .collect();
+        assert_eq!(released.len(), 1);
     }
 
     #[test]
@@ -790,7 +793,7 @@ mod tests {
         // Oriented output = -(3+4) = -7.
         let mut store = CellStore::new(OutputGrid::new(vec![-10.0], vec![0.0], 8));
         run(&r, &t, &maps, &mut store);
-        assert_eq!(store.live_tuples(), 1);
+        assert_eq!(store.stats().tuples_inserted, 1);
         let (_, cell) = store.iter().find(|(_, c)| !c.is_empty()).unwrap();
         assert_eq!(cell.points().point(0), &[-7.0]);
     }
@@ -829,7 +832,7 @@ mod tests {
         let (stats, completed) = join_into_store(&rp, &tp, &maps, &mut store, &token);
         assert!(!completed);
         assert_eq!(stats.matches, 0);
-        assert_eq!(store.live_tuples(), 0);
+        assert_eq!(store.stats().tuples_inserted, 0);
         // The work unit settles keys before the first probe row: a token
         // that fired by then still stops the unit before anything is
         // expanded.
@@ -948,29 +951,49 @@ mod tests {
         assert_eq!(ids.len(), 2, "equal tuples are incomparable");
     }
 
-    /// Every grid position's live tuples (in order) and derived death —
-    /// all of a store's state that anything downstream of the committer
-    /// reads. A position without a cell holds nothing, and is dead iff a
-    /// populated cell fully dominates it.
-    fn assert_same_cells(plain: &CellStore, filtered: &CellStore, at: &str) {
+    /// A cell's members, in admission order.
+    fn held(s: &CellStore, idx: u32) -> Vec<(u32, u32)> {
+        s.cell(idx).ids().to_vec()
+    }
+
+    /// The members of a cell its release would keep, in admission order:
+    /// those no published row dominates (for stores without NaN rows).
+    fn survivors(s: &CellStore, idx: u32) -> Vec<(u32, u32)> {
+        let cell = s.cell(idx);
+        let mut work = 0;
+        (cell.ids().iter().zip(cell.points().iter()))
+            .filter(|(_, p)| !s.admitted().any_dominates(p, &mut work))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// Every grid position's tuples (as `members` reads them, in order)
+    /// and derived death — all of a store's state that anything downstream
+    /// of the committer reads. A position without a cell holds nothing,
+    /// and is dead iff a populated cell fully dominates it.
+    fn assert_same_cells(
+        plain: &CellStore,
+        filtered: &CellStore,
+        members: fn(&CellStore, u32) -> Vec<(u32, u32)>,
+        at: &str,
+    ) {
         let grid = plain.grid();
         let mut top = [0; MAX_DIMS];
         top[..grid.dims()].fill(grid.cells_per_dim() - 1);
-        let ids =
-            |s: &CellStore, c: &Coord| s.find(c).map_or(Vec::new(), |i| s.cell(i).ids().to_vec());
+        let ids = |s: &CellStore, c: &Coord| s.find(c).map_or(Vec::new(), |i| members(s, i));
         let dead =
             |s: &CellStore, c: &Coord| s.find(c).map_or(s.region_is_dead(c), |i| s.cell_is_dead(i));
         for c in grid.iter_box([0; MAX_DIMS], top) {
             let at = format!("{at}, cell {:?}", &c[..grid.dims()]);
-            assert_eq!(ids(plain, &c), ids(filtered, &c), "{at}: live tuples");
+            assert_eq!(ids(plain, &c), ids(filtered, &c), "{at}: tuples");
             assert_eq!(dead(plain, &c), dead(filtered, &c), "{at}: dead");
         }
     }
 
     /// The store-level contract of upstream rejection: filtering each batch
     /// against the admitted forest as it stood before the batch, then
-    /// inserting the survivors, leaves every cell holding the live tuples,
-    /// in the order, plain insertion of the whole batch does, and the same
+    /// inserting the survivors, leaves every cell holding the tuples, in
+    /// the order, plain insertion of the whole batch does, and the same
     /// cells dead
     /// ([`CellStore::cell_is_dead`]; the *flags* differ — a rejected tuple
     /// that never reaches the store cannot memoize its cell's death) — with
@@ -1012,7 +1035,7 @@ mod tests {
                 filtered.insert(r, t, points.point(i));
             }
             filtered.publish_admitted();
-            assert_same_cells(&plain, &filtered, &format!("batch {batch}"));
+            assert_same_cells(&plain, &filtered, held, &format!("batch {batch}"));
             nan_admitted |=
                 (plain.iter()).any(|(_, c)| c.points().raw().iter().any(|v| v.is_nan()));
         }
@@ -1046,15 +1069,16 @@ mod tests {
     /// The same contract one level up, for the key-group look-ahead:
     /// committing `join_batch`'s output — pruned against the store's own
     /// forest as it stood before the unit, locally filtered, snapshot
-    /// filtered — leaves every cell exactly as streaming the region's every
-    /// match into the store (`join_into_store`) does. The streaming side
-    /// admits transient tuples the batch side never sees; eviction is
-    /// order-stable, so they leave nothing behind. Skipped and produced
-    /// matches add up to the streamed ones.
+    /// filtered — leaves every cell releasing exactly what streaming the
+    /// region's every match into the store (`join_into_store`) does. The
+    /// streaming side admits transient tuples the batch side never sees;
+    /// the release drops them and keeps the survivors in admission order,
+    /// so they leave nothing behind. Skipped and produced matches add up
+    /// to the streamed ones.
     #[test]
     fn pruned_batches_commit_to_the_same_cells_as_streamed_regions() {
         let maps = MapSet::pairwise_sum(2, Preference::all_lowest(2));
-        // Coarse cells, so a transient's eviction has neighbours to permute.
+        // Coarse cells, so a transient has neighbours to permute.
         let grid = OutputGrid::new(vec![0.0, 0.0], vec![40.0, 40.0], 4);
         let mut streamed = CellStore::new(grid.clone());
         let mut batched = CellStore::new(grid);
@@ -1087,12 +1111,13 @@ mod tests {
                 batched.insert(r, t, point);
             }
             batched.publish_admitted();
-            assert_same_cells(&streamed, &batched, &format!("region {rid}"));
+            streamed.publish_admitted();
+            assert_same_cells(&streamed, &batched, survivors, &format!("region {rid}"));
         }
         assert!(skipped > 0, "the look-ahead never fired");
         assert!(
             streamed.stats().tuples_inserted > batched.stats().tuples_inserted,
-            "no transient tuple put eviction order to the test"
+            "no transient tuple put the release order to the test"
         );
     }
 

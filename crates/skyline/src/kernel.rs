@@ -5,8 +5,9 @@
 //! orientation ([`Order::orient`]), and F-dominance after projecting tuples
 //! onto the weight-polytope vertices (weak F-dominance is component-wise `≤`
 //! in projection space). That means one family of kernels serves every hot
-//! call site — BNL/SFS windows, the worker-local pre-filter, cell-store
-//! insert/eviction, and the emission filter.
+//! call site — BNL/SFS windows, the worker-local pre-filter, the admitted
+//! forest's leaves and the cell store's unpublished rows, and the
+//! emission filter.
 //!
 //! The kernels walk the flat `len × dims` buffer of a [`PointStore`]
 //! row-blockwise in chunks of [`CHUNK`] rows with branch-free `|=`/bool

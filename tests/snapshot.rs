@@ -229,10 +229,10 @@ fn ingest_streams_agree_across_backends_whatever_the_local_filter_drops() {
 /// filtered against a staler slab, or against none, hands the committer
 /// tuples a fresher guard drops upstream — and so in the moment a cell is
 /// lazily found dead; cells inside an event come out in ascending grid
-/// coordinate and a cell's tuples in the admission order of its live ones,
+/// coordinate and a cell's tuples in the admission order of its survivors,
 /// so neither can observe that. The inputs make the store admit
-/// *transient* tuples (admitted, evicted before their cell is released),
-/// so eviction order is exercised too. With eviction replayed as
+/// *transient* tuples (admitted, dominated before their cell is
+/// released), so the release's order is exercised too. With eviction replayed as
 /// `swap_remove`s (before the key-group look-ahead PR) the since-deleted
 /// streaming insert ≠ the batch arrangement on 16 of these inputs, and
 /// Inline ≠ Pooled(2) on d = 4 AntiCorrelated seed 3.
