@@ -94,14 +94,15 @@ pub enum Popped {
 /// How emitted `(r, t)` tuple ids map back to the caller's row ids.
 ///
 /// The batch pipeline inserts *filtered-source* row ids into the cell
-/// store and translates them through the push-through survivor tables on
-/// emission; the streaming-ingestion pipeline inserts caller row ids
-/// directly, so no table exists.
+/// store; when push-through dropped rows it translates them through the
+/// survivor tables on emission. Without push-through (off, or skipped) the
+/// filtered source is every row in order, and the streaming-ingestion
+/// pipeline inserts caller row ids directly, so no table exists.
 #[derive(Debug)]
 pub(crate) enum RowIds {
-    /// Emitted ids are already the caller's (streaming ingestion).
+    /// Emitted ids are already the caller's.
     Identity,
-    /// Translate through filtered→original row tables (batch pipeline).
+    /// Translate through filtered→original row tables (push-through).
     Table {
         /// Original R row id per filtered row.
         r: Vec<u32>,

@@ -28,6 +28,15 @@
 //! shared [`EngineRuntime`] pool — for batch sessions and
 //! [`ProgXe::open_ingest`] alike.
 //!
+//! A side's input grid is its row cut (`grid::RowCut`) plus the
+//! query's signature pass. When the side keeps every row in order (no
+//! push-through pruning) and its view carries the table's
+//! [`CutMemo`](crate::grid::CutMemo) — a catalog query over an unfiltered
+//! table — the cut comes from the memo, cut once per table and slice count;
+//! otherwise [`InputGrid::build`] cuts the copied rows. Both run the same
+//! cut, so emission does not depend on the memo. Such a side also reports
+//! its filtered row ids as they are: no id table.
+//!
 //! The executor is deterministic given its configuration: grid construction,
 //! region ids, and the `Random` ordering's shuffle are all seeded or
 //! ordinal.
@@ -360,9 +369,10 @@ impl ProgXe {
         }
 
         // ── Push-through (ProgXe+) ────────────────────────────────────────
-        // `kept_*` map filtered row ids back to the caller's original rows.
+        // `kept` maps filtered row ids back to the caller's original rows;
+        // `None` when every row is kept, in order, so ids need no table.
         let stats = &mut front.stats;
-        let (kept_r, kept_t) = if self.config.push_through {
+        let kept = if self.config.push_through {
             match (
                 push_through(r, t, maps, Side::R),
                 push_through(t, r, maps, Side::T),
@@ -370,15 +380,15 @@ impl ProgXe {
                 (Some(kr), Some(kt)) => {
                     stats.push_through_pruned_r = r.len() - kr.len();
                     stats.push_through_pruned_t = t.len() - kt.len();
-                    (kr, kt)
+                    Some((kr, kt))
                 }
                 _ => {
                     stats.push_through_skipped = true;
-                    ((0..r.len() as u32).collect(), (0..t.len() as u32).collect())
+                    None
                 }
             }
         } else {
-            ((0..r.len() as u32).collect(), (0..t.len() as u32).collect())
+            None
         };
 
         // ── Dense join-key remapping ─────────────────────────────────────
@@ -389,8 +399,9 @@ impl ProgXe {
             let next = key_ids.len() as u32;
             *key_ids.entry(k).or_insert(next)
         };
-        let (r_attrs, r_keys) = filter_source(r, &kept_r, &mut dense);
-        let (t_attrs, t_keys) = filter_source(t, &kept_t, &mut dense);
+        let (kept_r, kept_t) = kept.as_ref().map(|(r, t)| (&r[..], &t[..])).unzip();
+        let (r_attrs, r_keys) = filter_source(r, kept_r, &mut dense);
+        let (t_attrs, t_keys) = filter_source(t, kept_t, &mut dense);
         let join_domain = key_ids.len();
         front.stats.remap_time = front.laps.lap();
         if r_keys.is_empty() || t_keys.is_empty() {
@@ -402,11 +413,18 @@ impl ProgXe {
         }
 
         // ── Grids + output-space look-ahead ──────────────────────────────
+        // A side that copied every row of a view carrying its table's cut
+        // memo takes the row cut from there; only signatures are per query.
         let per_dim = self.config.input_partitions_per_dim;
-        let r_view = SourceView::checked(&r_attrs, &r_keys);
-        let t_view = SourceView::checked(&t_attrs, &t_keys);
-        let r_grid = InputGrid::build(&r_view, per_dim, join_domain);
-        let t_grid = InputGrid::build(&t_view, per_dim, join_domain);
+        let grid = |src: &SourceView<'_>, attrs: &PointStore, keys: &[u32]| match src
+            .cuts()
+            .filter(|_| kept.is_none())
+        {
+            Some(memo) => InputGrid::sign(&memo.cut(src.attrs(), per_dim), keys, join_domain),
+            None => InputGrid::build(&SourceView::checked(attrs, keys), per_dim, join_domain),
+        };
+        let r_grid = grid(r, &r_attrs, &r_keys);
+        let t_grid = grid(t, &t_attrs, &t_keys);
         front.stats.partitions_r = r_grid.len();
         front.stats.partitions_t = t_grid.len();
         front.stats.grid_time = front.laps.lap();
@@ -421,9 +439,9 @@ impl ProgXe {
         let columnar = maps.separable_at(r_attrs.point(0), t_attrs.point(0));
         let r = JoinSource::new(Side::R, r_attrs, r_keys, r_grid);
         let t = JoinSource::new(Side::T, t_attrs, t_keys, t_grid);
-        let row_ids = RowIds::Table {
-            r: kept_r,
-            t: kept_t,
+        let row_ids = match kept {
+            Some((r, t)) => RowIds::Table { r, t },
+            None => RowIds::Identity,
         };
         Ok(front.finish(la, maps, &self.config, row_ids, |regions| {
             RegionCtx::new(maps.clone(), columnar, r, t, regions)
@@ -431,12 +449,17 @@ impl ProgXe {
     }
 }
 
-/// Copies the kept rows of a source, remapping join keys to dense ids.
+/// Copies the `kept` rows of a source (every row, in order, for `None`),
+/// remapping join keys to dense ids.
 fn filter_source(
     src: &SourceView<'_>,
-    kept: &[u32],
+    kept: Option<&[u32]>,
     dense: &mut impl FnMut(u32) -> u32,
 ) -> (PointStore, Vec<u32>) {
+    let Some(kept) = kept else {
+        let keys = src.join_keys().iter().map(|&k| dense(k)).collect();
+        return (src.attrs().clone(), keys);
+    };
     let mut attrs = PointStore::with_capacity(src.dims(), kept.len());
     let mut keys = Vec::with_capacity(kept.len());
     for &row in kept {

@@ -3,14 +3,22 @@
 //! "We assume the input data sets are partitioned into a multi-dimensional
 //! grid structure." Each source is cut into `p` equal-width slices per
 //! attribute dimension (capped so a grid has at most [`INPUT_CELL_BUDGET`]
-//! cells); only non-empty partitions are materialized. [`InputGrid::build`]
-//! is a counting sort over a dense array of per-cell counters: two passes
-//! over the rows, no hashing and no growing buckets. Every
-//! partition carries (a) the row indices of its tuples, (b) a *tight*
-//! bounding box (the min/max of its members, which maps to tighter output
-//! regions than the raw cell geometry — a sound refinement), and (c) the
-//! join-value [`JoinSignature`] used to decide whether a partition pair can
-//! produce join results at all.
+//! cells); only non-empty partitions are materialized. Every partition
+//! carries (a) the row indices of its tuples, (b) a *tight* bounding box
+//! (the min/max of its members, which maps to tighter output regions than
+//! the raw cell geometry — a sound refinement), and (c) the join-value
+//! [`JoinSignature`] used to decide whether a partition pair can produce
+//! join results at all.
+//!
+//! A grid is built in two steps. The row cut (`RowCut`) — (a) and (b), a
+//! counting sort over a dense array of per-cell counters: two passes over
+//! the rows, no hashing and no growing buckets — depends only on the
+//! attributes and the slice count, so, as in the paper, it is a property of
+//! the stored
+//! relation: a catalog table keeps its cuts in a [`CutMemo`], one per
+//! effective slice count, and a query over it pays only the signature pass
+//! (`InputGrid::sign`, (c) over the query's dense join keys).
+//! [`InputGrid::build`] runs both steps, for every source without a memo.
 //!
 //! A stream's grid ([`InputGrid::declared`]) is the same structure over
 //! *declared* bounds: one partition per cell, before any row arrives.
@@ -26,7 +34,7 @@ use crate::pushthrough::Side;
 use crate::signature::JoinSignature;
 use crate::source::SourceView;
 use progxe_skyline::PointStore;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Fixed slicing geometry of one input grid: `per_dim` equal-width slices
 /// per attribute dimension over a bounding box.
@@ -85,7 +93,7 @@ impl GridGeometry {
     }
 
     /// Linear cell index of a point (row-major, dimension 0 most
-    /// significant — matches [`InputGrid::build`]'s bucketing).
+    /// significant — matches the row cut's bucketing).
     #[inline]
     pub fn linear_of(&self, p: &[f64]) -> usize {
         let top = self.per_dim - 1;
@@ -135,7 +143,7 @@ impl GridGeometry {
 /// look-ahead's partition-pair enumeration infeasible.
 pub const INPUT_CELL_BUDGET: usize = 1 << 16;
 
-/// Slices per dimension that [`InputGrid::build`] cuts a `dims`-dimensional
+/// Slices per dimension that an input grid cuts a `dims`-dimensional
 /// source into when asked for `per_dim`: the largest `s ≤ per_dim` with
 /// `s^dims ≤` [`INPUT_CELL_BUDGET`] (65 536 / 256 / 40 / 16 / 9 / 6 / 4 / 4
 /// for d = 1…8).
@@ -150,6 +158,192 @@ pub fn capped_slices(per_dim: usize, dims: usize) -> usize {
         slices -= 1;
     }
     slices
+}
+
+/// The row cut of one source at one slice count: the rows of each
+/// non-empty cell of its data-bounds grid and each such cell's tight
+/// `lo`/`hi`. It reads the attributes only — no join key, no query — so a
+/// registered table keeps its cuts ([`CutMemo`]) and every query over it
+/// runs only [`InputGrid::sign`].
+///
+/// Held flat: 4 bytes per row, plus per partition one offset and `2·dims`
+/// bounds.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RowCut {
+    dims: usize,
+    /// The effective slices per dimension ([`capped_slices`]).
+    slices: usize,
+    /// Each partition's rows, ascending, partitions in ascending linear
+    /// cell index.
+    rows: Vec<u32>,
+    /// `len() + 1` offsets into `rows`.
+    starts: Vec<u32>,
+    /// Per partition, its `lo` then its `hi`.
+    bounds: Vec<f64>,
+}
+
+impl RowCut {
+    /// Cuts `attrs` into [`capped_slices`]`(per_dim, dims)` slices per
+    /// dimension over their bounding box.
+    ///
+    /// A counting sort: one pass finds each row's cell and counts rows per
+    /// cell in a dense array, a second places every row, in ascending row
+    /// order, at its partition's next slot, folding it into the
+    /// partition's bounds. Partitions are the non-empty cells in ascending
+    /// linear index.
+    ///
+    /// # Panics
+    /// Panics if `per_dim` is 0.
+    pub(crate) fn new(attrs: &PointStore, per_dim: usize) -> Self {
+        assert!(per_dim > 0, "per_dim must be positive");
+        let (dims, n) = (attrs.dims(), attrs.len());
+        let slices = capped_slices(per_dim, dims);
+        let Some((lo, hi)) = attrs.bounds() else {
+            return Self {
+                dims,
+                slices,
+                rows: Vec::new(),
+                starts: vec![0],
+                bounds: Vec::new(),
+            };
+        };
+        let geo = GridGeometry::from_bounds(&lo, &hi, slices);
+        let cells = geo.cell_count().expect("a capped grid's cell count fits");
+
+        let mut cell_of = Vec::with_capacity(n);
+        let mut counts = vec![0u32; cells];
+        for p in attrs.iter() {
+            let cell = geo.linear_of(p);
+            counts[cell] += 1;
+            cell_of.push(cell as u32);
+        }
+        // Each non-empty cell opens a partition; from here on `counts` maps
+        // a cell to its partition id.
+        let mut starts = vec![0u32];
+        for count in &mut counts {
+            if *count > 0 {
+                let id = starts.len() as u32 - 1;
+                starts.push(starts[id as usize] + *count);
+                *count = id;
+            }
+        }
+        // The offsets live as long as the table: no growth slack.
+        starts.shrink_to_fit();
+        let width = 2 * dims;
+        let mut next = starts[..starts.len() - 1].to_vec();
+        let mut rows = vec![0u32; n];
+        let mut bounds = vec![0.0; next.len() * width];
+        for (row, &cell) in cell_of.iter().enumerate() {
+            let part = counts[cell as usize] as usize;
+            let (lo, hi) = bounds[part * width..(part + 1) * width].split_at_mut(dims);
+            let values = attrs.point(row);
+            if next[part] == starts[part] {
+                lo.copy_from_slice(values);
+                hi.copy_from_slice(values);
+            }
+            for (d, &v) in values.iter().enumerate() {
+                lo[d] = lo[d].min(v);
+                hi[d] = hi[d].max(v);
+            }
+            rows[next[part] as usize] = row as u32;
+            next[part] += 1;
+        }
+        Self {
+            dims,
+            slices,
+            rows,
+            starts,
+            bounds,
+        }
+    }
+
+    /// Number of partitions (non-empty cells).
+    #[inline]
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Partition `part`'s rows, ascending.
+    #[inline]
+    fn rows_of(&self, part: usize) -> &[u32] {
+        &self.rows[self.starts[part] as usize..self.starts[part + 1] as usize]
+    }
+
+    /// Partition `part`'s per-dimension lower bounds.
+    #[inline]
+    fn lo(&self, part: usize) -> &[f64] {
+        let at = part * 2 * self.dims;
+        &self.bounds[at..at + self.dims]
+    }
+
+    /// Partition `part`'s per-dimension upper bounds.
+    #[inline]
+    fn hi(&self, part: usize) -> &[f64] {
+        let at = (part * 2 + 1) * self.dims;
+        &self.bounds[at..at + self.dims]
+    }
+
+    /// Heap bytes the cut holds.
+    fn heap_bytes(&self) -> usize {
+        4 * (self.rows.capacity() + self.starts.capacity()) + 8 * self.bounds.capacity()
+    }
+}
+
+/// The row cuts of one table, one per effective slice count, each cut the
+/// first time a query asks for it and shared by every later one.
+///
+/// A memo belongs to one set of rows that never changes: it lives beside a
+/// catalog registration's data, which the catalog never mutates, and
+/// replacing the table drops it. Two queries racing a cold fill may both
+/// cut; they cut identical data, and the first one stored is kept.
+#[derive(Debug, Default)]
+pub struct CutMemo {
+    cuts: Mutex<Vec<Arc<RowCut>>>,
+}
+
+impl CutMemo {
+    /// The cut of `attrs` — the memo's rows — at `per_dim` slices per
+    /// dimension: the kept one, or a fresh [`RowCut::new`], kept.
+    ///
+    /// # Panics
+    /// Panics if a kept cut has another row count or dimensionality than
+    /// `attrs`: the memo is not the one of these rows. Debug builds also
+    /// check that a kept cut equals a fresh one.
+    pub(crate) fn cut(&self, attrs: &PointStore, per_dim: usize) -> Arc<RowCut> {
+        let slices = capped_slices(per_dim, attrs.dims());
+        let kept = self.lock().iter().find(|c| c.slices == slices).cloned();
+        let cut = kept.unwrap_or_else(|| {
+            let fresh = Arc::new(RowCut::new(attrs, per_dim));
+            let mut cuts = self.lock();
+            // A query racing this one to the cold fill may have kept its
+            // cut meanwhile; both cut the same rows.
+            match cuts.iter().find(|c| c.slices == slices) {
+                Some(first) => Arc::clone(first),
+                None => {
+                    cuts.push(Arc::clone(&fresh));
+                    fresh
+                }
+            }
+        });
+        assert!(
+            cut.rows.len() == attrs.len() && cut.dims == attrs.dims(),
+            "a row-cut memo asked for other rows than its own"
+        );
+        debug_assert_eq!(*cut, RowCut::new(attrs, per_dim), "a stale row cut");
+        cut
+    }
+
+    /// Heap bytes the kept cuts hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.lock().iter().map(|c| c.heap_bytes()).sum()
+    }
+
+    /// The kept cuts. A panic while the lock is held cannot leave the list
+    /// half updated (its one update is a push), so a poisoned lock is
+    /// taken as it is.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<RowCut>>> {
+        self.cuts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One input partition (`I^R_a` in the paper's notation).
@@ -196,17 +390,52 @@ pub struct InputGrid {
 impl InputGrid {
     /// Partitions `source` into `per_dim` slices per attribute dimension —
     /// at most [`capped_slices`]`(per_dim, dims)`, so the grid has no more
-    /// than [`INPUT_CELL_BUDGET`] cells.
-    ///
-    /// A counting sort: one pass finds each row's cell and counts rows per
-    /// cell in a dense array, a second appends every row, in ascending row
-    /// order, to its partition (sized up front), folding it into the
-    /// partition's bounds and signature. Partitions are the non-empty cells
-    /// in ascending linear index.
+    /// than [`INPUT_CELL_BUDGET`] cells: the row cut of its attributes,
+    /// then the signature pass over its join keys.
     ///
     /// `join_domain` is the exclusive upper bound of join-key values
     /// (`max key + 1`), used to size exact signatures.
     pub fn build(source: &SourceView<'_>, per_dim: usize, join_domain: usize) -> Self {
+        Self::sign(
+            &RowCut::new(source.attrs(), per_dim),
+            source.join_keys(),
+            join_domain,
+        )
+    }
+
+    /// The grid of `cut` over the rows' join keys (`keys[row]`, dense,
+    /// below `join_domain`): one partition per partition of the cut, with
+    /// its rows and bounds, and the signature of its rows' keys, folded in
+    /// cut order. This pass is all a query pays for a table whose cut it
+    /// finds in the table's [`CutMemo`].
+    ///
+    /// # Panics
+    /// Panics if `keys` does not hold one key per row of the cut.
+    pub(crate) fn sign(cut: &RowCut, keys: &[u32], join_domain: usize) -> Self {
+        assert_eq!(keys.len(), cut.rows.len(), "one join key per cut row");
+        let partitions = (0..cut.len())
+            .map(|part| {
+                let tuples = cut.rows_of(part).to_vec();
+                let mut signature = JoinSignature::empty(join_domain);
+                for &row in &tuples {
+                    signature.insert(keys[row as usize]);
+                }
+                InputPartition {
+                    id: part as u32,
+                    tuples,
+                    lo: cut.lo(part).to_vec(),
+                    hi: cut.hi(part).to_vec(),
+                    signature,
+                }
+            })
+            .collect();
+        Self { partitions }
+    }
+
+    /// Today's one-pass build, kept as the reference the split
+    /// ([`RowCut::new`] + [`sign`](Self::sign)) is checked against.
+    #[cfg(test)]
+    fn build_in_one_pass(source: &SourceView<'_>, per_dim: usize, join_domain: usize) -> Self {
         assert!(per_dim > 0, "per_dim must be positive");
         let n = source.len();
         if n == 0 {
@@ -229,8 +458,6 @@ impl InputGrid {
             counts[cell] += 1;
             cell_of.push(cell as u32);
         }
-        // Each non-empty cell opens a partition sized to its count; from here
-        // on `counts` maps a cell to its partition id.
         let mut partitions = Vec::new();
         for count in &mut counts {
             if *count > 0 {
@@ -1024,6 +1251,112 @@ mod tests {
             cases += usize::from(want.len() > 1);
         }
         assert!(cases > 80, "only {cases} sources split at all");
+    }
+
+    /// The split — [`RowCut::new`] then [`InputGrid::sign`] — against the
+    /// one-pass build it replaced, bit for bit: partitions, `lo`/`hi` bits
+    /// and signature membership, on random sources of d = 1…8 (slice
+    /// counts up to 300, so capped grids at every d ≥ 2) whose dimensions
+    /// are each one of: spread values, values on slice boundaries, one
+    /// constant (zero extent), or ±0.0 — duplicate rows throughout. A cut
+    /// shared through a [`CutMemo`] signs the same grids under other join
+    /// keys.
+    #[test]
+    fn split_matches_the_one_pass_build() {
+        let mut next = lcg(0x5_911);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut capped, mut signed_zeros) = (0, 0);
+        for round in 0..240 {
+            let dims = 1 + round % 8;
+            let per_dim = [1, 2, 3, 7, 16, 41, 300][next(7) as usize];
+            let domain = 1 + next(40) as usize;
+            let kinds: Vec<u64> = (0..dims).map(|_| next(4)).collect();
+            let mut src = SourceData::new(dims);
+            let mut row = vec![0.0; dims];
+            for _ in 0..1 + next(400) {
+                if src.is_empty() || next(4) != 0 {
+                    for (v, &kind) in row.iter_mut().zip(&kinds) {
+                        *v = match kind {
+                            0 => next(100_000) as f64 / 37.0 - 1000.0,
+                            // -30…30 in whole steps: boundaries at every
+                            // whole multiple of 60 / p.
+                            1 => next(61) as f64 - 30.0,
+                            2 => -7.5,
+                            _ => [0.0, -0.0, 1.0, -1.0][next(4) as usize],
+                        };
+                    }
+                }
+                src.push(&row, next(domain as u64) as u32);
+            }
+            let view = src.view();
+            let want = InputGrid::build_in_one_pass(&view, per_dim, domain);
+            let memo = CutMemo::default();
+            let cut = memo.cut(view.attrs(), per_dim);
+            let at = format!("round {round}: d = {dims}, p = {per_dim}, kinds {kinds:?}");
+            assert_eq!(cut.rows.len(), src.len(), "{at}");
+            capped += usize::from(cut.slices < per_dim);
+            signed_zeros += usize::from(kinds.contains(&3));
+            let got = InputGrid::sign(&cut, view.join_keys(), domain);
+            assert_eq!(got.len(), want.len(), "{at}");
+            for (g, w) in got.partitions().iter().zip(want.partitions()) {
+                assert_eq!(g.id, w.id, "{at}");
+                assert_eq!(g.tuples, w.tuples, "{at}: partition {}", w.id);
+                assert_eq!(bits(&g.lo), bits(&w.lo), "{at}: partition {}", w.id);
+                assert_eq!(bits(&g.hi), bits(&w.hi), "{at}: partition {}", w.id);
+                assert_eq!(g.signature, w.signature, "{at}: partition {}", w.id);
+            }
+            let plain = InputGrid::build(&view, per_dim, domain);
+            assert_eq!(plain.len(), want.len(), "{at}: build");
+            // The kept cut under another key column: the grid the one-pass
+            // build makes of those keys.
+            let keys: Vec<u32> = (0..src.len()).map(|_| next(3) as u32).collect();
+            let rekeyed = SourceView::new(&src.attrs, &keys).unwrap();
+            assert!(Arc::ptr_eq(&cut, &memo.cut(view.attrs(), per_dim)), "{at}");
+            let got = InputGrid::sign(&memo.cut(view.attrs(), per_dim), &keys, 3);
+            let want = InputGrid::build_in_one_pass(&rekeyed, per_dim, 3);
+            for (g, w) in got.partitions().iter().zip(want.partitions()) {
+                assert_eq!(g.signature, w.signature, "{at}: rekeyed {}", w.id);
+            }
+        }
+        assert!(capped > 40, "only {capped} capped grids");
+        assert!(signed_zeros > 60, "only {signed_zeros} sources with ±0.0");
+    }
+
+    /// A memo keeps one cut per *effective* slice count — slice counts the
+    /// cap maps to one count share it — and holds 4 bytes per row per cut
+    /// plus its partitions' offsets and bounds.
+    #[test]
+    fn a_memo_keeps_one_cut_per_effective_slice_count() {
+        let mut next = lcg(0xC07);
+        let mut src = SourceData::new(4);
+        for _ in 0..2_000 {
+            let row: Vec<f64> = (0..4).map(|_| next(1000) as f64).collect();
+            src.push(&row, 0);
+        }
+        let memo = CutMemo::default();
+        assert_eq!(memo.heap_bytes(), 0);
+        let two = memo.cut(&src.attrs, 2);
+        assert_eq!(two.slices, 2);
+        assert_eq!(memo.heap_bytes(), two.heap_bytes());
+        // 16 is the cap at d = 4: 16, 17 and 300 are one cut.
+        let capped = memo.cut(&src.attrs, 16);
+        assert!(Arc::ptr_eq(&capped, &memo.cut(&src.attrs, 300)));
+        assert!(Arc::ptr_eq(&two, &memo.cut(&src.attrs, 2)));
+        let parts = two.len() + capped.len();
+        assert_eq!(
+            memo.heap_bytes(),
+            2 * 4 * 2_000 + 4 * (parts + 2) + 8 * 2 * 4 * parts
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "other rows than its own")]
+    fn a_memo_refuses_other_rows() {
+        let a = source(&[(&[1.0], 0), (&[2.0], 0)]);
+        let b = source(&[(&[1.0], 0), (&[2.0], 0), (&[3.0], 0)]);
+        let memo = CutMemo::default();
+        memo.cut(&a.attrs, 2);
+        memo.cut(&b.attrs, 2);
     }
 
     /// The slice cap: `min(p, cap_d)` slices, `cap_d` the largest count

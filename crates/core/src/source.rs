@@ -1,6 +1,7 @@
 //! Input-source abstraction: attribute matrix + join keys.
 
 use crate::error::{Error, Result};
+use crate::grid::CutMemo;
 use progxe_skyline::PointStore;
 
 /// Borrowed view over one input source of a SkyMapJoin query.
@@ -13,10 +14,15 @@ use progxe_skyline::PointStore;
 /// Every attribute value behind a view is finite: [`SourceView::new`]
 /// rejects NaN and ±∞, so the engines never see them as input (a mapping
 /// function may still produce them as output).
+///
+/// A view may carry the [`CutMemo`] of the table it reads
+/// ([`with_cuts`](Self::with_cuts)); ProgXe then takes the input grid's
+/// row cut from it instead of cutting the rows again.
 #[derive(Debug, Clone, Copy)]
 pub struct SourceView<'a> {
     attrs: &'a PointStore,
     join_keys: &'a [u32],
+    cuts: Option<&'a CutMemo>,
 }
 
 impl<'a> SourceView<'a> {
@@ -40,7 +46,11 @@ impl<'a> SourceView<'a> {
                 dim: pos % attrs.dims(),
             });
         }
-        Ok(Self { attrs, join_keys })
+        Ok(Self {
+            attrs,
+            join_keys,
+            cuts: None,
+        })
     }
 
     /// A view over rows already checked: copies of a checked view's rows,
@@ -49,7 +59,28 @@ impl<'a> SourceView<'a> {
     pub(crate) fn checked(attrs: &'a PointStore, join_keys: &'a [u32]) -> Self {
         debug_assert_eq!(attrs.len(), join_keys.len(), "arrays must be parallel");
         debug_assert!(attrs.raw().iter().all(|v| v.is_finite()));
-        Self { attrs, join_keys }
+        Self {
+            attrs,
+            join_keys,
+            cuts: None,
+        }
+    }
+
+    /// The view with the row-cut memo of its rows attached. `cuts` must be
+    /// the memo of exactly these rows, kept beside them while they never
+    /// change — a catalog registration's memo for its unfiltered table.
+    #[must_use]
+    pub fn with_cuts(self, cuts: &'a CutMemo) -> Self {
+        Self {
+            cuts: Some(cuts),
+            ..self
+        }
+    }
+
+    /// The attached row-cut memo, if any.
+    #[inline]
+    pub fn cuts(&self) -> Option<&'a CutMemo> {
+        self.cuts
     }
 
     /// Number of tuples.

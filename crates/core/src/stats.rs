@@ -38,7 +38,10 @@ pub struct ExecStats {
     /// arrived yet).
     pub remap_time: Duration,
     /// Input partitioning: the two `InputGrid`s with their join signatures
-    /// (under streaming ingestion, the declared grids).
+    /// (under streaming ingestion, the declared grids). A side whose view
+    /// carries its table's cut memo, once the memo holds the cut, pays only
+    /// the signature pass here (`InputGrid::sign`); the first such query
+    /// pays the row cut too.
     pub grid_time: Duration,
     /// Region generation and abstraction-level pruning (`run_lookahead`;
     /// over declared grids it provisions every potential region).

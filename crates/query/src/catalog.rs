@@ -1,5 +1,15 @@
 //! Catalog: table schemas and their bound data.
+//!
+//! A registered table is immutable: its data sits behind an `Arc` that the
+//! catalog never mutates, and registering a table under the same name
+//! replaces the whole registration. Beside the data each registration keeps
+//! a [`CutMemo`], empty at registration: the first ProgXe query that reads
+//! the table unfiltered at a slice count cuts its rows into the input grid
+//! there, and every later one — any engine configuration with the same
+//! effective slice count, any weights or preferences — only signs the cut
+//! with its own join keys. Replacing the table drops its memo.
 
+use progxe_core::grid::CutMemo;
 use progxe_core::source::SourceData;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,6 +60,16 @@ pub struct BoundTable {
     /// The data: attributes (matching `schema.columns`) + join keys, shared
     /// with every plan that reads it unfiltered.
     pub data: Arc<SourceData>,
+    /// The input-grid row cuts of `data`, shared likewise.
+    pub(crate) cuts: Arc<CutMemo>,
+}
+
+impl BoundTable {
+    /// The table's input-grid row cuts: empty until a query reads the table
+    /// unfiltered, then one per effective slice count.
+    pub fn cuts(&self) -> &CutMemo {
+        &self.cuts
+    }
 }
 
 /// A schema registered for streaming ingestion: no materialized rows, but
@@ -79,7 +99,7 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers (or replaces) a table.
+    /// Registers (or replaces) a table, with an empty row-cut memo.
     ///
     /// # Panics
     /// Panics when the data's attribute arity differs from the schema.
@@ -99,6 +119,7 @@ impl Catalog {
             BoundTable {
                 schema,
                 data: Arc::new(data),
+                cuts: Arc::default(),
             },
         );
     }

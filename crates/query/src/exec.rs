@@ -142,13 +142,15 @@ impl fmt::Display for Engine {
     }
 }
 
-/// A view over one planned source, or [`Error::NonFiniteValue`] naming the
+/// A view over one planned source, carrying its table's row-cut memo when
+/// it reads the table unfiltered, or [`Error::NonFiniteValue`] naming the
 /// catalog table's row (`rows` maps filtered positions back to it).
 fn source_view<'p>(
-    data: &'p SourceData,
+    planned: &'p PlannedQuery,
+    data: &'p Arc<SourceData>,
     rows: Option<&[u32]>,
 ) -> Result<SourceView<'p>, QueryError> {
-    data.try_view().map_err(|e| {
+    let view = data.try_view().map_err(|e| {
         QueryError::Exec(match e {
             Error::NonFiniteValue { row, dim } => Error::NonFiniteValue {
                 row: rows.map_or(row, |ids| ids[row] as usize),
@@ -156,6 +158,10 @@ fn source_view<'p>(
             },
             e => e,
         })
+    })?;
+    Ok(match planned.cuts(data) {
+        Some(cuts) => view.with_cuts(cuts),
+        None => view,
     })
 }
 
@@ -371,14 +377,16 @@ impl QueryRunner {
     /// Opens a pull-based [`QuerySession`] over a prepared query. Emitted
     /// row ids are translated back to the caller's original catalog tables;
     /// cancellation and `take(k)` behave exactly as on a raw engine
-    /// session.
+    /// session. A side that reads its catalog table unfiltered carries the
+    /// table's row-cut memo, so ProgXe cuts a table into its input grid
+    /// once per slice count, not once per query.
     pub fn session<'p>(
         &self,
         planned: &'p PlannedQuery,
         engine: &Engine,
     ) -> Result<QuerySession<'p>, QueryError> {
-        let r = source_view(&planned.r, planned.r_rows.as_deref())?;
-        let t = source_view(&planned.t, planned.t_rows.as_deref())?;
+        let r = source_view(planned, &planned.r, planned.r_rows.as_deref())?;
+        let t = source_view(planned, &planned.t, planned.t_rows.as_deref())?;
         let session = engine
             .build()
             .open(&r, &t, &planned.maps)?

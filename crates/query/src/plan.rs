@@ -2,8 +2,9 @@
 //! it into executor-ready artifacts (filtered sources + a [`MapSet`]).
 
 use crate::ast::{ColumnRef, ComparisonOp, Expr, Query, WeightCmp, WeightsClause};
-use crate::catalog::{Catalog, StreamTable, TableSchema};
+use crate::catalog::{BoundTable, Catalog, StreamTable, TableSchema};
 use progxe_core::fdom::{DominanceModel, FDominance, FdomError, WeightConstraint};
+use progxe_core::grid::CutMemo;
 use progxe_core::mapping::{MapSet, MappingFunction, WeightedSum};
 use progxe_core::source::SourceData;
 use progxe_skyline::{Order, Preference};
@@ -102,6 +103,22 @@ pub struct PlannedQuery {
     pub maps: MapSet,
     /// Output attribute names, in map order.
     pub output_names: Vec<String>,
+    /// Per side (R, T), the catalog table's data and row-cut memo when the
+    /// side reads that table unfiltered.
+    cuts: [Option<(Arc<SourceData>, Arc<CutMemo>)>; 2],
+}
+
+impl PlannedQuery {
+    /// The row-cut memo of `data` (`r` or `t`): its catalog table's, while
+    /// `data` still is the unfiltered table data it was planned over.
+    pub(crate) fn cuts(&self, data: &Arc<SourceData>) -> Option<&CutMemo> {
+        let (_, cuts) = self
+            .cuts
+            .iter()
+            .flatten()
+            .find(|(table, _)| Arc::ptr_eq(table, data))?;
+        Some(cuts)
+    }
 }
 
 /// Which side of the join an alias binds to.
@@ -268,6 +285,11 @@ pub fn plan(query: &Query, catalog: &Catalog) -> Result<PlannedQuery, PlanError>
 
     let (r, r_rows) = apply_filters(&r_table.data, &compiled.r_filters);
     let (t, t_rows) = apply_filters(&t_table.data, &compiled.t_filters);
+    let cuts = |table: &BoundTable, rows: &Option<Vec<u32>>| {
+        rows.is_none()
+            .then(|| (Arc::clone(&table.data), Arc::clone(&table.cuts)))
+    };
+    let cuts = [cuts(r_table, &r_rows), cuts(t_table, &t_rows)];
 
     Ok(PlannedQuery {
         r,
@@ -276,6 +298,7 @@ pub fn plan(query: &Query, catalog: &Catalog) -> Result<PlannedQuery, PlanError>
         t_rows,
         maps: compiled.maps,
         output_names: compiled.output_names,
+        cuts,
     })
 }
 
